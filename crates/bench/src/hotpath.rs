@@ -159,6 +159,11 @@ pub struct WorkloadReport {
     /// against cluster size. Defaults to 0 when read from a
     /// pre-interest-scoping report.
     pub metadata_bytes_per_op: f64,
+    /// Bytes handed to the kernel for peer traffic per measured op, as
+    /// counted by the TCP mesh (frame headers, envelope headers and
+    /// session traffic included). 0 for in-process workloads and when
+    /// read from a report that predates the field.
+    pub wire_bytes_per_op: f64,
     /// Whether the CI regression gate applies to this cell.
     pub gated: bool,
 }
@@ -199,6 +204,7 @@ impl Deserialize for WorkloadReport {
             envelopes_per_op: opt(v, "envelopes_per_op")?,
             syscalls_per_op: opt(v, "syscalls_per_op")?,
             metadata_bytes_per_op: opt(v, "metadata_bytes_per_op")?,
+            wire_bytes_per_op: opt(v, "wire_bytes_per_op")?,
             gated: req(v, "gated")?,
         })
     }
@@ -257,6 +263,22 @@ struct Measured {
     alloc_bytes_per_op: f64,
 }
 
+/// Allocations and allocated bytes per op between two probe snapshots;
+/// `-1` each without the probe.
+fn alloc_rates(
+    before: Option<AllocSnapshot>,
+    after: Option<AllocSnapshot>,
+    ops: u64,
+) -> (f64, f64) {
+    match (before, after) {
+        (Some(b), Some(a)) => (
+            (a.allocs - b.allocs) as f64 / ops as f64,
+            (a.bytes - b.bytes) as f64 / ops as f64,
+        ),
+        _ => (-1.0, -1.0),
+    }
+}
+
 fn measure(ops: u64, probe: Option<AllocProbe>, mut op: impl FnMut(u64)) -> Measured {
     // Throughput phase: no per-op timing, allocator probe around the loop.
     let before = probe.map(|p| p());
@@ -266,13 +288,7 @@ fn measure(ops: u64, probe: Option<AllocProbe>, mut op: impl FnMut(u64)) -> Meas
     }
     let elapsed_ns = start.elapsed().as_nanos() as u64;
     let after = probe.map(|p| p());
-    let (allocs_per_op, alloc_bytes_per_op) = match (before, after) {
-        (Some(b), Some(a)) => (
-            (a.allocs - b.allocs) as f64 / ops as f64,
-            (a.bytes - b.bytes) as f64 / ops as f64,
-        ),
-        _ => (-1.0, -1.0),
-    };
+    let (allocs_per_op, alloc_bytes_per_op) = alloc_rates(before, after, ops);
 
     // Latency phase: per-op timing on a sample.
     let samples = ops.min(20_000);
@@ -330,6 +346,7 @@ fn report(
         envelopes_per_op: envelopes.total() as f64 / executed,
         syscalls_per_op: 0.0,
         metadata_bytes_per_op: 0.0,
+        wire_bytes_per_op: 0.0,
         gated,
     }
 }
@@ -562,6 +579,7 @@ pub fn figure6_solver(seed: u64, cfg: &PerfConfig) -> WorkloadReport {
         envelopes_per_op: msgs as f64 / ops.max(1) as f64,
         syscalls_per_op: 0.0,
         metadata_bytes_per_op: 0.0,
+        wire_bytes_per_op: 0.0,
         gated: false,
     }
 }
@@ -592,13 +610,7 @@ fn measure_inline(
     finish();
     let elapsed_ns = start.elapsed().as_nanos() as u64;
     let after = probe.map(|p| p());
-    let (allocs_per_op, alloc_bytes_per_op) = match (before, after) {
-        (Some(b), Some(a)) => (
-            (a.allocs - b.allocs) as f64 / ops as f64,
-            (a.bytes - b.bytes) as f64 / ops as f64,
-        ),
-        _ => (-1.0, -1.0),
-    };
+    let (allocs_per_op, alloc_bytes_per_op) = alloc_rates(before, after, ops);
     lat.sort_unstable();
     Measured {
         ops,
@@ -1092,21 +1104,23 @@ pub fn recovery_replay(seed: u64, cfg: &PerfConfig) -> WorkloadReport {
 /// The merged history is checked against the Definition-2 oracle before
 /// the cell reports: a fast number for an incorrect memory is worthless.
 ///
-/// Ungated: socket wall-clock is scheduling-noisy, and the concurrent
-/// interleaving makes cache misses — and therefore the message bill — a
-/// property of the run, not the seed.
+/// Wall-clock ungated: socket timing is scheduling-noisy, and the
+/// concurrent interleaving makes cache misses — and therefore the message
+/// bill — a property of the run, not the seed. What the gate does hold
+/// this cell to is its per-op *proxies* (see [`PROXY_GATED`]).
 ///
 /// # Panics
 ///
 /// Panics if cluster bring-up fails, an operation errors, or the oracle
 /// rejects the execution.
 #[must_use]
-pub fn mixed_remote_tcp(seed: u64, cfg: &PerfConfig) -> WorkloadReport {
+pub fn mixed_remote_tcp(seed: u64, cfg: &PerfConfig, probe: Option<AllocProbe>) -> WorkloadReport {
     const NODES: u32 = 4;
     const LOCATIONS: u32 = 64;
     let script_len = if cfg.quick { 2048 } else { 8192 };
-    let run = dsm_net::run_loopback(NODES, LOCATIONS, seed, script_len);
-    tcp_report("mixed_remote_tcp", seed, run)
+    tcp_report("mixed_remote_tcp", seed, probe, || {
+        dsm_net::run_loopback(NODES, LOCATIONS, seed, script_len)
+    })
 }
 
 /// The same cluster-wide script as [`mixed_remote_tcp`], with the PR-7
@@ -1121,7 +1135,11 @@ pub fn mixed_remote_tcp(seed: u64, cfg: &PerfConfig) -> WorkloadReport {
 /// Panics if cluster bring-up fails, an operation errors, or the oracle
 /// rejects the execution.
 #[must_use]
-pub fn mixed_remote_tcp_batched(seed: u64, cfg: &PerfConfig) -> WorkloadReport {
+pub fn mixed_remote_tcp_batched(
+    seed: u64,
+    cfg: &PerfConfig,
+    probe: Option<AllocProbe>,
+) -> WorkloadReport {
     const NODES: u32 = 4;
     const LOCATIONS: u32 = 64;
     let script_len = if cfg.quick { 2048 } else { 8192 };
@@ -1130,8 +1148,9 @@ pub fn mixed_remote_tcp_batched(seed: u64, cfg: &PerfConfig) -> WorkloadReport {
         batching: true,
         ..dsm_net::NetOptions::default()
     };
-    let run = dsm_net::run_loopback_with(NODES, LOCATIONS, seed, script_len, &net);
-    tcp_report("mixed_remote_tcp_batched", seed, run)
+    tcp_report("mixed_remote_tcp_batched", seed, probe, || {
+        dsm_net::run_loopback_with(NODES, LOCATIONS, seed, script_len, &net)
+    })
 }
 
 /// The write-pipeline ablation over real sockets: a two-node cluster runs
@@ -1139,15 +1158,21 @@ pub fn mixed_remote_tcp_batched(seed: u64, cfg: &PerfConfig) -> WorkloadReport {
 /// remote WRITE/W_REPLY round trips over the kernel's loopback TCP.
 /// Window 0 is the paper's blocking write — one stalled round trip *and*
 /// at least one syscall per op; window `W` overlaps `W` of them and lets
-/// the batcher seal the overlapped WRITEs into shared envelopes. Ungated:
-/// real-socket wall-clock is scheduling-noisy.
+/// the batcher seal the overlapped WRITEs into shared envelopes.
+/// Wall-clock ungated (real-socket timing is scheduling-noisy); the
+/// window-32 cell's per-op proxies are gated (see [`PROXY_GATED`]).
 ///
 /// # Panics
 ///
 /// Panics if cluster bring-up fails, an operation errors, or the oracle
 /// rejects the execution.
 #[must_use]
-pub fn write_pipeline_tcp(seed: u64, cfg: &PerfConfig, window: u32) -> WorkloadReport {
+pub fn write_pipeline_tcp(
+    seed: u64,
+    cfg: &PerfConfig,
+    probe: Option<AllocProbe>,
+    window: u32,
+) -> WorkloadReport {
     const NODES: u32 = 2;
     const LOCATIONS: u32 = 64;
     let script_len = if cfg.quick { 2048 } else { 8192 };
@@ -1156,21 +1181,40 @@ pub fn write_pipeline_tcp(seed: u64, cfg: &PerfConfig, window: u32) -> WorkloadR
         batching: window > 0,
         ..dsm_net::NetOptions::default()
     };
-    let run = dsm_net::run_loopback_workload(NODES, LOCATIONS, seed, script_len, 0, &net);
-    tcp_report(&format!("write_pipeline_tcp_w{window}"), seed, run)
+    tcp_report(
+        &format!("write_pipeline_tcp_w{window}"),
+        seed,
+        probe,
+        || dsm_net::run_loopback_workload(NODES, LOCATIONS, seed, script_len, 0, &net),
+    )
 }
 
-/// Shapes a loopback-TCP run into a cell: oracle-checks the merged
-/// history first (a fast number for an incorrect memory is worthless),
-/// then reports the wire-level syscall estimate — `writev` calls per op —
-/// alongside the logical and envelope bills. TCP cells are always
-/// ungated; see [`mixed_remote_tcp`].
-fn tcp_report(name: &str, seed: u64, run: dsm_net::LoopbackReport) -> WorkloadReport {
+/// Runs a loopback-TCP workload and shapes it into a cell: oracle-checks
+/// the merged history first (a fast number for an incorrect memory is
+/// worthless), then reports the wire-level bill — `write` calls and bytes
+/// per op — alongside the logical and envelope bills.
+///
+/// The allocation probe brackets the whole `run`, mesh bring-up and
+/// teardown included (the harness owns the op phase; the counters are
+/// process-wide), so `allocs_per_op` here is "allocations the cluster's
+/// life cost, per scripted op" — a fixed per-cluster term plus the per-op
+/// one, which is all a ceiling needs. TCP cells are never wall-clock
+/// gated; see [`mixed_remote_tcp`].
+fn tcp_report(
+    name: &str,
+    seed: u64,
+    probe: Option<AllocProbe>,
+    run: impl FnOnce() -> dsm_net::LoopbackReport,
+) -> WorkloadReport {
+    let before = probe.map(|p| p());
+    let run = run();
+    let after = probe.map(|p| p());
     let verdict = causal_spec::check_causal(&run.execution).expect("well-formed execution");
     assert!(verdict.is_correct(), "TCP cluster not causal: {verdict}");
 
     let ops = run.ops.max(1);
     let msgs = run.protocol_msgs + run.overhead_msgs;
+    let (allocs_per_op, alloc_bytes_per_op) = alloc_rates(before, after, ops);
     WorkloadReport {
         name: name.to_owned(),
         seed,
@@ -1179,8 +1223,8 @@ fn tcp_report(name: &str, seed: u64, run: dsm_net::LoopbackReport) -> WorkloadRe
         ops_per_sec: run.ops as f64 / (run.elapsed_ns.max(1) as f64 / 1e9),
         p50_ns: 0,
         p99_ns: 0,
-        allocs_per_op: -1.0,
-        alloc_bytes_per_op: -1.0,
+        allocs_per_op,
+        alloc_bytes_per_op,
         protocol_msgs: run.protocol_msgs,
         overhead_msgs: run.overhead_msgs,
         msgs_by_kind: run.msgs_by_kind,
@@ -1189,6 +1233,7 @@ fn tcp_report(name: &str, seed: u64, run: dsm_net::LoopbackReport) -> WorkloadRe
         envelopes_per_op: run.envelope_msgs as f64 / ops as f64,
         syscalls_per_op: run.wire.writev_calls as f64 / ops as f64,
         metadata_bytes_per_op: 0.0,
+        wire_bytes_per_op: run.wire.bytes as f64 / ops as f64,
         gated: false,
     }
 }
@@ -1303,6 +1348,7 @@ pub fn scale_cell(seed: u64, cfg: &PerfConfig, n: u32, scoped: bool) -> Workload
         envelopes_per_op: envelopes.total() as f64 / executed,
         syscalls_per_op: 0.0,
         metadata_bytes_per_op: metadata as f64 / executed,
+        wire_bytes_per_op: 0.0,
         gated: false,
     }
 }
@@ -1348,10 +1394,10 @@ pub fn run_suite(cfg: &PerfConfig, probe: Option<AllocProbe>) -> PerfReport {
         workloads.push(recovery_replay(seed, cfg));
         // One rep: ungated (real-socket wall-clock), and each run spins
         // up a full TCP mesh — repetition buys nothing the gate uses.
-        workloads.push(mixed_remote_tcp(seed, cfg));
-        workloads.push(mixed_remote_tcp_batched(seed, cfg));
+        workloads.push(mixed_remote_tcp(seed, cfg, probe));
+        workloads.push(mixed_remote_tcp_batched(seed, cfg, probe));
         for window in [0u32, 32] {
-            workloads.push(write_pipeline_tcp(seed, cfg, window));
+            workloads.push(write_pipeline_tcp(seed, cfg, probe, window));
         }
         // One rep: fully seeded simulated traffic — repetition changes
         // only wall clock, which these ungated cells don't gate on. The
@@ -1380,10 +1426,27 @@ fn best_of(reps: u32, run: impl Fn() -> WorkloadReport) -> WorkloadReport {
     best
 }
 
+/// The real-socket cells whose per-op proxies — wire bytes and, under the
+/// counting allocator, heap allocations — are held to the baseline's
+/// value plus [`PROXY_SLACK`]. Their wall-clock is too noisy to gate on a
+/// shared box; these counts are not, and they are what a transport change
+/// can silently make worse: a frame encoded twice, a copy that allocates,
+/// a header that grew.
+pub const PROXY_GATED: [&str; 2] = ["mixed_remote_tcp", "write_pipeline_tcp_w32"];
+
+/// Headroom of a proxy ceiling over the baseline's recorded value. The
+/// concurrent interleaving moves these cells' miss counts (and with them
+/// bytes and allocations per op) by a percent or two from run to run; a lost
+/// optimisation moves them by tens.
+pub const PROXY_SLACK: f64 = 0.05;
+
 /// Compares `current` against `baseline`: every gated cell must reach at
-/// least `1 - threshold` of the baseline's ops/sec. Returns the list of
-/// violations (empty = pass); cells present in only one report are
-/// ignored (schema drift is not a perf regression).
+/// least `1 - threshold` of the baseline's ops/sec, and every
+/// [`PROXY_GATED`] cell must stay within [`PROXY_SLACK`] of the baseline's
+/// wire bytes per op and (when both reports counted them) allocations per
+/// op. Returns the list of violations (empty = pass); cells and proxies
+/// present in only one report are ignored (schema drift is not a perf
+/// regression).
 #[must_use]
 pub fn check_regression(
     baseline: &PerfReport,
@@ -1408,6 +1471,31 @@ pub fn check_regression(
             ));
         }
     }
+    for b in baseline
+        .workloads
+        .iter()
+        .filter(|w| PROXY_GATED.contains(&w.name.as_str()))
+    {
+        let Some(c) = current.cell(&b.name, b.seed) else {
+            continue;
+        };
+        let proxies = [
+            ("wire bytes/op", b.wire_bytes_per_op, c.wire_bytes_per_op),
+            ("allocs/op", b.allocs_per_op, c.allocs_per_op),
+        ];
+        for (what, base, now) in proxies {
+            // Zero or negative: the baseline (or this run) did not record it.
+            let ceiling = base * (1.0 + PROXY_SLACK);
+            if base > 0.0 && now > 0.0 && now > ceiling {
+                violations.push(format!(
+                    "{} (seed {:#x}): {now:.2} {what} > {ceiling:.2} ceiling ({base:.2} baseline, +{:.0}%)",
+                    b.name,
+                    b.seed,
+                    PROXY_SLACK * 100.0
+                ));
+            }
+        }
+    }
     violations
 }
 
@@ -1418,7 +1506,7 @@ pub fn render_perf(report: &PerfReport) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "{:<24} {:>10} {:>12} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9}",
+        "{:<24} {:>10} {:>12} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9}",
         "workload",
         "seed",
         "ops/sec",
@@ -1430,12 +1518,13 @@ pub fn render_perf(report: &PerfReport) -> String {
         "msgs/op",
         "envs/op",
         "sys/op",
-        "mdB/op"
+        "mdB/op",
+        "wireB/op"
     );
     for w in &report.workloads {
         let _ = writeln!(
             out,
-            "{:<24} {:>#10x} {:>12.0} {:>9} {:>9} {:>9.2} {:>9} {:>9} {:>9.3} {:>9.3} {:>9.3} {:>9.1}",
+            "{:<24} {:>#10x} {:>12.0} {:>9} {:>9} {:>9.2} {:>9} {:>9} {:>9.3} {:>9.3} {:>9.3} {:>9.1} {:>9.1}",
             w.name,
             w.seed,
             w.ops_per_sec,
@@ -1447,7 +1536,8 @@ pub fn render_perf(report: &PerfReport) -> String {
             w.msgs_per_op,
             w.envelopes_per_op,
             w.syscalls_per_op,
-            w.metadata_bytes_per_op
+            w.metadata_bytes_per_op,
+            w.wire_bytes_per_op
         );
     }
     out
@@ -1492,6 +1582,7 @@ mod tests {
             envelopes_per_op: 0.0,
             syscalls_per_op: 0.0,
             metadata_bytes_per_op: 0.0,
+            wire_bytes_per_op: 0.0,
             gated,
         };
         let base = PerfReport {
@@ -1517,6 +1608,31 @@ mod tests {
             ..base.clone()
         };
         assert!(check_regression(&ungated_base, &bad, 0.15).is_empty());
+
+        // A proxy-gated TCP cell is held to its byte and allocation
+        // ceilings whatever its (ungated) wall-clock does.
+        let tcp = |wire_bytes_per_op: f64, allocs_per_op: f64| PerfReport {
+            workloads: vec![WorkloadReport {
+                name: PROXY_GATED[0].into(),
+                wire_bytes_per_op,
+                allocs_per_op,
+                ..mk(1.0, false)
+            }],
+            ..base.clone()
+        };
+        let tcp_base = tcp(200.0, 10.0);
+        assert!(check_regression(&tcp_base, &tcp(208.0, 10.4), 0.15).is_empty());
+        assert_eq!(
+            check_regression(&tcp_base, &tcp(211.0, 10.0), 0.15).len(),
+            1
+        );
+        assert_eq!(
+            check_regression(&tcp_base, &tcp(211.0, 10.6), 0.15).len(),
+            2
+        );
+        // A run without the counting allocator (-1) skips that proxy only.
+        assert!(check_regression(&tcp_base, &tcp(200.0, -1.0), 0.15).is_empty());
+        assert!(check_regression(&tcp(200.0, -1.0), &tcp(200.0, 50.0), 0.15).is_empty());
     }
 
     #[test]

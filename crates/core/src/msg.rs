@@ -5,9 +5,9 @@ use std::fmt;
 use std::mem;
 use std::sync::Arc;
 
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::{BufMut, BytesMut};
 use memcore::{Location, NodeId, OwnerEpoch, PageId, Value, WriteId};
-use simnet::codec::{CodecError, Wire};
+use simnet::codec::{decode_clock_components, take, CodecError, Wire};
 use simnet::Tagged;
 use vclock::VectorClock;
 
@@ -40,6 +40,11 @@ pub enum WriteVerdict<V> {
 /// The bit distinguishing a sparse stamp's leading word from a dense
 /// clock's length prefix (process counts stay far below 2^31).
 const SPARSE_BIT: u32 = 1 << 31;
+
+/// Most processes a sparse stamp may declare. The declared count sizes
+/// the decoded clock whatever the stamp's own length, so it is bounded
+/// here — far above any cluster this protocol is run on.
+const MAX_SPARSE_PROCESSES: usize = 1 << 16;
 
 /// A vector timestamp as it travels in a message, tagged with the wire
 /// encoding it uses.
@@ -156,37 +161,38 @@ impl Wire for Stamp {
         }
     }
 
-    fn decode(buf: &mut Bytes) -> Result<Self, CodecError> {
+    fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
         let head = u32::decode(buf)?;
         if head & SPARSE_BIT == 0 {
-            let len = head as usize;
-            let mut components = Vec::with_capacity(len.min(1 << 16));
-            for _ in 0..len {
-                components.push(u64::decode(buf)?);
-            }
-            Ok(Stamp {
-                vt: VectorClock::from(components),
+            return Ok(Stamp {
+                vt: decode_clock_components(head as usize, buf)?,
                 sparse: false,
-            })
-        } else {
-            let n = (head & !SPARSE_BIT) as usize;
-            let nnz = u32::decode(buf)? as usize;
-            let mut entries = Vec::with_capacity(nnz.min(1 << 16));
-            for _ in 0..nnz {
-                let i = u32::decode(buf)?;
-                let c = u64::decode(buf)?;
-                if i as usize >= n {
-                    // A pair naming a process outside the declared count is
-                    // malformed; fail cleanly rather than panic.
-                    return Err(CodecError::Truncated);
-                }
-                entries.push((i, c));
-            }
-            Ok(Stamp {
-                vt: VectorClock::from_sparse_entries(n, entries),
-                sparse: true,
-            })
+            });
         }
+        let n = (head & !SPARSE_BIT) as usize;
+        let nnz = u32::decode(buf)? as usize;
+        // Both counts are the sender's word: the pairs must all be present
+        // before anything is sized from `nnz`, and a clock of `n` zeros is
+        // only built for a plausible `n` — eight bytes must not be able to
+        // ask for gigabytes.
+        let pairs = take(buf, nnz.checked_mul(12).ok_or(CodecError::Truncated)?)?;
+        if n > MAX_SPARSE_PROCESSES {
+            return Err(CodecError::Truncated);
+        }
+        let pair = |p: &[u8]| {
+            let (i, c) = p.split_at(4);
+            (
+                u32::from_be_bytes(i.try_into().expect("4 of 12 bytes")),
+                u64::from_be_bytes(c.try_into().expect("8 of 12 bytes")),
+            )
+        };
+        // A pair naming a process outside the declared count is
+        // malformed; fail cleanly rather than panic.
+        if pairs.chunks_exact(12).any(|p| pair(p).0 as usize >= n) {
+            return Err(CodecError::Truncated);
+        }
+        let vt = VectorClock::from_sparse_entries(n, pairs.chunks_exact(12).map(pair));
+        Ok(Stamp { vt, sparse: true })
     }
 
     fn encoded_len(&self) -> usize {
@@ -255,7 +261,7 @@ pub enum Msg<V> {
     /// Semantically transparent: receivers process the parts in order
     /// exactly as if each had arrived in its own envelope, and the logical
     /// per-kind message counters see only the parts
-    /// ([`Tagged::batch_parts`]). Only the physical-envelope counters — and
+    /// ([`Tagged::for_each_batch_part`]). Only the physical-envelope counters — and
     /// the wire, which pays one envelope header instead of `k` — observe
     /// the batch itself.
     Batch(Vec<Msg<V>>),
@@ -437,10 +443,15 @@ impl<V: Value> Tagged for Msg<V> {
         }
     }
 
-    fn batch_parts(&self) -> Option<Vec<(&'static str, Option<usize>)>> {
-        match self {
-            Msg::Batch(parts) => Some(parts.iter().map(|p| (p.kind(), p.wire_size())).collect()),
-            _ => None,
+    fn is_batch(&self) -> bool {
+        matches!(self, Msg::Batch(_))
+    }
+
+    fn for_each_batch_part(&self, visit: &mut dyn FnMut(&'static str, Option<usize>)) {
+        if let Msg::Batch(parts) = self {
+            for part in parts {
+                visit(part.kind(), part.wire_size());
+            }
         }
     }
 }
@@ -464,7 +475,7 @@ impl<V: Wire> Wire for WriteVerdict<V> {
         }
     }
 
-    fn decode(buf: &mut Bytes) -> Result<Self, CodecError> {
+    fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
         match u8::decode(buf)? {
             0 => Ok(WriteVerdict::Applied),
             1 => Ok(WriteVerdict::Rejected {
@@ -487,11 +498,7 @@ impl<V: Wire> Wire for Msg<V> {
                 buf.put_u8(1);
                 page.encode(buf);
                 vt.encode(buf);
-                (slots.len() as u32).encode(buf);
-                for (value, wid) in slots {
-                    value.encode(buf);
-                    wid.encode(buf);
-                }
+                slots.encode(buf);
             }
             Msg::Write {
                 loc,
@@ -558,11 +565,7 @@ impl<V: Wire> Wire for Msg<V> {
                 buf.put_u8(10);
                 page.encode(buf);
                 vt.encode(buf);
-                (slots.len() as u32).encode(buf);
-                for (value, wid) in slots {
-                    value.encode(buf);
-                    wid.encode(buf);
-                }
+                slots.encode(buf);
                 origins.encode(buf);
             }
             Msg::Interest { page } => {
@@ -572,7 +575,7 @@ impl<V: Wire> Wire for Msg<V> {
         }
     }
 
-    fn decode(buf: &mut Bytes) -> Result<Self, CodecError> {
+    fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
         match u8::decode(buf)? {
             0 => Ok(Msg::Read {
                 page: PageId::decode(buf)?,
@@ -580,11 +583,7 @@ impl<V: Wire> Wire for Msg<V> {
             1 => {
                 let page = PageId::decode(buf)?;
                 let vt = Stamp::decode(buf)?;
-                let len = u32::decode(buf)? as usize;
-                let mut slots = Vec::with_capacity(len.min(1 << 16));
-                for _ in 0..len {
-                    slots.push((Arc::new(V::decode(buf)?), WriteId::decode(buf)?));
-                }
+                let slots = Vec::decode(buf)?;
                 Ok(Msg::ReadReply { page, vt, slots })
             }
             2 => Ok(Msg::Write {
@@ -622,11 +621,7 @@ impl<V: Wire> Wire for Msg<V> {
             10 => {
                 let page = PageId::decode(buf)?;
                 let vt = Stamp::decode(buf)?;
-                let len = u32::decode(buf)? as usize;
-                let mut slots = Vec::with_capacity(len.min(1 << 16));
-                for _ in 0..len {
-                    slots.push((Arc::new(V::decode(buf)?), WriteId::decode(buf)?));
-                }
+                let slots = Vec::decode(buf)?;
                 Ok(Msg::Replicate {
                     page,
                     vt,
@@ -645,13 +640,7 @@ impl<V: Wire> Wire for Msg<V> {
         match self {
             Msg::Read { page } => 1 + page.encoded_len(),
             Msg::ReadReply { page, vt, slots } => {
-                1 + page.encoded_len()
-                    + vt.encoded_len()
-                    + 4
-                    + slots
-                        .iter()
-                        .map(|(value, wid)| value.encoded_len() + wid.encoded_len())
-                        .sum::<usize>()
+                1 + page.encoded_len() + vt.encoded_len() + slots.encoded_len()
             }
             Msg::Write {
                 loc,
@@ -693,11 +682,7 @@ impl<V: Wire> Wire for Msg<V> {
             } => {
                 1 + page.encoded_len()
                     + vt.encoded_len()
-                    + 4
-                    + slots
-                        .iter()
-                        .map(|(value, wid)| value.encoded_len() + wid.encoded_len())
-                        .sum::<usize>()
+                    + slots.encoded_len()
                     + origins.encoded_len()
             }
             Msg::Interest { page } => 1 + page.encoded_len(),
@@ -899,9 +884,9 @@ mod tests {
         for msg in fixture_messages() {
             let mut buf = BytesMut::new();
             msg.encode(&mut buf);
-            let mut bytes = buf.freeze();
-            assert_eq!(Msg::<Word>::decode(&mut bytes).unwrap(), msg);
-            assert!(bytes.is_empty());
+            let mut cursor = &buf[..];
+            assert_eq!(Msg::<Word>::decode(&mut cursor).unwrap(), msg);
+            assert!(cursor.is_empty());
         }
     }
 
@@ -937,18 +922,16 @@ mod tests {
         assert_eq!(batch.kind(), "BATCH");
         assert!(!batch.is_request());
         assert!(!batch.is_reply());
-        let parts = batch.batch_parts().unwrap();
-        assert_eq!(parts.len(), 2);
-        assert_eq!(parts[0].0, "READ");
-        assert_eq!(parts[1].0, "WRITE");
+        assert!(batch.is_batch());
+        let mut kinds = Vec::new();
+        batch.for_each_batch_part(&mut |kind, size| kinds.push((kind, size.is_some())));
+        assert_eq!(kinds, [("READ", true), ("WRITE", true)]);
         // Ordinary messages report no parts.
-        assert_eq!(
-            Msg::<Word>::Read {
-                page: PageId::new(0)
-            }
-            .batch_parts(),
-            None
-        );
+        let read = Msg::<Word>::Read {
+            page: PageId::new(0),
+        };
+        assert!(!read.is_batch());
+        read.for_each_batch_part(&mut |kind, _| panic!("{kind} is not a batch part"));
     }
 
     #[test]
@@ -968,9 +951,8 @@ mod tests {
 
     #[test]
     fn decode_rejects_unknown_discriminant() {
-        let mut bytes = Bytes::from_static(&[42]);
         assert_eq!(
-            Msg::<Word>::decode(&mut bytes),
+            Msg::<Word>::decode(&mut &[42u8][..]),
             Err(CodecError::BadDiscriminant(42))
         );
     }
@@ -1020,7 +1002,7 @@ mod tests {
         Stamp::dense(clock.clone()).encode(&mut stamped);
         assert_eq!(raw, stamped);
         assert_eq!(Stamp::dense(clock.clone()).encoded_len(), clock.encoded_len());
-        let decoded = Stamp::decode(&mut stamped.freeze()).unwrap();
+        let decoded = Stamp::decode(&mut &stamped[..]).unwrap();
         assert!(!decoded.is_sparse());
         assert_eq!(decoded.clock(), &clock);
     }
@@ -1040,7 +1022,7 @@ mod tests {
         let mut buf = BytesMut::new();
         sparse.encode(&mut buf);
         assert_eq!(buf.len(), sparse.encoded_len());
-        let decoded = Stamp::decode(&mut buf.freeze()).unwrap();
+        let decoded = Stamp::decode(&mut &buf[..]).unwrap();
         assert!(decoded.is_sparse());
         assert_eq!(decoded.clock(), &clock);
     }
@@ -1052,7 +1034,78 @@ mod tests {
         1u32.encode(&mut buf); // one pair
         9u32.encode(&mut buf); // index 9 >= n
         5u64.encode(&mut buf);
-        assert!(Stamp::decode(&mut buf.freeze()).is_err());
+        assert!(Stamp::decode(&mut &buf[..]).is_err());
+    }
+
+    #[test]
+    fn stamps_bound_their_declared_counts_before_sizing_anything() {
+        // Eight bytes declaring 2^31 − 1 processes and no pairs: the clock
+        // that would back that is 16 GiB of zeros.
+        let mut buf = BytesMut::new();
+        u32::MAX.encode(&mut buf); // sparse bit + n = 2^31 − 1
+        0u32.encode(&mut buf);
+        assert_eq!(Stamp::decode(&mut &buf[..]), Err(CodecError::Truncated));
+        // A plausible n, but 2^32 − 1 pairs promised in a 20-byte buffer.
+        let mut buf = BytesMut::new();
+        (64u32 | SPARSE_BIT).encode(&mut buf);
+        u32::MAX.encode(&mut buf);
+        (1u32, 1u64).encode(&mut buf);
+        assert_eq!(Stamp::decode(&mut &buf[..]), Err(CodecError::Truncated));
+        // Dense: 2^31 − 1 components promised, eight bytes present.
+        let mut buf = BytesMut::new();
+        (SPARSE_BIT - 1).encode(&mut buf);
+        7u64.encode(&mut buf);
+        assert_eq!(Stamp::decode(&mut &buf[..]), Err(CodecError::Truncated));
+    }
+
+    #[test]
+    fn a_byte_value_declaring_4_gib_in_a_40_byte_frame_is_truncated() {
+        // [WRITE, loc, value…] whose value's length prefix is all ones:
+        // the bulk byte path must notice the 31 bytes behind it cannot
+        // back 4 GiB before it reserves anything.
+        let mut body = [0xFFu8; 40];
+        body[0] = 2; // Msg::Write
+        assert_eq!(
+            Msg::<Vec<u8>>::decode(&mut &body[..]),
+            Err(CodecError::Truncated)
+        );
+        // The same lie one level down, inside a batch of one.
+        let mut batch = vec![5u8, 0, 0, 0, 1];
+        batch.extend_from_slice(&body[..35]);
+        assert_eq!(
+            Msg::<Vec<u8>>::decode(&mut &batch[..]),
+            Err(CodecError::Truncated)
+        );
+    }
+
+    #[test]
+    fn decoding_random_garbage_never_panics() {
+        // Byte soup — raw, and behind every message discriminant with a
+        // sparse-stamp marker planted where a stamp may start — through the
+        // decoders the bulk byte path and the in-place stamp decode feed.
+        // Every outcome must be a clean `Ok`/`Err`.
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for round in 0..2000u32 {
+            let mut garbage: Vec<u8> = (0..next() % 96).map(|_| next() as u8).collect();
+            if let Some(first) = garbage.first_mut() {
+                *first = (round % 13) as u8;
+            }
+            if round % 2 == 0 && garbage.len() > 12 {
+                let at = 1 + (next() % 8) as usize;
+                garbage[at] = 0x80;
+                garbage[at + 1..at + 3].fill(0);
+            }
+            let _ = Msg::<Vec<u8>>::decode(&mut &garbage[..]);
+            let _ = Msg::<Word>::decode(&mut &garbage[..]);
+            let _ = Stamp::decode(&mut garbage.get(1..).unwrap_or_default());
+            let _ = WriteVerdict::<Vec<u8>>::decode(&mut &garbage[..]);
+        }
     }
 
     #[test]

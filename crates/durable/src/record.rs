@@ -21,7 +21,7 @@
 
 use std::sync::Arc;
 
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::{BufMut, BytesMut};
 use memcore::{Location, NodeId, OwnerEpoch, PageId, WriteId};
 use simnet::codec::{CodecError, Wire};
 use vclock::VectorClock;
@@ -132,11 +132,7 @@ impl<V: Wire> Wire for WalRecord<V> {
                 buf.put_u8(1);
                 page.encode(buf);
                 vt.encode(buf);
-                (slots.len() as u32).encode(buf);
-                for (value, wid) in slots {
-                    value.encode(buf);
-                    wid.encode(buf);
-                }
+                slots.encode(buf);
                 origins.encode(buf);
                 shadow.encode(buf);
             }
@@ -168,7 +164,7 @@ impl<V: Wire> Wire for WalRecord<V> {
         }
     }
 
-    fn decode(buf: &mut Bytes) -> Result<Self, CodecError> {
+    fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
         match u8::decode(buf)? {
             0 => Ok(WalRecord::Write {
                 loc: Location::decode(buf)?,
@@ -181,11 +177,7 @@ impl<V: Wire> Wire for WalRecord<V> {
             1 => {
                 let page = PageId::decode(buf)?;
                 let vt = VectorClock::decode(buf)?;
-                let len = u32::decode(buf)? as usize;
-                let mut slots = Vec::with_capacity(len.min(1 << 16));
-                for _ in 0..len {
-                    slots.push((Arc::new(V::decode(buf)?), WriteId::decode(buf)?));
-                }
+                let slots = Vec::decode(buf)?;
                 Ok(WalRecord::PageInstall {
                     page,
                     vt,
@@ -238,11 +230,7 @@ impl<V: Wire> Wire for WalRecord<V> {
             } => {
                 page.encoded_len()
                     + vt.encoded_len()
-                    + 4
-                    + slots
-                        .iter()
-                        .map(|(v, w)| v.encoded_len() + w.encoded_len())
-                        .sum::<usize>()
+                    + slots.encoded_len()
                     + origins.encoded_len()
                     + shadow.encoded_len()
             }
@@ -262,19 +250,32 @@ impl<V: Wire> Wire for WalRecord<V> {
 }
 
 /// Encodes `records` as a contiguous run of CRC frames.
+///
+/// Each record is encoded once, in place after its header; the header is
+/// filled in behind it from the bytes that landed.
+///
+/// # Panics
+///
+/// Panics if a record encodes to a different length than its
+/// `encoded_len()` claimed — the header would lie, and recovery would
+/// stop at this frame.
 #[must_use]
 pub fn frame_records<V: Wire>(records: &[WalRecord<V>]) -> Vec<u8> {
     let payload_len: usize = records.iter().map(Wire::encoded_len).sum();
-    let mut out = Vec::with_capacity(payload_len + 8 * records.len());
+    let mut out = BytesMut::with_capacity(payload_len + 8 * records.len());
     for record in records {
-        let mut payload = BytesMut::with_capacity(record.encoded_len());
-        record.encode(&mut payload);
-        debug_assert_eq!(payload.len(), record.encoded_len(), "encoded_len is exact");
-        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        out.extend_from_slice(&crc32(&payload).to_le_bytes());
-        out.extend_from_slice(&payload);
+        let len = record.encoded_len();
+        let header_at = out.len();
+        let prefix = u32::try_from(len).expect("record payloads stay below 4 GiB");
+        out.extend_from_slice(&prefix.to_le_bytes());
+        out.extend_from_slice(&[0; 4]);
+        record.encode(&mut out);
+        let payload_at = header_at + 8;
+        assert_eq!(out.len() - payload_at, len, "encoded_len is exact");
+        let crc = crc32(&out[payload_at..]);
+        out[header_at + 4..payload_at].copy_from_slice(&crc.to_le_bytes());
     }
-    out
+    out.into()
 }
 
 /// Decodes the longest valid frame prefix of `bytes`.
@@ -302,9 +303,9 @@ pub fn decode_stream<V: Wire>(bytes: &[u8]) -> (Vec<WalRecord<V>>, usize) {
         if crc32(payload) != crc {
             break;
         }
-        let mut buf = Bytes::from(payload);
-        match WalRecord::<V>::decode(&mut buf) {
-            Ok(record) if buf.is_empty() => records.push(record),
+        let mut rest = payload;
+        match WalRecord::<V>::decode(&mut rest) {
+            Ok(record) if rest.is_empty() => records.push(record),
             _ => break,
         }
         off += 8 + len;
@@ -356,6 +357,37 @@ mod tests {
                 registered: false,
             },
         ]
+    }
+
+    #[test]
+    fn encoded_len_is_exact_for_every_record_shape() {
+        // `frame_records` writes each header from `encoded_len` before the
+        // payload exists, so the two must agree to the byte — for word
+        // values and for byte-vector values, which take the bulk path.
+        fn check<V: Wire>(record: &WalRecord<V>) {
+            let mut buf = BytesMut::new();
+            record.encode(&mut buf);
+            assert_eq!(buf.len(), record.encoded_len());
+        }
+        sample().iter().for_each(check);
+        check(&WalRecord::Write {
+            loc: Location::new(1),
+            value: Arc::new(vec![7u8; 300]),
+            wid: WriteId::new(NodeId::new(0), 1),
+            origin: VectorClock::new(20),
+            node_vt: VectorClock::new(20),
+            applied: false,
+        });
+        check(&WalRecord::PageInstall {
+            page: PageId::new(0),
+            vt: VectorClock::new(2),
+            slots: vec![(
+                Arc::new(Vec::<u8>::new()),
+                WriteId::initial(Location::new(0)),
+            )],
+            origins: vec![],
+            shadow: false,
+        });
     }
 
     #[test]

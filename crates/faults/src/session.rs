@@ -27,7 +27,7 @@
 use std::collections::{BTreeMap, HashMap};
 use std::marker::PhantomData;
 
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::{BufMut, BytesMut};
 use dsm_sim::{Actor, ClientOp, Effects};
 use memcore::{kinds, Location, NodeId, Value};
 use simnet::codec::{CodecError, Wire};
@@ -118,17 +118,28 @@ impl<M: Tagged> Tagged for SessionMsg<M> {
         }
     }
 
-    fn batch_parts(&self) -> Option<Vec<(&'static str, Option<usize>)>> {
-        // Fresh data carrying a transport batch stays transparent to the
-        // logical counters, exactly like its kind; retransmissions and
-        // acks are session overhead and count as themselves.
+    // Fresh data carrying a transport batch stays transparent to the
+    // logical counters, exactly like its kind; retransmissions and acks
+    // are session overhead and count as themselves.
+    fn is_batch(&self) -> bool {
         match self {
             SessionMsg::Data {
                 retx: false,
                 payload,
                 ..
-            } => payload.batch_parts(),
-            _ => None,
+            } => payload.is_batch(),
+            _ => false,
+        }
+    }
+
+    fn for_each_batch_part(&self, visit: &mut dyn FnMut(&'static str, Option<usize>)) {
+        if let SessionMsg::Data {
+            retx: false,
+            payload,
+            ..
+        } = self
+        {
+            payload.for_each_batch_part(visit);
         }
     }
 }
@@ -171,7 +182,7 @@ impl<M: Wire> Wire for SessionMsg<M> {
         }
     }
 
-    fn decode(buf: &mut Bytes) -> Result<Self, CodecError> {
+    fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
         match u8::decode(buf)? {
             0 => Ok(SessionMsg::Data {
                 seq: u64::decode(buf)?,
@@ -780,8 +791,6 @@ pub fn session_causal_sim<V: Value>(
 
 #[cfg(test)]
 mod tests {
-    use bytes::Buf;
-
     use super::*;
 
     #[derive(Clone, Debug, PartialEq)]
@@ -1046,9 +1055,9 @@ mod tests {
             let mut buf = BytesMut::new();
             msg.encode(&mut buf);
             assert_eq!(buf.len(), msg.encoded_len());
-            let mut bytes = buf.freeze();
-            assert_eq!(SessionMsg::<u64>::decode(&mut bytes).unwrap(), msg);
-            assert_eq!(bytes.remaining(), 0);
+            let mut cursor = &buf[..];
+            assert_eq!(SessionMsg::<u64>::decode(&mut cursor).unwrap(), msg);
+            assert!(cursor.is_empty());
         }
         round_trip(SessionMsg::Data {
             seq: 42,
@@ -1064,9 +1073,8 @@ mod tests {
         });
         round_trip(SessionMsg::Raw(3));
         round_trip(SessionMsg::Hello { inc: 5 });
-        let mut bad = Bytes::from(vec![9u8]);
         assert_eq!(
-            SessionMsg::<u64>::decode(&mut bad),
+            SessionMsg::<u64>::decode(&mut &[9u8][..]),
             Err(CodecError::BadDiscriminant(9))
         );
     }

@@ -162,7 +162,31 @@ pub mod kinds {
     }
 }
 
-/// Shared, thread-safe message counters, one map per node.
+/// One node's counters: a slot per kind seen so far, in first-seen order.
+///
+/// A dozen kinds exist, and a sender names the same few over and over, so
+/// a linear scan of a small vector is the whole lookup — no hashing or
+/// tree walk of the kind string on the per-message path.
+#[derive(Debug, Default)]
+struct KindSlots(Vec<(&'static str, u64)>);
+
+impl KindSlots {
+    fn add(&mut self, kind: &'static str, n: u64) {
+        // Kinds are literals, so a repeat is almost always the very same
+        // pointer; contents are compared only to catch a second copy of
+        // one name (two crates, two literals).
+        match self
+            .0
+            .iter_mut()
+            .find(|(k, _)| std::ptr::eq(*k, kind) || *k == kind)
+        {
+            Some((_, count)) => *count += n,
+            None => self.0.push((kind, n)),
+        }
+    }
+}
+
+/// Shared, thread-safe message counters, one slot per (node, kind).
 ///
 /// Cheap to clone (internally shared).
 ///
@@ -182,7 +206,7 @@ pub mod kinds {
 /// ```
 #[derive(Clone, Debug)]
 pub struct NetStats {
-    nodes: Arc<Vec<Mutex<BTreeMap<&'static str, u64>>>>,
+    nodes: Arc<Vec<Mutex<KindSlots>>>,
 }
 
 impl NetStats {
@@ -190,7 +214,7 @@ impl NetStats {
     #[must_use]
     pub fn new(n: usize) -> Self {
         NetStats {
-            nodes: Arc::new((0..n).map(|_| Mutex::new(BTreeMap::new())).collect()),
+            nodes: Arc::new((0..n).map(|_| Mutex::default()).collect()),
         }
     }
 
@@ -210,7 +234,7 @@ impl NetStats {
     ///
     /// Panics if `node` is out of range.
     pub fn record_n(&self, node: NodeId, kind: &'static str, n: u64) {
-        *self.nodes[node.index()].lock().entry(kind).or_insert(0) += n;
+        self.nodes[node.index()].lock().add(kind, n);
     }
 
     /// Takes a consistent copy of all counters.
@@ -222,6 +246,7 @@ impl NetStats {
                 .iter()
                 .map(|m| {
                     m.lock()
+                        .0
                         .iter()
                         .map(|(k, v)| ((*k).to_owned(), *v))
                         .collect()
@@ -233,7 +258,7 @@ impl NetStats {
     /// Resets all counters to zero (scopes measurement to a program phase).
     pub fn clear(&self) {
         for m in self.nodes.iter() {
-            m.lock().clear();
+            m.lock().0.clear();
         }
     }
 }
@@ -359,6 +384,23 @@ mod tests {
         assert_eq!(snap.get(NodeId::new(1), "WRITE"), 1);
         assert_eq!(snap.get(NodeId::new(2), "WRITE"), 0);
         assert_eq!(snap.per_node_totals(), vec![1, 2, 0]);
+    }
+
+    #[test]
+    fn equal_kind_names_share_a_slot_whatever_their_address() {
+        // Two copies of one name (as two crates' literals would be) must
+        // land in one cell, and a zero-count cell is still a cell — both
+        // exactly as the map-backed counters behaved.
+        let copy: &'static str = Box::leak(String::from("READ").into_boxed_str());
+        assert!(!std::ptr::eq(copy, "READ"));
+        let stats = NetStats::new(1);
+        stats.record(NodeId::new(0), "READ");
+        stats.record(NodeId::new(0), copy);
+        stats.record_n(NodeId::new(0), "WRITE", 0);
+        let snap = stats.snapshot();
+        assert_eq!(snap.get(NodeId::new(0), "READ"), 2);
+        assert_eq!(snap.by_kind().len(), 2);
+        assert_eq!(snap.total(), 2);
     }
 
     #[test]

@@ -256,7 +256,7 @@ impl CtrlClient {
         let body = read_frame(&mut self.stream, &mut self.dec)
             .map_err(|e| format!("receiving from {}: {e}", self.node))?
             .ok_or_else(|| format!("{} hung up", self.node))?;
-        decode_body(body).map_err(|e| format!("frame from {}: {e}", self.node))
+        decode_body(&body).map_err(|e| format!("frame from {}: {e}", self.node))
     }
 }
 

@@ -113,7 +113,7 @@ fn run(spec_path: &str, me: NodeId, data_dir: Option<&str>) -> Result<(), String
         .map_err(|e| format!("control connection: {e}"))?
     {
         let msg: CtrlMsg =
-            dsm_net::framing::decode_body(body).map_err(|e| format!("control frame: {e}"))?;
+            dsm_net::framing::decode_body(&body).map_err(|e| format!("control frame: {e}"))?;
         match msg {
             CtrlMsg::Run {
                 seed,

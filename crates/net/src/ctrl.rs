@@ -8,7 +8,7 @@
 //! clean exits observable: a server that answers `Bye` has torn its
 //! cluster down.
 
-use bytes::{Bytes, BytesMut};
+use bytes::BytesMut;
 use memcore::{Location, NodeId, OpRecord, WriteId};
 use simnet::codec::{CodecError, Wire};
 
@@ -60,7 +60,7 @@ impl Wire for WireOp {
         self.write_id.encode(buf);
     }
 
-    fn decode(buf: &mut Bytes) -> Result<Self, CodecError> {
+    fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
         Ok(WireOp {
             is_read: bool::decode(buf)?,
             loc: Location::decode(buf)?,
@@ -144,7 +144,7 @@ impl Wire for CtrlMsg {
         }
     }
 
-    fn decode(buf: &mut Bytes) -> Result<Self, CodecError> {
+    fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
         match u8::decode(buf)? {
             0 => Ok(CtrlMsg::Run {
                 seed: u64::decode(buf)?,
@@ -176,16 +176,16 @@ impl Wire for CtrlMsg {
 
 #[cfg(test)]
 mod tests {
-    use bytes::Buf;
     use simnet::codec::{deframe, frame};
 
     use super::*;
 
     fn round_trip(msg: &CtrlMsg) -> CtrlMsg {
-        let mut bytes = frame(msg);
-        assert_eq!(bytes.len(), 4 + msg.encoded_len());
-        let got: CtrlMsg = deframe(&mut bytes).unwrap();
-        assert_eq!(bytes.remaining(), 0);
+        let framed = frame(msg);
+        assert_eq!(framed.len(), 4 + msg.encoded_len());
+        let mut cursor = &framed[..];
+        let got: CtrlMsg = deframe(&mut cursor).unwrap();
+        assert!(cursor.is_empty());
         got
     }
 
@@ -241,9 +241,8 @@ mod tests {
 
     #[test]
     fn bad_discriminants_are_rejected() {
-        let mut body = Bytes::from(vec![9u8]);
         assert!(matches!(
-            CtrlMsg::decode(&mut body),
+            CtrlMsg::decode(&mut &[9u8][..]),
             Err(CodecError::BadDiscriminant(9))
         ));
     }

@@ -4,6 +4,7 @@
 //! ([`simnet::codec::frame`]): a big-endian `u32` body length followed by
 //! the body, with every protocol type encoded by its [`Wire`] impl. This
 //! module adds the stream side — writing whole frames to a `Write`,
+//! queueing them for a socket that may take only part ([`OutBuf`]),
 //! reassembling them from a `Read` through the bounded
 //! [`FrameDecoder`] — plus the connection-opening handshake.
 //!
@@ -29,9 +30,9 @@
 
 use std::io::{self, Read, Write};
 
-use bytes::{Buf, Bytes};
+use bytes::{Buf, Bytes, BytesMut};
 use memcore::NodeId;
-use simnet::codec::{frame, CodecError, FrameDecoder, Wire};
+use simnet::codec::{frame, frame_into, CodecError, FrameDecoder, Wire};
 use simnet::Envelope;
 
 /// First four bytes of every hello: `"DSM1"`.
@@ -45,8 +46,9 @@ pub const VERSION: u8 = 1;
 /// bound keeps a bad length prefix from driving allocation.
 pub const MAX_FRAME: usize = 16 << 20;
 
-/// Chunk size for stream reads feeding the frame decoder.
-const READ_CHUNK: usize = 64 * 1024;
+/// An idle [`OutBuf`] whose allocation grew past this gives it back, so a
+/// burst (or one large frame) does not pin its high-water mark per peer.
+const OUT_RETAIN: usize = 64 * 1024;
 
 /// What a connection is for, declared in its hello.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -99,8 +101,7 @@ pub fn read_frame(r: &mut impl Read, dec: &mut FrameDecoder) -> io::Result<Optio
         if let Some(body) = dec.next_frame().map_err(|e| invalid("bad frame", e))? {
             return Ok(Some(body));
         }
-        let mut chunk = [0u8; READ_CHUNK];
-        let n = r.read(&mut chunk)?;
+        let (n, _) = dec.read_from(r)?;
         if n == 0 {
             return if dec.pending() == 0 {
                 Ok(None)
@@ -111,7 +112,6 @@ pub fn read_frame(r: &mut impl Read, dec: &mut FrameDecoder) -> io::Result<Optio
                 ))
             };
         }
-        dec.extend(&chunk[..n]);
     }
 }
 
@@ -120,12 +120,12 @@ pub fn read_frame(r: &mut impl Read, dec: &mut FrameDecoder) -> io::Result<Optio
 /// # Errors
 ///
 /// Returns [`io::ErrorKind::InvalidData`] on malformed bodies.
-pub fn decode_body<T: Wire>(mut body: Bytes) -> io::Result<T> {
+pub fn decode_body<T: Wire>(mut body: &[u8]) -> io::Result<T> {
     let value = T::decode(&mut body).map_err(|e| invalid("bad frame body", e))?;
-    if body.remaining() != 0 {
+    if !body.is_empty() {
         return Err(invalid(
             "bad frame body",
-            format!("{} trailing bytes", body.remaining()),
+            format!("{} trailing bytes", body.len()),
         ));
     }
     Ok(value)
@@ -143,7 +143,7 @@ pub fn encode_envelope<M: Wire>(env: &Envelope<M>) -> Bytes {
 #[must_use]
 pub fn encode_envelope_body<M: Wire>(env: &Envelope<M>) -> Bytes {
     let body = EnvelopeBody(env);
-    let mut buf = bytes::BytesMut::with_capacity(body.encoded_len());
+    let mut buf = BytesMut::with_capacity(body.encoded_len());
     body.encode(&mut buf);
     buf.freeze()
 }
@@ -153,53 +153,64 @@ pub fn encode_envelope_body<M: Wire>(env: &Envelope<M>) -> Bytes {
 /// Its [`Wire`] impl copies the bytes through verbatim and `decode`
 /// consumes the whole remaining buffer, which is why session frames
 /// place the payload last: `SessionMsg::<RawBody>::decode` hands the
-/// rest of the frame to `RawBody` untouched. The mesh uses it to run
+/// rest of the frame to `RawBody`, which copies it out of the receive
+/// buffer — the session layer may hold a body back until the gap before
+/// it fills, so it cannot stay a view. The mesh uses it to run
 /// [`ReliableLink`](dsm_faults::ReliableLink) sessions over encoded
 /// envelopes without the session layer knowing the protocol type.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RawBody(pub Bytes);
 
 impl Wire for RawBody {
-    fn encode(&self, buf: &mut bytes::BytesMut) {
+    fn encode(&self, buf: &mut BytesMut) {
         buf.extend_from_slice(&self.0);
     }
-    fn decode(buf: &mut Bytes) -> Result<Self, CodecError> {
-        Ok(RawBody(buf.split_to(buf.len())))
+    fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
+        Ok(RawBody(Bytes::from(std::mem::take(buf))))
     }
     fn encoded_len(&self) -> usize {
         self.0.len()
     }
 }
 
-/// Decodes a peer-link frame body back into an envelope.
+/// Decodes a peer-link frame body, where it lies, back into an envelope.
 ///
 /// # Errors
 ///
 /// Returns [`io::ErrorKind::InvalidData`] on malformed bodies.
-pub fn decode_envelope<M: Wire>(mut body: Bytes) -> io::Result<Envelope<M>> {
-    let src = NodeId::decode(&mut body).map_err(|e| invalid("bad envelope", e))?;
-    let dst = NodeId::decode(&mut body).map_err(|e| invalid("bad envelope", e))?;
-    let payload = M::decode(&mut body).map_err(|e| invalid("bad envelope", e))?;
-    if body.remaining() != 0 {
+pub fn decode_envelope_slice<M: Wire>(mut body: &[u8]) -> io::Result<Envelope<M>> {
+    let bad = |e| invalid("bad envelope", e);
+    let src = NodeId::decode(&mut body).map_err(bad)?;
+    let dst = NodeId::decode(&mut body).map_err(bad)?;
+    let payload = M::decode(&mut body).map_err(bad)?;
+    if !body.is_empty() {
         return Err(invalid(
             "bad envelope",
-            format!("{} trailing bytes", body.remaining()),
+            format!("{} trailing bytes", body.len()),
         ));
     }
     Ok(Envelope::new(src, dst, payload))
 }
 
-/// Borrowing encoder so [`encode_envelope`] reuses [`frame`]'s exact
-/// preallocation without cloning the payload.
+/// [`decode_envelope_slice`] for a body held as [`Bytes`].
+///
+/// # Errors
+///
+/// Returns [`io::ErrorKind::InvalidData`] on malformed bodies.
+pub fn decode_envelope<M: Wire>(body: Bytes) -> io::Result<Envelope<M>> {
+    decode_envelope_slice(&body)
+}
+
+/// Borrowing encoder so an envelope is framed without cloning the payload.
 struct EnvelopeBody<'a, M>(&'a Envelope<M>);
 
 impl<M: Wire> Wire for EnvelopeBody<'_, M> {
-    fn encode(&self, buf: &mut bytes::BytesMut) {
+    fn encode(&self, buf: &mut BytesMut) {
         self.0.src.encode(buf);
         self.0.dst.encode(buf);
         self.0.payload.encode(buf);
     }
-    fn decode(_buf: &mut Bytes) -> Result<Self, CodecError> {
+    fn decode(_buf: &mut &[u8]) -> Result<Self, CodecError> {
         unreachable!("EnvelopeBody is encode-only; decode via decode_envelope")
     }
     fn encoded_len(&self) -> usize {
@@ -207,8 +218,77 @@ impl<M: Wire> Wire for EnvelopeBody<'_, M> {
     }
 }
 
+/// One peer's outbound bytes: frames encoded back to back into a single
+/// contiguous buffer, and a cursor over how much of it the socket has
+/// taken.
+///
+/// A frame is encoded exactly once, straight into this buffer
+/// ([`push_frame`](OutBuf::push_frame)); a write hands the socket
+/// everything unsent in one slice ([`write_to`](OutBuf::write_to)), so
+/// any number of queued frames cost one syscall. A partial write just
+/// advances the cursor — wherever it lands, mid-frame or mid-length-
+/// prefix — and the next write resumes from it; frame boundaries are not
+/// tracked because nothing needs them.
+#[derive(Debug, Default)]
+pub struct OutBuf {
+    buf: BytesMut,
+    /// `buf[..sent]` is already with the kernel.
+    sent: usize,
+}
+
+impl OutBuf {
+    /// `true` iff every queued byte has been written.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.sent == self.buf.len()
+    }
+
+    /// Queues `value` as one frame.
+    pub fn push_frame<T: Wire>(&mut self, value: &T) {
+        // Under backpressure, reclaim the written prefix once it is at
+        // least as long as what remains: each byte moves at most once per
+        // halving, so a long backlog stays linear.
+        if self.sent > 0 && self.sent >= self.buf.len() - self.sent {
+            self.buf.advance(self.sent);
+            self.sent = 0;
+        }
+        frame_into(value, &mut self.buf);
+    }
+
+    /// Queues an envelope as one peer-link frame: `src | dst | payload`.
+    pub fn push_envelope<M: Wire>(&mut self, env: &Envelope<M>) {
+        self.push_frame(&EnvelopeBody(env));
+    }
+
+    /// Issues one `write` of everything unsent and advances the cursor by
+    /// what was taken.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the writer's error (including `WouldBlock`), leaving
+    /// the cursor where it was.
+    pub fn write_to(&mut self, w: &mut impl Write) -> io::Result<usize> {
+        let n = w.write(&self.buf[self.sent..])?;
+        self.sent += n;
+        if self.is_empty() {
+            self.clear();
+        }
+        Ok(n)
+    }
+
+    /// Drops everything queued (the connection it was for is gone).
+    pub fn clear(&mut self) {
+        self.sent = 0;
+        if self.buf.capacity() > OUT_RETAIN {
+            self.buf = BytesMut::new();
+        } else {
+            self.buf.clear();
+        }
+    }
+}
+
 impl Wire for Hello {
-    fn encode(&self, buf: &mut bytes::BytesMut) {
+    fn encode(&self, buf: &mut BytesMut) {
         MAGIC.encode(buf);
         VERSION.encode(buf);
         match self.kind {
@@ -218,7 +298,7 @@ impl Wire for Hello {
         (self.node.index() as u32).encode(buf);
     }
 
-    fn decode(buf: &mut Bytes) -> Result<Self, CodecError> {
+    fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
         let magic = u32::decode(buf)?;
         if magic != MAGIC {
             return Err(CodecError::BadDiscriminant((magic >> 24) as u8));
@@ -261,7 +341,7 @@ pub fn write_hello(w: &mut impl Write, kind: ConnKind, node: NodeId) -> io::Resu
 pub fn read_hello(r: &mut impl Read, dec: &mut FrameDecoder) -> io::Result<Hello> {
     let body = read_frame(r, dec)?
         .ok_or_else(|| invalid("handshake", "connection closed before hello"))?;
-    decode_body(body)
+    decode_body(&body)
 }
 
 #[cfg(test)]
@@ -284,6 +364,7 @@ mod tests {
         ] {
             let mut buf = Vec::new();
             write_hello(&mut buf, hello.kind, hello.node).unwrap();
+            assert_eq!(buf.len(), 4 + hello.encoded_len());
             let mut dec = FrameDecoder::new(MAX_FRAME);
             let got = read_hello(&mut Cursor::new(buf), &mut dec).unwrap();
             assert_eq!(got, hello);
@@ -319,7 +400,7 @@ mod tests {
         let mut dec = FrameDecoder::new(MAX_FRAME);
         dec.extend(&buf);
         let body = dec.next_frame().unwrap().unwrap();
-        assert!(decode_body::<u32>(body.clone()).is_err());
+        assert!(decode_body::<u32>(&body).is_err());
         let env: io::Result<Envelope<u32>> = decode_envelope(body);
         assert!(env.is_err());
     }
@@ -364,7 +445,7 @@ mod tests {
             }
             assert_eq!(dec.pending(), 0, "seed {seed}: bytes left mid-frame");
             assert_eq!(frames.len(), 1 + envs.len());
-            let hello: Hello = decode_body(frames[0].clone()).unwrap();
+            let hello: Hello = decode_body(&frames[0]).unwrap();
             assert_eq!(hello.kind, ConnKind::Peer);
             assert_eq!(hello.node, NodeId::new(1));
             for (env, body) in envs.iter().zip(&frames[1..]) {
@@ -372,6 +453,146 @@ mod tests {
                 assert_eq!(&got, env, "seed {seed}");
             }
         }
+    }
+
+    /// Takes at most `quota` bytes, then reports `WouldBlock` until
+    /// topped up: a socket whose send buffer fills at a chosen byte.
+    struct Choked {
+        taken: Vec<u8>,
+        quota: usize,
+    }
+
+    impl Write for Choked {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            if self.quota == 0 {
+                return Err(io::ErrorKind::WouldBlock.into());
+            }
+            let n = buf.len().min(self.quota);
+            self.taken.extend_from_slice(&buf[..n]);
+            self.quota -= n;
+            Ok(n)
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Writes until the buffer drains or the sink chokes.
+    fn pump(out: &mut OutBuf, sink: &mut Choked) {
+        while !out.is_empty() {
+            match out.write_to(sink) {
+                Ok(n) => assert!(n > 0),
+                Err(e) => {
+                    assert_eq!(e.kind(), io::ErrorKind::WouldBlock);
+                    return;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn out_buf_resumes_a_write_that_stopped_inside_a_length_prefix() {
+        let envs: Vec<Envelope<Vec<u8>>> = (0..40u8)
+            .map(|i| Envelope::new(NodeId::new(1), NodeId::new(0), vec![i; usize::from(i) * 3]))
+            .collect();
+        let expect: Vec<u8> = envs
+            .iter()
+            .flat_map(|e| encode_envelope(e).to_vec())
+            .collect();
+
+        // Stop after every possible byte count of the first two frames —
+        // which covers each of the four bytes of a length prefix, twice —
+        // queue the rest behind the stalled cursor, and finish in slivers.
+        let two_frames = encode_envelope(&envs[0]).len() + encode_envelope(&envs[1]).len();
+        for first_gulp in 0..=two_frames {
+            let mut out = OutBuf::default();
+            out.push_envelope(&envs[0]);
+            out.push_envelope(&envs[1]);
+            let mut sink = Choked {
+                taken: Vec::new(),
+                quota: first_gulp,
+            };
+            pump(&mut out, &mut sink);
+            assert_eq!(out.is_empty(), first_gulp == two_frames);
+            for env in &envs[2..] {
+                out.push_envelope(env);
+                sink.quota = 3;
+                pump(&mut out, &mut sink);
+            }
+            sink.quota = usize::MAX;
+            pump(&mut out, &mut sink);
+            assert!(out.is_empty());
+            assert_eq!(sink.taken, expect, "first write took {first_gulp} bytes");
+        }
+    }
+
+    #[test]
+    fn out_buf_gives_back_a_buffer_one_large_frame_inflated() {
+        let mut out = OutBuf::default();
+        out.push_frame(&vec![0u8; 4 * OUT_RETAIN]);
+        assert!(out.buf.capacity() >= 4 * OUT_RETAIN);
+        let mut sink = Choked {
+            taken: Vec::new(),
+            quota: usize::MAX,
+        };
+        pump(&mut out, &mut sink);
+        assert!(out.is_empty());
+        assert!(out.buf.capacity() <= OUT_RETAIN);
+        // Small traffic keeps its (small) allocation across drains.
+        out.push_frame(&7u64);
+        pump(&mut out, &mut sink);
+        let kept = out.buf.capacity();
+        assert!(kept > 0 && kept <= OUT_RETAIN);
+        out.push_frame(&8u64);
+        assert_eq!(out.buf.capacity(), kept);
+    }
+
+    #[test]
+    fn session_frames_of_random_garbage_never_panic() {
+        use dsm_faults::SessionMsg;
+
+        // What the poller does to every inbound frame in reconnect mode,
+        // fed byte soup behind each session discriminant.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for round in 0..2000u32 {
+            let mut garbage: Vec<u8> = (0..next() % 64).map(|_| next() as u8).collect();
+            if let Some(first) = garbage.first_mut() {
+                *first = (round % 5) as u8;
+            }
+            if let Ok(SessionMsg::Data { payload, .. } | SessionMsg::Raw(payload)) =
+                decode_body::<SessionMsg<RawBody>>(&garbage)
+            {
+                let _ = decode_envelope::<Vec<u8>>(payload.0);
+            }
+        }
+    }
+
+    #[test]
+    fn raw_bodies_take_the_rest_of_the_frame() {
+        use dsm_faults::SessionMsg;
+
+        let env = Envelope::new(NodeId::new(2), NodeId::new(0), vec![5u8; 9]);
+        let msg = SessionMsg::Data {
+            seq: 3,
+            retx: false,
+            src_inc: 1,
+            dst_inc: 0,
+            payload: RawBody(encode_envelope_body(&env)),
+        };
+        let framed = frame(&msg);
+        assert_eq!(framed.len(), 4 + msg.encoded_len());
+        let back: SessionMsg<RawBody> = decode_body(&framed[4..]).unwrap();
+        assert_eq!(back, msg);
+        let SessionMsg::Data { payload, .. } = back else {
+            unreachable!("decoded the Data frame it was given");
+        };
+        assert_eq!(decode_envelope::<Vec<u8>>(payload.0).unwrap(), env);
     }
 
     #[test]

@@ -22,21 +22,33 @@
 //! Linux, `poll(2)` elsewhere — so the thread inventory is O(1) in peer
 //! count instead of the previous reader-thread-per-peer O(n).
 //!
-//! Sends are buffered: [`MeshLink::send_remote`] encodes the frame,
-//! appends it to the destination's outbound queue, and opportunistically
-//! drains the queue with a vectored write from the calling thread — one
-//! `writev` can carry many frames, which is where the syscall
+//! Each peer has one outbound buffer ([`OutBuf`]), owned by the peer's
+//! mutex. [`MeshLink::send_remote`] takes the lock and encodes the
+//! envelope *into that buffer* — length prefix from the exact
+//! `encoded_len()`, then the body, once, in place; no frame is ever a
+//! heap object of its own. Still under the lock it hands the socket
+//! everything unsent with one plain `write`, so frames queued behind a
+//! busy socket leave together in one syscall, which is where the syscall
 //! amortization of batched workloads comes from. If the socket
-//! backpressures (`EWOULDBLOCK`), the frame stays queued, the poller is
-//! woken, and it finishes the drain when the kernel reports the socket
-//! writable again. Frame boundaries are preserved across partial writes
-//! by tracking the byte offset into the front of the queue.
+//! backpressures (`EWOULDBLOCK`) the bytes stay where they are, the
+//! poller is woken, and it resumes the write from the same cursor when
+//! the kernel reports the socket writable again. A partial write moves a
+//! byte cursor and nothing else; frame boundaries need no bookkeeping
+//! because the bytes are already laid out in stream order. The buffer
+//! reclaims its written prefix only while backlogged, resets when fully
+//! drained, and gives its allocation back once it has grown past 64 KiB,
+//! so an idle peer holds no more than that.
 //!
-//! Inbound, the poller reads ready sockets into each connection's
-//! [`FrameDecoder`] and hands decoded envelopes to an [`EnvelopeSink`] —
+//! Inbound, the poller reads each ready socket straight into that
+//! connection's [`FrameDecoder`] (the decoder owns the receive buffer;
+//! there is no bounce buffer) and decodes every complete frame *where it
+//! lies* — a frame body is a `&[u8]` view of the receive buffer, consumed
+//! by moving a cursor. Decoded envelopes go to an [`EnvelopeSink`] —
 //! either a [`Network`] mailbox (served by an engine thread) or, as
 //! `dsm-net`'s cluster wires it, the engine's inline server, which
-//! serves each request directly on the poller thread. TCP gives
+//! serves each request directly on the poller thread. So an envelope's
+//! bytes are copied once on the way out (encode) and once on the way in
+//! (decode into the owned message); the kernel does the rest. TCP gives
 //! per-connection FIFO and reliability, which is exactly the paper's §3
 //! network assumption — see `docs/NET.md`.
 //!
@@ -45,7 +57,14 @@
 //! With `reconnect on` in the spec, every peer link runs through a
 //! [`ReliableLink`] session: envelope bodies travel inside
 //! `SessionMsg::Data` frames with per-link sequence numbers and
-//! cumulative acks. A dropped socket is then survivable: the
+//! cumulative acks. The session keeps every unacked body for replay, so
+//! here a body *is* an owned buffer ([`RawBody`]): the sender encodes it
+//! once into its own allocation (shared with the unacked window) and
+//! copies it into the outbound buffer behind the session header; the
+//! receiver copies it out of the receive buffer before the session layer
+//! decides whether it is in order. That is one extra copy and one
+//! allocation per envelope each way, paid only in this mode. A dropped
+//! socket is then survivable: the
 //! higher-numbered side redials (mirroring the establish direction, so
 //! the pair cannot cross-connect), the acceptor hands the replacement
 //! connection to the poller, and the session layer replays the entire
@@ -59,8 +78,8 @@
 //! Nagle batching would serialize the owner protocol's round trips.
 //! `nodelay`, `sndbuf`, and `rcvbuf` in the spec tune this per cluster.
 
-use std::collections::{HashMap, HashSet, VecDeque};
-use std::io::{self, IoSlice, Read, Write};
+use std::collections::{HashMap, HashSet};
+use std::io;
 use std::marker::PhantomData;
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -68,18 +87,17 @@ use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use bytes::Bytes;
 use crossbeam_channel::{unbounded, Receiver, Sender};
 use dsm_faults::{ReliableLink, SessionMsg};
 use memcore::NodeId;
 use parking_lot::Mutex;
 use polling::{Interest, Poller};
-use simnet::codec::{frame, FrameDecoder, Wire};
+use simnet::codec::{FrameDecoder, Wire};
 use simnet::{Envelope, Network, RemoteLink, SendError, Tagged};
 
 use crate::framing::{
-    decode_body, decode_envelope, encode_envelope, encode_envelope_body, read_hello, write_hello,
-    ConnKind, Hello, RawBody, MAX_FRAME,
+    decode_body, decode_envelope_slice, encode_envelope_body, read_hello, write_hello, ConnKind,
+    Hello, OutBuf, RawBody, MAX_FRAME,
 };
 use crate::spec::ClusterSpec;
 
@@ -93,12 +111,6 @@ const DIAL_RETRY: Duration = Duration::from_millis(25);
 
 /// Poll interval of the non-blocking accept loop.
 const ACCEPT_POLL: Duration = Duration::from_millis(5);
-
-/// Chunk size for poller reads feeding the frame decoders.
-const READ_CHUNK: usize = 64 * 1024;
-
-/// Most frames one vectored write will carry (well under `IOV_MAX`).
-const MAX_IOV: usize = 64;
 
 /// A connection plus the decoder holding any bytes read past the
 /// handshake — the two must travel together or early frames are lost.
@@ -171,7 +183,8 @@ pub struct WireStats {
     pub acks: u64,
     /// Session retransmission frames enqueued (reconnect mode).
     pub retx: u64,
-    /// `write`/`writev` syscalls issued for peer traffic.
+    /// `write` syscalls issued for peer traffic (the name predates the
+    /// contiguous outbound buffer, when the drain was a `writev`).
     pub writev_calls: u64,
     /// Bytes handed to the kernel for peer traffic.
     pub bytes: u64,
@@ -222,10 +235,8 @@ struct PeerTx {
     /// Write handle (a `try_clone` of the poller's read socket);
     /// `None` while the connection is down.
     stream: Option<TcpStream>,
-    /// Encoded frames awaiting the socket.
-    queue: VecDeque<Bytes>,
-    /// Bytes of `queue.front()` already written (partial-write cursor).
-    written: usize,
+    /// Encoded frames awaiting the socket, back to back.
+    out: OutBuf,
     /// The poller should poll this socket for writability.
     want_write: bool,
     /// A redial thread is already running for this peer.
@@ -245,7 +256,7 @@ struct MeshConfig {
 
 /// What a drain attempt left behind.
 enum Drain {
-    /// Queue empty; write interest can be dropped.
+    /// Nothing left unsent; write interest can be dropped.
     Idle,
     /// Socket backpressured; `want_write` is set, wake the poller.
     Blocked,
@@ -278,64 +289,46 @@ impl Shared {
         self.epoch.elapsed().as_millis() as u64
     }
 
-    /// Drains `tx`'s queue with vectored writes until empty, the socket
+    /// Writes `tx`'s outbound buffer until empty, the socket
     /// backpressures, or the connection dies. Caller holds the lock.
     fn drain_locked(&self, tx: &mut PeerTx) -> Drain {
         let Some(stream) = tx.stream.as_ref() else {
             return Drain::Idle;
         };
-        loop {
-            if tx.queue.is_empty() {
-                tx.want_write = false;
-                return Drain::Idle;
-            }
-            let mut slices: Vec<IoSlice<'_>> = Vec::with_capacity(tx.queue.len().min(MAX_IOV));
-            for (i, buf) in tx.queue.iter().take(MAX_IOV).enumerate() {
-                let skip = if i == 0 { tx.written } else { 0 };
-                slices.push(IoSlice::new(&buf[skip..]));
-            }
-            match (&*stream).write_vectored(&slices) {
-                Ok(0) => break,
+        while !tx.out.is_empty() {
+            match tx.out.write_to(&mut &*stream) {
+                Ok(0) => return Self::kill_locked(tx),
                 Ok(n) => {
                     self.stats.writev_calls.fetch_add(1, Ordering::Relaxed);
                     self.stats.bytes.fetch_add(n as u64, Ordering::Relaxed);
-                    let mut left = n;
-                    while left > 0 {
-                        let front = tx.queue.front().expect("wrote from a non-empty queue");
-                        let avail = front.len() - tx.written;
-                        if left >= avail {
-                            left -= avail;
-                            tx.written = 0;
-                            tx.queue.pop_front();
-                        } else {
-                            tx.written += left;
-                            left = 0;
-                        }
-                    }
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                     tx.want_write = true;
                     return Drain::Blocked;
                 }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(_) => break,
+                Err(_) => return Self::kill_locked(tx),
             }
         }
-        // Write failure: tear the connection down locally. The shutdown
-        // makes the poller's read half report EOF/error, which runs the
-        // central cleanup (and redial policy) promptly.
+        tx.want_write = false;
+        Drain::Idle
+    }
+
+    /// Write failure: tear the connection down locally. The shutdown
+    /// makes the poller's read half report EOF/error, which runs the
+    /// central cleanup (and redial policy) promptly.
+    fn kill_locked(tx: &mut PeerTx) -> Drain {
         if let Some(s) = tx.stream.take() {
             let _ = s.shutdown(Shutdown::Both);
         }
-        tx.queue.clear();
-        tx.written = 0;
+        tx.out.clear();
         tx.want_write = false;
         Drain::Dead
     }
 }
 
-/// The sending side of the mesh: encodes envelopes, queues them toward
-/// `env.dst`, and drains the queue with vectored writes.
+/// The sending side of the mesh: encodes envelopes into `env.dst`'s
+/// outbound buffer and writes the buffer to the socket.
 ///
 /// Holds only the shared peer state, so the `Network` → `MeshLink`
 /// reference is acyclic; the mesh's poller owns a `Network` clone and
@@ -349,7 +342,7 @@ impl<M: Wire + Tagged> RemoteLink<M> for MeshLink<M> {
     fn send_remote(&self, env: Envelope<M>) -> Result<(), SendError> {
         let dst = env.dst;
         let shared = &*self.shared;
-        let is_batch = env.payload.batch_parts().is_some();
+        let is_batch = env.payload.is_batch();
         let peer = shared.peers[dst.index()]
             .as_ref()
             .unwrap_or_else(|| panic!("no mesh connection toward {dst}"));
@@ -364,7 +357,7 @@ impl<M: Wire + Tagged> RemoteLink<M> for MeshLink<M> {
             // is replayed from the window on reconnect.
             let msg = link.send(shared.now_ms(), dst, RawBody(encode_envelope_body(&env)));
             if tx.stream.is_some() {
-                tx.queue.push_back(frame(&msg));
+                tx.out.push_frame(&msg);
                 shared.drain_locked(&mut tx)
             } else {
                 Drain::Idle
@@ -373,7 +366,7 @@ impl<M: Wire + Tagged> RemoteLink<M> for MeshLink<M> {
             if tx.stream.is_none() {
                 return Err(SendError { dst });
             }
-            tx.queue.push_back(encode_envelope(&env));
+            tx.out.push_envelope(&env);
             shared.drain_locked(&mut tx)
         };
         let session = tx.link.is_some();
@@ -591,8 +584,7 @@ impl<M: Wire + Tagged + Send + 'static> TcpMesh<M> {
                 (j != me.index()).then(|| {
                     Mutex::new(PeerTx {
                         stream: None,
-                        queue: VecDeque::new(),
-                        written: 0,
+                        out: OutBuf::default(),
                         want_write: false,
                         redialing: false,
                         link: cfg.session.map(ReliableLink::new),
@@ -859,7 +851,6 @@ fn run_poller<M: Wire + Tagged, S: EnvelopeSink<M>>(
     mut seen: HashSet<usize>,
 ) {
     let mut events = Vec::new();
-    let mut chunk = vec![0u8; READ_CHUNK];
     while !shared.stop.load(Ordering::Acquire) {
         // Adopt replacement connections from the acceptor or redialers.
         while let Ok((peer, conn)) = conn_rx.try_recv() {
@@ -883,7 +874,7 @@ fn run_poller<M: Wire + Tagged, S: EnvelopeSink<M>>(
                             .retx
                             .fetch_add(frames.len() as u64, Ordering::Relaxed);
                         for (_, msg) in frames {
-                            tx.queue.push_back(frame(&msg));
+                            tx.out.push_frame(&msg);
                         }
                         let _ = shared.drain_locked(&mut tx);
                     }
@@ -941,7 +932,7 @@ fn run_poller<M: Wire + Tagged, S: EnvelopeSink<M>>(
                 }
             }
             if ev.readable {
-                if let Err(reason) = handle_readable(shared, sink, &mut conns, ev.key, &mut chunk) {
+                if let Err(reason) = handle_readable(shared, sink, &mut conns, ev.key) {
                     dead.push((ev.key, reason));
                 }
             }
@@ -1002,8 +993,7 @@ fn install(
     let mut tx = peer_tx.lock();
     tx.redialing = false;
     tx.stream = Some(writer);
-    tx.queue.clear();
-    tx.written = 0;
+    tx.out.clear();
     tx.want_write = false;
     let reconnected = !seen.insert(key);
     if reconnected {
@@ -1014,10 +1004,9 @@ fn install(
     // one frame instead of waiting out an RTO round of rejected
     // retransmissions. On an unchanged incarnation the peer treats it
     // as a duplicate announcement and ignores it.
-    if let Some(hello) = tx.link.as_ref().map(|link| frame(&link.hello())) {
-        tx.queue.push_back(hello);
-    }
-    if let Some(link) = tx.link.as_mut() {
+    let PeerTx { link, out, .. } = &mut *tx;
+    if let Some(link) = link {
+        out.push_frame(&link.hello());
         // Replay the whole unacked window: frames that survived the old
         // socket are discarded by the peer's duplicate suppression.
         let replay = link.retransmit_to(shared.now_ms(), peer);
@@ -1026,7 +1015,7 @@ fn install(
             .retx
             .fetch_add(replay.len() as u64, Ordering::Relaxed);
         for msg in replay {
-            tx.queue.push_back(frame(&msg));
+            out.push_frame(&msg);
         }
     }
     let want_write = match shared.drain_locked(&mut tx) {
@@ -1087,29 +1076,27 @@ fn maybe_redial(shared: &Arc<Shared>, peer: NodeId) {
         .spawn(move || run_redial(shared, peer));
 }
 
-/// Reads everything currently available on `key`'s socket, decoding and
-/// delivering complete frames.
+/// Reads everything currently available on `key`'s socket into its
+/// decoder, decoding and delivering complete frames where they lie.
 fn handle_readable<M: Wire + Tagged, S: EnvelopeSink<M>>(
     shared: &Arc<Shared>,
     sink: &S,
     conns: &mut HashMap<usize, PeerRead>,
     key: usize,
-    chunk: &mut [u8],
 ) -> Result<(), DeadReason> {
     let Some(pr) = conns.get_mut(&key) else {
         return Ok(()); // already removed this round
     };
     loop {
-        let n = match (&pr.stream).read(chunk) {
-            Ok(0) => return Err(DeadReason::Socket),
-            Ok(n) => n,
+        let filled = match pr.dec.read_from(&mut &pr.stream) {
+            Ok((0, _)) => return Err(DeadReason::Socket),
+            Ok((_, filled)) => filled,
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(_) => return Err(DeadReason::Socket),
         };
-        pr.dec.extend(&chunk[..n]);
         loop {
-            let body = match pr.dec.next_frame() {
+            let body = match pr.dec.next_body() {
                 Ok(Some(body)) => body,
                 Ok(None) => break,
                 Err(e) => {
@@ -1121,7 +1108,7 @@ fn handle_readable<M: Wire + Tagged, S: EnvelopeSink<M>>(
             };
             deliver_frame(shared, sink, pr.peer, body)?;
         }
-        if n < chunk.len() {
+        if !filled {
             // Level-triggered: if more arrived meanwhile, the next wait
             // reports the socket readable again.
             return Ok(());
@@ -1135,10 +1122,10 @@ fn deliver_frame<M: Wire + Tagged, S: EnvelopeSink<M>>(
     shared: &Arc<Shared>,
     sink: &S,
     peer: NodeId,
-    body: Bytes,
+    body: &[u8],
 ) -> Result<(), DeadReason> {
     if shared.cfg.session.is_none() {
-        let env = decode_envelope::<M>(body).map_err(DeadReason::Protocol)?;
+        let env = decode_envelope_slice::<M>(body).map_err(DeadReason::Protocol)?;
         return inject(shared, sink, peer, env);
     }
     let msg: SessionMsg<RawBody> = decode_body(body).map_err(DeadReason::Protocol)?;
@@ -1156,14 +1143,14 @@ fn deliver_frame<M: Wire + Tagged, S: EnvelopeSink<M>>(
                 .acks
                 .fetch_add(replies.len() as u64, Ordering::Relaxed);
             for reply in replies {
-                tx.queue.push_back(frame(&reply));
+                tx.out.push_frame(&reply);
             }
             let _ = shared.drain_locked(&mut tx);
         }
         delivered
     };
     for raw in released {
-        let env = decode_envelope::<M>(raw.0).map_err(DeadReason::Protocol)?;
+        let env = decode_envelope_slice::<M>(&raw.0).map_err(DeadReason::Protocol)?;
         inject(shared, sink, peer, env)?;
     }
     Ok(())
@@ -1208,8 +1195,7 @@ fn conn_dead(
         if let Some(s) = tx.stream.take() {
             let _ = s.shutdown(Shutdown::Both);
         }
-        tx.queue.clear();
-        tx.written = 0;
+        tx.out.clear();
         tx.want_write = false;
     }
     let stopping = shared.stop.load(Ordering::Acquire);
@@ -1251,7 +1237,7 @@ mod tests {
         fn encode(&self, buf: &mut bytes::BytesMut) {
             self.0.encode(buf);
         }
-        fn decode(buf: &mut bytes::Bytes) -> Result<Self, CodecError> {
+        fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
             Ok(Ping(u64::decode(buf)?))
         }
         fn encoded_len(&self) -> usize {
@@ -1384,12 +1370,9 @@ mod tests {
             (self.0.len() as u32).encode(buf);
             buf.extend_from_slice(&self.0);
         }
-        fn decode(buf: &mut bytes::Bytes) -> Result<Self, CodecError> {
+        fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
             let len = u32::decode(buf)? as usize;
-            if buf.len() < len {
-                return Err(CodecError::Truncated);
-            }
-            Ok(Blob(buf.split_to(len).to_vec()))
+            Ok(Blob(simnet::codec::take(buf, len)?.to_vec()))
         }
         fn encoded_len(&self) -> usize {
             4 + self.0.len()
@@ -1484,12 +1467,12 @@ mod tests {
         let body = read_frame(&mut conn.stream, &mut conn.dec)
             .unwrap()
             .unwrap();
-        assert_eq!(crate::framing::decode_body::<u64>(body).unwrap(), 42);
+        assert_eq!(crate::framing::decode_body::<u64>(&body).unwrap(), 42);
 
         // Server side can answer on the same socket.
         write_frame(&mut conn.stream, &43u64).unwrap();
         let body = read_frame(&mut client, &mut client_dec).unwrap().unwrap();
-        assert_eq!(crate::framing::decode_body::<u64>(body).unwrap(), 43);
+        assert_eq!(crate::framing::decode_body::<u64>(&body).unwrap(), 43);
         mesh.shutdown();
     }
 

@@ -54,7 +54,7 @@ impl Endpoint {
         let body: Bytes = read_frame(&mut self.stream, &mut self.dec)
             .expect("socket alive")
             .expect("peer still sending");
-        dsm_net::framing::decode_body(body).expect("well-formed session frame")
+        dsm_net::framing::decode_body(&body).expect("well-formed session frame")
     }
 }
 

@@ -10,7 +10,7 @@
 
 use std::fmt;
 
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::{BufMut, BytesMut};
 use serde::value::Value;
 use serde::{DeError, Deserialize, Serialize};
 use simnet::codec::{CodecError, Wire};
@@ -132,7 +132,7 @@ impl Wire for ObjVal {
         }
     }
 
-    fn decode(buf: &mut Bytes) -> Result<Self, CodecError> {
+    fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
         match u8::decode(buf)? {
             0 => Ok(ObjVal::Free),
             1 => Ok(ObjVal::Count(u64::decode(buf)?)),
@@ -187,18 +187,16 @@ mod tests {
             let mut buf = BytesMut::new();
             v.encode(&mut buf);
             assert_eq!(buf.len(), v.encoded_len());
-            let mut bytes = buf.freeze();
-            assert_eq!(ObjVal::decode(&mut bytes).unwrap(), v);
+            let mut cursor = &buf[..];
+            assert_eq!(ObjVal::decode(&mut cursor).unwrap(), v);
+            assert!(cursor.is_empty());
         }
     }
 
     #[test]
     fn wire_rejects_bad_discriminant() {
-        let mut buf = BytesMut::new();
-        buf.put_u8(9);
-        let mut bytes = buf.freeze();
         assert!(matches!(
-            ObjVal::decode(&mut bytes),
+            ObjVal::decode(&mut &[9u8][..]),
             Err(CodecError::BadDiscriminant(9))
         ));
     }

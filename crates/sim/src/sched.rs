@@ -461,23 +461,21 @@ impl<V: Value, A: Actor<V>> Sim<V, A> {
     fn send(&mut self, src: NodeId, dst: NodeId, msg: A::Msg) {
         // Logical counters see a batch's parts (so ablations stay
         // batching-invariant); the envelope counter sees one send.
-        match msg.batch_parts() {
-            Some(parts) => {
-                for (kind, size) in parts {
-                    self.stats.record(src, kind);
-                    if let Some(size) = size {
-                        self.byte_stats.record_n(src, kind, size as u64);
-                    }
+        if msg.is_batch() {
+            let (stats, byte_stats) = (&self.stats, &self.byte_stats);
+            msg.for_each_batch_part(&mut |kind, size| {
+                stats.record(src, kind);
+                if let Some(size) = size {
+                    byte_stats.record_n(src, kind, size as u64);
                 }
-                self.envelope_stats.record(src, kinds::BATCH);
+            });
+            self.envelope_stats.record(src, kinds::BATCH);
+        } else {
+            self.stats.record(src, msg.kind());
+            if let Some(size) = msg.wire_size() {
+                self.byte_stats.record_n(src, msg.kind(), size as u64);
             }
-            None => {
-                self.stats.record(src, msg.kind());
-                if let Some(size) = msg.wire_size() {
-                    self.byte_stats.record_n(src, msg.kind(), size as u64);
-                }
-                self.envelope_stats.record(src, msg.kind());
-            }
+            self.envelope_stats.record(src, msg.kind());
         }
         let metadata = msg.metadata_size();
         if metadata > 0 {

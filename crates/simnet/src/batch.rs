@@ -5,8 +5,8 @@
 //! (size, count, or explicit flush) and hands the run back; the protocol
 //! layer owns the actual envelope type (e.g. `Msg::Batch` in `causal-dsm`)
 //! because only it can name a batch on the wire. Logical per-kind counters
-//! never see the envelope: [`crate::Tagged::batch_parts`] lets transports
-//! unbundle it for accounting.
+//! never see the envelope: [`crate::Tagged::for_each_batch_part`] lets
+//! transports unbundle it for accounting.
 
 use crate::envelope::Tagged;
 

@@ -33,17 +33,25 @@ pub trait Tagged {
         0
     }
 
-    /// For a batch envelope, the `(kind, wire_size)` of every logical
-    /// message it carries; `None` (the default) for ordinary payloads.
+    /// `true` iff this payload is a batch envelope carrying several
+    /// logical messages. `false` (the default) for ordinary payloads.
     ///
-    /// Transports use this to keep the *logical* per-kind counters
-    /// batching-invariant: a batch records each constituent under its own
-    /// kind and counts as a single send only in the physical-envelope
-    /// counters (under [`memcore::kinds::BATCH`]). Wrapper payloads (e.g. a
-    /// session layer) should forward the inner payload's answer.
-    fn batch_parts(&self) -> Option<Vec<(&'static str, Option<usize>)>> {
-        None
+    /// Transports use this with
+    /// [`for_each_batch_part`](Tagged::for_each_batch_part) to keep the
+    /// *logical* per-kind counters batching-invariant: a batch records
+    /// each constituent under its own kind and counts as a single send
+    /// only in the physical-envelope counters (under
+    /// [`memcore::kinds::BATCH`]). Wrapper payloads (e.g. a session layer)
+    /// should forward the inner payload's answer.
+    fn is_batch(&self) -> bool {
+        false
     }
+
+    /// Calls `visit(kind, wire_size)` for every logical message a batch
+    /// envelope carries, in order; does nothing (the default) for
+    /// ordinary payloads. Runs on every send, so implementations walk
+    /// their parts in place rather than collecting them.
+    fn for_each_batch_part(&self, _visit: &mut dyn FnMut(&'static str, Option<usize>)) {}
 }
 
 /// A message in flight: payload plus source and destination.

@@ -2,7 +2,7 @@
 //! instrumented sends.
 
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -58,6 +58,9 @@ struct Inner<M> {
     envelopes: NetStats,
     metadata: NetStats,
     fault: Mutex<Option<Arc<dyn FaultHook>>>,
+    // Mirrors `fault.is_some()`, so sends can skip the lock when no hook is
+    // installed. Written under the `fault` lock.
+    fault_installed: AtomicBool,
     // Logical clock for fault hooks: the thread transport has no simulated
     // time, so each send gets a fresh tick.
     ticks: AtomicU64,
@@ -160,6 +163,7 @@ impl<M: Tagged> Network<M> {
                 envelopes: NetStats::new(n),
                 metadata: NetStats::new(n),
                 fault: Mutex::new(None),
+                fault_installed: AtomicBool::new(false),
                 ticks: AtomicU64::new(0),
             }),
         }
@@ -236,7 +240,13 @@ impl<M: Tagged> Network<M> {
     /// — channel delivery has no timers; use the simulator for delay
     /// spikes.
     pub fn set_fault_hook(&self, hook: Option<Arc<dyn FaultHook>>) {
-        *self.inner.fault.lock() = hook;
+        let mut slot = self.inner.fault.lock();
+        // Release pairs with the Acquire load in `send`: a sender that
+        // sees the flag then finds the hook behind the lock.
+        self.inner
+            .fault_installed
+            .store(hook.is_some(), Ordering::Release);
+        *slot = hook;
     }
 
     fn transmit(&self, src: NodeId, dst: NodeId, payload: M) -> Result<(), SendError> {
@@ -314,27 +324,30 @@ impl<M: Tagged + Clone> Network<M> {
         // Logical counts are batching-invariant: a batch records each
         // constituent under its own kind and only the envelope counter sees
         // the single physical send.
-        match payload.batch_parts() {
-            Some(parts) => {
-                for (kind, size) in parts {
-                    self.inner.msgs.record(src, kind);
-                    if let Some(size) = size {
-                        self.inner.bytes.record_n(src, kind, size as u64);
-                    }
+        let inner = &*self.inner;
+        if payload.is_batch() {
+            payload.for_each_batch_part(&mut |kind, size| {
+                inner.msgs.record(src, kind);
+                if let Some(size) = size {
+                    inner.bytes.record_n(src, kind, size as u64);
                 }
-                self.inner.envelopes.record(src, kinds::BATCH);
+            });
+            inner.envelopes.record(src, kinds::BATCH);
+        } else {
+            inner.msgs.record(src, payload.kind());
+            if let Some(size) = payload.wire_size() {
+                inner.bytes.record_n(src, payload.kind(), size as u64);
             }
-            None => {
-                self.inner.msgs.record(src, payload.kind());
-                if let Some(size) = payload.wire_size() {
-                    self.inner.bytes.record_n(src, payload.kind(), size as u64);
-                }
-                self.inner.envelopes.record(src, payload.kind());
-            }
+            inner.envelopes.record(src, payload.kind());
         }
         let meta = payload.metadata_size();
         if meta > 0 {
             self.inner.metadata.record_n(src, payload.kind(), meta as u64);
+        }
+        // Fault-free networks (every production one) pay one atomic load
+        // here, not a mutex and a reference count per message.
+        if !self.inner.fault_installed.load(Ordering::Acquire) {
+            return self.transmit(src, dst, payload);
         }
         let hook = self.inner.fault.lock().clone();
         let Some(hook) = hook else {
@@ -463,8 +476,13 @@ mod tests {
             fn kind(&self) -> &'static str {
                 kinds::BATCH
             }
-            fn batch_parts(&self) -> Option<Vec<(&'static str, Option<usize>)>> {
-                Some(self.0.iter().map(|m| (m.kind(), m.wire_size())).collect())
+            fn is_batch(&self) -> bool {
+                true
+            }
+            fn for_each_batch_part(&self, visit: &mut dyn FnMut(&'static str, Option<usize>)) {
+                for m in &self.0 {
+                    visit(m.kind(), m.wire_size());
+                }
             }
         }
 

@@ -1,7 +1,7 @@
 //! Property tests for the wire codec: round trips, framing, and graceful
 //! failure on corrupted input.
 
-use bytes::{Bytes, BytesMut};
+use bytes::BytesMut;
 use memcore::{Location, NodeId, PageId, Word, WriteId};
 use proptest::prelude::*;
 use simnet::codec::{deframe, frame, CodecError, Wire};
@@ -28,10 +28,10 @@ fn round_trip<T: Wire + PartialEq + std::fmt::Debug>(value: &T) {
     let mut buf = BytesMut::new();
     value.encode(&mut buf);
     assert_eq!(buf.len(), value.encoded_len(), "encoded_len disagrees");
-    let mut bytes = buf.freeze();
-    let decoded = T::decode(&mut bytes).expect("decode");
+    let mut cursor = &buf[..];
+    let decoded = T::decode(&mut cursor).expect("decode");
     assert_eq!(&decoded, value);
-    assert!(bytes.is_empty(), "trailing bytes after decode");
+    assert!(cursor.is_empty(), "trailing bytes after decode");
 }
 
 proptest! {
@@ -70,9 +70,9 @@ proptest! {
     fn frames_round_trip(components in proptest::collection::vec(any::<u64>(), 0..16)) {
         let vt = VectorClock::from(components);
         let framed = frame(&vt);
-        let mut bytes = framed.clone();
-        prop_assert_eq!(deframe::<VectorClock>(&mut bytes).unwrap(), vt);
-        prop_assert!(bytes.is_empty());
+        let mut cursor = &framed[..];
+        prop_assert_eq!(deframe::<VectorClock>(&mut cursor).unwrap(), vt);
+        prop_assert!(cursor.is_empty());
     }
 
     /// Truncating a frame anywhere never panics — it errors.
@@ -85,8 +85,7 @@ proptest! {
         let framed = frame(&vt);
         let cut = ((framed.len() as f64) * cut_fraction) as usize;
         if cut < framed.len() {
-            let mut truncated = framed.slice(0..cut);
-            let result = deframe::<VectorClock>(&mut truncated);
+            let result = deframe::<VectorClock>(&mut &framed[..cut]);
             prop_assert!(result.is_err());
         }
     }
@@ -94,12 +93,9 @@ proptest! {
     /// Arbitrary garbage decodes to an error or a value, never a panic.
     #[test]
     fn garbage_never_panics(garbage in proptest::collection::vec(any::<u8>(), 0..64)) {
-        let mut bytes = Bytes::from(garbage);
-        let _ = Word::decode(&mut bytes);
-        let _: Result<VectorClock, CodecError> = {
-            let mut b = bytes.clone();
-            VectorClock::decode(&mut b)
-        };
-        let _ = deframe::<Vec<u64>>(&mut bytes);
+        let _ = Word::decode(&mut &garbage[..]);
+        let _: Result<VectorClock, CodecError> = VectorClock::decode(&mut &garbage[..]);
+        let _ = Vec::<u8>::decode(&mut &garbage[..]);
+        let _ = deframe::<Vec<u64>>(&mut &garbage[..]);
     }
 }
