@@ -1027,7 +1027,7 @@ pub fn failover_migration(seed: u64, cfg: &PerfConfig) -> WorkloadReport {
 /// watermark — a durability bug).
 #[must_use]
 pub fn recovery_replay(seed: u64, cfg: &PerfConfig) -> WorkloadReport {
-    use causal_dsm::{CausalConfig, CausalState, Disk, DurableConfig, MemDisk, Store, SyncPolicy};
+    use causal_dsm::{CausalConfig, CausalState, DurableConfig, MemDisk, Store, SyncPolicy};
     use memcore::NodeId;
 
     const LOCATIONS: u32 = 64;
@@ -1044,16 +1044,11 @@ pub fn recovery_replay(seed: u64, cfg: &PerfConfig) -> WorkloadReport {
         .durability(dcfg)
         .build();
     let disk = MemDisk::new();
-    let net = simnet::Network::new(2);
-    let local = [NodeId::new(0), NodeId::new(1)];
-    let cluster = causal_dsm::CausalCluster::with_durable_transport(
-        config.clone(),
-        None,
-        net,
-        &local,
-        vec![(NodeId::new(0), Box::new(disk.clone()) as Box<dyn Disk>)],
-    )
-    .expect("build cluster");
+    let cluster = causal_dsm::CausalCluster::<memcore::Word>::builder(2, LOCATIONS)
+        .configure(|c| c.durability(dcfg))
+        .disk(NodeId::new(0), Box::new(disk.clone()))
+        .build()
+        .expect("build cluster");
 
     // Populate: node 0 writes its own (even) locations — zero-message
     // certified writes, each appending one WAL record.

@@ -259,6 +259,29 @@ impl<V: Value> CausalConfig<V> {
         self.failover
     }
 
+    /// Reopens a finished configuration for the cluster builder's
+    /// `configure` hook; `build()` gives the same configuration back.
+    pub(crate) fn into_builder(self) -> CausalConfigBuilder<V> {
+        CausalConfigBuilder {
+            nodes: self.nodes,
+            locations: self.locations,
+            page_size: self.owners.page_size(),
+            owners: Some(self.owners),
+            initial: self.initial,
+            invalidation: self.invalidation,
+            policy: self.policy,
+            cache_capacity: self.cache_capacity,
+            const_pages: self.const_pages,
+            owner_timeout: self.owner_timeout,
+            owner_retries: self.owner_retries,
+            pipeline_window: self.pipeline_window,
+            batching: self.batching,
+            failover: self.failover,
+            interest_scoping: self.interest_scoping,
+            durability: self.durability,
+        }
+    }
+
     /// Whether metadata is interest-scoped (the partial-replication
     /// layer): owners track which nodes cache each page and ship
     /// replications/interest messages only to them, and every timestamp

@@ -1,197 +1,166 @@
-//! The threaded engine: one server thread per node, application handles
-//! that block on owner round-trips.
+//! The threaded engine: executors of the [`NodeDriver`].
 //!
 //! The paper requires that "each operation must be executed atomically and
 //! owners must fairly alternate between issuing reads and writes and
-//! responding to READ and WRITE messages from other processors". The engine
-//! realizes this with one *server* thread per node (servicing `READ`/`WRITE`
-//! requests) and per-node application handles whose operations take the
-//! node's state lock only for the atomic steps of Figure 4, releasing it
-//! while blocked on a reply — so a node can serve incoming requests while
-//! one of its own operations waits, which is exactly the fair alternation
-//! the paper asks for (and what makes the protocol deadlock-free).
+//! responding to READ and WRITE messages from other processors". All of
+//! that policy lives in [`NodeDriver`]; this module only *runs* it. Every
+//! thread that touches a node — an application handle, the node's server
+//! thread (or the transport's poller, through [`InlineServer`]), the
+//! heartbeat ticker — follows one rule, [`NodeShared::execute`]: lock the
+//! driver, call it, persist the journal, perform the sends in order, hand
+//! any completion to the blocked handle. A handle whose operation needs
+//! an owner round-trip sleeps *outside* the lock, so the node keeps
+//! serving requests while one of its own operations waits — the fair
+//! alternation the paper asks for (and what makes the protocol
+//! deadlock-free).
+//!
+//! Two paths bypass [`NodeDriver::submit`]: a cache-hit read runs under
+//! the *shared* lock (Figure 4's read procedure touches no state on a
+//! hit), and an owner-local write is one atomic step that never becomes
+//! the node's outstanding operation ([`NodeDriver::write_local`]).
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam_channel::{unbounded, Receiver, Sender};
-use dsm_durable::{Disk, Store, WalRecord};
+use crossbeam_channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use dsm_durable::{Disk, Store};
 use memcore::{
-    Location, MemoryError, NetStats, NodeId, OpRecord, PageId, Recorder, SharedMemory, Value,
-    WriteId,
+    Location, MemoryError, NetStats, NodeId, OpRecord, Recorder, SharedMemory, Value, WriteId,
 };
-use parking_lot::{Mutex, MutexGuard, RwLock};
+use parking_lot::{Mutex, RwLock, RwLockWriteGuard};
 use simnet::codec::Wire;
-use simnet::{BatchPolicy, Batcher, Envelope, Network};
+use simnet::{Envelope, Network, Tagged};
 use vclock::VectorClock;
 
-use crate::config::{CausalConfig, CausalConfigBuilder, FailoverConfig};
+use crate::config::{CausalConfig, CausalConfigBuilder};
+use crate::driver::{Done, Effects, NodeDriver, Op};
 use crate::msg::Msg;
-use crate::state::{CausalState, ReadStep, WriteDone, WriteStep};
+use crate::state::{CausalState, WriteDone};
 
-/// What reply the one outstanding owner round-trip is waiting for. Replies
-/// are recognized by *content* — the page of a READ, the unique tag of a
-/// WRITE — so a stale reply left over from a previously timed-out
-/// operation is silently discarded instead of being misattributed (the
-/// regression `Timeout` used to make unrecoverable). Under failover the
-/// op stamp is matched as well.
-#[derive(Clone, Copy, Debug)]
-enum Want {
-    Read { page: PageId },
-    Write { wid: WriteId },
-}
+/// Appends whatever a state journaled to its node's write-ahead log
+/// ([`CausalState::persist_journal`] over the node's [`Store`]). A closure
+/// so the engine itself needs no `Wire` bound on `V` — only
+/// [`CausalClusterBuilder::disk`], which opens the store, does.
+type Journal<V> = Box<dyn FnMut(&mut CausalState<V>) + Send>;
 
-#[derive(Clone, Copy, Debug)]
-struct Expected {
-    /// The op id the reply must echo (failover only).
-    op: Option<u64>,
-    want: Want,
-}
-
-/// Sender-side state of the bounded write pipeline: which owner the open
-/// window points at, how many pipelined writes are outstanding toward it
-/// (sent *or* still buffered), and — with transport batching on — the run
-/// of WRITE requests accumulated but not yet put on the wire.
-///
-/// Invariant: `in_flight == 0` iff `owner == None` iff the batcher is
-/// empty. The window only ever points at one owner at a time; switching
-/// owners requires a full drain (see `drain_pipeline_locked` for why).
-struct PipelineState<V: Value> {
-    owner: Option<NodeId>,
-    in_flight: usize,
-    batcher: Batcher<Msg<V>>,
-}
-
-/// Where a node's durability journal goes. A trait object so the engine
-/// itself needs no `Wire` bound on `V` — only the durable constructors
-/// (which open real [`Store`]s) do.
-trait JournalSink<V: Value>: Send + Sync {
-    /// Appends one batch of records, returning once they are as durable
-    /// as the store's sync policy promises.
-    fn persist(&self, records: &[WalRecord<V>]);
-    /// Whether enough records accumulated that the caller should
-    /// checkpoint.
-    fn wants_checkpoint(&self) -> bool;
-    /// Installs `image` as the new checkpoint, compacting the log.
-    fn checkpoint(&self, image: &[WalRecord<V>]);
-}
-
-struct StoreSink<V>(Mutex<Store<V>>);
-
-impl<V: Value + Wire> JournalSink<V> for StoreSink<V> {
-    fn persist(&self, records: &[WalRecord<V>]) {
-        self.0.lock().append(records);
-    }
-
-    fn wants_checkpoint(&self) -> bool {
-        self.0.lock().wants_checkpoint()
-    }
-
-    fn checkpoint(&self, image: &[WalRecord<V>]) {
-        self.0.lock().checkpoint(image);
-    }
-}
-
-/// Per-node boot material for a durable build: the WAL sink plus the
-/// state recovered from (or freshly created against) its disk.
-struct DurableBoot<V: Value> {
-    sink: Arc<dyn JournalSink<V>>,
-    state: CausalState<V>,
+/// What a node's lock guards: the driver, the effects buffer its calls
+/// fill (reused, so steady-state calls allocate nothing), and the WAL.
+struct Core<V: Value> {
+    driver: NodeDriver<V>,
+    fx: Effects<V>,
+    /// `None` keeps every journal hook on the zero-cost path. The inner
+    /// mutex is never contended (the node lock is held exclusively around
+    /// it); it only makes the boxed closure shareable.
+    journal: Option<Mutex<Journal<V>>>,
 }
 
 struct NodeShared<V: Value> {
-    /// Protocol state. A reader–writer lock: cache-hit reads are
-    /// non-mutating (Figure 4's read procedure touches no state on a hit)
-    /// and run under the shared lock, concurrently with each other;
-    /// everything that moves the clock takes the exclusive lock.
-    state: RwLock<CausalState<V>>,
+    me: NodeId,
+    net: Network<Msg<V>>,
+    /// The driver's clock: milliseconds since cluster start. `None` —
+    /// and never read — unless failover or an `owner_timeout` is
+    /// configured.
+    clock: Option<Instant>,
+    /// A reader–writer lock: cache-hit reads run under the shared lock,
+    /// concurrently with each other; every driver call is exclusive.
+    core: RwLock<Core<V>>,
     /// Serializes this node's application operations (program order) and
-    /// guards the one-outstanding-remote-op invariant (`replies` carries
-    /// at most one in-flight reply). Cache-hit reads don't take it.
+    /// guards the driver's one-outstanding-operation invariant. Cache-hit
+    /// reads and owner-local writes don't take it.
     op_lock: Mutex<()>,
-    /// Replies forwarded by the server thread to the blocked operation.
-    replies: Receiver<Msg<V>>,
-    /// Tags of outstanding non-blocking writes, mapped to whether each
-    /// belongs to the bounded pipeline (`true`) or is a raw
-    /// [`CausalHandle::write_nonblocking`] (`false`); their replies are
-    /// absorbed by the server thread instead of waking the application.
-    nonblocking: Mutex<HashMap<memcore::WriteId, bool>>,
-    /// `nonblocking.len()`, readable without the mutex: the server thread
-    /// checks it before locking, so clusters that never use non-blocking
-    /// writes pay nothing on the reply path.
-    ///
-    /// Ordering audit — the Release/Acquire pair is load-bearing:
-    ///
-    /// * **Publish.** The application inserts into the registry and
-    ///   `fetch_add(1, Release)`s *before* sending the WRITE. Every reply
-    ///   the server receives sits causally downstream of that send
-    ///   (mailbox send → owner recv → reply send → server recv, each a
-    ///   release/acquire edge), so whenever a reply for a registered tag
-    ///   can be in the mailbox, the server's `load(Acquire)` observes a
-    ///   non-zero count and takes the registry lock. A stale zero read is
-    ///   only possible when no registered reply is in flight — exactly
-    ///   when skipping the lock is correct.
-    /// * **Retire.** The server `fetch_sub(1, Release)`s only *after*
-    ///   absorbing the reply into the state, so an observer that sees the
-    ///   count drop also sees the merged clock (this is what lets
-    ///   [`CausalHandle::flush`] treat a drained pipeline as "all replies
-    ///   in `VT_i`").
-    /// * **Rollback.** If the send itself fails after registration, the
-    ///   writer removes the entry and decrements on the spot (regression
-    ///   test `send_failure_rolls_back_nonblocking_registration` in
-    ///   `tests/hot_path.rs`). Between insert and rollback the counter
-    ///   overcounts; the only cost is one spurious registry lock on the
-    ///   server.
-    nonblocking_count: AtomicUsize,
-    /// Bounded-pipeline window state; see [`PipelineState`]. Guarded by
-    /// its own mutex (not `op_lock`) because the *server* thread also
-    /// updates it when absorbing pipelined replies.
-    pipeline: Mutex<PipelineState<V>>,
-    /// Signalled (`notify_all`) by the server thread after it absorbs a
-    /// pipelined reply and decrements `in_flight` — the wake-up edge for
-    /// window backpressure and [`CausalHandle::flush`].
-    pipeline_cv: Condvar,
-    /// The node's write-ahead log, if this is a durable build. `None`
-    /// keeps every journal hook on the zero-cost path.
-    wal: Option<Arc<dyn JournalSink<V>>>,
+    /// Orders this node's sends. Taken *before* the node lock is released
+    /// and held across the sends, so envelopes leave in driver order even
+    /// when a handle thread and the poller both have some (an issued run
+    /// vs. the run shipped when the wire drains) — without holding the
+    /// node lock, and so every cache-hit reader, across a socket write.
+    /// Holds the spare send buffer the effects' one is swapped against.
+    outbox: Mutex<Vec<(NodeId, Msg<V>)>>,
+    /// Completions handed to the blocked operation by whichever thread's
+    /// driver call produced them.
+    done_rx: Receiver<Done<V>>,
 }
 
 impl<V: Value> NodeShared<V> {
-    /// Runs `f` under the exclusive state lock and, on durable builds,
-    /// appends whatever it journaled *before* the lock is released.
-    ///
-    /// Holding the lock across the append is what makes the log's order
-    /// match the state-mutation order: the server thread and application
-    /// threads both mutate this node's state, and two installs to the
-    /// same slot must reach the log in install order or replay resurrects
-    /// the loser. Callers send replies only after this returns, so a
-    /// certified operation is as durable as the sync policy promises.
-    fn mutate<R>(&self, f: impl FnOnce(&mut CausalState<V>) -> R) -> R {
-        let mut st = self.state.write();
-        let r = f(&mut st);
-        if self.wal.is_some() {
-            self.persist_locked(&mut st);
-        }
-        r
+    fn now(&self) -> u64 {
+        self.clock
+            .map_or(0, |start| start.elapsed().as_millis() as u64)
     }
 
-    /// Drains and appends the journal; caller holds the exclusive state
-    /// lock. Checkpoints are taken here too, still under the lock — every
-    /// append also requires the lock, so nothing can slip a record into
-    /// the log between the image capture and the commit that resets it.
-    fn persist_locked(&self, st: &mut CausalState<V>) {
-        let Some(wal) = &self.wal else { return };
-        let records = st.take_journal();
-        if records.is_empty() {
-            return;
+    /// The executor rule, shared by every thread that drives this node:
+    /// lock the driver, `call` it, persist what it journaled (still under
+    /// the lock, so log order is mutation order, and before any send, so
+    /// a certified operation is as durable as the sync policy promises),
+    /// perform the sends in order, and return the completion, if any, for
+    /// the caller to keep or forward.
+    ///
+    /// The last flag reports a dead transport: a request could not be
+    /// sent, which is terminal for the session. The driver has then been
+    /// reset ([`NodeDriver::transport_down`]) and the completion is the
+    /// outstanding operation's failure, if one was outstanding. Side
+    /// traffic and replies stay best effort — the peer may simply be
+    /// shutting down.
+    fn execute<R>(
+        &self,
+        call: impl FnOnce(&mut NodeDriver<V>, u64, &mut Effects<V>) -> R,
+    ) -> (R, Option<Done<V>>, bool) {
+        let now = self.now();
+        let mut guard = self.core.write();
+        let core = &mut *guard;
+        let out = call(&mut core.driver, now, &mut core.fx);
+        if let Some(journal) = &core.journal {
+            (*journal.lock())(core.driver.state_mut());
         }
-        wal.persist(&records);
-        if wal.wants_checkpoint() {
-            let image = st.durable_image();
-            wal.checkpoint(&image);
+        let done = core.fx.done.take();
+        if core.fx.sends.is_empty() {
+            return (out, done, false);
+        }
+        if self.send(guard) {
+            let blocked = self.core.write().driver.transport_down();
+            let failed = blocked.then_some(Done::Failed(MemoryError::Shutdown));
+            return (out, failed, true);
+        }
+        (out, done, false)
+    }
+
+    /// Puts the effects' sends on the wire, in order, releasing the node
+    /// lock first — but only once the outbox is held. Returns `true` if
+    /// a request could not be sent.
+    fn send(&self, mut guard: RwLockWriteGuard<'_, Core<V>>) -> bool {
+        let mut outbox = self.outbox.lock();
+        std::mem::swap(&mut *outbox, &mut guard.fx.sends);
+        drop(guard);
+        let mut down = false;
+        for (dst, msg) in outbox.drain(..) {
+            let critical = msg.is_request() || msg.is_batch();
+            down |= self.net.send(self.me, dst, msg).is_err() && critical;
+        }
+        down
+    }
+
+    /// Sleeps until the blocked operation completes, firing the driver's
+    /// timers (attempt deadlines, the give-up budget) when they come due
+    /// first. `Ok(None)` means a timer fired without completing it.
+    fn wait(&self) -> Result<Option<Done<V>>, MemoryError> {
+        let due = self.clock.and_then(|start| {
+            let due = self.core.read().driver.next_timer()?;
+            Some((start + Duration::from_millis(due)).saturating_duration_since(Instant::now()))
+        });
+        let received = match due {
+            None => self
+                .done_rx
+                .recv()
+                .map_err(|_| RecvTimeoutError::Disconnected),
+            Some(timeout) => self.done_rx.recv_timeout(timeout),
+        };
+        match received {
+            Ok(done) => Ok(Some(done)),
+            Err(RecvTimeoutError::Timeout) => Ok(self.execute(|d, now, fx| d.on_timer(now, fx)).1),
+            // Every completer is gone: the engine shut down under us.
+            Err(RecvTimeoutError::Disconnected) => {
+                self.core.write().driver.transport_down();
+                Err(MemoryError::Shutdown)
+            }
         }
     }
 }
@@ -244,240 +213,46 @@ impl StopSignal {
     }
 }
 
-/// Puts a run of buffered pipelined WRITEs on the wire as one envelope (a
-/// single message, or [`Msg::Batch`] for runs of two or more), rolling
-/// back the run's window slots and registry entries if the transport is
-/// down. Caller holds the pipeline lock. A free function because both
-/// sides of the pipeline send: the application thread
-/// (`write_pipelined`/`flush`) and the server loop, which ships the run
-/// that accumulated during a round trip the moment the wire drains (the
-/// adaptive-batching hand-off).
-fn send_run_locked<V: Value>(
-    net: &Network<Msg<V>>,
-    src: NodeId,
-    node: &NodeShared<V>,
-    p: &mut PipelineState<V>,
-    owner: NodeId,
-    mut run: Vec<Msg<V>>,
-) -> Result<(), MemoryError> {
-    let wids: Vec<memcore::WriteId> = run
-        .iter()
-        .filter_map(|m| match m {
-            Msg::Write { wid, .. } => Some(*wid),
-            _ => None,
-        })
-        .collect();
-    let envelope = if run.len() == 1 {
-        run.pop().expect("length checked")
-    } else {
-        Msg::Batch(run)
-    };
-    if net.send(src, owner, envelope).is_err() {
-        // A failed send means the network has shut down, which is
-        // terminal for the session: every later operation on this
-        // handle also fails with `Shutdown`, and no reply will ever
-        // arrive for any member of the run. That is what makes it
-        // sound to unregister the *entire* run — including earlier
-        // `write_pipelined` calls that already returned `Ok(wid)` to
-        // their callers (their VT increments and optimistic cache
-        // installs stay applied) — rather than only the write being
-        // issued: nothing can observe the orphaned registrations, and
-        // leaving them would wedge a later `flush()` on replies that
-        // cannot come. If sends ever become retryable, this must be
-        // narrowed to the failing write only.
-        let mut registry = node.nonblocking.lock();
-        for wid in &wids {
-            if registry.remove(wid).is_some() {
-                node.nonblocking_count.fetch_sub(1, Ordering::Release);
-            }
-        }
-        drop(registry);
-        p.in_flight -= wids.len();
-        if p.in_flight == 0 {
-            p.owner = None;
-        }
-        return Err(MemoryError::Shutdown);
-    }
-    Ok(())
-}
-
-/// One node's server loop as a value: everything the per-node server
-/// thread used to close over, with the thread's `match` body factored
-/// into [`ServerCtx::process`] so a transport can run the loop on its own
-/// I/O thread instead (see [`InlineServer`]).
-struct ServerCtx<V: Value> {
-    me: NodeId,
+/// The executor for threads that drive a node on others' behalf — the
+/// server thread, the transport's poller, the heartbeat ticker: runs a
+/// driver call by the [executor rule](NodeShared::execute) and forwards
+/// any completion to the blocked application handle.
+struct Server<V: Value> {
     node: Arc<NodeShared<V>>,
-    net: Network<Msg<V>>,
-    /// Wakes the application operation blocked on `NodeShared::replies`.
-    /// Held here (not by a thread) in inline mode, so dropping the
-    /// transport's sink is what disconnects blocked handles.
-    reply_tx: Sender<Msg<V>>,
-    failover_on: bool,
-    clock_start: Instant,
+    /// Wakes the operation blocked in [`NodeShared::wait`]. Held only by
+    /// servers (in inline mode, by the transport's sink), so dropping
+    /// them is what disconnects blocked handles.
+    done_tx: Sender<Done<V>>,
 }
 
-impl<V: Value> ServerCtx<V> {
-    /// Executes the server loop's body for one inbound envelope: serve
-    /// requests (Figure 4's owner side), absorb or forward replies, feed
-    /// the failure detector. Returns `false` on [`Msg::Halt`] — the
-    /// loop's exit signal.
-    fn process(&self, env: Envelope<Msg<V>>) -> bool {
-        let me = self.me;
-        let node = &self.node;
-        let net = &self.net;
-        if self.failover_on && env.src != me {
-            // Any message is liveness evidence.
-            let now = self.clock_start.elapsed().as_millis() as u64;
-            node.state.write().record_alive(env.src, now);
+impl<V: Value> Server<V> {
+    fn run(&self, call: impl FnOnce(&mut NodeDriver<V>, u64, &mut Effects<V>)) {
+        if let ((), Some(done), _) = self.node.execute(call) {
+            let _ = self.done_tx.send(done);
         }
-        match env.payload {
-            Msg::Halt => return false,
-            Msg::Heartbeat { .. } => {}
-            Msg::Suspect { suspect, epochs } => {
-                let repl = node.mutate(|st| {
-                    st.absorb_suspect(suspect, &epochs);
-                    st.take_replications()
-                });
-                for (dst, msg) in repl {
-                    let _ = net.send(me, dst, msg);
-                }
-            }
-            Msg::Replicate {
-                page,
-                vt,
-                slots,
-                origins,
-            } => {
-                node.mutate(|st| st.apply_replicate(page, vt.into_inner(), slots, origins));
-            }
-            Msg::Interest { page } => {
-                // A peer evicted its copy: stop counting it as interested.
-                node.mutate(|st| st.handle_interest_drop(page, env.src));
-            }
-            Msg::Stamped { epoch, op, inner } if inner.is_request() => {
-                let (reply, repl) = node.mutate(|st| {
-                    let reply = st.serve_stamped(env.src, epoch, op, *inner);
-                    (reply, st.take_replications())
-                });
-                if let Some(reply) = reply {
-                    let _ = net.send(me, env.src, reply);
-                }
-                for (dst, msg) in repl {
-                    let _ = net.send(me, dst, msg);
-                }
-            }
-            Msg::Batch(parts) => {
-                // A transport batch is semantically its parts, in order.
-                // Requests are served in one state-lock pass with a single
-                // coalesced invalidation sweep, and their replies travel
-                // back as one envelope (the piggybacked acks); reply parts
-                // are absorbed/forwarded exactly as if they arrived alone.
-                let mut requests = Vec::with_capacity(parts.len());
-                for part in parts {
-                    if part.is_request() {
-                        requests.push(part);
-                    } else {
-                        self.absorb_or_forward(part);
-                    }
-                }
-                if !requests.is_empty() {
-                    let mut replies = node.mutate(|st| st.serve_batch(env.src, requests));
-                    let reply = if replies.len() == 1 {
-                        replies.pop().expect("length checked")
-                    } else {
-                        Msg::Batch(replies)
-                    };
-                    let _ = net.send(me, env.src, reply);
-                }
-            }
-            request if request.is_request() => {
-                let reply = node
-                    .mutate(|st| st.serve(env.src, request))
-                    .expect("requests always produce replies");
-                // Best effort: the requester may already be shutting down.
-                let _ = net.send(me, env.src, reply);
-            }
-            reply => self.absorb_or_forward(reply),
-        }
-        true
     }
 
-    /// Replies to non-blocking/pipelined writes are absorbed here;
-    /// everything else wakes the blocked application operation. The
-    /// counter check keeps the common (blocking-only) reply path off the
-    /// registry mutex entirely.
-    fn absorb_or_forward(&self, reply: Msg<V>) {
-        let node = &self.node;
-        let absorbed = match &reply {
-            Msg::WriteReply { wid, .. } if node.nonblocking_count.load(Ordering::Acquire) > 0 => {
-                node.nonblocking.lock().remove(wid)
-            }
-            _ => None,
-        };
-        match absorbed {
-            Some(pipelined) => {
-                node.state.write().absorb_write_reply(reply);
-                // Decrement only after absorbing, so a drained pipeline
-                // implies the merged clock (see the field's ordering
-                // audit).
-                node.nonblocking_count.fetch_sub(1, Ordering::Release);
-                if pipelined {
-                    let mut p = node.pipeline.lock();
-                    p.in_flight -= 1;
-                    if p.in_flight == 0 {
-                        p.owner = None;
-                    } else if !p.batcher.is_empty() && p.in_flight == p.batcher.len() {
-                        // The wire just drained but writes accumulated
-                        // during the round trip: ship them now, as one
-                        // envelope. Together with `write_pipelined`'s
-                        // eager first send this makes batching adaptive —
-                        // a burst's first write travels alone (latency),
-                        // and the run that built up behind it coalesces
-                        // (throughput), sized by the round trip rather
-                        // than a fixed count.
-                        let owner = p.owner.expect("buffered writes always have an owner");
-                        let run = p.batcher.take();
-                        // A send failure means engine shutdown; the
-                        // rollback inside leaves the window consistent
-                        // and the notify below wakes any flush() waiter.
-                        let _ = send_run_locked(&self.net, self.me, node, &mut p, owner, run);
-                    }
-                    drop(p);
-                } else {
-                    // flush() waits on `nonblocking_count` under the
-                    // pipeline mutex; touching the mutex between the
-                    // decrement and the notify makes that wait
-                    // lost-wakeup-free (a waiter either sees the new
-                    // count or is already parked on the condvar).
-                    drop(node.pipeline.lock());
-                }
-                node.pipeline_cv.notify_all();
-            }
-            None => {
-                let _ = self.reply_tx.send(reply);
-            }
-        }
+    fn deliver(&self, env: Envelope<Msg<V>>) {
+        self.run(|d, now, fx| d.deliver(now, env.src, env.payload, fx));
     }
 }
 
 /// A single node's server loop, handed to the transport instead of a
-/// thread: built by [`CausalCluster::with_inline_transport`], consumed by
+/// thread: built by [`CausalClusterBuilder::build_inline`], consumed by
 /// an I/O layer (such as `dsm-net`'s poller) that calls
 /// [`InlineServer::deliver`] for every inbound envelope it decodes.
 ///
-/// Exactly one I/O thread must drive it — the engine relies on the
-/// per-node server loop being single-threaded, and an event-loop
-/// transport's one poller satisfies that the same way the engine's own
-/// server thread did.
+/// Exactly one I/O thread should drive it, so that one link's envelopes
+/// are delivered in arrival order — an event-loop transport's one poller
+/// satisfies that the same way the engine's own server thread does.
 pub struct InlineServer<V: Value> {
-    ctx: Arc<ServerCtx<V>>,
+    server: Server<V>,
     stop: Arc<StopSignal>,
 }
 
 impl<V: Value> InlineServer<V> {
-    /// Runs the server loop's body for one envelope on the caller's
-    /// thread.
+    /// Delivers one envelope to the node's driver on the caller's thread,
+    /// by the same executor rule every other thread follows.
     ///
     /// # Errors
     ///
@@ -485,23 +260,24 @@ impl<V: Value> InlineServer<V> {
     /// down (or the envelope was [`Msg::Halt`]) — the transport should
     /// stop delivering.
     pub fn deliver(&self, env: Envelope<Msg<V>>) -> Result<(), MemoryError> {
-        if self.stop.is_stopped() || !self.ctx.process(env) {
+        if self.stop.is_stopped() || matches!(env.payload, Msg::Halt) {
             return Err(MemoryError::Shutdown);
         }
+        self.server.deliver(env);
         Ok(())
     }
 
     /// The node this server serves.
     #[must_use]
     pub fn node(&self) -> NodeId {
-        self.ctx.me
+        self.server.node.me
     }
 }
 
 impl<V: Value> std::fmt::Debug for InlineServer<V> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("InlineServer")
-            .field("node", &self.ctx.me)
+            .field("node", &self.node())
             .finish_non_exhaustive()
     }
 }
@@ -547,11 +323,20 @@ pub struct CausalCluster<V: Value> {
     inner: Arc<ClusterInner<V>>,
 }
 
-/// Builder for [`CausalCluster`]; wraps [`CausalConfigBuilder`] plus
-/// engine-level options (operation recording).
+/// Opens a node's disk and yields its boot state and journal; deferred to
+/// build time, when the configuration is final.
+type Boot<V> = Box<dyn FnOnce(&CausalConfig<V>) -> (CausalState<V>, Journal<V>)>;
+
+/// Builder for [`CausalCluster`]: the protocol configuration (through
+/// [`CausalConfigBuilder`]) plus everything engine-level — operation
+/// recording, the transport, which nodes this process hosts, and their
+/// disks.
 pub struct CausalClusterBuilder<V: Value> {
     config: CausalConfigBuilder<V>,
     recorder: Option<Recorder<V>>,
+    net: Option<Network<Msg<V>>>,
+    local: Option<Vec<NodeId>>,
+    boots: Vec<(NodeId, Boot<V>)>,
 }
 
 impl<V: Value + Default> CausalCluster<V> {
@@ -563,14 +348,21 @@ impl<V: Value + Default> CausalCluster<V> {
     /// Panics if `nodes` or `locations` is zero.
     #[must_use]
     pub fn builder(nodes: u32, locations: u32) -> CausalClusterBuilder<V> {
-        CausalClusterBuilder {
-            config: CausalConfig::builder(nodes, locations),
-            recorder: None,
-        }
+        CausalClusterBuilder::over(CausalConfig::builder(nodes, locations), None)
     }
 }
 
 impl<V: Value> CausalClusterBuilder<V> {
+    fn over(config: CausalConfigBuilder<V>, recorder: Option<Recorder<V>>) -> Self {
+        CausalClusterBuilder {
+            config,
+            recorder,
+            net: None,
+            local: None,
+            boots: Vec::new(),
+        }
+    }
+
     /// Applies `f` to the underlying protocol configuration builder.
     #[must_use]
     pub fn configure(
@@ -589,45 +381,238 @@ impl<V: Value> CausalClusterBuilder<V> {
         self
     }
 
-    /// Builds the cluster and spawns its server threads.
+    /// Runs over an existing transport instead of a fresh in-process
+    /// [`Network`]. This is how a cluster spans processes: each process
+    /// builds a [`Network::partial`] whose remote link carries envelopes
+    /// off-process (e.g. `dsm-net`'s TCP mesh) and names the nodes it
+    /// [hosts](Self::hosting). The protocol is unchanged — remote peers
+    /// are reached through the same `send` path, and message bills stay
+    /// comparable to the in-process transport's.
+    #[must_use]
+    pub fn transport(mut self, net: Network<Msg<V>>) -> Self {
+        self.net = Some(net);
+        self
+    }
+
+    /// Hosts only the nodes in `local` (default: all of them). Server and
+    /// heartbeat threads are spawned, and handles exist, only for hosted
+    /// nodes.
+    #[must_use]
+    pub fn hosting(mut self, local: &[NodeId]) -> Self {
+        self.local = Some(local.to_vec());
+        self
+    }
+
+    /// Gives hosted node `node` a write-ahead log on `disk` (see
+    /// `dsm_durable`); requires a
+    /// [`durability`](CausalConfigBuilder::durability) configuration. A
+    /// disk that already holds state makes the node *recover* — replaying
+    /// its checkpoint and log tail into page images, origin clocks, and
+    /// the owner-epoch table — and rejoin as a full peer under a bumped
+    /// incarnation.
+    #[must_use]
+    pub fn disk(mut self, node: NodeId, disk: Box<dyn Disk>) -> Self
+    where
+        V: Wire,
+    {
+        let boot = move |config: &CausalConfig<V>| {
+            let dcfg = config
+                .durability()
+                .expect("a disk requires a durability config");
+            let (mut store, recovered) = Store::open(disk, dcfg);
+            let state = if recovered.is_virgin() {
+                CausalState::new(node, config.clone())
+            } else {
+                let incarnation = recovered.next_incarnation();
+                CausalState::recover(node, config.clone(), recovered.records, incarnation)
+            };
+            let journal: Journal<V> = Box::new(move |st| st.persist_journal(&mut store));
+            (state, journal)
+        };
+        self.boots.push((node, Box::new(boot)));
+        self
+    }
+
+    /// Builds the cluster and spawns a server thread per hosted node.
     ///
     /// # Errors
     ///
     /// Currently infallible; returns `Result` for forward compatibility
     /// with fallible transports.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the transport's size differs from the configured node
+    /// count, no node is hosted, a hosted node has no mailbox in this
+    /// process, or a disk was supplied for a node that is not hosted or
+    /// without a durability configuration.
     pub fn build(self) -> Result<CausalCluster<V>, MemoryError> {
+        self.start(false).map(|(cluster, _)| cluster)
+    }
+
+    /// Like [`build`](Self::build) hosting only `me`, but spawns **no
+    /// server thread**: the returned [`InlineServer`] is the node's
+    /// server loop as a value, and the transport delivers each inbound
+    /// envelope by calling [`InlineServer::deliver`] on its own I/O
+    /// thread. `dsm-net`'s poller serves requests the moment it decodes
+    /// them — the same driver calls, minus one thread per process and two
+    /// scheduler hops per owner round trip.
+    ///
+    /// # Errors
+    ///
+    /// Currently infallible; returns `Result` for forward compatibility.
+    ///
+    /// # Panics
+    ///
+    /// Same conditions as [`build`](Self::build).
+    pub fn build_inline(
+        self,
+        me: NodeId,
+    ) -> Result<(CausalCluster<V>, InlineServer<V>), MemoryError> {
+        let (cluster, server) = self.hosting(&[me]).start(true)?;
+        Ok((cluster, server.expect("inline build yields a server")))
+    }
+
+    fn start(
+        self,
+        inline: bool,
+    ) -> Result<(CausalCluster<V>, Option<InlineServer<V>>), MemoryError> {
         let config = self.config.build();
-        CausalCluster::with_config(config, self.recorder)
+        let n = config.nodes() as usize;
+        let net = self.net.unwrap_or_else(|| Network::new(n));
+        assert_eq!(net.len(), n, "transport size mismatch");
+        let local = self
+            .local
+            .unwrap_or_else(|| (0..config.nodes()).map(NodeId::new).collect());
+        assert!(!local.is_empty(), "cluster hosts no local node");
+        let mut boots = self.boots;
+        for (node, _) in &boots {
+            assert!(
+                local.contains(node),
+                "disk supplied for non-local node {node}"
+            );
+        }
+        // One origin for every hosted node's driver clock.
+        let timed = config.failover().is_some() || config.owner_timeout().is_some();
+        let clock = timed.then(Instant::now);
+
+        let mut nodes = Vec::with_capacity(n);
+        let mut done_txs = Vec::with_capacity(n);
+        for id in (0..config.nodes()).map(NodeId::new) {
+            let boot = boots.iter().position(|(node, _)| *node == id);
+            let (state, journal) = match boot.map(|i| boots.swap_remove(i).1) {
+                Some(open) => {
+                    let (state, journal) = open(&config);
+                    (state, Some(Mutex::new(journal)))
+                }
+                None => (CausalState::new(id, config.clone()), None),
+            };
+            let (done_tx, done_rx) = unbounded();
+            done_txs.push(done_tx);
+            let node = Arc::new(NodeShared {
+                me: id,
+                net: net.clone(),
+                clock,
+                core: RwLock::new(Core {
+                    driver: NodeDriver::new(state),
+                    fx: Effects::default(),
+                    journal,
+                }),
+                op_lock: Mutex::new(()),
+                outbox: Mutex::new(Vec::new()),
+                done_rx,
+            });
+            // Persist the boot watermark (`CausalState::new`'s baseline,
+            // or recovery's rejoin record with the bumped incarnation)
+            // before any traffic can reference it.
+            node.execute(|_, _, _| ());
+            nodes.push(node);
+        }
+
+        let stop = Arc::new(StopSignal::new());
+        let mut servers = Vec::new();
+        let mut inline_server = None;
+        for &me in &local {
+            let server = |role: &str| {
+                (
+                    format!("causal-{role}-{}", me.index()),
+                    Server {
+                        node: Arc::clone(&nodes[me.index()]),
+                        done_tx: done_txs[me.index()].clone(),
+                    },
+                )
+            };
+            if config.failover().is_some() {
+                // The ticker: runs the driver's timers (heartbeats,
+                // probe-silence suspicion, attempt deadlines) whether or
+                // not an application operation is blocked.
+                let (name, ticker) = server("heartbeat");
+                let stop = Arc::clone(&stop);
+                servers.push(spawn(name, move || {
+                    loop {
+                        let due = ticker.node.core.read().driver.next_timer();
+                        // Under failover a heartbeat is always scheduled.
+                        let Some(due) = due else { break };
+                        let wait = due.saturating_sub(ticker.node.now());
+                        // The condvar wait (vs a fixed sleep) is what lets
+                        // shutdown() interrupt a tick mid-wait.
+                        if stop.wait_for(Duration::from_millis(wait)) {
+                            break;
+                        }
+                        ticker.run(|d, now, fx| d.on_timer(now, fx));
+                    }
+                }));
+            }
+            let (name, server) = server("node");
+            if inline {
+                // The transport drives this node itself; its mailbox
+                // stays with the network, unread (only `Msg::Halt` is
+                // ever addressed to it, and inline shutdown runs through
+                // the stop signal instead).
+                inline_server = Some(InlineServer {
+                    server,
+                    stop: Arc::clone(&stop),
+                });
+                continue;
+            }
+            let mailbox = net.take_mailbox(me);
+            servers.push(spawn(name, move || {
+                while let Some(env) = mailbox.recv() {
+                    if matches!(env.payload, Msg::Halt) {
+                        break;
+                    }
+                    server.deliver(env);
+                }
+            }));
+        }
+        drop(done_txs);
+
+        let cluster = CausalCluster {
+            inner: Arc::new(ClusterInner {
+                config,
+                net,
+                nodes,
+                local,
+                recorder: self.recorder,
+                servers: Mutex::new(servers),
+                stop,
+            }),
+        };
+        Ok((cluster, inline_server))
     }
 }
 
+fn spawn(name: String, body: impl FnOnce() + Send + 'static) -> JoinHandle<()> {
+    std::thread::Builder::new()
+        .name(name)
+        .spawn(body)
+        .expect("spawning engine thread")
+}
+
 impl<V: Value> CausalCluster<V> {
-    /// Builds a cluster from an explicit configuration.
-    ///
-    /// # Errors
-    ///
-    /// Currently infallible; returns `Result` for forward compatibility.
-    pub fn with_config(
-        config: CausalConfig<V>,
-        recorder: Option<Recorder<V>>,
-    ) -> Result<Self, MemoryError> {
-        let n = config.nodes() as usize;
-        let net: Network<Msg<V>> = Network::new(n);
-        let local: Vec<NodeId> = (0..n).map(|i| NodeId::new(i as u32)).collect();
-        Self::with_transport(config, recorder, net, &local)
-    }
-
-    /// Builds a cluster over an existing transport, hosting only the nodes
-    /// in `local`.
-    ///
-    /// This is how a cluster spans processes: each process builds a
-    /// [`Network::partial`](simnet::Network) whose remote link carries
-    /// envelopes off-process (e.g. `dsm-net`'s TCP mesh), then constructs
-    /// its share of the cluster with the node ids it hosts. Server and
-    /// heartbeat threads are spawned only for `local` nodes; handles exist
-    /// only for them. The protocol logic is unchanged — remote peers are
-    /// reached through the same `send` path, and the message bills stay
-    /// comparable to the in-process transports.
+    /// [`CausalClusterBuilder::build_inline`] over a finished
+    /// configuration — the constructor `dsm-net` and the benchmark
+    /// harness compile against.
     ///
     /// # Errors
     ///
@@ -635,25 +620,20 @@ impl<V: Value> CausalCluster<V> {
     ///
     /// # Panics
     ///
-    /// Panics if the network's size differs from the configured node
-    /// count, `local` is empty, or any id in `local` has no mailbox in
-    /// this process.
-    pub fn with_transport(
+    /// Same conditions as [`CausalClusterBuilder::build`].
+    pub fn with_inline_transport(
         config: CausalConfig<V>,
         recorder: Option<Recorder<V>>,
         net: Network<Msg<V>>,
-        local: &[NodeId],
-    ) -> Result<Self, MemoryError> {
-        Self::build_engine(config, recorder, net, local, false, HashMap::new())
-            .map(|(cluster, _)| cluster)
+        me: NodeId,
+    ) -> Result<(Self, InlineServer<V>), MemoryError> {
+        CausalClusterBuilder::over(config.into_builder(), recorder)
+            .transport(net)
+            .build_inline(me)
     }
 
-    /// [`CausalCluster::with_transport`] plus a durability layer: each
-    /// `(node, disk)` pair gives a locally-hosted node a write-ahead log
-    /// (see `dsm_durable`). A disk that already holds state makes the
-    /// node *recover* — replaying its checkpoint and log tail into page
-    /// images, origin clocks, and the owner-epoch table — and rejoin as
-    /// a full peer under a bumped incarnation.
+    /// [`CausalCluster::with_inline_transport`] plus a write-ahead log on
+    /// `disk` for the hosted node — what `dsm-server --data-dir` builds.
     ///
     /// # Errors
     ///
@@ -661,35 +641,7 @@ impl<V: Value> CausalCluster<V> {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration carries no
-    /// [`durability`](crate::CausalConfigBuilder::durability) setting, a
-    /// disk is supplied for a node not in `local`, or any
-    /// [`CausalCluster::with_transport`] precondition fails.
-    pub fn with_durable_transport(
-        config: CausalConfig<V>,
-        recorder: Option<Recorder<V>>,
-        net: Network<Msg<V>>,
-        local: &[NodeId],
-        disks: Vec<(NodeId, Box<dyn Disk>)>,
-    ) -> Result<Self, MemoryError>
-    where
-        V: Wire,
-    {
-        let boots = Self::open_boots(&config, local, disks);
-        Self::build_engine(config, recorder, net, local, false, boots)
-            .map(|(cluster, _)| cluster)
-    }
-
-    /// [`CausalCluster::with_inline_transport`] plus a durability layer
-    /// for the hosted node — what `dsm-server --data-dir` builds.
-    ///
-    /// # Errors
-    ///
-    /// Currently infallible; returns `Result` for forward compatibility.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`CausalCluster::with_durable_transport`].
+    /// Same conditions as [`CausalClusterBuilder::build`].
     pub fn with_durable_inline_transport(
         config: CausalConfig<V>,
         recorder: Option<Recorder<V>>,
@@ -700,235 +652,10 @@ impl<V: Value> CausalCluster<V> {
     where
         V: Wire,
     {
-        let boots = Self::open_boots(&config, &[me], vec![(me, disk)]);
-        Self::build_engine(config, recorder, net, &[me], true, boots)
-            .map(|(cluster, server)| (cluster, server.expect("inline build yields a server")))
-    }
-
-    /// Opens each disk, recovering state where one holds any.
-    fn open_boots(
-        config: &CausalConfig<V>,
-        local: &[NodeId],
-        disks: Vec<(NodeId, Box<dyn Disk>)>,
-    ) -> HashMap<NodeId, DurableBoot<V>>
-    where
-        V: Wire,
-    {
-        let dcfg = config
-            .durability()
-            .expect("durable build requires a durability config");
-        let mut boots = HashMap::new();
-        for (id, disk) in disks {
-            assert!(local.contains(&id), "disk supplied for non-local node {id}");
-            let (store, recovered) = Store::open(disk, dcfg);
-            let incarnation = recovered.next_incarnation();
-            let state = if recovered.is_virgin() {
-                CausalState::new(id, config.clone())
-            } else {
-                CausalState::recover(id, config.clone(), recovered.records, incarnation)
-            };
-            boots.insert(
-                id,
-                DurableBoot {
-                    sink: Arc::new(StoreSink(Mutex::new(store))),
-                    state,
-                },
-            );
-        }
-        boots
-    }
-
-    /// Like [`CausalCluster::with_transport`] for a single local node,
-    /// but spawns **no server thread**: the returned [`InlineServer`] is
-    /// the node's server loop as a value, and the transport delivers each
-    /// inbound envelope by calling [`InlineServer::deliver`] on its own
-    /// I/O thread. `dsm-net`'s poller serves requests the moment it
-    /// decodes them — the same Figure-4 steps, minus one thread per
-    /// process and two scheduler hops per owner round trip.
-    ///
-    /// # Errors
-    ///
-    /// Currently infallible; returns `Result` for forward compatibility.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the network's size differs from the configured node
-    /// count or `me` has no mailbox in this process.
-    pub fn with_inline_transport(
-        config: CausalConfig<V>,
-        recorder: Option<Recorder<V>>,
-        net: Network<Msg<V>>,
-        me: NodeId,
-    ) -> Result<(Self, InlineServer<V>), MemoryError> {
-        Self::build_engine(config, recorder, net, &[me], true, HashMap::new())
-            .map(|(cluster, server)| (cluster, server.expect("inline build yields a server")))
-    }
-
-    fn build_engine(
-        config: CausalConfig<V>,
-        recorder: Option<Recorder<V>>,
-        net: Network<Msg<V>>,
-        local: &[NodeId],
-        inline: bool,
-        mut boots: HashMap<NodeId, DurableBoot<V>>,
-    ) -> Result<(Self, Option<InlineServer<V>>), MemoryError> {
-        let n = config.nodes() as usize;
-        assert_eq!(net.len(), n, "transport size mismatch");
-        assert!(!local.is_empty(), "cluster hosts no local node");
-        // Batch runs never exceed the window (a full window must flush so
-        // its replies can drain), and eight parts per envelope is plenty
-        // to show the coalescing effect without unbounded buffering.
-        let batch_policy = BatchPolicy::by_count((config.pipeline_window() as usize).clamp(1, 8));
-        let mut nodes = Vec::with_capacity(n);
-        let mut reply_txs: Vec<Sender<Msg<V>>> = Vec::with_capacity(n);
-        for i in 0..n {
-            let (tx, rx) = unbounded();
-            reply_txs.push(tx);
-            let (state, wal) = match boots.remove(&NodeId::new(i as u32)) {
-                Some(boot) => (boot.state, Some(boot.sink)),
-                None => (CausalState::new(NodeId::new(i as u32), config.clone()), None),
-            };
-            let shared = Arc::new(NodeShared {
-                state: RwLock::new(state),
-                op_lock: Mutex::new(()),
-                replies: rx,
-                nonblocking: Mutex::new(HashMap::new()),
-                nonblocking_count: AtomicUsize::new(0),
-                pipeline: Mutex::new(PipelineState {
-                    owner: None,
-                    in_flight: 0,
-                    batcher: Batcher::new(batch_policy),
-                }),
-                pipeline_cv: Condvar::new(),
-                wal,
-            });
-            if shared.wal.is_some() {
-                // Persist the boot watermark (`CausalState::new`'s
-                // baseline, or recovery's rejoin record with the bumped
-                // incarnation) before any traffic can reference it.
-                shared.mutate(|_| ());
-            }
-            nodes.push(shared);
-        }
-
-        let mut servers = Vec::with_capacity(local.len());
-        let stop = Arc::new(StopSignal::new());
-        // Shared transport clock for the failure detector (milliseconds
-        // since cluster start).
-        let clock_start = Instant::now();
-        let failover = config.failover();
-        let mut inline_server = None;
-        for &me in local {
-            let ctx = ServerCtx {
-                me,
-                node: Arc::clone(&nodes[me.index()]),
-                net: net.clone(),
-                reply_tx: reply_txs[me.index()].clone(),
-                failover_on: failover.is_some(),
-                clock_start,
-            };
-            if inline {
-                // The transport drives this node's server loop itself;
-                // its mailbox stays with the network, unread (only
-                // `Msg::Halt` is ever addressed to it, and inline
-                // shutdown runs through the stop signal instead).
-                inline_server = Some(InlineServer {
-                    ctx: Arc::new(ctx),
-                    stop: Arc::clone(&stop),
-                });
-                continue;
-            }
-            let mailbox = net.take_mailbox(me);
-            servers.push(
-                std::thread::Builder::new()
-                    .name(format!("causal-node-{}", me.index()))
-                    .spawn(move || {
-                        while let Some(env) = mailbox.recv() {
-                            if !ctx.process(env) {
-                                break;
-                            }
-                        }
-                    })
-                    .expect("spawning server thread"),
-            );
-        }
-
-        if let Some(fo) = failover {
-            for &me in local {
-                let i = me.index();
-                let node = Arc::clone(&nodes[i]);
-                let net = net.clone();
-                let stop = Arc::clone(&stop);
-                servers.push(
-                    std::thread::Builder::new()
-                        .name(format!("causal-heartbeat-{i}"))
-                        .spawn(move || {
-                            let interval = Duration::from_millis(fo.heartbeat_interval);
-                            // The condvar wait (vs a fixed sleep) is what
-                            // lets shutdown() interrupt a tick mid-wait.
-                            while !stop.wait_for(interval) {
-                                let now = clock_start.elapsed().as_millis() as u64;
-                                let (hb, hb_targets, broadcasts, repl) = node.mutate(|st| {
-                                    let hb = st.heartbeat_msg();
-                                    // All peers under all-pairs probing; the
-                                    // node's ring successors under a scoped
-                                    // heartbeat fanout.
-                                    let hb_targets = st.heartbeat_targets();
-                                    let newly = st.check_suspicions(now);
-                                    let mut broadcasts = Vec::new();
-                                    for suspect in newly {
-                                        let epochs = st.suspect(suspect);
-                                        if !epochs.is_empty() {
-                                            let targets = st.suspect_targets(suspect, &epochs);
-                                            broadcasts.push((suspect, epochs, targets));
-                                        }
-                                    }
-                                    (hb, hb_targets, broadcasts, st.take_replications())
-                                });
-                                let n = u32::try_from(net.len()).unwrap_or(0);
-                                let all_peers = || {
-                                    (0..n).map(NodeId::new).filter(|dst| *dst != me).collect()
-                                };
-                                if let Some(hb) = hb {
-                                    for dst in hb_targets {
-                                        let _ = net.send(me, dst, hb.clone());
-                                    }
-                                }
-                                for (suspect, epochs, targets) in broadcasts {
-                                    // `None` means broadcast (all-pairs mode).
-                                    for dst in targets.unwrap_or_else(all_peers) {
-                                        let _ = net.send(
-                                            me,
-                                            dst,
-                                            Msg::Suspect {
-                                                suspect,
-                                                epochs: epochs.clone(),
-                                            },
-                                        );
-                                    }
-                                }
-                                for (dst, msg) in repl {
-                                    let _ = net.send(me, dst, msg);
-                                }
-                            }
-                        })
-                        .expect("spawning heartbeat thread"),
-                );
-            }
-        }
-
-        let cluster = CausalCluster {
-            inner: Arc::new(ClusterInner {
-                config,
-                net,
-                nodes,
-                local: local.to_vec(),
-                recorder,
-                servers: Mutex::new(servers),
-                stop,
-            }),
-        };
-        Ok((cluster, inline_server))
+        CausalClusterBuilder::over(config.into_builder(), recorder)
+            .transport(net)
+            .disk(me, disk)
+            .build_inline(me)
     }
 
     /// A handle performing operations as process `node`.
@@ -936,7 +663,7 @@ impl<V: Value> CausalCluster<V> {
     /// # Panics
     ///
     /// Panics if `node` is out of range or not hosted by this process
-    /// (see [`CausalCluster::with_transport`]).
+    /// (see [`CausalClusterBuilder::hosting`]).
     #[must_use]
     pub fn handle(&self, node: u32) -> CausalHandle<V> {
         assert!(
@@ -1002,18 +729,17 @@ impl<V: Value> CausalCluster<V> {
         self.inner.net.metadata()
     }
 
-    /// Number of node `i`'s non-blocking or pipelined writes whose replies
-    /// are still outstanding (diagnostic; inherently racy against the
-    /// server thread).
+    /// Number of node `i`'s pipelined writes whose replies are still
+    /// outstanding (diagnostic; inherently racy against the server
+    /// thread).
     ///
     /// # Panics
     ///
     /// Panics if `i` is out of range.
     #[must_use]
-    pub fn pending_nonblocking(&self, i: u32) -> usize {
-        self.inner.nodes[i as usize]
-            .nonblocking_count
-            .load(Ordering::Acquire)
+    pub fn pipeline_in_flight(&self, i: u32) -> usize {
+        let core = self.inner.nodes[i as usize].core.read();
+        core.driver.pipeline_in_flight()
     }
 
     /// Installs (or removes) a fault hook on the cluster's network.
@@ -1035,19 +761,30 @@ impl<V: Value> CausalCluster<V> {
     /// Panics if `i` is out of range.
     #[must_use]
     pub fn node_vt(&self, i: u32) -> vclock::VectorClock {
-        self.inner.nodes[i as usize].state.read().vt().clone()
+        self.inner.nodes[i as usize]
+            .core
+            .read()
+            .driver
+            .state()
+            .vt()
+            .clone()
     }
 
     /// Node `i`'s incarnation number: 0 for a first life, the persisted
     /// maximum plus one after a durable recovery (see
-    /// [`CausalCluster::with_durable_transport`]).
+    /// [`CausalClusterBuilder::disk`]).
     ///
     /// # Panics
     ///
     /// Panics if `i` is out of range.
     #[must_use]
     pub fn node_incarnation(&self, i: u32) -> u32 {
-        self.inner.nodes[i as usize].state.read().incarnation()
+        self.inner.nodes[i as usize]
+            .core
+            .read()
+            .driver
+            .state()
+            .incarnation()
     }
 
     /// Total cache invalidations performed across all nodes (ablation
@@ -1073,7 +810,8 @@ impl<V: Value> CausalCluster<V> {
             cached_pages: Vec::with_capacity(n),
         };
         for node in &self.inner.nodes {
-            let state = node.state.read();
+            let core = node.core.read();
+            let state = core.driver.state();
             snap.vts.push(state.vt().clone());
             snap.invalidations.push(state.invalidation_count());
             snap.cached_pages.push(state.cached_pages());
@@ -1171,313 +909,76 @@ impl<V: Value> CausalHandle<V> {
         Ok(())
     }
 
-    /// The current owner of `loc`'s page. Static (lock-free) without
-    /// failover; with failover the node's epoch table decides, under a
-    /// brief shared state lock.
-    fn owner_of(&self, loc: Location) -> NodeId {
-        let config = &self.inner.config;
-        let page = loc.page(config.page_size());
-        if config.failover().is_some() {
-            self.inner.nodes[self.node.index()]
-                .state
-                .read()
-                .current_owner(page)
-        } else {
-            config.owners().owner_of_page(page)
+    fn shared(&self) -> &NodeShared<V> {
+        &self.inner.nodes[self.node.index()]
+    }
+
+    /// Runs `op` as this node's one outstanding operation: submit it under
+    /// the operation lock, then — unless it completed on the spot — sleep
+    /// until another thread's driver call (or a timer this thread fires)
+    /// completes it. Recording happens before the operation lock is
+    /// released, so the recorded order is the node's program order.
+    fn run(&self, op: Op<V>) -> Result<Done<V>, MemoryError> {
+        let node = self.shared();
+        let _op = node.op_lock.lock();
+        let ((), mut done, down) = node.execute(|d, now, fx| d.submit(now, op, fx));
+        if down {
+            return Err(MemoryError::Shutdown);
         }
-    }
-
-    /// Whether this handle's node currently owns `loc`'s page.
-    fn owns_locally(&self, loc: Location) -> bool {
-        self.owner_of(loc) == self.node
-    }
-
-    /// Best-effort fan-out of protocol side traffic (replication shadows,
-    /// suspicion broadcasts).
-    fn send_all(&self, msgs: Vec<(NodeId, Msg<V>)>) {
-        for (dst, msg) in msgs {
-            let _ = self.inner.net.send(self.node, dst, msg);
-        }
-    }
-
-    /// Ships pending protocol side traffic: hot-standby shadows queued by
-    /// a locally-installed write (failover) and `[INTEREST]` drops queued
-    /// by cache eviction (interest scoping). A no-op — without touching
-    /// the state lock — unless one of those features is on.
-    fn drain_side_traffic(&self, node: &NodeShared<V>) {
-        let config = &self.inner.config;
-        if config.failover().is_none() && !config.interest_scoping() {
-            return;
-        }
-        let (repl, drops) = {
-            let mut st = node.state.write();
-            (st.take_replications(), st.take_interest_msgs())
-        };
-        self.send_all(repl);
-        self.send_all(drops);
-    }
-
-    /// Puts a buffered run on the wire as one envelope (a single message,
-    /// or [`Msg::Batch`] for runs of two or more). Rolls back the run's
-    /// window slots and registry entries if the transport is down. Caller
-    /// holds the pipeline lock.
-    fn send_run(
-        &self,
-        node: &NodeShared<V>,
-        p: &mut PipelineState<V>,
-        owner: NodeId,
-        run: Vec<Msg<V>>,
-    ) -> Result<(), MemoryError> {
-        send_run_locked(&self.inner.net, self.node, node, p, owner, run)
-    }
-
-    /// Sends whatever the batcher holds to the pipeline owner. A no-op
-    /// when nothing is buffered. Caller holds the pipeline lock.
-    fn flush_batcher(
-        &self,
-        node: &NodeShared<V>,
-        p: &mut PipelineState<V>,
-    ) -> Result<(), MemoryError> {
-        if p.batcher.is_empty() {
-            return Ok(());
-        }
-        let owner = p.owner.expect("buffered writes always have an owner");
-        let run = p.batcher.take();
-        self.send_run(node, p, owner, run)
-    }
-
-    /// Blocks on the pipeline condvar until the server thread signals
-    /// progress. With an [`owner_timeout`](crate::CausalConfigBuilder::owner_timeout)
-    /// configured, each wait is bounded by the full retry budget
-    /// (`timeout × (1 + retries)`) and then fails with
-    /// [`MemoryError::Timeout`]; as with [`CausalHandle::await_reply`],
-    /// a timeout should be treated as fatal for the handle's session.
-    fn pipeline_wait<'a>(
-        &self,
-        node: &'a NodeShared<V>,
-        guard: MutexGuard<'a, PipelineState<V>>,
-    ) -> Result<MutexGuard<'a, PipelineState<V>>, MemoryError> {
-        let owner = guard.owner.unwrap_or(self.node);
-        match self.inner.config.owner_timeout() {
-            None => Ok(node
-                .pipeline_cv
-                .wait(guard)
-                .unwrap_or_else(std::sync::PoisonError::into_inner)),
-            Some(window) => {
-                let budget = window * (1 + self.inner.config.owner_retries());
-                let (guard, timeout) = node
-                    .pipeline_cv
-                    .wait_timeout(guard, budget)
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                // Both waiters funnel through here: the window/drain loops
-                // (in_flight) and flush()'s raw non-blocking barrier
-                // (nonblocking_count) — a full budget with either still
-                // outstanding means the reply is not coming.
-                if timeout.timed_out()
-                    && (guard.in_flight > 0 || node.nonblocking_count.load(Ordering::Acquire) > 0)
-                {
-                    return Err(MemoryError::Timeout { owner });
-                }
-                Ok(guard)
+        let done = loop {
+            match done {
+                Some(Done::Failed(err)) => return Err(err),
+                Some(done) => break done,
+                None => done = node.wait()?,
             }
-        }
-    }
-
-    /// Flushes the batcher and waits until every pipelined write's reply
-    /// has been absorbed (`in_flight == 0`). Caller holds the operation
-    /// lock; the pipeline guard travels by value because the condvar wait
-    /// needs ownership of it.
-    fn drain_pipeline_locked<'a>(
-        &self,
-        node: &'a NodeShared<V>,
-        mut guard: MutexGuard<'a, PipelineState<V>>,
-    ) -> Result<MutexGuard<'a, PipelineState<V>>, MemoryError> {
-        self.flush_batcher(node, &mut guard)?;
-        while guard.in_flight > 0 {
-            guard = self.pipeline_wait(node, guard)?;
-        }
-        guard.owner = None;
-        Ok(guard)
-    }
-
-    /// Records an operation, building the record only if a recorder is
-    /// installed — so unrecorded clusters never deep-copy values just to
-    /// throw the copy away.
-    fn record_with(&self, op: impl FnOnce() -> OpRecord<V>) {
+        };
+        // The record is built only if a recorder is installed, so
+        // unrecorded clusters never deep-copy a value to throw it away.
         if let Some(rec) = &self.inner.recorder {
-            rec.record(self.node, op());
-        }
-    }
-
-    /// `true` iff `reply` answers the outstanding round-trip described by
-    /// `expect` — anything else in the channel is a stale leftover from a
-    /// previously timed-out operation and must be discarded, not
-    /// misattributed.
-    fn reply_matches(reply: &Msg<V>, expect: &Expected) -> bool {
-        match (expect.op, reply) {
-            (Some(op), Msg::Stamped { op: rop, inner, .. }) => {
-                op == *rop && Self::content_matches(inner, expect.want)
+            match &done {
+                Done::Read { loc, value, wid } => {
+                    rec.record(self.node, OpRecord::read(*loc, (**value).clone(), *wid));
+                }
+                Done::Wrote { loc, value, done } => {
+                    rec.record(
+                        self.node,
+                        OpRecord::write(*loc, (**value).clone(), done.wid()),
+                    );
+                }
+                _ => {}
             }
-            // A NACK echoing our op id is a valid (negative) answer.
-            (Some(op), Msg::Nack { op: rop, .. }) => op == *rop,
-            (None, reply) => Self::content_matches(reply, expect.want),
-            _ => false,
         }
+        Ok(done)
     }
 
-    fn content_matches(reply: &Msg<V>, want: Want) -> bool {
-        match (reply, want) {
-            (Msg::ReadReply { page, .. }, Want::Read { page: wanted }) => *page == wanted,
-            (Msg::WriteReply { wid, .. }, Want::Write { wid: wanted }) => *wid == wanted,
-            _ => false,
-        }
-    }
-
-    /// Waits for the reply to the outstanding owner round-trip,
-    /// discarding any non-matching (stale) reply along the way — the
-    /// recovery guarantee that makes [`MemoryError::Timeout`] survivable:
-    /// a late reply to a timed-out operation can never be misattributed
-    /// to the next one.
-    ///
-    /// Without an [`owner_timeout`](crate::CausalConfigBuilder::owner_timeout)
-    /// this blocks forever (the paper's reliable-network model) unless
-    /// failover is on, in which case one suspicion budget
-    /// (`heartbeat_interval × suspicion_threshold`, in ms) bounds each
-    /// attempt. With an `owner_timeout` and no failover the full retry
-    /// budget (`timeout × (1 + retries)`) applies; under failover each
-    /// attempt gets a single window (retries are driven a level up by
-    /// [`CausalHandle::failover_round_trip`]).
-    fn await_reply(
+    /// A write as `op` (blocking or pipelined), trying the owner-local
+    /// fast path first: one atomic Figure-4 step under the node lock — no
+    /// message, no outstanding reply — so the operation lock adds nothing.
+    /// Skipped when a recorder is installed (the recorder flattens a
+    /// node's handles into one program order, which only the operation
+    /// lock provides). One `Arc` wraps the value; the protocol moves
+    /// pointers from here on (install, request, reply repair).
+    fn write_as(
         &self,
-        node: &NodeShared<V>,
-        owner: NodeId,
-        expect: &Expected,
-    ) -> Result<Msg<V>, MemoryError> {
-        let window = match (
-            self.inner.config.owner_timeout(),
-            self.inner.config.failover(),
-        ) {
-            (Some(w), Some(_)) => Some(w),
-            (Some(w), None) => Some(w * (1 + self.inner.config.owner_retries())),
-            (None, Some(fo)) => Some(Duration::from_millis(
-                fo.heartbeat_interval * u64::from(fo.suspicion_threshold),
-            )),
-            (None, None) => None,
-        };
-        let deadline = window.map(|w| Instant::now() + w);
-        loop {
-            let reply = match deadline {
-                None => node.replies.recv().map_err(|_| MemoryError::Shutdown)?,
-                Some(d) => {
-                    let remaining = d.saturating_duration_since(Instant::now());
-                    match node.replies.recv_timeout(remaining) {
-                        Ok(reply) => reply,
-                        Err(crossbeam_channel::RecvTimeoutError::Timeout) => {
-                            return Err(MemoryError::Timeout { owner })
-                        }
-                        Err(crossbeam_channel::RecvTimeoutError::Disconnected) => {
-                            return Err(MemoryError::Shutdown)
-                        }
-                    }
-                }
-            };
-            if Self::reply_matches(&reply, expect) {
-                return Ok(match reply {
-                    Msg::Stamped { inner, .. } => *inner,
-                    other => other,
-                });
-            }
-            // Stale: drop silently and keep waiting for the real reply.
-        }
-    }
-
-    /// One logical owner round-trip under failover: stamp the request
-    /// with the node's current `(epoch, op)`, send, await. A NACK adopts
-    /// the responder's newer epoch and redirects the retry; a timeout
-    /// counts as suspicion evidence — the silent owner's pages migrate to
-    /// their successors (promoting this node where it is one) and the
-    /// decision is broadcast. Retries back off exponentially with
-    /// deterministic jitter until the reply arrives or
-    /// [`FailoverConfig::max_retries`] is spent.
-    fn failover_round_trip(
-        &self,
-        node: &NodeShared<V>,
-        fo: &FailoverConfig,
-        page: PageId,
-        request: &Msg<V>,
-        want: Want,
-    ) -> Result<Msg<V>, MemoryError> {
-        let mut last_owner = self.node;
-        for attempt in 0..=fo.max_retries {
-            if attempt > 0 {
-                let salt = (u64::from(self.node.index() as u32) << 32) | u64::from(attempt);
-                std::thread::sleep(Duration::from_millis(fo.backoff(attempt - 1, salt)));
-            }
-            let (owner, epoch, op) = {
-                let mut st = node.state.write();
-                (st.current_owner(page), st.epoch_of(page), st.next_op_id())
-            };
-            last_owner = owner;
-            if owner == self.node {
-                // The page migrated to *us* mid-operation (we are its
-                // successor): serve our own request locally.
-                let (served, repl) = node.mutate(|st| {
-                    let served = st.serve_stamped(self.node, epoch, op, request.clone());
-                    (served, st.take_replications())
-                });
-                self.send_all(repl);
-                match served {
-                    Some(Msg::Stamped { inner, .. }) => return Ok(*inner),
-                    // Raced with a further migration: re-resolve and retry.
-                    _ => continue,
-                }
-            }
-            let env = Msg::Stamped {
-                epoch,
-                op,
-                inner: Box::new(request.clone()),
-            };
-            if self.inner.net.send(self.node, owner, env).is_err() {
-                return Err(MemoryError::Shutdown);
-            }
-            let expect = Expected { op: Some(op), want };
-            match self.await_reply(node, owner, &expect) {
-                Ok(Msg::Nack {
-                    page: npage, epoch, ..
-                }) => {
-                    node.mutate(|st| st.observe_epoch(npage, epoch));
-                }
-                Ok(reply) => return Ok(reply),
-                Err(MemoryError::Timeout { .. }) => {
-                    let (epochs, targets, repl) = node.mutate(|st| {
-                        let epochs = st.suspect(owner);
-                        let targets = st.suspect_targets(owner, &epochs);
-                        (epochs, targets, st.take_replications())
-                    });
-                    if !epochs.is_empty() {
-                        let dsts = targets.unwrap_or_else(|| {
-                            (0..self.inner.config.nodes())
-                                .map(NodeId::new)
-                                .filter(|dst| *dst != self.node)
-                                .collect()
-                        });
-                        for dst in dsts {
-                            let _ = self.inner.net.send(
-                                self.node,
-                                dst,
-                                Msg::Suspect {
-                                    suspect: owner,
-                                    epochs: epochs.clone(),
-                                },
-                            );
-                        }
-                    }
-                    self.send_all(repl);
-                }
-                Err(e) => return Err(e),
+        loc: Location,
+        value: V,
+        op: fn(Location, Arc<V>) -> Op<V>,
+    ) -> Result<WriteDone, MemoryError> {
+        self.check_bounds(loc)?;
+        let mut value = Arc::new(value);
+        if self.inner.recorder.is_none() {
+            let (local, _, _) = self
+                .shared()
+                .execute(|d, _, fx| d.write_local(loc, value, fx));
+            match local {
+                Ok(wid) => return Ok(WriteDone::Applied { wid }),
+                Err(back) => value = back,
             }
         }
-        Err(MemoryError::Timeout { owner: last_owner })
+        match self.run(op(loc, value))? {
+            Done::Wrote { done, .. } => Ok(done),
+            other => unreachable!("a write completes as a write: {other:?}"),
+        }
     }
 
     /// Performs a write and reports whether it survived concurrent-write
@@ -1486,173 +987,21 @@ impl<V: Value> CausalHandle<V> {
     ///
     /// # Errors
     ///
-    /// Returns [`MemoryError::Shutdown`] if the cluster has stopped, or
-    /// [`MemoryError::OutOfRange`] for locations outside the namespace.
+    /// Returns [`MemoryError::Shutdown`] if the cluster has stopped,
+    /// [`MemoryError::OutOfRange`] for locations outside the namespace, or
+    /// [`MemoryError::Timeout`] when a configured
+    /// [`owner_timeout`](crate::CausalConfigBuilder::owner_timeout) or
+    /// failover retry budget runs out. A timed-out operation is abandoned
+    /// cleanly — a late reply to it is discarded, never misattributed —
+    /// so the handle stays usable.
     pub fn write_resolved(&self, loc: Location, value: V) -> Result<WriteDone, MemoryError> {
-        self.check_bounds(loc)?;
-        let node = &self.inner.nodes[self.node.index()];
-        // One Arc wraps the value; the protocol moves pointers from here
-        // on (install, request, reply repair) — no deep copies.
-        let value = Arc::new(value);
-        // Fast path: an owner-local write is one atomic Figure-4 step
-        // under the state lock — no message, no outstanding reply — so the
-        // per-node operation lock adds nothing. Ownership is static, so
-        // this is decidable before touching any lock. Skipped when a
-        // recorder is installed (the recorder flattens a node's handles
-        // into one program order, which only the operation lock provides)
-        // and while the write pipeline is active (a local write must not
-        // stamp its page with in-flight increments; see below). The
-        // idleness check must hold *across* the state mutation:
-        // `write_pipelined` ticks `VT_i` with the pipeline lock held, so
-        // the fast path keeps that lock from the `in_flight` check through
-        // `begin_write_shared` — releasing it in between would let a
-        // concurrent pipelined write (which skips `op_lock` contention by
-        // running on another handle) slip an uncertified increment into
-        // the stamp this write later exports via R_REPLY.
-        if self.inner.recorder.is_none() && self.owns_locally(loc) {
-            let pipeline = (self.inner.config.pipeline_window() > 0).then(|| node.pipeline.lock());
-            if pipeline.as_ref().is_none_or(|p| p.in_flight == 0) {
-                // `value` moves here; fine, because both arms below
-                // diverge — the non-idle fall-through never reaches this.
-                let step = node.mutate(|st| st.begin_write_shared(loc, value));
-                drop(pipeline);
-                match step {
-                    WriteStep::Done { wid } => {
-                        self.drain_side_traffic(node);
-                        return Ok(WriteDone::Applied { wid });
-                    }
-                    WriteStep::Remote { .. } => {
-                        unreachable!("owner-local write cannot go remote")
-                    }
-                }
-            }
-            // Pipeline non-idle: fall through to the slow path, which
-            // drains under the operation lock.
-        }
-        let _op = node.op_lock.lock();
-        if self.inner.config.pipeline_window() > 0 {
-            let mut p = node.pipeline.lock();
-            if p.in_flight > 0 {
-                if self.owns_locally(loc) || p.owner != Some(self.owner_of(loc)) {
-                    // An owner-local write would embed the in-flight
-                    // increments in the page stamp it later exports via
-                    // R_REPLY, and a write to a *different* owner would
-                    // carry them in its VT — either way a third party
-                    // could observe our pipelined writes before the owner
-                    // has installed them. Drain first.
-                    drop(self.drain_pipeline_locked(node, p)?);
-                } else {
-                    // Same owner: per-link FIFO already orders this write
-                    // after the pipelined ones; just make sure nothing
-                    // buffered overtakes it.
-                    self.flush_batcher(node, &mut p)?;
-                }
-            }
-        }
-        let step = node.mutate(|st| st.begin_write_shared(loc, Arc::clone(&value)));
-        let done = match step {
-            WriteStep::Done { wid } => {
-                self.drain_side_traffic(node);
-                WriteDone::Applied { wid }
-            }
-            WriteStep::Remote {
-                owner,
-                wid,
-                request,
-            } => {
-                let want = Want::Write { wid };
-                let reply = match self.inner.config.failover() {
-                    Some(fo) => {
-                        let page = loc.page(self.inner.config.page_size());
-                        self.failover_round_trip(node, &fo, page, &request, want)?
-                    }
-                    None => {
-                        self.inner
-                            .net
-                            .send(self.node, owner, request)
-                            .map_err(|_| MemoryError::Shutdown)?;
-                        self.await_reply(node, owner, &Expected { op: None, want })?
-                    }
-                };
-                let done = node
-                    .state
-                    .write()
-                    .finish_write(Arc::clone(&value), wid, reply);
-                self.drain_side_traffic(node);
-                done
-            }
-        };
-        self.record_with(|| OpRecord::write(loc, (*value).clone(), done.wid()));
-        Ok(done)
-    }
-
-    /// Performs a **non-blocking** write: the paper's "reducing the
-    /// blocking of processors" enhancement. Owner-local writes complete
-    /// immediately as usual; remote writes return as soon as the request
-    /// is sent, with the value optimistically visible to this node's own
-    /// subsequent reads. The owner's reply is absorbed in the background.
-    ///
-    /// **Correctness boundary**: full Definition-2 causal correctness is
-    /// forfeited — a third party that causally learns of the in-flight
-    /// write can be served the pre-write value by the owner (exhaustive
-    /// witness in `tests/nonblocking_limits.rs`). Use only where the
-    /// written location is not read through faster causal channels;
-    /// blocking [`SharedMemory::write`] is the paper's protocol.
-    ///
-    /// Under [`crate::WritePolicy::OwnerFavored`] a rejection is repaired
-    /// in the cache asynchronously; callers needing the verdict must use
-    /// [`CausalHandle::write_resolved`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MemoryError::Shutdown`] if the cluster has stopped, or
-    /// [`MemoryError::OutOfRange`] for locations outside the namespace.
-    pub fn write_nonblocking(
-        &self,
-        loc: Location,
-        value: V,
-    ) -> Result<memcore::WriteId, MemoryError> {
-        self.check_bounds(loc)?;
-        if self.inner.config.failover().is_some() {
-            // Raw non-blocking writes carry no epoch stamp; under
-            // failover they go through the protected blocking path.
-            return self.write_resolved(loc, value).map(|done| done.wid());
-        }
-        let node = &self.inner.nodes[self.node.index()];
-        let value = Arc::new(value);
-        let _op = node.op_lock.lock();
-        let step = node.mutate(|st| st.begin_write_nonblocking_shared(loc, Arc::clone(&value)));
-        let wid = match step {
-            WriteStep::Done { wid } => wid,
-            WriteStep::Remote {
-                owner,
-                wid,
-                request,
-            } => {
-                // Register before sending so the server thread always
-                // recognizes the reply; the channel send/recv below this
-                // in the causal chain is what publishes the counter.
-                node.nonblocking.lock().insert(wid, false);
-                node.nonblocking_count.fetch_add(1, Ordering::Release);
-                if self.inner.net.send(self.node, owner, request).is_err() {
-                    if node.nonblocking.lock().remove(&wid).is_some() {
-                        node.nonblocking_count.fetch_sub(1, Ordering::Release);
-                    }
-                    return Err(MemoryError::Shutdown);
-                }
-                wid
-            }
-        };
-        self.drain_side_traffic(node);
-        self.record_with(|| OpRecord::write(loc, (*value).clone(), wid));
-        Ok(wid)
+        self.write_as(loc, value, Op::Write)
     }
 
     /// Performs a write through the **bounded write pipeline**: up to
     /// [`pipeline_window`](crate::CausalConfigBuilder::pipeline_window)
     /// writes to the same owner may be in flight at once, the window
-    /// exerting backpressure when full. Unlike the raw
-    /// [`CausalHandle::write_nonblocking`], pipelined writes preserve
+    /// exerting backpressure when full. Pipelined writes preserve
     /// Definition-2 causal correctness: the pipeline drains automatically
     /// before any operation that could export or observe the in-flight
     /// increments — an owner-local write, a remote write to a *different*
@@ -1664,120 +1013,33 @@ impl<V: Value> CausalHandle<V> {
     /// With a window of `0` this is exactly the blocking protocol write.
     /// With [`batching`](crate::CausalConfigBuilder::batching) enabled,
     /// consecutive pipelined writes coalesce into [`Msg::Batch`]
-    /// envelopes, the owner sweeps its cache once per batch, and the
-    /// write acks ride back in a single reply envelope.
+    /// envelopes sized by the round-trip time, the owner sweeps its cache
+    /// once per batch, and the write acks ride back in a single reply
+    /// envelope.
     ///
     /// Call [`CausalHandle::flush`] to wait for all in-flight writes.
     ///
     /// # Errors
     ///
-    /// Returns [`MemoryError::Shutdown`] if the cluster has stopped,
-    /// [`MemoryError::OutOfRange`] for locations outside the namespace,
-    /// or [`MemoryError::Timeout`] if a configured
-    /// [`owner_timeout`](crate::CausalConfigBuilder::owner_timeout) budget
-    /// expires while waiting for window space.
-    pub fn write_pipelined(
-        &self,
-        loc: Location,
-        value: V,
-    ) -> Result<memcore::WriteId, MemoryError> {
-        self.check_bounds(loc)?;
-        let window = self.inner.config.pipeline_window() as usize;
-        if window == 0 || self.owns_locally(loc) || self.inner.config.failover().is_some() {
-            // Window 0 is the paper's blocking protocol; owner-local
-            // writes are message-free and must drain the pipeline anyway,
-            // which write_resolved's own hook does. Under failover the
-            // threaded engine degrades pipelined writes to blocking ones —
-            // only the blocking round-trip carries the epoch stamp and
-            // retry machinery (the deterministic simulator supports the
-            // combination; see `dsm-sim`).
-            return self.write_resolved(loc, value).map(|done| done.wid());
-        }
-        let node = &self.inner.nodes[self.node.index()];
-        let value = Arc::new(value);
-        let owner = self.owner_of(loc);
-        let _op = node.op_lock.lock();
-        let mut p = node.pipeline.lock();
-        loop {
-            if p.in_flight == 0 {
-                break;
-            }
-            if p.owner != Some(owner) {
-                // Owner switch: this write's VT would carry the old
-                // owner's in-flight increments, so the old window must
-                // drain completely first.
-                p = self.drain_pipeline_locked(node, p)?;
-                break;
-            }
-            if p.in_flight < window {
-                break;
-            }
-            // Window full: put any buffered run on the wire (its replies
-            // are what free the window) and wait for the server thread.
-            self.flush_batcher(node, &mut p)?;
-            p = self.pipeline_wait(node, p)?;
-        }
-        let step = node.mutate(|st| st.begin_write_nonblocking_shared(loc, Arc::clone(&value)));
-        let wid = match step {
-            WriteStep::Done { .. } => unreachable!("remote page cannot complete locally"),
-            WriteStep::Remote { wid, request, .. } => {
-                node.nonblocking.lock().insert(wid, true);
-                node.nonblocking_count.fetch_add(1, Ordering::Release);
-                p.owner = Some(owner);
-                p.in_flight += 1;
-                if self.inner.config.batching() {
-                    if let Some(run) = p.batcher.push(request) {
-                        self.send_run(node, &mut p, owner, run)?;
-                    } else if p.in_flight == p.batcher.len() {
-                        // Nothing on the wire: buffering now would idle
-                        // the owner for no gain, so ship immediately.
-                        // Writes issued during this run's round trip
-                        // accumulate in the batcher and go out as one
-                        // envelope when the wire drains (see the absorb
-                        // path) — batching adapts to the round-trip time
-                        // instead of imposing a fixed-size wait.
-                        let run = p.batcher.take();
-                        self.send_run(node, &mut p, owner, run)?;
-                    }
-                } else {
-                    self.send_run(node, &mut p, owner, vec![request])?;
-                }
-                wid
-            }
-        };
-        drop(p);
-        self.drain_side_traffic(node);
-        self.record_with(|| OpRecord::write(loc, (*value).clone(), wid));
-        Ok(wid)
+    /// As [`CausalHandle::write_resolved`]; a [`MemoryError::Timeout`]
+    /// here means the budget expired while waiting for window space.
+    pub fn write_pipelined(&self, loc: Location, value: V) -> Result<WriteId, MemoryError> {
+        self.write_as(loc, value, Op::WritePipelined)
+            .map(|done| done.wid())
     }
 
     /// Write barrier: sends anything still buffered and blocks until the
-    /// reply to every outstanding asynchronous write — pipelined *and*
-    /// raw [`CausalHandle::write_nonblocking`] — has been received and
-    /// absorbed into `VT_i`. Works whether or not pipelining is enabled
-    /// (raw non-blocking writes need no window); a no-op when nothing is
-    /// outstanding.
+    /// reply to every pipelined write has been received and absorbed into
+    /// `VT_i`. A no-op when nothing is outstanding.
     ///
     /// # Errors
     ///
     /// Returns [`MemoryError::Shutdown`] if the cluster has stopped, or
     /// [`MemoryError::Timeout`] if a configured
     /// [`owner_timeout`](crate::CausalConfigBuilder::owner_timeout) budget
-    /// expires first (fatal for the handle's session, as with any other
-    /// timed-out operation).
+    /// expires first (the lost writes stay lost: fatal for the session).
     pub fn flush(&self) -> Result<(), MemoryError> {
-        let node = &self.inner.nodes[self.node.index()];
-        let _op = node.op_lock.lock();
-        let p = node.pipeline.lock();
-        let mut p = self.drain_pipeline_locked(node, p)?;
-        // Raw non-blocking writes live in the registry but not the
-        // window; the server's pipeline-lock touch before notifying (see
-        // the absorb path) makes this wait lost-wakeup-free.
-        while node.nonblocking_count.load(Ordering::Acquire) > 0 {
-            p = self.pipeline_wait(node, p)?;
-        }
-        drop(p);
-        Ok(())
+        self.run(Op::Flush).map(|_| ())
     }
 
     /// A read that returns the value **shared** with local memory
@@ -1785,79 +1047,31 @@ impl<V: Value> CausalHandle<V> {
     /// plus one clone to meet its by-value signature.
     ///
     /// Cache hits are the protocol's steady state and take only the
-    /// node's shared state lock — concurrent readers of a node proceed in
-    /// parallel, and no hit ever contends with the `op_lock` of a blocked
-    /// remote operation. (With a recorder installed, hits take the
-    /// `op_lock` too: recording flattens a node's threads into a single
-    /// program order, which needs the total order the lock provides.)
+    /// node's shared lock — concurrent readers of a node proceed in
+    /// parallel, and no hit ever contends with the operation lock of a
+    /// blocked remote operation. (With a recorder installed, hits take
+    /// the operation lock too: recording flattens a node's threads into a
+    /// single program order, which needs the total order the lock
+    /// provides.)
     ///
     /// # Errors
     ///
-    /// Returns [`MemoryError::Shutdown`] if the cluster has stopped, or
-    /// [`MemoryError::OutOfRange`] for locations outside the namespace.
+    /// As [`CausalHandle::write_resolved`].
     pub fn read_shared(&self, loc: Location) -> Result<Arc<V>, MemoryError> {
         self.read_full(loc).map(|(value, _)| value)
     }
 
-    fn read_full(&self, loc: Location) -> Result<(Arc<V>, memcore::WriteId), MemoryError> {
+    fn read_full(&self, loc: Location) -> Result<(Arc<V>, WriteId), MemoryError> {
         self.check_bounds(loc)?;
-        let node = &self.inner.nodes[self.node.index()];
         if self.inner.recorder.is_none() {
-            if let Some(hit) = node.state.read().read_hit(loc) {
+            if let Some(hit) = self.shared().core.read().driver.state().read_hit(loc) {
                 return Ok(hit);
             }
         }
-        let _op = node.op_lock.lock();
-        // Read-your-own-write guard: a miss on a page served by the
-        // pipeline's owner could fetch a copy predating our in-flight
-        // writes, or send a READ that overtakes WRITEs still buffered in
-        // the batcher (program-order violation either way). The decision
-        // must be atomic with the miss itself — checking validity *before*
-        // `begin_read` leaves a window in which the server thread (serving
-        // another node's WRITE, or absorbing a reply under
-        // WriterInvalidate) invalidates the copy — so classify first, and
-        // on a miss toward the pipeline's owner drain under the pipeline
-        // lock and re-run the read (absorbed replies may have repaired the
-        // copy into a hit). `in_flight` cannot grow back while we hold the
-        // operation lock, so the loop runs at most twice. Misses toward
-        // *other* owners overlap safely: the READ carries no timestamp,
-        // and any copy stamped with our increments must postdate the owner
-        // installing our write.
-        let step = loop {
-            let step = node.state.write().begin_read(loc);
-            if self.inner.config.pipeline_window() > 0 {
-                if let ReadStep::Miss { owner, .. } = &step {
-                    let p = node.pipeline.lock();
-                    if p.in_flight > 0 && p.owner == Some(*owner) {
-                        drop(self.drain_pipeline_locked(node, p)?);
-                        continue;
-                    }
-                }
-            }
-            break step;
-        };
-        let (value, wid) = match step {
-            ReadStep::Hit { value, wid } => (value, wid),
-            ReadStep::Miss { owner, request } => {
-                let page = loc.page(self.inner.config.page_size());
-                let want = Want::Read { page };
-                let reply = match self.inner.config.failover() {
-                    Some(fo) => self.failover_round_trip(node, &fo, page, &request, want)?,
-                    None => {
-                        self.inner
-                            .net
-                            .send(self.node, owner, request)
-                            .map_err(|_| MemoryError::Shutdown)?;
-                        self.await_reply(node, owner, &Expected { op: None, want })?
-                    }
-                };
-                let hit = node.state.write().finish_read(loc, reply);
-                self.drain_side_traffic(node);
-                hit
-            }
-        };
-        self.record_with(|| OpRecord::read(loc, (*value).clone(), wid));
-        Ok((value, wid))
+        match self.run(Op::Read(loc))? {
+            Done::Read { value, wid, .. } => Ok((value, wid)),
+            other => unreachable!("a read completes as a read: {other:?}"),
+        }
     }
 }
 
@@ -1875,25 +1089,17 @@ impl<V: Value> SharedMemory<V> for CausalHandle<V> {
     }
 
     fn discard(&self, loc: Location) {
-        if loc.index() >= self.inner.config.locations() as usize {
-            return;
+        if self.check_bounds(loc).is_ok() {
+            let _ = self.run(Op::Discard(loc));
         }
-        let node = &self.inner.nodes[self.node.index()];
-        let _op = node.op_lock.lock();
-        node.state.write().discard(loc);
-        self.drain_side_traffic(node);
     }
 
-    fn read_tagged(&self, loc: Location) -> Result<(V, Option<memcore::WriteId>), MemoryError> {
+    fn read_tagged(&self, loc: Location) -> Result<(V, Option<WriteId>), MemoryError> {
         self.read_full(loc)
             .map(|(value, wid)| ((*value).clone(), Some(wid)))
     }
 
-    fn write_tagged(
-        &self,
-        loc: Location,
-        value: V,
-    ) -> Result<Option<memcore::WriteId>, MemoryError> {
+    fn write_tagged(&self, loc: Location, value: V) -> Result<Option<WriteId>, MemoryError> {
         self.write_resolved(loc, value).map(|done| Some(done.wid()))
     }
 }

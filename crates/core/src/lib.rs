@@ -21,9 +21,13 @@
 //!
 //! # Crate layout
 //!
-//! * [`CausalState`] — the protocol as a pure state machine (no I/O), so
-//!   the same code runs under the threaded engine and the deterministic
-//!   simulator (`dsm-sim`).
+//! * [`CausalState`] — Figure 4 as a pure state machine (no I/O).
+//! * [`NodeDriver`] — everything a runtime must decide *around* that
+//!   state machine (message dispatch, reply matching, the bounded write
+//!   pipeline, failover retry, timeouts), also without I/O: operations,
+//!   messages and time in; ordered sends and completions out. The
+//!   threaded engine, `dsm-net`'s poller and the deterministic simulator
+//!   (`dsm-sim`) all execute this one driver.
 //! * [`CausalCluster`] / [`CausalHandle`] — the threaded engine;
 //!   handles implement [`memcore::SharedMemory`].
 //! * [`CausalConfig`] — page size, invalidation mode, concurrent-write
@@ -55,6 +59,7 @@
 #![warn(missing_docs)]
 
 mod config;
+mod driver;
 mod engine;
 mod failover;
 mod fxmap;
@@ -64,6 +69,7 @@ mod state;
 pub use config::{
     CausalConfig, CausalConfigBuilder, FailoverConfig, InvalidationMode, WritePolicy,
 };
+pub use driver::{Done, Effects, NodeDriver, Op};
 pub use engine::{
     CausalCluster, CausalClusterBuilder, CausalHandle, ClusterSnapshot, InlineServer,
 };

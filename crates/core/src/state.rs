@@ -5,9 +5,9 @@
 //! and the five procedures of the paper's Figure 4 — local read, local
 //! write, servicing `READ`, servicing `WRITE`, and `discard`. The state
 //! machine performs no I/O: operations either complete locally or return
-//! the message that must be sent, and the caller (the threaded engine in
-//! [`crate::engine`] or the deterministic simulator in `dsm-sim`) moves
-//! messages and feeds replies back in. This is what lets one implementation
+//! the message that must be sent, and the caller ([`crate::NodeDriver`], run by the threaded engine or the
+//! deterministic simulator in `dsm-sim`) moves messages and feeds replies
+//! back in. This is what lets one implementation
 //! be driven by real threads *and* replayed under controlled schedules.
 //!
 //! Each transition is annotated with the corresponding line of Figure 4.
@@ -17,7 +17,8 @@ use std::sync::Arc;
 use memcore::{Location, NodeId, OwnerEpoch, OwnerMap, PageId, Value, WriteId};
 use vclock::VectorClock;
 
-use dsm_durable::WalRecord;
+use dsm_durable::{Store, WalRecord};
+use simnet::codec::Wire;
 
 use crate::config::{CausalConfig, FailoverConfig, InvalidationMode, WritePolicy};
 use crate::failover::{owner_at, FailoverState, ShadowPage};
@@ -1438,6 +1439,29 @@ impl<V: Value> CausalState<V> {
     /// policy promises). Always empty when durability is off.
     pub fn take_journal(&mut self) -> Vec<WalRecord<V>> {
         std::mem::take(&mut self.journal)
+    }
+
+    /// Journal-before-reply, stated once for every executor: drains the
+    /// journal, appends the batch to `store` (synced as its policy
+    /// promises), and checkpoints once enough records accumulated.
+    /// Executors call this after *every* driver call, still holding the
+    /// node exclusively — so the log's order is the mutation order and no
+    /// record can slip in between a checkpoint's image capture and its
+    /// commit — and before putting any of that call's sends on the wire,
+    /// which is what makes a certified operation as durable as the sync
+    /// policy promises.
+    pub fn persist_journal(&mut self, store: &mut Store<V>)
+    where
+        V: Wire,
+    {
+        let records = self.take_journal();
+        if records.is_empty() {
+            return;
+        }
+        store.append(&records);
+        if store.wants_checkpoint() {
+            store.checkpoint(&self.durable_image());
+        }
     }
 
     /// A self-contained record sequence reproducing this node's durable

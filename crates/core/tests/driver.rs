@@ -1,0 +1,273 @@
+//! [`NodeDriver`] unit tests: the policy both runtimes share, driven
+//! directly — no threads, no sleeps, time is whatever the test says.
+
+use std::sync::Arc;
+use std::time::Duration;
+
+use causal_dsm::{
+    CausalConfig, CausalConfigBuilder, CausalState, Done, Effects, FailoverConfig, Msg, NodeDriver,
+    Op,
+};
+use memcore::{Location, MemoryError, NodeId, OwnerEpoch, PageId, Word};
+
+fn loc(i: u32) -> Location {
+    Location::new(i)
+}
+
+fn n(i: u32) -> NodeId {
+    NodeId::new(i)
+}
+
+fn word(v: i64) -> Arc<Word> {
+    Arc::new(Word::Int(v))
+}
+
+/// One driver per node of a cluster with as many locations as `3 × nodes`
+/// (round-robin: location `i` is owned by node `i mod nodes`).
+fn drivers(
+    nodes: u32,
+    f: impl FnOnce(CausalConfigBuilder<Word>) -> CausalConfigBuilder<Word>,
+) -> Vec<NodeDriver<Word>> {
+    let config = f(CausalConfig::<Word>::builder(nodes, 3 * nodes)).build();
+    (0..nodes)
+        .map(|i| NodeDriver::new(CausalState::new(n(i), config.clone())))
+        .collect()
+}
+
+/// What one driver call asked for: its sends and its completion.
+type Asked = (Vec<(NodeId, Msg<Word>)>, Option<Done<Word>>);
+
+/// Runs one driver call and returns what it asked for.
+fn call(f: impl FnOnce(&mut Effects<Word>)) -> Asked {
+    let mut fx = Effects::default();
+    f(&mut fx);
+    (fx.sends, fx.done)
+}
+
+/// Delivers `msg` from `from` to `to` and returns `to`'s effects.
+fn deliver(d: &mut [NodeDriver<Word>], now: u64, from: u32, to: u32, msg: Msg<Word>) -> Asked {
+    call(|fx| d[to as usize].deliver(now, n(from), msg, fx))
+}
+
+fn fast_failover(max_retries: u32) -> FailoverConfig {
+    FailoverConfig {
+        heartbeat_interval: 10,
+        suspicion_threshold: 2,
+        backoff_base: 1,
+        backoff_max: 8,
+        max_retries,
+        heartbeat_fanout: 0,
+    }
+}
+
+#[test]
+fn owner_local_write_after_an_epoch_adoption_goes_remote() {
+    // The fast path's old TOCTOU: ownership decided under one lock
+    // acquisition, the write stepped under another, an epoch adoption in
+    // between. The driver classifies and steps under one borrow, so the
+    // write of a page that just migrated away simply goes to its new
+    // owner.
+    let mut d = drivers(3, |c| c.failover(fast_failover(8)));
+    let page = PageId::new(0);
+    assert!(d[0].state().owns(loc(0)));
+    // Node 0 is educated (a NACK, a SUSPECT) that page 0 moved on.
+    d[0].state_mut().observe_epoch(page, OwnerEpoch::new(1));
+
+    let (sends, _) = call(|fx| {
+        let back = d[0]
+            .write_local(loc(0), word(7), fx)
+            .expect_err("no longer the owner");
+        d[0].submit(0, Op::Write(loc(0), back), fx);
+    });
+    match &sends[..] {
+        [(dst, Msg::Stamped { epoch, inner, .. })] => {
+            assert_eq!(*dst, n(1), "the write goes to the page's new owner");
+            assert_eq!(*epoch, OwnerEpoch::new(1));
+            assert!(matches!(**inner, Msg::Write { .. }));
+        }
+        other => panic!("expected one stamped WRITE, got {other:?}"),
+    }
+}
+
+#[test]
+fn stale_reply_after_owner_timeout_is_discarded_not_misattributed() {
+    let mut d = drivers(2, |c| c.owner_timeout(Duration::from_millis(10)));
+    // Node 1 reads x0 (owned by node 0); the request is "lost".
+    let (sends, done) = call(|fx| d[1].submit(0, Op::Read(loc(0)), fx));
+    assert!(done.is_none());
+    let (_, read) = sends.into_iter().next().expect("a READ goes out");
+    assert_eq!(d[1].next_timer(), Some(10));
+    let (_, done) = call(|fx| d[1].on_timer(10, fx));
+    match done {
+        Some(Done::Failed(MemoryError::Timeout { owner })) => assert_eq!(owner, n(0)),
+        other => panic!("expected a timeout, got {other:?}"),
+    }
+    assert_eq!(d[1].next_timer(), None, "nothing left to wait for");
+
+    // The next operation: a write to x2, also node 0's.
+    let (sends, done) = call(|fx| d[1].submit(11, Op::Write(loc(2), word(5)), fx));
+    assert!(done.is_none());
+    let (_, write) = sends.into_iter().next().expect("a WRITE goes out");
+    // The owner finally answers the *old* read: the late R_REPLY must not
+    // complete (or corrupt) the write that is now pending.
+    let (replies, _) = deliver(&mut d, 12, 1, 0, read);
+    let (_, late) = replies.into_iter().next().expect("owner replies");
+    let (sends, done) = deliver(&mut d, 13, 0, 1, late);
+    assert!(sends.is_empty() && done.is_none(), "stale reply: dropped");
+    // Its own reply completes it.
+    let (replies, _) = deliver(&mut d, 14, 1, 0, write);
+    let (_, reply) = replies.into_iter().next().expect("owner replies");
+    let (_, done) = deliver(&mut d, 15, 0, 1, reply.clone());
+    assert!(matches!(done, Some(Done::Wrote { done, .. }) if done.is_applied()));
+    // A duplicate of it, with nothing pending, is dropped just the same.
+    let (sends, done) = deliver(&mut d, 16, 0, 1, reply);
+    assert!(sends.is_empty() && done.is_none());
+}
+
+#[test]
+fn retry_budget_ends_in_timeout_naming_the_last_owner_tried() {
+    // Five nodes, nobody ever answers. Node 4 reads x0: each expired
+    // attempt suspects its target and re-dispatches to the successor
+    // (0 → 1 → 2); the third re-dispatch exceeds `max_retries = 2`.
+    let mut d = drivers(5, |c| c.failover(fast_failover(2)));
+    let (sends, done) = call(|fx| d[4].submit(0, Op::Read(loc(0)), fx));
+    assert!(done.is_none());
+    assert_eq!(sends[0].0, n(0));
+    let mut targets = vec![n(0)];
+    let failure = loop {
+        let now = d[4].next_timer().expect("an attempt is always timed");
+        let (sends, done) = call(|fx| d[4].on_timer(now, fx));
+        targets.extend(
+            sends
+                .into_iter()
+                .filter(|(_, m)| m.is_request())
+                .map(|(dst, _)| dst),
+        );
+        if let Some(done) = done {
+            break done;
+        }
+        assert!(now < 10_000, "the retry budget never ran out");
+    };
+    assert_eq!(targets, vec![n(0), n(1), n(2)]);
+    match failure {
+        Done::Failed(MemoryError::Timeout { owner }) => assert_eq!(owner, n(2)),
+        other => panic!("expected a timeout, got {other:?}"),
+    }
+    // The node is free again: its next operation is accepted.
+    let (_, done) = call(|fx| d[4].submit(20_000, Op::Read(loc(4)), fx));
+    assert!(matches!(done, Some(Done::Read { .. })), "own page: a hit");
+}
+
+#[test]
+fn successor_self_serves_after_migration() {
+    let mut d = drivers(3, |c| c.failover(fast_failover(8)));
+    // Node 1 — successor of node 0's pages — writes x0; node 0 is dead.
+    let (sends, done) = call(|fx| d[1].submit(0, Op::Write(loc(0), word(88)), fx));
+    assert!(done.is_none());
+    assert_eq!(sends[0].0, n(0));
+    // Its attempt expires: node 0 is suspected, page 0 migrates — to node
+    // 1 itself, which serves its own request against the promoted copy.
+    let mut now = d[1].next_timer().expect("heartbeat or attempt");
+    let (sends, done) = loop {
+        let (sends, done) = call(|fx| d[1].on_timer(now, fx));
+        if done.is_some() {
+            break (sends, done);
+        }
+        now = d[1].next_timer().expect("still timed");
+    };
+    assert!(matches!(done, Some(Done::Wrote { done, .. }) if done.is_applied()));
+    assert!(
+        sends
+            .iter()
+            .any(|(_, m)| matches!(m, Msg::Suspect { suspect, .. } if *suspect == n(0))),
+        "the migration is announced"
+    );
+    assert!(
+        !sends.iter().any(|(_, m)| m.is_request()),
+        "nothing re-sent"
+    );
+    assert!(d[1].state().owns(loc(0)));
+    assert_eq!(*d[1].state().read_hit(loc(0)).unwrap().0, Word::Int(88));
+}
+
+#[test]
+fn flush_waits_for_ungated_writes_even_with_the_pipeline_off() {
+    // The raw non-blocking write shares the pipeline's tag set, so the
+    // one barrier covers it too.
+    let mut d = drivers(2, |c| c);
+    let (sends, done) = call(|fx| d[0].submit(0, Op::WriteUngated(loc(1), word(1)), fx));
+    assert!(
+        matches!(done, Some(Done::Wrote { .. })),
+        "complete at issue"
+    );
+    assert_eq!(d[0].pipeline_in_flight(), 1);
+    let (_, write) = sends.into_iter().next().expect("a WRITE goes out");
+    // Nothing gates on it — that is the unsoundness — except flush.
+    let (_, done) = call(|fx| d[0].submit(0, Op::Read(loc(3)), fx));
+    assert!(done.is_none(), "a miss toward the same owner just proceeds");
+    let (replies, _) = deliver(&mut d, 0, 0, 1, write);
+    let (_, w_reply) = replies.into_iter().next().unwrap();
+    let read = Msg::Read {
+        page: PageId::new(3),
+    };
+    let (replies, _) = deliver(&mut d, 0, 0, 1, read);
+    let (_, r_reply) = replies.into_iter().next().unwrap();
+    let (_, done) = deliver(&mut d, 0, 1, 0, r_reply);
+    assert!(matches!(done, Some(Done::Read { .. })));
+
+    let (sends, done) = call(|fx| d[0].submit(0, Op::Flush, fx));
+    assert!(sends.is_empty() && done.is_none(), "one reply outstanding");
+    let (_, done) = deliver(&mut d, 0, 1, 0, w_reply);
+    assert!(matches!(done, Some(Done::Flushed)));
+    assert_eq!(d[0].pipeline_in_flight(), 0);
+}
+
+#[test]
+fn runs_seal_by_round_trip_and_nothing_buffered_is_overtaken() {
+    let mut d = drivers(2, |c| c.pipeline_window(8).batching(true));
+    let issue = |d: &mut [NodeDriver<Word>], v: i64| {
+        let (sends, done) = call(|fx| d[0].submit(0, Op::WritePipelined(loc(1), word(v)), fx));
+        assert!(matches!(done, Some(Done::Wrote { .. })));
+        sends
+    };
+    // Idle wire: the first write ships at once, alone.
+    let first = issue(&mut d, 1);
+    assert!(matches!(&first[..], [(dst, Msg::Write { .. })] if *dst == n(1)));
+    // During its round trip the next ones accumulate.
+    assert!(issue(&mut d, 2).is_empty());
+    assert!(issue(&mut d, 3).is_empty());
+    // Its reply drains the wire: the accumulated run ships as one envelope.
+    let (replies, _) = deliver(&mut d, 0, 0, 1, first.into_iter().next().unwrap().1);
+    let (sends, _) = deliver(&mut d, 0, 1, 0, replies.into_iter().next().unwrap().1);
+    assert!(matches!(&sends[..], [(_, Msg::Batch(run))] if run.len() == 2));
+    // With that run on the wire, a fourth write buffers; a *blocking*
+    // write to the same owner then ships it first, so per-link FIFO keeps
+    // program order.
+    assert!(issue(&mut d, 4).is_empty());
+    let (sends, done) = call(|fx| d[0].submit(0, Op::Write(loc(3), word(5)), fx));
+    assert!(done.is_none());
+    match &sends[..] {
+        [(_, Msg::Write { loc: a, .. }), (_, Msg::Write { loc: b, .. })] => {
+            assert_eq!((*a, *b), (loc(1), loc(3)));
+        }
+        other => panic!("expected the buffered write, then the blocking one: {other:?}"),
+    }
+}
+
+#[test]
+fn a_dead_transport_forgets_the_run_and_the_operation() {
+    let mut d = drivers(2, |c| c.pipeline_window(2));
+    for v in 0..2 {
+        call(|fx| d[0].submit(0, Op::WritePipelined(loc(1), word(v)), fx));
+    }
+    // Window full: the third write is gated.
+    let (_, done) = call(|fx| d[0].submit(0, Op::WritePipelined(loc(1), word(2)), fx));
+    assert!(done.is_none());
+    assert!(d[0].transport_down(), "an operation was outstanding");
+    assert_eq!(d[0].pipeline_in_flight(), 0);
+    let (_, done) = call(|fx| d[0].submit(0, Op::Flush, fx));
+    assert!(
+        matches!(done, Some(Done::Flushed)),
+        "idle: flush is a no-op"
+    );
+}

@@ -4,9 +4,8 @@
 //! the first life must be readable in the second, and every node must
 //! come back under a bumped incarnation.
 
-use causal_dsm::{CausalCluster, CausalConfig, Disk, DurableConfig, MemDisk, SyncPolicy};
+use causal_dsm::{CausalCluster, DurableConfig, MemDisk, SyncPolicy};
 use memcore::{Location, NodeId, SharedMemory, Word};
-use simnet::Network;
 
 fn loc(i: u32) -> Location {
     Location::new(i)
@@ -17,18 +16,11 @@ fn loc(i: u32) -> Location {
 /// same slice *is* a restart from disk.
 fn durable_cluster(disks: &[MemDisk], config: DurableConfig) -> CausalCluster<Word> {
     let n = disks.len() as u32;
-    let config = CausalConfig::<Word>::builder(n, 2 * n)
-        .durability(config)
-        .build();
-    let net = Network::new(disks.len());
-    let local: Vec<NodeId> = (0..n).map(NodeId::new).collect();
-    let boxed = disks
-        .iter()
-        .enumerate()
-        .map(|(i, d)| (NodeId::new(i as u32), Box::new(d.clone()) as Box<dyn Disk>))
-        .collect();
-    CausalCluster::with_durable_transport(config, None, net, &local, boxed)
-        .expect("engine rejected configuration")
+    let mut builder = CausalCluster::<Word>::builder(n, 2 * n).configure(|c| c.durability(config));
+    for (i, disk) in disks.iter().enumerate() {
+        builder = builder.disk(NodeId::new(i as u32), Box::new(disk.clone()));
+    }
+    builder.build().expect("engine rejected configuration")
 }
 
 #[test]
@@ -77,7 +69,9 @@ fn restart_after_checkpoint_compaction_recovers_the_same_state() {
     for round in 0..16i64 {
         for l in 0..4u32 {
             let writer = cluster.handle(u32::from(l % 2 == 0));
-            writer.write(loc(l), Word::Int(round * 10 + i64::from(l))).unwrap();
+            writer
+                .write(loc(l), Word::Int(round * 10 + i64::from(l)))
+                .unwrap();
         }
     }
     cluster.shutdown();
@@ -100,4 +94,49 @@ fn restart_after_checkpoint_compaction_recovers_the_same_state() {
         compacted < raw,
         "no compaction happened: {compacted} bytes on disk"
     );
+}
+
+#[test]
+fn the_journal_is_on_disk_before_the_reply_leaves() {
+    // Journal-before-reply, observed at the transport: when the owner's
+    // W_REPLY reaches the network, the certified write's record must
+    // already be in its log (under `every_op`, synced). The fault hook
+    // runs inside the send, so it sees the disk exactly as it is when the
+    // reply leaves.
+    use simnet::{FaultHook, SendFate};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
+
+    struct LogAtReply {
+        owner_disk: MemDisk,
+        seen: AtomicUsize,
+    }
+    impl FaultHook for LogAtReply {
+        fn on_send(&self, _s: NodeId, _d: NodeId, kind: &'static str, _now: u64) -> SendFate {
+            if kind == "W_REPLY" {
+                self.seen
+                    .store(self.owner_disk.synced_len(), Ordering::SeqCst);
+            }
+            SendFate::deliver()
+        }
+    }
+
+    let disks: Vec<MemDisk> = (0..2).map(|_| MemDisk::new()).collect();
+    let cluster = durable_cluster(&disks, DurableConfig::default());
+    let hook = Arc::new(LogAtReply {
+        owner_disk: disks[0].clone(),
+        seen: AtomicUsize::new(0),
+    });
+    cluster.set_fault_hook(Some(hook.clone()));
+    let before = disks[0].synced_len();
+    // x0 is node 0's: node 1's write is certified there.
+    cluster.handle(1).write(loc(0), Word::Int(5)).unwrap();
+    let at_reply = hook.seen.load(Ordering::SeqCst);
+    assert!(
+        at_reply > before,
+        "the reply left with {at_reply} synced log bytes ({before} before the write)"
+    );
+    assert_eq!(at_reply, disks[0].log_len(), "nothing journaled after it");
+    cluster.set_fault_hook(None);
+    cluster.shutdown();
 }

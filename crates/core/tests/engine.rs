@@ -1,5 +1,5 @@
-//! Threaded-engine integration tests for the causal DSM, including the
-//! non-blocking-write enhancement, page granularity, write policies and
+//! Threaded-engine integration tests for the causal DSM, including
+//! pipelined writes, page granularity, write policies and
 //! multi-threaded stress checked against the executable specification.
 
 use causal_dsm::{CausalCluster, InvalidationMode, WritePolicy};
@@ -43,11 +43,14 @@ fn out_of_range_locations_error() {
 }
 
 #[test]
-fn nonblocking_write_reads_its_own_value_immediately() {
-    let cluster = CausalCluster::<Word>::builder(2, 2).build().unwrap();
+fn pipelined_write_reads_its_own_value_immediately() {
+    let cluster = CausalCluster::<Word>::builder(2, 2)
+        .configure(|c| c.pipeline_window(4))
+        .build()
+        .unwrap();
     let p1 = cluster.handle(1);
-    // x0 is owned by P0: this is a remote, non-blocking write.
-    let wid = p1.write_nonblocking(loc(0), Word::Int(5)).unwrap();
+    // x0 is owned by P0: this is a remote write, complete at issue.
+    let wid = p1.write_pipelined(loc(0), Word::Int(5)).unwrap();
     assert_eq!(wid.writer(), Some(NodeId::new(1)));
     // Program order: our own read sees the optimistic value at once.
     assert_eq!(p1.read(loc(0)).unwrap(), Word::Int(5));
@@ -64,11 +67,14 @@ fn nonblocking_write_reads_its_own_value_immediately() {
 }
 
 #[test]
-fn nonblocking_writes_preserve_per_owner_order() {
-    let cluster = CausalCluster::<Word>::builder(2, 2).build().unwrap();
+fn pipelined_writes_preserve_per_owner_order() {
+    let cluster = CausalCluster::<Word>::builder(2, 2)
+        .configure(|c| c.pipeline_window(8))
+        .build()
+        .unwrap();
     let p1 = cluster.handle(1);
     for v in 1..=100i64 {
-        p1.write_nonblocking(loc(0), Word::Int(v)).unwrap();
+        p1.write_pipelined(loc(0), Word::Int(v)).unwrap();
     }
     // FIFO to the owner: the last write wins there.
     let p0 = cluster.handle(0);
@@ -76,7 +82,7 @@ fn nonblocking_writes_preserve_per_owner_order() {
         p0.wait_until(loc(0), &|v| *v == Word::Int(100)).unwrap(),
         Word::Int(100)
     );
-    // And the writer's view agrees without ever having blocked.
+    // And the writer's view agrees, having waited only for window slots.
     assert_eq!(p1.read(loc(0)).unwrap(), Word::Int(100));
 }
 
@@ -94,9 +100,6 @@ fn blocking_op_stress_satisfies_definition2() {
                 scope.spawn(move || {
                     let mut rng = ChaCha8Rng::seed_from_u64(round * 10 + u64::from(node));
                     let mut counter = i64::from(node) * 1_000_000;
-                    // Non-blocking writes are excluded: they forfeit
-                    // general causal correctness (tests/nonblocking_limits
-                    // at the workspace root pins the witness).
                     for _ in 0..150 {
                         let l = loc(rng.gen_range(0..6));
                         match rng.gen_range(0..3u8) {

@@ -146,37 +146,48 @@ fn concurrent_hit_readers_share_the_lock_and_send_nothing() {
 }
 
 #[test]
-fn send_failure_rolls_back_nonblocking_registration() {
-    // The racy drain path: a non-blocking write registers its tag (and
-    // bumps the lock-free counter) *before* sending, so a send that fails
-    // must roll both back — otherwise the counter leaks and every later
-    // reply pays the registry lock forever.
-    let cluster = CausalCluster::<Word>::builder(2, 4).build().unwrap();
-    let p0 = cluster.handle(0);
-    cluster.shutdown();
-
-    // Location 1 is owned by node 1, so the write takes the remote
-    // (register-then-send) path and the send fails on the dead network.
-    let err = p0.write_nonblocking(loc(1), Word::Int(7)).unwrap_err();
-    assert!(matches!(err, memcore::MemoryError::Shutdown));
-    assert_eq!(
-        cluster.pending_nonblocking(0),
-        0,
-        "failed send must unregister the write and restore the counter"
-    );
-
-    // Same discipline on the pipelined path (which also holds a window
-    // slot that must be released).
-    let piped = CausalCluster::<Word>::builder(2, 4)
+fn a_failed_run_send_unregisters_the_whole_run() {
+    // A failed send means the transport is gone, and no reply will ever
+    // come for any pipelined write still in flight — including ones
+    // already acknowledged to their callers. The whole run must be
+    // unregistered, or a later flush() would wait forever.
+    struct DropReplies;
+    impl simnet::FaultHook for DropReplies {
+        fn on_send(
+            &self,
+            _s: memcore::NodeId,
+            _d: memcore::NodeId,
+            kind: &'static str,
+            _now: u64,
+        ) -> simnet::SendFate {
+            if kind == "W_REPLY" {
+                simnet::SendFate::dropped()
+            } else {
+                simnet::SendFate::deliver()
+            }
+        }
+    }
+    let cluster = CausalCluster::<Word>::builder(2, 4)
         .configure(|c| c.pipeline_window(4))
         .build()
         .unwrap();
-    let h0 = piped.handle(0);
-    piped.shutdown();
-    let err = h0.write_pipelined(loc(1), Word::Int(7)).unwrap_err();
+    cluster.set_fault_hook(Some(Arc::new(DropReplies)));
+    let p0 = cluster.handle(0);
+    // Location 1 is owned by node 1: both writes go out and stay in
+    // flight, their replies lost.
+    p0.write_pipelined(loc(1), Word::Int(1)).unwrap();
+    p0.write_pipelined(loc(1), Word::Int(2)).unwrap();
+    assert_eq!(cluster.pipeline_in_flight(0), 2);
+    cluster.shutdown();
+
+    let err = p0.write_pipelined(loc(1), Word::Int(3)).unwrap_err();
     assert!(matches!(err, memcore::MemoryError::Shutdown));
-    assert_eq!(piped.pending_nonblocking(0), 0);
-    h0.flush()
+    assert_eq!(
+        cluster.pipeline_in_flight(0),
+        0,
+        "the failed send must unregister the entire run"
+    );
+    p0.flush()
         .expect("rolled-back pipeline is idle; flush is a no-op");
 }
 

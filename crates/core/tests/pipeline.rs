@@ -21,7 +21,7 @@ fn window_zero_is_the_blocking_protocol() {
     let cluster = CausalCluster::<Word>::builder(2, 4).build().unwrap();
     let p0 = cluster.handle(0);
     p0.write_pipelined(loc(1), Word::Int(5)).unwrap();
-    assert_eq!(cluster.pending_nonblocking(0), 0);
+    assert_eq!(cluster.pipeline_in_flight(0), 0);
     let snap = cluster.messages().snapshot();
     assert_eq!(snap.kind_total("WRITE"), 1);
     assert_eq!(snap.kind_total("W_REPLY"), 1);
@@ -43,12 +43,12 @@ fn pipelined_writes_complete_and_flush_is_a_barrier() {
         let wid = p0.write_pipelined(loc(1), Word::Int(i)).unwrap();
         assert_eq!(wid.writer(), Some(memcore::NodeId::new(0)));
         assert!(
-            cluster.pending_nonblocking(0) <= 4,
+            cluster.pipeline_in_flight(0) <= 4,
             "the window must cap in-flight writes"
         );
     }
     p0.flush().unwrap();
-    assert_eq!(cluster.pending_nonblocking(0), 0);
+    assert_eq!(cluster.pipeline_in_flight(0), 0);
     assert_eq!(*p1.read_shared(loc(1)).unwrap(), Word::Int(19));
     assert_eq!(*p0.read_shared(loc(1)).unwrap(), Word::Int(19));
     // All 20 writes crossed the wire individually (no batching here).
@@ -150,52 +150,12 @@ fn batching_coalesces_envelopes_but_not_logical_counts() {
 }
 
 #[test]
-fn flush_is_a_barrier_for_raw_nonblocking_writes() {
-    // flush() documents covering raw write_nonblocking replies too — even
-    // with the pipeline disabled (window 0, the default). After the
-    // barrier nothing may be outstanding and the owner must hold the
-    // final value.
-    let cluster = CausalCluster::<Word>::builder(2, 4).build().unwrap();
-    let p0 = cluster.handle(0);
-    for i in 0..50 {
-        p0.write_nonblocking(loc(1), Word::Int(i)).unwrap();
-    }
-    p0.flush().unwrap();
-    assert_eq!(
-        cluster.pending_nonblocking(0),
-        0,
-        "flush returned with non-blocking replies still outstanding"
-    );
-    assert_eq!(
-        *cluster.handle(1).read_shared(loc(1)).unwrap(),
-        Word::Int(49)
-    );
-
-    // And with pipelining on, one barrier covers both kinds at once.
-    let cluster = CausalCluster::<Word>::builder(2, 4)
-        .configure(|c| c.pipeline_window(4))
-        .build()
-        .unwrap();
-    let p0 = cluster.handle(0);
-    for i in 0..10 {
-        p0.write_nonblocking(loc(1), Word::Int(i)).unwrap();
-        p0.write_pipelined(loc(3), Word::Int(i)).unwrap();
-    }
-    p0.flush().unwrap();
-    assert_eq!(cluster.pending_nonblocking(0), 0);
-    assert_eq!(
-        *cluster.handle(1).read_shared(loc(3)).unwrap(),
-        Word::Int(9)
-    );
-}
-
-#[test]
 fn local_fast_path_and_pipeline_race_without_deadlock() {
-    // The owner-local write fast path now takes the pipeline lock across
-    // its state mutation (closing the TOCTOU with write_pipelined's VT
-    // tick). Hammer the two paths from separate handles of the same node
-    // — no recorder, so the fast path is live — while a third node reads
-    // both pages, to exercise the new lock ordering under contention.
+    // The owner-local write fast path checks pipeline idleness and steps
+    // the state under one driver borrow (no TOCTOU with write_pipelined's
+    // VT tick). Hammer the two paths from separate handles of the same
+    // node — no recorder, so the fast path is live — while a third node
+    // reads both pages, to exercise the locks under contention.
     let cluster = CausalCluster::<Word>::builder(3, 6)
         .configure(|c| c.pipeline_window(8).batching(true))
         .build()
@@ -229,7 +189,7 @@ fn local_fast_path_and_pipeline_race_without_deadlock() {
     });
     let p0 = cluster.handle(0);
     p0.flush().unwrap();
-    assert_eq!(cluster.pending_nonblocking(0), 0);
+    assert_eq!(cluster.pipeline_in_flight(0), 0);
     assert_eq!(*p0.read_shared(loc(0)).unwrap(), Word::Int(N - 1));
     assert_eq!(
         *cluster.handle(1).read_shared(loc(1)).unwrap(),
@@ -257,4 +217,48 @@ fn same_owner_blocking_write_rides_behind_the_pipeline() {
         *cluster.handle(1).read_shared(loc(1)).unwrap(),
         Word::Int(100)
     );
+}
+
+#[test]
+fn sends_to_one_owner_leave_in_driver_order_from_either_thread() {
+    // Two threads put node 0's WRITEs on the link to node 1: the handle
+    // (a run issued on an idle wire, a full run, a flush) and node 0's
+    // server thread (the run that accumulated during a round trip, shipped
+    // when the reply drains the wire). Whichever thread sends, envelopes
+    // must leave in the order the driver decided them, or a later write
+    // overtakes an earlier one. The script writes x1 := k then x3 := k; a
+    // reader on the owner — both locations are its own, so its reads are
+    // local — must therefore never see x3 ahead of x1.
+    let cluster = CausalCluster::<Word>::builder(2, 4)
+        .configure(|c| c.pipeline_window(8).batching(true))
+        .build()
+        .unwrap();
+    const N: i64 = 5_000;
+    std::thread::scope(|scope| {
+        let writer = cluster.handle(0);
+        scope.spawn(move || {
+            for k in 1..=N {
+                writer.write_pipelined(loc(1), Word::Int(k)).unwrap();
+                writer.write_pipelined(loc(3), Word::Int(k)).unwrap();
+            }
+            writer.flush().unwrap();
+        });
+        let reader = cluster.handle(1);
+        scope.spawn(move || loop {
+            let Word::Int(later) = *reader.read_shared(loc(3)).unwrap() else {
+                continue;
+            };
+            let earlier = match *reader.read_shared(loc(1)).unwrap() {
+                Word::Int(k) => k,
+                _ => 0,
+            };
+            assert!(
+                earlier >= later,
+                "x3 = {later} was installed before x1 = {later} (x1 = {earlier})"
+            );
+            if later == N {
+                break;
+            }
+        });
+    });
 }

@@ -135,19 +135,12 @@ impl<V: Value + Wire> DurableActor<V> {
         self.inner.inner().state()
     }
 
-    /// Drains the protocol state's journal into the store, appending
-    /// (and syncing per policy) before the caller sends any reply, and
-    /// checkpointing when enough records accumulated.
+    /// Journal-before-reply, by the helper every executor shares
+    /// ([`CausalState::persist_journal`]): the caller sends nothing of
+    /// the event that journaled these records until this returns.
     fn persist(&mut self) {
-        let records = self.inner.inner_mut().state_mut().take_journal();
-        if records.is_empty() {
-            return;
-        }
-        self.store.append(&records);
-        if self.store.wants_checkpoint() {
-            let image = self.inner.inner().state().durable_image();
-            self.store.checkpoint(&image);
-        }
+        let state = self.inner.inner_mut().state_mut();
+        state.persist_journal(&mut self.store);
     }
 
     /// The per-write oracle, run at the recovery instant: fold the

@@ -1,7 +1,7 @@
 //! Protocol actors: uniform adapters over the pure state machines of the
 //! three memory implementations, so one scheduler drives them all.
 
-use memcore::{Location, NodeId, OpRecord, OwnerEpoch, PageId, Value, WriteId};
+use memcore::{Location, NodeId, OpRecord, Value, WriteId};
 use simnet::Tagged;
 
 use crate::client::{ClientOp, Outcome};
@@ -123,633 +123,75 @@ pub trait Actor<V: Value>: Send {
 // Causal owner protocol
 // ---------------------------------------------------------------------
 
-#[derive(Clone, Debug)]
-enum CausalPending<V> {
-    Read {
-        loc: Location,
-    },
-    Write {
-        loc: Location,
-        value: std::sync::Arc<V>,
-        wid: WriteId,
-    },
-}
-
-/// Sim-side bounded write pipeline, mirroring the threaded engine's:
-/// active only when the wrapped state's configuration has
-/// `pipeline_window > 0` (in which case both `Write` and
-/// `WriteNonblocking` route through it, completing at issue).
-#[derive(Clone, Debug)]
-struct ActorPipeline<V> {
-    window: usize,
-    batching: bool,
-    /// Owner the open window points at (`None` when idle).
-    owner: Option<NodeId>,
-    /// Pipelined writes outstanding toward it — sent or still buffered.
-    in_flight: usize,
-    /// With batching on, WRITE requests accumulated but not yet sent.
-    buffer: Vec<causal_dsm::Msg<V>>,
-    /// Tags of pipelined writes awaiting absorption.
-    wids: std::collections::HashSet<WriteId>,
-}
-
-impl<V: Value> ActorPipeline<V> {
-    /// Batch runs never exceed the window (a full window must flush so
-    /// its replies can drain) and cap at eight parts per envelope.
-    fn run_cap(&self) -> usize {
-        self.window.min(8)
-    }
-
-    /// Everything buffered, as one envelope (runs of two or more wrap in
-    /// [`causal_dsm::Msg::Batch`]); empty when nothing is buffered.
-    fn flush(&mut self) -> Vec<(NodeId, causal_dsm::Msg<V>)> {
-        if self.buffer.is_empty() {
-            return Vec::new();
-        }
-        let owner = self.owner.expect("buffered writes always have an owner");
-        let mut run = std::mem::take(&mut self.buffer);
-        let envelope = if run.len() == 1 {
-            run.pop().expect("length checked")
-        } else {
-            causal_dsm::Msg::Batch(run)
-        };
-        vec![(owner, envelope)]
-    }
-}
-
-/// Sim-side failover runtime: the heartbeat schedule and the table of
-/// stamped in-flight requests (blocking, non-blocking and pipelined
-/// alike). Present iff the wrapped state carries a
-/// [`causal_dsm::FailoverConfig`].
-#[derive(Clone, Debug)]
-struct ActorFailover<V> {
-    config: causal_dsm::FailoverConfig,
-    /// Current simulated time, refreshed on every submit/deliver/timer.
-    now: u64,
-    /// When the next heartbeat broadcast is due.
-    next_heartbeat: u64,
-    /// Stamped requests awaiting stamped replies.
-    inflight: Vec<InflightOp<V>>,
-}
-
-/// One stamped request in flight toward an owner.
-#[derive(Clone, Debug)]
-struct InflightOp<V> {
-    /// Stamp of the *current* attempt (refreshed on every redispatch, so
-    /// replies to abandoned attempts are recognizably stale).
-    op: u64,
-    /// The page the request concerns.
-    page: PageId,
-    /// The owner the current attempt was sent to.
-    target: NodeId,
-    /// The bare Figure-4 request, kept for re-sending.
-    request: causal_dsm::Msg<V>,
-    /// When the current attempt is abandoned and the target suspected.
-    deadline: u64,
-    /// Attempts consumed so far (drives the retry backoff).
-    attempt: u32,
-}
-
-/// One attempt's patience before its target is suspected: the suspicion
-/// budget plus the attempt's exponential backoff (deterministic jitter
-/// from `salt`, so replays retry at identical times).
-fn attempt_window(config: &causal_dsm::FailoverConfig, attempt: u32, salt: u64) -> u64 {
-    let base = config
-        .heartbeat_interval
-        .saturating_mul(u64::from(config.suspicion_threshold))
-        .max(1);
-    base + config.backoff(attempt, salt)
-}
-
-/// Folds `extra` into `acc`. A node completes at most one operation per
-/// delivered event; enforced here.
-fn merge_effects<V, M>(acc: &mut Effects<V, M>, mut extra: Effects<V, M>) {
-    acc.outgoing.append(&mut extra.outgoing);
-    if extra.completion.is_some() {
-        assert!(acc.completion.is_none(), "at most one completion per event");
-        acc.completion = extra.completion;
-    }
-}
-
-/// What the pipeline requires before an operation may proceed.
-enum Gate {
-    Proceed,
-    /// Wait until every in-flight write's reply is absorbed.
-    Drain,
-    /// Wait until the window has a free slot (same-owner pipelined write).
-    Slot,
-}
-
-/// [`Actor`] over the causal owner protocol's
-/// [`CausalState`](causal_dsm::CausalState).
+/// [`Actor`] over the causal owner protocol: a [`ClientOp`]/[`Outcome`]
+/// adapter around [`causal_dsm::NodeDriver`] — the same driver the
+/// threaded engine and the inline TCP poller execute, so every schedule
+/// explored or sampled here certifies the code that ships. Simulated time
+/// is the driver's clock; its timers (heartbeats, attempt deadlines,
+/// give-up budgets) surface through [`Actor::next_timer`].
 #[derive(Clone, Debug)]
 pub struct CausalActor<V> {
-    state: causal_dsm::CausalState<V>,
-    pending: Option<CausalPending<V>>,
-    /// Outstanding non-blocking writes whose replies are absorbed rather
-    /// than completing an operation.
-    nonblocking: std::collections::HashSet<WriteId>,
-    /// Present iff the configuration enables the bounded write pipeline.
-    pipeline: Option<ActorPipeline<V>>,
-    /// An operation the pipeline gated (see [`Gate`]); re-tried each time
-    /// a pipelined reply drains. The node is blocked while this is set.
-    deferred: Option<ClientOp<V>>,
-    /// Failover runtime (heartbeats, suspicion, stamped-request retry);
-    /// `None` — and completely inert — without a failover configuration.
-    fo: Option<ActorFailover<V>>,
+    driver: causal_dsm::NodeDriver<V>,
+    fx: causal_dsm::Effects<V>,
 }
 
 impl<V: Value> CausalActor<V> {
     /// Wraps a node's protocol state.
     #[must_use]
     pub fn new(state: causal_dsm::CausalState<V>) -> Self {
-        let window = state.config().pipeline_window() as usize;
-        let failover = state.failover_config();
-        let pipeline = (window > 0).then(|| ActorPipeline {
-            window,
-            // Under failover every pipelined WRITE travels in its own
-            // stamped envelope so NACKs and retries can target individual
-            // attempts; transport batching is bypassed.
-            batching: state.config().batching() && failover.is_none(),
-            owner: None,
-            in_flight: 0,
-            buffer: Vec::new(),
-            wids: std::collections::HashSet::new(),
-        });
-        let fo = failover.map(|config| ActorFailover {
-            config,
-            now: 0,
-            next_heartbeat: config.heartbeat_interval.max(1),
-            inflight: Vec::new(),
-        });
         CausalActor {
-            state,
-            pending: None,
-            nonblocking: std::collections::HashSet::new(),
-            pipeline,
-            deferred: None,
-            fo,
+            driver: causal_dsm::NodeDriver::new(state),
+            fx: causal_dsm::Effects::default(),
         }
     }
 
     /// The wrapped protocol state (inspection).
     #[must_use]
     pub fn state(&self) -> &causal_dsm::CausalState<V> {
-        &self.state
+        self.driver.state()
     }
 
     /// Mutable access to the wrapped protocol state — what a durability
     /// wrapper needs to drain the state's journal after each event.
     #[must_use]
     pub fn state_mut(&mut self) -> &mut causal_dsm::CausalState<V> {
-        &mut self.state
+        self.driver.state_mut()
     }
 
-    /// The node currently serving `loc`: the static owner until failover
-    /// migrates the page to a higher epoch.
-    fn owner_now(&self, loc: Location) -> NodeId {
-        self.state
-            .current_owner(loc.page(self.state.config().page_size()))
-    }
-
-    /// The drain/slot rules of the bounded pipeline (the same derivation
-    /// as the engine's `write_pipelined`): operations that would leak
-    /// in-flight increments — an owner-local write, a write toward a
-    /// *different* owner, or a read that will miss toward the pipeline's
-    /// owner — require a full drain; a same-owner pipelined write needs
-    /// only a free window slot. Everything else overlaps freely.
-    fn gate(&self, op: &ClientOp<V>) -> Gate {
-        let Some(p) = &self.pipeline else {
-            return Gate::Proceed;
-        };
-        if p.in_flight == 0 {
-            return Gate::Proceed;
-        }
-        let me = self.state.id();
-        match op {
-            ClientOp::Read(loc) | ClientOp::ReadFresh(loc) => {
-                let owner = self.owner_now(*loc);
-                let misses =
-                    matches!(op, ClientOp::ReadFresh(_)) || !self.state.has_valid_copy(*loc);
-                if p.owner == Some(owner) && misses {
-                    Gate::Drain
-                } else {
-                    Gate::Proceed
-                }
-            }
-            ClientOp::Write(loc, _) | ClientOp::WriteNonblocking(loc, _) => {
-                let owner = self.owner_now(*loc);
-                if owner == me || p.owner != Some(owner) {
-                    Gate::Drain
-                } else if p.in_flight >= p.window {
-                    Gate::Slot
-                } else {
-                    Gate::Proceed
-                }
-            }
-            ClientOp::Discard(_) => Gate::Proceed,
-            ClientOp::WaitUntil(..) => unreachable!("scheduler decomposes waits"),
-        }
-    }
-
-    /// Attempts `op`, stashing it in `deferred` (with the buffer flushed,
-    /// so the drain can make progress) when the pipeline gates it.
-    fn try_op(&mut self, op: &ClientOp<V>) -> Effects<V, causal_dsm::Msg<V>> {
-        match self.gate(op) {
-            Gate::Proceed => self.perform(op),
-            Gate::Drain | Gate::Slot => {
-                let outgoing = self
-                    .pipeline
-                    .as_mut()
-                    .map(ActorPipeline::flush)
-                    .unwrap_or_default();
-                self.deferred = Some(op.clone());
-                Effects {
-                    outgoing,
-                    completion: None,
-                }
-            }
-        }
-    }
-
-    /// Issues a write through the pipeline (remote owner, window open):
-    /// completes at issue; the request goes out now or rides a batch.
-    fn issue_pipelined(&mut self, loc: Location, value: &V) -> Effects<V, causal_dsm::Msg<V>> {
-        let shared = std::sync::Arc::new(value.clone());
-        let step = self
-            .state
-            .begin_write_nonblocking_shared(loc, std::sync::Arc::clone(&shared));
-        match step {
-            causal_dsm::WriteStep::Done { .. } => {
-                unreachable!("pipelined writes never target owned pages")
-            }
-            causal_dsm::WriteStep::Remote {
-                owner,
-                wid,
-                request,
-            } => {
-                let request = self.stamp_request(owner, request);
-                let p = self
-                    .pipeline
-                    .as_mut()
-                    .expect("pipelined issue needs a pipeline");
-                p.wids.insert(wid);
-                p.owner = Some(owner);
-                p.in_flight += 1;
-                let outgoing = if p.batching {
-                    p.buffer.push(request);
-                    if p.buffer.len() >= p.run_cap() || p.in_flight >= p.window {
-                        p.flush()
-                    } else {
-                        Vec::new()
-                    }
-                } else {
-                    vec![(owner, request)]
-                };
-                Effects {
-                    outgoing,
-                    completion: Some(Completion {
-                        outcome: Outcome::Wrote { wid, applied: true },
-                        record: Some(OpRecord::write(loc, value.clone(), wid)),
-                    }),
-                }
-            }
-        }
-    }
-
-    /// With failover enabled, wraps an outgoing Figure-4 request in the
-    /// `(epoch, op)` envelope and tracks it for NACK-redirect and
-    /// timeout retry; a passthrough otherwise.
-    fn stamp_request(&mut self, owner: NodeId, request: causal_dsm::Msg<V>) -> causal_dsm::Msg<V> {
-        if self.fo.is_none() {
-            return request;
-        }
-        let page = match &request {
-            causal_dsm::Msg::Read { page } => *page,
-            causal_dsm::Msg::Write { loc, .. } => loc.page(self.state.config().page_size()),
-            other => unreachable!("only owner requests are stamped: {other:?}"),
-        };
-        let epoch = self.state.epoch_of(page);
-        let op = self.state.next_op_id();
-        let me = self.state.id();
-        let fo = self.fo.as_mut().expect("checked above");
-        let salt = ((me.index() as u64) << 32) | (op & 0xFFFF_FFFF);
-        let deadline = fo.now + attempt_window(&fo.config, 0, salt);
-        fo.inflight.push(InflightOp {
-            op,
-            page,
-            target: owner,
-            request: request.clone(),
-            deadline,
-            attempt: 0,
-        });
-        causal_dsm::Msg::Stamped {
-            epoch,
-            op,
-            inner: Box::new(request),
-        }
-    }
-
-    /// Appends pending protocol side traffic to `out`: hot-standby
-    /// shadows (failover) and `[INTEREST]` drops queued by cache eviction
-    /// (interest scoping). A no-op when both features are off.
-    fn drain_replications(&mut self, out: &mut Vec<(NodeId, causal_dsm::Msg<V>)>) {
-        if self.fo.is_some() {
-            out.extend(self.state.take_replications());
-        }
-        if self.state.config().interest_scoping() {
-            out.extend(self.state.take_interest_msgs());
-        }
-    }
-
-    /// Re-resolves every in-flight request against the current epoch
-    /// table: entries whose page migrated are re-stamped and re-sent to
-    /// the new owner — or served against the local promoted copy when the
-    /// migration landed *here*. Called after any event that can advance
-    /// an epoch (SUSPECT, NACK, a stamped request, a timer suspicion).
-    fn redispatch_inflight(&mut self) -> Effects<V, causal_dsm::Msg<V>> {
-        if self.fo.is_none() {
-            return Effects::empty();
-        }
-        let me = self.state.id();
-        let (now, config) = {
-            let fo = self.fo.as_ref().expect("checked above");
-            (fo.now, fo.config)
-        };
-        let inflight = std::mem::take(&mut self.fo.as_mut().expect("checked above").inflight);
-        let mut keep = Vec::with_capacity(inflight.len());
-        let mut outgoing = Vec::new();
-        let mut local = Vec::new();
-        for mut entry in inflight {
-            let owner = self.state.current_owner(entry.page);
-            if owner == entry.target {
-                keep.push(entry);
-                continue;
-            }
-            let epoch = self.state.epoch_of(entry.page);
-            let op = self.state.next_op_id();
-            entry.op = op;
-            entry.attempt = entry.attempt.saturating_add(1);
-            if owner == me {
-                // The page migrated *to us* mid-operation: serve our own
-                // request against the promoted copy.
-                let reply = self
-                    .state
-                    .serve_stamped(me, epoch, op, entry.request.clone())
-                    .expect("owner answers its own request");
-                match reply {
-                    causal_dsm::Msg::Stamped { inner, .. } => local.push(*inner),
-                    other => unreachable!("self-serve cannot be refused: {other:?}"),
-                }
-            } else {
-                let salt = ((me.index() as u64) << 32) | (op & 0xFFFF_FFFF);
-                entry.deadline = now + attempt_window(&config, entry.attempt, salt);
-                entry.target = owner;
-                outgoing.push((
-                    owner,
-                    causal_dsm::Msg::Stamped {
-                        epoch,
-                        op,
-                        inner: Box::new(entry.request.clone()),
-                    },
-                ));
-                // A migrated pipelined window now points at the successor.
-                if let causal_dsm::Msg::Write { wid, .. } = &entry.request {
-                    if let Some(p) = &mut self.pipeline {
-                        if p.wids.contains(wid) {
-                            p.owner = Some(owner);
-                        }
-                    }
-                }
-                keep.push(entry);
-            }
-        }
-        self.fo.as_mut().expect("checked above").inflight = keep;
-        let mut effects = Effects::sent(outgoing);
-        // Locally-served replies absorb exactly as if they had arrived
-        // over the wire (their entries are already retired above).
-        for inner in local {
-            let extra = self.deliver_reply(inner);
-            merge_effects(&mut effects, extra);
-        }
-        effects
-    }
-
-    /// Locally declares `node` crashed: migrates its pages to their
-    /// successors, broadcasts the `[SUSPECT]` decision (including toward
-    /// the suspect itself — dropped while it is down, but the session
-    /// layer's retransmission re-educates it once it restarts), and
-    /// re-dispatches any requests that pointed at it.
-    fn declare_suspect(&mut self, node: NodeId) -> Effects<V, causal_dsm::Msg<V>> {
-        let already = self.state.is_suspected(node);
-        let migrated = self.state.suspect(node);
-        if already && migrated.is_empty() {
-            return self.redispatch_inflight();
-        }
-        let me = self.state.id();
-        // With a scoped heartbeat fanout the decision goes only to the
-        // parties that need it now (new owners, both ring neighborhoods,
-        // the suspect itself); everyone else learns lazily via NACK
-        // redirects. `None` means broadcast (all-pairs mode).
-        let targets = self.state.suspect_targets(node, &migrated).unwrap_or_else(|| {
-            (0..self.state.config().nodes())
-                .map(NodeId::new)
-                .filter(|peer| *peer != me)
-                .collect()
-        });
-        let msg = causal_dsm::Msg::Suspect {
-            suspect: node,
-            epochs: migrated,
-        };
-        let mut effects = Effects::empty();
-        for peer in targets {
-            effects.outgoing.push((peer, msg.clone()));
-        }
-        merge_effects(&mut effects, self.redispatch_inflight());
-        effects
-    }
-
-    /// Handles a `[NACK]`: adopt the server's (newer) epoch and re-route
-    /// the rejected attempt to the node now serving the page.
-    fn on_nack(
-        &mut self,
-        page: PageId,
-        op: u64,
-        epoch: OwnerEpoch,
-    ) -> Effects<V, causal_dsm::Msg<V>> {
-        if let Some(fo) = &mut self.fo {
-            if let Some(entry) = fo.inflight.iter_mut().find(|e| e.op == op) {
-                entry.attempt = entry.attempt.saturating_add(1);
-            }
-        }
-        self.state.observe_epoch(page, epoch);
-        self.redispatch_inflight()
-    }
-
-    /// Handles a stamped reply: matched against the in-flight table by op
-    /// id; replies to abandoned attempts are recognizably stale and
-    /// silently dropped — the recoverable-timeout contract.
-    fn on_stamped_reply(
-        &mut self,
-        op: u64,
-        inner: causal_dsm::Msg<V>,
-    ) -> Effects<V, causal_dsm::Msg<V>> {
-        let Some(fo) = &mut self.fo else {
-            return Effects::empty();
-        };
-        let Some(i) = fo.inflight.iter().position(|e| e.op == op) else {
-            return Effects::empty();
-        };
-        fo.inflight.swap_remove(i);
-        self.deliver_reply(inner)
-    }
-
-    /// Handles a reply (never a request): absorbs pipelined and raw
-    /// non-blocking write replies — re-trying any deferred operation as
-    /// the pipeline drains — and completes the outstanding operation
-    /// otherwise.
-    fn deliver_reply(&mut self, msg: causal_dsm::Msg<V>) -> Effects<V, causal_dsm::Msg<V>> {
-        if let causal_dsm::Msg::WriteReply { wid, .. } = &msg {
-            if self.nonblocking.remove(wid) {
-                self.state.absorb_write_reply(msg);
-                return Effects::empty();
-            }
-            let piped = self.pipeline.as_mut().is_some_and(|p| p.wids.remove(wid));
-            if piped {
-                self.state.absorb_write_reply(msg);
-                let p = self.pipeline.as_mut().expect("checked above");
-                p.in_flight -= 1;
-                if p.in_flight == 0 {
-                    p.owner = None;
-                }
-                if let Some(op) = self.deferred.take() {
-                    return self.try_op(&op);
-                }
-                return Effects::empty();
-            }
-        }
-        match self.pending.take() {
-            Some(CausalPending::Read { loc }) => {
-                let (value, wid) = self.state.finish_read(loc, msg);
-                Effects::done(
-                    Outcome::Read {
-                        value: (*value).clone(),
-                        wid,
-                    },
-                    Some(OpRecord::read(loc, (*value).clone(), wid)),
-                )
-            }
-            Some(CausalPending::Write { loc, value, wid }) => {
-                let done = self
-                    .state
-                    .finish_write(std::sync::Arc::clone(&value), wid, msg);
-                Effects::done(
-                    Outcome::Wrote {
-                        wid: done.wid(),
-                        applied: done.is_applied(),
-                    },
-                    Some(OpRecord::write(loc, (*value).clone(), done.wid())),
-                )
-            }
-            None => panic!("reply with no outstanding operation"),
-        }
-    }
-
-    /// Performs `op` now (the pipeline, if any, has cleared it).
-    fn perform(&mut self, op: &ClientOp<V>) -> Effects<V, causal_dsm::Msg<V>> {
-        match op {
-            ClientOp::Read(loc) | ClientOp::ReadFresh(loc) => {
-                if matches!(op, ClientOp::ReadFresh(_)) {
-                    self.state.discard(*loc);
-                }
-                match self.state.begin_read(*loc) {
-                    causal_dsm::ReadStep::Hit { value, wid } => Effects::done(
-                        Outcome::Read {
-                            value: (*value).clone(),
-                            wid,
-                        },
-                        Some(OpRecord::read(*loc, (*value).clone(), wid)),
-                    ),
-                    causal_dsm::ReadStep::Miss { owner, request } => {
-                        self.pending = Some(CausalPending::Read { loc: *loc });
-                        let request = self.stamp_request(owner, request);
-                        Effects::sent(vec![(owner, request)])
-                    }
-                }
-            }
-            ClientOp::Write(loc, value) if self.pipeline.is_some() => {
-                // With the pipeline on, plain writes to remote owners
-                // flow through it (completing at issue); owner-local
-                // writes complete locally as ever — the gate has already
-                // drained the window for them.
-                if self.owner_now(*loc) == self.state.id() {
-                    self.perform_blocking_write(*loc, value)
-                } else {
-                    self.issue_pipelined(*loc, value)
-                }
-            }
-            ClientOp::Write(loc, value) => self.perform_blocking_write(*loc, value),
-            ClientOp::WriteNonblocking(loc, value) => {
-                if self.pipeline.is_some() && self.owner_now(*loc) != self.state.id() {
-                    return self.issue_pipelined(*loc, value);
-                }
-                match self.state.begin_write_nonblocking(*loc, value.clone()) {
-                    causal_dsm::WriteStep::Done { wid } => Effects::done(
-                        Outcome::Wrote { wid, applied: true },
-                        Some(OpRecord::write(*loc, value.clone(), wid)),
-                    ),
-                    causal_dsm::WriteStep::Remote {
-                        owner,
-                        wid,
-                        request,
-                    } => {
-                        self.nonblocking.insert(wid);
-                        let request = self.stamp_request(owner, request);
-                        Effects {
-                            outgoing: vec![(owner, request)],
-                            completion: Some(Completion {
-                                outcome: Outcome::Wrote { wid, applied: true },
-                                record: Some(OpRecord::write(*loc, value.clone(), wid)),
-                            }),
-                        }
-                    }
-                }
-            }
-            ClientOp::Discard(loc) => {
-                self.state.discard(*loc);
-                Effects::done(Outcome::Discarded, None)
-            }
-            ClientOp::WaitUntil(..) => unreachable!("scheduler decomposes waits"),
-        }
-    }
-
-    fn perform_blocking_write(
-        &mut self,
-        loc: Location,
-        value: &V,
-    ) -> Effects<V, causal_dsm::Msg<V>> {
-        let shared = std::sync::Arc::new(value.clone());
-        match self
-            .state
-            .begin_write_shared(loc, std::sync::Arc::clone(&shared))
-        {
-            causal_dsm::WriteStep::Done { wid } => Effects::done(
-                Outcome::Wrote { wid, applied: true },
-                Some(OpRecord::write(loc, value.clone(), wid)),
-            ),
-            causal_dsm::WriteStep::Remote {
-                owner,
-                wid,
-                request,
-            } => {
-                self.pending = Some(CausalPending::Write {
-                    loc,
-                    value: shared,
+    /// Hands the driver's effects to the scheduler. An operation the
+    /// driver gave up on ([`causal_dsm::Done::Failed`]) never completes
+    /// here: the node stays blocked and the run reports it stuck, which
+    /// is how every harness already treats a wedged client.
+    fn effects(&mut self) -> Effects<V, causal_dsm::Msg<V>> {
+        use causal_dsm::Done;
+        let completion = self.fx.done.take().and_then(|done| match done {
+            Done::Read { loc, value, wid } => Some(Completion {
+                outcome: Outcome::Read {
+                    value: (*value).clone(),
                     wid,
-                });
-                let request = self.stamp_request(owner, request);
-                Effects::sent(vec![(owner, request)])
-            }
+                },
+                record: Some(OpRecord::read(loc, (*value).clone(), wid)),
+            }),
+            Done::Wrote { loc, value, done } => Some(Completion {
+                outcome: Outcome::Wrote {
+                    wid: done.wid(),
+                    applied: done.is_applied(),
+                },
+                record: Some(OpRecord::write(loc, (*value).clone(), done.wid())),
+            }),
+            Done::Discarded => Some(Completion {
+                outcome: Outcome::Discarded,
+                record: None,
+            }),
+            Done::Flushed => Some(Completion {
+                outcome: Outcome::Flushed,
+                record: None,
+            }),
+            Done::Failed(_) => None,
+        });
+        Effects {
+            outgoing: std::mem::take(&mut self.fx.sends),
+            completion,
         }
     }
 }
@@ -758,186 +200,59 @@ impl<V: Value> Actor<V> for CausalActor<V> {
     type Msg = causal_dsm::Msg<V>;
 
     fn id(&self) -> NodeId {
-        self.state.id()
+        self.driver.state().id()
     }
 
     fn submit(&mut self, op: &ClientOp<V>) -> Effects<V, Self::Msg> {
-        assert!(
-            self.pending.is_none() && self.deferred.is_none(),
-            "one outstanding op per node"
-        );
-        self.try_op(op)
+        self.submit_at(0, op)
     }
 
     fn deliver(&mut self, from: NodeId, msg: Self::Msg) -> Effects<V, Self::Msg> {
-        // The failover kinds first: none of them exists without a
-        // FailoverConfig, so the plain Figure-4 paths below are untouched
-        // in fault-free configurations.
-        let msg = match msg {
-            causal_dsm::Msg::Heartbeat { .. } => {
-                // Pure liveness: already recorded in `deliver_at`.
-                return Effects::empty();
-            }
-            causal_dsm::Msg::Suspect { suspect, epochs } => {
-                self.state.absorb_suspect(suspect, &epochs);
-                return self.redispatch_inflight();
-            }
-            causal_dsm::Msg::Replicate {
-                page,
-                vt,
-                slots,
-                origins,
-            } => {
-                self.state.apply_replicate(page, vt.into_inner(), slots, origins);
-                return Effects::empty();
-            }
-            causal_dsm::Msg::Interest { page } => {
-                // A peer evicted its copy: it is no longer interested.
-                self.state.handle_interest_drop(page, from);
-                return Effects::empty();
-            }
-            causal_dsm::Msg::Nack {
-                page, op, epoch, ..
-            } => return self.on_nack(page, op, epoch),
-            causal_dsm::Msg::Stamped { epoch, op, inner } => {
-                if inner.is_request() {
-                    let mut effects = Effects::empty();
-                    if let Some(reply) = self.state.serve_stamped(from, epoch, op, *inner) {
-                        effects.outgoing.push((from, reply));
-                    }
-                    // Serving may have adopted a newer epoch.
-                    merge_effects(&mut effects, self.redispatch_inflight());
-                    return effects;
-                }
-                return self.on_stamped_reply(op, *inner);
-            }
-            other => other,
+        self.deliver_at(0, from, msg)
+    }
+
+    fn submit_at(&mut self, now: u64, op: &ClientOp<V>) -> Effects<V, Self::Msg> {
+        use causal_dsm::Op;
+        let shared = |v: &V| std::sync::Arc::new(v.clone());
+        let op = match op {
+            ClientOp::Read(loc) => Op::Read(*loc),
+            ClientOp::ReadFresh(loc) => Op::ReadFresh(*loc),
+            // With a pipeline window configured, plain writes flow
+            // through it, so chaos plans exercise the layer.
+            ClientOp::Write(loc, v) => Op::WritePipelined(*loc, shared(v)),
+            ClientOp::WriteBlocking(loc, v) => Op::Write(*loc, shared(v)),
+            ClientOp::WriteNonblocking(loc, v) => Op::WriteUngated(*loc, shared(v)),
+            ClientOp::Discard(loc) => Op::Discard(*loc),
+            ClientOp::Flush => Op::Flush,
+            ClientOp::WaitUntil(..) => unreachable!("scheduler decomposes waits"),
         };
-        if let causal_dsm::Msg::Batch(parts) = msg {
-            // A transport batch is its parts, in order: requests are
-            // served in one pass with a single coalesced invalidation
-            // sweep and replied to as one envelope; reply parts absorb
-            // exactly as if they arrived alone. At most one part chain
-            // can complete an operation (batches carry only pipelined
-            // writes and their replies; blocking ops travel solo).
-            let mut requests = Vec::with_capacity(parts.len());
-            let mut effects = Effects::empty();
-            for part in parts {
-                if part.is_request() {
-                    requests.push(part);
-                } else {
-                    let mut e = self.deliver_reply(part);
-                    effects.outgoing.append(&mut e.outgoing);
-                    if e.completion.is_some() {
-                        assert!(
-                            effects.completion.is_none(),
-                            "at most one completion per batch"
-                        );
-                        effects.completion = e.completion;
-                    }
-                }
-            }
-            if !requests.is_empty() {
-                let mut replies = self.state.serve_batch(from, requests);
-                let reply = if replies.len() == 1 {
-                    replies.pop().expect("length checked")
-                } else {
-                    causal_dsm::Msg::Batch(replies)
-                };
-                effects.outgoing.push((from, reply));
-            }
-            return effects;
-        }
-        if msg.is_request() {
-            let reply = self
-                .state
-                .serve(from, msg)
-                .expect("requests always produce replies");
-            return Effects::sent(vec![(from, reply)]);
-        }
-        self.deliver_reply(msg)
+        self.driver.submit(now, op, &mut self.fx);
+        self.effects()
+    }
+
+    fn deliver_at(&mut self, now: u64, from: NodeId, msg: Self::Msg) -> Effects<V, Self::Msg> {
+        self.driver.deliver(now, from, msg, &mut self.fx);
+        self.effects()
     }
 
     fn authority(&self, loc: Location) -> NodeId {
         // Dynamic under failover: waits signal off the copy held by the
         // node *currently* serving the page.
-        self.owner_now(loc)
+        let state = self.driver.state();
+        state.current_owner(loc.page(state.config().page_size()))
     }
 
     fn peek(&self, loc: Location) -> Option<V> {
-        self.state.peek(loc).map(|(v, _)| v.clone())
-    }
-
-    fn submit_at(&mut self, now: u64, op: &ClientOp<V>) -> Effects<V, Self::Msg> {
-        if let Some(fo) = &mut self.fo {
-            fo.now = now;
-        }
-        let mut effects = self.submit(op);
-        self.drain_replications(&mut effects.outgoing);
-        effects
-    }
-
-    fn deliver_at(&mut self, now: u64, from: NodeId, msg: Self::Msg) -> Effects<V, Self::Msg> {
-        if let Some(fo) = &mut self.fo {
-            fo.now = now;
-            // Any inbound message is evidence of life, not just heartbeats.
-            self.state.record_alive(from, now);
-        }
-        let mut effects = self.deliver(from, msg);
-        self.drain_replications(&mut effects.outgoing);
-        effects
+        self.driver.state().peek(loc).map(|(v, _)| v.clone())
     }
 
     fn next_timer(&self) -> Option<u64> {
-        let fo = self.fo.as_ref()?;
-        let mut t = fo.next_heartbeat;
-        for entry in &fo.inflight {
-            t = t.min(entry.deadline);
-        }
-        Some(t)
+        self.driver.next_timer()
     }
 
     fn on_timer(&mut self, now: u64) -> Effects<V, Self::Msg> {
-        if self.fo.is_none() {
-            return Effects::empty();
-        }
-        self.fo.as_mut().expect("checked above").now = now;
-        let mut effects = Effects::empty();
-        let due = self.fo.as_ref().expect("checked above").next_heartbeat <= now;
-        if due {
-            {
-                let fo = self.fo.as_mut().expect("checked above");
-                fo.next_heartbeat = now + fo.config.heartbeat_interval.max(1);
-            }
-            if let Some(hb) = self.state.heartbeat_msg() {
-                // All peers under all-pairs probing; this node's ring
-                // successors under a scoped heartbeat fanout.
-                for peer in self.state.heartbeat_targets() {
-                    effects.outgoing.push((peer, hb.clone()));
-                }
-            }
-            for suspect in self.state.check_suspicions(now) {
-                let extra = self.declare_suspect(suspect);
-                merge_effects(&mut effects, extra);
-            }
-        }
-        // Requests whose per-attempt patience ran out: treat the silent
-        // owner as crashed and migrate away from it.
-        let expired: Vec<NodeId> = self
-            .fo
-            .as_ref()
-            .expect("checked above")
-            .inflight
-            .iter()
-            .filter(|e| e.deadline <= now)
-            .map(|e| e.target)
-            .collect();
-        for target in expired {
-            let extra = self.declare_suspect(target);
-            merge_effects(&mut effects, extra);
-        }
-        self.drain_replications(&mut effects.outgoing);
-        effects
+        self.driver.on_timer(now, &mut self.fx);
+        self.effects()
     }
 }
 
@@ -1015,7 +330,9 @@ impl<V: Value> Actor<V> for AtomicActor<V> {
                     }
                 }
             }
-            ClientOp::Write(loc, value) | ClientOp::WriteNonblocking(loc, value) => {
+            ClientOp::Write(loc, value)
+            | ClientOp::WriteBlocking(loc, value)
+            | ClientOp::WriteNonblocking(loc, value) => {
                 match self.state.begin_write(*loc, value.clone()) {
                     atomic_dsm::AWriteStep::Done { wid, outgoing } => Effects {
                         outgoing,
@@ -1050,6 +367,8 @@ impl<V: Value> Actor<V> for AtomicActor<V> {
                 self.state.discard(*loc);
                 Effects::done(Outcome::Discarded, None)
             }
+            // Every write is complete when it returns: nothing to wait for.
+            ClientOp::Flush => Effects::done(Outcome::Flushed, None),
             ClientOp::WaitUntil(..) => unreachable!("scheduler decomposes waits"),
         }
     }
@@ -1160,7 +479,9 @@ impl<V: Value> Actor<V> for BroadcastActor<V> {
                     Some(OpRecord::read(*loc, value, wid)),
                 )
             }
-            ClientOp::Write(loc, value) | ClientOp::WriteNonblocking(loc, value) => {
+            ClientOp::Write(loc, value)
+            | ClientOp::WriteBlocking(loc, value)
+            | ClientOp::WriteNonblocking(loc, value) => {
                 let (wid, outgoing) = self.state.write(*loc, value.clone());
                 Effects {
                     outgoing,
@@ -1171,6 +492,7 @@ impl<V: Value> Actor<V> for BroadcastActor<V> {
                 }
             }
             ClientOp::Discard(_) => Effects::done(Outcome::Discarded, None),
+            ClientOp::Flush => Effects::done(Outcome::Flushed, None),
             ClientOp::WaitUntil(..) => unreachable!("scheduler decomposes waits"),
         }
     }

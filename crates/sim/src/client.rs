@@ -20,8 +20,14 @@ pub type Pred<V> = Arc<dyn Fn(&V) -> bool + Send + Sync>;
 pub enum ClientOp<V> {
     /// `r(x)` — may hit the cache.
     Read(Location),
-    /// `w(x)v`.
+    /// `w(x)v`. Under the causal protocol with a pipeline window
+    /// configured this is the engine's `write_pipelined` (it completes at
+    /// issue while the window has room); otherwise it blocks for the
+    /// owner's reply.
     Write(Location, V),
+    /// `w(x)v`, always blocking for the owner's reply — the engine's
+    /// `write` — even with a pipeline window configured.
+    WriteBlocking(Location, V),
     /// Discard any cached copy, then read: forces owner communication.
     ReadFresh(Location),
     /// Drop the cached copy (the paper's `discard`).
@@ -30,6 +36,9 @@ pub enum ClientOp<V> {
     /// enhancement); completes at issue, the owner's reply is absorbed in
     /// the background. Other protocols treat it as a normal write.
     WriteNonblocking(Location, V),
+    /// Barrier: completes once every pipelined or non-blocking write's
+    /// reply has been absorbed (the engine's `flush`).
+    Flush,
     /// Block until the location's value satisfies the predicate (the
     /// paper's `wait(B)`); how aggressively this re-reads is the
     /// simulator's `WaitMode`.
@@ -42,16 +51,19 @@ impl<V> ClientOp<V> {
         ClientOp::WaitUntil(loc, Arc::new(pred))
     }
 
-    /// The location this operation touches.
-    pub fn loc(&self) -> Location {
-        match self {
+    /// The location this operation touches (`None` for
+    /// [`ClientOp::Flush`]).
+    pub fn loc(&self) -> Option<Location> {
+        Some(match self {
+            ClientOp::Flush => return None,
             ClientOp::Read(loc)
             | ClientOp::Write(loc, _)
+            | ClientOp::WriteBlocking(loc, _)
             | ClientOp::ReadFresh(loc)
             | ClientOp::Discard(loc)
             | ClientOp::WriteNonblocking(loc, _)
             | ClientOp::WaitUntil(loc, _) => *loc,
-        }
+        })
     }
 }
 
@@ -60,6 +72,8 @@ impl<V: fmt::Debug> fmt::Debug for ClientOp<V> {
         match self {
             ClientOp::Read(loc) => write!(f, "r({loc})"),
             ClientOp::Write(loc, v) => write!(f, "w({loc}){v:?}"),
+            ClientOp::WriteBlocking(loc, v) => write!(f, "w_b({loc}){v:?}"),
+            ClientOp::Flush => write!(f, "flush"),
             ClientOp::ReadFresh(loc) => write!(f, "r!({loc})"),
             ClientOp::Discard(loc) => write!(f, "discard({loc})"),
             ClientOp::WriteNonblocking(loc, v) => write!(f, "w_nb({loc}){v:?}"),
@@ -87,6 +101,8 @@ pub enum Outcome<V> {
     },
     /// A discard completed (no payload).
     Discarded,
+    /// A flush completed (no payload).
+    Flushed,
 }
 
 impl<V: Clone> Outcome<V> {
@@ -99,7 +115,7 @@ impl<V: Clone> Outcome<V> {
         match self {
             Outcome::Read { value, .. } => value.clone(),
             Outcome::Wrote { .. } => panic!("write outcome carries no value"),
-            Outcome::Discarded => panic!("discard outcome carries no value"),
+            Outcome::Discarded | Outcome::Flushed => panic!("outcome carries no value"),
         }
     }
 }
@@ -225,7 +241,7 @@ mod tests {
     #[test]
     fn op_debug_and_loc() {
         let op: ClientOp<Word> = ClientOp::wait_until(Location::new(3), |v| *v == Word::Int(1));
-        assert_eq!(op.loc(), Location::new(3));
+        assert_eq!(op.loc(), Some(Location::new(3)));
         assert_eq!(format!("{op:?}"), "wait(x3)");
         let read: ClientOp<Word> = ClientOp::Read(Location::new(1));
         assert_eq!(format!("{read:?}"), "r(x1)");

@@ -1,8 +1,9 @@
 //! Deterministic discrete-event simulation of the DSM protocols.
 //!
 //! The threaded engines are good for throughput; this simulator is good
-//! for *science*: it drives the **same** pure protocol state machines
-//! ([`causal_dsm::CausalState`], [`atomic_dsm::AtomicState`],
+//! for *science*: it drives the **same** sans-I/O protocol code
+//! ([`causal_dsm::NodeDriver`] — the driver the threaded engine executes
+//! — and the baselines' [`atomic_dsm::AtomicState`] and
 //! [`broadcast_mem::BroadcastState`]) under a seeded scheduler with
 //! configurable link latencies, preserving per-link FIFO, counting every
 //! message, and recording every operation for the `causal-spec` checker.
@@ -12,7 +13,7 @@
 //! * [`Client`] — application programs as resumable operation streams
 //!   (the Figure-6 solver's workers, the dictionary's processes, random
 //!   workloads);
-//! * [`Actor`] — uniform adapters over the three protocol state machines;
+//! * [`Actor`] — uniform adapters over the three protocols;
 //! * [`Sim`] — the event loop: client steps, deliveries, wait handling.
 //!
 //! [`WaitMode`] matters for reproducing the paper's numbers: the §4.1

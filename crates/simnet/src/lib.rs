@@ -22,14 +22,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod batch;
 pub mod codec;
 mod envelope;
 pub mod fault;
 pub mod latency;
 mod router;
 
-pub use batch::{BatchPolicy, Batcher};
 pub use envelope::{Envelope, Tagged};
 pub use fault::{FaultHook, NoFaults, SendFate};
 pub use router::{Mailbox, Network, RemoteLink, SendError};
