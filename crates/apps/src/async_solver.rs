@@ -272,12 +272,34 @@ mod tests {
         let cluster = CausalCluster::<Word>::builder(n as u32, n as u32)
             .build()
             .unwrap();
+        // Nothing makes free-running workers interleave — one thread can
+        // finish all its rounds before the others start, and then nothing
+        // converges — so the workers meet at a barrier every few rounds.
+        // Each phase then reads values no older than the previous phase's
+        // last writes and contracts the error (by ≤ 2/3: the system is
+        // diagonally dominant with margin) whatever the scheduler does;
+        // the workers stop at the tolerance. Nobody writes between a
+        // phase's closing barrier and the next one's opening barrier, so
+        // all of them see the same `x` there and stop together.
+        let barrier = Arc::new(std::sync::Barrier::new(n));
         let mut threads = Vec::new();
         for i in 0..n {
             let mem = cluster.handle(i as u32);
             let system = Arc::clone(&system);
+            let barrier = Arc::clone(&barrier);
             threads.push(std::thread::spawn(move || {
-                run_async_worker(&mem, &layout, &system, i, 30).unwrap()
+                for _phase in 0..64 {
+                    barrier.wait();
+                    run_async_worker(&mem, &layout, &system, i, 3).unwrap();
+                    barrier.wait();
+                    let x: Vec<f64> = (0..n)
+                        .map(|j| mem.read_fresh(layout.x(j)).unwrap().as_float().unwrap())
+                        .collect();
+                    if system.residual(&x) < 1e-6 {
+                        return;
+                    }
+                }
+                panic!("worker {i}: no convergence in 64 phases");
             }));
         }
         for t in threads {

@@ -125,6 +125,17 @@ enum Pending<V> {
 /// The bounded write pipeline. Invariant: `tags` is empty iff `owner` is
 /// `None`, and then `buffer` is empty too. The window only ever points at
 /// one owner; switching owners requires a full drain.
+///
+/// With batching a run (the writes buffered since the last envelope) is
+/// sealed by exactly two rules, and has no length cap of its own:
+/// *wire empty* — everything outstanding is still buffered
+/// (`buffer.len() == tags.len()`), checked when a write is issued and
+/// again when a reply drains the wire — and *gated op* — a full window,
+/// a flush or any other operation the pipeline defers ships the buffer
+/// first. So a run is as long as the writes issued during one round
+/// trip, up to the window; and a full window always has something on the
+/// wire, because either the first rule shipped it or the next write hits
+/// the second.
 #[derive(Clone, Debug)]
 struct Pipeline<V> {
     window: usize,
@@ -142,12 +153,6 @@ struct Pipeline<V> {
 }
 
 impl<V> Pipeline<V> {
-    /// Runs never exceed the window (a full window must ship so its
-    /// replies can drain) and cap at eight parts per envelope.
-    fn run_cap(&self) -> usize {
-        self.window.clamp(1, 8)
-    }
-
     /// Puts everything buffered on the wire as one envelope (a single
     /// message, or [`Msg::Batch`] for runs of two or more).
     fn ship(&mut self, sends: &mut Vec<(NodeId, Msg<V>)>) {
@@ -569,13 +574,13 @@ impl<V: Value> NodeDriver<V> {
         p.owner = Some(owner);
         if p.batching {
             p.buffer.push(request);
-            // Seal a full run — or everything, when nothing is on the
-            // wire: buffering then would idle the owner for no gain.
-            // Writes issued during that run's round trip accumulate here
-            // and go out as one envelope when the wire drains (see
-            // `on_reply`), so batch size tracks the round-trip time
-            // instead of imposing a fixed-count wait.
-            if p.buffer.len() >= p.run_cap() || p.buffer.len() == p.tags.len() {
+            // Nothing on the wire: ship, buffering would idle the owner
+            // for no gain. Otherwise writes issued during the in-flight
+            // run's round trip accumulate here and go out as one envelope
+            // when the wire drains (see `on_reply`) or the window fills
+            // (see `try_op`), so run length tracks the round-trip time up
+            // to the window instead of imposing a fixed-count wait.
+            if p.buffer.len() == p.tags.len() {
                 p.ship(&mut fx.sends);
             }
         } else {

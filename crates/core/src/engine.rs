@@ -1013,9 +1013,12 @@ impl<V: Value> CausalHandle<V> {
     /// With a window of `0` this is exactly the blocking protocol write.
     /// With [`batching`](crate::CausalConfigBuilder::batching) enabled,
     /// consecutive pipelined writes coalesce into [`Msg::Batch`]
-    /// envelopes sized by the round-trip time, the owner sweeps its cache
-    /// once per batch, and the write acks ride back in a single reply
-    /// envelope.
+    /// envelopes sized by the round-trip time — a write on an idle wire
+    /// leaves at once, the ones issued behind it leave together when its
+    /// reply arrives or the window fills, so one envelope carries up to
+    /// `pipeline_window` writes and `pipeline_window × value size` must
+    /// fit a transport frame — the owner sweeps its cache once per batch,
+    /// and the write acks ride back in a single reply envelope.
     ///
     /// Call [`CausalHandle::flush`] to wait for all in-flight writes.
     ///

@@ -1,6 +1,7 @@
 //! [`NodeDriver`] unit tests: the policy both runtimes share, driven
 //! directly — no threads, no sleeps, time is whatever the test says.
 
+use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -251,6 +252,140 @@ fn runs_seal_by_round_trip_and_nothing_buffered_is_overtaken() {
             assert_eq!((*a, *b), (loc(1), loc(3)));
         }
         other => panic!("expected the buffered write, then the blocking one: {other:?}"),
+    }
+}
+
+/// The 0 → 1 link with delivery under the test's control: the envelopes
+/// node 0 has sent and node 1 has not yet answered, oldest first. Node 0
+/// only ever issues pipelined writes to x1, which node 1 owns.
+#[derive(Default)]
+struct Withheld(VecDeque<Msg<Word>>);
+
+impl Withheld {
+    fn send(&mut self, sends: Vec<(NodeId, Msg<Word>)>) {
+        self.0.extend(sends.into_iter().map(|(dst, m)| {
+            assert_eq!(dst, n(1));
+            m
+        }));
+    }
+
+    /// Writes per envelope on the wire: 1 for a lone WRITE, the part
+    /// count of a batch.
+    fn runs(&self) -> Vec<usize> {
+        let len = |m: &Msg<Word>| match m {
+            Msg::Write { .. } => 1,
+            Msg::Batch(parts) => parts.len(),
+            other => panic!("only WRITE envelopes expected: {other:?}"),
+        };
+        self.0.iter().map(len).collect()
+    }
+
+    /// Issues a pipelined write at node 0; `true` if it completed at issue
+    /// (`false`: the window gated it and the node is blocked).
+    fn issue(&mut self, d: &mut [NodeDriver<Word>], v: i64) -> bool {
+        let (sends, done) = call(|fx| d[0].submit(0, Op::WritePipelined(loc(1), word(v)), fx));
+        self.send(sends);
+        done.is_some()
+    }
+
+    /// Lets node 1 answer the oldest envelope and node 0 absorb the reply;
+    /// returns whether that completed node 0's blocked operation.
+    fn answer_oldest(&mut self, d: &mut [NodeDriver<Word>]) -> bool {
+        let request = self.0.pop_front().expect("something is on the wire");
+        let (replies, _) = deliver(d, 0, 0, 1, request);
+        let [(_, reply)] = <[_; 1]>::try_from(replies).expect("one reply envelope");
+        let (sends, done) = deliver(d, 0, 1, 0, reply);
+        self.send(sends);
+        done.is_some()
+    }
+}
+
+#[test]
+fn an_unanswered_run_grows_to_the_window_not_to_a_fixed_count() {
+    let mut d = drivers(2, |c| c.pipeline_window(32).batching(true));
+    let mut wire = Withheld::default();
+    for v in 0..32 {
+        assert!(wire.issue(&mut d, v), "write {v} has a window slot");
+    }
+    assert!(!wire.issue(&mut d, 32), "window full: the 33rd waits");
+    // Two envelopes for the whole window: the write that found the wire
+    // idle, and everything issued during its round trip.
+    assert_eq!(wire.runs(), [1, 31]);
+    // The first reply frees a slot: the deferred write completes and
+    // buffers behind the run still in flight. The second drains the wire:
+    // it leaves, alone.
+    assert!(wire.answer_oldest(&mut d));
+    assert_eq!(wire.runs(), [31]);
+    assert!(!wire.answer_oldest(&mut d));
+    assert_eq!(wire.runs(), [1]);
+    // And the cycle repeats.
+    for v in 33..64 {
+        assert!(wire.issue(&mut d, v));
+    }
+    assert_eq!(wire.runs(), [1]);
+    assert!(!wire.issue(&mut d, 64));
+    assert_eq!(wire.runs(), [1, 31]);
+}
+
+#[test]
+fn buffered_writes_leave_when_the_wire_drains_without_a_flush() {
+    for (window, k) in [(2, 1), (8, 7), (32, 9), (32, 31)] {
+        let mut d = drivers(2, |c| c.pipeline_window(window).batching(true));
+        let mut wire = Withheld::default();
+        // A lone write on an idle wire is sent by the call that issues it.
+        assert!(wire.issue(&mut d, 0));
+        assert_eq!(wire.runs(), [1]);
+        // `k < window` more wait out its round trip ...
+        for v in 0..k {
+            assert!(wire.issue(&mut d, v));
+        }
+        assert_eq!(wire.runs(), [1], "window {window}: {k} buffered");
+        // ... and the call that absorbs its reply sends them all.
+        wire.answer_oldest(&mut d);
+        assert_eq!(wire.runs(), [k as usize], "window {window}");
+        wire.answer_oldest(&mut d);
+        assert_eq!(d[0].pipeline_in_flight(), 0, "fully drained, no flush");
+    }
+}
+
+#[test]
+fn outstanding_writes_always_have_something_on_the_wire() {
+    // Closed loop against a slow owner: issue until the window gates, let
+    // the owner answer one envelope every `period` issues (or only when
+    // node 0 is blocked). In no reachable state are writes outstanding —
+    // least of all a full window of them — with none of them sent: that
+    // state would wait forever for a reply nobody owes.
+    for window in [1u32, 2, 8, 32] {
+        for period in [1, 2, 3, window as usize, usize::MAX] {
+            let mut d = drivers(2, |c| c.pipeline_window(window).batching(true));
+            let mut wire = Withheld::default();
+            let check = |d: &[NodeDriver<Word>], wire: &Withheld| {
+                let outstanding = d[0].pipeline_in_flight();
+                assert!(outstanding <= window as usize);
+                assert!(
+                    outstanding == 0 || !wire.0.is_empty(),
+                    "window {window}, period {period}: {outstanding} outstanding, none sent"
+                );
+            };
+            for v in 0..4 * window as usize + 1 {
+                let mut issued = wire.issue(&mut d, v as i64);
+                check(&d, &wire);
+                while !issued {
+                    issued = wire.answer_oldest(&mut d);
+                    check(&d, &wire);
+                }
+                if (v + 1) % period == 0 && !wire.0.is_empty() {
+                    wire.answer_oldest(&mut d);
+                    check(&d, &wire);
+                }
+            }
+            // What is left drains by replies alone.
+            while !wire.0.is_empty() {
+                wire.answer_oldest(&mut d);
+                check(&d, &wire);
+            }
+            assert_eq!(d[0].pipeline_in_flight(), 0);
+        }
     }
 }
 

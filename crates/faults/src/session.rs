@@ -90,6 +90,13 @@ pub enum SessionMsg<M> {
     },
 }
 
+impl<M> SessionMsg<M> {
+    /// Encoded bytes a [`SessionMsg::Data`] frame spends before its
+    /// payload (discriminant, `seq`, `retx`, both incarnations): what a
+    /// transport with a frame-size limit must leave room for.
+    pub const DATA_HEADER_LEN: usize = 1 + 8 + 1 + 4 + 4;
+}
+
 impl<M: Tagged> Tagged for SessionMsg<M> {
     fn kind(&self) -> &'static str {
         match self {
@@ -206,7 +213,7 @@ impl<M: Wire> Wire for SessionMsg<M> {
 
     fn encoded_len(&self) -> usize {
         match self {
-            SessionMsg::Data { payload, .. } => 1 + 8 + 1 + 4 + 4 + payload.encoded_len(),
+            SessionMsg::Data { payload, .. } => Self::DATA_HEADER_LEN + payload.encoded_len(),
             SessionMsg::Ack { .. } => 1 + 8 + 4 + 4,
             SessionMsg::Raw(payload) => 1 + payload.encoded_len(),
             SessionMsg::Hello { .. } => 1 + 4,

@@ -148,6 +148,14 @@ pub fn encode_envelope_body<M: Wire>(env: &Envelope<M>) -> Bytes {
     buf.freeze()
 }
 
+/// Length of the body [`encode_envelope_body`] would produce, without
+/// producing it: what a sender checks against [`MAX_FRAME`] before it
+/// queues anything.
+#[must_use]
+pub(crate) fn envelope_body_len<M: Wire>(env: &Envelope<M>) -> usize {
+    EnvelopeBody(env).encoded_len()
+}
+
 /// An opaque, already-encoded frame body.
 ///
 /// Its [`Wire`] impl copies the bytes through verbatim and `decode`

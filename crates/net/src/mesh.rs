@@ -37,7 +37,10 @@
 //! because the bytes are already laid out in stream order. The buffer
 //! reclaims its written prefix only while backlogged, resets when fully
 //! drained, and gives its allocation back once it has grown past 64 KiB,
-//! so an idle peer holds no more than that.
+//! so an idle peer holds no more than that. An envelope whose frame would
+//! exceed [`MAX_FRAME`] — which the receiving decoder answers by dropping
+//! the connection — is refused with [`SendError`] before anything is
+//! queued; the link stays usable.
 //!
 //! Inbound, the poller reads each ready socket straight into that
 //! connection's [`FrameDecoder`] (the decoder owns the receive buffer;
@@ -96,8 +99,8 @@ use simnet::codec::{FrameDecoder, Wire};
 use simnet::{Envelope, Network, RemoteLink, SendError, Tagged};
 
 use crate::framing::{
-    decode_body, decode_envelope_slice, encode_envelope_body, read_hello, write_hello, ConnKind,
-    Hello, OutBuf, RawBody, MAX_FRAME,
+    decode_body, decode_envelope_slice, encode_envelope_body, envelope_body_len, read_hello,
+    write_hello, ConnKind, Hello, OutBuf, RawBody, MAX_FRAME,
 };
 use crate::spec::ClusterSpec;
 
@@ -347,6 +350,20 @@ impl<M: Wire + Tagged> RemoteLink<M> for MeshLink<M> {
             .as_ref()
             .unwrap_or_else(|| panic!("no mesh connection toward {dst}"));
         let mut tx = peer.lock();
+        // The receiver's decoder treats a frame above `MAX_FRAME` as a
+        // protocol error and drops the connection, with every other
+        // operation in flight on it. Refuse it here instead, before a
+        // byte is queued or a session sequence number spent: the send
+        // fails, the link stays up.
+        let session = tx.link.is_some();
+        let header = if session {
+            SessionMsg::<RawBody>::DATA_HEADER_LEN
+        } else {
+            0
+        };
+        if header + envelope_body_len(&env) > MAX_FRAME {
+            return Err(SendError { dst });
+        }
         shared.stats.frames.fetch_add(1, Ordering::Relaxed);
         if is_batch {
             shared.stats.batch_frames.fetch_add(1, Ordering::Relaxed);
@@ -369,7 +386,6 @@ impl<M: Wire + Tagged> RemoteLink<M> for MeshLink<M> {
             tx.out.push_envelope(&env);
             shared.drain_locked(&mut tx)
         };
-        let session = tx.link.is_some();
         drop(tx);
         match outcome {
             Drain::Idle => Ok(()),
@@ -1437,6 +1453,54 @@ mod tests {
         );
         mesh.shutdown();
         peer_mesh.shutdown();
+    }
+
+    #[test]
+    fn an_oversized_envelope_fails_at_the_sender_and_the_link_survives() {
+        for reconnect in [false, true] {
+            let (spec, mut listeners) = loopback_spec(2);
+            let spec = spec.with_net(NetOptions {
+                reconnect,
+                ..NetOptions::default()
+            });
+            let spec1 = spec.clone();
+            let l1 = listeners.pop().unwrap();
+            let l0 = listeners.pop().unwrap();
+            let timeout = Duration::from_secs(10);
+
+            let receiver = thread::spawn(move || {
+                let me = NodeId::new(0);
+                let mesh: TcpMesh<Blob> = TcpMesh::establish(me, &spec, l0, timeout).unwrap();
+                let net = Network::partial(2, &[me], mesh.link());
+                mesh.start(net.clone());
+                let mb = net.take_mailbox(me);
+                let got: Vec<usize> = (0..2).map(|_| mb.recv().unwrap().payload.0.len()).collect();
+                (mesh, got)
+            });
+
+            let me = NodeId::new(1);
+            let mesh: TcpMesh<Blob> = TcpMesh::establish(me, &spec1, l1, timeout).unwrap();
+            let net = Network::partial(2, &[me], mesh.link());
+            mesh.start(net.clone());
+            // The largest blob whose frame still fits: src, dst and the
+            // blob's own length prefix, behind the session header if any.
+            let header = if reconnect {
+                SessionMsg::<RawBody>::DATA_HEADER_LEN
+            } else {
+                0
+            };
+            let fits = MAX_FRAME - header - (4 + 4 + 4);
+            let dst = NodeId::new(0);
+            net.send(me, dst, Blob(vec![0; fits + 1]))
+                .expect_err("one byte over the receiver's limit");
+            net.send(me, dst, Blob(vec![7; 3])).unwrap();
+            net.send(me, dst, Blob(vec![0; fits])).unwrap();
+            let (peer_mesh, got) = receiver.join().unwrap();
+            assert_eq!(got, [3, fits], "reconnect {reconnect}");
+            assert_eq!(mesh.wire_stats().frames, 2, "a refused send is not a frame");
+            mesh.shutdown();
+            peer_mesh.shutdown();
+        }
     }
 
     #[test]
