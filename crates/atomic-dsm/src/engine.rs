@@ -1,46 +1,19 @@
-//! The threaded engine for the atomic baseline.
-//!
-//! Structure mirrors the causal engine: one server thread per node
-//! handles requests, invalidations and acknowledgements; application
-//! handles block on owner round-trips (and, in acknowledged mode, on
-//! invalidation completion for owner writes).
+//! The atomic baseline on the threaded engine: a configuration front over
+//! [`causal_dsm::Cluster`], the executor the causal protocol runs on.
+//! Server threads, operation serialization, ordered sends, recording and
+//! shutdown are the executor's; the protocol is [`AtomicDriver`]'s.
 
-use std::sync::Arc;
-use std::thread::JoinHandle;
-
-use crossbeam_channel::{unbounded, Receiver, Sender};
-use memcore::{
-    Location, MemoryError, NetStats, NodeId, OpRecord, Recorder, SharedMemory, Value, WriteId,
-};
-use parking_lot::Mutex;
-use simnet::Network;
+use causal_dsm::{Cluster, Handle};
+use memcore::{MemoryError, NodeId, Recorder, Value};
 
 use crate::config::{AtomicConfig, AtomicConfigBuilder};
-use crate::msg::AMsg;
-use crate::state::{AReadStep, AWriteStep, AtomicState};
-
-/// What the server thread forwards to a blocked application operation.
-enum Wakeup<V> {
-    Reply(AMsg<V>),
-    LocalWriteDone(WriteId),
-}
-
-struct NodeShared<V> {
-    state: Mutex<AtomicState<V>>,
-    op_lock: Mutex<()>,
-    wakeups: Receiver<Wakeup<V>>,
-}
-
-struct ClusterInner<V: Value> {
-    config: AtomicConfig<V>,
-    net: Network<AMsg<V>>,
-    nodes: Vec<Arc<NodeShared<V>>>,
-    recorder: Option<Recorder<V>>,
-    servers: Mutex<Vec<JoinHandle<()>>>,
-}
+use crate::driver::AtomicDriver;
+use crate::state::AtomicState;
 
 /// A running atomic DSM: the strong-consistency comparator for every
-/// "causal vs atomic" experiment in the paper's §4.
+/// "causal vs atomic" experiment in the paper's §4. Dereferences to the
+/// [`Cluster`] it runs on (`handle`, `handles`, `config`, `messages`,
+/// `bytes`, `shutdown`, …).
 ///
 /// # Examples
 ///
@@ -57,9 +30,12 @@ struct ClusterInner<V: Value> {
 /// # Ok(())
 /// # }
 /// ```
-pub struct AtomicCluster<V: Value> {
-    inner: Arc<ClusterInner<V>>,
-}
+#[derive(Debug)]
+pub struct AtomicCluster<V: Value>(Cluster<AtomicDriver<V>>);
+
+/// A per-process handle onto an [`AtomicCluster`]; implements
+/// [`memcore::SharedMemory`].
+pub type AtomicHandle<V> = Handle<AtomicDriver<V>>;
 
 /// Builder for [`AtomicCluster`].
 pub struct AtomicClusterBuilder<V: Value> {
@@ -121,279 +97,28 @@ impl<V: Value> AtomicCluster<V> {
         config: AtomicConfig<V>,
         recorder: Option<Recorder<V>>,
     ) -> Result<Self, MemoryError> {
-        let n = config.nodes() as usize;
-        let net: Network<AMsg<V>> = Network::new(n);
-        let mut nodes = Vec::with_capacity(n);
-        let mut wakeup_txs: Vec<Sender<Wakeup<V>>> = Vec::with_capacity(n);
-        for i in 0..n {
-            let (tx, rx) = unbounded();
-            wakeup_txs.push(tx);
-            nodes.push(Arc::new(NodeShared {
-                state: Mutex::new(AtomicState::new(NodeId::new(i as u32), config.clone())),
-                op_lock: Mutex::new(()),
-                wakeups: rx,
-            }));
-        }
-
-        let mut servers = Vec::with_capacity(n);
-        for (i, (node, wakeup_tx)) in nodes.iter().zip(wakeup_txs).enumerate() {
-            let me = NodeId::new(i as u32);
-            let mailbox = net.take_mailbox(me);
-            let node = Arc::clone(node);
-            let net = net.clone();
-            servers.push(
-                std::thread::Builder::new()
-                    .name(format!("atomic-node-{i}"))
-                    .spawn(move || {
-                        while let Some(env) = mailbox.recv() {
-                            match env.payload {
-                                AMsg::Halt => break,
-                                AMsg::ReadReply { .. } | AMsg::WriteReply { .. } => {
-                                    let _ = wakeup_tx.send(Wakeup::Reply(env.payload));
-                                }
-                                msg => {
-                                    let transition = node.state.lock().on_message(env.src, msg);
-                                    for (dst, out) in transition.outgoing {
-                                        let _ = net.send(me, dst, out);
-                                    }
-                                    if let Some(wid) = transition.local_write_done {
-                                        let _ = wakeup_tx.send(Wakeup::LocalWriteDone(wid));
-                                    }
-                                }
-                            }
-                        }
-                    })
-                    .expect("spawning server thread"),
-            );
-        }
-
-        Ok(AtomicCluster {
-            inner: Arc::new(ClusterInner {
-                config,
-                net,
-                nodes,
-                recorder,
-                servers: Mutex::new(servers),
-            }),
-        })
-    }
-
-    /// A handle performing operations as process `node`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range.
-    #[must_use]
-    pub fn handle(&self, node: u32) -> AtomicHandle<V> {
-        assert!(
-            (node as usize) < self.inner.nodes.len(),
-            "node {node} out of range"
-        );
-        AtomicHandle {
-            inner: Arc::clone(&self.inner),
-            node: NodeId::new(node),
-        }
-    }
-
-    /// All handles, in node order.
-    #[must_use]
-    pub fn handles(&self) -> Vec<AtomicHandle<V>> {
-        (0..self.inner.nodes.len() as u32)
-            .map(|i| self.handle(i))
-            .collect()
-    }
-
-    /// The cluster's configuration.
-    #[must_use]
-    pub fn config(&self) -> &AtomicConfig<V> {
-        &self.inner.config
-    }
-
-    /// Per-(node, kind) protocol message counters.
-    #[must_use]
-    pub fn messages(&self) -> &NetStats {
-        self.inner.net.messages()
-    }
-
-    /// Per-(node, kind) approximate byte counters.
-    #[must_use]
-    pub fn bytes(&self) -> &NetStats {
-        self.inner.net.bytes()
+        let drivers = (0..config.nodes())
+            .map(|i| AtomicDriver::new(AtomicState::new(NodeId::new(i), config.clone())))
+            .collect();
+        let locations = config.locations();
+        Ok(AtomicCluster(Cluster::new(
+            config, locations, drivers, recorder,
+        )))
     }
 
     /// Total invalidations received across nodes.
     #[must_use]
     pub fn total_invalidations(&self) -> u64 {
-        self.inner
-            .nodes
-            .iter()
-            .map(|n| n.state.lock().invalidation_count())
+        (0..self.config().nodes())
+            .map(|i| self.inspect(i, |d| d.state().invalidation_count()))
             .sum()
     }
-
-    /// Stops all server threads.
-    pub fn shutdown(&self) {
-        let handles: Vec<_> = self.inner.servers.lock().drain(..).collect();
-        if handles.is_empty() {
-            return;
-        }
-        for i in 0..self.inner.nodes.len() {
-            let dst = NodeId::new(i as u32);
-            let _ = self.inner.net.send(dst, dst, AMsg::Halt);
-        }
-        for handle in handles {
-            let _ = handle.join();
-        }
-    }
 }
 
-impl<V: Value> Drop for AtomicCluster<V> {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
+impl<V: Value> std::ops::Deref for AtomicCluster<V> {
+    type Target = Cluster<AtomicDriver<V>>;
 
-impl<V: Value> std::fmt::Debug for AtomicCluster<V> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("AtomicCluster")
-            .field("config", &self.inner.config)
-            .finish_non_exhaustive()
-    }
-}
-
-/// A per-process handle onto an [`AtomicCluster`]; implements
-/// [`SharedMemory`].
-pub struct AtomicHandle<V: Value> {
-    inner: Arc<ClusterInner<V>>,
-    node: NodeId,
-}
-
-impl<V: Value> Clone for AtomicHandle<V> {
-    fn clone(&self) -> Self {
-        AtomicHandle {
-            inner: Arc::clone(&self.inner),
-            node: self.node,
-        }
-    }
-}
-
-impl<V: Value> std::fmt::Debug for AtomicHandle<V> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "AtomicHandle({})", self.node)
-    }
-}
-
-impl<V: Value> AtomicHandle<V> {
-    fn check_bounds(&self, loc: Location) -> Result<(), MemoryError> {
-        let namespace = self.inner.config.locations() as usize;
-        if loc.index() >= namespace {
-            return Err(MemoryError::OutOfRange { loc, namespace });
-        }
-        Ok(())
-    }
-
-    fn record(&self, op: OpRecord<V>) {
-        if let Some(rec) = &self.inner.recorder {
-            rec.record(self.node, op);
-        }
-    }
-
-    fn await_reply(&self, node: &NodeShared<V>) -> Result<AMsg<V>, MemoryError> {
-        loop {
-            match node.wakeups.recv().map_err(|_| MemoryError::Shutdown)? {
-                Wakeup::Reply(reply) => return Ok(reply),
-                // A stray local-done is impossible while a remote op is
-                // outstanding (one op per node), but tolerate it.
-                Wakeup::LocalWriteDone(_) => continue,
-            }
-        }
-    }
-
-    fn await_local_done(&self, node: &NodeShared<V>) -> Result<WriteId, MemoryError> {
-        loop {
-            match node.wakeups.recv().map_err(|_| MemoryError::Shutdown)? {
-                Wakeup::LocalWriteDone(wid) => return Ok(wid),
-                Wakeup::Reply(_) => continue,
-            }
-        }
-    }
-}
-
-impl<V: Value> SharedMemory<V> for AtomicHandle<V> {
-    fn node(&self) -> NodeId {
-        self.node
-    }
-
-    fn read(&self, loc: Location) -> Result<V, MemoryError> {
-        self.check_bounds(loc)?;
-        let node = &self.inner.nodes[self.node.index()];
-        let _op = node.op_lock.lock();
-        let step = node.state.lock().begin_read(loc);
-        let (value, wid) = match step {
-            AReadStep::Hit { value, wid } => (value, wid),
-            AReadStep::Miss { owner, request } => {
-                self.inner
-                    .net
-                    .send(self.node, owner, request)
-                    .map_err(|_| MemoryError::Shutdown)?;
-                let reply = self.await_reply(node)?;
-                node.state.lock().finish_read(loc, reply)
-            }
-        };
-        self.record(OpRecord::read(loc, value.clone(), wid));
-        Ok(value)
-    }
-
-    fn write(&self, loc: Location, value: V) -> Result<(), MemoryError> {
-        self.check_bounds(loc)?;
-        let node = &self.inner.nodes[self.node.index()];
-        let _op = node.op_lock.lock();
-        let step = node.state.lock().begin_write(loc, value.clone());
-        let wid = match step {
-            AWriteStep::Done { wid, outgoing } => {
-                for (dst, msg) in outgoing {
-                    self.inner
-                        .net
-                        .send(self.node, dst, msg)
-                        .map_err(|_| MemoryError::Shutdown)?;
-                }
-                wid
-            }
-            AWriteStep::Blocked { wid, outgoing } => {
-                for (dst, msg) in outgoing {
-                    self.inner
-                        .net
-                        .send(self.node, dst, msg)
-                        .map_err(|_| MemoryError::Shutdown)?;
-                }
-                let done = self.await_local_done(node)?;
-                debug_assert_eq!(done, wid);
-                wid
-            }
-            AWriteStep::Remote {
-                wid,
-                owner,
-                request,
-            } => {
-                self.inner
-                    .net
-                    .send(self.node, owner, request)
-                    .map_err(|_| MemoryError::Shutdown)?;
-                let reply = self.await_reply(node)?;
-                node.state.lock().finish_write(reply);
-                wid
-            }
-        };
-        self.record(OpRecord::write(loc, value, wid));
-        Ok(())
-    }
-
-    fn discard(&self, loc: Location) {
-        if loc.index() >= self.inner.config.locations() as usize {
-            return;
-        }
-        let node = &self.inner.nodes[self.node.index()];
-        let _op = node.op_lock.lock();
-        node.state.lock().discard(loc);
+    fn deref(&self) -> &Self::Target {
+        &self.0
     }
 }

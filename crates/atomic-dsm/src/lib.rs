@@ -40,11 +40,13 @@
 #![warn(missing_docs)]
 
 mod config;
+mod driver;
 mod engine;
 mod msg;
 mod state;
 
 pub use config::{AtomicConfig, AtomicConfigBuilder, InvalMode};
+pub use driver::AtomicDriver;
 pub use engine::{AtomicCluster, AtomicClusterBuilder, AtomicHandle};
 pub use msg::{AMsg, SlotData};
 pub use state::{AReadStep, AWriteStep, AtomicState, Transition};

@@ -60,8 +60,6 @@ pub enum AMsg<V> {
         /// The page that was dropped.
         page: PageId,
     },
-    /// Engine shutdown sentinel.
-    Halt,
 }
 
 impl<V> AMsg<V> {
@@ -80,7 +78,6 @@ impl<V: Value> Tagged for AMsg<V> {
             AMsg::WriteReply { .. } => "W_REPLY",
             AMsg::Inval { .. } => "INVAL",
             AMsg::InvalAck { .. } => "INVAL_ACK",
-            AMsg::Halt => "HALT",
         }
     }
 
@@ -91,7 +88,6 @@ impl<V: Value> Tagged for AMsg<V> {
             AMsg::ReadReply { slots, .. } => 1 + 4 + 4 + slots.len() * (value_size + 12),
             AMsg::Write { .. } => 1 + 4 + value_size + 12 + 1,
             AMsg::WriteReply { .. } => 1 + 4 + 12 + value_size,
-            AMsg::Halt => 1,
         })
     }
 }
@@ -128,7 +124,6 @@ mod tests {
             AMsg::InvalAck {
                 page: PageId::new(0),
             },
-            AMsg::Halt,
         ];
         let kinds: Vec<_> = msgs.iter().map(|m| m.kind()).collect();
         let mut dedup = kinds.clone();

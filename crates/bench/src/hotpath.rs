@@ -1272,7 +1272,8 @@ pub fn scale_cell(seed: u64, cfg: &PerfConfig, n: u32, scoped: bool) -> Workload
         .interest_scoping(scoped)
         .build();
     let actors = (0..n)
-        .map(|i| CausalActor::new(causal_dsm::CausalState::new(NodeId::new(i), config.clone())))
+        .map(|i| causal_dsm::CausalState::new(NodeId::new(i), config.clone()))
+        .map(|state| CausalActor::new(causal_dsm::NodeDriver::new(state)))
         .collect();
     let mut sim = Sim::new(
         actors,

@@ -1,29 +1,20 @@
-//! Threaded engine for the causal-broadcast replica memory.
+//! The causal-broadcast replica memory on the threaded engine: a front
+//! over [`causal_dsm::Cluster`], the executor the causal protocol runs on.
 //!
 //! Unlike the owner protocols, no operation ever blocks: writes broadcast
 //! and return, reads are local. The cost is full replication and an
 //! `n − 1`-message broadcast per write — and, as Figure 3 of the paper
 //! shows, the result is *not* causal memory.
 
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use causal_dsm::{Cluster, Handle};
+use memcore::{MemoryError, NodeId, Recorder, Value};
 
-use memcore::{Location, MemoryError, NetStats, NodeId, OpRecord, Recorder, SharedMemory, Value};
-use parking_lot::Mutex;
-use simnet::Network;
-
-use crate::state::{BMsg, BroadcastState};
-
-struct ClusterInner<V: Value> {
-    locations: u32,
-    net: Network<BMsg<V>>,
-    nodes: Vec<Arc<Mutex<BroadcastState<V>>>>,
-    recorder: Option<Recorder<V>>,
-    servers: Mutex<Vec<JoinHandle<()>>>,
-}
+use crate::driver::BroadcastDriver;
+use crate::state::BroadcastState;
 
 /// A running causal-broadcast memory: full replicas updated by
-/// causally-ordered broadcasts.
+/// causally-ordered broadcasts. Dereferences to the [`Cluster`] it runs
+/// on (`handle`, `messages`, `shutdown`, …).
 ///
 /// # Examples
 ///
@@ -42,9 +33,12 @@ struct ClusterInner<V: Value> {
 /// # Ok(())
 /// # }
 /// ```
-pub struct BroadcastCluster<V: Value> {
-    inner: Arc<ClusterInner<V>>,
-}
+#[derive(Debug)]
+pub struct BroadcastCluster<V: Value>(Cluster<BroadcastDriver<V>>);
+
+/// A per-process handle onto a [`BroadcastCluster`]; implements
+/// [`memcore::SharedMemory`].
+pub type BroadcastHandle<V> = Handle<BroadcastDriver<V>>;
 
 impl<V: Value + Default> BroadcastCluster<V> {
     /// Builds a cluster of `nodes` full replicas of `locations` locations.
@@ -70,165 +64,25 @@ impl<V: Value + Default> BroadcastCluster<V> {
         locations: u32,
         recorder: Option<Recorder<V>>,
     ) -> Result<Self, MemoryError> {
-        let n = nodes as usize;
-        let net: Network<BMsg<V>> = Network::new(n);
-        let states: Vec<_> = (0..nodes)
+        let drivers = (0..nodes)
             .map(|i| {
-                Arc::new(Mutex::new(BroadcastState::new(
-                    NodeId::new(i),
-                    n,
-                    locations,
-                )))
+                let state = BroadcastState::new(NodeId::new(i), nodes as usize, locations);
+                BroadcastDriver::new(state)
             })
             .collect();
-
-        let mut servers = Vec::with_capacity(n);
-        for (i, state) in states.iter().enumerate() {
-            let me = NodeId::new(i as u32);
-            let mailbox = net.take_mailbox(me);
-            let state = Arc::clone(state);
-            servers.push(
-                std::thread::Builder::new()
-                    .name(format!("bcast-node-{i}"))
-                    .spawn(move || {
-                        while let Some(env) = mailbox.recv() {
-                            if matches!(env.payload, BMsg::Halt) {
-                                break;
-                            }
-                            state.lock().on_message(env.src, env.payload);
-                        }
-                    })
-                    .expect("spawning server thread"),
-            );
-        }
-
-        Ok(BroadcastCluster {
-            inner: Arc::new(ClusterInner {
-                locations,
-                net,
-                nodes: states,
-                recorder,
-                servers: Mutex::new(servers),
-            }),
-        })
+        Ok(BroadcastCluster(Cluster::new(
+            (),
+            locations,
+            drivers,
+            recorder,
+        )))
     }
 }
 
-impl<V: Value> BroadcastCluster<V> {
-    /// A handle performing operations as process `node`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range.
-    #[must_use]
-    pub fn handle(&self, node: u32) -> BroadcastHandle<V> {
-        assert!(
-            (node as usize) < self.inner.nodes.len(),
-            "node {node} out of range"
-        );
-        BroadcastHandle {
-            inner: Arc::clone(&self.inner),
-            node: NodeId::new(node),
-        }
+impl<V: Value> std::ops::Deref for BroadcastCluster<V> {
+    type Target = Cluster<BroadcastDriver<V>>;
+
+    fn deref(&self) -> &Self::Target {
+        &self.0
     }
-
-    /// Per-(node, kind) message counters.
-    #[must_use]
-    pub fn messages(&self) -> &NetStats {
-        self.inner.net.messages()
-    }
-
-    /// Stops all server threads.
-    pub fn shutdown(&self) {
-        let handles: Vec<_> = self.inner.servers.lock().drain(..).collect();
-        if handles.is_empty() {
-            return;
-        }
-        for i in 0..self.inner.nodes.len() {
-            let dst = NodeId::new(i as u32);
-            let _ = self.inner.net.send(dst, dst, BMsg::Halt);
-        }
-        for handle in handles {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl<V: Value> Drop for BroadcastCluster<V> {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-impl<V: Value> std::fmt::Debug for BroadcastCluster<V> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "BroadcastCluster({} nodes)", self.inner.nodes.len())
-    }
-}
-
-/// A per-process handle onto a [`BroadcastCluster`]; implements
-/// [`SharedMemory`].
-pub struct BroadcastHandle<V: Value> {
-    inner: Arc<ClusterInner<V>>,
-    node: NodeId,
-}
-
-impl<V: Value> Clone for BroadcastHandle<V> {
-    fn clone(&self) -> Self {
-        BroadcastHandle {
-            inner: Arc::clone(&self.inner),
-            node: self.node,
-        }
-    }
-}
-
-impl<V: Value> std::fmt::Debug for BroadcastHandle<V> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "BroadcastHandle({})", self.node)
-    }
-}
-
-impl<V: Value> SharedMemory<V> for BroadcastHandle<V> {
-    fn node(&self) -> NodeId {
-        self.node
-    }
-
-    fn read(&self, loc: Location) -> Result<V, MemoryError> {
-        if loc.index() >= self.inner.locations as usize {
-            return Err(MemoryError::OutOfRange {
-                loc,
-                namespace: self.inner.locations as usize,
-            });
-        }
-        let (value, wid) = self.inner.nodes[self.node.index()].lock().read(loc);
-        if let Some(rec) = &self.inner.recorder {
-            rec.record(self.node, OpRecord::read(loc, value.clone(), wid));
-        }
-        Ok(value)
-    }
-
-    fn write(&self, loc: Location, value: V) -> Result<(), MemoryError> {
-        if loc.index() >= self.inner.locations as usize {
-            return Err(MemoryError::OutOfRange {
-                loc,
-                namespace: self.inner.locations as usize,
-            });
-        }
-        let (wid, outgoing) = self.inner.nodes[self.node.index()]
-            .lock()
-            .write(loc, value.clone());
-        for (dst, msg) in outgoing {
-            self.inner
-                .net
-                .send(self.node, dst, msg)
-                .map_err(|_| MemoryError::Shutdown)?;
-        }
-        if let Some(rec) = &self.inner.recorder {
-            rec.record(self.node, OpRecord::write(loc, value, wid));
-        }
-        Ok(())
-    }
-
-    /// Replicas hold no caches; discard is a no-op.
-    fn discard(&self, _loc: Location) {}
 }

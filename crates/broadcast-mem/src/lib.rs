@@ -33,8 +33,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod driver;
 mod engine;
 mod state;
 
+pub use driver::BroadcastDriver;
 pub use engine::{BroadcastCluster, BroadcastHandle};
 pub use state::{BMsg, BroadcastState};

@@ -24,23 +24,16 @@ pub enum BMsg<V> {
         /// message).
         vt: VectorClock,
     },
-    /// Engine shutdown sentinel.
-    Halt,
 }
 
 impl<V: Value> Tagged for BMsg<V> {
     fn kind(&self) -> &'static str {
-        match self {
-            BMsg::Update { .. } => "UPDATE",
-            BMsg::Halt => "HALT",
-        }
+        "UPDATE"
     }
 
     fn wire_size(&self) -> Option<usize> {
-        Some(match self {
-            BMsg::Update { vt, .. } => 1 + 4 + std::mem::size_of::<V>() + 12 + 4 + 8 * vt.len(),
-            BMsg::Halt => 1,
-        })
+        let BMsg::Update { vt, .. } = self;
+        Some(1 + 4 + std::mem::size_of::<V>() + 12 + 4 + 8 * vt.len())
     }
 }
 
@@ -172,10 +165,7 @@ impl<V: Value> BroadcastState<V> {
             value,
             wid,
             vt,
-        } = msg
-        else {
-            return 0;
-        };
+        } = msg;
         self.holdback.push(Held {
             from,
             loc,
@@ -309,12 +299,6 @@ mod tests {
     }
 
     #[test]
-    fn halt_is_ignored() {
-        let mut p0 = BroadcastState::<Word>::new(p(0), 2, 1);
-        assert_eq!(p0.on_message(p(1), BMsg::Halt), 0);
-    }
-
-    #[test]
     fn message_kinds_and_sizes() {
         let msg: BMsg<Word> = BMsg::Update {
             loc: loc(0),
@@ -323,6 +307,6 @@ mod tests {
             vt: VectorClock::new(4),
         };
         assert_eq!(msg.kind(), "UPDATE");
-        assert!(msg.wire_size().unwrap() > BMsg::<Word>::Halt.wire_size().unwrap());
+        assert!(msg.wire_size().unwrap() > 4 * 8, "the clock is counted");
     }
 }

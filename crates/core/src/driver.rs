@@ -21,13 +21,19 @@
 //! Time is an opaque tick count supplied by the executor (simulator
 //! ticks, or milliseconds since cluster start); configurations without
 //! failover or an `owner_timeout` never look at it.
+//!
+//! The contract between a driver and its executors is the [`Driver`]
+//! trait, over the protocol-agnostic [`Op`], [`Done`] and [`Effects`];
+//! the paper's comparators implement it too, so every executor runs all
+//! three memories.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
 
 use memcore::{Location, MemoryError, NodeId, OwnerEpoch, PageId, Value, WriteId};
+use simnet::Tagged;
 
-use crate::config::FailoverConfig;
+use crate::config::{CausalConfig, FailoverConfig};
 use crate::msg::Msg;
 use crate::state::{CausalState, ReadStep, WriteDone, WriteStep};
 
@@ -90,19 +96,121 @@ pub enum Done<V> {
 /// What one driver call asks its executor to do. Caller-owned and
 /// reusable: the driver only appends to `sends` and sets `done`.
 #[derive(Clone, Debug)]
-pub struct Effects<V> {
+pub struct Effects<V, M = Msg<V>> {
     /// Messages to put on the wire, in this order.
-    pub sends: Vec<(NodeId, Msg<V>)>,
+    pub sends: Vec<(NodeId, M)>,
     /// Set when the node's outstanding operation completed.
     pub done: Option<Done<V>>,
 }
 
-impl<V> Default for Effects<V> {
+impl<V, M> Default for Effects<V, M> {
     fn default() -> Self {
         Effects {
             sends: Vec::new(),
             done: None,
         }
+    }
+}
+
+/// [`Effects`] in a driver's own value and message types.
+pub type EffectsOf<D> = Effects<<D as Driver>::Value, <D as Driver>::Msg>;
+
+/// One node of a shared memory as a sans-I/O state machine: what every
+/// executor — the threaded [`Cluster`](crate::engine::Cluster), the inline
+/// TCP poller, the deterministic simulator — programs against, and what a
+/// memory protocol implements to run on all of them. [`NodeDriver`] is the
+/// causal owner protocol; `atomic_dsm::AtomicDriver` and
+/// `broadcast_mem::BroadcastDriver` are the paper's two comparators.
+///
+/// What an executor owes a driver:
+///
+/// * every `&mut self` call is made under exclusive access to the node,
+///   and at most one operation is outstanding per node: no
+///   [`submit`](Self::submit) until the previous one's completion was
+///   reported;
+/// * after each call, whatever the driver journaled is made durable
+///   *before* any of the call's sends leaves;
+/// * `fx.sends` go on the wire in order, and one link's envelopes are
+///   [delivered](Self::deliver) in arrival order;
+/// * `fx.done`, set at most once per call, is handed to the operation's
+///   issuer;
+/// * `now` is an opaque, monotone tick count (simulator ticks, or
+///   milliseconds since cluster start). A driver that is not
+///   [`timed`](Self::timed) never looks at it, and its executor never
+///   reads a clock.
+pub trait Driver: Send + Sync + 'static {
+    /// What a location holds.
+    type Value: Value;
+    /// The protocol's messages.
+    type Msg: Tagged + Clone + Send + Sync + std::fmt::Debug + 'static;
+    /// The protocol configuration a cluster of these nodes was built from.
+    type Config: Send + Sync + std::fmt::Debug + 'static;
+
+    /// The protocol's name, for thread names and `Debug` output
+    /// (`"Causal"` gives `causal-node-0` and `CausalHandle(P0)`).
+    const NAME: &'static str;
+
+    /// Submits the node's next application operation. Either `fx.done` is
+    /// set on return, or the node is blocked until a later
+    /// [`deliver`](Self::deliver) / [`on_timer`](Self::on_timer) sets it.
+    fn submit(&mut self, now: u64, op: Op<Self::Value>, fx: &mut EffectsOf<Self>);
+
+    /// Delivers a protocol message from `from`.
+    fn deliver(&mut self, now: u64, from: NodeId, msg: Self::Msg, fx: &mut EffectsOf<Self>);
+
+    /// Whether this driver uses time at all. Untimed drivers (the default)
+    /// have no timers, and their executors supply `now = 0`.
+    fn timed(&self) -> bool {
+        false
+    }
+
+    /// The earliest time [`on_timer`](Self::on_timer) must run, if any. A
+    /// timed driver that reports one before any operation was submitted
+    /// has standing timers (heartbeats) and is given a ticker thread.
+    fn next_timer(&self) -> Option<u64> {
+        None
+    }
+
+    /// Fires whatever is due at `now`.
+    fn on_timer(&mut self, now: u64, fx: &mut EffectsOf<Self>) {
+        let _ = (now, fx);
+    }
+
+    /// The transport is gone: forget the outstanding operation and
+    /// everything in flight — no reply will ever arrive. Returns whether
+    /// an operation was outstanding. Messages that still trickle in
+    /// afterwards must be tolerated.
+    fn transport_down(&mut self) -> bool;
+
+    /// `true` iff failing to send `msg` is terminal for the session
+    /// (something would wait on its answer forever); other sends — replies
+    /// to a peer that may simply be shutting down — are best effort.
+    fn needs_delivery(msg: &Self::Msg) -> bool;
+
+    /// Fast path: a read the driver can answer from `&self`, so executors
+    /// may run it under a shared lock, bypassing
+    /// [`submit`](Self::submit). `None` (always, by default) sends the
+    /// read through `submit`.
+    fn read_hit(&self, loc: Location) -> Option<(Arc<Self::Value>, WriteId)> {
+        let _ = loc;
+        None
+    }
+
+    /// Fast path: a write that is one atomic local step and so need not
+    /// become the node's outstanding operation.
+    ///
+    /// # Errors
+    ///
+    /// Hands the value back (always, by default) when the write must go
+    /// through [`submit`](Self::submit).
+    fn write_local(
+        &mut self,
+        loc: Location,
+        value: Arc<Self::Value>,
+        fx: &mut EffectsOf<Self>,
+    ) -> Result<WriteId, Arc<Self::Value>> {
+        let _ = (loc, fx);
+        Err(value)
     }
 }
 
@@ -894,5 +1002,57 @@ impl<V: Value> NodeDriver<V> {
         }
         self.state.observe_epoch(page, epoch);
         self.redispatch(fx);
+    }
+}
+
+/// The [`Driver`] surface of the causal owner protocol: each method is the
+/// inherent one of the same name.
+impl<V: Value> Driver for NodeDriver<V> {
+    type Value = V;
+    type Msg = Msg<V>;
+    type Config = CausalConfig<V>;
+    const NAME: &'static str = "Causal";
+
+    fn submit(&mut self, now: u64, op: Op<V>, fx: &mut Effects<V>) {
+        NodeDriver::submit(self, now, op, fx);
+    }
+
+    fn deliver(&mut self, now: u64, from: NodeId, msg: Msg<V>, fx: &mut Effects<V>) {
+        NodeDriver::deliver(self, now, from, msg, fx);
+    }
+
+    /// Failover's heartbeats and attempt deadlines, or an `owner_timeout`
+    /// budget.
+    fn timed(&self) -> bool {
+        self.fo.is_some() || self.budget.is_some()
+    }
+
+    fn next_timer(&self) -> Option<u64> {
+        NodeDriver::next_timer(self)
+    }
+
+    fn on_timer(&mut self, now: u64, fx: &mut Effects<V>) {
+        NodeDriver::on_timer(self, now, fx);
+    }
+
+    fn transport_down(&mut self) -> bool {
+        NodeDriver::transport_down(self)
+    }
+
+    fn needs_delivery(msg: &Msg<V>) -> bool {
+        msg.is_request() || msg.is_batch()
+    }
+
+    fn read_hit(&self, loc: Location) -> Option<(Arc<V>, WriteId)> {
+        self.state.read_hit(loc)
+    }
+
+    fn write_local(
+        &mut self,
+        loc: Location,
+        value: Arc<V>,
+        fx: &mut Effects<V>,
+    ) -> Result<WriteId, Arc<V>> {
+        NodeDriver::write_local(self, loc, value, fx)
     }
 }

@@ -1,23 +1,29 @@
-//! The threaded engine: executors of the [`NodeDriver`].
+//! The threaded engine: the one executor of every [`Driver`].
 //!
 //! The paper requires that "each operation must be executed atomically and
 //! owners must fairly alternate between issuing reads and writes and
 //! responding to READ and WRITE messages from other processors". All of
-//! that policy lives in [`NodeDriver`]; this module only *runs* it. Every
-//! thread that touches a node — an application handle, the node's server
-//! thread (or the transport's poller, through [`InlineServer`]), the
-//! heartbeat ticker — follows one rule, [`NodeShared::execute`]: lock the
-//! driver, call it, persist the journal, perform the sends in order, hand
-//! any completion to the blocked handle. A handle whose operation needs
-//! an owner round-trip sleeps *outside* the lock, so the node keeps
-//! serving requests while one of its own operations waits — the fair
-//! alternation the paper asks for (and what makes the protocol
-//! deadlock-free).
+//! that policy lives in a driver — [`NodeDriver`] for the causal owner
+//! protocol, `atomic_dsm::AtomicDriver` and `broadcast_mem::BroadcastDriver`
+//! for the paper's comparators; this module only *runs* one. Every thread
+//! that touches a node — an application handle, the node's server thread
+//! (or the transport's poller, through [`InlineServer`]), the heartbeat
+//! ticker — follows one rule (`NodeShared::execute`): lock the driver,
+//! call it, persist the journal, perform the sends in order, hand any
+//! completion to the blocked handle. A handle whose operation needs an
+//! owner round-trip sleeps *outside* the lock, so the node keeps serving
+//! requests while one of its own operations waits — the fair alternation
+//! the paper asks for (and what makes the protocol deadlock-free).
 //!
-//! Two paths bypass [`NodeDriver::submit`]: a cache-hit read runs under
-//! the *shared* lock (Figure 4's read procedure touches no state on a
-//! hit), and an owner-local write is one atomic step that never becomes
-//! the node's outstanding operation ([`NodeDriver::write_local`]).
+//! Two paths bypass [`Driver::submit`], for drivers that offer them: a
+//! cache-hit read runs under the *shared* lock (Figure 4's read procedure
+//! touches no state on a hit, [`Driver::read_hit`]), and an owner-local
+//! write is one atomic step that never becomes the node's outstanding
+//! operation ([`Driver::write_local`]).
+//!
+//! [`Cluster`], [`Handle`] and [`InlineServer`] are generic over the
+//! driver and monomorphised; [`CausalCluster`], [`CausalHandle`] and
+//! [`crate::InlineServer`] name the [`NodeDriver`] instantiation.
 
 use std::sync::{Arc, Condvar, PoisonError};
 use std::thread::JoinHandle;
@@ -30,41 +36,40 @@ use memcore::{
 };
 use parking_lot::{Mutex, RwLock, RwLockWriteGuard};
 use simnet::codec::Wire;
-use simnet::{Envelope, Network, Tagged};
+use simnet::{Envelope, Network};
 use vclock::VectorClock;
 
 use crate::config::{CausalConfig, CausalConfigBuilder};
-use crate::driver::{Done, Effects, NodeDriver, Op};
+use crate::driver::{Done, Driver, Effects, EffectsOf, NodeDriver, Op};
 use crate::msg::Msg;
 use crate::state::{CausalState, WriteDone};
 
-/// Appends whatever a state journaled to its node's write-ahead log
-/// ([`CausalState::persist_journal`] over the node's [`Store`]). A closure
-/// so the engine itself needs no `Wire` bound on `V` — only
+/// Makes whatever a driver journaled durable (for [`NodeDriver`],
+/// [`CausalState::persist_journal`] over the node's [`Store`]). A closure
+/// so the engine itself needs no `Wire` bound on the value type — only
 /// [`CausalClusterBuilder::disk`], which opens the store, does.
-type Journal<V> = Box<dyn FnMut(&mut CausalState<V>) + Send>;
+type Journal<D> = Box<dyn FnMut(&mut D) + Send>;
 
 /// What a node's lock guards: the driver, the effects buffer its calls
 /// fill (reused, so steady-state calls allocate nothing), and the WAL.
-struct Core<V: Value> {
-    driver: NodeDriver<V>,
-    fx: Effects<V>,
+struct Core<D: Driver> {
+    driver: D,
+    fx: EffectsOf<D>,
     /// `None` keeps every journal hook on the zero-cost path. The inner
     /// mutex is never contended (the node lock is held exclusively around
     /// it); it only makes the boxed closure shareable.
-    journal: Option<Mutex<Journal<V>>>,
+    journal: Option<Mutex<Journal<D>>>,
 }
 
-struct NodeShared<V: Value> {
+struct NodeShared<D: Driver> {
     me: NodeId,
-    net: Network<Msg<V>>,
+    net: Network<D::Msg>,
     /// The driver's clock: milliseconds since cluster start. `None` —
-    /// and never read — unless failover or an `owner_timeout` is
-    /// configured.
+    /// and never read — unless a hosted driver is [`Driver::timed`].
     clock: Option<Instant>,
     /// A reader–writer lock: cache-hit reads run under the shared lock,
     /// concurrently with each other; every driver call is exclusive.
-    core: RwLock<Core<V>>,
+    core: RwLock<Core<D>>,
     /// Serializes this node's application operations (program order) and
     /// guards the driver's one-outstanding-operation invariant. Cache-hit
     /// reads and owner-local writes don't take it.
@@ -75,13 +80,13 @@ struct NodeShared<V: Value> {
     /// vs. the run shipped when the wire drains) — without holding the
     /// node lock, and so every cache-hit reader, across a socket write.
     /// Holds the spare send buffer the effects' one is swapped against.
-    outbox: Mutex<Vec<(NodeId, Msg<V>)>>,
+    outbox: Mutex<Vec<(NodeId, D::Msg)>>,
     /// Completions handed to the blocked operation by whichever thread's
     /// driver call produced them.
-    done_rx: Receiver<Done<V>>,
+    done_rx: Receiver<Done<D::Value>>,
 }
 
-impl<V: Value> NodeShared<V> {
+impl<D: Driver> NodeShared<D> {
     fn now(&self) -> u64 {
         self.clock
             .map_or(0, |start| start.elapsed().as_millis() as u64)
@@ -94,22 +99,22 @@ impl<V: Value> NodeShared<V> {
     /// perform the sends in order, and return the completion, if any, for
     /// the caller to keep or forward.
     ///
-    /// The last flag reports a dead transport: a request could not be
-    /// sent, which is terminal for the session. The driver has then been
-    /// reset ([`NodeDriver::transport_down`]) and the completion is the
-    /// outstanding operation's failure, if one was outstanding. Side
-    /// traffic and replies stay best effort — the peer may simply be
-    /// shutting down.
+    /// The last flag reports a dead transport: a message that
+    /// [needs delivery](Driver::needs_delivery) could not be sent, which
+    /// is terminal for the session. The driver has then been reset
+    /// ([`Driver::transport_down`]) and the completion is the outstanding
+    /// operation's failure, if one was outstanding. Side traffic and
+    /// replies stay best effort — the peer may simply be shutting down.
     fn execute<R>(
         &self,
-        call: impl FnOnce(&mut NodeDriver<V>, u64, &mut Effects<V>) -> R,
-    ) -> (R, Option<Done<V>>, bool) {
+        call: impl FnOnce(&mut D, u64, &mut EffectsOf<D>) -> R,
+    ) -> (R, Option<Done<D::Value>>, bool) {
         let now = self.now();
         let mut guard = self.core.write();
         let core = &mut *guard;
         let out = call(&mut core.driver, now, &mut core.fx);
         if let Some(journal) = &core.journal {
-            (*journal.lock())(core.driver.state_mut());
+            (*journal.lock())(&mut core.driver);
         }
         let done = core.fx.done.take();
         if core.fx.sends.is_empty() {
@@ -125,14 +130,14 @@ impl<V: Value> NodeShared<V> {
 
     /// Puts the effects' sends on the wire, in order, releasing the node
     /// lock first — but only once the outbox is held. Returns `true` if
-    /// a request could not be sent.
-    fn send(&self, mut guard: RwLockWriteGuard<'_, Core<V>>) -> bool {
+    /// a message that needs delivery could not be sent.
+    fn send(&self, mut guard: RwLockWriteGuard<'_, Core<D>>) -> bool {
         let mut outbox = self.outbox.lock();
         std::mem::swap(&mut *outbox, &mut guard.fx.sends);
         drop(guard);
         let mut down = false;
         for (dst, msg) in outbox.drain(..) {
-            let critical = msg.is_request() || msg.is_batch();
+            let critical = D::needs_delivery(&msg);
             down |= self.net.send(self.me, dst, msg).is_err() && critical;
         }
         down
@@ -141,7 +146,7 @@ impl<V: Value> NodeShared<V> {
     /// Sleeps until the blocked operation completes, firing the driver's
     /// timers (attempt deadlines, the give-up budget) when they come due
     /// first. `Ok(None)` means a timer fired without completing it.
-    fn wait(&self) -> Result<Option<Done<V>>, MemoryError> {
+    fn wait(&self) -> Result<Option<Done<D::Value>>, MemoryError> {
         let due = self.clock.and_then(|start| {
             let due = self.core.read().driver.next_timer()?;
             Some((start + Duration::from_millis(due)).saturating_duration_since(Instant::now()))
@@ -217,22 +222,22 @@ impl StopSignal {
 /// server thread, the transport's poller, the heartbeat ticker: runs a
 /// driver call by the [executor rule](NodeShared::execute) and forwards
 /// any completion to the blocked application handle.
-struct Server<V: Value> {
-    node: Arc<NodeShared<V>>,
+struct Server<D: Driver> {
+    node: Arc<NodeShared<D>>,
     /// Wakes the operation blocked in [`NodeShared::wait`]. Held only by
     /// servers (in inline mode, by the transport's sink), so dropping
     /// them is what disconnects blocked handles.
-    done_tx: Sender<Done<V>>,
+    done_tx: Sender<Done<D::Value>>,
 }
 
-impl<V: Value> Server<V> {
-    fn run(&self, call: impl FnOnce(&mut NodeDriver<V>, u64, &mut Effects<V>)) {
+impl<D: Driver> Server<D> {
+    fn run(&self, call: impl FnOnce(&mut D, u64, &mut EffectsOf<D>)) {
         if let ((), Some(done), _) = self.node.execute(call) {
             let _ = self.done_tx.send(done);
         }
     }
 
-    fn deliver(&self, env: Envelope<Msg<V>>) {
+    fn deliver(&self, env: Envelope<D::Msg>) {
         self.run(|d, now, fx| d.deliver(now, env.src, env.payload, fx));
     }
 }
@@ -245,22 +250,22 @@ impl<V: Value> Server<V> {
 /// Exactly one I/O thread should drive it, so that one link's envelopes
 /// are delivered in arrival order — an event-loop transport's one poller
 /// satisfies that the same way the engine's own server thread does.
-pub struct InlineServer<V: Value> {
-    server: Server<V>,
+pub struct InlineServer<D: Driver> {
+    server: Server<D>,
     stop: Arc<StopSignal>,
 }
 
-impl<V: Value> InlineServer<V> {
+impl<D: Driver> InlineServer<D> {
     /// Delivers one envelope to the node's driver on the caller's thread,
-    /// by the same executor rule every other thread follows.
+    /// by the same executor rule every other thread follows. Whatever a
+    /// peer sends is the driver's to judge: no message stops the server.
     ///
     /// # Errors
     ///
     /// Returns [`MemoryError::Shutdown`] once the owning cluster has shut
-    /// down (or the envelope was [`Msg::Halt`]) — the transport should
-    /// stop delivering.
-    pub fn deliver(&self, env: Envelope<Msg<V>>) -> Result<(), MemoryError> {
-        if self.stop.is_stopped() || matches!(env.payload, Msg::Halt) {
+    /// down — the transport should stop delivering.
+    pub fn deliver(&self, env: Envelope<D::Msg>) -> Result<(), MemoryError> {
+        if self.stop.is_stopped() {
             return Err(MemoryError::Shutdown);
         }
         self.server.deliver(env);
@@ -274,7 +279,7 @@ impl<V: Value> InlineServer<V> {
     }
 }
 
-impl<V: Value> std::fmt::Debug for InlineServer<V> {
+impl<D: Driver> std::fmt::Debug for InlineServer<D> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("InlineServer")
             .field("node", &self.node())
@@ -282,27 +287,32 @@ impl<V: Value> std::fmt::Debug for InlineServer<V> {
     }
 }
 
-struct ClusterInner<V: Value> {
-    config: CausalConfig<V>,
-    net: Network<Msg<V>>,
-    nodes: Vec<Arc<NodeShared<V>>>,
-    /// The nodes whose server threads run in this process — all of them
-    /// for an in-process cluster, a subset when the cluster spans
-    /// processes over a remote transport.
-    local: Vec<NodeId>,
-    recorder: Option<Recorder<V>>,
+struct ClusterInner<D: Driver> {
+    config: D::Config,
+    locations: usize,
+    net: Network<D::Msg>,
+    /// The nodes this process hosts, in node order — all of them for an
+    /// in-process cluster, a subset when the cluster spans processes over
+    /// a remote transport. Nothing is built for the others.
+    nodes: Vec<Arc<NodeShared<D>>>,
+    recorder: Option<Recorder<D::Value>>,
     servers: Mutex<Vec<JoinHandle<()>>>,
-    /// Signals the heartbeat tickers (spawned only with failover
-    /// configured) to exit.
+    /// Tells the heartbeat tickers and an inline transport that the
+    /// engine is gone; server threads stop when their mailbox closes.
     stop: Arc<StopSignal>,
 }
 
-/// A running causal DSM: `n` nodes connected by a reliable FIFO network,
-/// each executing the Figure-4 owner protocol.
+/// A running shared memory: the hosted nodes of an `n`-node cluster
+/// connected by a reliable FIFO network, each executing driver `D`.
 ///
-/// Obtain per-process handles with [`CausalCluster::handle`]; drop the
-/// cluster (or call [`CausalCluster::shutdown`]) to stop the server
-/// threads.
+/// Obtain per-process handles with [`Cluster::handle`]; drop the cluster
+/// (or call [`Cluster::shutdown`]) to stop the server threads.
+pub struct Cluster<D: Driver> {
+    inner: Arc<ClusterInner<D>>,
+}
+
+/// The causal DSM: a [`Cluster`] of nodes executing the Figure-4 owner
+/// protocol.
 ///
 /// # Examples
 ///
@@ -319,13 +329,299 @@ struct ClusterInner<V: Value> {
 /// # Ok(())
 /// # }
 /// ```
-pub struct CausalCluster<V: Value> {
-    inner: Arc<ClusterInner<V>>,
+pub type CausalCluster<V> = Cluster<NodeDriver<V>>;
+
+/// A per-process handle onto a [`CausalCluster`].
+pub type CausalHandle<V> = Handle<NodeDriver<V>>;
+
+/// One hosted node as [`Cluster::start`] takes it.
+struct Hosted<D> {
+    id: NodeId,
+    driver: D,
+    journal: Option<Journal<D>>,
+}
+
+impl<D: Driver> Cluster<D> {
+    /// An in-process cluster: node `i` runs `drivers[i]`, over a fresh
+    /// [`Network`], with one server thread per node. `locations` bounds
+    /// the namespace handles accept; `recorder`, if given, logs every
+    /// completed operation (for checking against the executable
+    /// specification).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `drivers` is empty.
+    #[must_use]
+    pub fn new(
+        config: D::Config,
+        locations: u32,
+        drivers: Vec<D>,
+        recorder: Option<Recorder<D::Value>>,
+    ) -> Self {
+        let net = Network::new(drivers.len());
+        let hosted = drivers.into_iter().zip(0..).map(|(driver, i)| Hosted {
+            id: NodeId::new(i),
+            driver,
+            journal: None,
+        });
+        Self::start(config, locations, net, hosted.collect(), recorder, false).0
+    }
+
+    fn start(
+        config: D::Config,
+        locations: u32,
+        net: Network<D::Msg>,
+        mut hosted: Vec<Hosted<D>>,
+        recorder: Option<Recorder<D::Value>>,
+        inline: bool,
+    ) -> (Self, Option<InlineServer<D>>) {
+        assert!(!hosted.is_empty(), "cluster hosts no local node");
+        hosted.sort_by_key(|h| h.id);
+        // One origin for every hosted node's driver clock.
+        let clock = hosted.iter().any(|h| h.driver.timed()).then(Instant::now);
+        let stop = Arc::new(StopSignal::new());
+        let mut nodes = Vec::with_capacity(hosted.len());
+        let mut servers = Vec::new();
+        let mut inline_server = None;
+        for Hosted {
+            id: me,
+            driver,
+            journal,
+        } in hosted
+        {
+            let has_standing_timers = driver.next_timer().is_some();
+            let (done_tx, done_rx) = unbounded();
+            let node = Arc::new(NodeShared {
+                me,
+                net: net.clone(),
+                clock,
+                core: RwLock::new(Core {
+                    driver,
+                    fx: Effects::default(),
+                    journal: journal.map(Mutex::new),
+                }),
+                op_lock: Mutex::new(()),
+                outbox: Mutex::new(Vec::new()),
+                done_rx,
+            });
+            // Persist what booting journaled (for the causal driver: the
+            // baseline watermark, or recovery's rejoin record with the
+            // bumped incarnation) before any traffic can reference it.
+            node.execute(|_, _, _| ());
+            let server = |role: &str| {
+                (
+                    format!("{}-{role}-{}", D::NAME.to_lowercase(), me.index()),
+                    Server {
+                        node: Arc::clone(&node),
+                        done_tx: done_tx.clone(),
+                    },
+                )
+            };
+            if has_standing_timers {
+                // The ticker: runs the driver's timers (heartbeats,
+                // probe-silence suspicion, attempt deadlines) whether or
+                // not an application operation is blocked.
+                let (name, ticker) = server("heartbeat");
+                let stop = Arc::clone(&stop);
+                servers.push(spawn(name, move || {
+                    loop {
+                        let due = ticker.node.core.read().driver.next_timer();
+                        // With standing timers one is always scheduled.
+                        let Some(due) = due else { break };
+                        let wait = due.saturating_sub(ticker.node.now());
+                        // The condvar wait (vs a fixed sleep) is what lets
+                        // shutdown() interrupt a tick mid-wait.
+                        if stop.wait_for(Duration::from_millis(wait)) {
+                            break;
+                        }
+                        ticker.run(|d, now, fx| d.on_timer(now, fx));
+                    }
+                }));
+            }
+            let (name, server) = server("node");
+            if inline {
+                // The transport drives this node itself; its mailbox
+                // stays with the network, unread, and shutdown reaches
+                // the transport through the stop signal.
+                inline_server = Some(InlineServer {
+                    server,
+                    stop: Arc::clone(&stop),
+                });
+            } else {
+                let mailbox = net.take_mailbox(me);
+                servers.push(spawn(name, move || {
+                    // Ends when shutdown() closes the mailbox.
+                    while let Some(env) = mailbox.recv() {
+                        server.deliver(env);
+                    }
+                }));
+            }
+            nodes.push(node);
+        }
+
+        let cluster = Cluster {
+            inner: Arc::new(ClusterInner {
+                config,
+                locations: locations as usize,
+                net,
+                nodes,
+                recorder,
+                servers: Mutex::new(servers),
+                stop,
+            }),
+        };
+        (cluster, inline_server)
+    }
+
+    /// Where hosted node `node` sits in `nodes`.
+    fn slot(&self, node: u32) -> usize {
+        assert!(
+            (node as usize) < self.inner.net.len(),
+            "node {node} out of range"
+        );
+        self.inner
+            .nodes
+            .binary_search_by_key(&(node as usize), |n| n.me.index())
+            .unwrap_or_else(|_| panic!("node {node} is not hosted by this process"))
+    }
+
+    /// A handle performing operations as process `node`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` is out of range or not hosted by this process
+    /// (see [`CausalClusterBuilder::hosting`]).
+    #[must_use]
+    pub fn handle(&self, node: u32) -> Handle<D> {
+        Handle {
+            inner: Arc::clone(&self.inner),
+            slot: self.slot(node),
+        }
+    }
+
+    /// Handles for every locally-hosted node, in node order (all nodes for
+    /// an in-process cluster).
+    #[must_use]
+    pub fn handles(&self) -> Vec<Handle<D>> {
+        (0..self.inner.nodes.len())
+            .map(|slot| Handle {
+                inner: Arc::clone(&self.inner),
+                slot,
+            })
+            .collect()
+    }
+
+    /// Runs `f` over hosted node `node`'s driver under the node's shared
+    /// lock (observability/diagnostics).
+    ///
+    /// # Panics
+    ///
+    /// As [`Cluster::handle`].
+    pub fn inspect<R>(&self, node: u32, f: impl FnOnce(&D) -> R) -> R {
+        f(&self.inner.nodes[self.slot(node)].core.read().driver)
+    }
+
+    /// The cluster's configuration.
+    #[must_use]
+    pub fn config(&self) -> &D::Config {
+        &self.inner.config
+    }
+
+    /// Per-(node, kind) protocol message counters.
+    #[must_use]
+    pub fn messages(&self) -> &NetStats {
+        self.inner.net.messages()
+    }
+
+    /// Per-(node, kind) approximate byte counters.
+    #[must_use]
+    pub fn bytes(&self) -> &NetStats {
+        self.inner.net.bytes()
+    }
+
+    /// Per-(node, kind) **physical envelope** counters. Without transport
+    /// batching this mirrors [`Cluster::messages`]; with batching on, a
+    /// coalesced run counts once here (kind `BATCH`) while its parts
+    /// still count individually in the logical counters — so
+    /// `messages - envelopes` per node is exactly the coalescing win.
+    #[must_use]
+    pub fn envelopes(&self) -> &NetStats {
+        self.inner.net.envelopes()
+    }
+
+    /// Per-(node, kind) **causal-metadata** byte counters: the exact wire
+    /// bytes spent on vector timestamps (honoring each stamp's
+    /// dense/sparse encoding). Dividing by the operation count gives the
+    /// scale benches' `metadata_bytes_per_op`.
+    #[must_use]
+    pub fn metadata(&self) -> &NetStats {
+        self.inner.net.metadata()
+    }
+
+    /// Installs (or removes) a fault hook on the cluster's network.
+    ///
+    /// With faults active the transport may drop protocol messages, so
+    /// operations can block forever unless
+    /// [`owner_timeout`](crate::CausalConfigBuilder::owner_timeout) is also
+    /// configured. Intended for fault-tolerance experiments and tests; the
+    /// deterministic chaos suite lives in `dsm-faults`.
+    pub fn set_fault_hook(&self, hook: Option<Arc<dyn simnet::FaultHook>>) {
+        self.inner.net.set_fault_hook(hook);
+    }
+
+    /// Stops all server threads and waits for them to exit; calling it
+    /// again is a no-op. Operations that need the network — blocked when
+    /// shutdown arrives or issued later — fail with
+    /// [`MemoryError::Shutdown`]; those a node can answer alone still do.
+    ///
+    /// Returns promptly: heartbeat tickers are woken out of their interval
+    /// wait rather than finishing it (regression-tested in
+    /// `tests/failover.rs`).
+    pub fn shutdown(&self) {
+        // Raise the flag before looking at the thread roster: an
+        // inline-transport cluster has no server threads at all, and its
+        // transport checks this flag (through [`InlineServer::deliver`])
+        // to learn the engine is gone.
+        self.inner.stop.stop();
+        let handles: Vec<_> = self.inner.servers.lock().drain(..).collect();
+        if handles.is_empty() {
+            return;
+        }
+        // Only locally-hosted servers are stopped — peers of a
+        // multi-process cluster manage their own shutdown.
+        for node in &self.inner.nodes {
+            self.inner.net.close_mailbox(node.me);
+        }
+        for handle in handles {
+            let _ = handle.join();
+        }
+    }
+}
+
+impl<D: Driver> Drop for Cluster<D> {
+    fn drop(&mut self) {
+        self.shutdown();
+    }
+}
+
+impl<D: Driver> std::fmt::Debug for Cluster<D> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct(&format!("{}Cluster", D::NAME))
+            .field("config", &self.inner.config)
+            .finish_non_exhaustive()
+    }
+}
+
+fn spawn(name: String, body: impl FnOnce() + Send + 'static) -> JoinHandle<()> {
+    std::thread::Builder::new()
+        .name(name)
+        .spawn(body)
+        .expect("spawning engine thread")
 }
 
 /// Opens a node's disk and yields its boot state and journal; deferred to
 /// build time, when the configuration is final.
-type Boot<V> = Box<dyn FnOnce(&CausalConfig<V>) -> (CausalState<V>, Journal<V>)>;
+type Boot<V> = Box<dyn FnOnce(&CausalConfig<V>) -> (CausalState<V>, Journal<NodeDriver<V>>)>;
 
 /// Builder for [`CausalCluster`]: the protocol configuration (through
 /// [`CausalConfigBuilder`]) plus everything engine-level — operation
@@ -394,9 +690,9 @@ impl<V: Value> CausalClusterBuilder<V> {
         self
     }
 
-    /// Hosts only the nodes in `local` (default: all of them). Server and
-    /// heartbeat threads are spawned, and handles exist, only for hosted
-    /// nodes.
+    /// Hosts only the nodes in `local` (default: all of them). Protocol
+    /// state is built, server and heartbeat threads are spawned, and
+    /// handles exist, only for hosted nodes.
     #[must_use]
     pub fn hosting(mut self, local: &[NodeId]) -> Self {
         self.local = Some(local.to_vec());
@@ -426,7 +722,8 @@ impl<V: Value> CausalClusterBuilder<V> {
                 let incarnation = recovered.next_incarnation();
                 CausalState::recover(node, config.clone(), recovered.records, incarnation)
             };
-            let journal: Journal<V> = Box::new(move |st| st.persist_journal(&mut store));
+            let journal: Journal<NodeDriver<V>> =
+                Box::new(move |driver| driver.state_mut().persist_journal(&mut store));
             (state, journal)
         };
         self.boots.push((node, Box::new(boot)));
@@ -468,7 +765,7 @@ impl<V: Value> CausalClusterBuilder<V> {
     pub fn build_inline(
         self,
         me: NodeId,
-    ) -> Result<(CausalCluster<V>, InlineServer<V>), MemoryError> {
+    ) -> Result<(CausalCluster<V>, crate::InlineServer<V>), MemoryError> {
         let (cluster, server) = self.hosting(&[me]).start(true)?;
         Ok((cluster, server.expect("inline build yields a server")))
     }
@@ -476,7 +773,7 @@ impl<V: Value> CausalClusterBuilder<V> {
     fn start(
         self,
         inline: bool,
-    ) -> Result<(CausalCluster<V>, Option<InlineServer<V>>), MemoryError> {
+    ) -> Result<(CausalCluster<V>, Option<crate::InlineServer<V>>), MemoryError> {
         let config = self.config.build();
         let n = config.nodes() as usize;
         let net = self.net.unwrap_or_else(|| Network::new(n));
@@ -484,7 +781,6 @@ impl<V: Value> CausalClusterBuilder<V> {
         let local = self
             .local
             .unwrap_or_else(|| (0..config.nodes()).map(NodeId::new).collect());
-        assert!(!local.is_empty(), "cluster hosts no local node");
         let mut boots = self.boots;
         for (node, _) in &boots {
             assert!(
@@ -492,121 +788,34 @@ impl<V: Value> CausalClusterBuilder<V> {
                 "disk supplied for non-local node {node}"
             );
         }
-        // One origin for every hosted node's driver clock.
-        let timed = config.failover().is_some() || config.owner_timeout().is_some();
-        let clock = timed.then(Instant::now);
-
-        let mut nodes = Vec::with_capacity(n);
-        let mut done_txs = Vec::with_capacity(n);
-        for id in (0..config.nodes()).map(NodeId::new) {
-            let boot = boots.iter().position(|(node, _)| *node == id);
-            let (state, journal) = match boot.map(|i| boots.swap_remove(i).1) {
-                Some(open) => {
-                    let (state, journal) = open(&config);
-                    (state, Some(Mutex::new(journal)))
-                }
-                None => (CausalState::new(id, config.clone()), None),
-            };
-            let (done_tx, done_rx) = unbounded();
-            done_txs.push(done_tx);
-            let node = Arc::new(NodeShared {
-                me: id,
-                net: net.clone(),
-                clock,
-                core: RwLock::new(Core {
+        let hosted = local
+            .into_iter()
+            .map(|id| {
+                let boot = boots.iter().position(|(node, _)| *node == id);
+                let (state, journal) = match boot.map(|i| boots.swap_remove(i).1) {
+                    Some(open) => {
+                        let (state, journal) = open(&config);
+                        (state, Some(journal))
+                    }
+                    None => (CausalState::new(id, config.clone()), None),
+                };
+                Hosted {
+                    id,
                     driver: NodeDriver::new(state),
-                    fx: Effects::default(),
                     journal,
-                }),
-                op_lock: Mutex::new(()),
-                outbox: Mutex::new(Vec::new()),
-                done_rx,
-            });
-            // Persist the boot watermark (`CausalState::new`'s baseline,
-            // or recovery's rejoin record with the bumped incarnation)
-            // before any traffic can reference it.
-            node.execute(|_, _, _| ());
-            nodes.push(node);
-        }
-
-        let stop = Arc::new(StopSignal::new());
-        let mut servers = Vec::new();
-        let mut inline_server = None;
-        for &me in &local {
-            let server = |role: &str| {
-                (
-                    format!("causal-{role}-{}", me.index()),
-                    Server {
-                        node: Arc::clone(&nodes[me.index()]),
-                        done_tx: done_txs[me.index()].clone(),
-                    },
-                )
-            };
-            if config.failover().is_some() {
-                // The ticker: runs the driver's timers (heartbeats,
-                // probe-silence suspicion, attempt deadlines) whether or
-                // not an application operation is blocked.
-                let (name, ticker) = server("heartbeat");
-                let stop = Arc::clone(&stop);
-                servers.push(spawn(name, move || {
-                    loop {
-                        let due = ticker.node.core.read().driver.next_timer();
-                        // Under failover a heartbeat is always scheduled.
-                        let Some(due) = due else { break };
-                        let wait = due.saturating_sub(ticker.node.now());
-                        // The condvar wait (vs a fixed sleep) is what lets
-                        // shutdown() interrupt a tick mid-wait.
-                        if stop.wait_for(Duration::from_millis(wait)) {
-                            break;
-                        }
-                        ticker.run(|d, now, fx| d.on_timer(now, fx));
-                    }
-                }));
-            }
-            let (name, server) = server("node");
-            if inline {
-                // The transport drives this node itself; its mailbox
-                // stays with the network, unread (only `Msg::Halt` is
-                // ever addressed to it, and inline shutdown runs through
-                // the stop signal instead).
-                inline_server = Some(InlineServer {
-                    server,
-                    stop: Arc::clone(&stop),
-                });
-                continue;
-            }
-            let mailbox = net.take_mailbox(me);
-            servers.push(spawn(name, move || {
-                while let Some(env) = mailbox.recv() {
-                    if matches!(env.payload, Msg::Halt) {
-                        break;
-                    }
-                    server.deliver(env);
                 }
-            }));
-        }
-        drop(done_txs);
-
-        let cluster = CausalCluster {
-            inner: Arc::new(ClusterInner {
-                config,
-                net,
-                nodes,
-                local,
-                recorder: self.recorder,
-                servers: Mutex::new(servers),
-                stop,
-            }),
-        };
-        Ok((cluster, inline_server))
+            })
+            .collect();
+        let locations = config.locations();
+        Ok(Cluster::start(
+            config,
+            locations,
+            net,
+            hosted,
+            self.recorder,
+            inline,
+        ))
     }
-}
-
-fn spawn(name: String, body: impl FnOnce() + Send + 'static) -> JoinHandle<()> {
-    std::thread::Builder::new()
-        .name(name)
-        .spawn(body)
-        .expect("spawning engine thread")
 }
 
 impl<V: Value> CausalCluster<V> {
@@ -626,7 +835,7 @@ impl<V: Value> CausalCluster<V> {
         recorder: Option<Recorder<V>>,
         net: Network<Msg<V>>,
         me: NodeId,
-    ) -> Result<(Self, InlineServer<V>), MemoryError> {
+    ) -> Result<(Self, crate::InlineServer<V>), MemoryError> {
         CausalClusterBuilder::over(config.into_builder(), recorder)
             .transport(net)
             .build_inline(me)
@@ -648,7 +857,7 @@ impl<V: Value> CausalCluster<V> {
         net: Network<Msg<V>>,
         me: NodeId,
         disk: Box<dyn Disk>,
-    ) -> Result<(Self, InlineServer<V>), MemoryError>
+    ) -> Result<(Self, crate::InlineServer<V>), MemoryError>
     where
         V: Wire,
     {
@@ -658,99 +867,16 @@ impl<V: Value> CausalCluster<V> {
             .build_inline(me)
     }
 
-    /// A handle performing operations as process `node`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range or not hosted by this process
-    /// (see [`CausalClusterBuilder::hosting`]).
-    #[must_use]
-    pub fn handle(&self, node: u32) -> CausalHandle<V> {
-        assert!(
-            (node as usize) < self.inner.nodes.len(),
-            "node {node} out of range"
-        );
-        assert!(
-            self.inner.local.contains(&NodeId::new(node)),
-            "node {node} is not hosted by this process"
-        );
-        CausalHandle {
-            inner: Arc::clone(&self.inner),
-            node: NodeId::new(node),
-        }
-    }
-
-    /// Handles for every locally-hosted node, in node order (all nodes for
-    /// an in-process cluster).
-    #[must_use]
-    pub fn handles(&self) -> Vec<CausalHandle<V>> {
-        let mut local = self.inner.local.clone();
-        local.sort_unstable();
-        local
-            .into_iter()
-            .map(|id| self.handle(id.index() as u32))
-            .collect()
-    }
-
-    /// The cluster's configuration.
-    #[must_use]
-    pub fn config(&self) -> &CausalConfig<V> {
-        &self.inner.config
-    }
-
-    /// Per-(node, kind) protocol message counters.
-    #[must_use]
-    pub fn messages(&self) -> &NetStats {
-        self.inner.net.messages()
-    }
-
-    /// Per-(node, kind) approximate byte counters.
-    #[must_use]
-    pub fn bytes(&self) -> &NetStats {
-        self.inner.net.bytes()
-    }
-
-    /// Per-(node, kind) **physical envelope** counters. Without transport
-    /// batching this mirrors [`CausalCluster::messages`]; with batching on,
-    /// a coalesced run counts once here (kind `BATCH`) while its parts
-    /// still count individually in the logical counters — so
-    /// `messages - envelopes` per node is exactly the coalescing win.
-    #[must_use]
-    pub fn envelopes(&self) -> &NetStats {
-        self.inner.net.envelopes()
-    }
-
-    /// Per-(node, kind) **causal-metadata** byte counters: the exact wire
-    /// bytes spent on vector timestamps (honoring each stamp's
-    /// dense/sparse encoding). Dividing by the operation count gives the
-    /// scale benches' `metadata_bytes_per_op`.
-    #[must_use]
-    pub fn metadata(&self) -> &NetStats {
-        self.inner.net.metadata()
-    }
-
     /// Number of node `i`'s pipelined writes whose replies are still
     /// outstanding (diagnostic; inherently racy against the server
     /// thread).
     ///
     /// # Panics
     ///
-    /// Panics if `i` is out of range.
+    /// As [`Cluster::handle`].
     #[must_use]
     pub fn pipeline_in_flight(&self, i: u32) -> usize {
-        let core = self.inner.nodes[i as usize].core.read();
-        core.driver.pipeline_in_flight()
-    }
-
-    /// Installs (or removes) a fault hook on the cluster's network.
-    ///
-    /// With faults active the transport may drop protocol messages, so
-    /// operations can block forever unless
-    /// [`owner_timeout`](crate::CausalConfigBuilder::owner_timeout) is also
-    /// configured. Intended for fault-tolerance experiments and tests; the
-    /// deterministic chaos suite lives in `dsm-faults`.
-    pub fn set_fault_hook(&self, hook: Option<Arc<dyn simnet::FaultHook>>) {
-        self.inner.net.set_fault_hook(hook);
+        self.inspect(i, NodeDriver::pipeline_in_flight)
     }
 
     /// A snapshot of node `i`'s current vector timestamp `VT_i`
@@ -758,16 +884,10 @@ impl<V: Value> CausalCluster<V> {
     ///
     /// # Panics
     ///
-    /// Panics if `i` is out of range.
+    /// As [`Cluster::handle`].
     #[must_use]
     pub fn node_vt(&self, i: u32) -> vclock::VectorClock {
-        self.inner.nodes[i as usize]
-            .core
-            .read()
-            .driver
-            .state()
-            .vt()
-            .clone()
+        self.inspect(i, |d| d.state().vt().clone())
     }
 
     /// Node `i`'s incarnation number: 0 for a first life, the persisted
@@ -776,27 +896,23 @@ impl<V: Value> CausalCluster<V> {
     ///
     /// # Panics
     ///
-    /// Panics if `i` is out of range.
+    /// As [`Cluster::handle`].
     #[must_use]
     pub fn node_incarnation(&self, i: u32) -> u32 {
-        self.inner.nodes[i as usize]
-            .core
-            .read()
-            .driver
-            .state()
-            .incarnation()
+        self.inspect(i, |d| d.state().incarnation())
     }
 
-    /// Total cache invalidations performed across all nodes (ablation
-    /// metric).
+    /// Total cache invalidations performed across the hosted nodes
+    /// (ablation metric).
     #[must_use]
     pub fn total_invalidations(&self) -> u64 {
         self.snapshot().invalidations.iter().sum()
     }
 
-    /// A coherent observability snapshot across the cluster: every node's
-    /// vector timestamp, cumulative invalidation count, and cached-page
-    /// count, taking each node's (shared) state lock exactly once.
+    /// A coherent observability snapshot across the hosted nodes: every
+    /// node's vector timestamp, cumulative invalidation count, and
+    /// cached-page count, taking each node's (shared) state lock exactly
+    /// once.
     ///
     /// Prefer this over per-metric accessors in loops — a sweep over
     /// [`CausalCluster::node_vt`] and friends re-acquires every node's
@@ -818,52 +934,11 @@ impl<V: Value> CausalCluster<V> {
         }
         snap
     }
-
-    /// Stops all server threads and waits for them to exit. Subsequent
-    /// operations on handles fail with [`MemoryError::Shutdown`].
-    ///
-    /// Returns promptly: heartbeat tickers are woken out of their interval
-    /// wait rather than finishing it (regression-tested in
-    /// `tests/failover.rs`).
-    pub fn shutdown(&self) {
-        // Raise the flag before looking at the thread roster: an
-        // inline-transport cluster has no server threads at all, and its
-        // transport checks this flag (through [`InlineServer::deliver`])
-        // to learn the engine is gone.
-        self.inner.stop.stop();
-        let handles: Vec<_> = self.inner.servers.lock().drain(..).collect();
-        if handles.is_empty() {
-            return;
-        }
-        for &dst in &self.inner.local {
-            // Halt is engine-internal; exclude it from protocol counts by
-            // sending as the destination itself. Only locally-hosted
-            // servers are halted — peers of a multi-process cluster manage
-            // their own shutdown.
-            let _ = self.inner.net.send(dst, dst, Msg::Halt);
-        }
-        for handle in handles {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl<V: Value> Drop for CausalCluster<V> {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-impl<V: Value> std::fmt::Debug for CausalCluster<V> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CausalCluster")
-            .field("config", &self.inner.config)
-            .finish_non_exhaustive()
-    }
 }
 
 /// Per-node observability metrics captured in one pass by
-/// [`CausalCluster::snapshot`]; index `i` is node `i`.
+/// [`CausalCluster::snapshot`]; entry `i` is the `i`-th hosted node in
+/// node order (node `i` itself for an in-process cluster).
 #[derive(Clone, Debug)]
 pub struct ClusterSnapshot {
     /// Each node's vector timestamp `VT_i` at snapshot time.
@@ -874,43 +949,42 @@ pub struct ClusterSnapshot {
     pub cached_pages: Vec<usize>,
 }
 
-/// A per-process handle onto a [`CausalCluster`]; implements
-/// [`SharedMemory`].
+/// A per-process handle onto a [`Cluster`]; implements [`SharedMemory`].
 ///
 /// Handles are cheap to clone. All operations through handles for the same
 /// node are serialized (program order), as the paper's process model
 /// requires.
-pub struct CausalHandle<V: Value> {
-    inner: Arc<ClusterInner<V>>,
-    node: NodeId,
+pub struct Handle<D: Driver> {
+    inner: Arc<ClusterInner<D>>,
+    slot: usize,
 }
 
-impl<V: Value> Clone for CausalHandle<V> {
+impl<D: Driver> Clone for Handle<D> {
     fn clone(&self) -> Self {
-        CausalHandle {
+        Handle {
             inner: Arc::clone(&self.inner),
-            node: self.node,
+            slot: self.slot,
         }
     }
 }
 
-impl<V: Value> std::fmt::Debug for CausalHandle<V> {
+impl<D: Driver> std::fmt::Debug for Handle<D> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "CausalHandle({})", self.node)
+        write!(f, "{}Handle({})", D::NAME, self.shared().me)
     }
 }
 
-impl<V: Value> CausalHandle<V> {
+impl<D: Driver> Handle<D> {
     fn check_bounds(&self, loc: Location) -> Result<(), MemoryError> {
-        let namespace = self.inner.config.locations() as usize;
+        let namespace = self.inner.locations;
         if loc.index() >= namespace {
             return Err(MemoryError::OutOfRange { loc, namespace });
         }
         Ok(())
     }
 
-    fn shared(&self) -> &NodeShared<V> {
-        &self.inner.nodes[self.node.index()]
+    fn shared(&self) -> &NodeShared<D> {
+        &self.inner.nodes[self.slot]
     }
 
     /// Runs `op` as this node's one outstanding operation: submit it under
@@ -918,7 +992,7 @@ impl<V: Value> CausalHandle<V> {
     /// until another thread's driver call (or a timer this thread fires)
     /// completes it. Recording happens before the operation lock is
     /// released, so the recorded order is the node's program order.
-    fn run(&self, op: Op<V>) -> Result<Done<V>, MemoryError> {
+    fn run(&self, op: Op<D::Value>) -> Result<Done<D::Value>, MemoryError> {
         let node = self.shared();
         let _op = node.op_lock.lock();
         let ((), mut done, down) = node.execute(|d, now, fx| d.submit(now, op, fx));
@@ -937,11 +1011,11 @@ impl<V: Value> CausalHandle<V> {
         if let Some(rec) = &self.inner.recorder {
             match &done {
                 Done::Read { loc, value, wid } => {
-                    rec.record(self.node, OpRecord::read(*loc, (**value).clone(), *wid));
+                    rec.record(node.me, OpRecord::read(*loc, (**value).clone(), *wid));
                 }
                 Done::Wrote { loc, value, done } => {
                     rec.record(
-                        self.node,
+                        node.me,
                         OpRecord::write(*loc, (**value).clone(), done.wid()),
                     );
                 }
@@ -961,8 +1035,8 @@ impl<V: Value> CausalHandle<V> {
     fn write_as(
         &self,
         loc: Location,
-        value: V,
-        op: fn(Location, Arc<V>) -> Op<V>,
+        value: D::Value,
+        op: fn(Location, Arc<D::Value>) -> Op<D::Value>,
     ) -> Result<WriteDone, MemoryError> {
         self.check_bounds(loc)?;
         let mut value = Arc::new(value);
@@ -981,6 +1055,21 @@ impl<V: Value> CausalHandle<V> {
         }
     }
 
+    fn read_full(&self, loc: Location) -> Result<(Arc<D::Value>, WriteId), MemoryError> {
+        self.check_bounds(loc)?;
+        if self.inner.recorder.is_none() {
+            if let Some(hit) = self.shared().core.read().driver.read_hit(loc) {
+                return Ok(hit);
+            }
+        }
+        match self.run(Op::Read(loc))? {
+            Done::Read { value, wid, .. } => Ok((value, wid)),
+            other => unreachable!("a read completes as a read: {other:?}"),
+        }
+    }
+}
+
+impl<V: Value> CausalHandle<V> {
     /// Performs a write and reports whether it survived concurrent-write
     /// resolution (always applied under [`crate::WritePolicy::LastArrival`];
     /// may be rejected under [`crate::WritePolicy::OwnerFavored`], §4.2).
@@ -1063,32 +1152,19 @@ impl<V: Value> CausalHandle<V> {
     pub fn read_shared(&self, loc: Location) -> Result<Arc<V>, MemoryError> {
         self.read_full(loc).map(|(value, _)| value)
     }
-
-    fn read_full(&self, loc: Location) -> Result<(Arc<V>, WriteId), MemoryError> {
-        self.check_bounds(loc)?;
-        if self.inner.recorder.is_none() {
-            if let Some(hit) = self.shared().core.read().driver.state().read_hit(loc) {
-                return Ok(hit);
-            }
-        }
-        match self.run(Op::Read(loc))? {
-            Done::Read { value, wid, .. } => Ok((value, wid)),
-            other => unreachable!("a read completes as a read: {other:?}"),
-        }
-    }
 }
 
-impl<V: Value> SharedMemory<V> for CausalHandle<V> {
+impl<D: Driver> SharedMemory<D::Value> for Handle<D> {
     fn node(&self) -> NodeId {
-        self.node
+        self.shared().me
     }
 
-    fn read(&self, loc: Location) -> Result<V, MemoryError> {
+    fn read(&self, loc: Location) -> Result<D::Value, MemoryError> {
         self.read_full(loc).map(|(value, _)| (*value).clone())
     }
 
-    fn write(&self, loc: Location, value: V) -> Result<(), MemoryError> {
-        self.write_resolved(loc, value).map(|_| ())
+    fn write(&self, loc: Location, value: D::Value) -> Result<(), MemoryError> {
+        self.write_as(loc, value, Op::Write).map(|_| ())
     }
 
     fn discard(&self, loc: Location) {
@@ -1097,12 +1173,13 @@ impl<V: Value> SharedMemory<V> for CausalHandle<V> {
         }
     }
 
-    fn read_tagged(&self, loc: Location) -> Result<(V, Option<WriteId>), MemoryError> {
+    fn read_tagged(&self, loc: Location) -> Result<(D::Value, Option<WriteId>), MemoryError> {
         self.read_full(loc)
             .map(|(value, wid)| ((*value).clone(), Some(wid)))
     }
 
-    fn write_tagged(&self, loc: Location, value: V) -> Result<Option<WriteId>, MemoryError> {
-        self.write_resolved(loc, value).map(|done| Some(done.wid()))
+    fn write_tagged(&self, loc: Location, value: D::Value) -> Result<Option<WriteId>, MemoryError> {
+        self.write_as(loc, value, Op::Write)
+            .map(|done| Some(done.wid()))
     }
 }

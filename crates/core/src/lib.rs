@@ -28,8 +28,11 @@
 //!   messages and time in; ordered sends and completions out. The
 //!   threaded engine, `dsm-net`'s poller and the deterministic simulator
 //!   (`dsm-sim`) all execute this one driver.
-//! * [`CausalCluster`] / [`CausalHandle`] — the threaded engine;
-//!   handles implement [`memcore::SharedMemory`].
+//! * [`Driver`] — that contract as a trait, so the same executors run
+//!   the paper's comparators (`atomic-dsm`, `broadcast-mem`) too.
+//! * [`Cluster`] / [`Handle`] — the threaded engine, generic over the
+//!   driver; [`CausalCluster`] / [`CausalHandle`] name the causal
+//!   instantiation. Handles implement [`memcore::SharedMemory`].
 //! * [`CausalConfig`] — page size, invalidation mode, concurrent-write
 //!   policy (§4.2 owner-favored), cache capacity, constant segments.
 //! * [`Msg`] — the four protocol messages of Figure 4.
@@ -60,7 +63,7 @@
 
 mod config;
 mod driver;
-mod engine;
+pub mod engine;
 mod failover;
 mod fxmap;
 mod msg;
@@ -69,9 +72,9 @@ mod state;
 pub use config::{
     CausalConfig, CausalConfigBuilder, FailoverConfig, InvalidationMode, WritePolicy,
 };
-pub use driver::{Done, Effects, NodeDriver, Op};
+pub use driver::{Done, Driver, Effects, EffectsOf, NodeDriver, Op};
 pub use engine::{
-    CausalCluster, CausalClusterBuilder, CausalHandle, ClusterSnapshot, InlineServer,
+    CausalCluster, CausalClusterBuilder, CausalHandle, Cluster, ClusterSnapshot, Handle,
 };
 pub use dsm_durable::{
     DirDisk, Disk, DurableConfig, MemDisk, Recovered, Store, SyncPolicy, WalRecord,
@@ -79,3 +82,7 @@ pub use dsm_durable::{
 pub use failover::owner_at;
 pub use msg::{Msg, SlotData, Stamp, WriteVerdict};
 pub use state::{CausalState, ReadStep, WriteDone, WriteStep};
+
+/// The causal node's server loop as a value (see
+/// [`CausalClusterBuilder::build_inline`]).
+pub type InlineServer<V> = engine::InlineServer<NodeDriver<V>>;

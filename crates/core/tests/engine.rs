@@ -309,3 +309,20 @@ fn owner_timeout_fails_instead_of_hanging_on_a_lossy_network() {
     p0.write(loc(0), Word::Int(7)).unwrap();
     assert_eq!(p0.read(loc(0)).unwrap(), Word::Int(7));
 }
+
+#[test]
+fn only_hosted_nodes_exist() {
+    let cluster = CausalCluster::<Word>::builder(3, 6)
+        .hosting(&[NodeId::new(1)])
+        .build()
+        .unwrap();
+    assert_eq!(cluster.handles().len(), 1);
+    assert_eq!(cluster.handle(1).node(), NodeId::new(1));
+    assert_eq!(cluster.node_vt(1).weight(), 0);
+    // No pristine stand-ins are reported for nodes hosted elsewhere…
+    assert_eq!(cluster.snapshot().vts.len(), 1);
+    // …and asking for one fails the way `handle` does.
+    let asked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| cluster.node_vt(0)));
+    let msg = *asked.unwrap_err().downcast::<String>().unwrap();
+    assert_eq!(msg, "node 0 is not hosted by this process");
+}

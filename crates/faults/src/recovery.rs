@@ -36,7 +36,7 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 
 use causal_dsm::{
-    CausalConfig, CausalState, DurableConfig, MemDisk, Store, SyncPolicy, WalRecord,
+    CausalConfig, CausalState, DurableConfig, MemDisk, NodeDriver, Store, SyncPolicy, WalRecord,
 };
 use causal_spec::{check_causal, Execution};
 use dsm_apps::{WorkloadOp, WorkloadSpec};
@@ -92,7 +92,7 @@ impl<V: Value + Wire> DurableActor<V> {
         debug_assert!(recovered.is_virgin());
         let state = CausalState::new(id, config.clone());
         let mut actor = DurableActor {
-            inner: SessionActor::new(CausalActor::new(state), rto),
+            inner: SessionActor::new(CausalActor::new(NodeDriver::new(state)), rto),
             disk,
             store,
             config,
@@ -119,7 +119,7 @@ impl<V: Value + Wire> DurableActor<V> {
     /// The session incarnation the node currently runs as.
     #[must_use]
     pub fn incarnation(&self) -> u32 {
-        self.inner.inner().state().incarnation()
+        self.state().incarnation()
     }
 
     /// Extended-oracle violations recorded at recovery instants (empty
@@ -132,14 +132,14 @@ impl<V: Value + Wire> DurableActor<V> {
     /// The recovered protocol state (inspection).
     #[must_use]
     pub fn state(&self) -> &CausalState<V> {
-        self.inner.inner().state()
+        self.inner.inner().driver().state()
     }
 
     /// Journal-before-reply, by the helper every executor shares
     /// ([`CausalState::persist_journal`]): the caller sends nothing of
     /// the event that journaled these records until this returns.
     fn persist(&mut self) {
-        let state = self.inner.inner_mut().state_mut();
+        let state = self.inner.inner_mut().driver_mut().state_mut();
         state.persist_journal(&mut self.store);
     }
 
@@ -210,30 +210,14 @@ impl<V: Value + Wire> DurableActor<V> {
 impl<V: Value + Wire> Actor<V> for DurableActor<V> {
     type Msg = SessionMsg<causal_dsm::Msg<V>>;
 
-    fn id(&self) -> NodeId {
-        self.inner.id()
-    }
-
-    fn submit(&mut self, op: &ClientOp<V>) -> Effects<V, Self::Msg> {
-        let effects = self.inner.submit(op);
+    fn submit(&mut self, now: u64, op: &ClientOp<V>) -> Effects<V, Self::Msg> {
+        let effects = self.inner.submit(now, op);
         self.persist();
         effects
     }
 
-    fn deliver(&mut self, from: NodeId, msg: Self::Msg) -> Effects<V, Self::Msg> {
-        let effects = self.inner.deliver(from, msg);
-        self.persist();
-        effects
-    }
-
-    fn submit_at(&mut self, now: u64, op: &ClientOp<V>) -> Effects<V, Self::Msg> {
-        let effects = self.inner.submit_at(now, op);
-        self.persist();
-        effects
-    }
-
-    fn deliver_at(&mut self, now: u64, from: NodeId, msg: Self::Msg) -> Effects<V, Self::Msg> {
-        let effects = self.inner.deliver_at(now, from, msg);
+    fn deliver(&mut self, now: u64, from: NodeId, msg: Self::Msg) -> Effects<V, Self::Msg> {
+        let effects = self.inner.deliver(now, from, msg);
         self.persist();
         effects
     }
@@ -265,7 +249,7 @@ impl<V: Value + Wire> Actor<V> for DurableActor<V> {
             .expect("DurableActor requires a durability config");
         let (store, recovered) = Store::open(Box::new(self.disk.clone()), dcfg);
         self.store = store;
-        let id = self.inner.id();
+        let id = self.state().id();
         let inc = recovered.next_incarnation();
         let state = if recovered.is_virgin() {
             CausalState::new(id, self.config.clone())
@@ -277,7 +261,8 @@ impl<V: Value + Wire> Actor<V> for DurableActor<V> {
             }
             state
         };
-        self.inner = SessionActor::with_incarnation(CausalActor::new(state), self.rto, inc);
+        let actor = CausalActor::new(NodeDriver::new(state));
+        self.inner = SessionActor::with_incarnation(actor, self.rto, inc);
         self.persist(); // the rejoin Node record, under the new incarnation
         self.store.sync(); // identity durable before rejoining (see `new`)
         // Announce the new life so peers rebase their sequence spaces

@@ -594,9 +594,6 @@ impl<M: Clone> ReliableLink<M> {
 pub struct SessionActor<V: Value, A: Actor<V>> {
     inner: A,
     link: ReliableLink<A::Msg>,
-    /// Latest simulated time observed, so the non-`_at` trait methods
-    /// still work if called directly.
-    now: u64,
     _marker: PhantomData<fn() -> V>,
 }
 
@@ -624,7 +621,6 @@ impl<V: Value, A: Actor<V>> SessionActor<V, A> {
         SessionActor {
             inner,
             link: ReliableLink::with_incarnation(rto, inc),
-            now: 0,
             _marker: PhantomData,
         }
     }
@@ -682,28 +678,12 @@ impl<V: Value, A: Actor<V>> SessionActor<V, A> {
 impl<V: Value, A: Actor<V>> Actor<V> for SessionActor<V, A> {
     type Msg = SessionMsg<A::Msg>;
 
-    fn id(&self) -> NodeId {
-        self.inner.id()
-    }
-
-    fn submit(&mut self, op: &ClientOp<V>) -> Effects<V, Self::Msg> {
-        let now = self.now;
-        self.submit_at(now, op)
-    }
-
-    fn deliver(&mut self, from: NodeId, msg: Self::Msg) -> Effects<V, Self::Msg> {
-        let now = self.now;
-        self.deliver_at(now, from, msg)
-    }
-
-    fn submit_at(&mut self, now: u64, op: &ClientOp<V>) -> Effects<V, Self::Msg> {
-        self.now = now;
-        let effects = self.inner.submit_at(now, op);
+    fn submit(&mut self, now: u64, op: &ClientOp<V>) -> Effects<V, Self::Msg> {
+        let effects = self.inner.submit(now, op);
         self.wrap(now, effects)
     }
 
-    fn deliver_at(&mut self, now: u64, from: NodeId, msg: Self::Msg) -> Effects<V, Self::Msg> {
-        self.now = now;
+    fn deliver(&mut self, now: u64, from: NodeId, msg: Self::Msg) -> Effects<V, Self::Msg> {
         let (mut outgoing, released) = match msg {
             // Datagrams bypass the sequencing machinery entirely.
             SessionMsg::Raw(payload) => (Vec::new(), vec![payload]),
@@ -714,7 +694,7 @@ impl<V: Value, A: Actor<V>> Actor<V> for SessionActor<V, A> {
         };
         let mut completion = None;
         for payload in released {
-            let effects = self.inner.deliver_at(now, from, payload);
+            let effects = self.inner.deliver(now, from, payload);
             for (dst, m) in effects.outgoing {
                 let framed = self.frame(now, dst, m);
                 outgoing.push((dst, framed));
@@ -741,7 +721,6 @@ impl<V: Value, A: Actor<V>> Actor<V> for SessionActor<V, A> {
     }
 
     fn on_timer(&mut self, now: u64) -> Effects<V, Self::Msg> {
-        self.now = now;
         let mut outgoing: Vec<(NodeId, Self::Msg)> = self.link.on_timer(now);
         let mut completion = None;
         if self.inner.next_timer().is_some_and(|want| want <= now) {
@@ -784,11 +763,9 @@ pub fn session_causal_sim<V: Value>(
 ) -> dsm_sim::Sim<V, SessionActor<V, dsm_sim::CausalActor<V>>> {
     let actors = (0..config.nodes())
         .map(|i| {
+            let state = causal_dsm::CausalState::new(NodeId::new(i), config.clone());
             SessionActor::new(
-                dsm_sim::CausalActor::new(causal_dsm::CausalState::new(
-                    NodeId::new(i),
-                    config.clone(),
-                )),
+                dsm_sim::CausalActor::new(causal_dsm::NodeDriver::new(state)),
                 rto,
             )
         })

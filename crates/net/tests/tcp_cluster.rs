@@ -140,3 +140,50 @@ fn two_node_tcp_cluster_is_causal_across_seeds() {
         assert!(verdict.is_correct(), "seed {seed}: {verdict}");
     }
 }
+
+#[test]
+fn a_peers_halt_frame_neither_drops_the_link_nor_stops_the_server() {
+    // `Msg::Halt` has a wire tag, so any connected peer can put one in a
+    // well-formed frame. Node 0 is a real `dsm-server` stack (engine
+    // served inline by the poller); node 1 is a bare mesh endpoint
+    // playing the peer. The Halt must be ignored, and the READ behind it
+    // on the same link answered.
+    use causal_dsm::Msg;
+    use dsm_net::{ClusterSpec, NetCluster, Payload, TcpMesh};
+    use memcore::{NodeId, PageId};
+    use simnet::Network;
+    use std::net::TcpListener;
+    use std::time::Duration;
+
+    let listeners: Vec<TcpListener> = (0..2)
+        .map(|_| TcpListener::bind("127.0.0.1:0").unwrap())
+        .collect();
+    let addrs = listeners
+        .iter()
+        .map(|l| l.local_addr().unwrap().to_string())
+        .collect();
+    let spec = ClusterSpec::new(8, addrs);
+    let [l0, l1] = <[TcpListener; 2]>::try_from(listeners).unwrap();
+    let timeout = Duration::from_secs(10);
+    let (p0, p1) = (NodeId::new(0), NodeId::new(1));
+
+    let spec0 = spec.clone();
+    let server = std::thread::spawn(move || NetCluster::start(&spec0, p0, l0, None, timeout));
+    let mesh: TcpMesh<Msg<Payload>> = TcpMesh::establish(p1, &spec, l1, timeout).unwrap();
+    let net = Network::partial(2, &[p1], mesh.link());
+    mesh.start(net.clone());
+    let inbox = net.take_mailbox(p1);
+    let server = server.join().unwrap().unwrap();
+
+    net.send(p1, p0, Msg::Halt).unwrap();
+    let page = PageId::new(0);
+    net.send(p1, p0, Msg::Read { page }).unwrap();
+    let reply = inbox
+        .recv_timeout(timeout)
+        .expect("mesh alive")
+        .expect("the READ behind the Halt was never answered");
+    assert!(matches!(reply.payload, Msg::ReadReply { page: got, .. } if got == page));
+
+    server.shutdown();
+    mesh.shutdown();
+}

@@ -1,7 +1,14 @@
-//! Protocol actors: uniform adapters over the pure state machines of the
-//! three memory implementations, so one scheduler drives them all.
+//! Protocol actors: the simulator as an executor of [`Driver`]s. One
+//! adapter, [`DriverActor`], turns the scheduler's [`ClientOp`]s into
+//! driver operations and the driver's completions into [`Outcome`]s and
+//! checker records, for all three memory implementations.
 
-use memcore::{Location, NodeId, OpRecord, Value, WriteId};
+use std::sync::Arc;
+
+use atomic_dsm::AtomicDriver;
+use broadcast_mem::BroadcastDriver;
+use causal_dsm::{Done, Driver, EffectsOf, NodeDriver, Op};
+use memcore::{Location, NodeId, OpRecord, OwnerMap as _, Value};
 use simnet::Tagged;
 
 use crate::client::{ClientOp, Outcome};
@@ -34,20 +41,6 @@ impl<V, M> Effects<V, M> {
             completion: None,
         }
     }
-
-    fn done(outcome: Outcome<V>, record: Option<OpRecord<V>>) -> Self {
-        Effects {
-            outgoing: Vec::new(),
-            completion: Some(Completion { outcome, record }),
-        }
-    }
-
-    fn sent(outgoing: Vec<(NodeId, M)>) -> Self {
-        Effects {
-            outgoing,
-            completion: None,
-        }
-    }
 }
 
 /// One simulated node: a protocol state machine with at most one
@@ -56,18 +49,16 @@ pub trait Actor<V: Value>: Send {
     /// The protocol's message type.
     type Msg: Tagged + Clone + Send + std::fmt::Debug;
 
-    /// This node's identifier.
-    fn id(&self) -> NodeId;
-
-    /// Submits an application operation ([`ClientOp::WaitUntil`] is
-    /// decomposed by the scheduler and never reaches actors).
+    /// Submits an application operation at simulated time `now`
+    /// ([`ClientOp::WaitUntil`] is decomposed by the scheduler and never
+    /// reaches actors).
     ///
     /// Returns either an immediate completion or the messages whose
     /// replies will complete it.
-    fn submit(&mut self, op: &ClientOp<V>) -> Effects<V, Self::Msg>;
+    fn submit(&mut self, now: u64, op: &ClientOp<V>) -> Effects<V, Self::Msg>;
 
-    /// Delivers a protocol message.
-    fn deliver(&mut self, from: NodeId, msg: Self::Msg) -> Effects<V, Self::Msg>;
+    /// Delivers a protocol message at simulated time `now`.
+    fn deliver(&mut self, now: u64, from: NodeId, msg: Self::Msg) -> Effects<V, Self::Msg>;
 
     /// The node whose copy of `loc` is authoritative for wait-signaling:
     /// the owner for owner protocols, this node for replicated memory.
@@ -76,21 +67,6 @@ pub trait Actor<V: Value>: Send {
     /// This node's current value of `loc`, if it holds one (owned, cached
     /// or replicated). No protocol side effects.
     fn peek(&self, loc: Location) -> Option<V>;
-
-    /// Time-aware [`submit`](Actor::submit): the scheduler calls this form
-    /// so wrappers that keep clocks (the session layer in `dsm-faults`)
-    /// can observe the current simulated time. Plain actors ignore it.
-    fn submit_at(&mut self, now: u64, op: &ClientOp<V>) -> Effects<V, Self::Msg> {
-        let _ = now;
-        self.submit(op)
-    }
-
-    /// Time-aware [`deliver`](Actor::deliver); see
-    /// [`submit_at`](Actor::submit_at).
-    fn deliver_at(&mut self, now: u64, from: NodeId, msg: Self::Msg) -> Effects<V, Self::Msg> {
-        let _ = now;
-        self.deliver(from, msg)
-    }
 
     /// The earliest time this actor needs a timer to fire (retransmission
     /// deadlines, …), or `None`. The scheduler re-reads this after every
@@ -119,51 +95,99 @@ pub trait Actor<V: Value>: Send {
     }
 }
 
-// ---------------------------------------------------------------------
-// Causal owner protocol
-// ---------------------------------------------------------------------
+/// What only the simulator asks of a driver, beyond the executor
+/// contract: where wait-signaling looks, and a side-effect-free peek.
+pub trait SimDriver: Driver {
+    /// The node whose copy of `loc` is authoritative for wait-signaling:
+    /// the owner for owner protocols, this node for replicated memory.
+    fn authority(&self, loc: Location) -> NodeId;
 
-/// [`Actor`] over the causal owner protocol: a [`ClientOp`]/[`Outcome`]
-/// adapter around [`causal_dsm::NodeDriver`] — the same driver the
-/// threaded engine and the inline TCP poller execute, so every schedule
-/// explored or sampled here certifies the code that ships. Simulated time
-/// is the driver's clock; its timers (heartbeats, attempt deadlines,
-/// give-up budgets) surface through [`Actor::next_timer`].
-#[derive(Clone, Debug)]
-pub struct CausalActor<V> {
-    driver: causal_dsm::NodeDriver<V>,
-    fx: causal_dsm::Effects<V>,
+    /// This node's current value of `loc`, if it holds one (owned, cached
+    /// or replicated). No protocol side effects.
+    fn peek(&self, loc: Location) -> Option<Self::Value>;
 }
 
-impl<V: Value> CausalActor<V> {
-    /// Wraps a node's protocol state.
+impl<V: Value> SimDriver for NodeDriver<V> {
+    fn authority(&self, loc: Location) -> NodeId {
+        // Dynamic under failover: waits signal off the copy held by the
+        // node *currently* serving the page.
+        let state = self.state();
+        state.current_owner(loc.page(state.config().page_size()))
+    }
+
+    fn peek(&self, loc: Location) -> Option<V> {
+        self.state().peek(loc).map(|(v, _)| v.clone())
+    }
+}
+
+impl<V: Value> SimDriver for AtomicDriver<V> {
+    fn authority(&self, loc: Location) -> NodeId {
+        self.state().config().owners().owner_of(loc)
+    }
+
+    fn peek(&self, loc: Location) -> Option<V> {
+        self.state().peek(loc).map(|(v, _)| v.clone())
+    }
+}
+
+impl<V: Value> SimDriver for BroadcastDriver<V> {
+    fn authority(&self, _loc: Location) -> NodeId {
+        // Replication is push-based: a wait is satisfied when the value
+        // reaches *this* replica.
+        self.state().id()
+    }
+
+    fn peek(&self, loc: Location) -> Option<V> {
+        Some(self.state().read(loc).0)
+    }
+}
+
+/// [`Actor`] over any [`Driver`] — the same drivers the threaded engine
+/// and the inline TCP poller execute, so every schedule explored or
+/// sampled here certifies the code that ships. Simulated time is the
+/// driver's clock; its timers (heartbeats, attempt deadlines, give-up
+/// budgets) surface through [`Actor::next_timer`].
+#[derive(Clone, Debug)]
+pub struct DriverActor<D: Driver> {
+    driver: D,
+    fx: EffectsOf<D>,
+}
+
+/// The causal owner protocol's actor.
+pub type CausalActor<V> = DriverActor<NodeDriver<V>>;
+/// The atomic baseline's actor.
+pub type AtomicActor<V> = DriverActor<AtomicDriver<V>>;
+/// The causal-broadcast replica's actor. Never blocks.
+pub type BroadcastActor<V> = DriverActor<BroadcastDriver<V>>;
+
+impl<D: Driver> DriverActor<D> {
+    /// Wraps a node's driver.
     #[must_use]
-    pub fn new(state: causal_dsm::CausalState<V>) -> Self {
-        CausalActor {
-            driver: causal_dsm::NodeDriver::new(state),
-            fx: causal_dsm::Effects::default(),
+    pub fn new(driver: D) -> Self {
+        DriverActor {
+            driver,
+            fx: EffectsOf::<D>::default(),
         }
     }
 
-    /// The wrapped protocol state (inspection).
+    /// The wrapped driver (inspection).
     #[must_use]
-    pub fn state(&self) -> &causal_dsm::CausalState<V> {
-        self.driver.state()
+    pub fn driver(&self) -> &D {
+        &self.driver
     }
 
-    /// Mutable access to the wrapped protocol state — what a durability
-    /// wrapper needs to drain the state's journal after each event.
+    /// Mutable access to the wrapped driver — what a durability wrapper
+    /// needs to drain the state's journal after each event.
     #[must_use]
-    pub fn state_mut(&mut self) -> &mut causal_dsm::CausalState<V> {
-        self.driver.state_mut()
+    pub fn driver_mut(&mut self) -> &mut D {
+        &mut self.driver
     }
 
     /// Hands the driver's effects to the scheduler. An operation the
-    /// driver gave up on ([`causal_dsm::Done::Failed`]) never completes
-    /// here: the node stays blocked and the run reports it stuck, which
-    /// is how every harness already treats a wedged client.
-    fn effects(&mut self) -> Effects<V, causal_dsm::Msg<V>> {
-        use causal_dsm::Done;
+    /// driver gave up on ([`Done::Failed`]) never completes here: the
+    /// node stays blocked and the run reports it stuck, which is how
+    /// every harness already treats a wedged client.
+    fn effects(&mut self) -> Effects<D::Value, D::Msg> {
         let completion = self.fx.done.take().and_then(|done| match done {
             Done::Read { loc, value, wid } => Some(Completion {
                 outcome: Outcome::Read {
@@ -196,24 +220,11 @@ impl<V: Value> CausalActor<V> {
     }
 }
 
-impl<V: Value> Actor<V> for CausalActor<V> {
-    type Msg = causal_dsm::Msg<V>;
+impl<D: SimDriver> Actor<D::Value> for DriverActor<D> {
+    type Msg = D::Msg;
 
-    fn id(&self) -> NodeId {
-        self.driver.state().id()
-    }
-
-    fn submit(&mut self, op: &ClientOp<V>) -> Effects<V, Self::Msg> {
-        self.submit_at(0, op)
-    }
-
-    fn deliver(&mut self, from: NodeId, msg: Self::Msg) -> Effects<V, Self::Msg> {
-        self.deliver_at(0, from, msg)
-    }
-
-    fn submit_at(&mut self, now: u64, op: &ClientOp<V>) -> Effects<V, Self::Msg> {
-        use causal_dsm::Op;
-        let shared = |v: &V| std::sync::Arc::new(v.clone());
+    fn submit(&mut self, now: u64, op: &ClientOp<D::Value>) -> Effects<D::Value, D::Msg> {
+        let shared = |v: &D::Value| Arc::new(v.clone());
         let op = match op {
             ClientOp::Read(loc) => Op::Read(*loc),
             ClientOp::ReadFresh(loc) => Op::ReadFresh(*loc),
@@ -230,288 +241,25 @@ impl<V: Value> Actor<V> for CausalActor<V> {
         self.effects()
     }
 
-    fn deliver_at(&mut self, now: u64, from: NodeId, msg: Self::Msg) -> Effects<V, Self::Msg> {
+    fn deliver(&mut self, now: u64, from: NodeId, msg: D::Msg) -> Effects<D::Value, D::Msg> {
         self.driver.deliver(now, from, msg, &mut self.fx);
         self.effects()
     }
 
     fn authority(&self, loc: Location) -> NodeId {
-        // Dynamic under failover: waits signal off the copy held by the
-        // node *currently* serving the page.
-        let state = self.driver.state();
-        state.current_owner(loc.page(state.config().page_size()))
+        self.driver.authority(loc)
     }
 
-    fn peek(&self, loc: Location) -> Option<V> {
-        self.driver.state().peek(loc).map(|(v, _)| v.clone())
+    fn peek(&self, loc: Location) -> Option<D::Value> {
+        self.driver.peek(loc)
     }
 
     fn next_timer(&self) -> Option<u64> {
         self.driver.next_timer()
     }
 
-    fn on_timer(&mut self, now: u64) -> Effects<V, Self::Msg> {
+    fn on_timer(&mut self, now: u64) -> Effects<D::Value, D::Msg> {
         self.driver.on_timer(now, &mut self.fx);
         self.effects()
-    }
-}
-
-// ---------------------------------------------------------------------
-// Atomic baseline
-// ---------------------------------------------------------------------
-
-#[derive(Clone, Debug)]
-enum AtomicPending<V> {
-    Read {
-        loc: Location,
-    },
-    RemoteWrite {
-        loc: Location,
-        value: V,
-        wid: WriteId,
-    },
-    LocalWrite {
-        loc: Location,
-        value: V,
-        wid: WriteId,
-    },
-}
-
-/// [`Actor`] over the atomic baseline's
-/// [`AtomicState`](atomic_dsm::AtomicState).
-#[derive(Clone, Debug)]
-pub struct AtomicActor<V> {
-    state: atomic_dsm::AtomicState<V>,
-    pending: Option<AtomicPending<V>>,
-}
-
-impl<V: Value> AtomicActor<V> {
-    /// Wraps a node's protocol state.
-    #[must_use]
-    pub fn new(state: atomic_dsm::AtomicState<V>) -> Self {
-        AtomicActor {
-            state,
-            pending: None,
-        }
-    }
-
-    /// The wrapped protocol state (inspection).
-    #[must_use]
-    pub fn state(&self) -> &atomic_dsm::AtomicState<V> {
-        &self.state
-    }
-}
-
-impl<V: Value> Actor<V> for AtomicActor<V> {
-    type Msg = atomic_dsm::AMsg<V>;
-
-    fn id(&self) -> NodeId {
-        self.state.id()
-    }
-
-    fn submit(&mut self, op: &ClientOp<V>) -> Effects<V, Self::Msg> {
-        assert!(self.pending.is_none(), "one outstanding op per node");
-        match op {
-            ClientOp::Read(loc) | ClientOp::ReadFresh(loc) => {
-                if matches!(op, ClientOp::ReadFresh(_)) {
-                    self.state.discard(*loc);
-                }
-                match self.state.begin_read(*loc) {
-                    atomic_dsm::AReadStep::Hit { value, wid } => Effects::done(
-                        Outcome::Read {
-                            value: value.clone(),
-                            wid,
-                        },
-                        Some(OpRecord::read(*loc, value, wid)),
-                    ),
-                    atomic_dsm::AReadStep::Miss { owner, request } => {
-                        self.pending = Some(AtomicPending::Read { loc: *loc });
-                        Effects::sent(vec![(owner, request)])
-                    }
-                }
-            }
-            ClientOp::Write(loc, value)
-            | ClientOp::WriteBlocking(loc, value)
-            | ClientOp::WriteNonblocking(loc, value) => {
-                match self.state.begin_write(*loc, value.clone()) {
-                    atomic_dsm::AWriteStep::Done { wid, outgoing } => Effects {
-                        outgoing,
-                        completion: Some(Completion {
-                            outcome: Outcome::Wrote { wid, applied: true },
-                            record: Some(OpRecord::write(*loc, value.clone(), wid)),
-                        }),
-                    },
-                    atomic_dsm::AWriteStep::Blocked { wid, outgoing } => {
-                        self.pending = Some(AtomicPending::LocalWrite {
-                            loc: *loc,
-                            value: value.clone(),
-                            wid,
-                        });
-                        Effects::sent(outgoing)
-                    }
-                    atomic_dsm::AWriteStep::Remote {
-                        wid,
-                        owner,
-                        request,
-                    } => {
-                        self.pending = Some(AtomicPending::RemoteWrite {
-                            loc: *loc,
-                            value: value.clone(),
-                            wid,
-                        });
-                        Effects::sent(vec![(owner, request)])
-                    }
-                }
-            }
-            ClientOp::Discard(loc) => {
-                self.state.discard(*loc);
-                Effects::done(Outcome::Discarded, None)
-            }
-            // Every write is complete when it returns: nothing to wait for.
-            ClientOp::Flush => Effects::done(Outcome::Flushed, None),
-            ClientOp::WaitUntil(..) => unreachable!("scheduler decomposes waits"),
-        }
-    }
-
-    fn deliver(&mut self, from: NodeId, msg: Self::Msg) -> Effects<V, Self::Msg> {
-        match msg {
-            atomic_dsm::AMsg::ReadReply { .. } => {
-                let Some(AtomicPending::Read { loc }) = self.pending.take() else {
-                    panic!("read reply with no outstanding read");
-                };
-                let (value, wid) = self.state.finish_read(loc, msg);
-                Effects::done(
-                    Outcome::Read {
-                        value: value.clone(),
-                        wid,
-                    },
-                    Some(OpRecord::read(loc, value, wid)),
-                )
-            }
-            atomic_dsm::AMsg::WriteReply { .. } => {
-                let Some(AtomicPending::RemoteWrite { loc, value, wid }) = self.pending.take()
-                else {
-                    panic!("write reply with no outstanding remote write");
-                };
-                let confirmed = self.state.finish_write(msg);
-                debug_assert_eq!(confirmed, wid);
-                Effects::done(
-                    Outcome::Wrote { wid, applied: true },
-                    Some(OpRecord::write(loc, value, wid)),
-                )
-            }
-            other => {
-                let transition = self.state.on_message(from, other);
-                let completion = transition.local_write_done.map(|wid| {
-                    let Some(AtomicPending::LocalWrite {
-                        loc,
-                        value,
-                        wid: pw,
-                    }) = self.pending.take()
-                    else {
-                        panic!("local write done with no blocked local write");
-                    };
-                    debug_assert_eq!(pw, wid);
-                    Completion {
-                        outcome: Outcome::Wrote { wid, applied: true },
-                        record: Some(OpRecord::write(loc, value, wid)),
-                    }
-                });
-                Effects {
-                    outgoing: transition.outgoing,
-                    completion,
-                }
-            }
-        }
-    }
-
-    fn authority(&self, loc: Location) -> NodeId {
-        use memcore::OwnerMap as _;
-        self.state.config().owners().owner_of(loc)
-    }
-
-    fn peek(&self, loc: Location) -> Option<V> {
-        self.state.peek(loc).map(|(v, _)| v.clone())
-    }
-}
-
-// ---------------------------------------------------------------------
-// Causal broadcast replica
-// ---------------------------------------------------------------------
-
-/// [`Actor`] over the broadcast replica's
-/// [`BroadcastState`](broadcast_mem::BroadcastState). Never blocks.
-#[derive(Debug)]
-pub struct BroadcastActor<V> {
-    state: broadcast_mem::BroadcastState<V>,
-}
-
-impl<V: Value> BroadcastActor<V> {
-    /// Wraps a node's replica state.
-    #[must_use]
-    pub fn new(state: broadcast_mem::BroadcastState<V>) -> Self {
-        BroadcastActor { state }
-    }
-
-    /// The wrapped replica state (inspection).
-    #[must_use]
-    pub fn state(&self) -> &broadcast_mem::BroadcastState<V> {
-        &self.state
-    }
-}
-
-impl<V: Value> Actor<V> for BroadcastActor<V> {
-    type Msg = broadcast_mem::BMsg<V>;
-
-    fn id(&self) -> NodeId {
-        self.state.id()
-    }
-
-    fn submit(&mut self, op: &ClientOp<V>) -> Effects<V, Self::Msg> {
-        match op {
-            ClientOp::Read(loc) | ClientOp::ReadFresh(loc) => {
-                let (value, wid) = self.state.read(*loc);
-                Effects::done(
-                    Outcome::Read {
-                        value: value.clone(),
-                        wid,
-                    },
-                    Some(OpRecord::read(*loc, value, wid)),
-                )
-            }
-            ClientOp::Write(loc, value)
-            | ClientOp::WriteBlocking(loc, value)
-            | ClientOp::WriteNonblocking(loc, value) => {
-                let (wid, outgoing) = self.state.write(*loc, value.clone());
-                Effects {
-                    outgoing,
-                    completion: Some(Completion {
-                        outcome: Outcome::Wrote { wid, applied: true },
-                        record: Some(OpRecord::write(*loc, value.clone(), wid)),
-                    }),
-                }
-            }
-            ClientOp::Discard(_) => Effects::done(Outcome::Discarded, None),
-            ClientOp::Flush => Effects::done(Outcome::Flushed, None),
-            ClientOp::WaitUntil(..) => unreachable!("scheduler decomposes waits"),
-        }
-    }
-
-    fn deliver(&mut self, from: NodeId, msg: Self::Msg) -> Effects<V, Self::Msg> {
-        self.state.on_message(from, msg);
-        Effects {
-            outgoing: Vec::new(),
-            completion: None,
-        }
-    }
-
-    fn authority(&self, _loc: Location) -> NodeId {
-        // Replication is push-based: a wait is satisfied when the value
-        // reaches *this* replica.
-        self.state.id()
-    }
-
-    fn peek(&self, loc: Location) -> Option<V> {
-        Some(self.state.read(loc).0)
     }
 }

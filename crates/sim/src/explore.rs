@@ -11,13 +11,14 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use atomic_dsm::{AtomicConfig, AtomicState};
-use causal_dsm::{CausalConfig, CausalState};
+use atomic_dsm::AtomicConfig;
+use causal_dsm::CausalConfig;
 use causal_spec::{check_causal, Execution};
 use memcore::{NodeId, OpRecord, Value};
 
-use crate::actor::{Actor, AtomicActor, CausalActor, Completion};
+use crate::actor::{Actor, Completion};
 use crate::client::ClientOp;
+use crate::run::{atomic_actors, causal_actors};
 
 /// The result of exploring every schedule of one program.
 #[derive(Clone, Debug)]
@@ -82,11 +83,7 @@ pub fn explore_causal<V: Value + PartialEq>(
     scripts: &[Vec<ClientOp<V>>],
     max_states: u64,
 ) -> ExploreReport<V> {
-    let n = config.nodes() as usize;
-    let actors = (0..n)
-        .map(|i| CausalActor::new(CausalState::new(NodeId::new(i as u32), config.clone())))
-        .collect();
-    explore(actors, scripts, max_states)
+    explore(causal_actors(config), scripts, max_states)
 }
 
 /// [`explore_causal`], but over the atomic baseline: every schedule of an
@@ -102,11 +99,7 @@ pub fn explore_atomic<V: Value + PartialEq>(
     scripts: &[Vec<ClientOp<V>>],
     max_states: u64,
 ) -> ExploreReport<V> {
-    let n = config.nodes() as usize;
-    let actors = (0..n)
-        .map(|i| AtomicActor::new(AtomicState::new(NodeId::new(i as u32), config.clone())))
-        .collect();
-    explore(actors, scripts, max_states)
+    explore(atomic_actors(config), scripts, max_states)
 }
 
 fn explore<V: Value + PartialEq, A: Actor<V> + Clone>(
@@ -203,7 +196,7 @@ fn apply<V: Value, A: Actor<V>>(
         Choice::Step(node) => {
             let op = &scripts[node][state.cursors[node]];
             state.cursors[node] += 1;
-            let effects = state.actors[node].submit(op);
+            let effects = state.actors[node].submit(0, op);
             let src = node as u32;
             for (dst, msg) in effects.outgoing {
                 state
@@ -224,7 +217,7 @@ fn apply<V: Value, A: Actor<V>>(
                 .and_then(VecDeque::pop_front)
                 .expect("chosen link has a message");
             let node = dst as usize;
-            let effects = state.actors[node].deliver(NodeId::new(src), msg);
+            let effects = state.actors[node].deliver(0, NodeId::new(src), msg);
             for (out_dst, out_msg) in effects.outgoing {
                 state
                     .links

@@ -1,10 +1,10 @@
 //! Deterministic discrete-event simulation of the DSM protocols.
 //!
 //! The threaded engines are good for throughput; this simulator is good
-//! for *science*: it drives the **same** sans-I/O protocol code
-//! ([`causal_dsm::NodeDriver`] — the driver the threaded engine executes
-//! — and the baselines' [`atomic_dsm::AtomicState`] and
-//! [`broadcast_mem::BroadcastState`]) under a seeded scheduler with
+//! for *science*: it drives the **same** sans-I/O protocol code — the
+//! [`causal_dsm::Driver`]s the threaded engine executes:
+//! [`causal_dsm::NodeDriver`], [`atomic_dsm::AtomicDriver`] and
+//! [`broadcast_mem::BroadcastDriver`] — under a seeded scheduler with
 //! configurable link latencies, preserving per-link FIFO, counting every
 //! message, and recording every operation for the `causal-spec` checker.
 //!
@@ -13,7 +13,8 @@
 //! * [`Client`] — application programs as resumable operation streams
 //!   (the Figure-6 solver's workers, the dictionary's processes, random
 //!   workloads);
-//! * [`Actor`] — uniform adapters over the three protocols;
+//! * [`Actor`] — what the scheduler drives; [`DriverActor`] adapts any
+//!   [`causal_dsm::Driver`] to it;
 //! * [`Sim`] — the event loop: client steps, deliveries, wait handling.
 //!
 //! [`WaitMode`] matters for reproducing the paper's numbers: the §4.1
@@ -54,7 +55,9 @@ mod run;
 mod sched;
 pub mod witness;
 
-pub use actor::{Actor, AtomicActor, BroadcastActor, CausalActor, Completion, Effects};
+pub use actor::{
+    Actor, AtomicActor, BroadcastActor, CausalActor, Completion, DriverActor, Effects, SimDriver,
+};
 pub use client::{Client, ClientOp, FnClient, Outcome, Pred, Script};
 pub use explore::{explore_atomic, explore_causal, ExploreReport};
 pub use run::{atomic_sim, broadcast_sim, causal_sim};

@@ -1,7 +1,9 @@
 //! Convenience constructors: one call to stand up a simulated cluster of
 //! each protocol.
 
-use causal_dsm::{CausalConfig, CausalState};
+use atomic_dsm::{AtomicDriver, AtomicState};
+use broadcast_mem::{BroadcastDriver, BroadcastState};
+use causal_dsm::{CausalConfig, CausalState, NodeDriver};
 use memcore::{NodeId, Value};
 
 use crate::actor::{AtomicActor, BroadcastActor, CausalActor};
@@ -23,10 +25,15 @@ use crate::sched::{Sim, SimOpts};
 /// ```
 #[must_use]
 pub fn causal_sim<V: Value>(config: &CausalConfig<V>, opts: SimOpts<V>) -> Sim<V, CausalActor<V>> {
-    let actors = (0..config.nodes())
-        .map(|i| CausalActor::new(CausalState::new(NodeId::new(i), config.clone())))
-        .collect();
-    Sim::new(actors, opts)
+    Sim::new(causal_actors(config), opts)
+}
+
+/// One fresh causal actor per node of `config`.
+pub(crate) fn causal_actors<V: Value>(config: &CausalConfig<V>) -> Vec<CausalActor<V>> {
+    (0..config.nodes())
+        .map(|i| NodeDriver::new(CausalState::new(NodeId::new(i), config.clone())))
+        .map(CausalActor::new)
+        .collect()
 }
 
 /// A simulated atomic-DSM cluster: one [`AtomicActor`] per node.
@@ -35,10 +42,15 @@ pub fn atomic_sim<V: Value>(
     config: &atomic_dsm::AtomicConfig<V>,
     opts: SimOpts<V>,
 ) -> Sim<V, AtomicActor<V>> {
-    let actors = (0..config.nodes())
-        .map(|i| AtomicActor::new(atomic_dsm::AtomicState::new(NodeId::new(i), config.clone())))
-        .collect();
-    Sim::new(actors, opts)
+    Sim::new(atomic_actors(config), opts)
+}
+
+/// One fresh atomic actor per node of `config`.
+pub(crate) fn atomic_actors<V: Value>(config: &atomic_dsm::AtomicConfig<V>) -> Vec<AtomicActor<V>> {
+    (0..config.nodes())
+        .map(|i| AtomicDriver::new(AtomicState::new(NodeId::new(i), config.clone())))
+        .map(AtomicActor::new)
+        .collect()
 }
 
 /// A simulated causal-broadcast replica cluster.
@@ -49,13 +61,8 @@ pub fn broadcast_sim<V: Value + Default>(
     opts: SimOpts<V>,
 ) -> Sim<V, BroadcastActor<V>> {
     let actors = (0..nodes)
-        .map(|i| {
-            BroadcastActor::new(broadcast_mem::BroadcastState::new(
-                NodeId::new(i),
-                nodes as usize,
-                locations,
-            ))
-        })
+        .map(|i| BroadcastState::new(NodeId::new(i), nodes as usize, locations))
+        .map(|state| BroadcastActor::new(BroadcastDriver::new(state)))
         .collect();
     Sim::new(actors, opts)
 }

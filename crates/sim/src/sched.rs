@@ -132,13 +132,14 @@ impl<V> Default for SimOpts<V> {
 /// # Examples
 ///
 /// ```
-/// use causal_dsm::{CausalConfig, CausalState};
+/// use causal_dsm::{CausalConfig, CausalState, NodeDriver};
 /// use dsm_sim::{CausalActor, ClientOp, Script, Sim, SimOpts};
 /// use memcore::{Location, NodeId, Word};
 ///
 /// let config = CausalConfig::<Word>::builder(2, 2).build();
 /// let actors = (0..2)
-///     .map(|i| CausalActor::new(CausalState::new(NodeId::new(i), config.clone())))
+///     .map(|i| NodeDriver::new(CausalState::new(NodeId::new(i), config.clone())))
+///     .map(CausalActor::new)
 ///     .collect();
 /// let mut sim = Sim::new(actors, SimOpts::default());
 /// sim.set_client(0, Script::new(vec![ClientOp::Write(Location::new(1), Word::Int(5))]));
@@ -548,7 +549,7 @@ impl<V: Value, A: Actor<V>> Sim<V, A> {
             }
             Some(op) => {
                 let now = self.time;
-                let effects = self.actors[node].submit_at(now, &op);
+                let effects = self.actors[node].submit(now, &op);
                 self.dispatch_submit(node, effects.outgoing, effects.completion);
             }
         }
@@ -562,7 +563,7 @@ impl<V: Value, A: Actor<V>> Sim<V, A> {
         outgoing: Vec<(NodeId, A::Msg)>,
         completion: Option<Completion<V>>,
     ) {
-        let me = self.actors[node].id();
+        let me = NodeId::new(node as u32);
         for (dst, msg) in outgoing {
             self.send(me, dst, msg);
         }
@@ -580,7 +581,7 @@ impl<V: Value, A: Actor<V>> Sim<V, A> {
         outgoing: Vec<(NodeId, A::Msg)>,
         completion: Option<Completion<V>>,
     ) {
-        let me = self.actors[node].id();
+        let me = NodeId::new(node as u32);
         for (dst, msg) in outgoing {
             self.send(me, dst, msg);
         }
@@ -592,7 +593,7 @@ impl<V: Value, A: Actor<V>> Sim<V, A> {
     fn complete(&mut self, node: usize, completion: Completion<V>) {
         self.blocked[node] = false;
         if let (Some(rec), Some(record)) = (&self.recorder, completion.record) {
-            rec.record(self.actors[node].id(), record);
+            rec.record(NodeId::new(node as u32), record);
         }
         if let Some(wait) = self.waits[node].as_mut() {
             wait.in_flight = false;
@@ -618,7 +619,7 @@ impl<V: Value, A: Actor<V>> Sim<V, A> {
     fn deliver(&mut self, src: NodeId, dst: NodeId, msg: A::Msg) {
         let node = dst.index();
         let now = self.time;
-        let effects = self.actors[node].deliver_at(now, src, msg);
+        let effects = self.actors[node].deliver(now, src, msg);
         self.dispatch_deliver(node, effects.outgoing, effects.completion);
     }
 
@@ -648,12 +649,12 @@ impl<V: Value, A: Actor<V>> Sim<V, A> {
         // The discard's side traffic (an `[INTEREST]` drop under interest
         // scoping) still goes on the wire; its completion is the wait's
         // own bookkeeping, not a client step.
-        let discard = self.actors[node].submit_at(now, &ClientOp::Discard(loc));
-        let me = self.actors[node].id();
+        let discard = self.actors[node].submit(now, &ClientOp::Discard(loc));
+        let me = NodeId::new(node as u32);
         for (dst, msg) in discard.outgoing {
             self.send(me, dst, msg);
         }
-        let effects = self.actors[node].submit_at(now, &ClientOp::Read(loc));
+        let effects = self.actors[node].submit(now, &ClientOp::Read(loc));
         self.dispatch_submit(node, effects.outgoing, effects.completion);
     }
 

@@ -47,11 +47,15 @@ pub trait RemoteLink<M>: Send + Sync {
     fn send_remote(&self, env: Envelope<M>) -> Result<(), SendError>;
 }
 
+/// What a mailbox queues: an envelope, or `None` — the close marker (see
+/// [`Network::close_mailbox`]).
+type Slot<M> = Option<Envelope<M>>;
+
 struct Inner<M> {
     // `None` marks a node hosted by another process (partial networks);
     // traffic for it goes through `remote`.
-    senders: Vec<Option<Sender<Envelope<M>>>>,
-    mailboxes: Vec<Mutex<Option<Receiver<Envelope<M>>>>>,
+    senders: Vec<Option<Sender<Slot<M>>>>,
+    mailboxes: Vec<Mutex<Option<Receiver<Slot<M>>>>>,
     remote: Option<Arc<dyn RemoteLink<M>>>,
     msgs: NetStats,
     bytes: NetStats,
@@ -198,8 +202,25 @@ impl<M: Tagged> Network<M> {
         self.inner.senders[dst.index()]
             .as_ref()
             .expect("inject target is not a local node")
-            .send(env)
+            .send(Some(env))
             .map_err(|_| SendError { dst })
+    }
+
+    /// Closes `node`'s mailbox: once its reader has consumed everything
+    /// queued before this call, [`Mailbox::recv`] returns `None`. This is
+    /// how an engine stops a node's message loop — a transport-level
+    /// signal, not a protocol message, so no peer can forge it. Sends to
+    /// the node start failing once its reader drops the mailbox.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` is out of range or not local to this process.
+    pub fn close_mailbox(&self, node: NodeId) {
+        let tx = self.inner.senders[node.index()]
+            .as_ref()
+            .expect("close target is not a local node");
+        // A reader that is already gone needs no signal.
+        let _ = tx.send(None);
     }
 
     /// Number of nodes.
@@ -252,7 +273,7 @@ impl<M: Tagged> Network<M> {
     fn transmit(&self, src: NodeId, dst: NodeId, payload: M) -> Result<(), SendError> {
         match &self.inner.senders[dst.index()] {
             Some(tx) => tx
-                .send(Envelope::new(src, dst, payload))
+                .send(Some(Envelope::new(src, dst, payload)))
                 .map_err(|_| SendError { dst }),
             None => self
                 .inner
@@ -373,7 +394,7 @@ impl<M: Tagged + Clone> Network<M> {
 
 /// The receiving end of one node's mailbox.
 pub struct Mailbox<M> {
-    rx: Receiver<Envelope<M>>,
+    rx: Receiver<Slot<M>>,
 }
 
 impl<M> Mailbox<M> {
@@ -381,20 +402,24 @@ impl<M> Mailbox<M> {
     ///
     /// # Errors
     ///
-    /// Returns `None` when every sender is gone (network dropped).
+    /// Returns `None` when the mailbox was closed
+    /// ([`Network::close_mailbox`]) or every sender is gone (network
+    /// dropped).
     pub fn recv(&self) -> Option<Envelope<M>> {
-        self.rx.recv().ok()
+        self.rx.recv().ok().flatten()
     }
 
     /// Receives with a timeout; `Ok(None)` on timeout.
     ///
     /// # Errors
     ///
-    /// Returns `Err(())` when every sender is gone.
+    /// Returns `Err(())` when the mailbox was closed or every sender is
+    /// gone.
     #[allow(clippy::result_unit_err)]
     pub fn recv_timeout(&self, timeout: Duration) -> Result<Option<Envelope<M>>, ()> {
         match self.rx.recv_timeout(timeout) {
-            Ok(env) => Ok(Some(env)),
+            Ok(Some(env)) => Ok(Some(env)),
+            Ok(None) => Err(()),
             Err(crossbeam_channel::RecvTimeoutError::Timeout) => Ok(None),
             Err(crossbeam_channel::RecvTimeoutError::Disconnected) => Err(()),
         }
@@ -402,7 +427,7 @@ impl<M> Mailbox<M> {
 
     /// Non-blocking receive.
     pub fn try_recv(&self) -> Option<Envelope<M>> {
-        self.rx.try_recv().ok()
+        self.rx.try_recv().ok().flatten()
     }
 }
 
@@ -442,6 +467,20 @@ mod tests {
 
     fn p(i: u32) -> NodeId {
         NodeId::new(i)
+    }
+
+    #[test]
+    fn a_closed_mailbox_drains_then_ends_and_is_not_a_counted_message() {
+        let net: Network<Msg> = Network::new(2);
+        let mb = net.take_mailbox(p(1));
+        net.send(p(0), p(1), Msg::Read(1)).unwrap();
+        net.close_mailbox(p(1));
+        assert_eq!(mb.recv().unwrap().payload, Msg::Read(1));
+        assert!(mb.recv().is_none(), "the close marker ends the stream");
+        assert_eq!(net.messages().snapshot().total(), 1);
+        drop(mb);
+        assert!(net.send(p(0), p(1), Msg::Read(2)).is_err());
+        net.close_mailbox(p(1)); // closing a dropped mailbox is a no-op
     }
 
     #[test]

@@ -2,12 +2,16 @@
 //! same workload runs on all three memories, and the recorded causal
 //! executions satisfy Definition 2 even under real thread interleavings.
 
+use std::ops::Deref;
+use std::sync::{mpsc, Arc, Mutex};
+
 use causalmem::apps::{WorkloadOp, WorkloadSpec};
 use causalmem::atomic::{AtomicCluster, InvalMode};
 use causalmem::broadcast::BroadcastCluster;
-use causalmem::causal::CausalCluster;
+use causalmem::causal::{CausalCluster, Cluster, Driver};
 use causalmem::spec::{check_causal, Execution};
-use memcore::{Recorder, SharedMemory, Word};
+use memcore::{Location, MemoryError, NodeId, Recorder, SharedMemory, Word};
+use simnet::{FaultHook, SendFate};
 
 fn spec() -> WorkloadSpec {
     WorkloadSpec {
@@ -127,32 +131,109 @@ fn all_three_engines_run_the_same_workload_source() {
     );
 }
 
+/// Loses every message of one kind, reporting each loss.
+struct Lose {
+    kind: &'static str,
+    lost: Mutex<mpsc::Sender<()>>,
+}
+
+impl FaultHook for Lose {
+    fn on_send(&self, _src: NodeId, _dst: NodeId, kind: &'static str, _now: u64) -> SendFate {
+        if kind != self.kind {
+            return SendFate::deliver();
+        }
+        let _ = self.lost.lock().unwrap().send(());
+        SendFate::dropped()
+    }
+}
+
+/// An operation that stalls once messages of the named kind are lost.
+type Stall<'a, D> = (
+    &'static str,
+    &'a (dyn Fn(&Cluster<D>) -> Result<(), MemoryError> + Sync),
+);
+
+/// The one shutdown contract of the shared executor, on a two-node,
+/// four-location cluster (P1 owns x1; x0 and x2 are P0's): what a node
+/// can answer alone still answers, an operation that needs the network —
+/// blocked when shutdown arrives, or issued later — fails with
+/// `Shutdown` rather than hanging, a second `shutdown()` is a no-op, and
+/// dropping the cluster joins every thread.
+fn shutdown_contract<D, C>(cluster: C, stall: Option<Stall<D>>, reads_need_the_owner: bool)
+where
+    D: Driver<Value = Word>,
+    C: Deref<Target = Cluster<D>> + Sync,
+{
+    let [x0, x1, x2] = [0, 1, 2].map(Location::new);
+    let p1 = cluster.handle(1);
+    p1.write(x0, Word::Int(1)).unwrap();
+
+    let (lost, stalled) = mpsc::channel();
+    let hook = Arc::new(Lose {
+        kind: stall.map_or("", |(kind, _)| kind),
+        lost: Mutex::new(lost),
+    });
+    cluster.set_fault_hook(Some(hook.clone()));
+    std::thread::scope(|scope| {
+        let blocked = stall.map(|(_, op)| scope.spawn(|| op(&cluster)));
+        if blocked.is_some() {
+            stalled.recv().expect("the operation reached the network");
+        }
+        cluster.shutdown();
+        if let Some(blocked) = blocked {
+            assert_eq!(
+                blocked.join().unwrap(),
+                Err(MemoryError::Shutdown),
+                "an operation blocked when shutdown arrives must fail, not hang"
+            );
+        }
+    });
+
+    // Local operations still work (owned, cached or replicated data needs
+    // no network)…
+    assert_eq!(
+        p1.read(x0).unwrap(),
+        Word::Int(1),
+        "own write, held locally"
+    );
+    assert!(p1.read(x1).is_ok(), "owned read");
+    // …but remote ones fail rather than hang.
+    assert_eq!(
+        p1.read(x2).err(),
+        reads_need_the_owner.then_some(MemoryError::Shutdown),
+        "uncached read after shutdown"
+    );
+    assert_eq!(
+        p1.write(x0, Word::Int(3)),
+        Err(MemoryError::Shutdown),
+        "a write that must leave the node after shutdown"
+    );
+    cluster.shutdown();
+    // Server threads own their node, and with it the network and its
+    // hook: once the cluster and its handles are gone, only a thread
+    // that was not joined could still hold one.
+    drop(p1);
+    drop(cluster);
+    assert_eq!(Arc::strong_count(&hook), 1, "drop joins every thread");
+}
+
 #[test]
 fn shutdown_is_clean_and_subsequent_ops_error() {
-    let cluster = CausalCluster::<Word>::builder(2, 4)
+    let [x0, x2] = [0, 2].map(Location::new);
+    let causal = CausalCluster::<Word>::builder(2, 4).build().unwrap();
+    // A read miss whose READ never reaches the owner.
+    let read_miss: Stall<_> = ("READ", &|c| c.handle(1).read(x2).map(drop));
+    shutdown_contract(Box::new(causal), Some(read_miss), true);
+
+    let atomic = AtomicCluster::<Word>::builder(2, 4)
+        .configure(|c| c.inval_mode(InvalMode::Acknowledged))
         .build()
-        .expect("cluster");
-    let handle = cluster.handle(1);
-    handle
-        .write(memcore::Location::new(0), Word::Int(1))
         .unwrap();
-    cluster.shutdown();
-    // Local operations still work (owned or cached data needs no network)…
-    assert_eq!(
-        handle.read(memcore::Location::new(0)).unwrap(),
-        Word::Int(1),
-        "cached read survives shutdown"
-    );
-    assert!(handle.read(memcore::Location::new(1)).is_ok(), "owned read");
-    // …but remote ones fail rather than hang.
-    assert!(
-        handle.read(memcore::Location::new(2)).is_err(),
-        "uncached remote read after shutdown must error"
-    );
-    assert!(
-        handle
-            .write(memcore::Location::new(0), Word::Int(2))
-            .is_err(),
-        "remote write after shutdown must error"
-    );
+    // An owner write awaiting the ack of P1's copy (P1 wrote x0).
+    let owner_write: Stall<_> = ("INVAL", &|c| c.handle(0).write(x0, Word::Int(2)));
+    shutdown_contract(atomic, Some(owner_write), true);
+
+    // Nothing ever blocks on a replica, and every read is local.
+    let broadcast = BroadcastCluster::<Word>::new(2, 4).unwrap();
+    shutdown_contract(broadcast, None, false);
 }

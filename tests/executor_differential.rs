@@ -1,7 +1,9 @@
 //! Executor differential: one seeded sequential script replayed through
 //! the deterministic simulator and through the threaded engine — two
-//! executors of the same `NodeDriver` — must put the same messages on
-//! every link, record the same operations and end in the same state.
+//! executors of the same `Driver` — must put the same messages on every
+//! link, record the same operations and end in the same state. Run for
+//! all three drivers: the causal `NodeDriver`, the `AtomicDriver` under
+//! both invalidation modes, and the `BroadcastDriver`.
 //!
 //! The script touches each policy the executors no longer implement
 //! themselves: blocking round trips, a pipelined run that crosses a
@@ -10,7 +12,12 @@
 //! issued by one node at a time, so the engine's real threads have no
 //! scheduling freedom that could change a link's stream; transport
 //! batching stays off because its runs seal by round-trip *time*, which
-//! only the simulator fixes.
+//! only the simulator fixes. The comparators run the same script: to
+//! them every write is their one blocking write and `flush` is a no-op.
+//! Node 1's script opens with a round trip to each peer and closes by
+//! fetching every location, so nothing a server thread still has to send
+//! or apply (a fire-and-forget INVAL) can race a later operation or the
+//! final count.
 //!
 //! Both transports consult the same recording [`FaultHook`], which sees
 //! each envelope's kind; the identity behind the kind (the page fetched,
@@ -20,8 +27,10 @@
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
-use causal_dsm::{CausalCluster, CausalConfig};
-use dsm_sim::{causal_sim, ClientOp, Script, SimOpts};
+use atomic_dsm::{AtomicCluster, AtomicConfig, InvalMode};
+use broadcast_mem::BroadcastCluster;
+use causal_dsm::{CausalCluster, CausalConfig, Cluster, Driver, Handle};
+use dsm_sim::{atomic_sim, broadcast_sim, causal_sim, Actor, ClientOp, Script, Sim, SimOpts};
 use memcore::{Location, NodeId, OpRecord, Recorder, SharedMemory, Word};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -101,26 +110,31 @@ fn scripts(seed: u64) -> [Vec<ClientOp<Word>>; 2] {
 struct Observed {
     links: Links,
     ops: Vec<Vec<OpRecord<Word>>>,
-    vts: Vec<vclock::VectorClock>,
 }
 
-fn config() -> CausalConfig<Word> {
-    CausalConfig::<Word>::builder(NODES, LOCATIONS)
-        .pipeline_window(WINDOW)
-        .build()
+impl Observed {
+    fn messages(&self) -> usize {
+        self.links.values().map(Vec::len).sum()
+    }
+
+    fn kinds(&self) -> std::collections::BTreeSet<&'static str> {
+        self.links.values().flatten().copied().collect()
+    }
 }
 
-fn through_the_simulator(seed: u64) -> Observed {
+/// Runs the scripts through the simulator `build` stands up; hands the
+/// simulator back for protocol-specific inspection.
+fn through_the_simulator<A: Actor<Word>>(
+    seed: u64,
+    build: impl FnOnce(SimOpts<Word>) -> Sim<Word, A>,
+) -> (Observed, Sim<Word, A>) {
     let hook = Arc::new(RecordLinks::default());
     let recorder: Recorder<Word> = Recorder::new(NODES as usize);
-    let mut sim = causal_sim(
-        &config(),
-        SimOpts {
-            recorder: Some(recorder.clone()),
-            faults: Some(hook.clone()),
-            ..SimOpts::default()
-        },
-    );
+    let mut sim = build(SimOpts {
+        recorder: Some(recorder.clone()),
+        faults: Some(hook.clone()),
+        ..SimOpts::default()
+    });
     for (node, script) in scripts(seed).into_iter().enumerate() {
         sim.set_client(node, Script::new(script));
         assert!(
@@ -129,63 +143,130 @@ fn through_the_simulator(seed: u64) -> Observed {
         );
     }
     let links = hook.0.lock().unwrap().clone();
-    Observed {
-        links,
-        ops: recorder.processes(),
-        vts: (0..NODES as usize)
-            .map(|i| sim.actor(i).state().vt().clone())
-            .collect(),
-    }
+    let ops = recorder.processes();
+    (Observed { links, ops }, sim)
 }
 
-fn through_the_threaded_engine(seed: u64) -> Observed {
+/// Runs the scripts through `cluster` (built to record into `recorder`),
+/// `issue` mapping each scripted operation onto the handle's API.
+fn through_the_threaded_engine<D: Driver<Value = Word>>(
+    seed: u64,
+    cluster: &Cluster<D>,
+    recorder: &Recorder<Word>,
+    issue: impl Fn(&Handle<D>, ClientOp<Word>),
+) -> Observed {
     let hook = Arc::new(RecordLinks::default());
-    let recorder: Recorder<Word> = Recorder::new(NODES as usize);
-    let cluster = CausalCluster::<Word>::builder(NODES, LOCATIONS)
-        .configure(|c| c.pipeline_window(WINDOW))
-        .recorder(recorder.clone())
-        .build()
-        .unwrap();
     cluster.set_fault_hook(Some(hook.clone()));
     for (node, script) in scripts(seed).into_iter().enumerate() {
         let h = cluster.handle(node as u32);
-        for op in script {
-            match op {
-                ClientOp::Read(l) => drop(h.read(l).unwrap()),
-                ClientOp::ReadFresh(l) => drop(h.read_fresh(l).unwrap()),
-                ClientOp::Write(l, v) => drop(h.write_pipelined(l, v).unwrap()),
-                ClientOp::WriteBlocking(l, v) => h.write(l, v).unwrap(),
-                ClientOp::Flush => h.flush().unwrap(),
-                other => unreachable!("not in the script: {other:?}"),
-            }
-        }
+        script.into_iter().for_each(|op| issue(&h, op));
     }
-    let vts = (0..NODES).map(|i| cluster.node_vt(i)).collect();
     cluster.set_fault_hook(None);
-    cluster.shutdown();
     let links = hook.0.lock().unwrap().clone();
-    Observed {
-        links,
-        ops: recorder.processes(),
-        vts,
+    let ops = recorder.processes();
+    Observed { links, ops }
+}
+
+/// The script on the plain [`SharedMemory`] surface, for memories whose
+/// every write is complete when it returns.
+fn issue_plain<M: SharedMemory<Word>>(h: &M, op: ClientOp<Word>) {
+    match op {
+        ClientOp::Read(l) => drop(h.read(l).unwrap()),
+        ClientOp::ReadFresh(l) => drop(h.read_fresh(l).unwrap()),
+        ClientOp::Write(l, v) | ClientOp::WriteBlocking(l, v) => h.write(l, v).unwrap(),
+        ClientOp::Flush => {}
+        other => unreachable!("not in the script: {other:?}"),
     }
 }
 
+// The two fixed CI seeds.
+const SEEDS: [u64; 2] = [0xC0FFEE, 0x5EED];
+
 #[test]
 fn executor_differential() {
-    // The two fixed CI seeds.
-    for seed in [0xC0FFEE, 0x5EED] {
-        let sim = through_the_simulator(seed);
-        let engine = through_the_threaded_engine(seed);
+    for seed in SEEDS {
+        let config = CausalConfig::<Word>::builder(NODES, LOCATIONS)
+            .pipeline_window(WINDOW)
+            .build();
+        let (sim, simulated) = through_the_simulator(seed, |opts| causal_sim(&config, opts));
+        let sim_vts: Vec<_> = (0..NODES as usize)
+            .map(|i| simulated.actor(i).driver().state().vt().clone())
+            .collect();
+
+        let recorder: Recorder<Word> = Recorder::new(NODES as usize);
+        let cluster = CausalCluster::<Word>::builder(NODES, LOCATIONS)
+            .configure(|c| c.pipeline_window(WINDOW))
+            .recorder(recorder.clone())
+            .build()
+            .unwrap();
+        let engine = through_the_threaded_engine(seed, &cluster, &recorder, |h, op| match op {
+            ClientOp::Write(l, v) => drop(h.write_pipelined(l, v).unwrap()),
+            ClientOp::Flush => h.flush().unwrap(),
+            op => issue_plain(h, op),
+        });
+        let engine_vts: Vec<_> = (0..NODES).map(|i| cluster.node_vt(i)).collect();
+
         assert!(
-            sim.links.values().map(Vec::len).sum::<usize>() > 40,
+            sim.messages() > 40,
             "seed {seed:#x}: the script barely used the network"
         );
         assert_eq!(sim.links, engine.links, "seed {seed:#x}: per-link streams");
         assert_eq!(sim.ops, engine.ops, "seed {seed:#x}: recorded operations");
-        assert_eq!(sim.vts, engine.vts, "seed {seed:#x}: final VT_i");
+        assert_eq!(sim_vts, engine_vts, "seed {seed:#x}: final VT_i");
         // Node 1's last nine records are the read-back of every
         // location: equal records are equal final values.
         assert!(engine.ops[1].len() > LOCATIONS as usize);
+    }
+}
+
+#[test]
+fn atomic_executor_differential() {
+    for (seed, mode) in SEEDS
+        .into_iter()
+        .flat_map(|s| [(s, InvalMode::FireAndForget), (s, InvalMode::Acknowledged)])
+    {
+        let config = AtomicConfig::<Word>::builder(NODES, LOCATIONS)
+            .inval_mode(mode)
+            .build();
+        let (sim, _) = through_the_simulator(seed, |opts| atomic_sim(&config, opts));
+
+        let recorder: Recorder<Word> = Recorder::new(NODES as usize);
+        let cluster = AtomicCluster::with_config(config, Some(recorder.clone())).unwrap();
+        let engine = through_the_threaded_engine(seed, &cluster, &recorder, issue_plain);
+
+        let case = format!("seed {seed:#x}, {mode:?}");
+        assert!(sim.messages() > 40, "{case}: barely used the network");
+        // The traffic only strong consistency pays is in the comparison.
+        let acked = mode == InvalMode::Acknowledged;
+        assert!(sim.kinds().contains("INVAL"), "{case}: no invalidation");
+        assert_eq!(sim.kinds().contains("INVAL_ACK"), acked, "{case}: acks");
+        assert_eq!(sim.links, engine.links, "{case}: per-link streams");
+        assert_eq!(sim.ops, engine.ops, "{case}: recorded operations");
+        assert!(engine.ops[1].len() > LOCATIONS as usize);
+    }
+}
+
+#[test]
+fn broadcast_executor_differential() {
+    for seed in SEEDS {
+        let (sim, _) =
+            through_the_simulator(seed, |opts| broadcast_sim::<Word>(NODES, LOCATIONS, opts));
+        let recorder: Recorder<Word> = Recorder::new(NODES as usize);
+        let cluster =
+            BroadcastCluster::<Word>::with_recorder(NODES, LOCATIONS, Some(recorder.clone()))
+                .unwrap();
+        let engine = through_the_threaded_engine(seed, &cluster, &recorder, issue_plain);
+        // Replication is asynchronous, so what a read returns depends on
+        // real delivery timing; what each link carries does not.
+        // Every write, and nothing else, costs n − 1 UPDATEs.
+        let writes = engine
+            .ops
+            .iter()
+            .flatten()
+            .filter(|op| !op.is_read())
+            .count();
+        assert!(writes > 10, "seed {seed:#x}: the script barely wrote");
+        assert_eq!(sim.messages(), writes * (NODES as usize - 1));
+        assert_eq!(sim.links, engine.links, "seed {seed:#x}: per-link streams");
     }
 }

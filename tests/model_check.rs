@@ -93,6 +93,9 @@ fn every_atomic_schedule_is_causal() {
     ];
     let report = explore_atomic(&config, &scripts, 1_000_000);
     assert!(report.complete);
+    // The same count the simulator's own atomic actor explored before the
+    // shipped `AtomicDriver` replaced it: same completion points.
+    assert_eq!((report.schedules, report.states), (106, 498));
     assert!(
         report.all_correct(),
         "violation: {:?}",
