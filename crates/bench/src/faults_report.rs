@@ -9,7 +9,7 @@
 
 use std::fmt::Write as _;
 
-use dsm_faults::{run_chaos_once, ChaosConfig};
+use dsm_faults::{run_chaos, ChaosConfig, Faults, Registers};
 use memcore::kinds;
 
 /// One row of the chaos overhead table.
@@ -41,7 +41,7 @@ impl ChaosRow {
     }
 }
 
-fn batch_row(label: &'static str, first_seed: u64, runs: usize, cfg: &ChaosConfig) -> ChaosRow {
+fn batch_row(label: &'static str, first_seed: u64, runs: usize, faults: Faults) -> ChaosRow {
     let mut row = ChaosRow {
         label,
         runs,
@@ -53,7 +53,7 @@ fn batch_row(label: &'static str, first_seed: u64, runs: usize, cfg: &ChaosConfi
         ack: 0,
     };
     for seed in first_seed..first_seed + runs as u64 {
-        let outcome = run_chaos_once(seed, cfg);
+        let outcome = run_chaos(&Registers, faults, seed, &ChaosConfig::default());
         row.failures += usize::from(!outcome.ok());
         row.protocol += outcome.messages.protocol_total();
         row.retx += outcome.messages.kind_total(kinds::RETX);
@@ -68,14 +68,9 @@ fn batch_row(label: &'static str, first_seed: u64, runs: usize, cfg: &ChaosConfi
 /// workloads fault-free, returning both rows.
 #[must_use]
 pub fn chaos_overhead(first_seed: u64, runs: usize) -> Vec<ChaosRow> {
-    let faulty = ChaosConfig::default();
-    let clean = ChaosConfig {
-        fault_free: true,
-        ..ChaosConfig::default()
-    };
     vec![
-        batch_row("faulty", first_seed, runs, &faulty),
-        batch_row("fault-free", first_seed, runs, &clean),
+        batch_row("faulty", first_seed, runs, Faults::Random),
+        batch_row("fault-free", first_seed, runs, Faults::None),
     ]
 }
 

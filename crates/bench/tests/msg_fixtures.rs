@@ -16,7 +16,7 @@
 use std::collections::BTreeMap;
 
 use dsm_apps::{run_causal_solver_sim, LinearSystem, SolverSimConfig};
-use dsm_faults::{run_chaos_once, ChaosConfig};
+use dsm_faults::{run_chaos, ChaosConfig, Faults, Registers};
 use serde::{Deserialize, Serialize};
 
 /// One pinned scenario: its identity and its per-kind message bill.
@@ -38,7 +38,7 @@ const FIXTURE_PATH: &str = concat!(
 /// quick-mode seeds plus one more).
 const SOLVER_SEEDS: [u64; 3] = [0xC0FFEE, 0x5EED, 7];
 
-/// The chaos-smoke seeds pinned by the fixture.
+/// The `registers` × `random` chaos seeds pinned by the fixture.
 const CHAOS_SEEDS: [u64; 3] = [1, 2, 3];
 
 fn solver_fixture(seed: u64) -> Fixture {
@@ -63,7 +63,7 @@ fn solver_fixture(seed: u64) -> Fixture {
 }
 
 fn chaos_fixture(seed: u64) -> Fixture {
-    let outcome = run_chaos_once(seed, &ChaosConfig::default());
+    let outcome = run_chaos(&Registers, Faults::Random, seed, &ChaosConfig::default());
     assert!(
         outcome.ok(),
         "chaos run at seed {seed} violated the causal spec: {:?}",

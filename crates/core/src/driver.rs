@@ -287,6 +287,9 @@ impl<V> Pipeline<V> {
 #[derive(Clone, Debug)]
 struct Failover<V> {
     config: FailoverConfig,
+    /// Whether this life's silence clock is running (see
+    /// [`NodeDriver::clock`]).
+    started: bool,
     /// One attempt's patience before backoff: the `owner_timeout` if
     /// configured, else the suspicion budget.
     patience: u64,
@@ -350,6 +353,7 @@ impl<V: Value> NodeDriver<V> {
             .map(|t| u64::try_from(t.as_millis()).unwrap_or(u64::MAX).max(1));
         let fo = state.failover_config().map(|fc| Failover {
             config: fc,
+            started: false,
             patience: timeout.unwrap_or_else(|| {
                 fc.heartbeat_interval
                     .saturating_mul(u64::from(fc.suspicion_threshold))
@@ -418,7 +422,7 @@ impl<V: Value> NodeDriver<V> {
             self.pending.is_none() && self.deferred.is_none(),
             "one outstanding op per node"
         );
-        self.now = now;
+        self.clock(now);
         self.try_op(op, fx);
         self.side_traffic(fx);
     }
@@ -453,7 +457,7 @@ impl<V: Value> NodeDriver<V> {
 
     /// Delivers a protocol message from `from`.
     pub fn deliver(&mut self, now: u64, from: NodeId, msg: Msg<V>, fx: &mut Effects<V>) {
-        self.now = now;
+        self.clock(now);
         if self.fo.is_some() {
             // Any inbound message is evidence of life, not just heartbeats.
             self.state.record_alive(from, now);
@@ -480,7 +484,7 @@ impl<V: Value> NodeDriver<V> {
     /// suspicion, expired attempts (their targets are suspected and the
     /// requests re-dispatched), and the blocked operation's give-up.
     pub fn on_timer(&mut self, now: u64, fx: &mut Effects<V>) {
-        self.now = now;
+        self.clock(now);
         let heartbeat_due = self.fo.as_mut().is_some_and(|fo| {
             let due = fo.next_heartbeat <= now;
             if due {
@@ -540,6 +544,21 @@ impl<V: Value> NodeDriver<V> {
             fo.inflight.clear();
         }
         blocked
+    }
+
+    /// Takes the executor's clock for this call. A life's first call also
+    /// starts failover's silence clock: every peer counts as heard at
+    /// `now`, not at time 0 — `now` is arbitrary monotone time, so a state
+    /// rebuilt at time T by [`CausalState::recover`] would otherwise find
+    /// every live peer silent for T and suspect it on its first check.
+    fn clock(&mut self, now: u64) {
+        self.now = now;
+        if let Some(fo) = self.fo.as_mut().filter(|fo| !fo.started) {
+            fo.started = true;
+            for peer in 0..self.state.config().nodes() {
+                self.state.record_alive(NodeId::new(peer), now);
+            }
+        }
     }
 
     // ------------------------------------------------------------------

@@ -406,3 +406,22 @@ fn a_dead_transport_forgets_the_run_and_the_operation() {
         "idle: flush is a no-op"
     );
 }
+
+#[test]
+fn a_life_first_called_late_suspects_no_peer_before_its_budget() {
+    // A recovered state is handed to a fresh driver at some late time T:
+    // its peers have been silent only since T, not since time 0.
+    let start = 1_000;
+    let budget = 10 * 2; // fast_failover's interval × threshold
+    let mut d = drivers(3, |c| c.failover(fast_failover(8)));
+    let mut now = start;
+    loop {
+        let (sends, _) = call(|fx| d[0].on_timer(now, fx));
+        if sends.iter().any(|(_, m)| matches!(m, Msg::Suspect { .. })) {
+            break;
+        }
+        now = d[0].next_timer().expect("heartbeats are standing timers");
+    }
+    assert!(now > start + budget, "suspected a peer at {now}");
+    assert!(now <= start + budget + 10, "the detector still fires");
+}

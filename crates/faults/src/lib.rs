@@ -16,58 +16,42 @@
 //!   under any protocol actor, re-deriving per-link FIFO exactly-once
 //!   delivery over the lossy link (overhead shows up as
 //!   [`memcore::kinds`] counters);
-//! * [`chaos`] — [`run_chaos_batch`]: random workloads under random
-//!   plans in the deterministic simulator, every execution fed to
-//!   [`causal_spec::check_causal`], failures reported with their
-//!   reproducing seed and plan;
-//! * [`recovery`] — [`run_recovery_chaos_batch`]: restart-with-disk
-//!   chaos for the durability layer — a [`DurableActor`] journals into
-//!   a write-ahead log, crashes at an injected WAL offset (including
-//!   mid-record tears), recovers from the surviving bytes, and rejoins
-//!   under a bumped session incarnation; the extended oracle asserts no
-//!   certified write is lost under `every_op` sync;
-//! * [`objects`] — [`run_object_chaos_batch`]: typed-object workloads
-//!   (counter/set/map/queue from `dsm-objects`) under the same seeded
-//!   plans, with each family's sequential-spec oracle
-//!   ([`causal_spec::check_object`]) layered on the causal checker —
-//!   plus owner-crash, kill-9 + WAL recovery, and broken-merge-policy
-//!   mutation gates for the object layer.
+//! * [`node`] — [`DurableActor`], the one simulated node: a session-layered
+//!   causal node that journals into a write-ahead log, crashes at an
+//!   injected WAL offset (including mid-record tears) and recovers under a
+//!   bumped incarnation iff its configuration is durable;
+//! * [`workload`] × [`Faults`] — the chaos grid: register, typed-object
+//!   and broken-merge-policy [`Workload`]s under a reliable network,
+//!   random plans, permanent owner crashes or WAL-recovering restarts,
+//!   every execution fed to [`causal_spec::check_causal`] plus the
+//!   workload's and the fault family's own oracles, failures reported
+//!   with their reproducing seed and plan ([`harness`]; the `smoke`
+//!   binary runs the CI grid).
 //!
 //! # Examples
 //!
 //! One seeded chaos run end to end:
 //!
 //! ```
-//! use dsm_faults::{run_chaos_once, ChaosConfig};
+//! use dsm_faults::{run_chaos, ChaosConfig, Faults, Registers};
 //!
-//! let outcome = run_chaos_once(42, &ChaosConfig::default());
+//! let outcome = run_chaos(&Registers, Faults::Random, 42, &ChaosConfig::default());
 //! assert!(outcome.ok(), "{outcome}");
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod chaos;
+pub mod harness;
 pub mod injector;
-pub mod objects;
+pub mod node;
 pub mod plan;
-pub mod recovery;
 pub mod session;
+pub mod workload;
 
-pub use chaos::{
-    owner_crash_plan, run_chaos_batch, run_chaos_once, run_chaos_shaped, run_owner_crash_batch,
-    run_owner_crash_once, sample_owner_crash_config, sample_throughput_config, ChaosBatch,
-    ChaosConfig, ChaosOutcome, ChaosSetup,
-};
+pub use harness::{run_chaos, run_chaos_batch, ChaosBatch, ChaosConfig, ChaosOutcome, Faults};
 pub use injector::FaultInjector;
-pub use objects::{
-    object_family, object_workload, run_object_chaos_batch, run_object_chaos_once,
-    run_object_mutation_once, run_object_owner_crash_batch, run_object_owner_crash_once,
-    run_object_recovery_once,
-};
-pub use recovery::{
-    recovery_crash_plan, run_recovery_chaos_batch, run_recovery_chaos_once,
-    run_recovery_liveness_once, sample_recovery_config, DurableActor,
-};
+pub use node::DurableActor;
 pub use plan::{Crash, FaultPlan, LinkFaults, Partition};
-pub use session::{session_causal_sim, ReliableLink, SessionActor, SessionMsg, SessionStats};
+pub use session::{ReliableLink, SessionActor, SessionMsg, SessionStats};
+pub use workload::{Mutant, Objects, Registers, Shape, Workload};

@@ -748,31 +748,6 @@ impl<V: Value, A: Actor<V>> Actor<V> for SessionActor<V, A> {
     }
 }
 
-/// A simulated causal-DSM cluster with a [`ReliableLink`] session layer
-/// under every node — the counterpart of [`dsm_sim::causal_sim`] for
-/// faulty networks.
-///
-/// `rto` is the retransmission timeout in simulator time units; pick it a
-/// few times the expected link latency so healthy traffic rarely
-/// retransmits.
-#[must_use]
-pub fn session_causal_sim<V: Value>(
-    config: &causal_dsm::CausalConfig<V>,
-    rto: u64,
-    opts: dsm_sim::SimOpts<V>,
-) -> dsm_sim::Sim<V, SessionActor<V, dsm_sim::CausalActor<V>>> {
-    let actors = (0..config.nodes())
-        .map(|i| {
-            let state = causal_dsm::CausalState::new(NodeId::new(i), config.clone());
-            SessionActor::new(
-                dsm_sim::CausalActor::new(causal_dsm::NodeDriver::new(state)),
-                rto,
-            )
-        })
-        .collect();
-    dsm_sim::Sim::new(actors, opts)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -11,9 +11,9 @@ use std::sync::Arc;
 
 use causalmem::apps::{LinearSystem, SolverCoordinator, SolverLayout, SolverWorker};
 use causalmem::causal::CausalConfig;
-use causalmem::faults::{session_causal_sim, FaultInjector, FaultPlan, LinkFaults};
-use causalmem::memcore::{kinds, StatsSnapshot, Word};
-use causalmem::sim::{Actor, RunLimits, SimOpts};
+use causalmem::faults::{DurableActor, FaultInjector, FaultPlan, LinkFaults};
+use causalmem::memcore::{kinds, NodeId, StatsSnapshot, Word};
+use causalmem::sim::{Actor, RunLimits, Sim, SimOpts};
 use causalmem::simnet::latency::Constant;
 use causalmem::simnet::FaultHook;
 
@@ -37,9 +37,13 @@ fn solve(system: &LinearSystem, plan: Option<FaultPlan>) -> Run {
         .const_pages(layout.const_pages())
         .build();
     let faults = plan.map(|p| Arc::new(FaultInjector::new(SEED, p)) as Arc<dyn FaultHook>);
-    let mut sim = session_causal_sim(
-        &config,
-        RTO,
+    // Session-layered nodes; the configuration is not durable, so a
+    // crash window would be a pause.
+    let nodes = (0..config.nodes())
+        .map(|i| DurableActor::new(NodeId::new(i), config.clone(), RTO, SEED))
+        .collect();
+    let mut sim = Sim::new(
+        nodes,
         SimOpts {
             latency: Box::new(Constant::new(LATENCY)),
             seed: SEED,
