@@ -15,6 +15,17 @@
 //! requests while one of its own operations waits — the fair alternation
 //! the paper asks for (and what makes the protocol deadlock-free).
 //!
+//! Over a remote transport that supports it, the blocked handle applies
+//! the same rule to itself: when its own driver call leaves an operation
+//! other than a pipelined write outstanding and every send that
+//! [needs delivery](Driver::needs_delivery) goes to one remote peer, the
+//! sends *claim* that peer's inbound stream
+//! ([`simnet::claim`]), and instead of sleeping until another thread
+//! hands it the reply, the handle reads the stream itself — serving, in
+//! link order, whatever peer requests arrive on it ahead of the reply.
+//! Liveness never depends on who completes the operation: every other
+//! completer rings the claim's doorbell.
+//!
 //! Two paths bypass [`Driver::submit`], for drivers that offer them: a
 //! cache-hit read runs under the *shared* lock (Figure 4's read procedure
 //! touches no state on a hit, [`Driver::read_hit`]), and an owner-local
@@ -25,6 +36,7 @@
 //! driver and monomorphised; [`CausalCluster`], [`CausalHandle`] and
 //! [`crate::InlineServer`] name the [`NodeDriver`] instantiation.
 
+use std::cell::Cell;
 use std::sync::{Arc, Condvar, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -35,6 +47,7 @@ use memcore::{
     Location, MemoryError, NetStats, NodeId, OpRecord, Recorder, SharedMemory, Value, WriteId,
 };
 use parking_lot::{Mutex, RwLock, RwLockWriteGuard};
+use simnet::claim::{self, StreamClaim};
 use simnet::codec::Wire;
 use simnet::{Envelope, Network};
 use vclock::VectorClock;
@@ -84,6 +97,15 @@ struct NodeShared<D: Driver> {
     /// Completions handed to the blocked operation by whichever thread's
     /// driver call produced them.
     done_rx: Receiver<Done<D::Value>>,
+    /// The inbound stream the blocked operation has claimed, if any
+    /// (see the module docs). Other completers ring it.
+    claim: Mutex<Option<Arc<dyn StreamClaim>>>,
+}
+
+thread_local! {
+    /// Set while this thread pumps its own claimed stream: a completion
+    /// it delivers there needs no doorbell.
+    static PUMPING: Cell<bool> = const { Cell::new(false) };
 }
 
 impl<D: Driver> NodeShared<D> {
@@ -99,6 +121,12 @@ impl<D: Driver> NodeShared<D> {
     /// perform the sends in order, and return the completion, if any, for
     /// the caller to keep or forward.
     ///
+    /// `claims` says the caller is a handle that will wait on the
+    /// outcome by reading its reply itself ([`reads_own_reply`]): if the
+    /// call leaves the operation outstanding and every send that needs
+    /// delivery goes to one remote peer, the sends claim that peer's
+    /// stream for it.
+    ///
     /// The last flag reports a dead transport: a message that
     /// [needs delivery](Driver::needs_delivery) could not be sent, which
     /// is terminal for the session. The driver has then been reset
@@ -107,6 +135,7 @@ impl<D: Driver> NodeShared<D> {
     /// replies stay best effort — the peer may simply be shutting down.
     fn execute<R>(
         &self,
+        claims: bool,
         call: impl FnOnce(&mut D, u64, &mut EffectsOf<D>) -> R,
     ) -> (R, Option<Done<D::Value>>, bool) {
         let now = self.now();
@@ -120,7 +149,13 @@ impl<D: Driver> NodeShared<D> {
         if core.fx.sends.is_empty() {
             return (out, done, false);
         }
-        if self.send(guard) {
+        let reply_from = if claims && done.is_none() {
+            self.reply_peer(&core.fx.sends)
+        } else {
+            None
+        };
+        if self.send(guard, reply_from) {
+            self.release_claim();
             let blocked = self.core.write().driver.transport_down();
             let failed = blocked.then_some(Done::Failed(MemoryError::Shutdown));
             return (out, failed, true);
@@ -128,45 +163,138 @@ impl<D: Driver> NodeShared<D> {
         (out, done, false)
     }
 
+    /// The one remote peer every send that needs delivery goes to — the
+    /// stream the outstanding operation's reply will arrive on.
+    fn reply_peer(&self, sends: &[(NodeId, D::Msg)]) -> Option<NodeId> {
+        let mut peer = None;
+        for (dst, _) in sends.iter().filter(|(_, msg)| D::needs_delivery(msg)) {
+            if peer.is_some_and(|p| p != *dst) {
+                return None;
+            }
+            peer = Some(*dst);
+        }
+        peer.filter(|p| !self.net.is_local(*p))
+    }
+
     /// Puts the effects' sends on the wire, in order, releasing the node
-    /// lock first — but only once the outbox is held. Returns `true` if
-    /// a message that needs delivery could not be sent.
-    fn send(&self, mut guard: RwLockWriteGuard<'_, Core<D>>) -> bool {
+    /// lock first — but only once the outbox is held. With `reply_from`,
+    /// the sends claim that peer's stream, if the transport offers it.
+    /// Returns `true` if a message that needs delivery could not be sent.
+    fn send(&self, mut guard: RwLockWriteGuard<'_, Core<D>>, reply_from: Option<NodeId>) -> bool {
         let mut outbox = self.outbox.lock();
         std::mem::swap(&mut *outbox, &mut guard.fx.sends);
         drop(guard);
+        if reply_from.is_some() {
+            claim::intend(reply_from);
+        }
         let mut down = false;
         for (dst, msg) in outbox.drain(..) {
             let critical = D::needs_delivery(&msg);
             down |= self.net.send(self.me, dst, msg).is_err() && critical;
         }
+        if reply_from.is_some() {
+            claim::intend(None);
+            if let Some(stream) = claim::take() {
+                *self.claim.lock() = Some(stream);
+            }
+        }
         down
     }
 
-    /// Sleeps until the blocked operation completes, firing the driver's
+    /// Hands the claimed stream, if any, back to the transport.
+    fn release_claim(&self) {
+        let held = self.claim.lock().take();
+        if let Some(stream) = held {
+            stream.release();
+        }
+    }
+
+    /// Tells a handle pumping its claimed stream on another thread that
+    /// its operation may have completed.
+    fn ring(&self) {
+        if !PUMPING.with(Cell::get) {
+            if let Some(stream) = &*self.claim.lock() {
+                stream.ring();
+            }
+        }
+    }
+
+    /// Waits until the blocked operation completes, firing the driver's
     /// timers (attempt deadlines, the give-up budget) when they come due
     /// first. `Ok(None)` means a timer fired without completing it.
-    fn wait(&self) -> Result<Option<Done<D::Value>>, MemoryError> {
-        let due = self.clock.and_then(|start| {
+    ///
+    /// With a claimed stream the handle reads it until a completion is
+    /// found — whoever produced it — or the claim is lost, and only then
+    /// sleeps on the completion channel.
+    fn wait(&self, claims: bool) -> Result<Option<Done<D::Value>>, MemoryError> {
+        let deadline = self.clock.and_then(|start| {
             let due = self.core.read().driver.next_timer()?;
-            Some((start + Duration::from_millis(due)).saturating_duration_since(Instant::now()))
+            Some(start + Duration::from_millis(due))
         });
-        let received = match due {
+        let held = self.claim.lock().clone();
+        if let Some(stream) = held {
+            loop {
+                if let Ok(done) = self.done_rx.try_recv() {
+                    return Ok(Some(done));
+                }
+                let timeout = deadline.map(|d| d.saturating_duration_since(Instant::now()));
+                if timeout == Some(Duration::ZERO) {
+                    return Ok(self.fire_timers(claims));
+                }
+                PUMPING.with(|p| p.set(true));
+                let pumped = stream.pump(timeout);
+                PUMPING.with(|p| p.set(false));
+                if pumped.is_err() {
+                    self.release_claim();
+                    break;
+                }
+            }
+        }
+        let received = match deadline {
             None => self
                 .done_rx
                 .recv()
                 .map_err(|_| RecvTimeoutError::Disconnected),
-            Some(timeout) => self.done_rx.recv_timeout(timeout),
+            Some(deadline) => self
+                .done_rx
+                .recv_timeout(deadline.saturating_duration_since(Instant::now())),
         };
         match received {
             Ok(done) => Ok(Some(done)),
-            Err(RecvTimeoutError::Timeout) => Ok(self.execute(|d, now, fx| d.on_timer(now, fx)).1),
+            Err(RecvTimeoutError::Timeout) => Ok(self.fire_timers(claims)),
             // Every completer is gone: the engine shut down under us.
             Err(RecvTimeoutError::Disconnected) => {
                 self.core.write().driver.transport_down();
                 Err(MemoryError::Shutdown)
             }
         }
+    }
+
+    /// The blocked handle's timer call. A retry it sends is the handle's
+    /// own call, so it may claim a stream anew.
+    fn fire_timers(&self, claims: bool) -> Option<Done<D::Value>> {
+        self.release_claim();
+        self.execute(claims, |d, now, fx| d.on_timer(now, fx)).1
+    }
+}
+
+/// Whether a handle blocked on `op` reads its own reply. A pipelined
+/// write never does: it waits only for room in the window, and reading
+/// the reply that makes room would hand it back to its caller one reply
+/// envelope sooner than the poller does — before the rest of the window
+/// has drained — so the next write would find the window full again and
+/// ship a run of one.
+fn reads_own_reply<V>(op: &Op<V>) -> bool {
+    !matches!(op, Op::WritePipelined(..) | Op::WriteUngated(..))
+}
+
+/// Releases the blocked operation's claimed stream, if any, on every way
+/// out of [`Handle::run`].
+struct ReleaseClaim<'a, D: Driver>(&'a NodeShared<D>);
+
+impl<D: Driver> Drop for ReleaseClaim<'_, D> {
+    fn drop(&mut self) {
+        self.0.release_claim();
     }
 }
 
@@ -232,8 +360,9 @@ struct Server<D: Driver> {
 
 impl<D: Driver> Server<D> {
     fn run(&self, call: impl FnOnce(&mut D, u64, &mut EffectsOf<D>)) {
-        if let ((), Some(done), _) = self.node.execute(call) {
+        if let ((), Some(done), _) = self.node.execute(false, call) {
             let _ = self.done_tx.send(done);
+            self.node.ring();
         }
     }
 
@@ -247,9 +376,12 @@ impl<D: Driver> Server<D> {
 /// an I/O layer (such as `dsm-net`'s poller) that calls
 /// [`InlineServer::deliver`] for every inbound envelope it decodes.
 ///
-/// Exactly one I/O thread should drive it, so that one link's envelopes
-/// are delivered in arrival order — an event-loop transport's one poller
-/// satisfies that the same way the engine's own server thread does.
+/// One thread at a time should read each link and deliver its envelopes,
+/// so that they are delivered in arrival order — an event-loop
+/// transport's poller satisfies that the same way the engine's own server
+/// thread does, and so does a transport that lets a blocked handle read
+/// the stream it claimed (see the module docs) under the same per-link
+/// lock its poller reads with.
 pub struct InlineServer<D: Driver> {
     server: Server<D>,
     stop: Arc<StopSignal>,
@@ -403,11 +535,12 @@ impl<D: Driver> Cluster<D> {
                 op_lock: Mutex::new(()),
                 outbox: Mutex::new(Vec::new()),
                 done_rx,
+                claim: Mutex::new(None),
             });
             // Persist what booting journaled (for the causal driver: the
             // baseline watermark, or recovery's rejoin record with the
             // bumped incarnation) before any traffic can reference it.
-            node.execute(|_, _, _| ());
+            node.execute(false, |_, _, _| ());
             let server = |role: &str| {
                 (
                     format!("{}-{role}-{}", D::NAME.to_lowercase(), me.index()),
@@ -988,14 +1121,18 @@ impl<D: Driver> Handle<D> {
     }
 
     /// Runs `op` as this node's one outstanding operation: submit it under
-    /// the operation lock, then — unless it completed on the spot — sleep
-    /// until another thread's driver call (or a timer this thread fires)
-    /// completes it. Recording happens before the operation lock is
-    /// released, so the recorded order is the node's program order.
+    /// the operation lock, then — unless it completed on the spot — wait
+    /// until a driver call completes it: one this thread makes reading
+    /// the stream it claimed, a timer it fires, or another thread's.
+    /// Recording happens before the operation lock is released, so the
+    /// recorded order is the node's program order.
     fn run(&self, op: Op<D::Value>) -> Result<Done<D::Value>, MemoryError> {
         let node = self.shared();
         let _op = node.op_lock.lock();
-        let ((), mut done, down) = node.execute(|d, now, fx| d.submit(now, op, fx));
+        let claims = reads_own_reply(&op);
+        let ((), mut done, down) = node.execute(claims, |d, now, fx| d.submit(now, op, fx));
+        // Only an operation left outstanding can have claimed a stream.
+        let claim = done.is_none().then_some(ReleaseClaim(node));
         if down {
             return Err(MemoryError::Shutdown);
         }
@@ -1003,9 +1140,10 @@ impl<D: Driver> Handle<D> {
             match done {
                 Some(Done::Failed(err)) => return Err(err),
                 Some(done) => break done,
-                None => done = node.wait()?,
+                None => done = node.wait(claims)?,
             }
         };
+        drop(claim);
         // The record is built only if a recorder is installed, so
         // unrecorded clusters never deep-copy a value to throw it away.
         if let Some(rec) = &self.inner.recorder {
@@ -1043,7 +1181,7 @@ impl<D: Driver> Handle<D> {
         if self.inner.recorder.is_none() {
             let (local, _, _) = self
                 .shared()
-                .execute(|d, _, fx| d.write_local(loc, value, fx));
+                .execute(false, |d, _, fx| d.write_local(loc, value, fx));
             match local {
                 Ok(wid) => return Ok(WriteDone::Applied { wid }),
                 Err(back) => value = back,

@@ -55,6 +55,21 @@
 //! per-connection FIFO and reliability, which is exactly the paper's §3
 //! network assumption — see `docs/NET.md`.
 //!
+//! # Claimed streams
+//!
+//! The poller is not the only reader. An application thread about to
+//! block on an owner round trip *claims* the owner's stream through the
+//! [`simnet::claim`] rendezvous: [`MeshLink::send_remote`], on that
+//! thread and before the request is written, disarms the socket's read
+//! interest (one `epoll_ctl`); the thread then sleeps on that one socket
+//! and the mesh's doorbell, reads its reply through the same read path
+//! the poller uses, and on release re-arms the socket. A peer's read
+//! side — socket and decoder — therefore lives in the mesh's shared
+//! state under its own lock, and a stream's frames are read and
+//! delivered only under that lock, so per-link FIFO holds whoever reads.
+//! Every change to a socket's registration is made under the peer's send
+//! lock by one function (`Shared::rearm`), from (claimed, wants write).
+//!
 //! # Reconnection (session mode)
 //!
 //! With `reconnect on` in the spec, every peer link runs through a
@@ -81,12 +96,12 @@
 //! Nagle batching would serialize the owner protocol's round trips.
 //! `nodelay`, `sndbuf`, and `rcvbuf` in the spec tune this per cluster.
 
-use std::collections::{HashMap, HashSet};
 use std::io;
 use std::marker::PhantomData;
 use std::net::{Shutdown, TcpListener, TcpStream};
+use std::os::unix::io::RawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock, Weak};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -95,6 +110,7 @@ use dsm_faults::{ReliableLink, SessionMsg};
 use memcore::NodeId;
 use parking_lot::Mutex;
 use polling::{Interest, Poller};
+use simnet::claim::{self, Lost, StreamClaim};
 use simnet::codec::{FrameDecoder, Wire};
 use simnet::{Envelope, Network, RemoteLink, SendError, Tagged};
 
@@ -142,7 +158,8 @@ pub trait EnvelopeSink<M>: Send + 'static {
     fn nodes(&self) -> usize;
     /// Whether `dst` is hosted by this process.
     fn hosts(&self, dst: NodeId) -> bool;
-    /// Delivers one envelope on the calling (poller) thread.
+    /// Delivers one envelope on the calling thread: the poller, or a
+    /// thread that claimed the envelope's stream (see the module docs).
     ///
     /// # Errors
     ///
@@ -232,20 +249,61 @@ impl WireCounters {
     }
 }
 
+/// One peer's connection state, shared by senders, the poller and a
+/// claiming thread.
+struct Peer {
+    tx: Mutex<PeerTx>,
+    /// The read side. A stream is read, and its frames delivered, only
+    /// under this lock — by the poller or by the thread that claimed it —
+    /// so per-link FIFO holds whoever reads. A delivery under it may send
+    /// (and so take the engine's outbox and then `tx`); nothing that holds
+    /// `tx` or the outbox may take it.
+    rx: Mutex<Option<PeerRead>>,
+    /// A thread has claimed this stream; the poller leaves it unread.
+    /// Written under the `tx` lock, read by the poller without it.
+    claimed: AtomicBool,
+}
+
 /// Per-peer outbound state, shared between sender threads and the
 /// poller behind one mutex.
 struct PeerTx {
-    /// Write handle (a `try_clone` of the poller's read socket);
-    /// `None` while the connection is down.
-    stream: Option<TcpStream>,
+    /// The connection's socket, shared with the read side; `None` while
+    /// the connection is down.
+    stream: Option<Arc<TcpStream>>,
     /// Encoded frames awaiting the socket, back to back.
     out: OutBuf,
     /// The poller should poll this socket for writability.
     want_write: bool,
+    /// The read socket's poll registration; `None` while no connection
+    /// is installed. Changed only by [`Shared::rearm`].
+    reg: Option<Registration>,
+    /// A connection was installed before, so the next one is a reconnect.
+    connected_once: bool,
     /// A redial thread is already running for this peer.
     redialing: bool,
     /// Session endpoint (reconnect mode); speaks only to this peer.
     link: Option<ReliableLink<RawBody>>,
+}
+
+/// A read socket as the poller knows it.
+struct Registration {
+    fd: RawFd,
+    /// What it is armed for; `None` until it joins the poll set.
+    armed: Option<Interest>,
+}
+
+/// The poll interest of a peer's socket: readable unless a thread has
+/// claimed it, writable while sends are queued behind it. A claimed
+/// socket stays in the poll set, armed for nothing to read, so a claim
+/// and its release cost one cheap `epoll_ctl` modify each. Only a
+/// hang-up is still reported for it (epoll always reports those); the
+/// poller skips the event, and the claimer, woken by the same hang-up,
+/// lets go.
+fn interest(claimed: bool, want_write: bool) -> Interest {
+    Interest {
+        read: !claimed,
+        write: want_write,
+    }
 }
 
 /// Transport knobs resolved from the spec.
@@ -272,7 +330,7 @@ struct Shared {
     me: NodeId,
     cfg: MeshConfig,
     /// Indexed by peer id; `None` at our own slot.
-    peers: Vec<Option<Mutex<PeerTx>>>,
+    peers: Vec<Option<Peer>>,
     stats: WireCounters,
     stop: AtomicBool,
     /// Cleared when the local engine stops accepting injected traffic,
@@ -285,6 +343,17 @@ struct Shared {
     addrs: Vec<String>,
     /// Feeds fresh connections (acceptor- or redial-side) to the poller.
     conn_tx: Sender<(NodeId, Conn)>,
+    /// The read path as a [`StreamClaim`], set by [`TcpMesh::start`].
+    /// Weak: the poller thread owns it (and with it the sink), and a
+    /// claimer holds it only while its claim lasts.
+    reader: OnceLock<Weak<dyn StreamClaim>>,
+    /// The stream claimed at the moment, if any, with its socket (held
+    /// open until the claim is released). One claim per mesh: the node
+    /// it hosts has one blocked operation at a time.
+    held: Mutex<Option<(NodeId, Arc<TcpStream>)>>,
+    /// The claim doorbell: a claimer sleeps on its socket and this
+    /// ([`Poller::wait_fd`]); [`StreamClaim::ring`] notifies it.
+    bell: Poller,
 }
 
 impl Shared {
@@ -292,10 +361,71 @@ impl Shared {
         self.epoch.elapsed().as_millis() as u64
     }
 
+    fn peer(&self, key: usize) -> Option<&Peer> {
+        self.peers.get(key).and_then(Option::as_ref)
+    }
+
+    /// Brings `key`'s poll registration in line with [`interest`]. The
+    /// one writer of registrations — the poller's reconcile, a claim and
+    /// its release all come here, under the peer's `tx` lock — so no
+    /// change can undo another and leave a stream deaf.
+    fn rearm(&self, peer: &Peer, key: usize, tx: &mut PeerTx) {
+        let want_write = tx.want_write && tx.stream.is_some();
+        let Some(reg) = tx.reg.as_mut() else {
+            return;
+        };
+        let want = interest(peer.claimed.load(Ordering::Acquire), want_write);
+        if reg.armed == Some(want) {
+            return;
+        }
+        let changed = match reg.armed {
+            None => self.poller.add(reg.fd, key, want),
+            Some(_) => self.poller.modify(reg.fd, key, want),
+        };
+        if changed.is_ok() {
+            reg.armed = Some(want);
+            // The portable backend snapshots registrations per wait.
+            if self.poller.backend_name() == "poll" {
+                let _ = self.poller.notify();
+            }
+        }
+    }
+
+    /// Takes `peer`'s stream away from the poller for the calling
+    /// thread, if no other claim is held and the connection is up.
+    /// Called under the peer's `tx` lock, before a request is written.
+    fn claim(&self, peer: &Peer, id: NodeId, tx: &mut PeerTx) -> Option<Arc<dyn StreamClaim>> {
+        let reader = self.reader.get()?.upgrade()?;
+        let stream = tx.stream.as_ref()?;
+        {
+            let mut held = self.held.lock();
+            if held.is_some() {
+                return None;
+            }
+            *held = Some((id, Arc::clone(stream)));
+        }
+        peer.claimed.store(true, Ordering::Release);
+        self.rearm(peer, id.index(), tx);
+        Some(reader)
+    }
+
+    /// Gives the claimed stream back to the poller. The claimer has
+    /// delivered every complete frame it read, and whatever is still in
+    /// the socket makes it readable the moment it is re-armed.
+    fn release(&self) {
+        let Some((id, _stream)) = self.held.lock().take() else {
+            return;
+        };
+        let peer = self.peer(id.index()).expect("claims name installed peers");
+        let mut tx = peer.tx.lock();
+        peer.claimed.store(false, Ordering::Release);
+        self.rearm(peer, id.index(), &mut tx);
+    }
+
     /// Writes `tx`'s outbound buffer until empty, the socket
     /// backpressures, or the connection dies. Caller holds the lock.
     fn drain_locked(&self, tx: &mut PeerTx) -> Drain {
-        let Some(stream) = tx.stream.as_ref() else {
+        let Some(stream) = tx.stream.as_deref() else {
             return Drain::Idle;
         };
         while !tx.out.is_empty() {
@@ -346,10 +476,10 @@ impl<M: Wire + Tagged> RemoteLink<M> for MeshLink<M> {
         let dst = env.dst;
         let shared = &*self.shared;
         let is_batch = env.payload.is_batch();
-        let peer = shared.peers[dst.index()]
-            .as_ref()
+        let peer = shared
+            .peer(dst.index())
             .unwrap_or_else(|| panic!("no mesh connection toward {dst}"));
-        let mut tx = peer.lock();
+        let mut tx = peer.tx.lock();
         // The receiver's decoder treats a frame above `MAX_FRAME` as a
         // protocol error and drops the connection, with every other
         // operation in flight on it. Refuse it here instead, before a
@@ -368,6 +498,15 @@ impl<M: Wire + Tagged> RemoteLink<M> for MeshLink<M> {
         if is_batch {
             shared.stats.batch_frames.fetch_add(1, Ordering::Relaxed);
         }
+        // A sending thread that will block on the reply claims the stream
+        // it arrives on — before the write: on one processor the owner's
+        // poller can answer inside it, and the reply must find the stream
+        // already out of our poller's hands.
+        let claimed = if claim::wanted(dst) {
+            shared.claim(peer, dst, &mut tx)
+        } else {
+            None
+        };
         let outcome = if let Some(link) = tx.link.as_mut() {
             // Session mode: the payload parks in the unacked window, so
             // a down link delays rather than fails the send — the frame
@@ -387,6 +526,9 @@ impl<M: Wire + Tagged> RemoteLink<M> for MeshLink<M> {
             shared.drain_locked(&mut tx)
         };
         drop(tx);
+        if let Some(reader) = claimed {
+            claim::deposit(reader);
+        }
         match outcome {
             Drain::Idle => Ok(()),
             Drain::Blocked => {
@@ -557,8 +699,8 @@ fn run_redial(shared: Arc<Shared>, peer: NodeId) {
         }
     }
     // Gave up (mesh stopping): let a future drop spawn a fresh redialer.
-    if let Some(peer_tx) = &shared.peers[peer.index()] {
-        peer_tx.lock().redialing = false;
+    if let Some(slot) = shared.peer(peer.index()) {
+        slot.tx.lock().redialing = false;
     }
 }
 
@@ -597,14 +739,18 @@ impl<M: Wire + Tagged + Send + 'static> TcpMesh<M> {
         };
         let peers = (0..n)
             .map(|j| {
-                (j != me.index()).then(|| {
-                    Mutex::new(PeerTx {
+                (j != me.index()).then(|| Peer {
+                    tx: Mutex::new(PeerTx {
                         stream: None,
                         out: OutBuf::default(),
                         want_write: false,
+                        reg: None,
+                        connected_once: false,
                         redialing: false,
                         link: cfg.session.map(ReliableLink::new),
-                    })
+                    }),
+                    rx: Mutex::new(None),
+                    claimed: AtomicBool::new(false),
                 })
             })
             .collect();
@@ -623,6 +769,9 @@ impl<M: Wire + Tagged + Send + 'static> TcpMesh<M> {
                 .map(|j| spec.addr(NodeId::new(j)).to_owned())
                 .collect(),
             conn_tx,
+            reader: OnceLock::new(),
+            held: Mutex::new(None),
+            bell: Poller::with_poll_backend()?,
         });
         listener.set_nonblocking(true)?;
         let acceptor = {
@@ -731,8 +880,8 @@ impl<M: Wire + Tagged + Send + 'static> TcpMesh<M> {
         let Some(rto) = self.shared.cfg.session else {
             return;
         };
-        for peer_tx in self.shared.peers.iter().flatten() {
-            peer_tx.lock().link = Some(ReliableLink::with_incarnation(rto, inc));
+        for peer in self.shared.peers.iter().flatten() {
+            peer.tx.lock().link = Some(ReliableLink::with_incarnation(rto, inc));
         }
     }
 
@@ -740,8 +889,8 @@ impl<M: Wire + Tagged + Send + 'static> TcpMesh<M> {
     /// socket died. Chaos hook: in reconnect mode the mesh heals via
     /// redial + session retransmission; otherwise the peer stays dead.
     pub fn sever(&self, peer: NodeId) {
-        if let Some(peer_tx) = &self.shared.peers[peer.index()] {
-            let tx = peer_tx.lock();
+        if let Some(slot) = self.shared.peer(peer.index()) {
+            let tx = slot.tx.lock();
             if let Some(s) = &tx.stream {
                 let _ = s.shutdown(Shutdown::Both);
             }
@@ -751,14 +900,16 @@ impl<M: Wire + Tagged + Send + 'static> TcpMesh<M> {
 
     /// Spawns the poller thread, delivering decoded envelopes into `sink`
     /// (which must host this node and treat the peers as remote). The
-    /// sink is owned by the poller thread: when the poller exits, the
-    /// sink drops — for an inline-server sink that is what disconnects
-    /// application handles still blocked on replies.
+    /// poller owns the sink and shares it only with a thread that has
+    /// claimed a stream, for as long as the claim lasts: once the poller
+    /// exits and no claim is held, the sink drops — for an inline-server
+    /// sink that is what disconnects application handles still blocked
+    /// on replies.
     ///
     /// # Panics
     ///
     /// Panics if called twice — the connections are claimed on first use.
-    pub fn start<S: EnvelopeSink<M>>(&self, sink: S) {
+    pub fn start<S: EnvelopeSink<M> + Sync>(&self, sink: S) {
         assert!(
             !self.started.swap(true, Ordering::AcqRel),
             "mesh readers already started"
@@ -772,15 +923,19 @@ impl<M: Wire + Tagged + Send + 'static> TcpMesh<M> {
         // Install the established connections here, synchronously: sends
         // must work the moment start() returns, not when the poller
         // thread gets scheduled.
-        let mut conns = HashMap::new();
-        let mut seen = HashSet::new();
         for (peer, conn) in pending {
-            install(&self.shared, &mut conns, &mut seen, peer, conn);
+            install(&self.shared, peer, conn);
         }
-        let shared = Arc::clone(&self.shared);
+        let reader = Arc::new(Reader {
+            shared: Arc::clone(&self.shared),
+            sink,
+            _marker: PhantomData,
+        });
+        let weak: Weak<Reader<M, S>> = Arc::downgrade(&reader);
+        let _ = self.shared.reader.set(weak);
         let handle = thread::Builder::new()
             .name(format!("mesh-poll-{}", self.shared.me))
-            .spawn(move || run_poller(&shared, &sink, &conn_rx, conns, seen))
+            .spawn(move || run_poller(&reader, &conn_rx))
             .expect("spawn mesh poller");
         self.threads.lock().push(handle);
     }
@@ -788,14 +943,22 @@ impl<M: Wire + Tagged + Send + 'static> TcpMesh<M> {
     /// Stops the acceptor and poller and closes every connection.
     /// Idempotent; also runs on drop.
     pub fn shutdown(&self) {
+        self.teardown();
+    }
+}
+
+impl<M> TcpMesh<M> {
+    fn teardown(&self) {
         if self.shared.stop.swap(true, Ordering::AcqRel) {
             return;
         }
+        // Wake the poller and any claimer, and shut every socket, which
+        // unblocks the peers' pollers (and ours) mid-`read`.
         let _ = self.shared.poller.notify();
-        for peer_tx in self.shared.peers.iter().flatten() {
-            let mut tx = peer_tx.lock();
+        let _ = self.shared.bell.notify();
+        for peer in self.shared.peers.iter().flatten() {
+            let mut tx = peer.tx.lock();
             if let Some(s) = tx.stream.take() {
-                // Unblocks the peer's poller (and ours) mid-`read`.
                 let _ = s.shutdown(Shutdown::Both);
             }
         }
@@ -811,38 +974,68 @@ impl<M: Wire + Tagged + Send + 'static> TcpMesh<M> {
 
 impl<M> Drop for TcpMesh<M> {
     fn drop(&mut self) {
-        if self.shared.stop.swap(true, Ordering::AcqRel) {
-            return;
-        }
-        let _ = self.shared.poller.notify();
-        for peer_tx in self.shared.peers.iter().flatten() {
-            let mut tx = peer_tx.lock();
-            if let Some(s) = tx.stream.take() {
-                let _ = s.shutdown(Shutdown::Both);
-            }
-        }
-        for (_, conn) in self.pending.get_mut().drain(..) {
-            let _ = conn.stream.shutdown(Shutdown::Both);
-        }
-        for handle in std::mem::take(self.threads.get_mut()) {
-            let _ = handle.join();
-        }
+        self.teardown();
     }
 }
 
-/// The poller's per-connection read state.
+/// A connection's read state: its socket (shared with the send side)
+/// and the decoder that owns the receive buffer.
 struct PeerRead {
-    peer: NodeId,
-    stream: TcpStream,
+    stream: Arc<TcpStream>,
     dec: FrameDecoder,
-    /// Whether write interest is currently armed with the poller.
-    write_armed: bool,
 }
 
-#[cfg(unix)]
-fn raw_fd(stream: &TcpStream) -> std::os::unix::io::RawFd {
+fn raw_fd(stream: &TcpStream) -> RawFd {
     use std::os::unix::io::AsRawFd;
     stream.as_raw_fd()
+}
+
+/// The read path — sink and shared state — owned by the poller thread
+/// and lent to a thread that claims a stream.
+struct Reader<M, S> {
+    shared: Arc<Shared>,
+    sink: S,
+    _marker: PhantomData<fn(M) -> M>,
+}
+
+impl<M: Wire + Tagged + Send + 'static, S: EnvelopeSink<M> + Sync> StreamClaim for Reader<M, S> {
+    fn pump(&self, timeout: Option<Duration>) -> Result<(), Lost> {
+        let shared = &*self.shared;
+        let Some((id, stream)) = shared.held.lock().clone() else {
+            return Err(Lost);
+        };
+        if shared.stop.load(Ordering::Acquire) {
+            return Err(Lost);
+        }
+        match shared.bell.wait_fd(raw_fd(&stream), timeout) {
+            Ok(true) => {}
+            Ok(false) => return Ok(()),
+            Err(_) => return Err(Lost),
+        }
+        let peer = shared
+            .peer(id.index())
+            .expect("claims name installed peers");
+        let mut rx = peer.rx.lock();
+        // A replacement connection is the poller's to read.
+        let Some(pr) = rx.as_mut().filter(|pr| Arc::ptr_eq(&pr.stream, &stream)) else {
+            return Err(Lost);
+        };
+        read_ready(shared, &self.sink, id, pr).map_err(|reason| {
+            // Leave the teardown to the poller: the shut socket reads as
+            // closed once the claim is released and it is re-armed.
+            report(shared, id, &reason);
+            let _ = stream.shutdown(Shutdown::Both);
+            Lost
+        })
+    }
+
+    fn ring(&self) {
+        let _ = self.shared.bell.notify();
+    }
+
+    fn release(&self) {
+        self.shared.release();
+    }
 }
 
 /// Why a connection left the poll set.
@@ -857,28 +1050,23 @@ enum DeadReason {
 }
 
 fn run_poller<M: Wire + Tagged, S: EnvelopeSink<M>>(
-    shared: &Arc<Shared>,
-    sink: &S,
+    reader: &Reader<M, S>,
     conn_rx: &Receiver<(NodeId, Conn)>,
-    // key (= peer index) → read state, pre-installed by start().
-    mut conns: HashMap<usize, PeerRead>,
-    // Peers that have ever had a connection installed, to tell a
-    // reconnection from first establishment.
-    mut seen: HashSet<usize>,
 ) {
+    let shared = &*reader.shared;
     let mut events = Vec::new();
     while !shared.stop.load(Ordering::Acquire) {
         // Adopt replacement connections from the acceptor or redialers.
         while let Ok((peer, conn)) = conn_rx.try_recv() {
-            install(shared, &mut conns, &mut seen, peer, conn);
+            install(&reader.shared, peer, conn);
         }
 
         // Fire due session retransmission timers; find the next deadline.
         let timeout = if shared.cfg.session.is_some() {
             let now = shared.now_ms();
             let mut next: Option<u64> = None;
-            for peer_tx in shared.peers.iter().flatten() {
-                let mut tx = peer_tx.lock();
+            for peer in shared.peers.iter().flatten() {
+                let mut tx = peer.tx.lock();
                 let Some(link) = tx.link.as_mut() else {
                     continue;
                 };
@@ -908,27 +1096,9 @@ fn run_poller<M: Wire + Tagged, S: EnvelopeSink<M>>(
         };
 
         // Reconcile write interest with what the senders left queued.
-        for (key, pr) in conns.iter_mut() {
-            let Some(peer_tx) = &shared.peers[*key] else {
-                continue;
-            };
-            let want = {
-                let tx = peer_tx.lock();
-                tx.want_write && tx.stream.is_some()
-            };
-            if want != pr.write_armed {
-                let interest = if want {
-                    Interest::READ_WRITE
-                } else {
-                    Interest::READ
-                };
-                if shared
-                    .poller
-                    .modify(raw_fd(&pr.stream), *key, interest)
-                    .is_ok()
-                {
-                    pr.write_armed = want;
-                }
+        for (key, peer) in shared.peers.iter().enumerate() {
+            if let Some(peer) = peer {
+                shared.rearm(peer, key, &mut peer.tx.lock());
             }
         }
 
@@ -938,81 +1108,86 @@ fn run_poller<M: Wire + Tagged, S: EnvelopeSink<M>>(
 
         let mut dead: Vec<(usize, DeadReason)> = Vec::new();
         for &ev in events.iter() {
+            let Some(peer) = shared.peer(ev.key) else {
+                continue;
+            };
             if ev.writable {
-                if let Some(peer_tx) = shared.peers.get(ev.key).and_then(Option::as_ref) {
-                    let mut tx = peer_tx.lock();
-                    if let Drain::Dead = shared.drain_locked(&mut tx) {
-                        // The read side will surface the death below or
-                        // on the next wait; nothing more to do here.
-                    }
-                }
+                // A death surfaces on the read side, below or on the
+                // next wait.
+                let _ = shared.drain_locked(&mut peer.tx.lock());
             }
-            if ev.readable {
-                if let Err(reason) = handle_readable(shared, sink, &mut conns, ev.key) {
+            // A claimed stream is its claimer's to read.
+            if ev.readable && !peer.claimed.load(Ordering::Acquire) {
+                let mut rx = peer.rx.lock();
+                let Some(pr) = rx.as_mut() else {
+                    continue; // already removed this round
+                };
+                let id = NodeId::new(ev.key as u32);
+                if let Err(reason) = read_ready(shared, &reader.sink, id, pr) {
                     dead.push((ev.key, reason));
                 }
             }
         }
         for (key, reason) in dead {
-            conn_dead(shared, &mut conns, key, reason);
+            conn_dead(&reader.shared, key, reason);
         }
     }
     // Teardown: deregister and close whatever is still registered.
-    for (_, pr) in conns.drain() {
-        let _ = shared.poller.delete(raw_fd(&pr.stream));
-        let _ = pr.stream.shutdown(Shutdown::Both);
+    for peer in shared.peers.iter().flatten() {
+        if let Some(pr) = peer.rx.lock().take() {
+            deregister(shared, &mut peer.tx.lock());
+            let _ = pr.stream.shutdown(Shutdown::Both);
+        }
+    }
+}
+
+/// Takes a peer's read socket out of the poll set for good.
+fn deregister(shared: &Shared, tx: &mut PeerTx) {
+    if let Some(Registration { fd, armed: Some(_) }) = tx.reg.take() {
+        let _ = shared.poller.delete(fd);
     }
 }
 
 /// Adopts a fresh connection for `peer` into the poll set, replacing a
 /// stale one in reconnect mode (duplicates are dropped otherwise).
-fn install(
-    shared: &Arc<Shared>,
-    conns: &mut HashMap<usize, PeerRead>,
-    seen: &mut HashSet<usize>,
-    peer: NodeId,
-    conn: Conn,
-) {
+fn install(shared: &Arc<Shared>, peer: NodeId, conn: Conn) {
     let key = peer.index();
-    let Some(peer_tx) = shared.peers.get(key).and_then(Option::as_ref) else {
+    let Some(slot) = shared.peer(key) else {
         return; // out of range or our own id: dropped on the floor
     };
-    if conns.contains_key(&key) {
+    let mut rx = slot.rx.lock();
+    if let Some(stale) = rx.take() {
         if shared.cfg.session.is_none() {
+            *rx = Some(stale);
             return; // duplicate peer connection: dropped on the floor
         }
         // Reconnect mode: the newer connection wins; the old one is a
-        // casualty of whatever made the peer redial.
-        let stale = conns.remove(&key).expect("checked contains_key");
-        let _ = shared.poller.delete(raw_fd(&stale.stream));
+        // casualty of whatever made the peer redial. Shutting it also
+        // wakes a thread that holds it claimed, which then finds the
+        // replacement and lets go.
+        deregister(shared, &mut slot.tx.lock());
         let _ = stale.stream.shutdown(Shutdown::Both);
     }
     let stream = conn.stream;
     if stream.set_nodelay(shared.cfg.nodelay).is_err() {
         return;
     }
-    #[cfg(unix)]
-    {
-        if shared.cfg.sndbuf > 0 {
-            let _ = polling::sockopt::set_send_buffer(raw_fd(&stream), shared.cfg.sndbuf as usize);
-        }
-        if shared.cfg.rcvbuf > 0 {
-            let _ = polling::sockopt::set_recv_buffer(raw_fd(&stream), shared.cfg.rcvbuf as usize);
-        }
+    if shared.cfg.sndbuf > 0 {
+        let _ = polling::sockopt::set_send_buffer(raw_fd(&stream), shared.cfg.sndbuf as usize);
     }
-    let Ok(writer) = stream.try_clone() else {
-        return;
-    };
+    if shared.cfg.rcvbuf > 0 {
+        let _ = polling::sockopt::set_recv_buffer(raw_fd(&stream), shared.cfg.rcvbuf as usize);
+    }
     if stream.set_nonblocking(true).is_err() {
         return;
     }
-    let mut tx = peer_tx.lock();
+    let stream = Arc::new(stream);
+    let mut tx = slot.tx.lock();
     tx.redialing = false;
-    tx.stream = Some(writer);
+    tx.stream = Some(Arc::clone(&stream));
     tx.out.clear();
     tx.want_write = false;
-    let reconnected = !seen.insert(key);
-    if reconnected {
+    if std::mem::replace(&mut tx.connected_once, true) {
         shared.stats.reconnects.fetch_add(1, Ordering::Relaxed);
     }
     // Announce our incarnation before replaying the window: after a
@@ -1034,35 +1209,23 @@ fn install(
             out.push_frame(&msg);
         }
     }
-    let want_write = match shared.drain_locked(&mut tx) {
-        Drain::Blocked => true,
-        Drain::Idle => false,
-        Drain::Dead => {
-            // Died before it ever joined the poll set; the usual redial
-            // policy applies.
-            drop(tx);
-            maybe_redial(shared, peer);
-            return;
-        }
-    };
-    drop(tx);
-    let interest = if want_write {
-        Interest::READ_WRITE
-    } else {
-        Interest::READ
-    };
-    if shared.poller.add(raw_fd(&stream), key, interest).is_err() {
+    if let Drain::Dead = shared.drain_locked(&mut tx) {
+        // Died before it ever joined the poll set; the usual redial
+        // policy applies.
+        drop(tx);
+        drop(rx);
+        maybe_redial(shared, peer);
         return;
     }
-    conns.insert(
-        key,
-        PeerRead {
-            peer,
-            stream,
-            dec: conn.dec,
-            write_armed: want_write,
-        },
-    );
+    tx.reg = Some(Registration {
+        fd: raw_fd(&stream),
+        armed: None,
+    });
+    shared.rearm(slot, key, &mut tx);
+    *rx = Some(PeerRead {
+        stream,
+        dec: conn.dec,
+    });
 }
 
 /// Spawns a detached redial thread toward `peer` if reconnect policy
@@ -1076,11 +1239,11 @@ fn maybe_redial(shared: &Arc<Shared>, peer: NodeId) {
     {
         return;
     }
-    let Some(peer_tx) = shared.peers.get(peer.index()).and_then(Option::as_ref) else {
+    let Some(slot) = shared.peer(peer.index()) else {
         return;
     };
     {
-        let mut tx = peer_tx.lock();
+        let mut tx = slot.tx.lock();
         if tx.redialing {
             return;
         }
@@ -1092,19 +1255,20 @@ fn maybe_redial(shared: &Arc<Shared>, peer: NodeId) {
         .spawn(move || run_redial(shared, peer));
 }
 
-/// Reads everything currently available on `key`'s socket into its
-/// decoder, decoding and delivering complete frames where they lie.
-fn handle_readable<M: Wire + Tagged, S: EnvelopeSink<M>>(
-    shared: &Arc<Shared>,
+/// Reads everything currently available on `peer`'s socket into its
+/// decoder, decoding and delivering complete frames where they lie. The
+/// caller — the poller or the stream's claimer — holds the peer's
+/// read-side lock, and every complete frame is delivered before this
+/// returns: nothing waits in the decoder for a wake-up that only socket
+/// readiness would bring.
+fn read_ready<M: Wire + Tagged, S: EnvelopeSink<M>>(
+    shared: &Shared,
     sink: &S,
-    conns: &mut HashMap<usize, PeerRead>,
-    key: usize,
+    peer: NodeId,
+    pr: &mut PeerRead,
 ) -> Result<(), DeadReason> {
-    let Some(pr) = conns.get_mut(&key) else {
-        return Ok(()); // already removed this round
-    };
     loop {
-        let filled = match pr.dec.read_from(&mut &pr.stream) {
+        let filled = match pr.dec.read_from(&mut &*pr.stream) {
             Ok((0, _)) => return Err(DeadReason::Socket),
             Ok((_, filled)) => filled,
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
@@ -1122,7 +1286,7 @@ fn handle_readable<M: Wire + Tagged, S: EnvelopeSink<M>>(
                     )))
                 }
             };
-            deliver_frame(shared, sink, pr.peer, body)?;
+            deliver_frame(shared, sink, peer, body)?;
         }
         if !filled {
             // Level-triggered: if more arrived meanwhile, the next wait
@@ -1135,7 +1299,7 @@ fn handle_readable<M: Wire + Tagged, S: EnvelopeSink<M>>(
 /// Decodes one inbound frame body and hands its envelope(s) to the
 /// engine, running the session layer first in reconnect mode.
 fn deliver_frame<M: Wire + Tagged, S: EnvelopeSink<M>>(
-    shared: &Arc<Shared>,
+    shared: &Shared,
     sink: &S,
     peer: NodeId,
     body: &[u8],
@@ -1145,11 +1309,11 @@ fn deliver_frame<M: Wire + Tagged, S: EnvelopeSink<M>>(
         return inject(shared, sink, peer, env);
     }
     let msg: SessionMsg<RawBody> = decode_body(body).map_err(DeadReason::Protocol)?;
-    let peer_tx = shared.peers[peer.index()]
-        .as_ref()
+    let slot = shared
+        .peer(peer.index())
         .expect("session frames only arrive from installed peers");
     let released = {
-        let mut tx = peer_tx.lock();
+        let mut tx = slot.tx.lock();
         let now = shared.now_ms();
         let link = tx.link.as_mut().expect("session mode has a link per peer");
         let (replies, delivered) = link.on_receive(now, peer, msg);
@@ -1173,7 +1337,7 @@ fn deliver_frame<M: Wire + Tagged, S: EnvelopeSink<M>>(
 }
 
 fn inject<M, S: EnvelopeSink<M>>(
-    shared: &Arc<Shared>,
+    shared: &Shared,
     sink: &S,
     peer: NodeId,
     env: Envelope<M>,
@@ -1192,38 +1356,39 @@ fn inject<M, S: EnvelopeSink<M>>(
     Ok(())
 }
 
+/// Undecodable bytes are always worth a line; a plain socket close is
+/// not — without sessions it is almost always the peer shutting down
+/// first (every loopback-harness teardown), and the loss surfaces to the
+/// application as failed sends anyway.
+fn report(shared: &Shared, peer: NodeId, reason: &DeadReason) {
+    if let DeadReason::Protocol(e) = reason {
+        if !shared.stop.load(Ordering::Acquire) {
+            eprintln!("mesh: connection from {peer} failed: {e}");
+        }
+    }
+}
+
 /// Removes a dead connection from the poll set, resets the peer's
 /// outbound state, and applies the redial policy.
-fn conn_dead(
-    shared: &Arc<Shared>,
-    conns: &mut HashMap<usize, PeerRead>,
-    key: usize,
-    reason: DeadReason,
-) {
-    let Some(pr) = conns.remove(&key) else {
+fn conn_dead(shared: &Arc<Shared>, key: usize, reason: DeadReason) {
+    let Some(slot) = shared.peer(key) else {
         return;
     };
-    let _ = shared.poller.delete(raw_fd(&pr.stream));
-    let _ = pr.stream.shutdown(Shutdown::Both);
-    let peer = pr.peer;
-    if let Some(peer_tx) = shared.peers.get(key).and_then(Option::as_ref) {
-        let mut tx = peer_tx.lock();
+    let Some(pr) = slot.rx.lock().take() else {
+        return;
+    };
+    {
+        let mut tx = slot.tx.lock();
+        deregister(shared, &mut tx);
         if let Some(s) = tx.stream.take() {
             let _ = s.shutdown(Shutdown::Both);
         }
         tx.out.clear();
         tx.want_write = false;
     }
-    let stopping = shared.stop.load(Ordering::Acquire);
-    if let DeadReason::Protocol(e) = &reason {
-        // Undecodable bytes are always worth a line; a plain socket close
-        // is not — without sessions it is almost always the peer shutting
-        // down first (every loopback-harness teardown), and the loss
-        // surfaces to the application as failed sends anyway.
-        if !stopping {
-            eprintln!("mesh: connection from {peer} failed: {e}");
-        }
-    }
+    let _ = pr.stream.shutdown(Shutdown::Both);
+    let peer = NodeId::new(key as u32);
+    report(shared, peer, &reason);
     if !matches!(reason, DeadReason::Engine) {
         maybe_redial(shared, peer);
     }

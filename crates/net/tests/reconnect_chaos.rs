@@ -8,13 +8,19 @@
 //! and the run must finish with a history the Definition-2 oracle
 //! accepts. No operation may be lost, duplicated, or reordered by the
 //! transport outage.
+//!
+//! A second test cuts the one link a blocked handle is reading itself:
+//! the claimed stream.
+
+mod common;
 
 use std::net::TcpListener;
-use std::sync::{Arc, Barrier};
+use std::sync::{mpsc, Arc, Barrier};
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use causal_spec::{check_causal, Execution};
+use common::{owned_by, p0, p1, BarePeer};
 use dsm_net::harness::mixed_script;
 use dsm_net::{ClusterSpec, NetCluster, NetOptions, WireStats};
 use memcore::{NodeId, Recorder, SharedMemory};
@@ -121,4 +127,39 @@ fn severed_socket_mid_run_heals_and_stays_causal() {
         verdict.is_correct(),
         "oracle rejected the healed run: {verdict}"
     );
+}
+
+#[test]
+fn severing_a_claimed_link_mid_operation_heals_through_the_redial() {
+    // Node 0 blocks on a read the peer owns and claims the peer's stream.
+    // With the READ delivered and its reply not yet sent, node 0 cuts
+    // that very link: the claimer loses its stream and falls back to the
+    // completion channel, the peer redials, and its session replays the
+    // reply over the new connection.
+    let mut pair = BarePeer::start(&NetOptions {
+        reconnect: true,
+        rto_ms: 30,
+        ..NetOptions::default()
+    });
+    let handle = pair.node.handle();
+    let loc = owned_by(&pair.node, 1);
+    let (result, wait) = mpsc::channel();
+    let reader = thread::spawn(move || result.send(handle.read(loc)));
+    let request = pair.recv();
+    let start = Instant::now();
+    pair.node.sever(p1());
+    let reply = pair.answer(request);
+    pair.net
+        .send(p1(), p0(), reply)
+        .expect("parks in the session window");
+    wait.recv_timeout(Duration::from_secs(1))
+        .expect("the read never completed after the redial")
+        .expect("the read completes");
+    assert!(start.elapsed() < Duration::from_secs(1));
+    assert!(
+        pair.node.wire_stats().reconnects >= 1,
+        "the cut link must have been re-established"
+    );
+    reader.join().expect("reader").expect("result delivered");
+    pair.shutdown();
 }

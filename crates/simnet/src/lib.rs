@@ -17,11 +17,14 @@
 //!
 //! The [`codec`] module provides a small length-prefixed wire format (on
 //! `bytes`) so protocol messages have a realistic encoded size; byte counts
-//! feed the overhead ablations.
+//! feed the overhead ablations. The [`claim`] module is where an engine
+//! blocked on a reply and a remote transport meet, so the blocked thread
+//! can read the reply's stream itself.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod claim;
 pub mod codec;
 mod envelope;
 pub mod fault;
