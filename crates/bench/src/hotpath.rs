@@ -1044,9 +1044,12 @@ pub fn recovery_replay(seed: u64, cfg: &PerfConfig) -> WorkloadReport {
         .durability(dcfg)
         .build();
     let disk = MemDisk::new();
+    // A durable configuration needs a disk on every hosted node; node
+    // 1's log never grows past its boot record.
     let cluster = causal_dsm::CausalCluster::<memcore::Word>::builder(2, LOCATIONS)
         .configure(|c| c.durability(dcfg))
         .disk(NodeId::new(0), Box::new(disk.clone()))
+        .disk(NodeId::new(1), Box::new(MemDisk::new()))
         .build()
         .expect("build cluster");
 

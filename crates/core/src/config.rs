@@ -505,11 +505,13 @@ impl<V: Value> CausalConfigBuilder<V> {
 
     /// Enables the durability layer with the given tuning (default: off).
     ///
-    /// With durability on, the engine appends every certified write (and
-    /// every epoch advance, page install, and interest change) to a
-    /// write-ahead log *before* replying, per the configured
-    /// [`SyncPolicy`](dsm_durable::SyncPolicy); see
-    /// [`CausalConfig::durability`].
+    /// With durability on, a node's driver — opened on a disk by
+    /// [`NodeDriver::open`](crate::NodeDriver::open) — appends every
+    /// certified write (and every epoch advance, page install, and
+    /// interest change) to its write-ahead log *before* replying, per the
+    /// configured [`SyncPolicy`](dsm_durable::SyncPolicy); see
+    /// [`CausalConfig::durability`]. A cluster whose hosted node has this
+    /// setting but no disk is rejected at build time.
     #[must_use]
     pub fn durability(mut self, durability: DurableConfig) -> Self {
         self.durability = Some(durability);

@@ -9,14 +9,15 @@
 //! operation and which is absorbed, when the bounded write pipeline must
 //! drain and how its runs seal, how failover stamps, redirects, retries
 //! and gives up. [`NodeDriver`] owns all of that, once. It performs no
-//! I/O, reads no clock and spawns nothing: an *executor* feeds it
-//! operations ([`NodeDriver::submit`]), inbound messages
+//! network I/O, reads no clock and spawns nothing: an *executor* feeds
+//! it operations ([`NodeDriver::submit`]), inbound messages
 //! ([`NodeDriver::deliver`]) and time ([`NodeDriver::on_timer`]), and
 //! carries out the [`Effects`] it fills in — sends in order, at most one
-//! completion — after draining the state's journal. The threaded engine,
-//! the inline TCP poller and the deterministic simulator are all such
-//! executors, so what the model checker and the chaos batches certify is
-//! what ships.
+//! completion. A node [opened](NodeDriver::open) on a disk also owns its
+//! write-ahead log, and every call has made its records durable by the
+//! time it returns. The threaded engine, the inline TCP poller and the
+//! deterministic simulator are all such executors, so what the model
+//! checker and the chaos batches certify is what ships.
 //!
 //! Time is an opaque tick count supplied by the executor (simulator
 //! ticks, or milliseconds since cluster start); configurations without
@@ -30,7 +31,10 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
+use dsm_durable::{Disk, Store};
 use memcore::{Location, MemoryError, NodeId, OwnerEpoch, PageId, Value, WriteId};
+use parking_lot::Mutex;
+use simnet::codec::Wire;
 use simnet::Tagged;
 
 use crate::config::{CausalConfig, FailoverConfig};
@@ -128,8 +132,6 @@ pub type EffectsOf<D> = Effects<<D as Driver>::Value, <D as Driver>::Msg>;
 ///   and at most one operation is outstanding per node: no
 ///   [`submit`](Self::submit) until the previous one's completion was
 ///   reported;
-/// * after each call, whatever the driver journaled is made durable
-///   *before* any of the call's sends leaves;
 /// * `fx.sends` go on the wire in order, and one link's envelopes are
 ///   [delivered](Self::deliver) in arrival order;
 /// * `fx.done`, set at most once per call, is handed to the operation's
@@ -323,10 +325,23 @@ impl<V> Failover<V> {
     }
 }
 
-/// One node of the causal DSM, minus I/O (see the module docs).
+/// One node of the causal DSM, minus network I/O (see the module docs).
+///
+/// **Durability.** A driver built by [`NodeDriver::open`] owns its
+/// node's write-ahead log: every `&mut` entry point ends by appending the
+/// records that call journaled, synced and checkpointed as the store's
+/// [`SyncPolicy`](dsm_durable::SyncPolicy) says. By the time a call
+/// returns the [`Effects`] holding a reply, what the reply certifies is
+/// as durable as the policy promises, whichever executor sends it.
+/// Clones share the log.
 #[derive(Clone, Debug)]
 pub struct NodeDriver<V> {
     state: CausalState<V>,
+    /// The write-ahead log, for a node [opened](NodeDriver::open) on a
+    /// disk. The mutex is never contended (every call that appends holds
+    /// the node exclusively); it makes the driver `Sync` and its clones
+    /// share the log.
+    log: Option<Arc<Mutex<Store<V>>>>,
     /// The executor's clock as of the current call.
     now: u64,
     pending: Option<Pending<V>>,
@@ -376,6 +391,7 @@ impl<V: Value> NodeDriver<V> {
         };
         NodeDriver {
             state,
+            log: None,
             now: 0,
             pending: None,
             deferred: None,
@@ -392,8 +408,8 @@ impl<V: Value> NodeDriver<V> {
         &self.state
     }
 
-    /// Mutable access to the protocol state — what an executor needs to
-    /// drain the journal after each call.
+    /// Mutable access to the protocol state (tests). Whatever it
+    /// journals is appended to the log by the next entry-point call.
     #[must_use]
     pub fn state_mut(&mut self) -> &mut CausalState<V> {
         &mut self.state
@@ -425,6 +441,7 @@ impl<V: Value> NodeDriver<V> {
         self.clock(now);
         self.try_op(op, fx);
         self.side_traffic(fx);
+        self.persist();
     }
 
     /// An owner-local write as one atomic Figure-4 step, without becoming
@@ -452,6 +469,7 @@ impl<V: Value> NodeDriver<V> {
             unreachable!("ownership was checked under the same borrow")
         };
         self.side_traffic(fx);
+        self.persist();
         Ok(wid)
     }
 
@@ -464,6 +482,7 @@ impl<V: Value> NodeDriver<V> {
         }
         self.dispatch(from, msg, fx);
         self.side_traffic(fx);
+        self.persist();
     }
 
     /// The earliest time [`on_timer`](Self::on_timer) must run, if any:
@@ -526,6 +545,7 @@ impl<V: Value> NodeDriver<V> {
             self.fail(MemoryError::Timeout { owner }, fx);
         }
         self.side_traffic(fx);
+        self.persist();
     }
 
     /// The transport is gone (a send failed — terminal for the session):
@@ -544,6 +564,24 @@ impl<V: Value> NodeDriver<V> {
             fo.inflight.clear();
         }
         blocked
+    }
+
+    /// Journal before reply: appends what this call journaled to the log
+    /// and checkpoints once enough records accumulated. It runs last in
+    /// every entry point, under the caller's exclusive access, so log
+    /// order is mutation order and nothing of the call has been sent yet.
+    /// Without a log, one `Option` test.
+    fn persist(&mut self) {
+        let Some(log) = &self.log else { return };
+        let records = self.state.take_journal();
+        if records.is_empty() {
+            return;
+        }
+        let mut store = log.lock();
+        store.append(&records);
+        if store.wants_checkpoint() {
+            store.checkpoint(&self.state.durable_image());
+        }
     }
 
     /// Takes the executor's clock for this call. A life's first call also
@@ -1021,6 +1059,43 @@ impl<V: Value> NodeDriver<V> {
         }
         self.state.observe_epoch(page, epoch);
         self.redispatch(fx);
+    }
+}
+
+impl<V: Value + Wire> NodeDriver<V> {
+    /// Node `id` with a write-ahead log on `disk` — the one way a node
+    /// boots durable. A virgin disk starts a first life
+    /// ([`CausalState::new`]); any other is *recovered*
+    /// ([`CausalState::recover`]): its checkpoint and log tail are
+    /// replayed into page images, origin clocks and the owner-epoch table,
+    /// and the node rejoins as a full peer under the next incarnation.
+    /// The life's `Node` record is then appended and synced **whatever
+    /// the policy**: once this life has talked to anyone, a crash must
+    /// never recover a virgin disk, or the next life would reuse its
+    /// incarnation and its frames would not be fenced.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config` has no
+    /// [`durability`](crate::CausalConfigBuilder::durability) settings.
+    #[must_use]
+    pub fn open(id: NodeId, config: CausalConfig<V>, disk: Box<dyn Disk>) -> Self {
+        let dcfg = config
+            .durability()
+            .expect("a disk requires a durability config");
+        let (store, recovered) = Store::open(disk, dcfg);
+        let state = if recovered.is_virgin() {
+            CausalState::new(id, config)
+        } else {
+            let incarnation = recovered.next_incarnation();
+            CausalState::recover(id, config, recovered.records, incarnation)
+        };
+        let log = Arc::new(Mutex::new(store));
+        let mut driver = NodeDriver::new(state);
+        driver.log = Some(Arc::clone(&log));
+        driver.persist();
+        log.lock().sync();
+        driver
     }
 }
 

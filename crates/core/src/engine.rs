@@ -9,8 +9,10 @@
 //! that touches a node — an application handle, the node's server thread
 //! (or the transport's poller, through [`InlineServer`]), the heartbeat
 //! ticker — follows one rule (`NodeShared::execute`): lock the driver,
-//! call it, persist the journal, perform the sends in order, hand any
-//! completion to the blocked handle. A handle whose operation needs an
+//! call it, perform the sends in order, hand any completion to the
+//! blocked handle. A durable node needs nothing more: its driver owns
+//! the write-ahead log and has made each call's records durable before
+//! returning ([`NodeDriver::open`]). A handle whose operation needs an
 //! owner round-trip sleeps *outside* the lock, so the node keeps serving
 //! requests while one of its own operations waits — the fair alternation
 //! the paper asks for (and what makes the protocol deadlock-free).
@@ -42,7 +44,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crossbeam_channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use dsm_durable::{Disk, Store};
+use dsm_durable::Disk;
 use memcore::{
     Location, MemoryError, NetStats, NodeId, OpRecord, Recorder, SharedMemory, Value, WriteId,
 };
@@ -57,21 +59,11 @@ use crate::driver::{Done, Driver, Effects, EffectsOf, NodeDriver, Op};
 use crate::msg::Msg;
 use crate::state::{CausalState, WriteDone};
 
-/// Makes whatever a driver journaled durable (for [`NodeDriver`],
-/// [`CausalState::persist_journal`] over the node's [`Store`]). A closure
-/// so the engine itself needs no `Wire` bound on the value type — only
-/// [`CausalClusterBuilder::disk`], which opens the store, does.
-type Journal<D> = Box<dyn FnMut(&mut D) + Send>;
-
-/// What a node's lock guards: the driver, the effects buffer its calls
-/// fill (reused, so steady-state calls allocate nothing), and the WAL.
+/// What a node's lock guards: the driver and the effects buffer its
+/// calls fill (reused, so steady-state calls allocate nothing).
 struct Core<D: Driver> {
     driver: D,
     fx: EffectsOf<D>,
-    /// `None` keeps every journal hook on the zero-cost path. The inner
-    /// mutex is never contended (the node lock is held exclusively around
-    /// it); it only makes the boxed closure shareable.
-    journal: Option<Mutex<Journal<D>>>,
 }
 
 struct NodeShared<D: Driver> {
@@ -115,11 +107,8 @@ impl<D: Driver> NodeShared<D> {
     }
 
     /// The executor rule, shared by every thread that drives this node:
-    /// lock the driver, `call` it, persist what it journaled (still under
-    /// the lock, so log order is mutation order, and before any send, so
-    /// a certified operation is as durable as the sync policy promises),
-    /// perform the sends in order, and return the completion, if any, for
-    /// the caller to keep or forward.
+    /// lock the driver, `call` it, perform the sends in order, and return
+    /// the completion, if any, for the caller to keep or forward.
     ///
     /// `claims` says the caller is a handle that will wait on the
     /// outcome by reading its reply itself ([`reads_own_reply`]): if the
@@ -142,9 +131,6 @@ impl<D: Driver> NodeShared<D> {
         let mut guard = self.core.write();
         let core = &mut *guard;
         let out = call(&mut core.driver, now, &mut core.fx);
-        if let Some(journal) = &core.journal {
-            (*journal.lock())(&mut core.driver);
-        }
         let done = core.fx.done.take();
         if core.fx.sends.is_empty() {
             return (out, done, false);
@@ -466,13 +452,6 @@ pub type CausalCluster<V> = Cluster<NodeDriver<V>>;
 /// A per-process handle onto a [`CausalCluster`].
 pub type CausalHandle<V> = Handle<NodeDriver<V>>;
 
-/// One hosted node as [`Cluster::start`] takes it.
-struct Hosted<D> {
-    id: NodeId,
-    driver: D,
-    journal: Option<Journal<D>>,
-}
-
 impl<D: Driver> Cluster<D> {
     /// An in-process cluster: node `i` runs `drivers[i]`, over a fresh
     /// [`Network`], with one server thread per node. `locations` bounds
@@ -491,36 +470,28 @@ impl<D: Driver> Cluster<D> {
         recorder: Option<Recorder<D::Value>>,
     ) -> Self {
         let net = Network::new(drivers.len());
-        let hosted = drivers.into_iter().zip(0..).map(|(driver, i)| Hosted {
-            id: NodeId::new(i),
-            driver,
-            journal: None,
-        });
-        Self::start(config, locations, net, hosted.collect(), recorder, false).0
+        let hosted = (0..).map(NodeId::new).zip(drivers).collect();
+        Self::start(config, locations, net, hosted, recorder, false).0
     }
 
+    /// Runs `hosted`, each driver as the node it is paired with.
     fn start(
         config: D::Config,
         locations: u32,
         net: Network<D::Msg>,
-        mut hosted: Vec<Hosted<D>>,
+        mut hosted: Vec<(NodeId, D)>,
         recorder: Option<Recorder<D::Value>>,
         inline: bool,
     ) -> (Self, Option<InlineServer<D>>) {
         assert!(!hosted.is_empty(), "cluster hosts no local node");
-        hosted.sort_by_key(|h| h.id);
+        hosted.sort_by_key(|(id, _)| *id);
         // One origin for every hosted node's driver clock.
-        let clock = hosted.iter().any(|h| h.driver.timed()).then(Instant::now);
+        let clock = hosted.iter().any(|(_, d)| d.timed()).then(Instant::now);
         let stop = Arc::new(StopSignal::new());
         let mut nodes = Vec::with_capacity(hosted.len());
         let mut servers = Vec::new();
         let mut inline_server = None;
-        for Hosted {
-            id: me,
-            driver,
-            journal,
-        } in hosted
-        {
+        for (me, driver) in hosted {
             let has_standing_timers = driver.next_timer().is_some();
             let (done_tx, done_rx) = unbounded();
             let node = Arc::new(NodeShared {
@@ -530,17 +501,12 @@ impl<D: Driver> Cluster<D> {
                 core: RwLock::new(Core {
                     driver,
                     fx: Effects::default(),
-                    journal: journal.map(Mutex::new),
                 }),
                 op_lock: Mutex::new(()),
                 outbox: Mutex::new(Vec::new()),
                 done_rx,
                 claim: Mutex::new(None),
             });
-            // Persist what booting journaled (for the causal driver: the
-            // baseline watermark, or recovery's rejoin record with the
-            // bumped incarnation) before any traffic can reference it.
-            node.execute(false, |_, _, _| ());
             let server = |role: &str| {
                 (
                     format!("{}-{role}-{}", D::NAME.to_lowercase(), me.index()),
@@ -752,9 +718,10 @@ fn spawn(name: String, body: impl FnOnce() + Send + 'static) -> JoinHandle<()> {
         .expect("spawning engine thread")
 }
 
-/// Opens a node's disk and yields its boot state and journal; deferred to
-/// build time, when the configuration is final.
-type Boot<V> = Box<dyn FnOnce(&CausalConfig<V>) -> (CausalState<V>, Journal<NodeDriver<V>>)>;
+/// [`NodeDriver::open`], captured by [`CausalClusterBuilder::disk`] —
+/// where the value type is known to be [`Wire`] — and called at build
+/// time, when the configuration is final.
+type Open<V> = fn(NodeId, CausalConfig<V>, Box<dyn Disk>) -> NodeDriver<V>;
 
 /// Builder for [`CausalCluster`]: the protocol configuration (through
 /// [`CausalConfigBuilder`]) plus everything engine-level — operation
@@ -765,7 +732,7 @@ pub struct CausalClusterBuilder<V: Value> {
     recorder: Option<Recorder<V>>,
     net: Option<Network<Msg<V>>>,
     local: Option<Vec<NodeId>>,
-    boots: Vec<(NodeId, Boot<V>)>,
+    disks: Vec<(NodeId, Box<dyn Disk>, Open<V>)>,
 }
 
 impl<V: Value + Default> CausalCluster<V> {
@@ -788,7 +755,7 @@ impl<V: Value> CausalClusterBuilder<V> {
             recorder,
             net: None,
             local: None,
-            boots: Vec::new(),
+            disks: Vec::new(),
         }
     }
 
@@ -834,32 +801,17 @@ impl<V: Value> CausalClusterBuilder<V> {
 
     /// Gives hosted node `node` a write-ahead log on `disk` (see
     /// `dsm_durable`); requires a
-    /// [`durability`](CausalConfigBuilder::durability) configuration. A
-    /// disk that already holds state makes the node *recover* — replaying
-    /// its checkpoint and log tail into page images, origin clocks, and
-    /// the owner-epoch table — and rejoin as a full peer under a bumped
-    /// incarnation.
+    /// [`durability`](CausalConfigBuilder::durability) configuration. The
+    /// node boots by [`NodeDriver::open`]: a disk that already holds state
+    /// makes it *recover* — replaying its checkpoint and log tail into
+    /// page images, origin clocks, and the owner-epoch table — and rejoin
+    /// as a full peer under a bumped incarnation.
     #[must_use]
     pub fn disk(mut self, node: NodeId, disk: Box<dyn Disk>) -> Self
     where
         V: Wire,
     {
-        let boot = move |config: &CausalConfig<V>| {
-            let dcfg = config
-                .durability()
-                .expect("a disk requires a durability config");
-            let (mut store, recovered) = Store::open(disk, dcfg);
-            let state = if recovered.is_virgin() {
-                CausalState::new(node, config.clone())
-            } else {
-                let incarnation = recovered.next_incarnation();
-                CausalState::recover(node, config.clone(), recovered.records, incarnation)
-            };
-            let journal: Journal<NodeDriver<V>> =
-                Box::new(move |driver| driver.state_mut().persist_journal(&mut store));
-            (state, journal)
-        };
-        self.boots.push((node, Box::new(boot)));
+        self.disks.push((node, disk, NodeDriver::open));
         self
     }
 
@@ -874,8 +826,9 @@ impl<V: Value> CausalClusterBuilder<V> {
     ///
     /// Panics if the transport's size differs from the configured node
     /// count, no node is hosted, a hosted node has no mailbox in this
-    /// process, or a disk was supplied for a node that is not hosted or
-    /// without a durability configuration.
+    /// process, a disk was supplied for a node that is not hosted or
+    /// without a durability configuration, or a durability configuration
+    /// leaves a hosted node without a disk.
     pub fn build(self) -> Result<CausalCluster<V>, MemoryError> {
         self.start(false).map(|(cluster, _)| cluster)
     }
@@ -914,8 +867,8 @@ impl<V: Value> CausalClusterBuilder<V> {
         let local = self
             .local
             .unwrap_or_else(|| (0..config.nodes()).map(NodeId::new).collect());
-        let mut boots = self.boots;
-        for (node, _) in &boots {
+        let mut disks = self.disks;
+        for (node, ..) in &disks {
             assert!(
                 local.contains(node),
                 "disk supplied for non-local node {node}"
@@ -923,19 +876,18 @@ impl<V: Value> CausalClusterBuilder<V> {
         }
         let hosted = local
             .into_iter()
-            .map(|id| {
-                let boot = boots.iter().position(|(node, _)| *node == id);
-                let (state, journal) = match boot.map(|i| boots.swap_remove(i).1) {
-                    Some(open) => {
-                        let (state, journal) = open(&config);
-                        (state, Some(journal))
-                    }
-                    None => (CausalState::new(id, config.clone()), None),
-                };
-                Hosted {
-                    id,
-                    driver: NodeDriver::new(state),
-                    journal,
+            .map(|id| match disks.iter().position(|(node, ..)| *node == id) {
+                Some(i) => {
+                    let (_, disk, open) = disks.swap_remove(i);
+                    (id, open(id, config.clone(), disk))
+                }
+                None => {
+                    // Its WAL records would pile up, never written.
+                    assert!(
+                        config.durability().is_none(),
+                        "durability configured but node {id} has no disk"
+                    );
+                    (id, NodeDriver::new(CausalState::new(id, config.clone())))
                 }
             })
             .collect();
@@ -1025,7 +977,7 @@ impl<V: Value> CausalCluster<V> {
 
     /// Node `i`'s incarnation number: 0 for a first life, the persisted
     /// maximum plus one after a durable recovery (see
-    /// [`CausalClusterBuilder::disk`]).
+    /// [`NodeDriver::open`]).
     ///
     /// # Panics
     ///

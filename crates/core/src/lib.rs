@@ -24,8 +24,9 @@
 //! * [`CausalState`] — Figure 4 as a pure state machine (no I/O).
 //! * [`NodeDriver`] — everything a runtime must decide *around* that
 //!   state machine (message dispatch, reply matching, the bounded write
-//!   pipeline, failover retry, timeouts), also without I/O: operations,
-//!   messages and time in; ordered sends and completions out. The
+//!   pipeline, failover retry, timeouts, the write-ahead log of a node
+//!   opened on a disk), without network I/O: operations, messages and
+//!   time in; ordered sends and completions out. The
 //!   threaded engine, `dsm-net`'s poller and the deterministic simulator
 //!   (`dsm-sim`) all execute this one driver.
 //! * [`Driver`] — that contract as a trait, so the same executors run

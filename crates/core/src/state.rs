@@ -17,8 +17,7 @@ use std::sync::Arc;
 use memcore::{Location, NodeId, OwnerEpoch, OwnerMap, PageId, Value, WriteId};
 use vclock::VectorClock;
 
-use dsm_durable::{Store, WalRecord};
-use simnet::codec::Wire;
+use dsm_durable::WalRecord;
 
 use crate::config::{CausalConfig, FailoverConfig, InvalidationMode, WritePolicy};
 use crate::failover::{owner_at, FailoverState, ShadowPage};
@@ -1432,36 +1431,13 @@ impl<V: Value> CausalState<V> {
         self.incarnation
     }
 
-    /// Drains the records journaled since the last drain. Engines call
-    /// this inside the same lock scope as the mutation that produced
-    /// them and append the batch to the WAL *before* releasing any
+    /// Drains the records journaled since the last drain. A
+    /// [`NodeDriver`](crate::NodeDriver) with a log calls this at the end
+    /// of every entry point and appends the batch *before* returning any
     /// reply — certification implies durability (to the extent the sync
     /// policy promises). Always empty when durability is off.
     pub fn take_journal(&mut self) -> Vec<WalRecord<V>> {
         std::mem::take(&mut self.journal)
-    }
-
-    /// Journal-before-reply, stated once for every executor: drains the
-    /// journal, appends the batch to `store` (synced as its policy
-    /// promises), and checkpoints once enough records accumulated.
-    /// Executors call this after *every* driver call, still holding the
-    /// node exclusively — so the log's order is the mutation order and no
-    /// record can slip in between a checkpoint's image capture and its
-    /// commit — and before putting any of that call's sends on the wire,
-    /// which is what makes a certified operation as durable as the sync
-    /// policy promises.
-    pub fn persist_journal(&mut self, store: &mut Store<V>)
-    where
-        V: Wire,
-    {
-        let records = self.take_journal();
-        if records.is_empty() {
-            return;
-        }
-        store.append(&records);
-        if store.wants_checkpoint() {
-            store.checkpoint(&self.durable_image());
-        }
     }
 
     /// A self-contained record sequence reproducing this node's durable

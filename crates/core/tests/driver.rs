@@ -6,8 +6,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use causal_dsm::{
-    CausalConfig, CausalConfigBuilder, CausalState, Done, Effects, FailoverConfig, Msg, NodeDriver,
-    Op,
+    CausalConfig, CausalConfigBuilder, CausalState, Done, DurableConfig, Effects, FailoverConfig,
+    MemDisk, Msg, NodeDriver, Op,
 };
 use memcore::{Location, MemoryError, NodeId, OwnerEpoch, PageId, Word};
 
@@ -88,6 +88,38 @@ fn owner_local_write_after_an_epoch_adoption_goes_remote() {
         }
         other => panic!("expected one stamped WRITE, got {other:?}"),
     }
+}
+
+#[test]
+fn an_opened_driver_has_synced_the_certification_when_it_returns_the_reply() {
+    // Journal before reply as a property of the driver, whatever executes
+    // it: no engine, no threads, two calls.
+    let config = CausalConfig::<Word>::builder(2, 6)
+        .durability(DurableConfig::default())
+        .build();
+    let disks = [MemDisk::new(), MemDisk::new()];
+    let mut d: Vec<_> = (0..2)
+        .map(|i| NodeDriver::open(n(i), config.clone(), Box::new(disks[i as usize].clone())))
+        .collect();
+    // Node 1 writes x0, which node 0 owns.
+    let (mut sends, done) = call(|fx| d[1].submit(0, Op::Write(loc(0), word(5)), fx));
+    assert!(done.is_none());
+    let (to, request) = sends.pop().expect("a WRITE goes out");
+    assert_eq!(to, n(0));
+    let (log, synced) = (disks[0].log_len(), disks[0].synced_len());
+
+    let (replies, _) = deliver(&mut d, 1, 1, 0, request);
+    assert!(
+        matches!(&replies[..], [(to, Msg::WriteReply { .. })] if *to == n(1)),
+        "expected one W_REPLY to node 1, got {replies:?}"
+    );
+    assert!(disks[0].log_len() > log, "the certification was journaled");
+    assert!(disks[0].synced_len() > synced, "and synced");
+    assert_eq!(
+        disks[0].synced_len(),
+        disks[0].log_len(),
+        "nothing of the call is left unsynced when the reply is handed over"
+    );
 }
 
 #[test]

@@ -140,3 +140,44 @@ fn the_journal_is_on_disk_before_the_reply_leaves() {
     cluster.set_fault_hook(None);
     cluster.shutdown();
 }
+
+#[test]
+fn a_life_that_talked_is_never_reused_under_a_lazy_sync_policy() {
+    // A life's identity record is synced whatever the policy. Without
+    // that, a lazy policy loses it with everything else unsynced, the
+    // disk recovers as virgin, and the next life reuses incarnation 0:
+    // its frames would no longer fence the dead life's.
+    for sync in [SyncPolicy::Interval(4), SyncPolicy::None] {
+        let cfg = DurableConfig {
+            sync,
+            ..DurableConfig::default()
+        };
+        let disks: Vec<MemDisk> = (0..2).map(|_| MemDisk::new()).collect();
+        let cluster = durable_cluster(&disks, cfg);
+        // x1 is node 1's: node 0 talks to it.
+        cluster.handle(0).write(loc(1), Word::Int(7)).unwrap();
+        cluster.shutdown();
+        for disk in &disks {
+            disk.crash(0);
+        }
+
+        let cluster = durable_cluster(&disks, cfg);
+        assert!(
+            cluster.node_incarnation(0) >= 1,
+            "node 0 reborn as incarnation {} under {sync:?}",
+            cluster.node_incarnation(0)
+        );
+        cluster.shutdown();
+    }
+}
+
+#[test]
+#[should_panic(expected = "has no disk")]
+fn a_durability_config_without_a_disk_is_rejected() {
+    // Nobody would ever write the node's journal: it would only grow.
+    let disk = MemDisk::new();
+    let _ = CausalCluster::<Word>::builder(2, 4)
+        .configure(|c| c.durability(DurableConfig::default()))
+        .disk(NodeId::new(0), Box::new(disk))
+        .build();
+}

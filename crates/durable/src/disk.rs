@@ -25,6 +25,9 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
+use simnet::codec::Wire;
+
+use crate::{DurableConfig, Recovered, Store};
 
 /// What a backend read back at open time.
 #[derive(Clone, Debug, Default)]
@@ -218,6 +221,13 @@ impl MemDisk {
     #[must_use]
     pub fn synced_len(&self) -> usize {
         self.0.lock().synced
+    }
+
+    /// What a store opened on this disk right now would recover, read
+    /// without taking the disk over: an oracle's view of the platter.
+    #[must_use]
+    pub fn recovered<V: Wire>(&self) -> Recovered<V> {
+        Store::open(Box::new(self.clone()), DurableConfig::default()).1
     }
 
     /// Test hook: forges a log generation mismatch, as a crash between

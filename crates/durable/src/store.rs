@@ -1,8 +1,6 @@
 //! The write-ahead log proper: policy-driven syncs, checkpointing, and
 //! recovery.
 
-use std::marker::PhantomData;
-
 use simnet::codec::Wire;
 
 use crate::record::{decode_stream, frame_records};
@@ -96,16 +94,18 @@ impl<V> Recovered<V> {
 
 /// A CRC-framed write-ahead log over some [`Disk`].
 ///
-/// `V` is the memory's value type. The store is single-writer: the
-/// engine serializes appends per node (they happen under the node's
-/// state lock's shadow, before the reply is sent).
+/// `V` is the memory's value type. The store is single-writer: a
+/// node's driver appends each call's records before the call returns
+/// its replies (`causal_dsm::NodeDriver`). Only [`Store::open`] needs
+/// `V: Wire`: it captures the record framing as a function pointer, so
+/// appending and checkpointing need no bound.
 pub struct Store<V> {
     disk: Box<dyn Disk>,
     cfg: DurableConfig,
     generation: u64,
     appends_unsynced: u32,
     records_since_ckpt: u64,
-    _values: PhantomData<fn() -> V>,
+    frame: fn(&[WalRecord<V>]) -> Vec<u8>,
 }
 
 impl<V> std::fmt::Debug for Store<V> {
@@ -148,7 +148,7 @@ impl<V: Wire> Store<V> {
             generation: image.checkpoint_seq,
             appends_unsynced: 0,
             records_since_ckpt: 0,
-            _values: PhantomData,
+            frame: frame_records::<V>,
         };
         (
             store,
@@ -159,7 +159,9 @@ impl<V: Wire> Store<V> {
             },
         )
     }
+}
 
+impl<V> Store<V> {
     /// Appends one operation's records, syncing per policy. Returns
     /// once the records are as durable as the policy promises — the
     /// caller may then certify (reply to) the operation.
@@ -167,7 +169,7 @@ impl<V: Wire> Store<V> {
         if records.is_empty() {
             return;
         }
-        self.disk.append(&frame_records(records));
+        self.disk.append(&(self.frame)(records));
         self.records_since_ckpt += records.len() as u64;
         self.appends_unsynced += 1;
         if let Some(stride) = self.cfg.sync.stride() {
@@ -186,7 +188,7 @@ impl<V: Wire> Store<V> {
     }
 
     /// Whether enough records accumulated that the owner should take a
-    /// checkpoint (cheap to call; the engine checks after each append).
+    /// checkpoint (cheap to call; the driver checks after each append).
     #[must_use]
     pub fn wants_checkpoint(&self) -> bool {
         self.records_since_ckpt >= self.cfg.checkpoint_every
@@ -196,7 +198,7 @@ impl<V: Wire> Store<V> {
     /// the new checkpoint and compacts the log to empty.
     pub fn checkpoint(&mut self, image: &[WalRecord<V>]) {
         self.generation += 1;
-        self.disk.commit(&frame_records(image), self.generation);
+        self.disk.commit(&(self.frame)(image), self.generation);
         self.records_since_ckpt = 0;
         self.appends_unsynced = 0;
     }

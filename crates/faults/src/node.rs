@@ -3,23 +3,23 @@
 //! when — and only when — its configuration carries
 //! [`CausalConfig::durability`].
 //!
-//! Without durability the node is exactly `SessionActor<CausalActor>`:
-//! nothing is journaled, and coming back from a crash window is a no-op —
-//! a pause-crash, protocol state intact, the rule the threaded executor
-//! follows too. With it, every submit/deliver/timer runs the wrapped
-//! protocol and then drains the state's journal into a [`Store`] over a
-//! [`MemDisk`] kept outside the protocol (the platter survives the
-//! process), before the effects — including any reply — go on the wire,
-//! so under [`SyncPolicy::EveryOp`] a certified write is durable by the
-//! time anyone can observe it. [`Actor::on_restart`] is then an amnesia
-//! crash: the disk loses its unsynced tail plus a seeded mid-record tear,
-//! is reopened, the state is rebuilt by [`CausalState::recover`], and the
-//! new life is announced with a session `Hello` so peers fast-forward it
-//! by retransmission instead of re-educating it via SUSPECT.
+//! Without durability the node is exactly `SessionActor<CausalActor>`,
+//! and coming back from a crash window is a no-op — a pause-crash,
+//! protocol state intact, the rule the threaded executor follows too.
+//! With it, the driver is [opened](NodeDriver::open) on a [`MemDisk`]
+//! kept outside the protocol (the platter survives the process), and the
+//! driver itself makes each call's records durable before its effects —
+//! including any reply — go on the wire, so under
+//! [`SyncPolicy::EveryOp`] a certified write is durable by the time
+//! anyone can observe it. [`Actor::on_restart`] is then an amnesia crash:
+//! the disk loses its unsynced tail plus a seeded mid-record tear, the
+//! driver is opened on it again (recovering its state), and the new life
+//! is announced with a session `Hello` so peers fast-forward it by
+//! retransmission instead of re-educating it via SUSPECT.
 
 use std::collections::BTreeMap;
 
-use causal_dsm::{CausalConfig, CausalState, MemDisk, NodeDriver, Store, SyncPolicy, WalRecord};
+use causal_dsm::{CausalConfig, CausalState, MemDisk, NodeDriver, SyncPolicy, WalRecord};
 use dsm_sim::{Actor, CausalActor, ClientOp, Effects};
 use memcore::{Location, NodeId, Value, WriteId};
 use simnet::codec::Wire;
@@ -31,8 +31,8 @@ use crate::session::{SessionActor, SessionMsg};
 #[derive(Debug)]
 pub struct DurableActor<V: Value + Wire> {
     inner: SessionActor<V, CausalActor<V>>,
-    /// The platter and the store over it; `None` without durability.
-    wal: Option<(MemDisk, Store<V>)>,
+    /// The platter; `None` without durability.
+    disk: Option<MemDisk>,
     config: CausalConfig<V>,
     rto: u64,
     /// Seeds the per-crash torn-tail length, so the WAL offset the crash
@@ -51,24 +51,20 @@ impl<V: Value + Wire> DurableActor<V> {
     /// Panics if `rto` is zero.
     #[must_use]
     pub fn new(id: NodeId, config: CausalConfig<V>, rto: u64, torn_seed: u64) -> Self {
-        let wal = config.durability().map(|dcfg| {
-            let disk = MemDisk::new();
-            let (store, recovered) = Store::open(Box::new(disk.clone()), dcfg);
-            debug_assert!(recovered.is_virgin());
-            (disk, store)
-        });
-        let state = CausalState::new(id, config.clone());
-        let mut actor = DurableActor {
-            inner: SessionActor::new(CausalActor::new(NodeDriver::new(state)), rto),
-            wal,
+        let disk = config.durability().map(|_| MemDisk::new());
+        let driver = match &disk {
+            Some(disk) => NodeDriver::open(id, config.clone(), Box::new(disk.clone())),
+            None => NodeDriver::new(CausalState::new(id, config.clone())),
+        };
+        DurableActor {
+            inner: SessionActor::new(CausalActor::new(driver), rto),
+            disk,
             config,
             rto,
             torn_seed,
             restarts: 0,
             violations: Vec::new(),
-        };
-        actor.persist_identity(); // the baseline Node record
-        actor
+        }
     }
 
     /// How many times this node recovered from its disk.
@@ -96,32 +92,11 @@ impl<V: Value + Wire> DurableActor<V> {
         self.inner.inner().driver().state()
     }
 
-    /// Journal-before-reply, by the helper every executor shares
-    /// ([`CausalState::persist_journal`]): the caller sends nothing of
-    /// the event that journaled these records until this returns.
-    fn persist(&mut self) {
-        if let Some((_, store)) = &mut self.wal {
-            let state = self.inner.inner_mut().driver_mut().state_mut();
-            state.persist_journal(store);
-        }
-    }
-
-    /// A life's first record, synced whatever the policy: a crash must
-    /// never recover a virgin disk once this life has talked to anyone,
-    /// or the next life would reuse its incarnation and its frames would
-    /// not be fenced.
-    fn persist_identity(&mut self) {
-        self.persist();
-        if let Some((_, store)) = &mut self.wal {
-            store.sync();
-        }
-    }
-
     /// The per-write oracle, run at the recovery instant: fold the
-    /// recovered record stream to the last applied certified write per
-    /// location, and demand the rebuilt state reads back exactly that
-    /// write for every page it still owns. Sound only when certified
-    /// implies durable, i.e. under [`SyncPolicy::EveryOp`].
+    /// record stream the crash left on the platter to the last applied
+    /// certified write per location, and demand the rebuilt state reads
+    /// back exactly that write for every page it still owns. Sound only
+    /// when certified implies durable, i.e. under [`SyncPolicy::EveryOp`].
     fn check_certified(&mut self, records: &[WalRecord<V>], state: &CausalState<V>) {
         let page_size = self.config.page_size();
         let mut last: BTreeMap<Location, WriteId> = BTreeMap::new();
@@ -174,15 +149,11 @@ impl<V: Value + Wire> Actor<V> for DurableActor<V> {
     type Msg = SessionMsg<causal_dsm::Msg<V>>;
 
     fn submit(&mut self, now: u64, op: &ClientOp<V>) -> Effects<V, Self::Msg> {
-        let effects = self.inner.submit(now, op);
-        self.persist();
-        effects
+        self.inner.submit(now, op)
     }
 
     fn deliver(&mut self, now: u64, from: NodeId, msg: Self::Msg) -> Effects<V, Self::Msg> {
-        let effects = self.inner.deliver(now, from, msg);
-        self.persist();
-        effects
+        self.inner.deliver(now, from, msg)
     }
 
     fn next_timer(&self) -> Option<u64> {
@@ -190,13 +161,11 @@ impl<V: Value + Wire> Actor<V> for DurableActor<V> {
     }
 
     fn on_timer(&mut self, now: u64) -> Effects<V, Self::Msg> {
-        let effects = self.inner.on_timer(now);
-        self.persist();
-        effects
+        self.inner.on_timer(now)
     }
 
     fn on_restart(&mut self, _now: u64) -> Effects<V, Self::Msg> {
-        let (Some((disk, _)), Some(dcfg)) = (&self.wal, self.config.durability()) else {
+        let Some(disk) = self.disk.clone() else {
             return Effects::empty(); // a pause-crash: nothing was lost
         };
         self.restarts += 1;
@@ -209,25 +178,15 @@ impl<V: Value + Wire> Actor<V> for DurableActor<V> {
             .wrapping_add(u64::from(self.restarts).wrapping_mul(0x9E37_79B9_7F4A_7C15)))
             % 24) as usize;
         disk.crash(torn);
-        let disk = disk.clone();
-        let (store, recovered) = Store::open(Box::new(disk.clone()), dcfg);
-        self.wal = Some((disk, store));
+        let certifying = self.config.durability().map(|d| d.sync) == Some(SyncPolicy::EveryOp);
+        let survived = certifying.then(|| disk.recovered::<V>().records);
         let id = self.state().id();
-        let inc = recovered.next_incarnation();
-        let state = if recovered.is_virgin() {
-            CausalState::new(id, self.config.clone())
-        } else {
-            let records = recovered.records.clone();
-            let state = CausalState::recover(id, self.config.clone(), recovered.records, inc);
-            if dcfg.sync == SyncPolicy::EveryOp {
-                self.check_certified(&records, &state);
-            }
-            state
-        };
-        let actor = CausalActor::new(NodeDriver::new(state));
-        self.inner = SessionActor::with_incarnation(actor, self.rto, inc);
-        // The rejoin Node record, under the new incarnation.
-        self.persist_identity();
+        let driver = NodeDriver::open(id, self.config.clone(), Box::new(disk));
+        if let Some(records) = survived {
+            self.check_certified(&records, driver.state());
+        }
+        let inc = driver.state().incarnation();
+        self.inner = SessionActor::with_incarnation(CausalActor::new(driver), self.rto, inc);
         // Announce the new life so peers rebase their sequence spaces
         // now; lost copies are compensated by the stale-stamp reply
         // path, so the broadcast is an optimization, not a correctness

@@ -638,14 +638,6 @@ impl<V: Value, A: Actor<V>> SessionActor<V, A> {
         &self.inner
     }
 
-    /// Mutable access to the wrapped protocol actor — what a durability
-    /// wrapper needs to drain the protocol state's journal after each
-    /// event.
-    #[must_use]
-    pub fn inner_mut(&mut self) -> &mut A {
-        &mut self.inner
-    }
-
     /// The session endpoint's counters.
     #[must_use]
     pub fn session_stats(&self) -> SessionStats {

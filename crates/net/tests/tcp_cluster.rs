@@ -47,11 +47,10 @@ fn four_node_tcp_cluster_is_causal() {
 #[test]
 fn batched_pipelined_cluster_keeps_the_logical_bill() {
     let _serial = serial();
-    // The PR-7 transport invariant, end to end: switching on write
-    // pipelining + batching changes what crosses the kernel — fewer
-    // envelopes, batch frames on the wire — but the logical per-kind
-    // message bill is byte-identical to the plain run, because batching
-    // is an envelope, not a protocol change.
+    // The transport invariant, end to end: switching on write pipelining
+    // + batching changes what crosses the kernel, but the logical
+    // per-kind message bill is byte-identical to the plain run, because
+    // batching is an envelope, not a protocol change.
     let plain = run_loopback(4, 64, 42, 2048);
     let batched = run_loopback_with(
         4,
@@ -89,21 +88,10 @@ fn batched_pipelined_cluster_keeps_the_logical_bill() {
             "every READ pairs with one R_REPLY"
         );
     }
-    assert!(
-        batched.envelope_msgs < batched.protocol_msgs + batched.overhead_msgs,
-        "batching never collapsed messages into shared envelopes \
-         ({} envelopes for {} logical msgs)",
-        batched.envelope_msgs,
-        batched.protocol_msgs + batched.overhead_msgs
-    );
-    assert!(
-        batched.wire.batch_frames > 0,
-        "no batch envelope ever crossed a socket"
-    );
-    // No syscall comparison on the mixed runs: uniform-random owners
-    // drain the window on almost every op, so batching saves only ~1%
-    // of writev calls here and the draw can land either way. The
-    // write-heavy pair below is where the saving is structural.
+    // Nothing about envelopes, batch frames or syscalls on the mixed
+    // runs: uniform-random owners drain the window on almost every op, so
+    // whether any run shares an envelope is a scheduling draw. The
+    // write-only pair below is where the saving is structural.
 }
 
 #[test]
@@ -142,6 +130,13 @@ fn batching_saves_syscalls_on_a_pipelined_write_stream() {
     assert!(
         batched.wire.batch_frames > 0,
         "no batch envelope ever crossed a socket"
+    );
+    assert!(
+        batched.envelope_msgs < batched.protocol_msgs + batched.overhead_msgs,
+        "batching never collapsed messages into shared envelopes \
+         ({} envelopes for {} logical msgs)",
+        batched.envelope_msgs,
+        batched.protocol_msgs + batched.overhead_msgs
     );
     // 10% margin: the structural gap is ~25%, far outside scheduling
     // noise in a syscall *count* (not a timing) comparison.

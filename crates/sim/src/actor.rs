@@ -176,13 +176,6 @@ impl<D: Driver> DriverActor<D> {
         &self.driver
     }
 
-    /// Mutable access to the wrapped driver — what a durability wrapper
-    /// needs to drain the state's journal after each event.
-    #[must_use]
-    pub fn driver_mut(&mut self) -> &mut D {
-        &mut self.driver
-    }
-
     /// Hands the driver's effects to the scheduler. An operation the
     /// driver gave up on ([`Done::Failed`]) never completes here: the
     /// node stays blocked and the run reports it stuck, which is how
