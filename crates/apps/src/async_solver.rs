@@ -12,7 +12,7 @@
 use std::sync::Arc;
 
 use causal_dsm::CausalConfig;
-use dsm_sim::{causal_sim, Actor, Client, ClientOp, Outcome, RunLimits, SimOpts};
+use dsm_sim::{causal_sim, Client, ClientOp, Outcome, RunLimits, SimDriver, SimOpts};
 use memcore::{Location, MemoryError, SharedMemory, StatsSnapshot, Word};
 use simnet::latency::Constant;
 
@@ -200,7 +200,7 @@ pub fn run_async_solver_sim(
     let report = sim.run(RunLimits::default());
     let x: Vec<f64> = (0..workers)
         .map(|i| {
-            sim.actor(i)
+            sim.driver(i)
                 .peek(layout.x(i))
                 .and_then(Word::as_float)
                 .unwrap_or(f64::NAN)

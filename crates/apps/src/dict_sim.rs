@@ -100,7 +100,7 @@ mod tests {
     use super::*;
     use causal_dsm::{CausalConfig, WritePolicy};
     use causal_spec::{check_causal, Execution};
-    use dsm_sim::{causal_sim, Actor, RunLimits, SimOpts};
+    use dsm_sim::{causal_sim, RunLimits, SimDriver, SimOpts};
     use memcore::Recorder;
     use simnet::latency::Uniform;
 
@@ -139,7 +139,7 @@ mod tests {
         let slots = (0..layout.rows() * layout.cols())
             .map(|flat| {
                 let row = flat / layout.cols();
-                sim.actor(row).peek(layout.slot(row, flat % layout.cols()))
+                sim.driver(row).peek(layout.slot(row, flat % layout.cols()))
             })
             .collect();
         let log = shared.lock().clone();

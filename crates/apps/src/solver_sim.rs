@@ -12,7 +12,7 @@ use std::sync::Arc;
 use atomic_dsm::{AtomicConfig, InvalMode};
 use causal_dsm::CausalConfig;
 use dsm_sim::{
-    atomic_sim, causal_sim, Actor, Client, ClientOp, Outcome, RunLimits, SimOpts, WaitMode,
+    atomic_sim, causal_sim, Client, ClientOp, Outcome, RunLimits, SimDriver, SimOpts, WaitMode,
 };
 use memcore::{StatsSnapshot, Word};
 use simnet::latency::Constant;
@@ -425,8 +425,8 @@ pub fn run_atomic_solver_sim(
     finish(sim, &layout, system)
 }
 
-fn install_clients<A: Actor<Word>>(
-    sim: &mut dsm_sim::Sim<Word, A>,
+fn install_clients<D: SimDriver<Value = Word>>(
+    sim: &mut dsm_sim::Sim<D>,
     layout: &SolverLayout,
     system: &LinearSystem,
     cfg: &SolverSimConfig,
@@ -441,15 +441,15 @@ fn install_clients<A: Actor<Word>>(
     );
 }
 
-fn finish<A: Actor<Word>>(
-    mut sim: dsm_sim::Sim<Word, A>,
+fn finish<D: SimDriver<Value = Word>>(
+    mut sim: dsm_sim::Sim<D>,
     layout: &SolverLayout,
     system: &LinearSystem,
 ) -> SolverRun {
     let report = sim.run(RunLimits::default());
     let x: Vec<f64> = (0..layout.workers())
         .map(|i| {
-            sim.actor(i)
+            sim.driver(i)
                 .peek(layout.x(i))
                 .and_then(Word::as_float)
                 .unwrap_or(f64::NAN)

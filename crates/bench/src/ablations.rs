@@ -54,7 +54,7 @@ pub fn run_causal_workload(
     let report = sim.run(RunLimits::default());
     assert!(report.all_done, "workload stuck: {report:?}");
     let invalidations = (0..spec.nodes)
-        .map(|i| sim.actor(i).driver().state().invalidation_count())
+        .map(|i| sim.driver(i).state().invalidation_count())
         .sum();
     WorkloadRun {
         messages: sim.messages().snapshot().total(),
@@ -116,7 +116,7 @@ pub fn page_size_ablation(page_sizes: &[u32]) -> Vec<(u32, WorkloadRun)> {
             let report = sim.run(RunLimits::default());
             assert!(report.all_done);
             let invalidations = (0..NODES as usize)
-                .map(|i| sim.actor(i).driver().state().invalidation_count())
+                .map(|i| sim.driver(i).state().invalidation_count())
                 .sum();
             (
                 page_size,

@@ -1261,7 +1261,7 @@ fn tcp_report(
 /// Panics if the simulation wedges or the oracle rejects the execution.
 #[must_use]
 pub fn scale_cell(seed: u64, cfg: &PerfConfig, n: u32, scoped: bool) -> WorkloadReport {
-    use dsm_sim::{CausalActor, ClientOp, Script, Sim, SimOpts};
+    use dsm_sim::{ClientOp, Script, Sim, SimOpts};
     use memcore::{NodeId, OwnerMap as _, Word};
 
     const PAGES_PER_NODE: u32 = 2;
@@ -1274,12 +1274,12 @@ pub fn scale_cell(seed: u64, cfg: &PerfConfig, n: u32, scoped: bool) -> Workload
         .owners(memcore::HashRingOwners::new(n, 1, VNODES))
         .interest_scoping(scoped)
         .build();
-    let actors = (0..n)
+    let drivers = (0..n)
         .map(|i| causal_dsm::CausalState::new(NodeId::new(i), config.clone()))
-        .map(|state| CausalActor::new(causal_dsm::NodeDriver::new(state)))
+        .map(causal_dsm::NodeDriver::new)
         .collect();
     let mut sim = Sim::new(
-        actors,
+        drivers,
         SimOpts {
             seed,
             recorder: Some(recorder.clone()),

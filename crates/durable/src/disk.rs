@@ -185,7 +185,7 @@ struct MemInner {
 
 /// A deterministic in-memory "disk" whose contents survive a simulated
 /// process restart (the handle is cloned and kept outside the crashing
-/// actor, playing the role of the platter).
+/// node, playing the role of the platter).
 ///
 /// Unsynced bytes survive *until* [`crash`](MemDisk::crash) is called —
 /// the crash operator is where the loss (and any torn tail) is decided,

@@ -6,29 +6,37 @@
 //! shape and its own oracle; the fault family supplies the plan, the
 //! victim, whether failover and durability are on, the pipeline/batching
 //! grid, the time clamp and the victim checks. Every cell runs the one
-//! node type, [`DurableActor`], and is judged by [`causal_spec::check_causal`]
-//! (Definition 2) first — the session layer is supposed to make the
-//! faulty network indistinguishable, to the protocol, from the reliable
-//! FIFO network the paper assumes. A wedged run — clients not finishing
-//! within the event/time limits — is also a failure.
+//! node type, the causal [`NodeDriver`] under a [`Session`], and is judged
+//! by [`causal_spec::check_causal`] (Definition 2) first — the session
+//! layer is supposed to make the faulty network indistinguishable, to the
+//! protocol, from the reliable FIFO network the paper assumes. A wedged
+//! run — clients not finishing within the event/time limits — is also a
+//! failure.
 //!
 //! Each run is a pure function of one seed: the seed generates the
 //! workload, the fault plan and the injector's dice, so any failure is
 //! reproduced exactly by re-running its seed, and the printed
 //! [`ChaosOutcome`] *is* the reproduction recipe.
 
+use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use causal_dsm::{CausalConfig, DurableConfig, FailoverConfig, SyncPolicy};
+use causal_dsm::{
+    CausalConfig, CausalState, DurableConfig, EffectsOf, FailoverConfig, MemDisk, NodeDriver,
+    SyncPolicy, WalRecord,
+};
 use causal_spec::{check_causal, Execution};
 use dsm_sim::{RunLimits, Sim, SimOpts};
-use memcore::{NodeId, OwnerMap as _, PageId, Recorder, StatsSnapshot, Value, Word};
+use memcore::{
+    Location, NodeId, OwnerMap as _, PageId, Recorder, StatsSnapshot, Value, Word, WriteId,
+};
+use simnet::codec::Wire;
 use simnet::latency::Uniform;
 
 use crate::injector::FaultInjector;
-use crate::node::DurableActor;
 use crate::plan::{FaultPlan, LinkFaults};
+use crate::session::Session;
 use crate::workload::{Shape, Workload};
 
 /// Shape of one chaos run (everything except the seed and the cell).
@@ -275,15 +283,23 @@ pub fn run_chaos<W: Workload>(
     }
     let config = config.build();
     let (plan, victim) = faults.plan(seed, &cfg, &config);
-    let actors = (0..config.nodes())
-        .map(|i| {
-            let torn_seed = seed ^ u64::from(i).wrapping_mul(0xA24B_AED4_963E_E407);
-            DurableActor::new(NodeId::new(i), config.clone(), cfg.rto, torn_seed)
+    // Durable nodes boot on their platters, and a crash window ends in a
+    // recovery; otherwise it is a pause.
+    let reboots = config
+        .durability()
+        .is_some()
+        .then(|| Reboots::new(&config, cfg.rto, seed));
+    let nodes = (0..config.nodes())
+        .map(NodeId::new)
+        .map(|id| match &reboots {
+            Some(reboots) => reboots.open(id),
+            None => NodeDriver::new(CausalState::new(id, config.clone())),
         })
+        .map(|driver| Session::new(driver, cfg.rto))
         .collect();
     let recorder: Recorder<W::Value> = Recorder::new(cfg.nodes as usize);
     let mut sim = Sim::new(
-        actors,
+        nodes,
         SimOpts {
             latency: Box::new(Uniform::new(1, 8)),
             seed,
@@ -293,6 +309,9 @@ pub fn run_chaos<W: Workload>(
             ..SimOpts::default()
         },
     );
+    if let Some(reboots) = reboots.clone() {
+        sim.set_restart_rule(move |id, node, fx| reboots.restart(id, node, fx));
+    }
     // The victim is a pure server, so "not wedged" states exactly that
     // every surviving client finished.
     for (node, client) in clients.into_iter().enumerate() {
@@ -314,14 +333,14 @@ pub fn run_chaos<W: Workload>(
         Ok(causal) => causal.violations.iter().map(ToString::to_string).collect(),
         Err(err) => vec![format!("execution graph error: {err}")],
     };
-    if let (Faults::Restart(_), Some(v)) = (faults, victim) {
-        let node = sim.actor(v);
-        if node.restarts() == 0 {
+    if let (Some(reboots), Some(v)) = (&reboots, victim) {
+        let log = reboots.log.lock().expect("a restart rule panicked");
+        if log.restarts[v] == 0 {
             violations.push(format!("victim {v} never restarted"));
-        } else if node.incarnation() == 0 {
+        } else if sim.driver(v).inner().state().incarnation() == 0 {
             violations.push(format!("victim {v} restarted without bumping incarnation"));
         }
-        violations.extend(node.violations().iter().cloned());
+        violations.extend(log.lost.iter().cloned());
     }
     violations.extend(check());
     ChaosOutcome {
@@ -336,6 +355,142 @@ pub fn run_chaos<W: Workload>(
         pipeline_window: cfg.pipeline_window,
         batching: cfg.batching,
     }
+}
+
+/// The one node type every cell runs.
+type Node<V> = Session<NodeDriver<V>>;
+
+/// A durable run's restart rule, installed on the simulator: what the end
+/// of a crash window does to a node. It holds what outlives the process —
+/// each node's [`MemDisk`] platter — and, like a [`Recorder`], is read
+/// back after the run.
+#[derive(Clone)]
+struct Reboots<V: Value> {
+    config: CausalConfig<V>,
+    rto: u64,
+    disks: Vec<MemDisk>,
+    /// Seeds the torn-tail lengths, so the WAL offset a crash lands on is
+    /// part of the reproduction recipe.
+    seed: u64,
+    log: Arc<Mutex<RebootLog>>,
+}
+
+/// What the restarts of one run did and found.
+struct RebootLog {
+    /// Recoveries per node.
+    restarts: Vec<u32>,
+    /// Certified writes found lost at recovery instants (empty for
+    /// correct runs; only ever checked under [`SyncPolicy::EveryOp`]).
+    lost: Vec<String>,
+}
+
+impl<V: Value + Wire> Reboots<V> {
+    fn new(config: &CausalConfig<V>, rto: u64, seed: u64) -> Self {
+        let nodes = config.nodes();
+        Reboots {
+            config: config.clone(),
+            rto,
+            disks: (0..nodes).map(|_| MemDisk::new()).collect(),
+            seed,
+            log: Arc::new(Mutex::new(RebootLog {
+                restarts: vec![0; nodes as usize],
+                lost: Vec::new(),
+            })),
+        }
+    }
+
+    /// Node `id`'s driver, opened on its platter: a first boot, or a
+    /// recovery of whatever the platter kept.
+    fn open(&self, id: NodeId) -> NodeDriver<V> {
+        let disk = self.disks[id.index()].clone();
+        NodeDriver::open(id, self.config.clone(), Box::new(disk))
+    }
+
+    /// An amnesia crash: the platter loses its unsynced tail plus a seeded
+    /// mid-record tear, and the driver is opened on it again. The new life
+    /// is announced with a session `Hello`, so peers rebase their sequence
+    /// spaces now and fast-forward it by retransmission instead of
+    /// re-educating it via SUSPECT. Lost copies are compensated by the
+    /// stale-stamp reply path: the broadcast is an optimization, not a
+    /// correctness requirement.
+    fn restart(&self, id: NodeId, node: &mut Node<V>, fx: &mut EffectsOf<Node<V>>) {
+        let mut log = self.log.lock().expect("a restart rule panicked");
+        let i = id.index();
+        log.restarts[i] += 1;
+        // Deterministic in (seed, node, restart ordinal): a mid-record
+        // tear whenever it lands inside a frame.
+        let torn_seed = self.seed ^ (i as u64).wrapping_mul(0xA24B_AED4_963E_E407);
+        let ordinal = u64::from(log.restarts[i]).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let disk = &self.disks[i];
+        disk.crash((torn_seed.wrapping_add(ordinal) % 24) as usize);
+        let certifying = self.config.durability().map(|d| d.sync) == Some(SyncPolicy::EveryOp);
+        let survived = certifying.then(|| disk.recovered::<V>().records);
+        let driver = self.open(id);
+        if let Some(records) = survived {
+            log.lost
+                .extend(lost_certified_writes(&records, driver.state()));
+        }
+        let inc = driver.state().incarnation();
+        *node = Session::with_incarnation(driver, self.rto, inc);
+        let hello = node.link().hello();
+        let peers = (0..self.config.nodes())
+            .map(NodeId::new)
+            .filter(|p| *p != id);
+        fx.sends.extend(peers.map(|p| (p, hello.clone())));
+    }
+}
+
+/// The per-write oracle, run at the recovery instant: fold the record
+/// stream the crash left on the platter to the last applied certified
+/// write per location, and demand the rebuilt state reads back exactly
+/// that write for every page it still owns. Sound only when certified
+/// implies durable, i.e. under [`SyncPolicy::EveryOp`].
+fn lost_certified_writes<V: Value>(
+    records: &[WalRecord<V>],
+    state: &CausalState<V>,
+) -> Vec<String> {
+    let page_size = state.config().page_size();
+    let mut last: BTreeMap<Location, WriteId> = BTreeMap::new();
+    for record in records {
+        match record {
+            WalRecord::Write {
+                loc,
+                wid,
+                applied: true,
+                ..
+            } => {
+                last.insert(*loc, *wid);
+            }
+            // A checkpoint image's owned-page installs compact the writes
+            // before them: they reset the fold.
+            WalRecord::PageInstall {
+                page,
+                slots,
+                shadow: false,
+                ..
+            } => {
+                for (i, (_, wid)) in slots.iter().enumerate() {
+                    let loc = Location::new(page.index() as u32 * page_size + i as u32);
+                    if wid.is_initial() {
+                        last.remove(&loc);
+                    } else {
+                        last.insert(loc, *wid);
+                    }
+                }
+            }
+            _ => {}
+        }
+    }
+    // Pages no longer owned were pruned by recovery (their authoritative
+    // copy lives at the migrated owner now). Write identity is the check:
+    // equal ids mean the slot holds exactly the certified write.
+    let lost = |(loc, wid): (Location, WriteId)| {
+        let got = state.peek(loc).map(|(_, w)| w);
+        (state.current_owner(loc.page(page_size)) == state.id() && got != Some(wid)).then(|| {
+            format!("certified write lost at {loc:?}: expected {wid:?}, recovered {got:?}")
+        })
+    };
+    last.into_iter().filter_map(lost).collect()
 }
 
 /// Result of a batch of chaos runs.

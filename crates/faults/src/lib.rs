@@ -11,22 +11,19 @@
 //! * [`injector`] — [`FaultInjector`]: a plan plus a seeded RNG, exposed
 //!   as the [`simnet::FaultHook`] both transports consult; identical
 //!   seeds replay identical faults;
-//! * [`session`] — [`ReliableLink`] / [`SessionActor`]: sequence numbers,
+//! * [`session`] — [`ReliableLink`] / [`Session`]: sequence numbers,
 //!   cumulative acks, retransmission timers, and duplicate suppression
-//!   under any protocol actor, re-deriving per-link FIFO exactly-once
-//!   delivery over the lossy link (overhead shows up as
+//!   under any [`causal_dsm::Driver`], re-deriving per-link FIFO
+//!   exactly-once delivery over the lossy link (overhead shows up as
 //!   [`memcore::kinds`] counters);
-//! * [`node`] — [`DurableActor`], the one simulated node: a session-layered
-//!   causal node that journals into a write-ahead log, crashes at an
-//!   injected WAL offset (including mid-record tears) and recovers under a
-//!   bumped incarnation iff its configuration is durable;
 //! * [`workload`] × [`Faults`] — the chaos grid: register, typed-object
 //!   and broken-merge-policy [`Workload`]s under a reliable network,
-//!   random plans, permanent owner crashes or WAL-recovering restarts,
-//!   every execution fed to [`causal_spec::check_causal`] plus the
-//!   workload's and the fault family's own oracles, failures reported
-//!   with their reproducing seed and plan ([`harness`]; the `smoke`
-//!   binary runs the CI grid).
+//!   random plans, permanent owner crashes or WAL-recovering restarts
+//!   (a node killed at an injected WAL offset, mid-record tears
+//!   included, recovers under a bumped incarnation), every execution fed
+//!   to [`causal_spec::check_causal`] plus the workload's and the fault
+//!   family's own oracles, failures reported with their reproducing seed
+//!   and plan ([`harness`]; the `smoke` binary runs the CI grid).
 //!
 //! # Examples
 //!
@@ -44,14 +41,12 @@
 
 pub mod harness;
 pub mod injector;
-pub mod node;
 pub mod plan;
 pub mod session;
 pub mod workload;
 
 pub use harness::{run_chaos, run_chaos_batch, ChaosBatch, ChaosConfig, ChaosOutcome, Faults};
 pub use injector::FaultInjector;
-pub use node::DurableActor;
 pub use plan::{Crash, FaultPlan, LinkFaults, Partition};
-pub use session::{ReliableLink, SessionActor, SessionMsg, SessionStats};
+pub use session::{ReliableLink, Session, SessionMsg, SessionStats};
 pub use workload::{Mutant, Objects, Registers, Shape, Workload};

@@ -16,6 +16,9 @@
 //! * the sender keeps unacknowledged payloads and **retransmits them all**
 //!   when its retransmission timer (RTO) fires, re-arming until acked.
 //!
+//! [`ReliableLink`] is one node's endpoint; [`Session`] puts one under any
+//! [`Driver`], so every executor can run a protocol over it.
+//!
 //! Termination under faults: as long as every partition heals, every
 //! crashed node restarts, and per-message drop probability is below 1, the
 //! retransmit/re-ack loop makes every payload eventually delivered exactly
@@ -25,11 +28,12 @@
 //! traffic in the message statistics.
 
 use std::collections::{BTreeMap, HashMap};
-use std::marker::PhantomData;
+use std::sync::Arc;
 
 use bytes::{BufMut, BytesMut};
-use dsm_sim::{Actor, ClientOp, Effects};
-use memcore::{kinds, Location, NodeId, Value};
+use causal_dsm::{Driver, EffectsOf, Op};
+use dsm_sim::SimDriver;
+use memcore::{kinds, Location, NodeId, WriteId};
 use simnet::codec::{CodecError, Wire};
 use simnet::Tagged;
 
@@ -504,7 +508,7 @@ impl<M: Clone> ReliableLink<M> {
         let mut peers: Vec<u32> = self.tx.keys().copied().collect();
         peers.sort_unstable(); // deterministic iteration order
         for p in peers {
-            let dst_inc = self.peer_inc.get(&p).copied().unwrap_or(0);
+            let dst_inc = self.known_inc(p);
             let peer = self.tx.get_mut(&p).expect("key from iteration");
             for (&seq, entry) in peer.unacked.iter_mut() {
                 if entry.0 + rto <= now {
@@ -586,18 +590,20 @@ impl<M: Clone> ReliableLink<M> {
     }
 }
 
-/// An [`Actor`] adapter inserting a [`ReliableLink`] *under* any protocol
-/// actor: the wrapped protocol runs unchanged, believing the network is
+/// A [`Driver`] combinator inserting a [`ReliableLink`] *under* any
+/// driver: the wrapped protocol runs unchanged, believing the network is
 /// reliable and FIFO, while the session layer earns that belief over a
-/// faulty one.
-#[derive(Debug)]
-pub struct SessionActor<V: Value, A: Actor<V>> {
-    inner: A,
-    link: ReliableLink<A::Msg>,
-    _marker: PhantomData<fn() -> V>,
+/// faulty one. Any executor runs it: the simulator (it is a
+/// [`SimDriver`] when `D` is), the threaded engine, the inline poller.
+#[derive(Clone, Debug)]
+pub struct Session<D: Driver> {
+    inner: D,
+    link: ReliableLink<D::Msg>,
+    /// The wrapped driver's effects, framed into the caller's.
+    fx: EffectsOf<D>,
 }
 
-impl<V: Value, A: Actor<V>> SessionActor<V, A> {
+impl<D: Driver> Session<D> {
     /// Wraps `inner` with a session endpoint using retransmission timeout
     /// `rto`.
     ///
@@ -605,137 +611,131 @@ impl<V: Value, A: Actor<V>> SessionActor<V, A> {
     ///
     /// Panics if `rto` is zero.
     #[must_use]
-    pub fn new(inner: A, rto: u64) -> Self {
+    pub fn new(inner: D, rto: u64) -> Self {
         Self::with_incarnation(inner, rto, 0)
     }
 
     /// Wraps `inner` with a session endpoint running as incarnation
-    /// `inc` — the constructor a durable recovery uses, so the new
-    /// life's frames fence its predecessor's.
+    /// `inc` — what a durable recovery constructs, so the new life's
+    /// frames fence its predecessor's.
     ///
     /// # Panics
     ///
     /// Panics if `rto` is zero.
     #[must_use]
-    pub fn with_incarnation(inner: A, rto: u64, inc: u32) -> Self {
-        SessionActor {
+    pub fn with_incarnation(inner: D, rto: u64, inc: u32) -> Self {
+        Session {
             inner,
             link: ReliableLink::with_incarnation(rto, inc),
-            _marker: PhantomData,
+            fx: EffectsOf::<D>::default(),
         }
     }
 
-    /// The [`SessionMsg::Hello`] announcing this endpoint's incarnation
-    /// (see [`ReliableLink::hello`]).
+    /// The wrapped driver (inspection).
     #[must_use]
-    pub fn hello(&self) -> SessionMsg<A::Msg> {
-        self.link.hello()
-    }
-
-    /// The wrapped protocol actor (inspection).
-    #[must_use]
-    pub fn inner(&self) -> &A {
+    pub fn inner(&self) -> &D {
         &self.inner
     }
 
-    /// The session endpoint's counters.
+    /// The session endpoint (inspection: its incarnation, its
+    /// [`hello`](ReliableLink::hello), its counters).
     #[must_use]
-    pub fn session_stats(&self) -> SessionStats {
-        self.link.stats()
+    pub fn link(&self) -> &ReliableLink<D::Msg> {
+        &self.link
     }
 
-    /// Frames one protocol message: heartbeats go as unsequenced
-    /// datagrams (see [`SessionMsg::Raw`]), everything else through the
-    /// reliable link.
-    fn frame(&mut self, now: u64, dst: NodeId, m: A::Msg) -> SessionMsg<A::Msg> {
-        if m.kind() == kinds::HEARTBEAT {
-            SessionMsg::Raw(m)
-        } else {
-            self.link.send(now, dst, m)
+    /// Moves the wrapped driver's effects into `fx`, framing each send:
+    /// heartbeats go as unsequenced datagrams (see [`SessionMsg::Raw`]),
+    /// everything else through the reliable link.
+    fn forward(&mut self, now: u64, fx: &mut EffectsOf<Self>) {
+        for (dst, m) in self.fx.sends.drain(..) {
+            let framed = if m.kind() == kinds::HEARTBEAT {
+                SessionMsg::Raw(m)
+            } else {
+                self.link.send(now, dst, m)
+            };
+            fx.sends.push((dst, framed));
         }
-    }
-
-    fn wrap(&mut self, now: u64, effects: Effects<V, A::Msg>) -> Effects<V, SessionMsg<A::Msg>> {
-        Effects {
-            outgoing: effects
-                .outgoing
-                .into_iter()
-                .map(|(dst, m)| (dst, self.frame(now, dst, m)))
-                .collect(),
-            completion: effects.completion,
+        if let Some(done) = self.fx.done.take() {
+            fx.done = Some(done);
         }
     }
 }
 
-impl<V: Value, A: Actor<V>> Actor<V> for SessionActor<V, A> {
-    type Msg = SessionMsg<A::Msg>;
+impl<D: Driver> Driver for Session<D> {
+    type Value = D::Value;
+    type Msg = SessionMsg<D::Msg>;
+    type Config = D::Config;
+    const NAME: &'static str = D::NAME;
 
-    fn submit(&mut self, now: u64, op: &ClientOp<V>) -> Effects<V, Self::Msg> {
-        let effects = self.inner.submit(now, op);
-        self.wrap(now, effects)
+    fn submit(&mut self, now: u64, op: Op<D::Value>, fx: &mut EffectsOf<Self>) {
+        self.inner.submit(now, op, &mut self.fx);
+        self.forward(now, fx);
     }
 
-    fn deliver(&mut self, now: u64, from: NodeId, msg: Self::Msg) -> Effects<V, Self::Msg> {
-        let (mut outgoing, released) = match msg {
-            // Datagrams bypass the sequencing machinery entirely.
-            SessionMsg::Raw(payload) => (Vec::new(), vec![payload]),
-            framed => {
-                let (replies, released) = self.link.on_receive(now, from, framed);
-                (replies.into_iter().map(|m| (from, m)).collect(), released)
-            }
-        };
-        let mut completion = None;
+    /// Replies (acks, `Hello`s, rebased retransmissions) go back to `from`
+    /// first; then each payload the link releases — in sequence, or a
+    /// datagram as it came — is delivered to the wrapped driver.
+    fn deliver(&mut self, now: u64, from: NodeId, msg: Self::Msg, fx: &mut EffectsOf<Self>) {
+        let (replies, released) = self.link.on_receive(now, from, msg);
+        fx.sends.extend(replies.into_iter().map(|m| (from, m)));
         for payload in released {
-            let effects = self.inner.deliver(now, from, payload);
-            for (dst, m) in effects.outgoing {
-                let framed = self.frame(now, dst, m);
-                outgoing.push((dst, framed));
-            }
-            if let Some(c) = effects.completion {
-                debug_assert!(completion.is_none(), "one outstanding op per node");
-                completion = Some(c);
-            }
+            self.inner.deliver(now, from, payload, &mut self.fx);
         }
-        Effects {
-            outgoing,
-            completion,
-        }
+        self.forward(now, fx);
     }
 
+    /// The retransmission timer needs time even when the wrapped driver
+    /// does not.
+    fn timed(&self) -> bool {
+        true
+    }
+
+    /// The earlier of the link's retransmission deadline and whatever the
+    /// wrapped driver wants (heartbeats and suspicion under failover).
     fn next_timer(&self) -> Option<u64> {
-        // Earliest of the link's retransmission deadline and whatever the
-        // wrapped protocol wants (heartbeat/suspicion timers under owner
-        // failover).
         match (self.link.next_timer(), self.inner.next_timer()) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
         }
     }
 
-    fn on_timer(&mut self, now: u64) -> Effects<V, Self::Msg> {
-        let mut outgoing: Vec<(NodeId, Self::Msg)> = self.link.on_timer(now);
-        let mut completion = None;
+    fn on_timer(&mut self, now: u64, fx: &mut EffectsOf<Self>) {
+        fx.sends.extend(self.link.on_timer(now));
         if self.inner.next_timer().is_some_and(|want| want <= now) {
-            let effects = self.inner.on_timer(now);
-            for (dst, m) in effects.outgoing {
-                // The protocol's timer-driven traffic rides the session
-                // layer like any other payload (heartbeats as datagrams).
-                let framed = self.frame(now, dst, m);
-                outgoing.push((dst, framed));
-            }
-            completion = effects.completion;
-        }
-        Effects {
-            outgoing,
-            completion,
+            // The driver's timer-driven traffic rides the session layer
+            // like any other payload (heartbeats as datagrams).
+            self.inner.on_timer(now, &mut self.fx);
+            self.forward(now, fx);
         }
     }
 
+    fn transport_down(&mut self) -> bool {
+        self.inner.transport_down()
+    }
+
+    fn needs_delivery(msg: &Self::Msg) -> bool {
+        match msg {
+            SessionMsg::Data { payload, .. } | SessionMsg::Raw(payload) => {
+                D::needs_delivery(payload)
+            }
+            SessionMsg::Ack { .. } | SessionMsg::Hello { .. } => false,
+        }
+    }
+
+    // No `write_local` fast path: its side traffic would need a time to
+    // arm retransmission with, so owner-local writes take `submit`.
+    fn read_hit(&self, loc: Location) -> Option<(Arc<D::Value>, WriteId)> {
+        self.inner.read_hit(loc)
+    }
+}
+
+impl<D: SimDriver> SimDriver for Session<D> {
     fn authority(&self, loc: Location) -> NodeId {
         self.inner.authority(loc)
     }
 
-    fn peek(&self, loc: Location) -> Option<V> {
+    fn peek(&self, loc: Location) -> Option<D::Value> {
         self.inner.peek(loc)
     }
 }

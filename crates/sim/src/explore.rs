@@ -12,13 +12,14 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use atomic_dsm::AtomicConfig;
-use causal_dsm::CausalConfig;
+use causal_dsm::{CausalConfig, EffectsOf};
 use causal_spec::{check_causal, Execution};
 use memcore::{NodeId, OpRecord, Value};
 
-use crate::actor::{Actor, Completion};
 use crate::client::ClientOp;
-use crate::run::{atomic_actors, causal_actors};
+use crate::driver::SimDriver;
+use crate::run::{atomic_drivers, causal_drivers};
+use crate::sched::{completion, submission};
 
 /// The result of exploring every schedule of one program.
 #[derive(Clone, Debug)]
@@ -43,17 +44,16 @@ impl<V> ExploreReport<V> {
 }
 
 #[derive(Clone)]
-struct ExploreState<V: Value, A: Actor<V>> {
-    actors: Vec<A>,
-    _marker: std::marker::PhantomData<fn() -> V>,
+struct ExploreState<D: SimDriver> {
+    drivers: Vec<D>,
     /// In-flight messages per directed link, FIFO.
-    links: BTreeMap<(u32, u32), VecDeque<A::Msg>>,
+    links: BTreeMap<(u32, u32), VecDeque<D::Msg>>,
     /// Per-node script cursor.
     cursors: Vec<usize>,
     /// Nodes blocked on a reply.
     blocked: Vec<bool>,
     /// Recorded operations per node.
-    records: Vec<Vec<OpRecord<V>>>,
+    records: Vec<Vec<OpRecord<D::Value>>>,
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -83,7 +83,7 @@ pub fn explore_causal<V: Value + PartialEq>(
     scripts: &[Vec<ClientOp<V>>],
     max_states: u64,
 ) -> ExploreReport<V> {
-    explore(causal_actors(config), scripts, max_states)
+    explore(causal_drivers(config), scripts, max_states)
 }
 
 /// [`explore_causal`], but over the atomic baseline: every schedule of an
@@ -99,15 +99,18 @@ pub fn explore_atomic<V: Value + PartialEq>(
     scripts: &[Vec<ClientOp<V>>],
     max_states: u64,
 ) -> ExploreReport<V> {
-    explore(atomic_actors(config), scripts, max_states)
+    explore(atomic_drivers(config), scripts, max_states)
 }
 
-fn explore<V: Value + PartialEq, A: Actor<V> + Clone>(
-    actors: Vec<A>,
-    scripts: &[Vec<ClientOp<V>>],
+fn explore<D: SimDriver + Clone>(
+    drivers: Vec<D>,
+    scripts: &[Vec<ClientOp<D::Value>>],
     max_states: u64,
-) -> ExploreReport<V> {
-    assert_eq!(scripts.len(), actors.len(), "one script per node");
+) -> ExploreReport<D::Value>
+where
+    D::Value: PartialEq,
+{
+    assert_eq!(scripts.len(), drivers.len(), "one script per node");
     for op in scripts.iter().flatten() {
         assert!(
             !matches!(op, ClientOp::WaitUntil(..)),
@@ -115,10 +118,9 @@ fn explore<V: Value + PartialEq, A: Actor<V> + Clone>(
         );
     }
 
-    let n = actors.len();
+    let n = drivers.len();
     let initial = ExploreState {
-        actors,
-        _marker: std::marker::PhantomData,
+        drivers,
         links: BTreeMap::new(),
         cursors: vec![0; n],
         blocked: vec![false; n],
@@ -169,9 +171,9 @@ fn explore<V: Value + PartialEq, A: Actor<V> + Clone>(
     report
 }
 
-fn enumerate_choices<V: Value, A: Actor<V>>(
-    state: &ExploreState<V, A>,
-    scripts: &[Vec<ClientOp<V>>],
+fn enumerate_choices<D: SimDriver>(
+    state: &ExploreState<D>,
+    scripts: &[Vec<ClientOp<D::Value>>],
 ) -> Vec<Choice> {
     let mut choices = Vec::new();
     for (node, script) in scripts.iter().enumerate() {
@@ -187,28 +189,20 @@ fn enumerate_choices<V: Value, A: Actor<V>>(
     choices
 }
 
-fn apply<V: Value, A: Actor<V>>(
-    state: &mut ExploreState<V, A>,
-    scripts: &[Vec<ClientOp<V>>],
+fn apply<D: SimDriver>(
+    state: &mut ExploreState<D>,
+    scripts: &[Vec<ClientOp<D::Value>>],
     choice: Choice,
 ) {
-    match choice {
+    let mut fx = EffectsOf::<D>::default();
+    let node = match choice {
         Choice::Step(node) => {
-            let op = &scripts[node][state.cursors[node]];
+            let op = submission(&scripts[node][state.cursors[node]]);
             state.cursors[node] += 1;
-            let effects = state.actors[node].submit(0, op);
-            let src = node as u32;
-            for (dst, msg) in effects.outgoing {
-                state
-                    .links
-                    .entry((src, dst.index() as u32))
-                    .or_default()
-                    .push_back(msg);
-            }
-            match effects.completion {
-                Some(completion) => record(state, node, completion),
-                None => state.blocked[node] = true,
-            }
+            state.drivers[node].submit(0, op, &mut fx);
+            // Blocked until a delivery completes it, unless it did now.
+            state.blocked[node] = true;
+            node
         }
         Choice::Deliver(src, dst) => {
             let msg = state
@@ -216,30 +210,20 @@ fn apply<V: Value, A: Actor<V>>(
                 .get_mut(&(src, dst))
                 .and_then(VecDeque::pop_front)
                 .expect("chosen link has a message");
-            let node = dst as usize;
-            let effects = state.actors[node].deliver(0, NodeId::new(src), msg);
-            for (out_dst, out_msg) in effects.outgoing {
-                state
-                    .links
-                    .entry((dst, out_dst.index() as u32))
-                    .or_default()
-                    .push_back(out_msg);
-            }
-            if let Some(completion) = effects.completion {
-                state.blocked[node] = false;
-                record(state, node, completion);
-            }
+            state.drivers[dst as usize].deliver(0, NodeId::new(src), msg, &mut fx);
+            dst as usize
         }
+    };
+    for (dst, msg) in fx.sends {
+        state
+            .links
+            .entry((node as u32, dst.index() as u32))
+            .or_default()
+            .push_back(msg);
     }
-}
-
-fn record<V: Value, A: Actor<V>>(
-    state: &mut ExploreState<V, A>,
-    node: usize,
-    completion: Completion<V>,
-) {
-    if let Some(op_record) = completion.record {
-        state.records[node].push(op_record);
+    if let Some((_, record)) = fx.done.and_then(completion) {
+        state.blocked[node] = false;
+        state.records[node].extend(record);
     }
 }
 

@@ -13,9 +13,13 @@
 //! * [`Client`] — application programs as resumable operation streams
 //!   (the Figure-6 solver's workers, the dictionary's processes, random
 //!   workloads);
-//! * [`Actor`] — what the scheduler drives; [`DriverActor`] adapts any
-//!   [`causal_dsm::Driver`] to it;
-//! * [`Sim`] — the event loop: client steps, deliveries, wait handling.
+//! * [`SimDriver`] — what the scheduler drives: any
+//!   [`causal_dsm::Driver`] that can also name a location's authoritative
+//!   copy and peek at it, for wait-signaling;
+//! * [`Sim`] — the event loop: client steps, deliveries, timers, crash
+//!   windows, wait handling. It turns each [`ClientOp`] into the driver's
+//!   [`causal_dsm::Op`] and each completion into the client's [`Outcome`]
+//!   and the checker's record.
 //!
 //! [`WaitMode`] matters for reproducing the paper's numbers: the §4.1
 //! analysis assumes each handshake flag is fetched exactly once per phase
@@ -48,17 +52,15 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod actor;
 mod client;
+mod driver;
 mod explore;
 mod run;
 mod sched;
 pub mod witness;
 
-pub use actor::{
-    Actor, AtomicActor, BroadcastActor, CausalActor, Completion, DriverActor, Effects, SimDriver,
-};
 pub use client::{Client, ClientOp, FnClient, Outcome, Pred, Script};
+pub use driver::SimDriver;
 pub use explore::{explore_atomic, explore_causal, ExploreReport};
 pub use run::{atomic_sim, broadcast_sim, causal_sim};
 pub use sched::{RunLimits, Sim, SimOpts, SimReport, WaitMode};

@@ -6,10 +6,9 @@ use broadcast_mem::{BroadcastDriver, BroadcastState};
 use causal_dsm::{CausalConfig, CausalState, NodeDriver};
 use memcore::{NodeId, Value};
 
-use crate::actor::{AtomicActor, BroadcastActor, CausalActor};
 use crate::sched::{Sim, SimOpts};
 
-/// A simulated causal-DSM cluster: one [`CausalActor`] per node.
+/// A simulated causal-DSM cluster: one [`NodeDriver`] per node.
 ///
 /// # Examples
 ///
@@ -24,45 +23,46 @@ use crate::sched::{Sim, SimOpts};
 /// assert!(sim.run_to_completion().all_done);
 /// ```
 #[must_use]
-pub fn causal_sim<V: Value>(config: &CausalConfig<V>, opts: SimOpts<V>) -> Sim<V, CausalActor<V>> {
-    Sim::new(causal_actors(config), opts)
+pub fn causal_sim<V: Value>(config: &CausalConfig<V>, opts: SimOpts<V>) -> Sim<NodeDriver<V>> {
+    Sim::new(causal_drivers(config), opts)
 }
 
-/// One fresh causal actor per node of `config`.
-pub(crate) fn causal_actors<V: Value>(config: &CausalConfig<V>) -> Vec<CausalActor<V>> {
+/// One fresh causal driver per node of `config`.
+pub(crate) fn causal_drivers<V: Value>(config: &CausalConfig<V>) -> Vec<NodeDriver<V>> {
     (0..config.nodes())
         .map(|i| NodeDriver::new(CausalState::new(NodeId::new(i), config.clone())))
-        .map(CausalActor::new)
         .collect()
 }
 
-/// A simulated atomic-DSM cluster: one [`AtomicActor`] per node.
+/// A simulated atomic-DSM cluster: one [`AtomicDriver`] per node.
 #[must_use]
 pub fn atomic_sim<V: Value>(
     config: &atomic_dsm::AtomicConfig<V>,
     opts: SimOpts<V>,
-) -> Sim<V, AtomicActor<V>> {
-    Sim::new(atomic_actors(config), opts)
+) -> Sim<AtomicDriver<V>> {
+    Sim::new(atomic_drivers(config), opts)
 }
 
-/// One fresh atomic actor per node of `config`.
-pub(crate) fn atomic_actors<V: Value>(config: &atomic_dsm::AtomicConfig<V>) -> Vec<AtomicActor<V>> {
+/// One fresh atomic driver per node of `config`.
+pub(crate) fn atomic_drivers<V: Value>(
+    config: &atomic_dsm::AtomicConfig<V>,
+) -> Vec<AtomicDriver<V>> {
     (0..config.nodes())
-        .map(|i| AtomicDriver::new(AtomicState::new(NodeId::new(i), config.clone())))
-        .map(AtomicActor::new)
+        .map(|i| AtomicState::new(NodeId::new(i), config.clone()))
+        .map(AtomicDriver::new)
         .collect()
 }
 
-/// A simulated causal-broadcast replica cluster.
+/// A simulated causal-broadcast replica cluster. Never blocks.
 #[must_use]
 pub fn broadcast_sim<V: Value + Default>(
     nodes: u32,
     locations: u32,
     opts: SimOpts<V>,
-) -> Sim<V, BroadcastActor<V>> {
-    let actors = (0..nodes)
+) -> Sim<BroadcastDriver<V>> {
+    let drivers = (0..nodes)
         .map(|i| BroadcastState::new(NodeId::new(i), nodes as usize, locations))
-        .map(|state| BroadcastActor::new(BroadcastDriver::new(state)))
+        .map(BroadcastDriver::new)
         .collect();
-    Sim::new(actors, opts)
+    Sim::new(drivers, opts)
 }

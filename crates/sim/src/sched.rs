@@ -1,23 +1,68 @@
 //! The deterministic discrete-event scheduler.
 //!
-//! One event queue drives every node's protocol actor and client program:
+//! One event queue drives every node's protocol driver and client program:
 //! client steps, message deliveries (with per-link FIFO preserved under
-//! arbitrary latency models), and wait polling. All nondeterminism comes
-//! from the seeded latency RNG, so every run is replayable — this is what
-//! the property tests lean on.
+//! arbitrary latency models), timers, and wait polling. All
+//! nondeterminism comes from the seeded latency RNG, so every run is
+//! replayable — this is what the property tests lean on.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::Arc;
 
-use memcore::{kinds, NetStats, NodeId, Recorder, Value};
+use causal_dsm::{Done, EffectsOf, Op};
+use memcore::{kinds, NetStats, NodeId, OpRecord, Recorder};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use simnet::latency::{Constant, LatencyModel};
 use simnet::{FaultHook, Tagged};
 
-use crate::actor::{Actor, Completion};
 use crate::client::{Client, ClientOp, Outcome, Pred};
+use crate::driver::SimDriver;
+
+/// The driver operation a client operation submits.
+/// [`ClientOp::WaitUntil`] is decomposed by the scheduler and never
+/// reaches a driver.
+pub(crate) fn submission<V: Clone>(op: &ClientOp<V>) -> Op<V> {
+    let shared = |v: &V| Arc::new(v.clone());
+    match op {
+        ClientOp::Read(loc) => Op::Read(*loc),
+        ClientOp::ReadFresh(loc) => Op::ReadFresh(*loc),
+        // With a pipeline window configured, plain writes flow through
+        // it, so chaos plans exercise the layer.
+        ClientOp::Write(loc, v) => Op::WritePipelined(*loc, shared(v)),
+        ClientOp::WriteBlocking(loc, v) => Op::Write(*loc, shared(v)),
+        ClientOp::WriteNonblocking(loc, v) => Op::WriteUngated(*loc, shared(v)),
+        ClientOp::Discard(loc) => Op::Discard(*loc),
+        ClientOp::Flush => Op::Flush,
+        ClientOp::WaitUntil(..) => unreachable!("scheduler decomposes waits"),
+    }
+}
+
+/// What a driver's completion is to the client, and the record the
+/// specification checker consumes (absent for discards and flushes). An
+/// operation the driver gave up on ([`Done::Failed`]) never completes:
+/// the node stays blocked and the run reports it stuck, which is how
+/// every harness already treats a wedged client.
+pub(crate) fn completion<V: Clone>(done: Done<V>) -> Option<(Outcome<V>, Option<OpRecord<V>>)> {
+    Some(match done {
+        Done::Read { loc, value, wid } => {
+            let value = (*value).clone();
+            let record = OpRecord::read(loc, value.clone(), wid);
+            (Outcome::Read { value, wid }, Some(record))
+        }
+        Done::Wrote { loc, value, done } => (
+            Outcome::Wrote {
+                wid: done.wid(),
+                applied: done.is_applied(),
+            },
+            Some(OpRecord::write(loc, (*value).clone(), done.wid())),
+        ),
+        Done::Discarded => (Outcome::Discarded, None),
+        Done::Flushed => (Outcome::Flushed, None),
+        Done::Failed(_) => return None,
+    })
+}
 
 /// How [`ClientOp::WaitUntil`] re-reads.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -82,8 +127,8 @@ enum EventKind<M> {
     Timer {
         node: usize,
     },
-    /// Fires the actor's restart hook once its crash window elapses,
-    /// even if no other event targets the node.
+    /// Runs the restart rule once the node's crash window elapses, even
+    /// if no other event targets the node.
     Restart {
         node: usize,
     },
@@ -126,36 +171,41 @@ impl<V> Default for SimOpts<V> {
     }
 }
 
-/// A deterministic simulation of `n` protocol nodes and their client
-/// programs.
+/// What a node's restart does once its crash window ends (see
+/// [`Sim::set_restart_rule`]).
+type RestartRule<D> = Box<dyn FnMut(NodeId, &mut D, &mut EffectsOf<D>) + Send>;
+
+/// A deterministic simulation of `n` protocol nodes, each a
+/// [`SimDriver`], and their client programs.
 ///
 /// # Examples
 ///
 /// ```
 /// use causal_dsm::{CausalConfig, CausalState, NodeDriver};
-/// use dsm_sim::{CausalActor, ClientOp, Script, Sim, SimOpts};
+/// use dsm_sim::{ClientOp, Script, Sim, SimOpts};
 /// use memcore::{Location, NodeId, Word};
 ///
 /// let config = CausalConfig::<Word>::builder(2, 2).build();
-/// let actors = (0..2)
+/// let drivers = (0..2)
 ///     .map(|i| NodeDriver::new(CausalState::new(NodeId::new(i), config.clone())))
-///     .map(CausalActor::new)
 ///     .collect();
-/// let mut sim = Sim::new(actors, SimOpts::default());
+/// let mut sim = Sim::new(drivers, SimOpts::default());
 /// sim.set_client(0, Script::new(vec![ClientOp::Write(Location::new(1), Word::Int(5))]));
 /// let report = sim.run_to_completion();
 /// assert!(report.all_done);
 /// // x1 is owned by P1: the write cost one WRITE + one W_REPLY.
 /// assert_eq!(sim.messages().snapshot().total(), 2);
 /// ```
-pub struct Sim<V: Value, A: Actor<V>> {
-    actors: Vec<A>,
-    clients: Vec<Option<Box<dyn Client<V>>>>,
-    last_outcome: Vec<Option<Outcome<V>>>,
+pub struct Sim<D: SimDriver> {
+    drivers: Vec<D>,
+    /// The one effects buffer every driver call fills.
+    fx: EffectsOf<D>,
+    clients: Vec<Option<Box<dyn Client<D::Value>>>>,
+    last_outcome: Vec<Option<Outcome<D::Value>>>,
     blocked: Vec<bool>,
-    waits: Vec<Option<Wait<V>>>,
+    waits: Vec<Option<Wait<D::Value>>>,
     queue: BinaryHeap<Reverse<(u64, u64, usize)>>,
-    events_by_seq: HashMap<u64, EventKind<A::Msg>>,
+    events_by_seq: HashMap<u64, EventKind<D::Msg>>,
     time: u64,
     seq: u64,
     latency: Box<dyn LatencyModel + Send>,
@@ -165,31 +215,33 @@ pub struct Sim<V: Value, A: Actor<V>> {
     byte_stats: NetStats,
     envelope_stats: NetStats,
     metadata_stats: NetStats,
-    recorder: Option<Recorder<V>>,
+    recorder: Option<Recorder<D::Value>>,
     wait_mode: WaitMode,
     events_processed: u64,
     faults: Option<Arc<dyn FaultHook>>,
     /// Earliest queued `Timer` event per node (dedup; stale events
-    /// revalidate against the actor and no-op).
+    /// revalidate against the driver and no-op).
     timer_scheduled: Vec<Option<u64>>,
-    /// Nodes observed down whose restart hook has not fired yet. Set on
-    /// the first event that finds the node crashed; cleared when
-    /// [`Actor::on_restart`] runs at the first post-crash event.
+    /// Nodes observed down whose restart has not run yet. Set on the
+    /// first event that finds the node crashed; cleared at the first
+    /// post-crash event.
     down_seen: Vec<bool>,
+    restart: Option<RestartRule<D>>,
 }
 
-impl<V: Value, A: Actor<V>> Sim<V, A> {
-    /// Creates a simulation over `actors` (indexed by node id).
+impl<D: SimDriver> Sim<D> {
+    /// Creates a simulation over `drivers` (indexed by node id).
     ///
     /// # Panics
     ///
-    /// Panics if `actors` is empty.
+    /// Panics if `drivers` is empty.
     #[must_use]
-    pub fn new(actors: Vec<A>, opts: SimOpts<V>) -> Self {
-        assert!(!actors.is_empty(), "at least one actor required");
-        let n = actors.len();
+    pub fn new(drivers: Vec<D>, opts: SimOpts<D::Value>) -> Self {
+        assert!(!drivers.is_empty(), "at least one driver required");
+        let n = drivers.len();
         Sim {
-            actors,
+            drivers,
+            fx: EffectsOf::<D>::default(),
             clients: (0..n).map(|_| None).collect(),
             last_outcome: (0..n).map(|_| None).collect(),
             blocked: vec![false; n],
@@ -211,6 +263,7 @@ impl<V: Value, A: Actor<V>> Sim<V, A> {
             faults: opts.faults,
             timer_scheduled: vec![None; n],
             down_seen: vec![false; n],
+            restart: None,
         }
     }
 
@@ -219,7 +272,7 @@ impl<V: Value, A: Actor<V>> Sim<V, A> {
     /// # Panics
     ///
     /// Panics if `node` is out of range.
-    pub fn set_client(&mut self, node: usize, client: impl Client<V> + 'static) {
+    pub fn set_client(&mut self, node: usize, client: impl Client<D::Value> + 'static) {
         self.set_client_boxed(node, Box::new(client));
     }
 
@@ -229,9 +282,23 @@ impl<V: Value, A: Actor<V>> Sim<V, A> {
     /// # Panics
     ///
     /// Panics if `node` is out of range.
-    pub fn set_client_boxed(&mut self, node: usize, client: Box<dyn Client<V>>) {
-        assert!(node < self.actors.len(), "node out of range");
+    pub fn set_client_boxed(&mut self, node: usize, client: Box<dyn Client<D::Value>>) {
+        assert!(node < self.drivers.len(), "node out of range");
         self.clients[node] = Some(client);
+    }
+
+    /// Installs what a node's restart does once the fault model's crash
+    /// window for it ends. `rule` runs once per window, at the first
+    /// event to find the node up again and before that event reaches it:
+    /// it may replace or amend the node's driver (a recovery from disk)
+    /// and put sends in the effects buffer (announcing the new life).
+    /// Without a rule a crash window is a pause: the node resumes with
+    /// its state intact — the paper's fail-stop world has no disk.
+    pub fn set_restart_rule(
+        &mut self,
+        rule: impl FnMut(NodeId, &mut D, &mut EffectsOf<D>) + Send + 'static,
+    ) {
+        self.restart = Some(Box::new(rule));
     }
 
     /// Per-(node, kind) protocol message counters.
@@ -267,14 +334,14 @@ impl<V: Value, A: Actor<V>> Sim<V, A> {
         &self.metadata_stats
     }
 
-    /// The actor for node `i` (inspection).
+    /// The driver of node `i` (inspection).
     ///
     /// # Panics
     ///
     /// Panics if `i` is out of range.
     #[must_use]
-    pub fn actor(&self, i: usize) -> &A {
-        &self.actors[i]
+    pub fn driver(&self, i: usize) -> &D {
+        &self.drivers[i]
     }
 
     /// Current simulated time.
@@ -292,7 +359,7 @@ impl<V: Value, A: Actor<V>> Sim<V, A> {
     /// Runs the event loop.
     pub fn run(&mut self, limits: RunLimits) -> SimReport {
         // Kick off every installed client.
-        for node in 0..self.actors.len() {
+        for node in 0..self.drivers.len() {
             if self.clients[node].is_some() {
                 self.schedule_now(EventKind::Step { node });
             }
@@ -359,11 +426,14 @@ impl<V: Value, A: Actor<V>> Sim<V, A> {
                         }
                         None => {
                             self.maybe_restart(node);
-                            // Revalidate: the actor may have cancelled or
+                            // Revalidate: the driver may have cancelled or
                             // moved its deadline since this was queued.
-                            if self.actors[node].next_timer().is_some_and(|want| want <= t) {
-                                let effects = self.actors[node].on_timer(t);
-                                self.dispatch_deliver(node, effects.outgoing, effects.completion);
+                            if self.drivers[node]
+                                .next_timer()
+                                .is_some_and(|want| want <= t)
+                            {
+                                let done = self.drive(node, |d, now, fx| d.on_timer(now, fx));
+                                self.complete(node, done);
                             }
                         }
                     }
@@ -381,7 +451,7 @@ impl<V: Value, A: Actor<V>> Sim<V, A> {
             }
         }
 
-        let stuck_nodes: Vec<usize> = (0..self.actors.len())
+        let stuck_nodes: Vec<usize> = (0..self.drivers.len())
             .filter(|&i| self.blocked[i] || self.waits[i].is_some())
             .collect();
         let all_done = stuck_nodes.is_empty() && self.clients.iter().all(Option::is_none);
@@ -395,14 +465,14 @@ impl<V: Value, A: Actor<V>> Sim<V, A> {
 
     // ------------------------------------------------------------------
 
-    fn schedule(&mut self, t: u64, kind: EventKind<A::Msg>) {
+    fn schedule(&mut self, t: u64, kind: EventKind<D::Msg>) {
         let seq = self.seq;
         self.seq += 1;
         self.events_by_seq.insert(seq, kind);
         self.queue.push(Reverse((t, seq, 0)));
     }
 
-    fn schedule_now(&mut self, kind: EventKind<A::Msg>) {
+    fn schedule_now(&mut self, kind: EventKind<D::Msg>) {
         let t = self.time;
         self.schedule(t, kind);
     }
@@ -415,7 +485,7 @@ impl<V: Value, A: Actor<V>> Sim<V, A> {
     }
 
     /// Records that node `node` was observed down and queues a `Restart`
-    /// event at its scheduled up-time, so the restart hook fires even if
+    /// event at its scheduled up-time, so the restart rule runs even if
     /// no other event ever targets the node again.
     fn note_down(&mut self, node: usize, up: u64) {
         if !self.down_seen[node] {
@@ -424,23 +494,27 @@ impl<V: Value, A: Actor<V>> Sim<V, A> {
         }
     }
 
-    /// Runs the actor's restart hook if this is the first event to find
-    /// the node up after an observed crash window.
+    /// Runs the restart rule, if one is installed, if this is the first
+    /// event to find the node up after an observed crash window.
     fn maybe_restart(&mut self, node: usize) {
         if !std::mem::take(&mut self.down_seen[node]) {
             return;
         }
-        let now = self.time;
-        let effects = self.actors[node].on_restart(now);
-        self.dispatch_deliver(node, effects.outgoing, effects.completion);
+        let Some(mut rule) = self.restart.take() else {
+            return;
+        };
+        let id = NodeId::new(node as u32);
+        let done = self.drive(node, |d, _, fx| rule(id, d, fx));
+        self.restart = Some(rule);
+        self.complete(node, done);
     }
 
-    /// Re-reads every actor's timer demand and queues `Timer` events so
+    /// Re-reads every driver's timer demand and queues `Timer` events so
     /// the earliest demand is always covered. Stale queued events (the
-    /// actor cancelled or moved its deadline) revalidate and no-op.
+    /// driver cancelled or moved its deadline) revalidate and no-op.
     fn sync_timers(&mut self) {
-        for node in 0..self.actors.len() {
-            let Some(want) = self.actors[node].next_timer() else {
+        for node in 0..self.drivers.len() {
+            let Some(want) = self.drivers[node].next_timer() else {
                 continue;
             };
             // A crashed node's timer cannot fire before it restarts;
@@ -459,7 +533,7 @@ impl<V: Value, A: Actor<V>> Sim<V, A> {
         }
     }
 
-    fn send(&mut self, src: NodeId, dst: NodeId, msg: A::Msg) {
+    fn send(&mut self, src: NodeId, dst: NodeId, msg: D::Msg) {
         // Logical counters see a batch's parts (so ablations stay
         // batching-invariant); the envelope counter sees one send.
         if msg.is_batch() {
@@ -480,7 +554,8 @@ impl<V: Value, A: Actor<V>> Sim<V, A> {
         }
         let metadata = msg.metadata_size();
         if metadata > 0 {
-            self.metadata_stats.record_n(src, msg.kind(), metadata as u64);
+            self.metadata_stats
+                .record_n(src, msg.kind(), metadata as u64);
         }
         let delay = self.latency.sample(&mut self.rng, src, dst).max(1);
         let Some(hook) = self.faults.clone() else {
@@ -547,80 +622,73 @@ impl<V: Value, A: Actor<V>> Sim<V, A> {
                     WaitMode::Poll { .. } => self.attempt_wait(node),
                 }
             }
-            Some(op) => {
-                let now = self.time;
-                let effects = self.actors[node].submit(now, &op);
-                self.dispatch_submit(node, effects.outgoing, effects.completion);
-            }
+            Some(op) => self.submit(node, submission(&op)),
         }
     }
 
-    /// Effects of an application submit: no completion means the node's
-    /// operation is in flight.
-    fn dispatch_submit(
+    /// One driver call on node `node` at the current time: puts its sends
+    /// on the wire, in order, and returns its completion, if any.
+    fn drive(
         &mut self,
         node: usize,
-        outgoing: Vec<(NodeId, A::Msg)>,
-        completion: Option<Completion<V>>,
-    ) {
+        call: impl FnOnce(&mut D, u64, &mut EffectsOf<D>),
+    ) -> Option<Done<D::Value>> {
+        call(&mut self.drivers[node], self.time, &mut self.fx);
         let me = NodeId::new(node as u32);
-        for (dst, msg) in outgoing {
+        let mut sends = std::mem::take(&mut self.fx.sends);
+        for (dst, msg) in sends.drain(..) {
             self.send(me, dst, msg);
         }
-        match completion {
-            Some(c) => self.complete(node, c),
-            None => self.blocked[node] = true,
+        self.fx.sends = sends;
+        self.fx.done.take()
+    }
+
+    /// Submits the node's operation: unless it completes at once, the
+    /// node is blocked until a later call completes it.
+    fn submit(&mut self, node: usize, op: Op<D::Value>) {
+        let done = self.drive(node, |d, now, fx| d.submit(now, op, fx));
+        if !self.complete(node, done) {
+            self.blocked[node] = true;
         }
     }
 
-    /// Effects of a message delivery: a node serving others stays
-    /// unblocked; only an explicit completion touches its own operation.
-    fn dispatch_deliver(
-        &mut self,
-        node: usize,
-        outgoing: Vec<(NodeId, A::Msg)>,
-        completion: Option<Completion<V>>,
-    ) {
-        let me = NodeId::new(node as u32);
-        for (dst, msg) in outgoing {
-            self.send(me, dst, msg);
-        }
-        if let Some(c) = completion {
-            self.complete(node, c);
-        }
-    }
-
-    fn complete(&mut self, node: usize, completion: Completion<V>) {
+    /// Hands a driver call's completion, if any, to the node's wait or
+    /// client, and reports whether there was one. A node serving others
+    /// stays unblocked; only a completion touches its own operation.
+    fn complete(&mut self, node: usize, done: Option<Done<D::Value>>) -> bool {
+        let Some((outcome, record)) = done.and_then(completion) else {
+            return false;
+        };
         self.blocked[node] = false;
-        if let (Some(rec), Some(record)) = (&self.recorder, completion.record) {
+        if let (Some(rec), Some(record)) = (&self.recorder, record) {
             rec.record(NodeId::new(node as u32), record);
         }
         if let Some(wait) = self.waits[node].as_mut() {
             wait.in_flight = false;
-            let satisfied = match &completion.outcome {
+            let satisfied = match &outcome {
                 Outcome::Read { value, .. } => (wait.pred)(value),
                 _ => false,
             };
             if satisfied {
                 self.waits[node] = None;
-                self.last_outcome[node] = Some(completion.outcome);
+                self.last_outcome[node] = Some(outcome);
                 self.schedule_now(EventKind::Step { node });
             } else if let WaitMode::Poll { interval } = self.wait_mode {
                 let at = self.time + interval;
                 self.schedule(at, EventKind::PollWait { node });
             }
             // IdealSignal: stay parked; the post-event scan retries.
-            return;
+            return true;
         }
-        self.last_outcome[node] = Some(completion.outcome);
+        self.last_outcome[node] = Some(outcome);
         self.schedule_now(EventKind::Step { node });
+        true
     }
 
-    fn deliver(&mut self, src: NodeId, dst: NodeId, msg: A::Msg) {
+    fn deliver(&mut self, src: NodeId, dst: NodeId, msg: D::Msg) {
         let node = dst.index();
-        let now = self.time;
-        let effects = self.actors[node].deliver(now, src, msg);
-        self.dispatch_deliver(node, effects.outgoing, effects.completion);
+        let done = self.drive(node, |d, now, fx| d.deliver(now, src, msg, fx));
+        self.complete(node, done);
     }
 
     /// Does the authoritative copy of the waited location satisfy the
@@ -629,8 +697,8 @@ impl<V: Value, A: Actor<V>> Sim<V, A> {
         let Some(wait) = &self.waits[node] else {
             return false;
         };
-        let authority = self.actors[node].authority(wait.loc);
-        self.actors[authority.index()]
+        let authority = self.drivers[node].authority(wait.loc);
+        self.drivers[authority.index()]
             .peek(wait.loc)
             .is_some_and(|v| (wait.pred)(&v))
     }
@@ -645,21 +713,15 @@ impl<V: Value, A: Actor<V>> Sim<V, A> {
         }
         wait.in_flight = true;
         let loc = wait.loc;
-        let now = self.time;
         // The discard's side traffic (an `[INTEREST]` drop under interest
         // scoping) still goes on the wire; its completion is the wait's
         // own bookkeeping, not a client step.
-        let discard = self.actors[node].submit(now, &ClientOp::Discard(loc));
-        let me = NodeId::new(node as u32);
-        for (dst, msg) in discard.outgoing {
-            self.send(me, dst, msg);
-        }
-        let effects = self.actors[node].submit(now, &ClientOp::Read(loc));
-        self.dispatch_submit(node, effects.outgoing, effects.completion);
+        self.drive(node, |d, now, fx| d.submit(now, Op::Discard(loc), fx));
+        self.submit(node, Op::Read(loc));
     }
 
     fn scan_waits(&mut self) {
-        for node in 0..self.actors.len() {
+        for node in 0..self.drivers.len() {
             if self.waits[node].as_ref().is_some_and(|w| !w.in_flight)
                 && !self.blocked[node]
                 && self.oracle_satisfied(node)
@@ -670,10 +732,10 @@ impl<V: Value, A: Actor<V>> Sim<V, A> {
     }
 }
 
-impl<V: Value, A: Actor<V>> std::fmt::Debug for Sim<V, A> {
+impl<D: SimDriver> std::fmt::Debug for Sim<D> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Sim")
-            .field("nodes", &self.actors.len())
+            .field("nodes", &self.drivers.len())
             .field("time", &self.time)
             .field("events", &self.events_processed)
             .finish()

@@ -2,7 +2,7 @@
 //! faithful wait semantics.
 
 use causal_dsm::CausalConfig;
-use dsm_sim::{causal_sim, Actor, ClientOp, RunLimits, Script, SimOpts, WaitMode};
+use dsm_sim::{causal_sim, ClientOp, RunLimits, Script, SimDriver, SimOpts, WaitMode};
 use memcore::{Location, StatsSnapshot, Word};
 use simnet::latency::Uniform;
 
@@ -35,7 +35,7 @@ fn workload_sim(seed: u64) -> (StatsSnapshot, Vec<Option<Word>>, u64) {
     let report = sim.run(RunLimits::default());
     assert!(report.all_done);
     let finals = (0..6)
-        .map(|l| sim.actor(l % 3).peek(loc(l as u32)))
+        .map(|l| sim.driver(l % 3).peek(loc(l as u32)))
         .collect();
     (sim.messages().snapshot(), finals, report.time)
 }
@@ -83,7 +83,7 @@ fn per_link_fifo_holds_under_jitter() {
         let report = sim.run(RunLimits::default());
         assert!(report.all_done);
         assert_eq!(
-            sim.actor(0).peek(loc(0)),
+            sim.driver(0).peek(loc(0)),
             Some(Word::Int(50)),
             "seed {seed}: reordered delivery"
         );

@@ -10,10 +10,10 @@
 use std::sync::Arc;
 
 use causalmem::apps::{LinearSystem, SolverCoordinator, SolverLayout, SolverWorker};
-use causalmem::causal::CausalConfig;
-use causalmem::faults::{DurableActor, FaultInjector, FaultPlan, LinkFaults};
+use causalmem::causal::{CausalConfig, CausalState, NodeDriver};
+use causalmem::faults::{FaultInjector, FaultPlan, LinkFaults, Session};
 use causalmem::memcore::{kinds, NodeId, StatsSnapshot, Word};
-use causalmem::sim::{Actor, RunLimits, Sim, SimOpts};
+use causalmem::sim::{RunLimits, Sim, SimDriver, SimOpts};
 use causalmem::simnet::latency::Constant;
 use causalmem::simnet::FaultHook;
 
@@ -37,10 +37,11 @@ fn solve(system: &LinearSystem, plan: Option<FaultPlan>) -> Run {
         .const_pages(layout.const_pages())
         .build();
     let faults = plan.map(|p| Arc::new(FaultInjector::new(SEED, p)) as Arc<dyn FaultHook>);
-    // Session-layered nodes; the configuration is not durable, so a
-    // crash window would be a pause.
+    // Session-layered nodes with no restart rule: a crash window would be
+    // a pause.
     let nodes = (0..config.nodes())
-        .map(|i| DurableActor::new(NodeId::new(i), config.clone(), RTO, SEED))
+        .map(|i| NodeDriver::new(CausalState::new(NodeId::new(i), config.clone())))
+        .map(|driver| Session::new(driver, RTO))
         .collect();
     let mut sim = Sim::new(
         nodes,
@@ -62,7 +63,7 @@ fn solve(system: &LinearSystem, plan: Option<FaultPlan>) -> Run {
     assert!(report.all_done, "solver wedged: {report:?}");
     let x: Vec<f64> = (0..WORKERS)
         .map(|i| {
-            sim.actor(i)
+            sim.driver(i)
                 .peek(layout.x(i))
                 .and_then(Word::as_float)
                 .unwrap_or(f64::NAN)

@@ -59,7 +59,8 @@ pub use broadcast_mem as broadcast;
 /// Executable specification: live sets, causal and SC checkers.
 pub use causal_spec as spec;
 
-/// Deterministic discrete-event protocol simulator.
+/// Deterministic discrete-event protocol simulator: one more executor of
+/// the [`causal::Driver`]s the threaded engine runs.
 pub use dsm_sim as sim;
 
 /// Typed causal objects over `SharedMemory`: PN-counter, observed-remove
@@ -70,8 +71,8 @@ pub use dsm_objects as objects;
 /// The paper's applications: linear solvers and the distributed dictionary.
 pub use dsm_apps as apps;
 
-/// Fault injection, the reliable-delivery session layer, and the chaos
-/// suite.
+/// Fault injection, the reliable-delivery session layer (a
+/// [`causal::Driver`] over any driver), and the chaos suite.
 pub use dsm_faults as faults;
 
 /// The real network transport: TCP mesh, framing, the server/load

@@ -2,8 +2,9 @@
 //! the deterministic simulator and through the threaded engine — two
 //! executors of the same `Driver` — must put the same messages on every
 //! link, record the same operations and end in the same state. Run for
-//! all three drivers: the causal `NodeDriver`, the `AtomicDriver` under
-//! both invalidation modes, and the `BroadcastDriver`.
+//! four drivers: the causal `NodeDriver`, the `AtomicDriver` under both
+//! invalidation modes, the `BroadcastDriver`, and the session layer over
+//! the causal driver, `Session<NodeDriver>`, whose acks are compared too.
 //!
 //! The script touches each policy the executors no longer implement
 //! themselves: blocking round trips, a pipelined run that crosses a
@@ -29,9 +30,10 @@ use std::sync::{Arc, Mutex};
 
 use atomic_dsm::{AtomicCluster, AtomicConfig, InvalMode};
 use broadcast_mem::BroadcastCluster;
-use causal_dsm::{CausalCluster, CausalConfig, Cluster, Driver, Handle};
-use dsm_sim::{atomic_sim, broadcast_sim, causal_sim, Actor, ClientOp, Script, Sim, SimOpts};
-use memcore::{Location, NodeId, OpRecord, Recorder, SharedMemory, Word};
+use causal_dsm::{CausalCluster, CausalConfig, CausalState, Cluster, Driver, Handle, NodeDriver};
+use dsm_faults::Session;
+use dsm_sim::{atomic_sim, broadcast_sim, causal_sim, ClientOp, Script, Sim, SimDriver, SimOpts};
+use memcore::{kinds, Location, NodeId, OpRecord, Recorder, SharedMemory, Word};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use simnet::{FaultHook, SendFate};
@@ -124,10 +126,10 @@ impl Observed {
 
 /// Runs the scripts through the simulator `build` stands up; hands the
 /// simulator back for protocol-specific inspection.
-fn through_the_simulator<A: Actor<Word>>(
+fn through_the_simulator<D: SimDriver<Value = Word>>(
     seed: u64,
-    build: impl FnOnce(SimOpts<Word>) -> Sim<Word, A>,
-) -> (Observed, Sim<Word, A>) {
+    build: impl FnOnce(SimOpts<Word>) -> Sim<D>,
+) -> (Observed, Sim<D>) {
     let hook = Arc::new(RecordLinks::default());
     let recorder: Recorder<Word> = Recorder::new(NODES as usize);
     let mut sim = build(SimOpts {
@@ -190,7 +192,7 @@ fn executor_differential() {
             .build();
         let (sim, simulated) = through_the_simulator(seed, |opts| causal_sim(&config, opts));
         let sim_vts: Vec<_> = (0..NODES as usize)
-            .map(|i| simulated.actor(i).driver().state().vt().clone())
+            .map(|i| simulated.driver(i).state().vt().clone())
             .collect();
 
         let recorder: Recorder<Word> = Recorder::new(NODES as usize);
@@ -268,5 +270,58 @@ fn broadcast_executor_differential() {
         assert!(writes > 10, "seed {seed:#x}: the script barely wrote");
         assert_eq!(sim.messages(), writes * (NODES as usize - 1));
         assert_eq!(sim.links, engine.links, "seed {seed:#x}: per-link streams");
+    }
+}
+
+/// The session layer's retransmission timeout: an hour of the threaded
+/// engine's milliseconds, and beyond any simulated run, so no frame is
+/// ever retransmitted and every link carries what the protocol sent.
+const RTO: u64 = 3_600_000;
+
+#[test]
+fn session_executor_differential() {
+    for seed in SEEDS {
+        // No pipeline window: every write is a blocking round trip, so
+        // each ack leaves before the operation it answers completes and
+        // no link's stream depends on thread timing.
+        let config = CausalConfig::<Word>::builder(NODES, LOCATIONS).build();
+        let sessions = || -> Vec<_> {
+            (0..NODES)
+                .map(|i| NodeDriver::new(CausalState::new(NodeId::new(i), config.clone())))
+                .map(|driver| Session::new(driver, RTO))
+                .collect()
+        };
+        let (sim, simulated) = through_the_simulator(seed, |opts| Sim::new(sessions(), opts));
+        let sim_vts: Vec<_> = (0..NODES as usize)
+            .map(|i| simulated.driver(i).inner().state().vt().clone())
+            .collect();
+
+        let recorder: Recorder<Word> = Recorder::new(NODES as usize);
+        let cluster = Cluster::new(
+            config.clone(),
+            LOCATIONS,
+            sessions(),
+            Some(recorder.clone()),
+        );
+        let engine = through_the_threaded_engine(seed, &cluster, &recorder, issue_plain);
+        let engine_vts: Vec<_> = (0..NODES)
+            .map(|i| cluster.inspect(i, |d| d.inner().state().vt().clone()))
+            .collect();
+
+        let kinds_sent = sim.links.values().flatten();
+        let acks = kinds_sent.clone().filter(|k| **k == kinds::ACK).count();
+        let sequenced = kinds_sent.count() - acks;
+        assert!(
+            sequenced > 40,
+            "seed {seed:#x}: the script barely used the network"
+        );
+        assert_eq!(
+            acks, sequenced,
+            "seed {seed:#x}: one ack per sequenced frame"
+        );
+        assert_eq!(sim.links, engine.links, "seed {seed:#x}: per-link streams");
+        assert_eq!(sim.ops, engine.ops, "seed {seed:#x}: recorded operations");
+        assert_eq!(sim_vts, engine_vts, "seed {seed:#x}: final VT_i");
+        assert!(engine.ops[1].len() > LOCATIONS as usize);
     }
 }

@@ -4,7 +4,7 @@
 use causalmem::causal::CausalConfig;
 use causalmem::sim::witness::figure3_broadcast_witness;
 use causalmem::sim::{broadcast_sim, causal_sim, RunLimits, Script, SimOpts};
-use causalmem::sim::{Actor, ClientOp};
+use causalmem::sim::{ClientOp, SimDriver};
 use causalmem::spec::paper;
 use causalmem::spec::{check_causal, Execution};
 use memcore::{Location, Recorder, Word};
@@ -108,7 +108,7 @@ fn broadcast_same_sender_updates_stay_ordered() {
         let report = sim.run(RunLimits::default());
         assert!(report.all_done);
         // After both deliveries the replica must hold the second write.
-        let final_value = sim.actor(1).peek(loc).unwrap();
+        let final_value = sim.driver(1).peek(loc).unwrap();
         assert_eq!(final_value, Word::Int(2), "seed {seed}");
     }
 }
