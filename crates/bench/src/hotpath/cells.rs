@@ -1,69 +1,6 @@
-//! The hot-path throughput/latency suite: seeded workloads on the
-//! *threaded* engine, emitting a machine-readable [`PerfReport`]
-//! (`BENCH_*.json`) with ops/sec, latency percentiles, allocations per
-//! operation, and the protocol-vs-overhead message split.
-//!
-//! Four workloads, each a pure function of its seed:
-//!
-//! * `read_heavy_cached` — one node hammers reads that all hit its local
-//!   cache (the paper's read-locality case; gated in CI).
-//! * `write_heavy_owner_local` — one node writes locations it owns, the
-//!   protocol's zero-message write path (gated in CI).
-//! * `mixed_remote` — reads and writes spread over a 4-node cluster, with
-//!   misses, owner round-trips and invalidation sweeps (gated in CI).
-//! * `figure6_solver` — the Figure-6 Jacobi solver end-to-end: threaded
-//!   wall-clock makespan plus the deterministic simulator's message bill.
-//! * `write_pipeline_w{0,4,32}` — node 0 streams remote writes to node
-//!   1's pages; the cells differ only in the configured pipeline window
-//!   (0 = the paper's blocking write). Same logical message bill per
-//!   cell; the window buys back the blocked round trips (gated in CI).
-//! * `bursty_invalidate_{plain,batched}` — bursts of pipelined writes to
-//!   one hot owner with transport batching off/on; identical logical
-//!   counters, fewer physical envelopes per op when batched (gated).
-//! * `failover_migration` — owner failover enabled, the owner of the hot
-//!   page fail-stops, and the cell reports the time to the first
-//!   operation that succeeds against the promoted successor plus the
-//!   heartbeat traffic per post-crash op. Recovery time is dominated by
-//!   the configured suspicion/backoff budgets, not by hot-path code, so
-//!   this cell is excluded from the CI regression gate (`gated: false`).
-//! * `recovery_replay` — WAL replay time vs log length: a `MemDisk`-backed
-//!   owner logs thousands of certified writes with compaction off, and the
-//!   cell reports the median time to rebuild protocol state from the full
-//!   log (`ops` = records replayed, so `ops_per_sec` is replay throughput).
-//!   Ungated: the number tracks the durability layer's decode path, not
-//!   hot-path code.
-//! * `counter_inc` / `set_churn` / `queue_pipe` — the PR-10 typed-object
-//!   family over the same engine: PN-counter bumps on owned cells
-//!   (message-free, gated), observed-remove-set churn in the owner's row
-//!   with periodic remote audits (gated), and a producer/consumer FIFO
-//!   drain whose bill is 1.0 msgs/op by construction (ungated — one
-//!   short append-only pass per cluster).
-//! * `mixed_remote_tcp` — the `mixed_remote` script over `dsm-net`'s real
-//!   loopback TCP sockets (one thread per node, each with its own partial
-//!   network): every protocol message crosses the kernel. The cell also
-//!   runs the merged history through `causal_spec::check_causal`.
-//!   Wall-clock over real sockets is scheduling-noisy and concurrent
-//!   interleaving makes the miss pattern — hence the message bill —
-//!   nondeterministic, so the cell is ungated.
-//! * `mixed_remote_tcp_batched` — the same script with pipelined writes
-//!   and transport batching on: the real-socket ablation pair for the
-//!   PR-7 event-driven mesh (fewer envelopes and `writev` calls per op).
-//! * `write_pipeline_tcp_w{0,32}` — the write-pipeline ablation over real
-//!   sockets: a two-node pure-write script, blocking vs. pipelined +
-//!   batched. Both TCP pairs report `syscalls_per_op` (`writev` calls
-//!   counted by the mesh) and are ungated like `mixed_remote_tcp`.
-//!
-//! Run via `cargo run --release -p dsm-bench --bin perf`; pass
-//! `--features alloc-count` to measure allocations with the counting
-//! global allocator (the bin installs it and hands the probe in).
-//!
-//! The optimization contract enforced on top of this suite: hot-path work
-//! may change *cost per message*, never *number of messages*. The
-//! per-workload `msgs_by_kind` maps in the emitted JSON must be identical
-//! between `BENCH_baseline.json` and `BENCH_after.json` for the seeded
-//! deterministic workloads (see `tests/msg_fixtures.rs`).
+//! The workloads: one function per cell family, each a pure function of
+//! its seed and returning one [`WorkloadReport`].
 
-use std::collections::BTreeMap;
 use std::time::Instant;
 
 use causal_dsm::{CausalCluster, CausalHandle};
@@ -71,285 +8,16 @@ use dsm_apps::{
     publish_system, run_causal_solver_sim, run_coordinator, run_worker, LinearSystem, SolverLayout,
     SolverSimConfig,
 };
-use memcore::{Location, SharedMemory, StatsSnapshot};
+use memcore::{Location, SharedMemory};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
-/// The value type the payload workloads store: a realistic small blob
-/// (64 bytes), so the cost of copying values — the thing shared-value
-/// reads eliminate — is visible to the allocator probe.
-pub type Payload = Vec<u8>;
-
-/// Bytes per stored payload value.
-pub const PAYLOAD_BYTES: usize = 64;
-
-/// A snapshot of the process-wide allocation counters, taken by the
-/// `alloc-count` probe the `perf` bin installs.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct AllocSnapshot {
-    /// Heap allocations since process start.
-    pub allocs: u64,
-    /// Bytes requested since process start.
-    pub bytes: u64,
-}
-
-/// A probe returning the current [`AllocSnapshot`]; `None` when the
-/// counting allocator is not compiled in (`allocs_per_op` is then
-/// reported as `-1`).
-pub type AllocProbe = fn() -> AllocSnapshot;
-
-/// Suite parameters.
-#[derive(Clone, Copy, Debug)]
-pub struct PerfConfig {
-    /// Quick mode: CI-sized op counts (seconds, not minutes).
-    pub quick: bool,
-}
-
-/// Measurements for one (workload, seed) cell.
-///
-/// `Deserialize` is hand-written (below) so the three envelope-era
-/// fields default when absent — old `BENCH_*.json` baselines predate
-/// them, and schema drift must not break the regression gate.
-#[derive(Clone, Debug, Serialize)]
-pub struct WorkloadReport {
-    /// Workload name.
-    pub name: String,
-    /// The seed that determines the op sequence.
-    pub seed: u64,
-    /// Operations performed in the measured phase.
-    pub ops: u64,
-    /// Wall-clock nanoseconds for the measured phase.
-    pub elapsed_ns: u64,
-    /// Throughput over the measured phase.
-    pub ops_per_sec: f64,
-    /// Median single-op latency (sampled in a separate timed pass).
-    pub p50_ns: u64,
-    /// 99th-percentile single-op latency.
-    pub p99_ns: u64,
-    /// Heap allocations per measured op; `-1` without the probe.
-    pub allocs_per_op: f64,
-    /// Heap bytes requested per measured op; `-1` without the probe.
-    pub alloc_bytes_per_op: f64,
-    /// Protocol messages sent during the measured phase.
-    pub protocol_msgs: u64,
-    /// Fault/session bookkeeping messages during the measured phase.
-    pub overhead_msgs: u64,
-    /// Per-kind message counts (deterministic per seed for every
-    /// workload except the threaded solver's polling waits).
-    pub msgs_by_kind: BTreeMap<String, u64>,
-    /// Physical envelopes sent during the measured phase. Equal to the
-    /// logical message total unless transport batching coalesced runs;
-    /// `messages - envelopes` is the coalescing win. Defaults to 0 when
-    /// read from a pre-batching report.
-    pub envelope_msgs: u64,
-    /// Logical protocol+overhead messages per measured op — the axis the
-    /// "equal message counts" ablation contract is stated in.
-    pub msgs_per_op: f64,
-    /// Physical envelopes per measured op (what batching reduces).
-    pub envelopes_per_op: f64,
-    /// Estimated transport syscalls per measured op — `writev` calls
-    /// counted by the TCP mesh, divided by ops. In-process workloads
-    /// push nothing through the kernel, so the estimate is 0 there.
-    /// Defaults to 0 when read from a pre-event-loop report.
-    pub syscalls_per_op: f64,
-    /// Causal-metadata wire bytes per measured op: the exact encoded size
-    /// of every vector timestamp shipped, honoring each stamp's
-    /// dense/sparse encoding. The `scale_n*` cells exist to plot this
-    /// against cluster size. Defaults to 0 when read from a
-    /// pre-interest-scoping report.
-    pub metadata_bytes_per_op: f64,
-    /// Bytes handed to the kernel for peer traffic per measured op, as
-    /// counted by the TCP mesh (frame headers, envelope headers and
-    /// session traffic included). 0 for in-process workloads and when
-    /// read from a report that predates the field.
-    pub wire_bytes_per_op: f64,
-    /// Whether the CI regression gate applies to this cell.
-    pub gated: bool,
-}
-
-impl Deserialize for WorkloadReport {
-    fn from_value(v: &serde::value::Value) -> Result<Self, serde::DeError> {
-        fn req<T: Deserialize>(v: &serde::value::Value, field: &str) -> Result<T, serde::DeError> {
-            Deserialize::from_value(v.get(field).ok_or_else(|| {
-                serde::DeError::msg(format!("missing field `{field}` in WorkloadReport"))
-            })?)
-        }
-        // The envelope-era fields default when absent so pre-batching
-        // baselines still parse (the stand-in derive has no `default`).
-        fn opt<T: Deserialize + Default>(
-            v: &serde::value::Value,
-            field: &str,
-        ) -> Result<T, serde::DeError> {
-            match v.get(field) {
-                Some(present) => Deserialize::from_value(present),
-                None => Ok(T::default()),
-            }
-        }
-        Ok(WorkloadReport {
-            name: req(v, "name")?,
-            seed: req(v, "seed")?,
-            ops: req(v, "ops")?,
-            elapsed_ns: req(v, "elapsed_ns")?,
-            ops_per_sec: req(v, "ops_per_sec")?,
-            p50_ns: req(v, "p50_ns")?,
-            p99_ns: req(v, "p99_ns")?,
-            allocs_per_op: req(v, "allocs_per_op")?,
-            alloc_bytes_per_op: req(v, "alloc_bytes_per_op")?,
-            protocol_msgs: req(v, "protocol_msgs")?,
-            overhead_msgs: req(v, "overhead_msgs")?,
-            msgs_by_kind: req(v, "msgs_by_kind")?,
-            envelope_msgs: opt(v, "envelope_msgs")?,
-            msgs_per_op: opt(v, "msgs_per_op")?,
-            envelopes_per_op: opt(v, "envelopes_per_op")?,
-            syscalls_per_op: opt(v, "syscalls_per_op")?,
-            metadata_bytes_per_op: opt(v, "metadata_bytes_per_op")?,
-            wire_bytes_per_op: opt(v, "wire_bytes_per_op")?,
-            gated: req(v, "gated")?,
-        })
-    }
-}
-
-/// The whole suite's output — the schema of `BENCH_*.json`.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct PerfReport {
-    /// Schema version of this JSON shape.
-    pub schema: u32,
-    /// `true` if produced in quick (CI) mode.
-    pub quick: bool,
-    /// `true` if the counting allocator was active.
-    pub alloc_counting: bool,
-    /// One entry per (workload, seed).
-    pub workloads: Vec<WorkloadReport>,
-}
-
-impl PerfReport {
-    /// Looks up a cell by workload name and seed.
-    #[must_use]
-    pub fn cell(&self, name: &str, seed: u64) -> Option<&WorkloadReport> {
-        self.workloads
-            .iter()
-            .find(|w| w.name == name && w.seed == seed)
-    }
-}
-
-/// The fixed seeds the quick-mode (CI) suite runs.
-pub const QUICK_SEEDS: [u64; 2] = [0xC0FFEE, 0x5EED];
-
-/// The seeds the full suite runs.
-pub const FULL_SEEDS: [u64; 3] = [0xC0FFEE, 0x5EED, 0xD15EA5E];
-
-fn percentile(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * p).round() as usize;
-    sorted[idx]
-}
-
-/// Shared measurement scaffolding: runs `op` for `ops` iterations with
-/// the clock and allocator probe around the whole loop, then a shorter
-/// pass timing individual ops for percentiles.
-struct Measured {
-    ops: u64,
-    /// Total operations actually executed (throughput + latency passes) —
-    /// the denominator for per-op message and envelope rates, which are
-    /// deltas over the whole measured region.
-    executed: u64,
-    elapsed_ns: u64,
-    p50_ns: u64,
-    p99_ns: u64,
-    allocs_per_op: f64,
-    alloc_bytes_per_op: f64,
-}
-
-/// Allocations and allocated bytes per op between two probe snapshots;
-/// `-1` each without the probe.
-fn alloc_rates(
-    before: Option<AllocSnapshot>,
-    after: Option<AllocSnapshot>,
-    ops: u64,
-) -> (f64, f64) {
-    match (before, after) {
-        (Some(b), Some(a)) => (
-            (a.allocs - b.allocs) as f64 / ops as f64,
-            (a.bytes - b.bytes) as f64 / ops as f64,
-        ),
-        _ => (-1.0, -1.0),
-    }
-}
-
-fn measure(ops: u64, probe: Option<AllocProbe>, mut op: impl FnMut(u64)) -> Measured {
-    // Throughput phase: no per-op timing, allocator probe around the loop.
-    let before = probe.map(|p| p());
-    let start = Instant::now();
-    for i in 0..ops {
-        op(i);
-    }
-    let elapsed_ns = start.elapsed().as_nanos() as u64;
-    let after = probe.map(|p| p());
-    let (allocs_per_op, alloc_bytes_per_op) = alloc_rates(before, after, ops);
-
-    // Latency phase: per-op timing on a sample.
-    let samples = ops.min(20_000);
-    let mut lat: Vec<u64> = Vec::with_capacity(samples as usize);
-    for i in 0..samples {
-        let t = Instant::now();
-        op(ops + i);
-        lat.push(t.elapsed().as_nanos() as u64);
-    }
-    lat.sort_unstable();
-
-    Measured {
-        ops,
-        executed: ops + samples,
-        elapsed_ns,
-        p50_ns: percentile(&lat, 0.50),
-        p99_ns: percentile(&lat, 0.99),
-        allocs_per_op,
-        alloc_bytes_per_op,
-    }
-}
-
-fn payload(rng: &mut ChaCha8Rng) -> Payload {
-    let mut v = vec![0u8; PAYLOAD_BYTES];
-    for b in &mut v {
-        *b = rng.gen_range(0..=255u32) as u8;
-    }
-    v
-}
-
-fn report(
-    name: &str,
-    seed: u64,
-    m: Measured,
-    delta: StatsSnapshot,
-    envelopes: StatsSnapshot,
-    gated: bool,
-) -> WorkloadReport {
-    let executed = m.executed.max(1) as f64;
-    WorkloadReport {
-        name: name.to_owned(),
-        seed,
-        ops: m.ops,
-        elapsed_ns: m.elapsed_ns,
-        ops_per_sec: m.ops as f64 / (m.elapsed_ns.max(1) as f64 / 1e9),
-        p50_ns: m.p50_ns,
-        p99_ns: m.p99_ns,
-        allocs_per_op: m.allocs_per_op,
-        alloc_bytes_per_op: m.alloc_bytes_per_op,
-        protocol_msgs: delta.protocol_total(),
-        overhead_msgs: delta.overhead_total(),
-        msgs_by_kind: delta.by_kind(),
-        envelope_msgs: envelopes.total(),
-        msgs_per_op: delta.total() as f64 / executed,
-        envelopes_per_op: envelopes.total() as f64 / executed,
-        syscalls_per_op: 0.0,
-        metadata_bytes_per_op: 0.0,
-        wire_bytes_per_op: 0.0,
-        gated,
-    }
-}
+#[allow(unused_imports)] // doc links
+use super::PROXY_GATED;
+use super::{
+    alloc_rates, measure, measure_inline, payload, percentile, report, AllocProbe, Measured,
+    Payload, PerfConfig, WorkloadReport,
+};
 
 /// The suite's hot cached-read step. This is the operation the headline
 /// acceptance numbers are about: serve one cached location to the
@@ -581,45 +249,6 @@ pub fn figure6_solver(seed: u64, cfg: &PerfConfig) -> WorkloadReport {
         metadata_bytes_per_op: 0.0,
         wire_bytes_per_op: 0.0,
         gated: false,
-    }
-}
-
-/// Timing scaffold for the pipeline workloads: runs the whole seeded
-/// loop (plus the trailing `flush`) under one clock and alloc-probe
-/// region, sampling every 32nd op's latency inline so the message bill
-/// stays a pure function of the seed (a separate latency pass would add
-/// traffic and skew the per-op rates).
-fn measure_inline(
-    ops: u64,
-    probe: Option<AllocProbe>,
-    mut op: impl FnMut(u64),
-    finish: impl FnOnce(),
-) -> Measured {
-    let mut lat: Vec<u64> = Vec::with_capacity((ops / 32 + 1) as usize);
-    let before = probe.map(|p| p());
-    let start = Instant::now();
-    for i in 0..ops {
-        if i & 31 == 0 {
-            let t = Instant::now();
-            op(i);
-            lat.push(t.elapsed().as_nanos() as u64);
-        } else {
-            op(i);
-        }
-    }
-    finish();
-    let elapsed_ns = start.elapsed().as_nanos() as u64;
-    let after = probe.map(|p| p());
-    let (allocs_per_op, alloc_bytes_per_op) = alloc_rates(before, after, ops);
-    lat.sort_unstable();
-    Measured {
-        ops,
-        executed: ops,
-        elapsed_ns,
-        p50_ns: percentile(&lat, 0.50),
-        p99_ns: percentile(&lat, 0.99),
-        allocs_per_op,
-        alloc_bytes_per_op,
     }
 }
 
@@ -1076,7 +705,12 @@ pub fn recovery_replay(seed: u64, cfg: &PerfConfig) -> WorkloadReport {
         let (_store, recovered) = Store::<memcore::Word>::open(Box::new(disk.clone()), dcfg);
         records = recovered.records.len() as u64;
         let incarnation = recovered.next_incarnation();
-        let state = CausalState::recover(NodeId::new(0), config.clone(), recovered.records, incarnation);
+        let state = CausalState::recover(
+            NodeId::new(0),
+            config.clone(),
+            recovered.records,
+            incarnation,
+        );
         lat.push(t.elapsed().as_nanos() as u64);
         assert!(state.incarnation() >= 1, "recovery lost the boot watermark");
     }
@@ -1294,9 +928,7 @@ pub fn scale_cell(seed: u64, cfg: &PerfConfig, n: u32, scoped: bool) -> Workload
         // The node's working set: every location owned by itself or its
         // two ring successors. This is what keeps the interest closure —
         // and therefore the sparse timestamps — O(neighborhood).
-        let group: Vec<NodeId> = std::iter::once(me)
-            .chain(owners.neighbors(me, 2))
-            .collect();
+        let group: Vec<NodeId> = std::iter::once(me).chain(owners.neighbors(me, 2)).collect();
         let working: Vec<Location> = (0..locations)
             .map(Location::new)
             .filter(|loc| group.contains(&owners.owner_of(*loc)))
@@ -1352,196 +984,6 @@ pub fn scale_cell(seed: u64, cfg: &PerfConfig, n: u32, scoped: bool) -> Workload
     }
 }
 
-/// Runs the whole suite: every workload on every seed for the mode.
-#[must_use]
-pub fn run_suite(cfg: &PerfConfig, probe: Option<AllocProbe>) -> PerfReport {
-    let seeds: &[u64] = if cfg.quick { &QUICK_SEEDS } else { &FULL_SEEDS };
-    // Each cell is best-of-N: a workload run builds a fresh cluster and
-    // replays the same seeded op sequence, so repetition changes only
-    // which run's timing is reported — message and allocation counts are
-    // identical across reps. Taking the max throughput filters the
-    // one-sided scheduling noise of shared CI boxes, which is what a
-    // regression gate needs (a genuine slowdown slows every rep; a noisy
-    // neighbour slows some).
-    let reps = if cfg.quick { 3 } else { 2 };
-    let mut workloads = Vec::new();
-    for &seed in seeds {
-        workloads.push(best_of(reps, || read_heavy_cached(seed, cfg, probe)));
-        workloads.push(best_of(reps, || write_heavy_owner_local(seed, cfg, probe)));
-        workloads.push(best_of(reps, || mixed_remote(seed, cfg, probe)));
-        workloads.push(best_of(reps, || figure6_solver(seed, cfg)));
-        for window in [0u32, 4, 32] {
-            workloads.push(best_of(reps, || write_pipeline(seed, cfg, probe, window)));
-        }
-        for batching in [false, true] {
-            workloads.push(best_of(reps, || {
-                bursty_invalidate(seed, cfg, probe, batching)
-            }));
-        }
-        // Typed-object workload family (PR 10): the object veneer on the
-        // same engine paths the register cells cover.
-        workloads.push(best_of(reps, || counter_inc(seed, cfg, probe)));
-        workloads.push(best_of(reps, || set_churn(seed, cfg, probe)));
-        // One rep: ungated (single short drain per cluster; see the cell).
-        workloads.push(queue_pipe(seed, cfg));
-        // One rep: the cell reports a recovery *gap*, not a throughput —
-        // best-of selection over ops_per_sec would just pick the shortest
-        // gap, and the cell is ungated anyway.
-        workloads.push(failover_migration(seed, cfg));
-        // One rep: ungated; the cell's number is a median over its own
-        // internal replay repetitions already.
-        workloads.push(recovery_replay(seed, cfg));
-        // One rep: ungated (real-socket wall-clock), and each run spins
-        // up a full TCP mesh — repetition buys nothing the gate uses.
-        workloads.push(mixed_remote_tcp(seed, cfg, probe));
-        workloads.push(mixed_remote_tcp_batched(seed, cfg, probe));
-        for window in [0u32, 32] {
-            workloads.push(write_pipeline_tcp(seed, cfg, probe, window));
-        }
-        // One rep: fully seeded simulated traffic — repetition changes
-        // only wall clock, which these ungated cells don't gate on. The
-        // scoped/dense pair per size plots metadata bytes against n.
-        for n in [16u32, 64, 128] {
-            workloads.push(scale_cell(seed, cfg, n, true));
-            workloads.push(scale_cell(seed, cfg, n, false));
-        }
-    }
-    PerfReport {
-        schema: 1,
-        quick: cfg.quick,
-        alloc_counting: probe.is_some(),
-        workloads,
-    }
-}
-
-fn best_of(reps: u32, run: impl Fn() -> WorkloadReport) -> WorkloadReport {
-    let mut best = run();
-    for _ in 1..reps {
-        let next = run();
-        if next.ops_per_sec > best.ops_per_sec {
-            best = next;
-        }
-    }
-    best
-}
-
-/// The real-socket cells whose per-op proxies — wire bytes and, under the
-/// counting allocator, heap allocations — are held to the baseline's
-/// value plus [`PROXY_SLACK`]. Their wall-clock is too noisy to gate on a
-/// shared box; these counts are not, and they are what a transport change
-/// can silently make worse: a frame encoded twice, a copy that allocates,
-/// a header that grew.
-pub const PROXY_GATED: [&str; 2] = ["mixed_remote_tcp", "write_pipeline_tcp_w32"];
-
-/// Headroom of a proxy ceiling over the baseline's recorded value. The
-/// concurrent interleaving moves these cells' miss counts (and with them
-/// bytes and allocations per op) by a percent or two from run to run; a lost
-/// optimisation moves them by tens.
-pub const PROXY_SLACK: f64 = 0.05;
-
-/// Compares `current` against `baseline`: every gated cell must reach at
-/// least `1 - threshold` of the baseline's ops/sec, and every
-/// [`PROXY_GATED`] cell must stay within [`PROXY_SLACK`] of the baseline's
-/// wire bytes per op and (when both reports counted them) allocations per
-/// op. Returns the list of violations (empty = pass); cells and proxies
-/// present in only one report are ignored (schema drift is not a perf
-/// regression).
-#[must_use]
-pub fn check_regression(
-    baseline: &PerfReport,
-    current: &PerfReport,
-    threshold: f64,
-) -> Vec<String> {
-    let mut violations = Vec::new();
-    for b in baseline.workloads.iter().filter(|w| w.gated) {
-        let Some(c) = current.cell(&b.name, b.seed) else {
-            continue;
-        };
-        let floor = b.ops_per_sec * (1.0 - threshold);
-        if c.ops_per_sec < floor {
-            violations.push(format!(
-                "{} (seed {:#x}): {:.0} ops/s < {:.0} ops/s floor ({:.0} baseline, -{:.0}%)",
-                b.name,
-                b.seed,
-                c.ops_per_sec,
-                floor,
-                b.ops_per_sec,
-                threshold * 100.0
-            ));
-        }
-    }
-    for b in baseline
-        .workloads
-        .iter()
-        .filter(|w| PROXY_GATED.contains(&w.name.as_str()))
-    {
-        let Some(c) = current.cell(&b.name, b.seed) else {
-            continue;
-        };
-        let proxies = [
-            ("wire bytes/op", b.wire_bytes_per_op, c.wire_bytes_per_op),
-            ("allocs/op", b.allocs_per_op, c.allocs_per_op),
-        ];
-        for (what, base, now) in proxies {
-            // Zero or negative: the baseline (or this run) did not record it.
-            let ceiling = base * (1.0 + PROXY_SLACK);
-            if base > 0.0 && now > 0.0 && now > ceiling {
-                violations.push(format!(
-                    "{} (seed {:#x}): {now:.2} {what} > {ceiling:.2} ceiling ({base:.2} baseline, +{:.0}%)",
-                    b.name,
-                    b.seed,
-                    PROXY_SLACK * 100.0
-                ));
-            }
-        }
-    }
-    violations
-}
-
-/// Renders a human-readable table of one report.
-#[must_use]
-pub fn render_perf(report: &PerfReport) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{:<24} {:>10} {:>12} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9}",
-        "workload",
-        "seed",
-        "ops/sec",
-        "p50 ns",
-        "p99 ns",
-        "allocs",
-        "proto",
-        "overhead",
-        "msgs/op",
-        "envs/op",
-        "sys/op",
-        "mdB/op",
-        "wireB/op"
-    );
-    for w in &report.workloads {
-        let _ = writeln!(
-            out,
-            "{:<24} {:>#10x} {:>12.0} {:>9} {:>9} {:>9.2} {:>9} {:>9} {:>9.3} {:>9.3} {:>9.3} {:>9.1} {:>9.1}",
-            w.name,
-            w.seed,
-            w.ops_per_sec,
-            w.p50_ns,
-            w.p99_ns,
-            w.allocs_per_op,
-            w.protocol_msgs,
-            w.overhead_msgs,
-            w.msgs_per_op,
-            w.envelopes_per_op,
-            w.syscalls_per_op,
-            w.metadata_bytes_per_op,
-            w.wire_bytes_per_op
-        );
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1559,79 +1001,6 @@ mod tests {
         assert_eq!(w.overhead_msgs, 0);
         assert!(w.ops_per_sec > 0.0);
         assert_eq!(w.allocs_per_op, -1.0, "no probe installed");
-    }
-
-    #[test]
-    fn regression_gate_flags_slowdowns() {
-        let mk = |ops_per_sec: f64, gated: bool| WorkloadReport {
-            name: "w".into(),
-            seed: 1,
-            ops: 10,
-            elapsed_ns: 10,
-            ops_per_sec,
-            p50_ns: 0,
-            p99_ns: 0,
-            allocs_per_op: -1.0,
-            alloc_bytes_per_op: -1.0,
-            protocol_msgs: 0,
-            overhead_msgs: 0,
-            msgs_by_kind: BTreeMap::new(),
-            envelope_msgs: 0,
-            msgs_per_op: 0.0,
-            envelopes_per_op: 0.0,
-            syscalls_per_op: 0.0,
-            metadata_bytes_per_op: 0.0,
-            wire_bytes_per_op: 0.0,
-            gated,
-        };
-        let base = PerfReport {
-            schema: 1,
-            quick: true,
-            alloc_counting: false,
-            workloads: vec![mk(1000.0, true)],
-        };
-        let ok = PerfReport {
-            workloads: vec![mk(900.0, true)],
-            ..base.clone()
-        };
-        let bad = PerfReport {
-            workloads: vec![mk(700.0, true)],
-            ..base.clone()
-        };
-        assert!(check_regression(&base, &ok, 0.15).is_empty());
-        assert_eq!(check_regression(&base, &bad, 0.15).len(), 1);
-
-        // Ungated cells never fail the gate.
-        let ungated_base = PerfReport {
-            workloads: vec![mk(1000.0, false)],
-            ..base.clone()
-        };
-        assert!(check_regression(&ungated_base, &bad, 0.15).is_empty());
-
-        // A proxy-gated TCP cell is held to its byte and allocation
-        // ceilings whatever its (ungated) wall-clock does.
-        let tcp = |wire_bytes_per_op: f64, allocs_per_op: f64| PerfReport {
-            workloads: vec![WorkloadReport {
-                name: PROXY_GATED[0].into(),
-                wire_bytes_per_op,
-                allocs_per_op,
-                ..mk(1.0, false)
-            }],
-            ..base.clone()
-        };
-        let tcp_base = tcp(200.0, 10.0);
-        assert!(check_regression(&tcp_base, &tcp(208.0, 10.4), 0.15).is_empty());
-        assert_eq!(
-            check_regression(&tcp_base, &tcp(211.0, 10.0), 0.15).len(),
-            1
-        );
-        assert_eq!(
-            check_regression(&tcp_base, &tcp(211.0, 10.6), 0.15).len(),
-            2
-        );
-        // A run without the counting allocator (-1) skips that proxy only.
-        assert!(check_regression(&tcp_base, &tcp(200.0, -1.0), 0.15).is_empty());
-        assert!(check_regression(&tcp(200.0, -1.0), &tcp(200.0, 50.0), 0.15).is_empty());
     }
 
     #[test]
@@ -1755,22 +1124,5 @@ mod tests {
         // Scoping must not change the protocol itself: same ops, and the
         // Figure-4 message kinds are unchanged modulo INTEREST drops.
         assert_eq!(scoped_64.ops, dense_64.ops);
-    }
-
-    #[test]
-    fn reports_round_trip_through_json() {
-        let report = PerfReport {
-            schema: 1,
-            quick: true,
-            alloc_counting: false,
-            workloads: vec![figure6_solver(3, &PerfConfig { quick: true })],
-        };
-        let text = serde_json::to_string_pretty(&report).expect("serialize");
-        let back: PerfReport = serde_json::from_str(&text).expect("parse");
-        assert_eq!(back.workloads[0].name, "figure6_solver");
-        assert_eq!(
-            back.workloads[0].protocol_msgs,
-            report.workloads[0].protocol_msgs
-        );
     }
 }
