@@ -1,27 +1,26 @@
 //! The hot-path perf suite driver: runs the seeded workloads from
-//! [`dsm_bench::hotpath`] and writes a `BENCH_*.json` report.
+//! [`dsm_bench::hotpath`] on their fixed seeds and gates the run against
+//! a baseline report.
 //!
 //! ```text
-//! perf [--quick] [--out FILE] [--gate BASELINE [--threshold PCT]]
+//! perf [--out FILE] [--gate BASELINE]
 //! ```
 //!
-//! * `--quick` — CI-sized op counts on the two fixed CI seeds.
 //! * `--out FILE` — write the JSON report (default: stdout table only).
 //! * `--gate BASELINE` — after running, compare against the baseline
-//!   report and exit non-zero if any gated workload regressed by more
-//!   than the threshold (default 15%).
+//!   report (`BENCH_after.json`) and exit non-zero on any violation of
+//!   [`check_regression`]'s rule.
 //!
-//! Build with `--features alloc-count` to install the counting global
-//! allocator and populate `allocs_per_op` (otherwise reported as -1).
+//! The bin installs a counting global allocator, so every in-process and
+//! TCP cell reports allocations per operation.
 
 use std::process::ExitCode;
 
-use dsm_bench::hotpath::{check_regression, render_perf, run_suite, AllocProbe, PerfConfig};
+use dsm_bench::hotpath::{check_regression, render_perf, run_suite, AllocProbe};
 
 // The counting allocator lives in the bin target on purpose: the library
 // keeps `#![forbid(unsafe_code)]`; only this executable opts into the
 // (trivially auditable) unsafe GlobalAlloc wrapper.
-#[cfg(feature = "alloc-count")]
 mod counting_alloc {
     use std::alloc::{GlobalAlloc, Layout, System};
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -69,51 +68,25 @@ mod counting_alloc {
     }
 }
 
-fn probe() -> Option<AllocProbe> {
-    #[cfg(feature = "alloc-count")]
-    {
-        Some(counting_alloc::probe as AllocProbe)
-    }
-    #[cfg(not(feature = "alloc-count"))]
-    {
-        None
-    }
-}
-
 fn main() -> ExitCode {
-    let mut quick = false;
     let mut out: Option<String> = None;
     let mut gate: Option<String> = None;
-    let mut threshold = 0.15;
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--quick" => quick = true,
             "--out" => out = Some(args.next().expect("--out needs a path")),
             "--gate" => gate = Some(args.next().expect("--gate needs a baseline path")),
-            "--threshold" => {
-                threshold = args
-                    .next()
-                    .expect("--threshold needs a fraction")
-                    .parse::<f64>()
-                    .expect("--threshold must be a number, e.g. 0.15");
-            }
             other => {
                 eprintln!("unknown argument: {other}");
-                eprintln!("usage: perf [--quick] [--out FILE] [--gate BASELINE [--threshold PCT]]");
+                eprintln!("usage: perf [--out FILE] [--gate BASELINE]");
                 return ExitCode::from(2);
             }
         }
     }
 
-    let cfg = PerfConfig { quick };
-    eprintln!(
-        "running hot-path suite ({} mode, alloc counting {})...",
-        if quick { "quick" } else { "full" },
-        if probe().is_some() { "on" } else { "off" }
-    );
-    let report = run_suite(&cfg, probe());
+    eprintln!("running hot-path suite...");
+    let report = run_suite(Some(counting_alloc::probe as AllocProbe));
     print!("{}", render_perf(&report));
 
     if let Some(path) = out {
@@ -125,12 +98,9 @@ fn main() -> ExitCode {
     if let Some(baseline_path) = gate {
         let text = std::fs::read_to_string(&baseline_path).expect("read baseline");
         let baseline = serde_json::from_str(&text).expect("parse baseline");
-        let violations = check_regression(&baseline, &report, threshold);
+        let violations = check_regression(&baseline, &report);
         if violations.is_empty() {
-            eprintln!(
-                "gate vs {baseline_path}: PASS (no gated workload below {:.0}% of baseline)",
-                (1.0 - threshold) * 100.0
-            );
+            eprintln!("gate vs {baseline_path}: PASS");
         } else {
             eprintln!("gate vs {baseline_path}: FAIL");
             for v in &violations {

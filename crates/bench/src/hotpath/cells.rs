@@ -8,15 +8,14 @@ use dsm_apps::{
     publish_system, run_causal_solver_sim, run_coordinator, run_worker, LinearSystem, SolverLayout,
     SolverSimConfig,
 };
+use dsm_net::harness::DEFAULT_READ_PCT;
 use memcore::{Location, SharedMemory};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-#[allow(unused_imports)] // doc links
-use super::PROXY_GATED;
 use super::{
-    alloc_rates, measure, measure_inline, payload, percentile, report, AllocProbe, Measured,
-    Payload, PerfConfig, WorkloadReport,
+    alloc_rates, measure, measure_inline, payload, percentile, report, untimed, AllocProbe,
+    Measured, Payload, WorkloadReport,
 };
 
 /// The suite's hot cached-read step. This is the operation the headline
@@ -36,13 +35,13 @@ fn hot_read(handle: &CausalHandle<Payload>, loc: Location) -> usize {
 /// Panics if the cluster fails to build or an operation errors (both are
 /// engine bugs).
 #[must_use]
-pub fn read_heavy_cached(seed: u64, cfg: &PerfConfig, probe: Option<AllocProbe>) -> WorkloadReport {
+pub fn read_heavy_cached(seed: u64, probe: Option<AllocProbe>) -> WorkloadReport {
     const LOCATIONS: u32 = 256;
-    // Long enough that a quick-mode run spans many scheduler quanta —
-    // sub-10ms loops made the CI gate flake on busy boxes. Hits send no
+    // Long enough that a run spans many scheduler quanta — sub-10ms
+    // loops made the CI gate flake on busy boxes. Hits send no
     // messages, so the op count is free to grow without perturbing the
     // message-count fixtures.
-    let ops: u64 = if cfg.quick { 1_000_000 } else { 2_000_000 };
+    const OPS: u64 = 1_000_000;
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
 
     let cluster = CausalCluster::<Payload>::builder(2, LOCATIONS)
@@ -81,7 +80,7 @@ pub fn read_heavy_cached(seed: u64, cfg: &PerfConfig, probe: Option<AllocProbe>)
 
     let base = cluster.messages().snapshot();
     let env_base = cluster.envelopes().snapshot();
-    let m = measure(ops, probe, |i| {
+    let m = measure(OPS, probe, |i| {
         let loc = locs[(i as usize) & 4095];
         std::hint::black_box(hot_read(&reader, loc));
     });
@@ -97,15 +96,11 @@ pub fn read_heavy_cached(seed: u64, cfg: &PerfConfig, probe: Option<AllocProbe>)
 ///
 /// Panics if the cluster fails to build or an operation errors.
 #[must_use]
-pub fn write_heavy_owner_local(
-    seed: u64,
-    cfg: &PerfConfig,
-    probe: Option<AllocProbe>,
-) -> WorkloadReport {
+pub fn write_heavy_owner_local(seed: u64, probe: Option<AllocProbe>) -> WorkloadReport {
     const LOCATIONS: u32 = 256;
     // Owner-local writes send no messages either; see read_heavy_cached
-    // for why quick mode still runs a long loop.
-    let ops: u64 = if cfg.quick { 400_000 } else { 800_000 };
+    // for why the loop is long.
+    const OPS: u64 = 400_000;
     let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x9E37_79B9);
 
     let cluster = CausalCluster::<Payload>::builder(2, LOCATIONS)
@@ -121,7 +116,7 @@ pub fn write_heavy_owner_local(
 
     let base = cluster.messages().snapshot();
     let env_base = cluster.envelopes().snapshot();
-    let m = measure(ops, probe, |i| {
+    let m = measure(OPS, probe, |i| {
         let loc = locs[(i as usize) & 4095];
         let value = pool[(i as usize) & 63].clone();
         writer.write(loc, value).expect("owned write");
@@ -140,10 +135,10 @@ pub fn write_heavy_owner_local(
 ///
 /// Panics if the cluster fails to build or an operation errors.
 #[must_use]
-pub fn mixed_remote(seed: u64, cfg: &PerfConfig, probe: Option<AllocProbe>) -> WorkloadReport {
+pub fn mixed_remote(seed: u64, probe: Option<AllocProbe>) -> WorkloadReport {
     const NODES: u32 = 4;
     const LOCATIONS: u32 = 64;
-    let ops: u64 = if cfg.quick { 20_000 } else { 100_000 };
+    const OPS: u64 = 20_000;
     let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x517C_C1B7);
 
     let cluster = CausalCluster::<Payload>::builder(NODES, LOCATIONS)
@@ -165,7 +160,7 @@ pub fn mixed_remote(seed: u64, cfg: &PerfConfig, probe: Option<AllocProbe>) -> W
 
     let base = cluster.messages().snapshot();
     let env_base = cluster.envelopes().snapshot();
-    let m = measure(ops, probe, |i| {
+    let m = measure(OPS, probe, |i| {
         let (node, loc, is_read) = script[(i as usize) & 8191];
         if is_read {
             std::hint::black_box(handles[node].read(loc).expect("read").len());
@@ -190,9 +185,9 @@ pub fn mixed_remote(seed: u64, cfg: &PerfConfig, probe: Option<AllocProbe>) -> W
 /// Panics if the solve fails to converge on the machinery level (worker
 /// or coordinator errors).
 #[must_use]
-pub fn figure6_solver(seed: u64, cfg: &PerfConfig) -> WorkloadReport {
+pub fn figure6_solver(seed: u64) -> WorkloadReport {
     const N: usize = 4;
-    let phases: usize = if cfg.quick { 8 } else { 20 };
+    const PHASES: usize = 8;
     let system = LinearSystem::random(N, seed);
     let layout = SolverLayout::new(N);
 
@@ -201,7 +196,7 @@ pub fn figure6_solver(seed: u64, cfg: &PerfConfig) -> WorkloadReport {
         &system,
         &SolverSimConfig {
             workers: N,
-            phases,
+            phases: PHASES,
             seed,
             ..SolverSimConfig::default()
         },
@@ -219,37 +214,18 @@ pub fn figure6_solver(seed: u64, cfg: &PerfConfig) -> WorkloadReport {
     let start = Instant::now();
     std::thread::scope(|scope| {
         for (i, mem) in handles.iter().enumerate() {
-            scope.spawn(move || run_worker(mem, &layout, i, phases).expect("worker"));
+            scope.spawn(move || run_worker(mem, &layout, i, PHASES).expect("worker"));
         }
-        scope.spawn(|| run_coordinator(&coordinator, &layout, phases).expect("coordinator"));
+        scope.spawn(|| run_coordinator(&coordinator, &layout, PHASES).expect("coordinator"));
     });
     let elapsed_ns = start.elapsed().as_nanos() as u64;
 
-    let ops = (N * phases) as u64; // one solved component per worker-phase
-    let msgs = sim.messages.protocol_total() + sim.messages.overhead_total();
-    WorkloadReport {
-        name: "figure6_solver".to_owned(),
-        seed,
-        ops,
-        elapsed_ns,
-        ops_per_sec: ops as f64 / (elapsed_ns.max(1) as f64 / 1e9),
-        p50_ns: 0,
-        p99_ns: 0,
-        allocs_per_op: -1.0,
-        alloc_bytes_per_op: -1.0,
-        protocol_msgs: sim.messages.protocol_total(),
-        overhead_msgs: sim.messages.overhead_total(),
-        msgs_by_kind: sim.messages.by_kind(),
-        // The solver sim runs without batching, so every logical message
-        // is its own envelope.
-        envelope_msgs: msgs,
-        msgs_per_op: msgs as f64 / ops.max(1) as f64,
-        envelopes_per_op: msgs as f64 / ops.max(1) as f64,
-        syscalls_per_op: 0.0,
-        metadata_bytes_per_op: 0.0,
-        wire_bytes_per_op: 0.0,
-        gated: false,
-    }
+    let ops = (N * PHASES) as u64; // one solved component per worker-phase
+    let m = untimed(ops, elapsed_ns);
+    // The solver sim runs without batching, so every logical message is
+    // its own envelope.
+    let envelopes = sim.messages.clone();
+    report("figure6_solver", seed, m, sim.messages, envelopes, false)
 }
 
 /// Bounded-pipeline workload: node 0 streams writes to pages node 1
@@ -264,14 +240,9 @@ pub fn figure6_solver(seed: u64, cfg: &PerfConfig) -> WorkloadReport {
 ///
 /// Panics if the cluster fails to build or an operation errors.
 #[must_use]
-pub fn write_pipeline(
-    seed: u64,
-    cfg: &PerfConfig,
-    probe: Option<AllocProbe>,
-    window: u32,
-) -> WorkloadReport {
+pub fn write_pipeline(seed: u64, probe: Option<AllocProbe>, window: u32) -> WorkloadReport {
     const LOCATIONS: u32 = 64;
-    let ops: u64 = if cfg.quick { 30_000 } else { 120_000 };
+    const OPS: u64 = 30_000;
     let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x00B1_0C5E);
 
     let cluster = CausalCluster::<Payload>::builder(2, LOCATIONS)
@@ -289,7 +260,7 @@ pub fn write_pipeline(
     let base = cluster.messages().snapshot();
     let env_base = cluster.envelopes().snapshot();
     let m = measure_inline(
-        ops,
+        OPS,
         probe,
         |i| {
             let loc = locs[(i as usize) & 4095];
@@ -322,17 +293,12 @@ pub fn write_pipeline(
 ///
 /// Panics if the cluster fails to build or an operation errors.
 #[must_use]
-pub fn bursty_invalidate(
-    seed: u64,
-    cfg: &PerfConfig,
-    probe: Option<AllocProbe>,
-    batching: bool,
-) -> WorkloadReport {
+pub fn bursty_invalidate(seed: u64, probe: Option<AllocProbe>, batching: bool) -> WorkloadReport {
     const LOCATIONS: u32 = 64;
     const BURST: u64 = 16;
     const WINDOW: u32 = 8;
-    let bursts: u64 = if cfg.quick { 2_000 } else { 8_000 };
-    let ops = bursts * BURST;
+    const BURSTS: u64 = 2_000;
+    let ops = BURSTS * BURST;
     let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x1457_B075);
 
     let cluster = CausalCluster::<Payload>::builder(2, LOCATIONS)
@@ -389,10 +355,10 @@ pub fn bursty_invalidate(
 ///
 /// Panics if the cluster fails to build or an operation errors.
 #[must_use]
-pub fn counter_inc(seed: u64, cfg: &PerfConfig, probe: Option<AllocProbe>) -> WorkloadReport {
+pub fn counter_inc(seed: u64, probe: Option<AllocProbe>) -> WorkloadReport {
     use dsm_objects::{ObjVal, PnCounter};
 
-    let ops: u64 = if cfg.quick { 200_000 } else { 400_000 };
+    const OPS: u64 = 200_000;
     let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x0C0_47E6);
 
     let layout = dsm_objects::GridLayout::new(2, 2);
@@ -420,7 +386,7 @@ pub fn counter_inc(seed: u64, cfg: &PerfConfig, probe: Option<AllocProbe>) -> Wo
 
     let base = cluster.messages().snapshot();
     let env_base = cluster.envelopes().snapshot();
-    let m = measure(ops, probe, |i| {
+    let m = measure(OPS, probe, |i| {
         c0.add(deltas[(i as usize) & 4095]).expect("counter add");
         // Periodic cross-node audit: refresh + merged read (remote).
         if (i + 1) % 64 == 0 {
@@ -444,10 +410,10 @@ pub fn counter_inc(seed: u64, cfg: &PerfConfig, probe: Option<AllocProbe>) -> Wo
 ///
 /// Panics if the cluster fails to build or an operation errors.
 #[must_use]
-pub fn set_churn(seed: u64, cfg: &PerfConfig, probe: Option<AllocProbe>) -> WorkloadReport {
+pub fn set_churn(seed: u64, probe: Option<AllocProbe>) -> WorkloadReport {
     use dsm_objects::{CausalSet, ObjVal};
 
-    let ops: u64 = if cfg.quick { 120_000 } else { 240_000 };
+    const OPS: u64 = 120_000;
 
     let layout = dsm_objects::GridLayout::new(2, 32);
     let cluster = CausalCluster::<ObjVal>::builder(2, layout.locations())
@@ -462,7 +428,7 @@ pub fn set_churn(seed: u64, cfg: &PerfConfig, probe: Option<AllocProbe>) -> Work
 
     let base = cluster.messages().snapshot();
     let env_base = cluster.envelopes().snapshot();
-    let m = measure(ops, probe, |i| {
+    let m = measure(OPS, probe, |i| {
         let item = ((i / 2) % 16 + 1) as i64;
         if i % 2 == 0 {
             s0.add(item).expect("set add");
@@ -482,9 +448,9 @@ pub fn set_churn(seed: u64, cfg: &PerfConfig, probe: Option<AllocProbe>) -> Work
 /// FIFO append-queue pipe: node 0 fills its append-only row, then node 1
 /// drains it — every pop a cold fetch of the next producer cell (one
 /// READ/READ_REPLY round trip), so the cell's logical bill is exactly
-/// 1.0 msgs/op by construction. Ungated: the append-only grid allows one
-/// drain per cluster, so the pass is wall-clock short and too brief for
-/// a stable throughput gate — the cell exists to pin the pipe's message
+/// 1.0 msgs/op by construction. No wall-clock floor: the append-only
+/// grid allows one drain per cluster, so the pass is too brief for a
+/// stable throughput gate — the cell exists to pin the pipe's message
 /// bill and plot pop latency.
 ///
 /// # Panics
@@ -492,13 +458,13 @@ pub fn set_churn(seed: u64, cfg: &PerfConfig, probe: Option<AllocProbe>) -> Work
 /// Panics if the cluster fails to build, an operation errors, or the
 /// consumer fails to drain everything the producer pushed.
 #[must_use]
-pub fn queue_pipe(seed: u64, cfg: &PerfConfig) -> WorkloadReport {
+pub fn queue_pipe(seed: u64) -> WorkloadReport {
     use dsm_objects::{FifoQueue, ObjVal};
 
-    let depth: usize = if cfg.quick { 1_024 } else { 2_048 };
+    const DEPTH: usize = 1_024;
     let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x0F1F_00D1);
 
-    let layout = dsm_objects::GridLayout::new(2, depth);
+    let layout = dsm_objects::GridLayout::new(2, DEPTH);
     let cluster = CausalCluster::<ObjVal>::builder(2, layout.locations())
         .configure(|c| {
             c.owners(layout.owners())
@@ -509,11 +475,11 @@ pub fn queue_pipe(seed: u64, cfg: &PerfConfig) -> WorkloadReport {
     let producer = FifoQueue::new(cluster.handle(0), layout);
     let consumer = FifoQueue::new(cluster.handle(1), layout);
 
-    let items: Vec<i64> = (0..depth).map(|_| rng.gen_range(1..=i64::MAX)).collect();
+    let items: Vec<i64> = (0..DEPTH).map(|_| rng.gen_range(1..=i64::MAX)).collect();
 
     let base = cluster.messages().snapshot();
     let env_base = cluster.envelopes().snapshot();
-    let mut lat: Vec<u64> = Vec::with_capacity(depth);
+    let mut lat: Vec<u64> = Vec::with_capacity(DEPTH);
     let start = Instant::now();
     for &item in &items {
         assert!(producer.push(item).expect("push"), "row filled early");
@@ -529,8 +495,8 @@ pub fn queue_pipe(seed: u64, cfg: &PerfConfig) -> WorkloadReport {
     let envs = cluster.envelopes().snapshot().since(&env_base);
     lat.sort_unstable();
     let m = Measured {
-        ops: 2 * depth as u64, // pushes + pops
-        executed: 2 * depth as u64,
+        ops: 2 * DEPTH as u64, // pushes + pops
+        executed: 2 * DEPTH as u64,
         elapsed_ns,
         p50_ns: percentile(&lat, 0.50),
         p99_ns: percentile(&lat, 0.99),
@@ -569,9 +535,9 @@ impl simnet::FaultHook for BenchDeadNode {
 /// Panics if the cluster fails to build or an operation errors (a
 /// post-crash error means failover itself is broken).
 #[must_use]
-pub fn failover_migration(seed: u64, cfg: &PerfConfig) -> WorkloadReport {
+pub fn failover_migration(seed: u64) -> WorkloadReport {
     const LOCATIONS: u32 = 6;
-    let steady_ops: u64 = if cfg.quick { 64 } else { 256 };
+    const STEADY_OPS: u64 = 64;
     // Milliseconds-scale budgets so the cell runs in bench time; the
     // *shape* (suspect after interval × threshold, exponential backoff)
     // matches production defaults.
@@ -608,8 +574,8 @@ pub fn failover_migration(seed: u64, cfg: &PerfConfig) -> WorkloadReport {
 
     // Post-crash steady state: ownership has migrated; these ops measure
     // the failover layer's running overhead (heartbeats keep flowing).
-    let mut lat: Vec<u64> = Vec::with_capacity(steady_ops as usize);
-    for i in 0..steady_ops {
+    let mut lat: Vec<u64> = Vec::with_capacity(STEADY_OPS as usize);
+    for i in 0..STEADY_OPS {
         let t = Instant::now();
         h2.write(hot, memcore::Word::Int(2000 + i as i64))
             .expect("steady write");
@@ -620,7 +586,7 @@ pub fn failover_migration(seed: u64, cfg: &PerfConfig) -> WorkloadReport {
     lat.sort_unstable();
     let m = Measured {
         ops: 1, // the recovery op — elapsed_ns is the availability gap
-        executed: 1 + steady_ops,
+        executed: 1 + STEADY_OPS,
         elapsed_ns: recovery_ns,
         p50_ns: percentile(&lat, 0.50),
         p99_ns: percentile(&lat, 0.99),
@@ -644,10 +610,10 @@ pub fn failover_migration(seed: u64, cfg: &PerfConfig) -> WorkloadReport {
 /// `ops` is the number of recovered WAL records (the log length),
 /// `elapsed_ns` the median full-log replay, so `ops_per_sec` reads as
 /// records replayed per second; p50/p99 cover the per-replay spread.
-/// Ungated (`gated: false`): replay cost tracks the durability layer's
-/// decode path, not the hot protocol path the regression gate protects,
-/// and the cell exists to plot the trend line against log length
-/// (quick mode replays a 4× shorter log than full mode).
+/// No wall-clock floor (`gated: false`): replay cost tracks the
+/// durability layer's decode path, not the hot protocol path the floor
+/// protects, and the cell exists to plot the trend line against log
+/// length.
 ///
 /// # Panics
 ///
@@ -655,13 +621,13 @@ pub fn failover_migration(seed: u64, cfg: &PerfConfig) -> WorkloadReport {
 /// recovery comes back at incarnation 0 (meaning the log lost the boot
 /// watermark — a durability bug).
 #[must_use]
-pub fn recovery_replay(seed: u64, cfg: &PerfConfig) -> WorkloadReport {
+pub fn recovery_replay(seed: u64) -> WorkloadReport {
     use causal_dsm::{CausalConfig, CausalState, DurableConfig, MemDisk, Store, SyncPolicy};
     use memcore::NodeId;
 
     const LOCATIONS: u32 = 64;
-    let writes: u64 = if cfg.quick { 4_096 } else { 16_384 };
-    let reps: usize = if cfg.quick { 8 } else { 16 };
+    const WRITES: u64 = 4_096;
+    const REPS: usize = 8;
     // `EveryOp` is the policy the durability tentpole defaults to; on a
     // MemDisk a sync is a counter bump, so it costs the populate loop
     // nothing while keeping the record stream identical to production.
@@ -688,7 +654,7 @@ pub fn recovery_replay(seed: u64, cfg: &PerfConfig) -> WorkloadReport {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let base = cluster.messages().snapshot();
     let env_base = cluster.envelopes().snapshot();
-    for i in 0..writes {
+    for i in 0..WRITES {
         let l = Location::new(rng.gen_range(0..LOCATIONS / 2) * 2);
         h0.write(l, memcore::Word::Int(i as i64)).expect("populate");
     }
@@ -698,9 +664,9 @@ pub fn recovery_replay(seed: u64, cfg: &PerfConfig) -> WorkloadReport {
 
     // Measure: full-log recovery, repeatedly. `MemDisk` clones share
     // their backing store, so every rep replays the identical log.
-    let mut lat: Vec<u64> = Vec::with_capacity(reps);
+    let mut lat: Vec<u64> = Vec::with_capacity(REPS);
     let mut records = 0u64;
-    for _ in 0..reps {
+    for _ in 0..REPS {
         let t = Instant::now();
         let (_store, recovered) = Store::<memcore::Word>::open(Box::new(disk.clone()), dcfg);
         records = recovered.records.len() as u64;
@@ -736,53 +702,47 @@ pub fn recovery_replay(seed: u64, cfg: &PerfConfig) -> WorkloadReport {
 /// The merged history is checked against the Definition-2 oracle before
 /// the cell reports: a fast number for an incorrect memory is worthless.
 ///
-/// Wall-clock ungated: socket timing is scheduling-noisy, and the
-/// concurrent interleaving makes cache misses — and therefore the message
-/// bill — a property of the run, not the seed. What the gate does hold
-/// this cell to is its per-op *proxies* (see [`PROXY_GATED`]).
+/// No wall-clock floor: socket timing is scheduling-noisy. The concurrent
+/// interleaving makes cache misses — and therefore the message bill — a
+/// property of the run, not the seed, but it moves the per-op counts by
+/// about a percent, well inside [`PROXY_SLACK`](super::PROXY_SLACK).
 ///
 /// # Panics
 ///
 /// Panics if cluster bring-up fails, an operation errors, or the oracle
 /// rejects the execution.
 #[must_use]
-pub fn mixed_remote_tcp(seed: u64, cfg: &PerfConfig, probe: Option<AllocProbe>) -> WorkloadReport {
-    const NODES: u32 = 4;
-    const LOCATIONS: u32 = 64;
-    let script_len = if cfg.quick { 2048 } else { 8192 };
-    tcp_report("mixed_remote_tcp", seed, probe, || {
-        dsm_net::run_loopback(NODES, LOCATIONS, seed, script_len)
-    })
+pub fn mixed_remote_tcp(seed: u64, probe: Option<AllocProbe>) -> WorkloadReport {
+    let net = dsm_net::NetOptions::default();
+    tcp_report("mixed_remote_tcp", seed, probe, 4, DEFAULT_READ_PCT, &net)
 }
 
-/// The same cluster-wide script as [`mixed_remote_tcp`], with the PR-7
-/// transport turned all the way up: pipelined writes (window 32) sealed
-/// into batch envelopes, so runs of logical messages cross the kernel in
-/// single `writev` calls. Read next to `mixed_remote_tcp` the pair is the
+/// The same cluster-wide script as [`mixed_remote_tcp`], with the
+/// event-driven mesh's transport turned all the way up: pipelined writes
+/// (window 32) sealed into batch envelopes, so runs of logical messages
+/// cross the kernel in single `writev` calls. Read next to `mixed_remote_tcp` the pair is the
 /// real-socket ablation: the same logical protocol, fewer envelopes and
-/// fewer syscalls per op. Ungated for the same reason as its plain twin.
+/// fewer syscalls per op. No wall-clock floor, like its plain twin.
 ///
 /// # Panics
 ///
 /// Panics if cluster bring-up fails, an operation errors, or the oracle
 /// rejects the execution.
 #[must_use]
-pub fn mixed_remote_tcp_batched(
-    seed: u64,
-    cfg: &PerfConfig,
-    probe: Option<AllocProbe>,
-) -> WorkloadReport {
-    const NODES: u32 = 4;
-    const LOCATIONS: u32 = 64;
-    let script_len = if cfg.quick { 2048 } else { 8192 };
+pub fn mixed_remote_tcp_batched(seed: u64, probe: Option<AllocProbe>) -> WorkloadReport {
     let net = dsm_net::NetOptions {
         pipeline: 32,
         batching: true,
         ..dsm_net::NetOptions::default()
     };
-    tcp_report("mixed_remote_tcp_batched", seed, probe, || {
-        dsm_net::run_loopback_with(NODES, LOCATIONS, seed, script_len, &net)
-    })
+    tcp_report(
+        "mixed_remote_tcp_batched",
+        seed,
+        probe,
+        4,
+        DEFAULT_READ_PCT,
+        &net,
+    )
 }
 
 /// The write-pipeline ablation over real sockets: a two-node cluster runs
@@ -791,55 +751,47 @@ pub fn mixed_remote_tcp_batched(
 /// Window 0 is the paper's blocking write — one stalled round trip *and*
 /// at least one syscall per op; window `W` overlaps `W` of them and lets
 /// the batcher seal the overlapped WRITEs into shared envelopes.
-/// Wall-clock ungated (real-socket timing is scheduling-noisy); the
-/// window-32 cell's per-op proxies are gated (see [`PROXY_GATED`]).
+/// No wall-clock floor (real-socket timing is scheduling-noisy).
 ///
 /// # Panics
 ///
 /// Panics if cluster bring-up fails, an operation errors, or the oracle
 /// rejects the execution.
 #[must_use]
-pub fn write_pipeline_tcp(
-    seed: u64,
-    cfg: &PerfConfig,
-    probe: Option<AllocProbe>,
-    window: u32,
-) -> WorkloadReport {
-    const NODES: u32 = 2;
-    const LOCATIONS: u32 = 64;
-    let script_len = if cfg.quick { 2048 } else { 8192 };
+pub fn write_pipeline_tcp(seed: u64, probe: Option<AllocProbe>, window: u32) -> WorkloadReport {
     let net = dsm_net::NetOptions {
         pipeline: window,
         batching: window > 0,
         ..dsm_net::NetOptions::default()
     };
-    tcp_report(
-        &format!("write_pipeline_tcp_w{window}"),
-        seed,
-        probe,
-        || dsm_net::run_loopback_workload(NODES, LOCATIONS, seed, script_len, 0, &net),
-    )
+    let name = format!("write_pipeline_tcp_w{window}");
+    tcp_report(&name, seed, probe, 2, 0, &net)
 }
 
-/// Runs a loopback-TCP workload and shapes it into a cell: oracle-checks
-/// the merged history first (a fast number for an incorrect memory is
-/// worthless), then reports the wire-level bill — `write` calls and bytes
-/// per op — alongside the logical and envelope bills.
+/// Runs the mixed script over loopback TCP — `nodes` nodes, 64
+/// locations, 2048 entries, `read_pct` percent reads — and shapes it into
+/// a cell: oracle-checks the merged history first (a fast number for an
+/// incorrect memory is worthless), then reports the wire-level bill —
+/// `write` calls and bytes per op — alongside the logical and envelope
+/// bills.
 ///
-/// The allocation probe brackets the whole `run`, mesh bring-up and
+/// The allocation probe brackets the whole run, mesh bring-up and
 /// teardown included (the harness owns the op phase; the counters are
 /// process-wide), so `allocs_per_op` here is "allocations the cluster's
 /// life cost, per scripted op" — a fixed per-cluster term plus the per-op
-/// one, which is all a ceiling needs. TCP cells are never wall-clock
-/// gated; see [`mixed_remote_tcp`].
+/// one, which is all a ceiling needs. The harness times no individual
+/// op, so the cell reports no latency percentiles; TCP latency is the
+/// standalone `benchmark/` package's job.
 fn tcp_report(
     name: &str,
     seed: u64,
     probe: Option<AllocProbe>,
-    run: impl FnOnce() -> dsm_net::LoopbackReport,
+    nodes: u32,
+    read_pct: u8,
+    net: &dsm_net::NetOptions,
 ) -> WorkloadReport {
     let before = probe.map(|p| p());
-    let run = run();
+    let run = dsm_net::run_loopback(nodes, 64, seed, 2048, read_pct, net);
     let after = probe.map(|p| p());
     let verdict = causal_spec::check_causal(&run.execution).expect("well-formed execution");
     assert!(verdict.is_correct(), "TCP cluster not causal: {verdict}");
@@ -853,8 +805,8 @@ fn tcp_report(
         ops: run.ops,
         elapsed_ns: run.elapsed_ns,
         ops_per_sec: run.ops as f64 / (run.elapsed_ns.max(1) as f64 / 1e9),
-        p50_ns: 0,
-        p99_ns: 0,
+        p50_ns: None,
+        p99_ns: None,
         allocs_per_op,
         alloc_bytes_per_op,
         protocol_msgs: run.protocol_msgs,
@@ -887,21 +839,21 @@ fn tcp_report(
 /// cost more than dense, which is the honest price of the feature).
 ///
 /// Every run is checked against the Definition-2 oracle before it
-/// reports. Ungated: the cell measures simulated traffic, not wall
-/// clock, and new cells are absent from older baselines anyway.
+/// reports. No wall-clock floor: the cell measures simulated traffic,
+/// and its counts are what the gate holds it to.
 ///
 /// # Panics
 ///
 /// Panics if the simulation wedges or the oracle rejects the execution.
 #[must_use]
-pub fn scale_cell(seed: u64, cfg: &PerfConfig, n: u32, scoped: bool) -> WorkloadReport {
+pub fn scale_cell(seed: u64, n: u32, scoped: bool) -> WorkloadReport {
     use dsm_sim::{ClientOp, Script, Sim, SimOpts};
     use memcore::{NodeId, OwnerMap as _, Word};
 
     const PAGES_PER_NODE: u32 = 2;
     const VNODES: u32 = 32;
     let locations = n * PAGES_PER_NODE;
-    let ops_per_node: u64 = if cfg.quick { 24 } else { 96 };
+    const OPS_PER_NODE: u64 = 24;
 
     let recorder = memcore::Recorder::new(n as usize);
     let config = causal_dsm::CausalConfig::<Word>::builder(n, locations)
@@ -933,8 +885,8 @@ pub fn scale_cell(seed: u64, cfg: &PerfConfig, n: u32, scoped: bool) -> Workload
             .map(Location::new)
             .filter(|loc| group.contains(&owners.owner_of(*loc)))
             .collect();
-        let mut script = Vec::with_capacity(ops_per_node as usize);
-        for op in 0..ops_per_node {
+        let mut script = Vec::with_capacity(OPS_PER_NODE as usize);
+        for op in 0..OPS_PER_NODE {
             let loc = working[rng.gen_range(0..working.len())];
             if rng.gen_range(0..100u32) < 40 {
                 let tag = i64::from(node) << 32 | op as i64;
@@ -959,28 +911,12 @@ pub fn scale_cell(seed: u64, cfg: &PerfConfig, n: u32, scoped: bool) -> Workload
     let delta = sim.messages().snapshot();
     let envelopes = sim.envelopes().snapshot();
     let metadata = sim.metadata().snapshot().total();
-    let executed = ops.max(1) as f64;
     let suffix = if scoped { "" } else { "_dense" };
+    let name = format!("scale_n{n}{suffix}");
+    let m = untimed(ops, elapsed_ns);
     WorkloadReport {
-        name: format!("scale_n{n}{suffix}"),
-        seed,
-        ops,
-        elapsed_ns,
-        ops_per_sec: ops as f64 / (elapsed_ns.max(1) as f64 / 1e9),
-        p50_ns: 0,
-        p99_ns: 0,
-        allocs_per_op: -1.0,
-        alloc_bytes_per_op: -1.0,
-        protocol_msgs: delta.protocol_total(),
-        overhead_msgs: delta.overhead_total(),
-        msgs_by_kind: delta.by_kind(),
-        envelope_msgs: envelopes.total(),
-        msgs_per_op: delta.total() as f64 / executed,
-        envelopes_per_op: envelopes.total() as f64 / executed,
-        syscalls_per_op: 0.0,
-        metadata_bytes_per_op: metadata as f64 / executed,
-        wire_bytes_per_op: 0.0,
-        gated: false,
+        metadata_bytes_per_op: metadata as f64 / ops.max(1) as f64,
+        ..report(&name, seed, m, delta, envelopes, false)
     }
 }
 
@@ -988,15 +924,11 @@ pub fn scale_cell(seed: u64, cfg: &PerfConfig, n: u32, scoped: bool) -> Workload
 mod tests {
     use super::*;
 
-    fn tiny() -> PerfConfig {
-        PerfConfig { quick: true }
-    }
-
     #[test]
     fn cached_reads_send_no_messages() {
         // Shrunk by hand: the measured phase of the read-heavy workload
         // must be entirely message-free (that is the point of caching).
-        let w = read_heavy_cached(7, &tiny(), None);
+        let w = read_heavy_cached(7, None);
         assert_eq!(w.protocol_msgs, 0);
         assert_eq!(w.overhead_msgs, 0);
         assert!(w.ops_per_sec > 0.0);
@@ -1008,8 +940,8 @@ mod tests {
         // The ablation contract behind the ≥2× acceptance claim: the
         // window changes *when* the writer blocks, never what crosses
         // the wire. Every cell is exactly one WRITE + one W_REPLY per op.
-        let w0 = write_pipeline(7, &tiny(), None, 0);
-        let w4 = write_pipeline(7, &tiny(), None, 4);
+        let w0 = write_pipeline(7, None, 0);
+        let w4 = write_pipeline(7, None, 4);
         assert_eq!(
             w0.msgs_by_kind, w4.msgs_by_kind,
             "window must not change the logical message bill"
@@ -1023,8 +955,8 @@ mod tests {
 
     #[test]
     fn batching_cuts_envelopes_not_messages() {
-        let plain = bursty_invalidate(7, &tiny(), None, false);
-        let batched = bursty_invalidate(7, &tiny(), None, true);
+        let plain = bursty_invalidate(7, None, false);
+        let batched = bursty_invalidate(7, None, true);
         assert_eq!(
             plain.msgs_by_kind, batched.msgs_by_kind,
             "batching must be invisible to the logical counters"
@@ -1045,22 +977,22 @@ mod tests {
     fn object_cells_pay_deterministic_bills() {
         // The gated object cells are single-driver and seeded: two runs
         // at the same seed must produce the identical per-kind bill.
-        let a = counter_inc(7, &tiny(), None);
-        let b = counter_inc(7, &tiny(), None);
+        let a = counter_inc(7, None);
+        let b = counter_inc(7, None);
         assert_eq!(a.msgs_by_kind, b.msgs_by_kind);
         assert!(a.gated);
         // The hot path is owner-local; only the periodic audits pay.
         assert!(a.msgs_per_op < 0.2, "{} msgs/op", a.msgs_per_op);
-        let c = set_churn(7, &tiny(), None);
-        let d = set_churn(7, &tiny(), None);
+        let c = set_churn(7, None);
+        let d = set_churn(7, None);
         assert_eq!(c.msgs_by_kind, d.msgs_by_kind);
         assert!(c.gated);
     }
 
     #[test]
     fn queue_pipe_pays_one_message_per_op() {
-        let w = queue_pipe(7, &tiny());
-        assert!(!w.gated, "one short drain is too brief to gate");
+        let w = queue_pipe(7);
+        assert!(!w.gated, "one short drain is too brief for a floor");
         // D pushes are owner-local appends (free); D pops are one cold
         // READ/READ_REPLY each — exactly 1.0 logical msgs per op.
         assert!(
@@ -1068,13 +1000,13 @@ mod tests {
             "{} msgs/op",
             w.msgs_per_op
         );
-        assert!(w.p50_ns > 0 && w.p99_ns >= w.p50_ns);
+        assert!(w.p50_ns > Some(0) && w.p99_ns >= w.p50_ns);
     }
 
     #[test]
     fn failover_migration_reports_the_recovery_gap() {
-        let w = failover_migration(7, &tiny());
-        assert!(!w.gated, "recovery time must stay outside the perf gate");
+        let w = failover_migration(7);
+        assert!(!w.gated, "recovery time has no wall-clock floor");
         assert!(w.elapsed_ns > 0, "the gap is a real wall-clock interval");
         // Heartbeats (and the SUSPECT broadcast) are overhead traffic the
         // cell exists to expose.
@@ -1085,14 +1017,14 @@ mod tests {
 
     #[test]
     fn recovery_replay_reports_replay_time_against_log_length() {
-        let w = recovery_replay(7, &tiny());
-        assert!(!w.gated, "replay cost must stay outside the perf gate");
+        let w = recovery_replay(7);
+        assert!(!w.gated, "replay cost has no wall-clock floor");
         assert_eq!(w.name, "recovery_replay");
         // The log holds at least one record per certified write plus the
         // boot watermark — `ops` is the length the cell plots against.
         assert!(w.ops > 4_096, "log too short to measure: {} records", w.ops);
         assert!(w.elapsed_ns > 0, "replay is a real wall-clock interval");
-        assert!(w.p50_ns > 0 && w.p99_ns >= w.p50_ns);
+        assert!(w.p50_ns > Some(0) && w.p99_ns >= w.p50_ns);
         // Owner-local certified writes send nothing: the populate phase
         // must not have leaked protocol traffic into the cell.
         assert_eq!(w.protocol_msgs, 0, "{:?}", w.msgs_by_kind);
@@ -1103,10 +1035,10 @@ mod tests {
         // The tentpole claim in one assertion pair: on the identical
         // seeded script, dense timestamps pay O(n) bytes per message
         // while interest-scoped sparse ones pay O(interest closure).
-        let scoped_16 = scale_cell(7, &tiny(), 16, true);
-        let dense_16 = scale_cell(7, &tiny(), 16, false);
-        let scoped_64 = scale_cell(7, &tiny(), 64, true);
-        let dense_64 = scale_cell(7, &tiny(), 64, false);
+        let scoped_16 = scale_cell(7, 16, true);
+        let dense_16 = scale_cell(7, 16, false);
+        let scoped_64 = scale_cell(7, 64, true);
+        let dense_64 = scale_cell(7, 64, false);
         assert!(
             scoped_64.metadata_bytes_per_op < dense_64.metadata_bytes_per_op,
             "scoped {} vs dense {} at n=64",

@@ -1,67 +1,73 @@
-//! The hot-path throughput/latency suite: seeded workloads on the
-//! *threaded* engine, emitting a machine-readable [`PerfReport`]
-//! (`BENCH_*.json`) with ops/sec, latency percentiles, allocations per
-//! operation, and the protocol-vs-overhead message split.
+//! The hot-path suite: seeded workloads on the *threaded* engine, the
+//! simulator and loopback TCP, emitting a machine-readable [`PerfReport`]
+//! with ops/sec, latency percentiles, allocations per operation, and the
+//! message, envelope and byte bills.
 //!
-//! Four workloads, each a pure function of its seed:
+//! [`check_regression`] holds every cell to its count proxies — messages,
+//! allocations, wire bytes and metadata bytes per op — and the cells
+//! marked `gated` to a wall-clock floor as well. The cells, each a pure
+//! function of its seed:
 //!
 //! * `read_heavy_cached` — one node hammers reads that all hit its local
-//!   cache (the paper's read-locality case; gated in CI).
+//!   cache (the paper's read-locality case; wall-clock gated).
 //! * `write_heavy_owner_local` — one node writes locations it owns, the
-//!   protocol's zero-message write path (gated in CI).
+//!   protocol's zero-message write path (wall-clock gated).
 //! * `mixed_remote` — reads and writes spread over a 4-node cluster, with
-//!   misses, owner round-trips and invalidation sweeps (gated in CI).
+//!   misses, owner round-trips and invalidation sweeps (wall-clock gated).
 //! * `figure6_solver` — the Figure-6 Jacobi solver end-to-end: threaded
 //!   wall-clock makespan plus the deterministic simulator's message bill.
 //! * `write_pipeline_w{0,4,32}` — node 0 streams remote writes to node
 //!   1's pages; the cells differ only in the configured pipeline window
 //!   (0 = the paper's blocking write). Same logical message bill per
-//!   cell; the window buys back the blocked round trips (gated in CI).
+//!   cell; the window buys back the blocked round trips (wall-clock
+//!   gated).
 //! * `bursty_invalidate_{plain,batched}` — bursts of pipelined writes to
 //!   one hot owner with transport batching off/on; identical logical
-//!   counters, fewer physical envelopes per op when batched (gated).
+//!   counters, fewer physical envelopes per op when batched (wall-clock
+//!   gated).
 //! * `failover_migration` — owner failover enabled, the owner of the hot
 //!   page fail-stops, and the cell reports the time to the first
 //!   operation that succeeds against the promoted successor plus the
 //!   heartbeat traffic per post-crash op. Recovery time is dominated by
 //!   the configured suspicion/backoff budgets, not by hot-path code, so
-//!   this cell is excluded from the CI regression gate (`gated: false`).
+//!   the cell has no wall-clock floor (`gated: false`).
 //! * `recovery_replay` — WAL replay time vs log length: a `MemDisk`-backed
 //!   owner logs thousands of certified writes with compaction off, and the
 //!   cell reports the median time to rebuild protocol state from the full
 //!   log (`ops` = records replayed, so `ops_per_sec` is replay throughput).
-//!   Ungated: the number tracks the durability layer's decode path, not
-//!   hot-path code.
-//! * `counter_inc` / `set_churn` / `queue_pipe` — the PR-10 typed-object
-//!   family over the same engine: PN-counter bumps on owned cells
-//!   (message-free, gated), observed-remove-set churn in the owner's row
-//!   with periodic remote audits (gated), and a producer/consumer FIFO
-//!   drain whose bill is 1.0 msgs/op by construction (ungated — one
+//!   No wall-clock floor: the number tracks the durability layer's decode
+//!   path, not hot-path code.
+//! * `counter_inc` / `set_churn` / `queue_pipe` — the typed-object family
+//!   over the same engine: PN-counter bumps on owned cells (message-free,
+//!   wall-clock gated), observed-remove-set churn in the owner's row with
+//!   periodic remote audits (wall-clock gated), and a producer/consumer
+//!   FIFO drain whose bill is 1.0 msgs/op by construction (no floor — one
 //!   short append-only pass per cluster).
 //! * `mixed_remote_tcp` — the `mixed_remote` script over `dsm-net`'s real
 //!   loopback TCP sockets (one thread per node, each with its own partial
 //!   network): every protocol message crosses the kernel. The cell also
 //!   runs the merged history through `causal_spec::check_causal`.
-//!   Wall-clock over real sockets is scheduling-noisy and concurrent
-//!   interleaving makes the miss pattern — hence the message bill —
-//!   nondeterministic, so the cell is ungated.
+//!   Wall-clock over real sockets is scheduling-noisy, so the TCP cells
+//!   have no floor; concurrent interleaving moves their miss pattern —
+//!   hence their counts — by about a percent, inside the proxy slack.
 //! * `mixed_remote_tcp_batched` — the same script with pipelined writes
 //!   and transport batching on: the real-socket ablation pair for the
-//!   PR-7 event-driven mesh (fewer envelopes and `writev` calls per op).
+//!   event-driven mesh (fewer envelopes and `writev` calls per op).
 //! * `write_pipeline_tcp_w{0,32}` — the write-pipeline ablation over real
 //!   sockets: a two-node pure-write script, blocking vs. pipelined +
 //!   batched. Both TCP pairs report `syscalls_per_op` (`writev` calls
-//!   counted by the mesh) and are ungated like `mixed_remote_tcp`.
+//!   counted by the mesh).
+//! * `scale_n{16,64,128}{,_dense}` — the simulator at 16–128 nodes with
+//!   interest-scoped vs. dense timestamps: metadata bytes per op against
+//!   cluster size.
 //!
-//! Run via `cargo run --release -p dsm-bench --bin perf`; pass
-//! `--features alloc-count` to measure allocations with the counting
-//! global allocator (the bin installs it and hands the probe in).
+//! Run via `cargo run --release -p dsm-bench --bin perf`: the bin installs
+//! a counting global allocator and hands its probe in.
 //!
 //! The optimization contract enforced on top of this suite: hot-path work
-//! may change *cost per message*, never *number of messages*. The
-//! per-workload `msgs_by_kind` maps in the emitted JSON must be identical
-//! between `BENCH_baseline.json` and `BENCH_after.json` for the seeded
-//! deterministic workloads (see `tests/msg_fixtures.rs`).
+//! may change *cost per message*, never *number of messages* — exactly
+//! for the simulated fixtures (see `tests/msg_fixtures.rs`), and within
+//! [`PROXY_SLACK`] of `BENCH_after.json` for every cell here.
 
 mod cells;
 mod gate;
@@ -71,7 +77,7 @@ pub use cells::{
     mixed_remote_tcp, mixed_remote_tcp_batched, queue_pipe, read_heavy_cached, recovery_replay,
     scale_cell, set_churn, write_heavy_owner_local, write_pipeline, write_pipeline_tcp,
 };
-pub use gate::{check_regression, render_perf, PROXY_GATED, PROXY_SLACK};
+pub use gate::{check_regression, render_perf, PROXY_SLACK, THRESHOLD};
 
 use std::collections::BTreeMap;
 use std::time::Instant;
@@ -90,7 +96,7 @@ pub type Payload = Vec<u8>;
 pub const PAYLOAD_BYTES: usize = 64;
 
 /// A snapshot of the process-wide allocation counters, taken by the
-/// `alloc-count` probe the `perf` bin installs.
+/// probe of the counting allocator the `perf` bin installs.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct AllocSnapshot {
     /// Heap allocations since process start.
@@ -99,24 +105,13 @@ pub struct AllocSnapshot {
     pub bytes: u64,
 }
 
-/// A probe returning the current [`AllocSnapshot`]; `None` when the
-/// counting allocator is not compiled in (`allocs_per_op` is then
-/// reported as `-1`).
+/// A probe returning the current [`AllocSnapshot`]; `None` when no
+/// counting allocator is installed, as in unit tests (`allocs_per_op` is
+/// then reported as `-1`).
 pub type AllocProbe = fn() -> AllocSnapshot;
 
-/// Suite parameters.
-#[derive(Clone, Copy, Debug)]
-pub struct PerfConfig {
-    /// Quick mode: CI-sized op counts (seconds, not minutes).
-    pub quick: bool,
-}
-
 /// Measurements for one (workload, seed) cell.
-///
-/// `Deserialize` is hand-written (below) so the three envelope-era
-/// fields default when absent — old `BENCH_*.json` baselines predate
-/// them, and schema drift must not break the regression gate.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct WorkloadReport {
     /// Workload name.
     pub name: String,
@@ -128,10 +123,12 @@ pub struct WorkloadReport {
     pub elapsed_ns: u64,
     /// Throughput over the measured phase.
     pub ops_per_sec: f64,
-    /// Median single-op latency (sampled in a separate timed pass).
-    pub p50_ns: u64,
-    /// 99th-percentile single-op latency.
-    pub p99_ns: u64,
+    /// Median single-op latency (sampled in a separate timed pass);
+    /// `None` for cells that time no individual op (the TCP, scale and
+    /// solver cells).
+    pub p50_ns: Option<u64>,
+    /// 99th-percentile single-op latency; `None` like `p50_ns`.
+    pub p99_ns: Option<u64>,
     /// Heap allocations per measured op; `-1` without the probe.
     pub allocs_per_op: f64,
     /// Heap bytes requested per measured op; `-1` without the probe.
@@ -145,8 +142,7 @@ pub struct WorkloadReport {
     pub msgs_by_kind: BTreeMap<String, u64>,
     /// Physical envelopes sent during the measured phase. Equal to the
     /// logical message total unless transport batching coalesced runs;
-    /// `messages - envelopes` is the coalescing win. Defaults to 0 when
-    /// read from a pre-batching report.
+    /// `messages - envelopes` is the coalescing win.
     pub envelope_msgs: u64,
     /// Logical protocol+overhead messages per measured op — the axis the
     /// "equal message counts" ablation contract is stated in.
@@ -156,74 +152,26 @@ pub struct WorkloadReport {
     /// Estimated transport syscalls per measured op — `writev` calls
     /// counted by the TCP mesh, divided by ops. In-process workloads
     /// push nothing through the kernel, so the estimate is 0 there.
-    /// Defaults to 0 when read from a pre-event-loop report.
     pub syscalls_per_op: f64,
     /// Causal-metadata wire bytes per measured op: the exact encoded size
     /// of every vector timestamp shipped, honoring each stamp's
     /// dense/sparse encoding. The `scale_n*` cells exist to plot this
-    /// against cluster size. Defaults to 0 when read from a
-    /// pre-interest-scoping report.
+    /// against cluster size.
     pub metadata_bytes_per_op: f64,
     /// Bytes handed to the kernel for peer traffic per measured op, as
     /// counted by the TCP mesh (frame headers, envelope headers and
-    /// session traffic included). 0 for in-process workloads and when
-    /// read from a report that predates the field.
+    /// session traffic included). 0 for in-process workloads.
     pub wire_bytes_per_op: f64,
-    /// Whether the CI regression gate applies to this cell.
+    /// Whether the gate's wall-clock floor applies to this cell (the
+    /// count proxies apply to every cell).
     pub gated: bool,
 }
 
-impl Deserialize for WorkloadReport {
-    fn from_value(v: &serde::value::Value) -> Result<Self, serde::DeError> {
-        fn req<T: Deserialize>(v: &serde::value::Value, field: &str) -> Result<T, serde::DeError> {
-            Deserialize::from_value(v.get(field).ok_or_else(|| {
-                serde::DeError::msg(format!("missing field `{field}` in WorkloadReport"))
-            })?)
-        }
-        // The envelope-era fields default when absent so pre-batching
-        // baselines still parse (the stand-in derive has no `default`).
-        fn opt<T: Deserialize + Default>(
-            v: &serde::value::Value,
-            field: &str,
-        ) -> Result<T, serde::DeError> {
-            match v.get(field) {
-                Some(present) => Deserialize::from_value(present),
-                None => Ok(T::default()),
-            }
-        }
-        Ok(WorkloadReport {
-            name: req(v, "name")?,
-            seed: req(v, "seed")?,
-            ops: req(v, "ops")?,
-            elapsed_ns: req(v, "elapsed_ns")?,
-            ops_per_sec: req(v, "ops_per_sec")?,
-            p50_ns: req(v, "p50_ns")?,
-            p99_ns: req(v, "p99_ns")?,
-            allocs_per_op: req(v, "allocs_per_op")?,
-            alloc_bytes_per_op: req(v, "alloc_bytes_per_op")?,
-            protocol_msgs: req(v, "protocol_msgs")?,
-            overhead_msgs: req(v, "overhead_msgs")?,
-            msgs_by_kind: req(v, "msgs_by_kind")?,
-            envelope_msgs: opt(v, "envelope_msgs")?,
-            msgs_per_op: opt(v, "msgs_per_op")?,
-            envelopes_per_op: opt(v, "envelopes_per_op")?,
-            syscalls_per_op: opt(v, "syscalls_per_op")?,
-            metadata_bytes_per_op: opt(v, "metadata_bytes_per_op")?,
-            wire_bytes_per_op: opt(v, "wire_bytes_per_op")?,
-            gated: req(v, "gated")?,
-        })
-    }
-}
-
-/// The whole suite's output — the schema of `BENCH_*.json`.
+/// The whole suite's output — the schema of `BENCH_after.json`.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct PerfReport {
     /// Schema version of this JSON shape.
     pub schema: u32,
-    /// `true` if produced in quick (CI) mode.
-    pub quick: bool,
-    /// `true` if the counting allocator was active.
-    pub alloc_counting: bool,
     /// One entry per (workload, seed).
     pub workloads: Vec<WorkloadReport>,
 }
@@ -238,18 +186,14 @@ impl PerfReport {
     }
 }
 
-/// The fixed seeds the quick-mode (CI) suite runs.
-pub const QUICK_SEEDS: [u64; 2] = [0xC0FFEE, 0x5EED];
+/// The fixed seeds the suite runs.
+pub const SEEDS: [u64; 2] = [0xC0FFEE, 0x5EED];
 
-/// The seeds the full suite runs.
-pub const FULL_SEEDS: [u64; 3] = [0xC0FFEE, 0x5EED, 0xD15EA5E];
-
-fn percentile(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * p).round() as usize;
-    sorted[idx]
+/// The `p`-quantile of a sorted latency sample; `None` for a cell that
+/// timed no individual op.
+fn percentile(sorted: &[u64], p: f64) -> Option<u64> {
+    let last = sorted.len().checked_sub(1)?;
+    Some(sorted[(last as f64 * p).round() as usize])
 }
 
 /// Shared measurement scaffolding: runs `op` for `ops` iterations with
@@ -262,8 +206,8 @@ struct Measured {
     /// deltas over the whole measured region.
     executed: u64,
     elapsed_ns: u64,
-    p50_ns: u64,
-    p99_ns: u64,
+    p50_ns: Option<u64>,
+    p99_ns: Option<u64>,
     allocs_per_op: f64,
     alloc_bytes_per_op: f64,
 }
@@ -313,6 +257,20 @@ fn measure(ops: u64, probe: Option<AllocProbe>, mut op: impl FnMut(u64)) -> Meas
         p99_ns: percentile(&lat, 0.99),
         allocs_per_op,
         alloc_bytes_per_op,
+    }
+}
+
+/// A cell that times only its whole run — no per-op latency, and no
+/// allocation probe around it.
+fn untimed(ops: u64, elapsed_ns: u64) -> Measured {
+    Measured {
+        ops,
+        executed: ops,
+        elapsed_ns,
+        p50_ns: None,
+        p99_ns: None,
+        allocs_per_op: -1.0,
+        alloc_bytes_per_op: -1.0,
     }
 }
 
@@ -395,10 +353,9 @@ fn measure_inline(
     }
 }
 
-/// Runs the whole suite: every workload on every seed for the mode.
+/// Runs the whole suite: every workload on every seed.
 #[must_use]
-pub fn run_suite(cfg: &PerfConfig, probe: Option<AllocProbe>) -> PerfReport {
-    let seeds: &[u64] = if cfg.quick { &QUICK_SEEDS } else { &FULL_SEEDS };
+pub fn run_suite(probe: Option<AllocProbe>) -> PerfReport {
     // Each cell is best-of-N: a workload run builds a fresh cluster and
     // replays the same seeded op sequence, so repetition changes only
     // which run's timing is reported — message and allocation counts are
@@ -406,53 +363,50 @@ pub fn run_suite(cfg: &PerfConfig, probe: Option<AllocProbe>) -> PerfReport {
     // one-sided scheduling noise of shared CI boxes, which is what a
     // regression gate needs (a genuine slowdown slows every rep; a noisy
     // neighbour slows some).
-    let reps = if cfg.quick { 3 } else { 2 };
+    const REPS: u32 = 3;
     let mut workloads = Vec::new();
-    for &seed in seeds {
-        workloads.push(best_of(reps, || read_heavy_cached(seed, cfg, probe)));
-        workloads.push(best_of(reps, || write_heavy_owner_local(seed, cfg, probe)));
-        workloads.push(best_of(reps, || mixed_remote(seed, cfg, probe)));
-        workloads.push(best_of(reps, || figure6_solver(seed, cfg)));
+    for seed in SEEDS {
+        workloads.push(best_of(REPS, || read_heavy_cached(seed, probe)));
+        workloads.push(best_of(REPS, || write_heavy_owner_local(seed, probe)));
+        workloads.push(best_of(REPS, || mixed_remote(seed, probe)));
+        workloads.push(best_of(REPS, || figure6_solver(seed)));
         for window in [0u32, 4, 32] {
-            workloads.push(best_of(reps, || write_pipeline(seed, cfg, probe, window)));
+            workloads.push(best_of(REPS, || write_pipeline(seed, probe, window)));
         }
         for batching in [false, true] {
-            workloads.push(best_of(reps, || {
-                bursty_invalidate(seed, cfg, probe, batching)
-            }));
+            workloads.push(best_of(REPS, || bursty_invalidate(seed, probe, batching)));
         }
-        // Typed-object workload family (PR 10): the object veneer on the
-        // same engine paths the register cells cover.
-        workloads.push(best_of(reps, || counter_inc(seed, cfg, probe)));
-        workloads.push(best_of(reps, || set_churn(seed, cfg, probe)));
-        // One rep: ungated (single short drain per cluster; see the cell).
-        workloads.push(queue_pipe(seed, cfg));
+        // Typed-object workload family: the object veneer on the same
+        // engine paths the register cells cover.
+        workloads.push(best_of(REPS, || counter_inc(seed, probe)));
+        workloads.push(best_of(REPS, || set_churn(seed, probe)));
+        // One rep: no wall-clock floor (single short drain per cluster;
+        // see the cell).
+        workloads.push(queue_pipe(seed));
         // One rep: the cell reports a recovery *gap*, not a throughput —
         // best-of selection over ops_per_sec would just pick the shortest
-        // gap, and the cell is ungated anyway.
-        workloads.push(failover_migration(seed, cfg));
-        // One rep: ungated; the cell's number is a median over its own
-        // internal replay repetitions already.
-        workloads.push(recovery_replay(seed, cfg));
-        // One rep: ungated (real-socket wall-clock), and each run spins
+        // gap, and the cell has no floor anyway.
+        workloads.push(failover_migration(seed));
+        // One rep: the cell's number is a median over its own internal
+        // replay repetitions already.
+        workloads.push(recovery_replay(seed));
+        // One rep: real-socket wall-clock has no floor, and each run spins
         // up a full TCP mesh — repetition buys nothing the gate uses.
-        workloads.push(mixed_remote_tcp(seed, cfg, probe));
-        workloads.push(mixed_remote_tcp_batched(seed, cfg, probe));
+        workloads.push(mixed_remote_tcp(seed, probe));
+        workloads.push(mixed_remote_tcp_batched(seed, probe));
         for window in [0u32, 32] {
-            workloads.push(write_pipeline_tcp(seed, cfg, probe, window));
+            workloads.push(write_pipeline_tcp(seed, probe, window));
         }
         // One rep: fully seeded simulated traffic — repetition changes
-        // only wall clock, which these ungated cells don't gate on. The
+        // only wall clock, which these cells have no floor on. The
         // scoped/dense pair per size plots metadata bytes against n.
         for n in [16u32, 64, 128] {
-            workloads.push(scale_cell(seed, cfg, n, true));
-            workloads.push(scale_cell(seed, cfg, n, false));
+            workloads.push(scale_cell(seed, n, true));
+            workloads.push(scale_cell(seed, n, false));
         }
     }
     PerfReport {
-        schema: 1,
-        quick: cfg.quick,
-        alloc_counting: probe.is_some(),
+        schema: 2,
         workloads,
     }
 }
@@ -475,10 +429,8 @@ mod tests {
     #[test]
     fn reports_round_trip_through_json() {
         let report = PerfReport {
-            schema: 1,
-            quick: true,
-            alloc_counting: false,
-            workloads: vec![figure6_solver(3, &PerfConfig { quick: true })],
+            schema: 2,
+            workloads: vec![figure6_solver(3), queue_pipe(3)],
         };
         let text = serde_json::to_string_pretty(&report).expect("serialize");
         let back: PerfReport = serde_json::from_str(&text).expect("parse");
@@ -487,5 +439,20 @@ mod tests {
             back.workloads[0].protocol_msgs,
             report.workloads[0].protocol_msgs
         );
+        // An untimed cell's latency is `null`, not a zero measurement.
+        assert_eq!(back.workloads[0].p50_ns, None);
+        assert_eq!(back.workloads[1].p50_ns, report.workloads[1].p50_ns);
+        assert!(back.workloads[1].p50_ns.is_some());
+    }
+
+    #[test]
+    fn the_checked_in_baseline_parses() {
+        // The gate's only input besides the fresh run: a schema change
+        // that leaves it stale fails here, not only in CI's perf job.
+        let baseline: PerfReport =
+            serde_json::from_str(include_str!("../../../../BENCH_after.json"))
+                .expect("BENCH_after.json matches the report schema");
+        assert_eq!(baseline.schema, 2);
+        assert!(baseline.workloads.iter().all(|w| SEEDS.contains(&w.seed)));
     }
 }

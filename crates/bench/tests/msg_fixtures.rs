@@ -35,7 +35,7 @@ const FIXTURE_PATH: &str = concat!(
 );
 
 /// The Figure-6 solver seeds pinned by the fixture (the perf suite's
-/// quick-mode seeds plus one more).
+/// seeds plus one more).
 const SOLVER_SEEDS: [u64; 3] = [0xC0FFEE, 0x5EED, 7];
 
 /// The `registers` × `random` chaos seeds pinned by the fixture.

@@ -23,7 +23,7 @@ use std::time::{Duration, Instant};
 
 use dsm_net::ctrl::{CtrlMsg, WireOp};
 use dsm_net::framing::{read_frame, write_frame};
-use dsm_net::harness::{mixed_script, run_node_with, ESTABLISH_TIMEOUT};
+use dsm_net::harness::{mixed_script, run_node, ESTABLISH_TIMEOUT};
 use dsm_net::{bind_reusable, ClusterSpec, NetCluster};
 use memcore::{NodeId, Recorder};
 
@@ -132,8 +132,7 @@ fn run(spec_path: &str, me: NodeId, data_dir: Option<&str>) -> Result<(), String
                 // The spec's pipeline knob selects the write path: the
                 // whole cluster must agree on it, and the spec is the
                 // one artifact every process shares.
-                let executed =
-                    run_node_with(&cluster.handle(), me, &script, spec.net().pipeline > 0);
+                let executed = run_node(&cluster.handle(), me, &script, spec.net().pipeline > 0);
                 let elapsed_ns = start.elapsed().as_nanos() as u64;
                 let delta = cluster.cluster().messages().snapshot().since(&base);
                 let history: Vec<WireOp> = recorder.processes()[me.index()]

@@ -80,27 +80,17 @@ pub fn mixed_script(nodes: u32, locations: u32, seed: u64, len: usize, read_pct:
     Script { pool, entries }
 }
 
-/// Executes `me`'s slice of `script` through `handle` (blocking reads and
-/// writes), returning the number of operations performed.
+/// Executes `me`'s slice of `script` through `handle`, returning the
+/// number of operations performed. Reads block; writes block too unless
+/// `pipelined` selects the engine's pipelined write path
+/// (`write_pipelined` + one final `flush`), which is what lets a pipeline
+/// window's worth of WRITEs share transport envelopes and `writev` calls.
 ///
 /// # Panics
 ///
 /// Panics if an operation fails — on a healthy cluster that is an engine
 /// or transport bug.
-pub fn run_node(handle: &CausalHandle<Payload>, me: NodeId, script: &Script) -> u64 {
-    run_node_with(handle, me, script, false)
-}
-
-/// Like [`run_node`], but `pipelined` selects the engine's pipelined
-/// write path (`write_pipelined` + one final `flush`), which is what
-/// lets a pipeline window's worth of WRITEs share transport envelopes
-/// and `writev` calls.
-///
-/// # Panics
-///
-/// Panics if an operation fails — on a healthy cluster that is an engine
-/// or transport bug.
-pub fn run_node_with(
+pub fn run_node(
     handle: &CausalHandle<Payload>,
     me: NodeId,
     script: &Script,
@@ -152,47 +142,19 @@ pub struct LoopbackReport {
     pub execution: Execution<Payload>,
 }
 
-/// Runs the mixed workload on an `nodes`-node cluster whose members are
-/// threads of this process connected through real loopback TCP sockets —
-/// every protocol message crosses the kernel's socket layer.
+/// Runs the mixed workload (`read_pct` percent reads; the bench suite's
+/// write-heavy TCP pipeline cells use 0) on an `nodes`-node cluster whose
+/// members are threads of this process connected through real loopback
+/// TCP sockets — every protocol message crosses the kernel's socket
+/// layer. `net.pipeline` selects the pipelined write path, `net.batching`
+/// seals pipelined sends into batch envelopes, `net.reconnect` runs
+/// session-backed links.
 ///
 /// # Panics
 ///
 /// Panics if bring-up or any operation fails.
 #[must_use]
-pub fn run_loopback(nodes: u32, locations: u32, seed: u64, script_len: usize) -> LoopbackReport {
-    run_loopback_with(nodes, locations, seed, script_len, &NetOptions::default())
-}
-
-/// [`run_loopback`] with explicit transport options: `net.pipeline`
-/// selects the pipelined write path, `net.batching` seals pipelined
-/// sends into batch envelopes, `net.reconnect` runs session-backed
-/// links.
-///
-/// # Panics
-///
-/// Panics if bring-up or any operation fails.
-#[must_use]
-pub fn run_loopback_with(
-    nodes: u32,
-    locations: u32,
-    seed: u64,
-    script_len: usize,
-    net: &NetOptions,
-) -> LoopbackReport {
-    run_loopback_workload(nodes, locations, seed, script_len, DEFAULT_READ_PCT, net)
-}
-
-/// The fully parameterized loopback runner: [`run_loopback_with`] plus an
-/// explicit read percentage, for workloads that need a different
-/// read/write mix than the default (the bench suite's write-heavy TCP
-/// pipeline cells use `read_pct = 0`).
-///
-/// # Panics
-///
-/// Panics if bring-up or any operation fails.
-#[must_use]
-pub fn run_loopback_workload(
+pub fn run_loopback(
     nodes: u32,
     locations: u32,
     seed: u64,
@@ -235,7 +197,7 @@ pub fn run_loopback_workload(
                             .expect("establish cluster");
                     go.wait();
                     let start = Instant::now();
-                    let ops = run_node_with(&cluster.handle(), me, &script, pipelined);
+                    let ops = run_node(&cluster.handle(), me, &script, pipelined);
                     done.wait();
                     let elapsed_ns = start.elapsed().as_nanos() as u64;
                     let msgs = cluster.cluster().messages().snapshot();

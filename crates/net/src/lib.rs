@@ -33,9 +33,6 @@ pub mod spec;
 
 pub use cluster::{bind_reusable, NetCluster, Payload};
 pub use ctrl::{CtrlMsg, WireOp};
-pub use harness::{
-    mixed_script, run_loopback, run_loopback_with, run_loopback_workload, run_node, run_node_with,
-    LoopbackReport, Script,
-};
+pub use harness::{mixed_script, run_loopback, run_node, LoopbackReport, Script};
 pub use mesh::{CtrlConn, EnvelopeSink, MeshLink, SinkClosed, TcpMesh, WireStats};
 pub use spec::{ClusterSpec, NetOptions, SpecError};

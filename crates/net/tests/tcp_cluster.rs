@@ -15,7 +15,8 @@ use std::time::{Duration, Instant};
 use causal_dsm::Msg;
 use causal_spec::check_causal;
 use common::{owned_by, p0, p1, BarePeer};
-use dsm_net::{run_loopback, run_loopback_with, run_loopback_workload, NetOptions};
+use dsm_net::harness::DEFAULT_READ_PCT;
+use dsm_net::{run_loopback, NetOptions};
 use memcore::{Location, MemoryError, PageId, SharedMemory};
 
 /// The tests of this file run one at a time: the context-switch gate
@@ -29,7 +30,7 @@ fn serial() -> MutexGuard<'static, ()> {
 #[test]
 fn four_node_tcp_cluster_is_causal() {
     let _serial = serial();
-    let report = run_loopback(4, 64, 42, 2048);
+    let report = run_loopback(4, 64, 42, 2048, DEFAULT_READ_PCT, &NetOptions::default());
     // Entries are drawn uniformly over nodes; every node must have run
     // a meaningful slice.
     assert!(report.ops > 1500, "only {} ops ran", report.ops);
@@ -51,12 +52,13 @@ fn batched_pipelined_cluster_keeps_the_logical_bill() {
     // + batching changes what crosses the kernel, but the logical
     // per-kind message bill is byte-identical to the plain run, because
     // batching is an envelope, not a protocol change.
-    let plain = run_loopback(4, 64, 42, 2048);
-    let batched = run_loopback_with(
+    let plain = run_loopback(4, 64, 42, 2048, DEFAULT_READ_PCT, &NetOptions::default());
+    let batched = run_loopback(
         4,
         64,
         42,
         2048,
+        DEFAULT_READ_PCT,
         &NetOptions {
             pipeline: 8,
             batching: true,
@@ -107,8 +109,8 @@ fn batching_saves_syscalls_on_a_pipelined_write_stream() {
         pipeline: 32,
         ..NetOptions::default()
     };
-    let plain = run_loopback_workload(2, 16, 42, 512, 0, &opts);
-    let batched = run_loopback_workload(
+    let plain = run_loopback(2, 16, 42, 512, 0, &opts);
+    let batched = run_loopback(
         2,
         16,
         42,
@@ -152,7 +154,7 @@ fn batching_saves_syscalls_on_a_pipelined_write_stream() {
 fn two_node_tcp_cluster_is_causal_across_seeds() {
     let _serial = serial();
     for seed in [7, 1991] {
-        let report = run_loopback(2, 16, seed, 512);
+        let report = run_loopback(2, 16, seed, 512, DEFAULT_READ_PCT, &NetOptions::default());
         let verdict = check_causal(&report.execution).expect("well formed");
         assert!(verdict.is_correct(), "seed {seed}: {verdict}");
     }
