@@ -12,8 +12,8 @@
 use std::sync::Arc;
 
 use causal_dsm::CausalConfig;
-use dsm_sim::{causal_sim, Client, ClientOp, Outcome, RunLimits, SimDriver, SimOpts};
-use memcore::{Location, MemoryError, SharedMemory, StatsSnapshot, Word};
+use dsm_sim::{causal_sim, Program, RunLimits, SimDriver, SimOpts};
+use memcore::{Location, MemoryError, NodeId, SharedMemory, StatsSnapshot, Word};
 use simnet::latency::Constant;
 
 use crate::system::LinearSystem;
@@ -86,76 +86,6 @@ pub fn run_async_worker<M: SharedMemory<Word>>(
     Ok(t_i)
 }
 
-enum AStep {
-    ReadX { j: usize },
-    WriteX,
-    Done,
-}
-
-/// One asynchronous worker as a simulator client.
-pub struct AsyncWorker {
-    layout: AsyncLayout,
-    system: Arc<LinearSystem>,
-    i: usize,
-    rounds_left: usize,
-    step: AStep,
-    x: Vec<f64>,
-}
-
-impl AsyncWorker {
-    /// Worker `i` running `rounds` chaotic-relaxation rounds.
-    #[must_use]
-    pub fn new(layout: AsyncLayout, system: Arc<LinearSystem>, i: usize, rounds: usize) -> Self {
-        let n = layout.workers();
-        AsyncWorker {
-            layout,
-            system,
-            i,
-            rounds_left: rounds,
-            step: AStep::ReadX { j: 0 },
-            x: vec![0.0; n],
-        }
-    }
-}
-
-impl Client<Word> for AsyncWorker {
-    fn next(&mut self, last: Option<&Outcome<Word>>) -> Option<ClientOp<Word>> {
-        let n = self.layout.workers();
-        loop {
-            match self.step {
-                AStep::ReadX { j } => {
-                    if let Some(prev) = j.checked_sub(1) {
-                        self.x[prev] = match last {
-                            Some(Outcome::Read { value, .. }) => value.as_float().expect("floats"),
-                            other => panic!("expected read outcome, got {other:?}"),
-                        };
-                    }
-                    if j < n {
-                        self.step = AStep::ReadX { j: j + 1 };
-                        return Some(if j == self.i {
-                            ClientOp::Read(self.layout.x(j))
-                        } else {
-                            ClientOp::ReadFresh(self.layout.x(j))
-                        });
-                    }
-                    self.step = AStep::WriteX;
-                }
-                AStep::WriteX => {
-                    let t_i = self.system.jacobi_step(self.i, &self.x);
-                    self.rounds_left -= 1;
-                    self.step = if self.rounds_left == 0 {
-                        AStep::Done
-                    } else {
-                        AStep::ReadX { j: 0 }
-                    };
-                    return Some(ClientOp::Write(self.layout.x(self.i), Word::Float(t_i)));
-                }
-                AStep::Done => return None,
-            }
-        }
-    }
-}
-
 /// The outcome of a simulated asynchronous solve.
 #[derive(Clone, Debug)]
 pub struct AsyncRun {
@@ -190,12 +120,14 @@ pub fn run_async_solver_sim(
             ..SimOpts::default()
         },
     );
-    let system_arc = Arc::new(system.clone());
+    let system = Arc::new(system.clone());
     for i in 0..workers {
-        sim.set_client(
-            i,
-            AsyncWorker::new(layout, Arc::clone(&system_arc), i, rounds),
-        );
+        let system = Arc::clone(&system);
+        let worker = Program::new(NodeId::new(i as u32), move |mem| {
+            // Only a dropped simulation fails a call; the program just ends.
+            let _ = run_async_worker(&mem, &layout, &system, i, rounds);
+        });
+        sim.set_client(i, worker);
     }
     let report = sim.run(RunLimits::default());
     let x: Vec<f64> = (0..workers)

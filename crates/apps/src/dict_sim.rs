@@ -1,23 +1,17 @@
-//! The §4.2 dictionary as a simulator client — lets the deterministic
-//! scheduler drive dictionary workloads under controlled/adversarial
-//! interleavings, with the recorded execution checked against the
-//! specification.
-//!
-//! Since PR 10 the client is an adapter over the typed object layer's
-//! [`ObjectClient`]: each [`DictOp`] maps onto its observed-remove-set
-//! counterpart ([`ObjOp::SetAdd`]/[`ObjOp::SetRemove`]/
-//! [`ObjOp::SetContains`]/[`ObjOp::Refresh`]), and finished results flow
-//! back through the object client's finish hook. The register accesses
-//! issued are exactly those of the retired hand-rolled state machine
-//! (pinned by `tests/dict_port.rs`).
+//! The §4.2 dictionary in the deterministic simulator: [`dict_program`]
+//! runs a script of [`DictOp`]s through a [`Dictionary`] as a simulated
+//! process, so the scheduler can drive dictionary workloads under
+//! controlled and adversarial interleavings, with the recorded execution
+//! checked against the specification.
 
 use std::sync::Arc;
 
-use dsm_objects::{ObjOp, ObjRet, ObjVal, ObjectClient, PolicyKind};
-use dsm_sim::{Client, ClientOp, Outcome};
+use dsm_objects::ObjVal;
+use dsm_sim::Program;
+use memcore::NodeId;
 use parking_lot::Mutex;
 
-use crate::dictionary::DictLayout;
+use crate::dictionary::{DictLayout, Dictionary};
 
 /// One high-level dictionary operation for a scripted process.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -32,67 +26,42 @@ pub enum DictOp {
     Refresh,
 }
 
-impl DictOp {
-    /// The observed-remove-set operation this dictionary op lowers to.
-    #[must_use]
-    pub fn to_obj(self) -> ObjOp {
-        match self {
-            DictOp::Insert(v) => ObjOp::SetAdd(v),
-            DictOp::Delete(v) => ObjOp::SetRemove(v),
-            DictOp::Lookup(v) => ObjOp::SetContains(v),
-            DictOp::Refresh => ObjOp::Refresh,
-        }
-    }
-
-    fn from_obj(op: ObjOp) -> Option<Self> {
-        match op {
-            ObjOp::SetAdd(v) => Some(DictOp::Insert(v)),
-            ObjOp::SetRemove(v) => Some(DictOp::Delete(v)),
-            ObjOp::SetContains(v) => Some(DictOp::Lookup(v)),
-            ObjOp::Refresh => Some(DictOp::Refresh),
-            _ => None,
-        }
-    }
-}
-
 /// The boolean results of each completed [`DictOp`], in script order
 /// (`Refresh` records `true`).
 pub type DictResults = Arc<Mutex<Vec<(DictOp, bool)>>>;
 
-/// A scripted dictionary process for the deterministic simulator.
+/// Process `row` of the dictionary running `script` through
+/// [`Dictionary`]'s methods, as a simulator program; each finished
+/// operation's result is pushed into `results`.
 ///
-/// Scans are performed exactly as [`Dictionary`](crate::Dictionary) does
-/// on the threaded engine: row-major reads, first match wins, inserts
-/// confined to the owner's row.
-pub struct DictClient {
-    inner: ObjectClient,
-}
-
-impl DictClient {
-    /// A client for process `row`, running `script`; outcomes are pushed
-    /// into `results`.
-    #[must_use]
-    pub fn new(layout: DictLayout, row: usize, script: Vec<DictOp>, results: DictResults) -> Self {
-        assert!(row < layout.rows(), "row out of range");
-        let lowered = script.into_iter().map(DictOp::to_obj).collect();
-        let inner = ObjectClient::new(layout, row, lowered, PolicyKind::LastWriter)
-            .with_finish_hook(Box::new(move |op, ret| {
-                if let Some(op) = DictOp::from_obj(op) {
-                    let ok = match ret {
-                        ObjRet::Bool(b) => b,
-                        _ => true, // Refresh returns Unit; record `true`.
-                    };
-                    results.lock().push((op, ok));
+/// # Panics
+///
+/// The program panics if `row` is outside the layout or the script
+/// inserts the reserved item `0`.
+#[must_use]
+pub fn dict_program(
+    layout: DictLayout,
+    row: usize,
+    script: Vec<DictOp>,
+    results: DictResults,
+) -> Program<ObjVal> {
+    Program::new(NodeId::new(row as u32), move |mem| {
+        let dict = Dictionary::new(mem, layout);
+        for op in script {
+            let done = match op {
+                DictOp::Insert(item) => dict.insert(item),
+                DictOp::Delete(item) => dict.delete(item),
+                DictOp::Lookup(item) => dict.lookup(item),
+                DictOp::Refresh => {
+                    dict.refresh();
+                    Ok(true)
                 }
-            }));
-        DictClient { inner }
-    }
-}
-
-impl Client<ObjVal> for DictClient {
-    fn next(&mut self, last: Option<&Outcome<ObjVal>>) -> Option<ClientOp<ObjVal>> {
-        self.inner.next(last)
-    }
+            };
+            // Only a dropped simulation fails a call; the program just ends.
+            let Ok(done) = done else { return };
+            results.lock().push((op, done));
+        }
+    })
 }
 
 #[cfg(test)]
@@ -131,7 +100,7 @@ mod tests {
         );
         let shared = results();
         for (row, script) in scripts.into_iter().enumerate() {
-            sim.set_client(row, DictClient::new(layout, row, script, shared.clone()));
+            sim.set_client(row, dict_program(layout, row, script, shared.clone()));
         }
         let report = sim.run(RunLimits::default());
         assert!(report.all_done, "{report:?}");

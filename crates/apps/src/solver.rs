@@ -187,7 +187,7 @@ pub fn run_worker<M: SharedMemory<Word>>(
     let is_false = |v: &Word| v.as_bool() == Some(false);
 
     // Wait for the coordinator to finish publishing A and b.
-    mem.wait_until(layout.ready(), &|v: &Word| v.as_bool() == Some(true))?;
+    mem.wait_until(layout.ready(), |v: &Word| v.as_bool() == Some(true))?;
 
     let mut a_row = vec![0.0; n];
     let mut x = vec![0.0; n];
@@ -214,7 +214,7 @@ pub fn run_worker<M: SharedMemory<Word>>(
 
         // Handshake 1: signal computation complete, await release.
         mem.write(layout.complete(i), Word::Bool(true))?;
-        mem.wait_until(layout.complete(i), &is_false)?;
+        mem.wait_until(layout.complete(i), is_false)?;
 
         // Publish the new value.
         mem.write(layout.x(i), Word::Float(t_i))?;
@@ -222,7 +222,7 @@ pub fn run_worker<M: SharedMemory<Word>>(
         // Handshake 2: signal copy complete, await next phase (the
         // coordinator resets changed_i to false).
         mem.write(layout.changed(i), Word::Bool(true))?;
-        mem.wait_until(layout.changed(i), &is_false)?;
+        mem.wait_until(layout.changed(i), is_false)?;
     }
     mem.read(layout.x(i)).map(t)
 }
@@ -243,7 +243,7 @@ pub fn run_coordinator<M: SharedMemory<Word>>(
         // Wait for every worker to finish computing, then release them to
         // overwrite the global vector.
         for i in 0..n {
-            mem.wait_until(layout.complete(i), &is_true)?;
+            mem.wait_until(layout.complete(i), is_true)?;
         }
         for i in 0..n {
             mem.write(layout.complete(i), Word::Bool(false))?;
@@ -251,7 +251,7 @@ pub fn run_coordinator<M: SharedMemory<Word>>(
         // Wait for every worker to have copied, then release them into
         // the next phase.
         for i in 0..n {
-            mem.wait_until(layout.changed(i), &is_true)?;
+            mem.wait_until(layout.changed(i), is_true)?;
         }
         for i in 0..n {
             mem.write(layout.changed(i), Word::Bool(false))?;

@@ -1,23 +1,20 @@
-//! The Figure-6 solver as simulator client programs — the E6 message-count
-//! experiment.
+//! The Figure-6 solver in the deterministic simulator — the E6
+//! message-count experiment.
 //!
-//! Workers and coordinator are expressed as resumable state machines for
-//! the deterministic simulator, which counts every protocol message. The
-//! same clients run against the causal and the atomic protocol; the
-//! harness reports messages per processor per phase next to the paper's
-//! analytic `2n + 6` and `≥ 3n + 5`.
-
-use std::sync::Arc;
+//! The workers and the coordinator are the blocking programs of
+//! [`crate::solver`], run as [`Program`]s inside the deterministic
+//! simulator, which counts every protocol message. The same programs run
+//! against the causal, the atomic and the broadcast memory; the harness
+//! reports messages per processor per phase next to the paper's analytic
+//! `2n + 6` and `≥ 3n + 5`.
 
 use atomic_dsm::{AtomicConfig, InvalMode};
 use causal_dsm::CausalConfig;
-use dsm_sim::{
-    atomic_sim, causal_sim, Client, ClientOp, Outcome, RunLimits, SimDriver, SimOpts, WaitMode,
-};
-use memcore::{StatsSnapshot, Word};
+use dsm_sim::{atomic_sim, causal_sim, Program, RunLimits, Sim, SimDriver, SimOpts, WaitMode};
+use memcore::{NodeId, StatsSnapshot, Word};
 use simnet::latency::Constant;
 
-use crate::solver::SolverLayout;
+use crate::solver::{publish_system, run_coordinator, run_worker, SolverLayout};
 use crate::system::LinearSystem;
 
 /// Parameters of one simulated solver run.
@@ -52,6 +49,18 @@ impl Default for SolverSimConfig {
     }
 }
 
+impl SolverSimConfig {
+    /// The simulator options this run asks for.
+    fn sim_opts(&self) -> SimOpts<Word> {
+        SimOpts {
+            latency: Box::new(Constant::new(self.latency)),
+            seed: self.seed,
+            wait_mode: self.wait_mode,
+            ..SimOpts::default()
+        }
+    }
+}
+
 /// The outcome of one simulated solver run.
 #[derive(Clone, Debug)]
 pub struct SolverRun {
@@ -79,279 +88,6 @@ impl SolverRun {
     }
 }
 
-enum WStep {
-    WaitReady,
-    LoadA { j: usize },
-    LoadB,
-    ReadX { j: usize },
-    SetComplete,
-    WaitCompleteF,
-    WriteX,
-    SetChanged,
-    WaitChangedF,
-    Done,
-}
-
-/// Worker `P_i` of Figure 6, as a simulator client.
-pub struct SolverWorker {
-    layout: SolverLayout,
-    i: usize,
-    phases_left: usize,
-    step: WStep,
-    a_row: Vec<f64>,
-    b_i: f64,
-    x: Vec<f64>,
-    t_i: f64,
-}
-
-impl SolverWorker {
-    /// Worker `i` running `phases` iterations.
-    #[must_use]
-    pub fn new(layout: SolverLayout, i: usize, phases: usize) -> Self {
-        let n = layout.workers();
-        SolverWorker {
-            layout,
-            i,
-            phases_left: phases,
-            step: WStep::WaitReady,
-            a_row: vec![0.0; n],
-            b_i: 0.0,
-            x: vec![0.0; n],
-            t_i: 0.0,
-        }
-    }
-
-    fn float_of(last: Option<&Outcome<Word>>) -> f64 {
-        match last {
-            Some(Outcome::Read { value, .. }) => {
-                value.as_float().expect("solver locations hold floats")
-            }
-            other => panic!("expected read outcome, got {other:?}"),
-        }
-    }
-}
-
-impl Client<Word> for SolverWorker {
-    fn next(&mut self, last: Option<&Outcome<Word>>) -> Option<ClientOp<Word>> {
-        let n = self.layout.workers();
-        loop {
-            match self.step {
-                WStep::WaitReady => {
-                    self.step = WStep::LoadA { j: 0 };
-                    return Some(ClientOp::wait_until(self.layout.ready(), |v: &Word| {
-                        v.as_bool() == Some(true)
-                    }));
-                }
-                // A and b are read from shared memory every phase, as the
-                // program's update rule requires; with the pages marked
-                // constant these are cache hits after the first phase
-                // (footnote 2), otherwise they are re-fetched (ablation
-                // A3).
-                WStep::LoadA { j } => {
-                    if let Some(prev) = j.checked_sub(1) {
-                        self.a_row[prev] = Self::float_of(last);
-                    }
-                    if j < n {
-                        self.step = WStep::LoadA { j: j + 1 };
-                        return Some(ClientOp::Read(self.layout.a(self.i, j)));
-                    }
-                    self.step = WStep::LoadB;
-                    return Some(ClientOp::Read(self.layout.b(self.i)));
-                }
-                WStep::LoadB => {
-                    self.b_i = Self::float_of(last);
-                    if self.phases_left == 0 {
-                        self.step = WStep::Done;
-                        continue;
-                    }
-                    self.step = WStep::ReadX { j: 0 };
-                }
-                WStep::ReadX { j } => {
-                    if let Some(prev) = j.checked_sub(1) {
-                        self.x[prev] = Self::float_of(last);
-                    }
-                    if j < n {
-                        self.step = WStep::ReadX { j: j + 1 };
-                        return Some(ClientOp::Read(self.layout.x(j)));
-                    }
-                    // Compute t_i = (b_i − Σ_{j≠i} a_ij x_j) / a_ii.
-                    let mut sum = self.b_i;
-                    for (j, (&a, &xv)) in self.a_row.iter().zip(&self.x).enumerate() {
-                        if j != self.i {
-                            sum -= a * xv;
-                        }
-                    }
-                    self.t_i = sum / self.a_row[self.i];
-                    self.step = WStep::SetComplete;
-                }
-                WStep::SetComplete => {
-                    self.step = WStep::WaitCompleteF;
-                    return Some(ClientOp::Write(
-                        self.layout.complete(self.i),
-                        Word::Bool(true),
-                    ));
-                }
-                WStep::WaitCompleteF => {
-                    self.step = WStep::WriteX;
-                    return Some(ClientOp::wait_until(
-                        self.layout.complete(self.i),
-                        |v: &Word| v.as_bool() == Some(false),
-                    ));
-                }
-                WStep::WriteX => {
-                    self.step = WStep::SetChanged;
-                    return Some(ClientOp::Write(
-                        self.layout.x(self.i),
-                        Word::Float(self.t_i),
-                    ));
-                }
-                WStep::SetChanged => {
-                    self.step = WStep::WaitChangedF;
-                    return Some(ClientOp::Write(
-                        self.layout.changed(self.i),
-                        Word::Bool(true),
-                    ));
-                }
-                WStep::WaitChangedF => {
-                    self.phases_left -= 1;
-                    self.step = if self.phases_left == 0 {
-                        WStep::Done
-                    } else {
-                        // Next phase re-reads A and b (hits when const).
-                        WStep::LoadA { j: 0 }
-                    };
-                    return Some(ClientOp::wait_until(
-                        self.layout.changed(self.i),
-                        |v: &Word| v.as_bool() == Some(false),
-                    ));
-                }
-                WStep::Done => return None,
-            }
-        }
-    }
-}
-
-enum CStep {
-    Publish { idx: usize },
-    SetReady,
-    WaitComplete { i: usize },
-    ResetComplete { i: usize },
-    WaitChanged { i: usize },
-    ResetChanged { i: usize },
-}
-
-/// The coordinator of Figure 6, as a simulator client. Also publishes `A`
-/// and `b` (which it owns) before the first phase.
-pub struct SolverCoordinator {
-    layout: SolverLayout,
-    system: Arc<LinearSystem>,
-    phases_left: usize,
-    step: CStep,
-    ready_written: bool,
-}
-
-impl SolverCoordinator {
-    /// A coordinator for `phases` iterations of `system`.
-    #[must_use]
-    pub fn new(layout: SolverLayout, system: Arc<LinearSystem>, phases: usize) -> Self {
-        SolverCoordinator {
-            layout,
-            system,
-            phases_left: phases,
-            step: CStep::Publish { idx: 0 },
-            ready_written: false,
-        }
-    }
-
-    fn publish_op(&self, idx: usize) -> Option<ClientOp<Word>> {
-        let n = self.layout.workers();
-        if idx < n * n {
-            let (i, j) = (idx / n, idx % n);
-            Some(ClientOp::Write(
-                self.layout.a(i, j),
-                Word::Float(self.system.a(i, j)),
-            ))
-        } else if idx < n * n + n {
-            let i = idx - n * n;
-            Some(ClientOp::Write(
-                self.layout.b(i),
-                Word::Float(self.system.b(i)),
-            ))
-        } else {
-            None
-        }
-    }
-}
-
-impl Client<Word> for SolverCoordinator {
-    fn next(&mut self, _last: Option<&Outcome<Word>>) -> Option<ClientOp<Word>> {
-        let n = self.layout.workers();
-        loop {
-            match self.step {
-                CStep::Publish { idx } => {
-                    if let Some(op) = self.publish_op(idx) {
-                        self.step = CStep::Publish { idx: idx + 1 };
-                        return Some(op);
-                    }
-                    if !self.ready_written {
-                        self.step = CStep::SetReady;
-                        continue;
-                    }
-                    if self.phases_left == 0 {
-                        return None;
-                    }
-                    self.step = CStep::WaitComplete { i: 0 };
-                }
-                CStep::SetReady => {
-                    self.ready_written = true;
-                    self.step = if self.phases_left == 0 {
-                        CStep::Publish { idx: usize::MAX }
-                    } else {
-                        CStep::WaitComplete { i: 0 }
-                    };
-                    return Some(ClientOp::Write(self.layout.ready(), Word::Bool(true)));
-                }
-                CStep::WaitComplete { i } => {
-                    if i < n {
-                        self.step = CStep::WaitComplete { i: i + 1 };
-                        return Some(ClientOp::wait_until(self.layout.complete(i), |v: &Word| {
-                            v.as_bool() == Some(true)
-                        }));
-                    }
-                    self.step = CStep::ResetComplete { i: 0 };
-                }
-                CStep::ResetComplete { i } => {
-                    if i < n {
-                        self.step = CStep::ResetComplete { i: i + 1 };
-                        return Some(ClientOp::Write(self.layout.complete(i), Word::Bool(false)));
-                    }
-                    self.step = CStep::WaitChanged { i: 0 };
-                }
-                CStep::WaitChanged { i } => {
-                    if i < n {
-                        self.step = CStep::WaitChanged { i: i + 1 };
-                        return Some(ClientOp::wait_until(self.layout.changed(i), |v: &Word| {
-                            v.as_bool() == Some(true)
-                        }));
-                    }
-                    self.step = CStep::ResetChanged { i: 0 };
-                }
-                CStep::ResetChanged { i } => {
-                    if i < n {
-                        self.step = CStep::ResetChanged { i: i + 1 };
-                        return Some(ClientOp::Write(self.layout.changed(i), Word::Bool(false)));
-                    }
-                    self.phases_left -= 1;
-                    self.step = CStep::Publish {
-                        idx: usize::MAX, // exhausted: falls through to the
-                                         // next phase or termination
-                    };
-                }
-            }
-        }
-    }
-}
-
 /// Runs the synchronous solver on the simulated **causal** DSM.
 #[must_use]
 pub fn run_causal_solver_sim(system: &LinearSystem, cfg: &SolverSimConfig) -> SolverRun {
@@ -362,40 +98,22 @@ pub fn run_causal_solver_sim(system: &LinearSystem, cfg: &SolverSimConfig) -> So
         builder = builder.const_pages(layout.const_pages());
     }
     let config = builder.build();
-    let mut sim = causal_sim(
-        &config,
-        SimOpts {
-            latency: Box::new(Constant::new(cfg.latency)),
-            seed: cfg.seed,
-            wait_mode: cfg.wait_mode,
-            recorder: None,
-            faults: None,
-        },
-    );
-    install_clients(&mut sim, &layout, system, cfg);
+    let mut sim = causal_sim(&config, cfg.sim_opts());
+    install_solver(&mut sim, &layout, system, cfg.phases);
     finish(sim, &layout, system)
 }
 
 /// Runs the synchronous solver on the simulated **causal-broadcast**
-/// replica memory — the full-replication comparator. The same client
-/// programs run unchanged: reads are local (causal delivery guarantees
+/// replica memory — the full-replication comparator. The same programs
+/// run unchanged: reads are local (causal delivery guarantees
 /// each phase's vector updates arrive before the handshake that releases
 /// the next phase), but every write costs `n` update messages.
 #[must_use]
 pub fn run_broadcast_solver_sim(system: &LinearSystem, cfg: &SolverSimConfig) -> SolverRun {
     let layout = SolverLayout::new(cfg.workers);
-    let mut sim = dsm_sim::broadcast_sim::<Word>(
-        layout.nodes(),
-        layout.locations(),
-        SimOpts {
-            latency: Box::new(Constant::new(cfg.latency)),
-            seed: cfg.seed,
-            wait_mode: cfg.wait_mode,
-            recorder: None,
-            faults: None,
-        },
-    );
-    install_clients(&mut sim, &layout, system, cfg);
+    let mut sim =
+        dsm_sim::broadcast_sim::<Word>(layout.nodes(), layout.locations(), cfg.sim_opts());
+    install_solver(&mut sim, &layout, system, cfg.phases);
     finish(sim, &layout, system)
 }
 
@@ -411,38 +129,39 @@ pub fn run_atomic_solver_sim(
         .owners(layout.owners())
         .inval_mode(inval_mode)
         .build();
-    let mut sim = atomic_sim(
-        &config,
-        SimOpts {
-            latency: Box::new(Constant::new(cfg.latency)),
-            seed: cfg.seed,
-            wait_mode: cfg.wait_mode,
-            recorder: None,
-            faults: None,
-        },
-    );
-    install_clients(&mut sim, &layout, system, cfg);
+    let mut sim = atomic_sim(&config, cfg.sim_opts());
+    install_solver(&mut sim, &layout, system, cfg.phases);
     finish(sim, &layout, system)
 }
 
-fn install_clients<D: SimDriver<Value = Word>>(
-    sim: &mut dsm_sim::Sim<D>,
+/// Installs the Figure-6 programs on `sim` for `phases` iterations of
+/// `system`: worker `P_i` runs [`run_worker`], and the coordinator
+/// publishes `A` and `b` ([`publish_system`]) and then runs
+/// [`run_coordinator`] — the same code the threaded engines run.
+pub fn install_solver<D: SimDriver<Value = Word>>(
+    sim: &mut Sim<D>,
     layout: &SolverLayout,
     system: &LinearSystem,
-    cfg: &SolverSimConfig,
+    phases: usize,
 ) {
-    let system = Arc::new(system.clone());
+    let layout = *layout;
     for i in 0..layout.workers() {
-        sim.set_client(i, SolverWorker::new(*layout, i, cfg.phases));
+        let worker = Program::new(NodeId::new(i as u32), move |mem| {
+            // Only a dropped simulation fails a call; the program just ends.
+            let _ = run_worker(&mem, &layout, i, phases);
+        });
+        sim.set_client(i, worker);
     }
-    sim.set_client(
-        layout.workers(),
-        SolverCoordinator::new(*layout, system, cfg.phases),
-    );
+    let system = system.clone();
+    let coordinator = Program::new(layout.coordinator(), move |mem| {
+        let _ = publish_system(&mem, &layout, &system)
+            .and_then(|()| run_coordinator(&mem, &layout, phases));
+    });
+    sim.set_client(layout.workers(), coordinator);
 }
 
 fn finish<D: SimDriver<Value = Word>>(
-    mut sim: dsm_sim::Sim<D>,
+    mut sim: Sim<D>,
     layout: &SolverLayout,
     system: &LinearSystem,
 ) -> SolverRun {

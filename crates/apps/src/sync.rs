@@ -99,7 +99,7 @@ impl<M: SharedMemory<Word>> EventCount<M> {
     ///
     /// Panics if the location holds a non-integer.
     pub fn await_at_least(&self, target: i64) -> Result<i64, MemoryError> {
-        let observed = self.mem.wait_until(self.loc, &|v: &Word| {
+        let observed = self.mem.wait_until(self.loc, move |v: &Word| {
             v.as_int().is_some_and(|c| c >= target)
         })?;
         Ok(observed.as_int().expect("event counts are integers"))
@@ -197,7 +197,7 @@ impl<M: SharedMemory<Word>> CausalBarrier<M> {
                 continue;
             }
             let target = self.round;
-            self.mem.wait_until(self.counter(i), &move |v: &Word| {
+            self.mem.wait_until(self.counter(i), move |v: &Word| {
                 v.as_int().is_some_and(|c| c >= target)
             })?;
         }

@@ -1,219 +1,51 @@
-//! Regression pin for the PR-10 dictionary port: the typed-object-backed
-//! [`DictClient`] must issue *exactly* the register accesses the retired
-//! hand-rolled state machine issued — same workload ⇒ same per-process
-//! READ/WRITE sequence, hence the same logical message bill.
+//! Regression pin for the §4.2 dictionary in the simulator:
+//! [`dict_program`] — the shipped [`Dictionary`](dsm_apps::Dictionary)
+//! run as a simulator program — must issue *exactly* the register
+//! accesses of the hand-rolled dictionary client it replaced, and report
+//! the same results: same workload ⇒ same per-process READ/WRITE
+//! sequence, hence the same logical message bill.
 //!
-//! The reference implementation below is a frozen copy of the pre-port
-//! Word-based client (own-row first-free inserts, row-major first-match
-//! deletes and lookups with early exit, flat discard sweeps). Both
-//! clients run the same scripts through the deterministic simulator with
-//! the same seed; the recorded [`OpRecord`] streams are compared
-//! location-by-location.
+//! `tests/fixtures/dict_port.json` holds that client's recorded
+//! behaviour (own-row first-free inserts, row-major first-match deletes
+//! and lookups with early exit, flat discard sweeps) for every workload
+//! and seed below: each process's `(kind, location)` stream, written
+//! `R<loc>`/`W<loc>`, and the run's global `op=result` log in completion
+//! order.
 
 use std::sync::Arc;
 
 use causal_dsm::{CausalConfig, WritePolicy};
-use dsm_apps::{DictClient, DictLayout, DictOp, DictResults};
-use dsm_sim::{causal_sim, Client, ClientOp, Outcome, RunLimits, SimOpts};
-use memcore::{Location, OpKind, OpRecord, Recorder, Value, Word};
+use dsm_apps::{dict_program, DictLayout, DictOp, DictResults};
+use dsm_objects::ObjVal;
+use dsm_sim::{causal_sim, RunLimits, SimOpts};
+use memcore::{OpKind, Recorder};
 use parking_lot::Mutex;
+use serde::Deserialize;
 use simnet::latency::Uniform;
 
-use dsm_objects::ObjVal;
-
-// ---------------------------------------------------------------------
-// Frozen reference: the hand-rolled Word-based dictionary client as it
-// existed before the port (trimmed to what the comparison needs).
-// ---------------------------------------------------------------------
-
-enum Phase {
-    Scan { cursor: usize },
-    Commit,
-    Discarding { cursor: usize },
-}
-
-struct ReferenceClient {
-    layout: DictLayout,
-    row: usize,
-    script: std::vec::IntoIter<DictOp>,
-    current: Option<DictOp>,
-    phase: Phase,
-    target: Option<Location>,
-    results: DictResults,
-}
-
-impl ReferenceClient {
-    fn new(layout: DictLayout, row: usize, script: Vec<DictOp>, results: DictResults) -> Self {
-        ReferenceClient {
-            layout,
-            row,
-            script: script.into_iter(),
-            current: None,
-            phase: Phase::Scan { cursor: 0 },
-            target: None,
-            results,
-        }
-    }
-
-    fn slot_at(&self, flat: usize) -> Location {
-        self.layout.slot(flat / self.layout.cols(), flat % self.layout.cols())
-    }
-
-    fn total_slots(&self) -> usize {
-        self.layout.rows() * self.layout.cols()
-    }
-
-    fn scan_range(&self, op: DictOp) -> (usize, usize) {
-        match op {
-            DictOp::Insert(_) => {
-                let start = self.row * self.layout.cols();
-                (start, start + self.layout.cols())
-            }
-            _ => (0, self.total_slots()),
-        }
-    }
-
-    fn finish(&mut self, outcome: bool) {
-        if let Some(op) = self.current.take() {
-            self.results.lock().push((op, outcome));
-        }
-        self.phase = Phase::Scan { cursor: 0 };
-        self.target = None;
-    }
-}
-
-impl Client<Word> for ReferenceClient {
-    fn next(&mut self, last: Option<&Outcome<Word>>) -> Option<ClientOp<Word>> {
-        loop {
-            let Some(op) = self.current else {
-                let op = self.script.next()?;
-                self.current = Some(op);
-                self.phase = match op {
-                    DictOp::Refresh => Phase::Discarding { cursor: 0 },
-                    _ => {
-                        let (start, _) = self.scan_range(op);
-                        Phase::Scan { cursor: start }
-                    }
-                };
-                continue;
-            };
-
-            match (&self.phase, op) {
-                (Phase::Discarding { cursor }, DictOp::Refresh) => {
-                    let mut cursor = *cursor;
-                    while cursor < self.total_slots() && cursor / self.layout.cols() == self.row {
-                        cursor += 1;
-                    }
-                    if cursor >= self.total_slots() {
-                        self.finish(true);
-                        continue;
-                    }
-                    self.phase = Phase::Discarding { cursor: cursor + 1 };
-                    return Some(ClientOp::Discard(self.slot_at(cursor)));
-                }
-                (Phase::Scan { cursor }, op) => {
-                    let cursor = *cursor;
-                    let (start, end) = self.scan_range(op);
-                    if cursor > start {
-                        let value = match last {
-                            Some(Outcome::Read { value, .. }) => *value,
-                            _ => panic!("scan step expects a read outcome"),
-                        };
-                        let hit = match op {
-                            DictOp::Insert(_) => matches!(value, Word::Zero),
-                            DictOp::Lookup(v) | DictOp::Delete(v) => value == Word::Int(v),
-                            DictOp::Refresh => unreachable!(),
-                        };
-                        if hit {
-                            let found = self.slot_at(cursor - 1);
-                            match op {
-                                DictOp::Lookup(_) => {
-                                    self.finish(true);
-                                    continue;
-                                }
-                                _ => {
-                                    self.target = Some(found);
-                                    self.phase = Phase::Commit;
-                                    continue;
-                                }
-                            }
-                        }
-                    }
-                    if cursor >= end {
-                        self.finish(false);
-                        continue;
-                    }
-                    self.phase = Phase::Scan { cursor: cursor + 1 };
-                    return Some(ClientOp::Read(self.slot_at(cursor)));
-                }
-                (Phase::Commit, op) => {
-                    let target = self.target.expect("commit follows a found slot");
-                    let value = match op {
-                        DictOp::Insert(v) => Word::Int(v),
-                        DictOp::Delete(_) => Word::Zero,
-                        _ => unreachable!("only inserts and deletes commit"),
-                    };
-                    self.finish(true);
-                    return Some(ClientOp::Write(target, value));
-                }
-                (Phase::Discarding { .. }, _) => unreachable!("discard phase is refresh-only"),
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// The comparison harness.
-// ---------------------------------------------------------------------
-
-/// One process's logical bill: the `(kind, location)` stream in program
-/// order, which is exactly what the engine turns into protocol messages.
-/// Per-process logical message bills plus the flattened `(op, result)`
-/// log a run produces.
-type RunOutcome = (Vec<Vec<(OpKind, usize)>>, Vec<(DictOp, bool)>);
-
-fn bill<V: Value>(ops: &[OpRecord<V>]) -> Vec<(OpKind, usize)> {
-    ops.iter().map(|op| (op.kind, op.loc.index())).collect()
-}
-
-fn run_reference(
-    layout: DictLayout,
-    scripts: &[Vec<DictOp>],
+/// One pinned run of the replaced client.
+#[derive(Debug, PartialEq, Eq, Deserialize)]
+struct Pinned {
+    workload: String,
     seed: u64,
-) -> RunOutcome {
-    let recorder: Recorder<Word> = Recorder::new(layout.rows());
-    let config = CausalConfig::<Word>::builder(layout.rows() as u32, layout.locations())
-        .owners(layout.owners())
-        .policy(WritePolicy::OwnerFavored)
-        .build();
-    let mut sim = causal_sim(
-        &config,
-        SimOpts {
-            latency: Box::new(Uniform::new(1, 12)),
-            seed,
-            recorder: Some(recorder.clone()),
-            ..SimOpts::default()
-        },
-    );
-    let shared: DictResults = Arc::new(Mutex::new(Vec::new()));
-    for (row, script) in scripts.iter().enumerate() {
-        sim.set_client(
-            row,
-            ReferenceClient::new(layout, row, script.clone(), shared.clone()),
-        );
-    }
-    let report = sim.run(RunLimits::default());
-    assert!(report.all_done, "reference run wedged: {report:?}");
-    let bills = recorder.processes().iter().map(|p| bill(p)).collect();
-    let log = shared.lock().clone();
-    (bills, log)
+    /// Per process: its READ/WRITE stream in program order.
+    bills: Vec<String>,
+    /// Every operation's result, in the order the processes finished
+    /// them.
+    log: Vec<String>,
 }
 
-fn run_ported(
-    layout: DictLayout,
-    scripts: &[Vec<DictOp>],
-    seed: u64,
-) -> RunOutcome {
+fn pinned(workload: &str) -> Vec<Pinned> {
+    let all: Vec<Pinned> =
+        serde_json::from_str(include_str!("fixtures/dict_port.json")).expect("fixture parses");
+    let runs: Vec<Pinned> = all.into_iter().filter(|p| p.workload == workload).collect();
+    assert_eq!(runs.len(), 10, "fixture pins seeds 0..10 of {workload}");
+    runs
+}
+
+/// Runs `scripts` as dictionary programs and renders the run the way the
+/// fixture records it.
+fn run(workload: &str, layout: DictLayout, scripts: &[Vec<DictOp>], seed: u64) -> Pinned {
     let recorder: Recorder<ObjVal> = Recorder::new(layout.rows());
     let config = CausalConfig::<ObjVal>::builder(layout.rows() as u32, layout.locations())
         .owners(layout.owners())
@@ -232,14 +64,36 @@ fn run_ported(
     for (row, script) in scripts.iter().enumerate() {
         sim.set_client(
             row,
-            DictClient::new(layout, row, script.clone(), shared.clone()),
+            dict_program(layout, row, script.clone(), shared.clone()),
         );
     }
     let report = sim.run(RunLimits::default());
-    assert!(report.all_done, "ported run wedged: {report:?}");
-    let bills = recorder.processes().iter().map(|p| bill(p)).collect();
-    let log = shared.lock().clone();
-    (bills, log)
+    assert!(report.all_done, "dictionary run wedged: {report:?}");
+    let bills = recorder
+        .processes()
+        .iter()
+        .map(|ops| {
+            let accesses: Vec<String> = ops
+                .iter()
+                .map(|op| {
+                    let kind = if op.kind == OpKind::Read { 'R' } else { 'W' };
+                    format!("{kind}{}", op.loc.index())
+                })
+                .collect();
+            accesses.join(" ")
+        })
+        .collect();
+    let log = shared
+        .lock()
+        .iter()
+        .map(|(op, ok)| format!("{op:?}={ok}"))
+        .collect();
+    Pinned {
+        workload: workload.to_owned(),
+        seed,
+        bills,
+        log,
+    }
 }
 
 fn workload() -> Vec<Vec<DictOp>> {
@@ -276,18 +130,12 @@ fn workload() -> Vec<Vec<DictOp>> {
 fn ported_dictionary_pays_the_same_message_bill() {
     let layout = DictLayout::new(3, 6);
     let scripts = workload();
-    for seed in 0..10u64 {
-        let (ref_bills, ref_log) = run_reference(layout, &scripts, seed);
-        let (new_bills, new_log) = run_ported(layout, &scripts, seed);
-        for (row, (r, n)) in ref_bills.iter().zip(&new_bills).enumerate() {
-            assert_eq!(
-                r, n,
-                "seed {seed}: P{row}'s READ/WRITE stream diverged from the hand-rolled client"
-            );
-        }
+    for want in pinned("basic") {
+        let got = run("basic", layout, &scripts, want.seed);
         assert_eq!(
-            ref_log, new_log,
-            "seed {seed}: operation results diverged from the hand-rolled client"
+            got, want,
+            "seed {}: the dictionary diverged from the hand-rolled client",
+            want.seed
         );
     }
 }
@@ -302,12 +150,12 @@ fn ported_dictionary_pays_the_same_bill_under_contention() {
         vec![DictOp::Refresh, DictOp::Delete(7)],
         vec![DictOp::Refresh, DictOp::Delete(7)],
     ];
-    for seed in 0..10u64 {
-        let (ref_bills, _) = run_reference(layout, &scripts, seed);
-        let (new_bills, _) = run_ported(layout, &scripts, seed);
+    for want in pinned("contention") {
+        let got = run("contention", layout, &scripts, want.seed);
         assert_eq!(
-            ref_bills, new_bills,
-            "seed {seed}: contention bill diverged from the hand-rolled client"
+            got, want,
+            "seed {}: contention bill diverged from the hand-rolled client",
+            want.seed
         );
     }
 }

@@ -107,7 +107,7 @@ fn fire_and_forget_mode_still_converges_after_quiescence() {
     assert_eq!(p1.read_fresh(loc(0)).unwrap(), Word::Int(9));
     // And after the inval lands, even a cached read re-fetches.
     assert_eq!(
-        p1.wait_until(loc(0), &|v| *v == Word::Int(9)).unwrap(),
+        p1.wait_until(loc(0), |v| *v == Word::Int(9)).unwrap(),
         Word::Int(9)
     );
 }

@@ -122,7 +122,8 @@ pub struct BarrierRow {
 }
 
 /// Measures the decentralized barrier's message cost per participant per
-/// crossing on the simulated causal DSM.
+/// crossing: [`dsm_apps::CausalBarrier`] itself, run on the simulated
+/// causal DSM.
 ///
 /// # Panics
 ///
@@ -130,27 +131,24 @@ pub struct BarrierRow {
 #[must_use]
 pub fn barrier_costs(ns: &[usize]) -> Vec<BarrierRow> {
     use causal_dsm::CausalConfig;
-    use dsm_sim::{causal_sim, ClientOp, RunLimits, Script, SimOpts};
-    use memcore::Location;
+    use dsm_apps::CausalBarrier;
+    use dsm_sim::{causal_sim, Program, RunLimits, SimOpts};
+    use memcore::{Location, NodeId};
 
-    let total_for = |n: usize, rounds: i64| -> u64 {
+    let total_for = |n: usize, rounds: usize| -> u64 {
         // Counters at 0..n, round-robin: node i owns counter i.
         let config = CausalConfig::<Word>::builder(n as u32, n as u32).build();
         let mut sim = causal_sim(&config, SimOpts::default());
         for me in 0..n {
-            let mut ops: Vec<ClientOp<Word>> = Vec::new();
-            for round in 1..=rounds {
-                ops.push(ClientOp::Write(Location::new(me as u32), Word::Int(round)));
-                for peer in 0..n {
-                    if peer != me {
-                        ops.push(ClientOp::wait_until(
-                            Location::new(peer as u32),
-                            move |v: &Word| v.as_int().is_some_and(|c| c >= round),
-                        ));
+            let participant = Program::new(NodeId::new(me as u32), move |mem| {
+                let mut barrier = CausalBarrier::new(mem, Location::new(0), n);
+                for _ in 0..rounds {
+                    if barrier.enter().is_err() {
+                        return; // only a dropped simulation fails a call
                     }
                 }
-            }
-            sim.set_client(me, Script::new(ops));
+            });
+            sim.set_client(me, participant);
         }
         let report = sim.run(RunLimits::default());
         assert!(report.all_done, "barrier sim stuck: {report:?}");

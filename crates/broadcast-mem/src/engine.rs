@@ -28,7 +28,7 @@ use crate::state::BroadcastState;
 /// let p1 = cluster.handle(1);
 /// p0.write(Location::new(0), Word::Int(1))?;
 /// // Replication is asynchronous; wait for the update to land.
-/// let v = p1.wait_until(Location::new(0), &|v| *v == Word::Int(1))?;
+/// let v = p1.wait_until(Location::new(0), |v| *v == Word::Int(1))?;
 /// assert_eq!(v, Word::Int(1));
 /// # Ok(())
 /// # }

@@ -24,7 +24,7 @@
 //! let p0 = cluster.handle(0);
 //! let p2 = cluster.handle(2);
 //! p0.write(Location::new(1), Word::Int(7))?;
-//! let v = p2.wait_until(Location::new(1), &|v| *v == Word::Int(7))?;
+//! let v = p2.wait_until(Location::new(1), |v| *v == Word::Int(7))?;
 //! assert_eq!(v, Word::Int(7));
 //! # Ok(())
 //! # }

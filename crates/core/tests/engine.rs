@@ -56,12 +56,12 @@ fn pipelined_write_reads_its_own_value_immediately() {
     assert_eq!(p1.read(loc(0)).unwrap(), Word::Int(5));
     // The owner eventually installs it; a fresh read agrees.
     assert_eq!(
-        p1.wait_until(loc(0), &|v| *v == Word::Int(5)).unwrap(),
+        p1.wait_until(loc(0), |v| *v == Word::Int(5)).unwrap(),
         Word::Int(5)
     );
     let p0 = cluster.handle(0);
     assert_eq!(
-        p0.wait_until(loc(0), &|v| *v == Word::Int(5)).unwrap(),
+        p0.wait_until(loc(0), |v| *v == Word::Int(5)).unwrap(),
         Word::Int(5)
     );
 }
@@ -79,7 +79,7 @@ fn pipelined_writes_preserve_per_owner_order() {
     // FIFO to the owner: the last write wins there.
     let p0 = cluster.handle(0);
     assert_eq!(
-        p0.wait_until(loc(0), &|v| *v == Word::Int(100)).unwrap(),
+        p0.wait_until(loc(0), |v| *v == Word::Int(100)).unwrap(),
         Word::Int(100)
     );
     // And the writer's view agrees, having waited only for window slots.

@@ -10,38 +10,21 @@
 //! its runs are supposed to fail). Fault families: `none`, `random`,
 //! `owner-crash`, `restart` (WAL recovery under `every_op` sync) and
 //! `restart-interval` (under `interval(4)`). Without a cell it runs the
-//! CI grid below; `--runs` overrides every cell's seed count and `--seed`
-//! is the first seed. Prints one line per cell with its protocol and
+//! CI grid ([`GRID`]); `--runs` overrides every cell's seed count and
+//! `--seed` is the first seed. Prints one line per cell with its protocol and
 //! overhead message totals, and every failing run with the command that
 //! replays it; exits 1 if any run wedged or violated an oracle, 2 on bad
 //! arguments.
 
 use std::process::ExitCode;
 
-use causal_dsm::SyncPolicy;
-use dsm_faults::{run_chaos_batch, ChaosConfig, Faults, Mutant, Objects, Registers, Workload};
+use dsm_faults::{
+    run_chaos_batch, ChaosConfig, Faults, Mutant, Objects, Registers, Workload, FAULT_FAMILIES,
+    GRID,
+};
 
 const USAGE: &str = "usage: smoke [<registers|objects|mutant> \
                      <none|random|owner-crash|restart|restart-interval>] [--runs N] [--seed S]";
-
-const FAULTS: [(&str, Faults); 5] = [
-    ("none", Faults::None),
-    ("random", Faults::Random),
-    ("owner-crash", Faults::OwnerCrash),
-    ("restart", Faults::Restart(SyncPolicy::EveryOp)),
-    ("restart-interval", Faults::Restart(SyncPolicy::Interval(4))),
-];
-
-/// The CI grid: workload, fault family, seeds.
-const GRID: [(&str, &str, usize); 7] = [
-    ("registers", "random", 25),
-    ("registers", "owner-crash", 10),
-    ("registers", "restart", 100),
-    ("registers", "restart-interval", 10),
-    ("objects", "random", 100),
-    ("objects", "owner-crash", 8),
-    ("objects", "restart", 100),
-];
 
 /// A cell's run count when `--runs` is absent and the grid does not list
 /// it.
@@ -51,7 +34,7 @@ const DEFAULT_RUNS: usize = 25;
 type Cell = (&'static str, &'static str, usize);
 
 fn family(name: &str) -> Option<(&'static str, Faults)> {
-    FAULTS.into_iter().find(|(n, _)| *n == name)
+    FAULT_FAMILIES.into_iter().find(|(n, _)| *n == name)
 }
 
 fn parse(mut args: impl Iterator<Item = String>) -> Option<(Vec<Cell>, u64)> {

@@ -532,6 +532,29 @@ impl<V: Value> fmt::Display for ChaosBatch<V> {
     }
 }
 
+/// The fault families by their `smoke` command-line names.
+pub const FAULT_FAMILIES: [(&str, Faults); 5] = [
+    ("none", Faults::None),
+    ("random", Faults::Random),
+    ("owner-crash", Faults::OwnerCrash),
+    ("restart", Faults::Restart(SyncPolicy::EveryOp)),
+    ("restart-interval", Faults::Restart(SyncPolicy::Interval(4))),
+];
+
+/// The CI chaos grid: workload name, fault family name (see
+/// [`FAULT_FAMILIES`]) and seed count, from seed 0, under
+/// [`ChaosConfig::default`]. `smoke` runs it; `tests/grid_totals.rs`
+/// pins its totals.
+pub const GRID: [(&str, &str, usize); 7] = [
+    ("registers", "random", 25),
+    ("registers", "owner-crash", 10),
+    ("registers", "restart", 100),
+    ("registers", "restart-interval", 10),
+    ("objects", "random", 100),
+    ("objects", "owner-crash", 8),
+    ("objects", "restart", 100),
+];
+
 /// Runs `count` executions of one cell with seeds `first_seed..`, each
 /// under [`Faults::grid`], collecting every failure with its reproduction
 /// recipe.

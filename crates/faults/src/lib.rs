@@ -45,7 +45,9 @@ pub mod plan;
 pub mod session;
 pub mod workload;
 
-pub use harness::{run_chaos, run_chaos_batch, ChaosBatch, ChaosConfig, ChaosOutcome, Faults};
+pub use harness::{
+    run_chaos, run_chaos_batch, ChaosBatch, ChaosConfig, ChaosOutcome, Faults, FAULT_FAMILIES, GRID,
+};
 pub use injector::FaultInjector;
 pub use plan::{Crash, FaultPlan, LinkFaults, Partition};
 pub use session::{ReliableLink, Session, SessionMsg, SessionStats};

@@ -16,11 +16,11 @@ use causal_dsm::{CausalConfig, CausalConfigBuilder, WritePolicy};
 use causal_spec::check_object;
 use dsm_apps::{WorkloadOp, WorkloadSpec};
 use dsm_objects::{
-    BrokenFirstObserved, Family, GridLayout, MergePolicy, ObjOp, ObjRecorder, ObjVal, ObjectClient,
+    run_script, BrokenFirstObserved, Family, GridLayout, MergePolicy, ObjOp, ObjRecorder, ObjVal,
     ObjectOracle, PolicyKind,
 };
-use dsm_sim::{Client, ClientOp, Script};
-use memcore::{Value, Word};
+use dsm_sim::{Client, ClientOp, Program, Script};
+use memcore::{NodeId, Value, Word};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use simnet::codec::Wire;
@@ -104,7 +104,7 @@ impl Workload for Objects {
     fn shape(&self, seed: u64, cfg: &ChaosConfig) -> Shape<ObjVal> {
         let (family, layout, policy, scripts) = object_workload(seed, cfg);
         let oracle = ObjectOracle::new(family, layout).with_policy(policy);
-        object_shape(layout, scripts, policy, oracle)
+        object_shape(family, layout, scripts, policy, oracle)
     }
 }
 
@@ -131,13 +131,14 @@ impl Workload for Mutant {
             })
             .collect();
         let oracle = ObjectOracle::new(Family::Map, layout).with_policy(PolicyKind::Commutative);
-        object_shape(layout, scripts, BrokenFirstObserved, oracle)
+        object_shape(Family::Map, layout, scripts, BrokenFirstObserved, oracle)
     }
 }
 
-/// Object clients on the grid's rows, their typed traces handed to the
-/// object oracle.
+/// One [`run_script`] program per grid row, their typed traces handed to
+/// the object oracle.
 fn object_shape(
+    family: Family,
     layout: GridLayout,
     scripts: Vec<Vec<ObjOp>>,
     runtime: impl MergePolicy + Clone,
@@ -148,8 +149,12 @@ fn object_shape(
         .into_iter()
         .enumerate()
         .map(|(row, script)| {
-            let client = ObjectClient::new(layout, row, script, runtime.clone());
-            Some(Box::new(client.with_recorder(typed.clone())) as Box<dyn Client<ObjVal>>)
+            let (runtime, typed) = (runtime.clone(), typed.clone());
+            let program = Program::new(NodeId::new(row as u32), move |mem| {
+                // Only a dropped simulation fails a call; the program just ends.
+                let _ = run_script(mem, family, layout, runtime, Some(typed), &script);
+            });
+            Some(Box::new(program) as Box<dyn Client<ObjVal>>)
         })
         .collect();
     Shape {

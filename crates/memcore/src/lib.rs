@@ -44,6 +44,11 @@ pub use ring::HashRingOwners;
 pub use stats::{kinds, NetStats, StatsSnapshot};
 pub use value::{Value, Word};
 
+/// A predicate over a location's value: what
+/// [`SharedMemory::wait_until`] waits for. Shared and thread-safe, so an
+/// executor may evaluate it wherever the value lives.
+pub type Pred<V> = std::sync::Arc<dyn Fn(&V) -> bool + Send + Sync>;
+
 /// The interface applications program against — the paper's plain shared
 /// memory of locations, read and written one at a time.
 ///
@@ -140,12 +145,18 @@ pub trait SharedMemory<V: Value> {
     /// for the value of `loc`, returning that value.
     ///
     /// This is the paper's `wait(B)` ("while (¬B) skip") made live on a
-    /// caching DSM.
+    /// caching DSM. The predicate is taken by value and is `'static`,
+    /// `Send` and `Sync`, so an implementation may hand it to whatever
+    /// evaluates it (the simulator checks it on every state change, see
+    /// [`Pred`]).
     ///
     /// # Errors
     ///
     /// Propagates errors from [`SharedMemory::read`].
-    fn wait_until(&self, loc: Location, pred: &dyn Fn(&V) -> bool) -> Result<V, MemoryError> {
+    fn wait_until<P>(&self, loc: Location, pred: P) -> Result<V, MemoryError>
+    where
+        P: Fn(&V) -> bool + Send + Sync + 'static,
+    {
         loop {
             let v = self.read_fresh(loc)?;
             if pred(&v) {

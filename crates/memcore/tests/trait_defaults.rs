@@ -61,7 +61,7 @@ fn wait_until_discards_before_every_retry() {
     // Values 1, 2, 3 then steady 4: the wait must poll through them,
     // discarding each time, and return the first satisfying value.
     let mem = MockMemory::new(vec![1, 2, 3, 4]);
-    let got = mem.wait_until(Location::new(0), &|v| *v >= 3).unwrap();
+    let got = mem.wait_until(Location::new(0), |v| *v >= 3).unwrap();
     assert_eq!(got, 3);
     assert_eq!(mem.discards(), 3, "one discard per attempt");
 }
@@ -69,7 +69,7 @@ fn wait_until_discards_before_every_retry() {
 #[test]
 fn wait_until_returns_immediately_when_satisfied() {
     let mem = MockMemory::new(vec![9]);
-    assert_eq!(mem.wait_until(Location::new(0), &|v| *v == 9).unwrap(), 9);
+    assert_eq!(mem.wait_until(Location::new(0), |v| *v == 9).unwrap(), 9);
     assert_eq!(mem.discards(), 1);
 }
 
@@ -77,7 +77,7 @@ fn wait_until_returns_immediately_when_satisfied() {
 fn wait_until_propagates_errors() {
     let mem = MockMemory::new(vec![]);
     assert_eq!(
-        mem.wait_until(Location::new(0), &|_| true),
+        mem.wait_until(Location::new(0), |_| true),
         Err(MemoryError::Shutdown)
     );
 }

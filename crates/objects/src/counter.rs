@@ -105,15 +105,9 @@ impl<M: SharedMemory<ObjVal>> PnCounter<M> {
 
     /// Discards every cached (non-owned) component, so the next `value`
     /// fetches fresh copies — the paper's `discard`-based view liveness.
+    /// With a recorder installed it records an [`ObjOp::Refresh`].
     pub fn refresh(&self) {
-        for row in 0..self.layout.rows() {
-            if row == self.row {
-                continue;
-            }
-            for col in [POS, NEG] {
-                self.mem.discard(self.layout.slot(row, col));
-            }
-        }
+        crate::trace::refresh(&self.mem, &self.layout, self.row, self.rec.as_ref());
     }
 
     fn node(&self) -> NodeId {
@@ -173,6 +167,7 @@ mod tests {
         let oracle = ObjectOracle::new(Family::Counter, layout);
         let report = check_object(&rec.processes(), &oracle);
         assert!(report.is_correct(), "{report}");
-        assert_eq!(report.ops_checked, 4);
+        // Two adds, two refreshes, two values.
+        assert_eq!(report.ops_checked, 6);
     }
 }

@@ -25,8 +25,10 @@
 //! the recorded history is checked against the family's **sequential
 //! specification** by [`ObjectOracle`] + [`causal_spec::check_object`],
 //! following the lifting of causal registers to sequential-spec objects
-//! in Mostéfaoui–Perrin–Raynal. [`ObjectClient`] runs the same state
-//! machines inside the deterministic simulator for chaos testing.
+//! in Mostéfaoui–Perrin–Raynal. [`run_script`] applies a scripted
+//! [`ObjOp`] sequence through these same objects; the chaos grid runs it
+//! inside the deterministic simulator, so the oracle judges the objects
+//! that ship.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -38,8 +40,8 @@ pub mod ops;
 pub mod oracle;
 pub mod policy;
 pub mod queue;
+mod script;
 pub mod set;
-pub mod sim;
 mod trace;
 pub mod value;
 
@@ -50,6 +52,6 @@ pub use ops::{ObjOp, ObjRecorder, ObjRet, ObjTypedOp};
 pub use oracle::{Family, ObjectOracle};
 pub use policy::{BrokenFirstObserved, Candidate, MergePolicy, PolicyKind};
 pub use queue::FifoQueue;
+pub use script::run_script;
 pub use set::CausalSet;
-pub use sim::{FinishHook, ObjectClient};
 pub use value::ObjVal;

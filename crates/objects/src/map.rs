@@ -138,7 +138,8 @@ impl<M: SharedMemory<ObjVal>> CausalMap<M> {
         Ok(answer)
     }
 
-    /// Frees every binding of `key` this view observes (any row).
+    /// Frees every binding of `key` this view observes (any row): reads
+    /// the whole grid first, then writes `Free` into each match.
     /// Returns `false` when none is visible.
     ///
     /// # Errors
@@ -146,15 +147,18 @@ impl<M: SharedMemory<ObjVal>> CausalMap<M> {
     /// Propagates memory errors.
     pub fn remove(&self, key: i64) -> Result<bool, MemoryError> {
         let mut tr = Trace::new(self.rec.is_some());
-        let mut done = false;
+        let mut matches = Vec::new();
         for flat in 0..self.layout.locations() as usize {
             let loc = self.layout.slot_flat(flat);
             let (v, _) = tr.read(&self.mem, loc)?;
             if matches!(v, ObjVal::Entry(k, _) if k == key) {
-                tr.write(&self.mem, loc, ObjVal::Free)?;
-                done = true;
+                matches.push(loc);
             }
         }
+        for &loc in &matches {
+            tr.write(&self.mem, loc, ObjVal::Free)?;
+        }
+        let done = !matches.is_empty();
         tr.emit(
             self.rec.as_ref(),
             self.node(),
@@ -189,15 +193,9 @@ impl<M: SharedMemory<ObjVal>> CausalMap<M> {
 
     /// Discards every cached (non-owned) slot, so the next scan fetches
     /// fresh copies.
+    /// With a recorder installed it records an [`ObjOp::Refresh`].
     pub fn refresh(&self) {
-        for row in 0..self.layout.rows() {
-            if row == self.row {
-                continue;
-            }
-            for col in 0..self.layout.cols() {
-                self.mem.discard(self.layout.slot(row, col));
-            }
-        }
+        crate::trace::refresh(&self.mem, &self.layout, self.row, self.rec.as_ref());
     }
 
     fn collect(&self, tr: &mut Trace, key: i64) -> Result<Vec<Candidate>, MemoryError> {
@@ -252,6 +250,33 @@ mod tests {
         assert_eq!(map.entries().unwrap(), vec![(10, 2), (11, 3)]);
         assert!(map.remove(10).unwrap());
         assert_eq!(map.get(10).unwrap(), None);
+    }
+
+    #[test]
+    fn remove_reads_the_whole_grid_before_writing() {
+        use memcore::{OpKind, Recorder};
+        let layout = CausalMap::<causal_dsm::CausalHandle<ObjVal>>::layout(2, 2);
+        let recorder: Recorder<ObjVal> = Recorder::new(2);
+        let cluster = CausalCluster::<ObjVal>::builder(2, layout.locations())
+            .configure(|c| c.owners(layout.owners()).policy(WritePolicy::OwnerFavored))
+            .recorder(recorder.clone())
+            .build()
+            .expect("cluster");
+        let maps: Vec<_> = (0..2)
+            .map(|i| CausalMap::new(cluster.handle(i), layout, PolicyKind::LastWriter))
+            .collect();
+        assert!(maps[0].put(1, 10).unwrap());
+        assert!(maps[1].put(1, 20).unwrap());
+        maps[0].refresh();
+        let before = recorder.processes()[0].len();
+        assert!(maps[0].remove(1).unwrap());
+        let kinds: Vec<OpKind> = recorder.processes()[0][before..]
+            .iter()
+            .map(|op| op.kind)
+            .collect();
+        let mut want = vec![OpKind::Read; layout.locations() as usize];
+        want.extend([OpKind::Write; 2]);
+        assert_eq!(kinds, want, "all reads, then one write per binding");
     }
 
     #[test]

@@ -156,15 +156,9 @@ impl<M: SharedMemory<ObjVal>> CausalSet<M> {
 
     /// Discards every cached (non-owned) slot, so the next scan fetches
     /// fresh copies.
+    /// With a recorder installed it records an [`ObjOp::Refresh`].
     pub fn refresh(&self) {
-        for row in 0..self.layout.rows() {
-            if row == self.row {
-                continue;
-            }
-            for col in 0..self.layout.cols() {
-                self.mem.discard(self.layout.slot(row, col));
-            }
-        }
+        crate::trace::refresh(&self.mem, &self.layout, self.row, self.rec.as_ref());
     }
 
     fn node(&self) -> NodeId {

@@ -11,8 +11,26 @@
 use causal_spec::Obs;
 use memcore::{Location, MemoryError, NodeId, SharedMemory, WriteId};
 
+use crate::layout::GridLayout;
 use crate::ops::{ObjOp, ObjRecorder, ObjRet};
 use crate::value::ObjVal;
+
+/// Every object's `refresh`: discards each cell outside `row` (the ones
+/// this process may cache), row-major, then records the [`ObjOp::Refresh`]
+/// when tracing.
+pub(crate) fn refresh<M: SharedMemory<ObjVal>>(
+    mem: &M,
+    layout: &GridLayout,
+    row: usize,
+    rec: Option<&ObjRecorder>,
+) {
+    for flat in 0..layout.locations() as usize {
+        if flat / layout.cols() != row {
+            mem.discard(layout.slot_flat(flat));
+        }
+    }
+    Trace::new(rec.is_some()).emit(rec, NodeId::new(row as u32), ObjOp::Refresh, ObjRet::Unit);
+}
 
 /// Accumulates one operation's tagged register accesses.
 #[derive(Debug, Default)]

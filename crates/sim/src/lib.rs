@@ -10,9 +10,10 @@
 //!
 //! Three pieces:
 //!
-//! * [`Client`] — application programs as resumable operation streams
-//!   (the Figure-6 solver's workers, the dictionary's processes, random
-//!   workloads);
+//! * [`Client`] — what a node runs: a fixed [`Script`] of operations, or
+//!   a [`Program`], an ordinary straight-line function over
+//!   [`memcore::SharedMemory`] (the Figure-6 solver's workers, the typed
+//!   objects, the dictionary) run unchanged through a [`SimMemory`];
 //! * [`SimDriver`] — what the scheduler drives: any
 //!   [`causal_dsm::Driver`] that can also name a location's authoritative
 //!   copy and peek at it, for wait-signaling;
@@ -59,7 +60,7 @@ mod run;
 mod sched;
 pub mod witness;
 
-pub use client::{Client, ClientOp, FnClient, Outcome, Pred, Script};
+pub use client::{Client, ClientOp, Outcome, Pred, Program, Script, SimMemory};
 pub use driver::SimDriver;
 pub use explore::{explore_atomic, explore_causal, ExploreReport};
 pub use run::{atomic_sim, broadcast_sim, causal_sim};

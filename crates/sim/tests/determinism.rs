@@ -1,9 +1,17 @@
 //! The simulator's contract: deterministic per seed, FIFO per link,
-//! faithful wait semantics.
+//! faithful wait semantics — for fixed [`Script`]s and for straight-line
+//! [`Program`]s alike.
+
+use std::sync::{Arc, Mutex};
 
 use causal_dsm::CausalConfig;
-use dsm_sim::{causal_sim, ClientOp, RunLimits, Script, SimDriver, SimOpts, WaitMode};
-use memcore::{Location, StatsSnapshot, Word};
+use dsm_sim::{
+    causal_sim, ClientOp, Program, RunLimits, Script, SimDriver, SimMemory, SimOpts, SimReport,
+    WaitMode,
+};
+use memcore::{
+    Location, MemoryError, NodeId, OpRecord, Recorder, SharedMemory, StatsSnapshot, Word,
+};
 use simnet::latency::Uniform;
 
 fn loc(i: u32) -> Location {
@@ -40,6 +48,82 @@ fn workload_sim(seed: u64) -> (StatsSnapshot, Vec<Option<Word>>, u64) {
     (sim.messages().snapshot(), finals, report.time)
 }
 
+/// How [`mixed_sim`] installs each node's operations.
+#[derive(Clone, Copy, Debug)]
+enum Clients {
+    Script,
+    Program,
+}
+
+/// Node `k`'s operations: five rounds of a write to its own location, a
+/// fresh read and a plain read of others, a discard, and a wait for its
+/// neighbour to reach the round.
+fn mixed_ops(k: u32) -> Vec<ClientOp<Word>> {
+    (0..5i64)
+        .flat_map(|round| {
+            vec![
+                ClientOp::Write(loc(k), Word::Int(round)),
+                ClientOp::ReadFresh(loc((k + 1) % 3)),
+                ClientOp::Read(loc(k + 3)),
+                ClientOp::Discard(loc((k + 2) % 3)),
+                ClientOp::wait_until(loc((k + 1) % 3), move |v: &Word| {
+                    v.as_int().unwrap_or(0) >= round
+                }),
+            ]
+        })
+        .collect()
+}
+
+/// Performs `op` through the program's memory, as a hand-written
+/// program would.
+fn perform(mem: &SimMemory<Word>, op: ClientOp<Word>) -> Result<(), MemoryError> {
+    match op {
+        ClientOp::Read(l) => mem.read(l).map(drop),
+        ClientOp::Write(l, v) => mem.write(l, v),
+        ClientOp::ReadFresh(l) => mem.read_fresh(l).map(drop),
+        ClientOp::Discard(l) => {
+            mem.discard(l);
+            Ok(())
+        }
+        ClientOp::WaitUntil(l, pred) => mem.wait_until(l, move |v| pred(v)).map(drop),
+        other => unreachable!("no SharedMemory call issues {other:?}"),
+    }
+}
+
+type MixedRun = (Vec<Vec<OpRecord<Word>>>, StatsSnapshot, SimReport);
+
+fn mixed_sim(seed: u64, wait_mode: WaitMode, clients: Clients) -> MixedRun {
+    let config = CausalConfig::<Word>::builder(3, 6).build();
+    let recorder = Recorder::new(3);
+    let mut sim = causal_sim(
+        &config,
+        SimOpts {
+            latency: Box::new(Uniform::new(1, 9)),
+            seed,
+            wait_mode,
+            recorder: Some(recorder.clone()),
+            ..SimOpts::default()
+        },
+    );
+    for k in 0..3u32 {
+        let ops = mixed_ops(k);
+        match clients {
+            Clients::Script => sim.set_client(k as usize, Script::new(ops)),
+            Clients::Program => sim.set_client(
+                k as usize,
+                Program::new(NodeId::new(k), move |mem| {
+                    for op in ops {
+                        perform(&mem, op).expect("the simulation outlives the program");
+                    }
+                }),
+            ),
+        }
+    }
+    let report = sim.run(RunLimits::default());
+    assert!(report.all_done, "{clients:?}: {report:?}");
+    (recorder.processes(), sim.messages().snapshot(), report)
+}
+
 #[test]
 fn identical_seeds_replay_identically() {
     let (m1, f1, t1) = workload_sim(42);
@@ -47,6 +131,44 @@ fn identical_seeds_replay_identically() {
     assert_eq!(m1, m2);
     assert_eq!(f1, f2);
     assert_eq!(t1, t2);
+    let once = mixed_sim(42, WaitMode::IdealSignal, Clients::Program);
+    assert_eq!(once, mixed_sim(42, WaitMode::IdealSignal, Clients::Program));
+}
+
+#[test]
+fn a_program_runs_exactly_like_the_script_of_its_operations() {
+    for wait_mode in [WaitMode::IdealSignal, WaitMode::Poll { interval: 4 }] {
+        for seed in 0..5u64 {
+            let script = mixed_sim(seed, wait_mode, Clients::Script);
+            let program = mixed_sim(seed, wait_mode, Clients::Program);
+            assert_eq!(script.0, program.0, "{wait_mode:?} seed {seed}: executions");
+            assert_eq!(script.1, program.1, "{wait_mode:?} seed {seed}: messages");
+            assert_eq!(script.2, program.2, "{wait_mode:?} seed {seed}: report");
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "program gave up")]
+fn a_panicking_program_panics_the_run_with_its_message() {
+    let config = CausalConfig::<Word>::builder(2, 2).build();
+    let mut sim = causal_sim(&config, SimOpts::default());
+    // Node 1 is blocked in a wait when node 0 panics; unwinding drops
+    // the simulation, which must release node 1's thread too.
+    sim.set_client(
+        1,
+        Program::new(NodeId::new(1), |mem| {
+            let _ = mem.wait_until(loc(0), |v: &Word| *v == Word::Int(99));
+        }),
+    );
+    sim.set_client(
+        0,
+        Program::new(NodeId::new(0), |mem| {
+            let _ = mem.read(loc(1));
+            panic!("program gave up");
+        }),
+    );
+    sim.run_to_completion();
 }
 
 #[test]
@@ -192,18 +314,29 @@ fn stuck_detection_reports_unsatisfiable_waits() {
 fn max_event_limit_stops_runaway_programs() {
     let config = CausalConfig::<Word>::builder(2, 2).build();
     let mut sim = causal_sim(&config, SimOpts::default());
-    // An infinite client: alternating fresh reads forever.
-    struct Forever;
-    impl dsm_sim::Client<Word> for Forever {
-        fn next(&mut self, _last: Option<&dsm_sim::Outcome<Word>>) -> Option<ClientOp<Word>> {
-            Some(ClientOp::ReadFresh(Location::new(0)))
-        }
-    }
-    sim.set_client(1, Forever);
+    // An infinite program: fresh reads of a remote location forever, so
+    // the cut finds it blocked mid-operation.
+    let seen = Arc::new(Mutex::new(None));
+    let sink = Arc::clone(&seen);
+    sim.set_client(
+        1,
+        Program::new(NodeId::new(1), move |mem| loop {
+            if let Err(e) = mem.read_fresh(loc(0)) {
+                *sink.lock().unwrap() = Some(e);
+                return;
+            }
+        }),
+    );
     let report = sim.run(RunLimits {
         max_events: 500,
         max_time: u64::MAX,
     });
     assert!(!report.all_done);
     assert!(report.events <= 500);
+    assert_eq!(report.stuck_nodes, vec![1], "cut mid-operation");
+    assert!(seen.lock().unwrap().is_none());
+    // Dropping the simulation fails the pending call and joins the
+    // program's thread, so its last call has returned by now.
+    drop(sim);
+    assert_eq!(*seen.lock().unwrap(), Some(MemoryError::Shutdown));
 }

@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 
-use causalmem::apps::{LinearSystem, SolverCoordinator, SolverLayout, SolverWorker};
+use causalmem::apps::{install_solver, LinearSystem, SolverLayout};
 use causalmem::causal::{CausalConfig, CausalState, NodeDriver};
 use causalmem::faults::{FaultInjector, FaultPlan, LinkFaults, Session};
 use causalmem::memcore::{kinds, NodeId, StatsSnapshot, Word};
@@ -52,13 +52,7 @@ fn solve(system: &LinearSystem, plan: Option<FaultPlan>) -> Run {
             ..SimOpts::default()
         },
     );
-    for i in 0..WORKERS {
-        sim.set_client(i, SolverWorker::new(layout, i, PHASES));
-    }
-    sim.set_client(
-        WORKERS,
-        SolverCoordinator::new(layout, Arc::new(system.clone()), PHASES),
-    );
+    install_solver(&mut sim, &layout, system, PHASES);
     let report = sim.run(RunLimits::default());
     assert!(report.all_done, "solver wedged: {report:?}");
     let x: Vec<f64> = (0..WORKERS)
