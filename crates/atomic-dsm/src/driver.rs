@@ -93,26 +93,26 @@ impl<V: Value> Driver for AtomicDriver<V> {
                     }
                 }
             }
-            Op::Write(loc, value)
-            | Op::WritePipelined(loc, value)
-            | Op::WriteUngated(loc, value) => match self.state.begin_write(loc, (*value).clone()) {
-                AWriteStep::Done { wid, outgoing } => {
-                    fx.sends.extend(outgoing);
-                    fx.done = wrote(loc, value, wid);
+            Op::Write(loc, value) | Op::WritePipelined(loc, value) => {
+                match self.state.begin_write(loc, (*value).clone()) {
+                    AWriteStep::Done { wid, outgoing } => {
+                        fx.sends.extend(outgoing);
+                        fx.done = wrote(loc, value, wid);
+                    }
+                    AWriteStep::Blocked { wid, outgoing } => {
+                        self.pending = Some(Pending::LocalWrite { loc, value, wid });
+                        fx.sends.extend(outgoing);
+                    }
+                    AWriteStep::Remote {
+                        wid,
+                        owner,
+                        request,
+                    } => {
+                        self.pending = Some(Pending::RemoteWrite { loc, value, wid });
+                        fx.sends.push((owner, request));
+                    }
                 }
-                AWriteStep::Blocked { wid, outgoing } => {
-                    self.pending = Some(Pending::LocalWrite { loc, value, wid });
-                    fx.sends.extend(outgoing);
-                }
-                AWriteStep::Remote {
-                    wid,
-                    owner,
-                    request,
-                } => {
-                    self.pending = Some(Pending::RemoteWrite { loc, value, wid });
-                    fx.sends.push((owner, request));
-                }
-            },
+            }
             Op::Discard(loc) => {
                 self.state.discard(loc);
                 fx.done = Some(Done::Discarded);

@@ -5,13 +5,19 @@
 //! cargo run -p dsm-bench --bin repro -- fig2    # one experiment
 //! ```
 //!
-//! Sections: `fig1 fig2 fig3 fig5 solver latency ablations dictionary chaos`.
+//! Sections: `fig1 fig2 fig3 modes fig5 solver latency dictionary ablations
+//! chaos costs dot` (`all`, or no argument, runs every one). An unknown
+//! name is an error: nothing runs, and the exit status is 2.
 
 use dsm_bench::{
     latency_sweep, render_ablations, render_chaos, render_costs, render_dictionary, render_figure1,
     render_figure2, render_figure3, render_figure5, render_latency_sweep, render_notice_modes,
     render_solver_table, solver_table, write_figure_dots,
 };
+
+/// Every section, in the order they print.
+const SECTIONS: &str =
+    "fig1 fig2 fig3 modes fig5 solver latency dictionary ablations chaos costs dot";
 
 fn section(title: &str, body: &str) {
     println!(
@@ -23,6 +29,19 @@ fn section(title: &str, body: &str) {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let unknown: Vec<&str> = args
+        .iter()
+        .map(String::as_str)
+        .filter(|a| *a != "all" && !SECTIONS.split(' ').any(|s| s == *a))
+        .collect();
+    if !unknown.is_empty() {
+        eprintln!(
+            "repro: unknown section {}; valid sections: {} (or all)",
+            unknown.join(" "),
+            SECTIONS
+        );
+        std::process::exit(2);
+    }
     let want = |name: &str| args.is_empty() || args.iter().any(|a| a == name || a == "all");
 
     println!(

@@ -547,7 +547,6 @@ pub fn failover_migration(seed: u64) -> WorkloadReport {
         backoff_base: 2,
         backoff_max: 16,
         max_retries: 8,
-        heartbeat_fanout: 0,
     };
     let cluster = CausalCluster::<memcore::Word>::builder(3, LOCATIONS)
         .configure(|c| c.failover(fo))
@@ -856,8 +855,10 @@ pub fn scale_cell(seed: u64, n: u32, scoped: bool) -> WorkloadReport {
     const OPS_PER_NODE: u64 = 24;
 
     let recorder = memcore::Recorder::new(n as usize);
+    let ring = memcore::HashRingOwners::new(n, 1, VNODES);
+    let order = ring.ring_order();
     let config = causal_dsm::CausalConfig::<Word>::builder(n, locations)
-        .owners(memcore::HashRingOwners::new(n, 1, VNODES))
+        .owners(ring)
         .interest_scoping(scoped)
         .build();
     let drivers = (0..n)
@@ -880,7 +881,11 @@ pub fn scale_cell(seed: u64, n: u32, scoped: bool) -> WorkloadReport {
         // The node's working set: every location owned by itself or its
         // two ring successors. This is what keeps the interest closure —
         // and therefore the sparse timestamps — O(neighborhood).
-        let group: Vec<NodeId> = std::iter::once(me).chain(owners.neighbors(me, 2)).collect();
+        let rank = order
+            .iter()
+            .position(|p| *p == me)
+            .expect("every node is on the ring");
+        let group: Vec<NodeId> = (0..3).map(|s| order[(rank + s) % order.len()]).collect();
         let working: Vec<Location> = (0..locations)
             .map(Location::new)
             .filter(|loc| group.contains(&owners.owner_of(*loc)))

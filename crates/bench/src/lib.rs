@@ -2,8 +2,12 @@
 //! quantitative analysis from the paper's evaluation (see `DESIGN.md`'s
 //! experiment index) plus the A1–A4 ablations.
 //!
-//! Run `cargo run -p dsm-bench --bin repro` for the full report, or the
-//! Criterion benches (`cargo bench`) for wall-clock measurements.
+//! Run `cargo run -p dsm-bench --bin repro` for the full report (every
+//! message table: the solver, the ablations, the dictionary), and
+//! `perf` for the gated in-process cells ([`hotpath`]). End-to-end
+//! wall-clock of the causal memory, and vector-clock cost, live in the
+//! standalone `benchmark/` package. Threaded wall-clock of the atomic and
+//! broadcast comparators is not measured.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

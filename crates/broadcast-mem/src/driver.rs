@@ -45,9 +45,7 @@ impl<V: Value> Driver for BroadcastDriver<V> {
                 let value = Arc::new(value);
                 Done::Read { loc, value, wid }
             }
-            Op::Write(loc, value)
-            | Op::WritePipelined(loc, value)
-            | Op::WriteUngated(loc, value) => {
+            Op::Write(loc, value) | Op::WritePipelined(loc, value) => {
                 let (wid, outgoing) = self.state.write(loc, (*value).clone());
                 fx.sends.extend(outgoing);
                 let done = WriteDone::Applied { wid };

@@ -3,7 +3,6 @@
 use std::collections::HashSet;
 use std::fmt;
 use std::sync::Arc;
-use std::time::Duration;
 
 use dsm_durable::DurableConfig;
 use memcore::{OwnerMap, PageId, RoundRobinOwners, Value};
@@ -67,17 +66,6 @@ pub struct FailoverConfig {
     /// Retries (redirects or timeouts) an operation consumes before
     /// surfacing [`memcore::MemoryError::Timeout`].
     pub max_retries: u32,
-    /// How many ring successors each node probes with heartbeats.
-    ///
-    /// `0` (the default) probes every peer — the all-pairs detector the
-    /// failover layer shipped with, O(n²) heartbeats per interval. A
-    /// positive `k` scopes probing to the `k` successors in the owner
-    /// map's ring order ([`memcore::OwnerMap::neighbors`]), O(n·k) per
-    /// interval; each node is then monitored by exactly its `k`
-    /// predecessors. Owners a node talks to but does not monitor are still
-    /// covered by the request-timeout path, which suspects on evidence of
-    /// unresponsiveness rather than missed probes.
-    pub heartbeat_fanout: u32,
 }
 
 impl Default for FailoverConfig {
@@ -88,7 +76,6 @@ impl Default for FailoverConfig {
             backoff_base: 10,
             backoff_max: 400,
             max_retries: 8,
-            heartbeat_fanout: 0,
         }
     }
 }
@@ -122,8 +109,6 @@ pub struct CausalConfig<V> {
     policy: WritePolicy,
     cache_capacity: Option<usize>,
     const_pages: HashSet<PageId>,
-    owner_timeout: Option<Duration>,
-    owner_retries: u32,
     pipeline_window: u32,
     batching: bool,
     failover: Option<FailoverConfig>,
@@ -207,26 +192,6 @@ impl<V: Value> CausalConfig<V> {
         self.const_pages.contains(&page)
     }
 
-    /// How long one owner round-trip may wait for its reply before the
-    /// engine re-checks for shutdown and, after
-    /// [`owner_retries`](CausalConfig::owner_retries) further windows,
-    /// fails with [`memcore::MemoryError::Timeout`].
-    ///
-    /// `None` (the default) waits forever — the paper's model, where the
-    /// network is reliable and owners always answer.
-    #[must_use]
-    pub fn owner_timeout(&self) -> Option<Duration> {
-        self.owner_timeout
-    }
-
-    /// Number of additional timeout windows an owner round-trip waits
-    /// through before giving up (ignored unless
-    /// [`owner_timeout`](CausalConfig::owner_timeout) is set).
-    #[must_use]
-    pub fn owner_retries(&self) -> u32 {
-        self.owner_retries
-    }
-
     /// Maximum number of pipelined writes a node may have in flight to one
     /// owner at a time (the paper's "reducing the blocking of processors"
     /// enhancement, bounded).
@@ -272,8 +237,6 @@ impl<V: Value> CausalConfig<V> {
             policy: self.policy,
             cache_capacity: self.cache_capacity,
             const_pages: self.const_pages,
-            owner_timeout: self.owner_timeout,
-            owner_retries: self.owner_retries,
             pipeline_window: self.pipeline_window,
             batching: self.batching,
             failover: self.failover,
@@ -313,8 +276,6 @@ impl<V> fmt::Debug for CausalConfig<V> {
             .field("policy", &self.policy)
             .field("cache_capacity", &self.cache_capacity)
             .field("const_pages", &self.const_pages.len())
-            .field("owner_timeout", &self.owner_timeout)
-            .field("owner_retries", &self.owner_retries)
             .field("pipeline_window", &self.pipeline_window)
             .field("batching", &self.batching)
             .field("failover", &self.failover)
@@ -350,8 +311,6 @@ pub struct CausalConfigBuilder<V> {
     policy: WritePolicy,
     cache_capacity: Option<usize>,
     const_pages: HashSet<PageId>,
-    owner_timeout: Option<Duration>,
-    owner_retries: u32,
     pipeline_window: u32,
     batching: bool,
     failover: Option<FailoverConfig>,
@@ -373,8 +332,6 @@ impl<V: Value + Default> CausalConfigBuilder<V> {
             policy: WritePolicy::default(),
             cache_capacity: None,
             const_pages: HashSet::new(),
-            owner_timeout: None,
-            owner_retries: 0,
             pipeline_window: 0,
             batching: false,
             failover: None,
@@ -444,25 +401,6 @@ impl<V: Value> CausalConfigBuilder<V> {
     #[must_use]
     pub fn const_pages(mut self, pages: impl IntoIterator<Item = PageId>) -> Self {
         self.const_pages.extend(pages);
-        self
-    }
-
-    /// Bounds each owner round-trip wait to `timeout` per window (default:
-    /// wait forever, the paper's reliable-network assumption). Set this
-    /// when the transport can lose messages, so blocked operations fail
-    /// with [`memcore::MemoryError::Timeout`] instead of hanging.
-    #[must_use]
-    pub fn owner_timeout(mut self, timeout: Duration) -> Self {
-        self.owner_timeout = Some(timeout);
-        self
-    }
-
-    /// Grants `retries` additional timeout windows before an owner
-    /// round-trip gives up (default 0; meaningful only with
-    /// [`owner_timeout`](CausalConfigBuilder::owner_timeout)).
-    #[must_use]
-    pub fn owner_retries(mut self, retries: u32) -> Self {
-        self.owner_retries = retries;
         self
     }
 
@@ -542,8 +480,6 @@ impl<V: Value> CausalConfigBuilder<V> {
             policy: self.policy,
             cache_capacity: self.cache_capacity,
             const_pages: self.const_pages,
-            owner_timeout: self.owner_timeout,
-            owner_retries: self.owner_retries,
             pipeline_window: self.pipeline_window,
             batching: self.batching,
             failover: self.failover,
@@ -647,27 +583,9 @@ mod tests {
     fn interest_scoping_defaults_off() {
         let config = CausalConfig::<Word>::builder(2, 4).build();
         assert!(!config.interest_scoping(), "interest scoping must be opt-in");
-        assert_eq!(
-            FailoverConfig::default().heartbeat_fanout,
-            0,
-            "all-pairs probing must stay the default"
-        );
         let config = CausalConfig::<Word>::builder(2, 4)
             .interest_scoping(true)
             .build();
         assert!(config.interest_scoping());
-    }
-
-    #[test]
-    fn owner_timeout_defaults_to_forever() {
-        let config = CausalConfig::<Word>::builder(2, 4).build();
-        assert_eq!(config.owner_timeout(), None);
-        assert_eq!(config.owner_retries(), 0);
-        let config = CausalConfig::<Word>::builder(2, 4)
-            .owner_timeout(Duration::from_millis(50))
-            .owner_retries(3)
-            .build();
-        assert_eq!(config.owner_timeout(), Some(Duration::from_millis(50)));
-        assert_eq!(config.owner_retries(), 3);
     }
 }

@@ -21,7 +21,8 @@
 //!
 //! Time is an opaque tick count supplied by the executor (simulator
 //! ticks, or milliseconds since cluster start); configurations without
-//! failover or an `owner_timeout` never look at it.
+//! failover never look at it. Without failover a blocked operation waits
+//! for its owner's reply, as Figure 4's does.
 //!
 //! The contract between a driver and its executors is the [`Driver`]
 //! trait, over the protocol-agnostic [`Op`], [`Done`] and [`Effects`];
@@ -54,12 +55,6 @@ pub enum Op<V> {
     /// window has room. With a window of 0, or toward an owned page, it is
     /// exactly [`Op::Write`].
     WritePipelined(Location, Arc<V>),
-    /// The raw non-blocking write: an [`Op::WritePipelined`] that issues
-    /// asynchronously even with the pipeline off, so nothing ever drains
-    /// before operations that export its increment. Unsound (the
-    /// exhaustive witness is `tests/nonblocking_limits.rs`) and kept for
-    /// the simulator's `ClientOp::WriteNonblocking` only.
-    WriteUngated(Location, Arc<V>),
     /// The paper's `discard`.
     Discard(Location),
     /// Barrier: completes once every asynchronous write's reply is
@@ -92,7 +87,7 @@ pub enum Done<V> {
     Discarded,
     /// A flush completed.
     Flushed,
-    /// The operation was abandoned: its retry budget ran out
+    /// The operation was abandoned: its failover retry budget ran out
     /// ([`MemoryError::Timeout`]) or the transport went down.
     Failed(MemoryError),
 }
@@ -292,8 +287,7 @@ struct Failover<V> {
     /// Whether this life's silence clock is running (see
     /// [`NodeDriver::clock`]).
     started: bool,
-    /// One attempt's patience before backoff: the `owner_timeout` if
-    /// configured, else the suspicion budget.
+    /// One attempt's patience before backoff: the suspicion budget.
     patience: u64,
     next_heartbeat: u64,
     inflight: Vec<Inflight<V>>,
@@ -348,12 +342,6 @@ pub struct NodeDriver<V> {
     /// An operation the pipeline gated; re-tried each time a pipelined
     /// reply drains. The node is blocked while this is set.
     deferred: Option<Op<V>>,
-    /// Without failover, how long a blocked operation waits before
-    /// failing with [`MemoryError::Timeout`]: `owner_timeout × (1 +
-    /// owner_retries)`. (Under failover each *attempt* is timed instead.)
-    budget: Option<u64>,
-    /// When the blocked operation's `budget` runs out.
-    deadline: Option<u64>,
     pipeline: Pipeline<V>,
     fo: Option<Failover<V>>,
 }
@@ -363,17 +351,13 @@ impl<V: Value> NodeDriver<V> {
     #[must_use]
     pub fn new(state: CausalState<V>) -> Self {
         let config = state.config();
-        let timeout = config
-            .owner_timeout()
-            .map(|t| u64::try_from(t.as_millis()).unwrap_or(u64::MAX).max(1));
         let fo = state.failover_config().map(|fc| Failover {
             config: fc,
             started: false,
-            patience: timeout.unwrap_or_else(|| {
-                fc.heartbeat_interval
-                    .saturating_mul(u64::from(fc.suspicion_threshold))
-                    .max(1)
-            }),
+            patience: fc
+                .heartbeat_interval
+                .saturating_mul(u64::from(fc.suspicion_threshold))
+                .max(1),
             next_heartbeat: fc.heartbeat_interval.max(1),
             inflight: Vec::new(),
         });
@@ -385,18 +369,12 @@ impl<V: Value> NodeDriver<V> {
             tags: VecDeque::new(),
             buffer: Vec::new(),
         };
-        let budget = match fo {
-            Some(_) => None,
-            None => timeout.map(|t| t.saturating_mul(1 + u64::from(config.owner_retries()))),
-        };
         NodeDriver {
             state,
             log: None,
             now: 0,
             pending: None,
             deferred: None,
-            budget,
-            deadline: None,
             pipeline,
             fo,
         }
@@ -486,22 +464,21 @@ impl<V: Value> NodeDriver<V> {
     }
 
     /// The earliest time [`on_timer`](Self::on_timer) must run, if any:
-    /// the next heartbeat, an attempt deadline, or the blocked operation's
-    /// give-up time. Always `None` without failover and `owner_timeout`.
+    /// the next heartbeat or an attempt deadline. Always `None` without
+    /// failover.
     #[must_use]
     pub fn next_timer(&self) -> Option<u64> {
-        let attempts = self.fo.iter().flat_map(|fo| {
-            fo.inflight
-                .iter()
-                .map(|e| e.deadline)
-                .chain([fo.next_heartbeat])
-        });
-        self.deadline.into_iter().chain(attempts).min()
+        let fo = self.fo.as_ref()?;
+        fo.inflight
+            .iter()
+            .map(|e| e.deadline)
+            .chain([fo.next_heartbeat])
+            .min()
     }
 
     /// Fires whatever is due at `now`: heartbeats and probe-silence
-    /// suspicion, expired attempts (their targets are suspected and the
-    /// requests re-dispatched), and the blocked operation's give-up.
+    /// suspicion, and expired attempts (their targets are suspected and
+    /// the requests re-dispatched).
     pub fn on_timer(&mut self, now: u64, fx: &mut Effects<V>) {
         self.clock(now);
         let heartbeat_due = self.fo.as_mut().is_some_and(|fo| {
@@ -513,11 +490,7 @@ impl<V: Value> NodeDriver<V> {
         });
         if heartbeat_due {
             if let Some(hb) = self.state.heartbeat_msg() {
-                // All peers under all-pairs probing; this node's ring
-                // successors under a scoped heartbeat fanout.
-                for peer in self.state.heartbeat_targets() {
-                    fx.sends.push((peer, hb.clone()));
-                }
+                fx.sends.extend(self.peers().map(|peer| (peer, hb.clone())));
             }
             for suspect in self.state.check_suspicions(now) {
                 self.declare_suspect(suspect, fx);
@@ -535,15 +508,6 @@ impl<V: Value> NodeDriver<V> {
         for target in expired {
             self.declare_suspect(target, fx);
         }
-        if self.deadline.is_some_and(|d| d <= now) {
-            let owner = match &self.pending {
-                Some(Pending::Read { loc, .. } | Pending::Write { loc, .. }) => {
-                    self.owner_now(*loc)
-                }
-                None => self.pipeline.owner.unwrap_or(self.state.id()),
-            };
-            self.fail(MemoryError::Timeout { owner }, fx);
-        }
         self.side_traffic(fx);
         self.persist();
     }
@@ -556,7 +520,6 @@ impl<V: Value> NodeDriver<V> {
     /// an operation was outstanding.
     pub fn transport_down(&mut self) -> bool {
         let blocked = self.pending.take().is_some() | self.deferred.take().is_some();
-        self.deadline = None;
         self.pipeline.tags.clear();
         self.pipeline.buffer.clear();
         self.pipeline.owner = None;
@@ -603,6 +566,15 @@ impl<V: Value> NodeDriver<V> {
     // Operations
     // ------------------------------------------------------------------
 
+    /// Every other node. Failure detection is all-pairs: heartbeats and
+    /// `[SUSPECT]` decisions go to each of them.
+    fn peers(&self) -> impl Iterator<Item = NodeId> {
+        let me = self.state.id();
+        (0..self.state.config().nodes())
+            .map(NodeId::new)
+            .filter(move |peer| *peer != me)
+    }
+
     /// The node currently serving `loc`: the static owner until failover
     /// migrates the page to a higher epoch.
     fn owner_now(&self, loc: Location) -> NodeId {
@@ -633,15 +605,12 @@ impl<V: Value> NodeDriver<V> {
         match op {
             Op::Flush => true,
             Op::Discard(_) => false,
-            _ if p.window == 0 => false,
             Op::Read(loc) => {
                 !self.state.has_valid_copy(*loc) && p.owner == Some(self.owner_now(*loc))
             }
             Op::ReadFresh(loc) => p.owner == Some(self.owner_now(*loc)),
             Op::Write(loc, _) => leaks(*loc),
-            Op::WritePipelined(loc, _) | Op::WriteUngated(loc, _) => {
-                leaks(*loc) || p.tags.len() >= p.window
-            }
+            Op::WritePipelined(loc, _) => leaks(*loc) || p.tags.len() >= p.window,
         }
     }
 
@@ -651,7 +620,6 @@ impl<V: Value> NodeDriver<V> {
         if self.gated(&op) {
             self.pipeline.ship(&mut fx.sends);
             self.deferred = Some(op);
-            self.deadline = self.budget.map(|b| self.now + b);
         } else {
             self.perform(op, fx);
         }
@@ -672,18 +640,15 @@ impl<V: Value> NodeDriver<V> {
                         let Msg::Read { page } = request else {
                             unreachable!("a read miss asks with READ")
                         };
-                        self.block(Pending::Read { loc, page });
+                        self.pending = Some(Pending::Read { loc, page });
                         let request = self.stamp(owner, request);
                         fx.sends.push((owner, request));
                     }
                 }
             }
             Op::Write(loc, value) => self.write_blocking(loc, value, fx),
-            Op::WritePipelined(loc, value) if self.pipeline.window == 0 => {
-                self.write_blocking(loc, value, fx);
-            }
-            Op::WritePipelined(loc, value) | Op::WriteUngated(loc, value) => {
-                if self.state.owns(loc) {
+            Op::WritePipelined(loc, value) => {
+                if self.pipeline.window == 0 || self.state.owns(loc) {
                     self.write_blocking(loc, value, fx);
                 } else {
                     self.write_pipelined(loc, value, fx);
@@ -712,7 +677,7 @@ impl<V: Value> NodeDriver<V> {
                 // orders this write behind the pipelined ones; just make
                 // sure nothing still buffered can be overtaken.
                 self.pipeline.ship(&mut fx.sends);
-                self.block(Pending::Write { loc, value, wid });
+                self.pending = Some(Pending::Write { loc, value, wid });
                 let request = self.stamp(owner, request);
                 fx.sends.push((owner, request));
             }
@@ -755,14 +720,8 @@ impl<V: Value> NodeDriver<V> {
         self.complete(Done::Wrote { loc, value, done }, fx);
     }
 
-    fn block(&mut self, pending: Pending<V>) {
-        self.pending = Some(pending);
-        self.deadline = self.budget.map(|b| self.now + b);
-    }
-
     fn complete(&mut self, done: Done<V>, fx: &mut Effects<V>) {
         debug_assert!(fx.done.is_none(), "at most one completion per call");
-        self.deadline = None;
         fx.done = Some(done);
     }
 
@@ -1025,26 +984,12 @@ impl<V: Value> NodeDriver<V> {
         let already = self.state.is_suspected(node);
         let migrated = self.state.suspect(node);
         if !(already && migrated.is_empty()) {
-            let me = self.state.id();
-            // With a scoped heartbeat fanout the decision goes only to
-            // the parties that need it now (new owners, both ring
-            // neighborhoods, the suspect itself); everyone else learns
-            // lazily via NACK redirects. `None` means broadcast.
-            let targets = self
-                .state
-                .suspect_targets(node, &migrated)
-                .unwrap_or_else(|| {
-                    (0..self.state.config().nodes())
-                        .map(NodeId::new)
-                        .filter(|peer| *peer != me)
-                        .collect()
-                });
             let msg = Msg::Suspect {
                 suspect: node,
                 epochs: migrated,
             };
             fx.sends
-                .extend(targets.into_iter().map(|peer| (peer, msg.clone())));
+                .extend(self.peers().map(|peer| (peer, msg.clone())));
         }
         self.redispatch(fx);
     }
@@ -1115,10 +1060,9 @@ impl<V: Value> Driver for NodeDriver<V> {
         NodeDriver::deliver(self, now, from, msg, fx);
     }
 
-    /// Failover's heartbeats and attempt deadlines, or an `owner_timeout`
-    /// budget.
+    /// Failover's heartbeats and attempt deadlines.
     fn timed(&self) -> bool {
-        self.fo.is_some() || self.budget.is_some()
+        self.fo.is_some()
     }
 
     fn next_timer(&self) -> Option<u64> {

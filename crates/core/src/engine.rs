@@ -206,8 +206,8 @@ impl<D: Driver> NodeShared<D> {
     }
 
     /// Waits until the blocked operation completes, firing the driver's
-    /// timers (attempt deadlines, the give-up budget) when they come due
-    /// first. `Ok(None)` means a timer fired without completing it.
+    /// timers (heartbeats, attempt deadlines) when they come due first.
+    /// `Ok(None)` means a timer fired without completing it.
     ///
     /// With a claimed stream the handle reads it until a completion is
     /// found — whoever produced it — or the claim is lost, and only then
@@ -271,7 +271,7 @@ impl<D: Driver> NodeShared<D> {
 /// has drained — so the next write would find the window full again and
 /// ship a run of one.
 fn reads_own_reply<V>(op: &Op<V>) -> bool {
-    !matches!(op, Op::WritePipelined(..) | Op::WriteUngated(..))
+    !matches!(op, Op::WritePipelined(..))
 }
 
 /// Releases the blocked operation's claimed stream, if any, on every way
@@ -661,7 +661,7 @@ impl<D: Driver> Cluster<D> {
     ///
     /// With faults active the transport may drop protocol messages, so
     /// operations can block forever unless
-    /// [`owner_timeout`](crate::CausalConfigBuilder::owner_timeout) is also
+    /// [`failover`](crate::CausalConfigBuilder::failover) is also
     /// configured. Intended for fault-tolerance experiments and tests; the
     /// deterministic chaos suite lives in `dsm-faults`.
     pub fn set_fault_hook(&self, hook: Option<Arc<dyn simnet::FaultHook>>) {
@@ -1169,10 +1169,10 @@ impl<V: Value> CausalHandle<V> {
     /// Returns [`MemoryError::Shutdown`] if the cluster has stopped,
     /// [`MemoryError::OutOfRange`] for locations outside the namespace, or
     /// [`MemoryError::Timeout`] when a configured
-    /// [`owner_timeout`](crate::CausalConfigBuilder::owner_timeout) or
-    /// failover retry budget runs out. A timed-out operation is abandoned
-    /// cleanly — a late reply to it is discarded, never misattributed —
-    /// so the handle stays usable.
+    /// [`failover`](crate::CausalConfigBuilder::failover) retry budget
+    /// runs out. A timed-out operation is abandoned cleanly — a late
+    /// reply to it is discarded, never misattributed — so the handle
+    /// stays usable.
     pub fn write_resolved(&self, loc: Location, value: V) -> Result<WriteDone, MemoryError> {
         self.write_as(loc, value, Op::Write)
     }
@@ -1216,10 +1216,7 @@ impl<V: Value> CausalHandle<V> {
     ///
     /// # Errors
     ///
-    /// Returns [`MemoryError::Shutdown`] if the cluster has stopped, or
-    /// [`MemoryError::Timeout`] if a configured
-    /// [`owner_timeout`](crate::CausalConfigBuilder::owner_timeout) budget
-    /// expires first (the lost writes stay lost: fatal for the session).
+    /// Returns [`MemoryError::Shutdown`] if the cluster has stopped.
     pub fn flush(&self) -> Result<(), MemoryError> {
         self.run(Op::Flush).map(|_| ())
     }

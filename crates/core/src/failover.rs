@@ -107,19 +107,9 @@ impl<V> FailoverState<V> {
 
     /// Peers (other than `me`) whose silence now exceeds
     /// `heartbeat_interval × suspicion_threshold`; marks them suspected and
-    /// returns only the *newly* suspected ones.
-    ///
-    /// `monitored` restricts the probe-driven detector to the peers that
-    /// actually probe this node (its ring predecessors under a scoped
-    /// heartbeat fanout) — judging anyone else by probe silence would
-    /// suspect live nodes that were simply never asked to speak. `None`
-    /// judges every peer (all-pairs probing).
-    pub fn check_suspicions(
-        &mut self,
-        me: NodeId,
-        now: u64,
-        monitored: Option<&[NodeId]>,
-    ) -> Vec<NodeId> {
+    /// returns only the *newly* suspected ones. Every peer probes every
+    /// other, so every peer's silence is judged.
+    pub fn check_suspicions(&mut self, me: NodeId, now: u64) -> Vec<NodeId> {
         let limit = self
             .config
             .heartbeat_interval
@@ -127,9 +117,6 @@ impl<V> FailoverState<V> {
         let mut newly = Vec::new();
         for i in 0..self.last_heard.len() {
             if i == me.index() || self.suspected[i] {
-                continue;
-            }
-            if monitored.is_some_and(|set| !set.contains(&NodeId::new(i as u32))) {
                 continue;
             }
             if now.saturating_sub(self.last_heard[i]) > limit {
@@ -174,29 +161,16 @@ mod tests {
         let mut fo: FailoverState<memcore::Word> = FailoverState::new(FailoverConfig::default(), 3);
         let me = NodeId::new(0);
         // interval 25 × threshold 4 = 100: silence of exactly 100 is fine.
-        assert!(fo.check_suspicions(me, 100, None).is_empty());
-        let newly = fo.check_suspicions(me, 101, None);
+        assert!(fo.check_suspicions(me, 100).is_empty());
+        let newly = fo.check_suspicions(me, 101);
         assert_eq!(newly, vec![NodeId::new(1), NodeId::new(2)]);
         // Already suspected: not reported again.
-        assert!(fo.check_suspicions(me, 500, None).is_empty());
+        assert!(fo.check_suspicions(me, 500).is_empty());
         assert!(fo.is_suspected(NodeId::new(1)));
         // Hearing from it clears the suspicion.
         fo.record_alive(NodeId::new(1), 600);
         assert!(!fo.is_suspected(NodeId::new(1)));
         assert!(fo.is_suspected(NodeId::new(2)));
-    }
-
-    #[test]
-    fn scoped_monitoring_only_suspects_the_monitored_set() {
-        let mut fo: FailoverState<memcore::Word> = FailoverState::new(FailoverConfig::default(), 4);
-        let me = NodeId::new(0);
-        let monitored = [NodeId::new(2)];
-        let newly = fo.check_suspicions(me, 101, Some(&monitored));
-        assert_eq!(newly, vec![NodeId::new(2)]);
-        assert!(
-            !fo.is_suspected(NodeId::new(1)),
-            "peers outside the monitored set must not be probe-suspected"
-        );
     }
 
     #[test]

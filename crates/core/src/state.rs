@@ -671,9 +671,11 @@ impl<V: Value> CausalState<V> {
     /// **Correctness boundary**: this node's own view stays consistent
     /// (per-link FIFO orders the write before this node's later requests
     /// to the same owner), but third parties that causally learn of the
-    /// in-flight write can be served the pre-write value — full
-    /// Definition-2 correctness requires blocking writes. See
-    /// `tests/nonblocking_limits.rs` and `docs/PROTOCOL.md`.
+    /// in-flight write can be served the pre-write value. The step is
+    /// sound only behind a drain gate: [`NodeDriver`](crate::NodeDriver)'s
+    /// bounded pipeline, which holds back every operation that would
+    /// export the increment until the owner has certified it. See
+    /// `docs/PROTOCOL.md`.
     pub fn begin_write_nonblocking(&mut self, loc: Location, value: V) -> WriteStep<V> {
         self.begin_write_nonblocking_shared(loc, Arc::new(value))
     }
@@ -1678,84 +1680,14 @@ impl<V: Value> CausalState<V> {
         Some(Msg::Heartbeat { seq })
     }
 
-    /// The peers this node probes with heartbeats: every peer under the
-    /// default all-pairs detector (`heartbeat_fanout == 0`, O(n²)
-    /// heartbeats per interval cluster-wide), or the `k` ring successors
-    /// when the fanout is scoped (O(n·k)). Empty with failover disabled.
-    #[must_use]
-    pub fn heartbeat_targets(&self) -> Vec<NodeId> {
-        let Some(fo) = self.failover_config() else {
-            return Vec::new();
-        };
-        if fo.heartbeat_fanout == 0 {
-            (0..self.config.nodes())
-                .map(NodeId::new)
-                .filter(|p| *p != self.id)
-                .collect()
-        } else {
-            self.config.owners().neighbors(self.id, fo.heartbeat_fanout)
-        }
-    }
-
-    /// The peers whose probe silence this node is entitled to judge:
-    /// `None` (everyone) under all-pairs probing, or the `k` ring
-    /// predecessors — exactly the nodes that probe *us* — when the
-    /// fanout is scoped.
-    fn monitored_peers(&self) -> Option<Vec<NodeId>> {
-        let fo = self.failover_config()?;
-        if fo.heartbeat_fanout == 0 {
-            None
-        } else {
-            Some(
-                self.config
-                    .owners()
-                    .predecessors(self.id, fo.heartbeat_fanout),
-            )
-        }
-    }
-
-    /// The peers that must hear this node's `[SUSPECT]` broadcast for
-    /// `suspect`, given the pages it migrated: `None` means broadcast to
-    /// every peer (the default all-pairs detector). Under a scoped
-    /// heartbeat fanout the set shrinks to the nodes that serve the
-    /// migrated pages at their new epochs, both ring neighborhoods, and
-    /// the suspect itself — everyone else learns the epochs lazily, via
-    /// NACK redirects or their own timeout-driven suspicion.
-    #[must_use]
-    pub fn suspect_targets(
-        &self,
-        suspect: NodeId,
-        migrated: &[(PageId, OwnerEpoch)],
-    ) -> Option<Vec<NodeId>> {
-        let fo = self.failover_config()?;
-        if fo.heartbeat_fanout == 0 {
-            return None;
-        }
-        let owners = self.config.owners();
-        let mut targets: Vec<NodeId> = migrated
-            .iter()
-            .map(|(page, epoch)| owner_at(owners.as_ref(), *page, *epoch))
-            .collect();
-        targets.extend(owners.neighbors(self.id, fo.heartbeat_fanout));
-        targets.extend(owners.neighbors(suspect, fo.heartbeat_fanout));
-        targets.push(suspect);
-        targets.sort_unstable();
-        targets.dedup();
-        targets.retain(|p| *p != self.id);
-        Some(targets)
-    }
-
     /// Peers whose silence now exceeds the suspicion budget
     /// (`heartbeat_interval × suspicion_threshold`); each is returned at
     /// most once. The caller follows up with [`CausalState::suspect`] and
-    /// broadcasts the result. With a scoped heartbeat fanout only the
-    /// ring predecessors this node monitors are judged — other peers'
-    /// probes never come here, so their silence means nothing.
+    /// broadcasts the result.
     pub fn check_suspicions(&mut self, now: u64) -> Vec<NodeId> {
         let id = self.id;
-        let monitored = self.monitored_peers();
         match &mut self.failover {
-            Some(fo) => fo.check_suspicions(id, now, monitored.as_deref()),
+            Some(fo) => fo.check_suspicions(id, now),
             None => Vec::new(),
         }
     }
@@ -2461,49 +2393,5 @@ mod tests {
         p0.handle_interest_drop(page0, p(1));
         assert!(p0.interested(page0).is_empty());
         assert_eq!(p0.interested(page2), &[p(1)]);
-    }
-
-    #[test]
-    fn heartbeat_fanout_pins_probe_bill_to_n_times_k() {
-        // The satellite claim: scoped probing sends n·k heartbeats per
-        // interval instead of all-pairs' n·(n−1) — at n=128, k=2 that is
-        // 256 probes instead of 16,256. Pinned exactly, per node, over
-        // the whole ring, with monit() as the inverse relation so every
-        // probe has a judge and nobody judges an unprobed peer.
-        let n = 128u32;
-        let k = 2u32;
-        let fanout = FailoverConfig {
-            heartbeat_fanout: k,
-            ..FailoverConfig::default()
-        };
-        let all_pairs = FailoverConfig::default();
-        let ring = memcore::HashRingOwners::new(n, 1, 16);
-
-        let mk = |fo: FailoverConfig| {
-            let config = CausalConfig::<Word>::builder(n, n)
-                .owners(ring.clone())
-                .failover(fo)
-                .build();
-            (0..n)
-                .map(|i| CausalState::new(p(i), config.clone()))
-                .collect::<Vec<_>>()
-        };
-
-        let scoped: usize = mk(fanout)
-            .iter()
-            .map(|node| {
-                let targets = node.heartbeat_targets();
-                assert_eq!(targets.len(), k as usize);
-                assert!(!targets.contains(&node.id()));
-                targets.len()
-            })
-            .sum();
-        assert_eq!(scoped, (n * k) as usize);
-
-        let unscoped: usize = mk(all_pairs)
-            .iter()
-            .map(|node| node.heartbeat_targets().len())
-            .sum();
-        assert_eq!(unscoped, (n * (n - 1)) as usize);
     }
 }

@@ -3,7 +3,6 @@
 
 use std::collections::VecDeque;
 use std::sync::Arc;
-use std::time::Duration;
 
 use causal_dsm::{
     CausalConfig, CausalConfigBuilder, CausalState, Done, DurableConfig, Effects, FailoverConfig,
@@ -57,7 +56,6 @@ fn fast_failover(max_retries: u32) -> FailoverConfig {
         backoff_base: 1,
         backoff_max: 8,
         max_retries,
-        heartbeat_fanout: 0,
     }
 }
 
@@ -123,37 +121,45 @@ fn an_opened_driver_has_synced_the_certification_when_it_returns_the_reply() {
 }
 
 #[test]
-fn stale_reply_after_owner_timeout_is_discarded_not_misattributed() {
-    let mut d = drivers(2, |c| c.owner_timeout(Duration::from_millis(10)));
+fn stale_reply_after_a_give_up_is_discarded_not_misattributed() {
+    // No retries: the first expired attempt gives up.
+    let mut d = drivers(3, |c| c.failover(fast_failover(0)));
     // Node 1 reads x0 (owned by node 0); the request is "lost".
     let (sends, done) = call(|fx| d[1].submit(0, Op::Read(loc(0)), fx));
     assert!(done.is_none());
     let (_, read) = sends.into_iter().next().expect("a READ goes out");
-    assert_eq!(d[1].next_timer(), Some(10));
-    let (_, done) = call(|fx| d[1].on_timer(10, fx));
+    // Its attempt expires: node 0 is suspected and the read gives up.
+    let (now, done) = loop {
+        let now = d[1].next_timer().expect("an attempt is always timed");
+        let (_, done) = call(|fx| d[1].on_timer(now, fx));
+        if let Some(done) = done {
+            break (now, done);
+        }
+        assert!(now < 10_000, "the attempt never expired");
+    };
     match done {
-        Some(Done::Failed(MemoryError::Timeout { owner })) => assert_eq!(owner, n(0)),
+        Done::Failed(MemoryError::Timeout { owner }) => assert_eq!(owner, n(0)),
         other => panic!("expected a timeout, got {other:?}"),
     }
-    assert_eq!(d[1].next_timer(), None, "nothing left to wait for");
 
-    // The next operation: a write to x2, also node 0's.
-    let (sends, done) = call(|fx| d[1].submit(11, Op::Write(loc(2), word(5)), fx));
+    // The next operation: a write to x2, node 2's.
+    let (sends, done) = call(|fx| d[1].submit(now, Op::Write(loc(2), word(5)), fx));
     assert!(done.is_none());
-    let (_, write) = sends.into_iter().next().expect("a WRITE goes out");
-    // The owner finally answers the *old* read: the late R_REPLY must not
+    let (to, write) = sends.into_iter().next().expect("a WRITE goes out");
+    assert_eq!(to, n(2));
+    // Node 0 finally answers the *old* read: the late R_REPLY must not
     // complete (or corrupt) the write that is now pending.
-    let (replies, _) = deliver(&mut d, 12, 1, 0, read);
+    let (replies, _) = deliver(&mut d, now + 1, 1, 0, read);
     let (_, late) = replies.into_iter().next().expect("owner replies");
-    let (sends, done) = deliver(&mut d, 13, 0, 1, late);
+    let (sends, done) = deliver(&mut d, now + 2, 0, 1, late);
     assert!(sends.is_empty() && done.is_none(), "stale reply: dropped");
     // Its own reply completes it.
-    let (replies, _) = deliver(&mut d, 14, 1, 0, write);
+    let (replies, _) = deliver(&mut d, now + 3, 1, 2, write);
     let (_, reply) = replies.into_iter().next().expect("owner replies");
-    let (_, done) = deliver(&mut d, 15, 0, 1, reply.clone());
+    let (_, done) = deliver(&mut d, now + 4, 2, 1, reply.clone());
     assert!(matches!(done, Some(Done::Wrote { done, .. }) if done.is_applied()));
     // A duplicate of it, with nothing pending, is dropped just the same.
-    let (sends, done) = deliver(&mut d, 16, 0, 1, reply);
+    let (sends, done) = deliver(&mut d, now + 5, 2, 1, reply);
     assert!(sends.is_empty() && done.is_none());
 }
 
@@ -221,38 +227,6 @@ fn successor_self_serves_after_migration() {
     );
     assert!(d[1].state().owns(loc(0)));
     assert_eq!(*d[1].state().read_hit(loc(0)).unwrap().0, Word::Int(88));
-}
-
-#[test]
-fn flush_waits_for_ungated_writes_even_with_the_pipeline_off() {
-    // The raw non-blocking write shares the pipeline's tag set, so the
-    // one barrier covers it too.
-    let mut d = drivers(2, |c| c);
-    let (sends, done) = call(|fx| d[0].submit(0, Op::WriteUngated(loc(1), word(1)), fx));
-    assert!(
-        matches!(done, Some(Done::Wrote { .. })),
-        "complete at issue"
-    );
-    assert_eq!(d[0].pipeline_in_flight(), 1);
-    let (_, write) = sends.into_iter().next().expect("a WRITE goes out");
-    // Nothing gates on it — that is the unsoundness — except flush.
-    let (_, done) = call(|fx| d[0].submit(0, Op::Read(loc(3)), fx));
-    assert!(done.is_none(), "a miss toward the same owner just proceeds");
-    let (replies, _) = deliver(&mut d, 0, 0, 1, write);
-    let (_, w_reply) = replies.into_iter().next().unwrap();
-    let read = Msg::Read {
-        page: PageId::new(3),
-    };
-    let (replies, _) = deliver(&mut d, 0, 0, 1, read);
-    let (_, r_reply) = replies.into_iter().next().unwrap();
-    let (_, done) = deliver(&mut d, 0, 1, 0, r_reply);
-    assert!(matches!(done, Some(Done::Read { .. })));
-
-    let (sends, done) = call(|fx| d[0].submit(0, Op::Flush, fx));
-    assert!(sends.is_empty() && done.is_none(), "one reply outstanding");
-    let (_, done) = deliver(&mut d, 0, 1, 0, w_reply);
-    assert!(matches!(done, Some(Done::Flushed)));
-    assert_eq!(d[0].pipeline_in_flight(), 0);
 }
 
 #[test]

@@ -1,5 +1,5 @@
-//! The driver's hot path allocates nothing of its own: with failover, an
-//! `owner_timeout` and batching off, a blocking round trip through two
+//! The driver's hot path allocates nothing of its own: with failover and
+//! batching off, a blocking round trip through two
 //! [`NodeDriver`]s and a reused [`Effects`] buffer performs exactly the
 //! heap allocations the bare [`CausalState`] steps underneath perform.
 //! (The driver cannot read a clock or build an `OpRecord` at all — it

@@ -272,45 +272,6 @@ fn handles_are_clone_and_debug() {
 }
 
 #[test]
-fn owner_timeout_fails_instead_of_hanging_on_a_lossy_network() {
-    use simnet::{FaultHook, SendFate};
-    use std::sync::Arc;
-    use std::time::Duration;
-
-    // Drop every READ request: the owner never hears the question, so the
-    // reply never comes and only the timeout can unblock the reader.
-    struct DropReads;
-    impl FaultHook for DropReads {
-        fn on_send(&self, _s: NodeId, _d: NodeId, kind: &'static str, _now: u64) -> SendFate {
-            if kind == "READ" {
-                SendFate::dropped()
-            } else {
-                SendFate::deliver()
-            }
-        }
-    }
-
-    let cluster = CausalCluster::<Word>::builder(2, 2)
-        .configure(|c| c.owner_timeout(Duration::from_millis(20)).owner_retries(2))
-        .build()
-        .unwrap();
-    cluster.set_fault_hook(Some(Arc::new(DropReads)));
-    let p1 = cluster.handle(1);
-    // Location 0 is owned by P0; the READ request is dropped en route.
-    let err = p1.read(loc(0)).unwrap_err();
-    assert_eq!(
-        err,
-        MemoryError::Timeout {
-            owner: NodeId::new(0)
-        }
-    );
-    // Writes (W/W_REPLY) still flow; the cluster is otherwise healthy.
-    let p0 = cluster.handle(0);
-    p0.write(loc(0), Word::Int(7)).unwrap();
-    assert_eq!(p0.read(loc(0)).unwrap(), Word::Int(7));
-}
-
-#[test]
 fn only_hosted_nodes_exist() {
     let cluster = CausalCluster::<Word>::builder(3, 6)
         .hosting(&[NodeId::new(1)])

@@ -457,26 +457,33 @@ impl FaultHook for DeadNode {
 }
 
 #[test]
-fn timeout_is_recoverable_without_failover() {
+fn a_timeout_leaves_the_handle_usable() {
     // Satellite regression: a dropped WRITE must surface as a Timeout the
-    // *caller* can survive — with failover disabled, the next operation
-    // on the same handle succeeds once the network heals.
-    let cluster = CausalCluster::<Word>::builder(2, 4)
-        .configure(|c| c.owner_timeout(Duration::from_millis(40)))
+    // *caller* can survive. With no retries, the first expired attempt
+    // suspects the owner, migrates its page to the successor and gives
+    // up; the next operation on the same handle goes to the successor.
+    let fo = FailoverConfig {
+        max_retries: 0,
+        ..fast_failover()
+    };
+    let cluster = CausalCluster::<Word>::builder(3, 6)
+        .configure(|c| c.failover(fo))
         .build()
         .unwrap();
-    let h1 = cluster.handle(1);
+    let h2 = cluster.handle(2);
     // Location 0 lives on node 0: the write must cross the network.
     cluster.set_fault_hook(Some(Arc::new(DropFirst::new("WRITE", 1))));
-    match h1.write(loc(0), Word::Int(1)) {
+    match h2.write(loc(0), Word::Int(1)) {
         Err(MemoryError::Timeout { owner }) => assert_eq!(owner, n(0)),
         other => panic!("expected timeout, got {other:?}"),
     }
     cluster.set_fault_hook(None);
-    // The handle is still usable: retry succeeds and reads see it.
-    h1.write(loc(0), Word::Int(2)).unwrap();
-    assert_eq!(h1.read(loc(0)).unwrap(), Word::Int(2));
-    assert_eq!(cluster.handle(0).read(loc(0)).unwrap(), Word::Int(2));
+    // The handle is still usable: the retry succeeds at the successor
+    // (node 1, which learned of the migration before the WRITE on the
+    // same link), and both see it.
+    h2.write(loc(0), Word::Int(2)).unwrap();
+    assert_eq!(h2.read(loc(0)).unwrap(), Word::Int(2));
+    assert_eq!(cluster.handle(1).read(loc(0)).unwrap(), Word::Int(2));
     cluster.shutdown();
 }
 
@@ -486,10 +493,7 @@ fn stale_replies_are_discarded_not_misattributed() {
     // in the handle's reply channel after the write completes. The next
     // remote operation (a read of a *different* page on the same owner)
     // must skip it and wait for its own reply.
-    let cluster = CausalCluster::<Word>::builder(2, 4)
-        .configure(|c| c.owner_timeout(Duration::from_millis(200)))
-        .build()
-        .unwrap();
+    let cluster = CausalCluster::<Word>::builder(2, 4).build().unwrap();
     let h1 = cluster.handle(1);
     cluster.set_fault_hook(Some(Arc::new(DupFirst {
         kind: "W_REPLY",
@@ -514,7 +518,6 @@ fn fast_failover() -> FailoverConfig {
         backoff_base: 1,
         backoff_max: 8,
         max_retries: 6,
-        heartbeat_fanout: 0,
     }
 }
 

@@ -52,33 +52,6 @@ pub trait OwnerMap: Send + Sync + 'static {
         let base = self.owner_of_page(page).index() as u32;
         NodeId::new((base + epoch % self.nodes()) % self.nodes())
     }
-
-    /// `node`'s `k` distinct successors in the map's topology order — the
-    /// peers it sends failure-detector heartbeats to when probing is
-    /// scoped instead of all-pairs.
-    ///
-    /// Must be the exact inverse of [`OwnerMap::predecessors`]:
-    /// `a ∈ neighbors(b, k)` iff `b ∈ predecessors(a, k)`. The default
-    /// order is node-index succession; ring maps override it with ring
-    /// order. `k >= n-1` degenerates to all peers.
-    fn neighbors(&self, node: NodeId, k: u32) -> Vec<NodeId> {
-        let n = self.nodes();
-        let k = k.min(n.saturating_sub(1));
-        (1..=k)
-            .map(|step| NodeId::new((node.index() as u32 + step) % n))
-            .collect()
-    }
-
-    /// `node`'s `k` distinct predecessors in the map's topology order —
-    /// the peers whose heartbeats it expects when probing is scoped, i.e.
-    /// exactly the nodes that list it in [`OwnerMap::neighbors`].
-    fn predecessors(&self, node: NodeId, k: u32) -> Vec<NodeId> {
-        let n = self.nodes();
-        let k = k.min(n.saturating_sub(1));
-        (1..=k)
-            .map(|step| NodeId::new((node.index() as u32 + n - step) % n))
-            .collect()
-    }
 }
 
 impl OwnerMap for RoundRobinOwners {
@@ -110,14 +83,6 @@ impl<T: OwnerMap + ?Sized> OwnerMap for Arc<T> {
 
     fn owner_at_epoch(&self, page: PageId, epoch: u32) -> NodeId {
         (**self).owner_at_epoch(page, epoch)
-    }
-
-    fn neighbors(&self, node: NodeId, k: u32) -> Vec<NodeId> {
-        (**self).neighbors(node, k)
-    }
-
-    fn predecessors(&self, node: NodeId, k: u32) -> Vec<NodeId> {
-        (**self).predecessors(node, k)
     }
 }
 

@@ -16,9 +16,9 @@
 //!   nodes moves only the pages whose arc the new node's points capture —
 //!   O(pages/n) in expectation — instead of remapping almost everything
 //!   the way `page % n` does.
-//! * **A topology for scoped probing.** The ring induces a deterministic
-//!   circular node order, so heartbeats/suspicion can be scoped to the
-//!   `k` ring successors ([`OwnerMap::neighbors`]) rather than all pairs.
+//! * **A circular node order.** The ring induces a deterministic order
+//!   of the nodes ([`HashRingOwners::ring_order`]), so a workload can
+//!   give each node a ring neighbourhood to work in.
 //!
 //! Hashing is a fixed splitmix64 — fully deterministic across runs and
 //! processes, like every other seed-driven component in this workspace.
@@ -72,11 +72,6 @@ pub struct HashRingOwners {
     /// All virtual-node points, sorted by position (ties broken by node
     /// id, so the ring is well-defined even under hash collisions).
     ring: Vec<(u64, NodeId)>,
-    /// The induced circular node order: nodes sorted by their first
-    /// (lowest) point on the ring. Drives `neighbors`/`predecessors`.
-    order: Vec<NodeId>,
-    /// Inverse of `order`: `pos[i]` is node `i`'s rank in ring order.
-    pos: Vec<u32>,
 }
 
 impl HashRingOwners {
@@ -102,28 +97,11 @@ impl HashRingOwners {
             }
         }
         ring.sort_unstable();
-
-        // First point of each node, in ring position order.
-        let mut firsts: Vec<(u64, NodeId)> = (0..nodes)
-            .map(|node| {
-                let lowest = (0..vnodes).map(|v| vnode_point(node, v)).min().unwrap();
-                (lowest, NodeId::new(node))
-            })
-            .collect();
-        firsts.sort_unstable();
-        let order: Vec<NodeId> = firsts.into_iter().map(|(_, node)| node).collect();
-        let mut pos = vec![0u32; nodes as usize];
-        for (rank, node) in order.iter().enumerate() {
-            pos[node.index()] = rank as u32;
-        }
-
         HashRingOwners {
             nodes,
             page_size,
             vnodes,
             ring,
-            order,
-            pos,
         }
     }
 
@@ -143,6 +121,20 @@ impl HashRingOwners {
     #[must_use]
     pub fn vnodes(&self) -> u32 {
         self.vnodes
+    }
+
+    /// The circular node order the ring induces: every node once, sorted
+    /// by its first (lowest) point on the ring.
+    #[must_use]
+    pub fn ring_order(&self) -> Vec<NodeId> {
+        let mut seen = vec![false; self.nodes as usize];
+        let mut order = Vec::with_capacity(self.nodes as usize);
+        for &(_, node) in &self.ring {
+            if !std::mem::replace(&mut seen[node.index()], true) {
+                order.push(node);
+            }
+        }
+        order
     }
 
     /// Index into `ring` of the first point at or clockwise of `h`.
@@ -195,24 +187,6 @@ impl OwnerMap for HashRingOwners {
         let walk = self.succession(page);
         walk[(epoch as usize) % walk.len()]
     }
-
-    fn neighbors(&self, node: NodeId, k: u32) -> Vec<NodeId> {
-        let n = self.nodes;
-        let k = k.min(n.saturating_sub(1));
-        let rank = self.pos[node.index()];
-        (1..=k)
-            .map(|step| self.order[((rank + step) % n) as usize])
-            .collect()
-    }
-
-    fn predecessors(&self, node: NodeId, k: u32) -> Vec<NodeId> {
-        let n = self.nodes;
-        let k = k.min(n.saturating_sub(1));
-        let rank = self.pos[node.index()];
-        (1..=k)
-            .map(|step| self.order[((rank + n - step) % n) as usize])
-            .collect()
-    }
 }
 
 impl fmt::Display for HashRingOwners {
@@ -261,24 +235,17 @@ mod tests {
     }
 
     #[test]
-    fn neighbors_and_predecessors_are_inverse() {
+    fn ring_order_sorts_nodes_by_their_lowest_point() {
         let ring = HashRingOwners::new(9, 1, 8);
-        for k in [1u32, 2, 3, 8, 20] {
-            for i in 0..9u32 {
-                let me = NodeId::new(i);
-                for peer in ring.neighbors(me, k) {
-                    assert!(
-                        ring.predecessors(peer, k).contains(&me),
-                        "{me} heartbeats {peer} but {peer} does not monitor {me} (k={k})"
-                    );
-                }
-                for peer in ring.predecessors(me, k) {
-                    assert!(ring.neighbors(peer, k).contains(&me));
-                }
-            }
-        }
-        // k >= n-1 degenerates to all peers.
-        assert_eq!(ring.neighbors(NodeId::new(0), 99).len(), 8);
+        let mut firsts: Vec<(u64, NodeId)> = (0..9)
+            .map(|node| {
+                let lowest = (0..8).map(|v| vnode_point(node, v)).min().unwrap();
+                (lowest, NodeId::new(node))
+            })
+            .collect();
+        firsts.sort_unstable();
+        let expected: Vec<NodeId> = firsts.into_iter().map(|(_, node)| node).collect();
+        assert_eq!(ring.ring_order(), expected);
     }
 
     #[test]
@@ -286,6 +253,6 @@ mod tests {
         let ring = HashRingOwners::new(1, 4, 8);
         assert_eq!(ring.owner_of_page(PageId::new(123)), NodeId::new(0));
         assert_eq!(ring.owner_at_epoch(PageId::new(123), 7), NodeId::new(0));
-        assert!(ring.neighbors(NodeId::new(0), 3).is_empty());
+        assert_eq!(ring.ring_order(), vec![NodeId::new(0)]);
     }
 }

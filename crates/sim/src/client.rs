@@ -32,12 +32,8 @@ pub enum ClientOp<V> {
     ReadFresh(Location),
     /// Drop the cached copy (the paper's `discard`).
     Discard(Location),
-    /// A non-blocking write (the causal protocol's reduced-blocking
-    /// enhancement); completes at issue, the owner's reply is absorbed in
-    /// the background. Other protocols treat it as a normal write.
-    WriteNonblocking(Location, V),
-    /// Barrier: completes once every pipelined or non-blocking write's
-    /// reply has been absorbed (the engine's `flush`).
+    /// Barrier: completes once every pipelined write's reply has been
+    /// absorbed (the engine's `flush`).
     Flush,
     /// Block until the location's value satisfies the predicate (the
     /// paper's `wait(B)`); how aggressively this re-reads is the
@@ -61,7 +57,6 @@ impl<V: fmt::Debug> fmt::Debug for ClientOp<V> {
             ClientOp::Flush => write!(f, "flush"),
             ClientOp::ReadFresh(loc) => write!(f, "r!({loc})"),
             ClientOp::Discard(loc) => write!(f, "discard({loc})"),
-            ClientOp::WriteNonblocking(loc, v) => write!(f, "w_nb({loc}){v:?}"),
             ClientOp::WaitUntil(loc, _) => write!(f, "wait({loc})"),
         }
     }

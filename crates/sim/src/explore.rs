@@ -66,9 +66,10 @@ enum Choice {
 /// protocol under `config`, checking each complete schedule's recorded
 /// execution against Definition 2.
 ///
-/// Scripts may contain `Read`, `ReadFresh`, `Write`, `WriteNonblocking`
-/// and `Discard`; `WaitUntil` is not supported (its re-read policy is a
-/// scheduler concern, not a protocol one).
+/// Scripts may contain any [`ClientOp`] but `WaitUntil` (its re-read
+/// policy is a scheduler concern, not a protocol one). Under a
+/// `pipeline_window`, `Write` is the pipelined write, so the drain gate's
+/// every interleaving is enumerated.
 ///
 /// `max_states` bounds the search; the report says whether enumeration
 /// completed. State-space size grows roughly factorially in total
@@ -283,9 +284,14 @@ mod tests {
     }
 
     #[test]
-    fn all_schedules_with_nonblocking_writes_are_causal() {
-        // The shape that motivated the stale-write rule, exhaustively.
-        let config = CausalConfig::<Word>::builder(3, 3).build();
+    fn all_schedules_with_pipelined_writes_are_causal() {
+        // The shape that motivated the stale-write rule, exhaustively,
+        // with every write through a window-1 pipeline: P2's write of x0
+        // completes at issue, and the drain gate holds back its owner-local
+        // write of x2 until the owner certified x0.
+        let config = CausalConfig::<Word>::builder(3, 3)
+            .pipeline_window(1)
+            .build();
         let scripts = vec![
             vec![ClientOp::ReadFresh(loc(0))],
             vec![
@@ -293,12 +299,13 @@ mod tests {
                 ClientOp::Write(loc(0), Word::Int(1)),
             ],
             vec![
-                ClientOp::WriteNonblocking(loc(0), Word::Int(2)),
+                ClientOp::Write(loc(0), Word::Int(2)),
                 ClientOp::Write(loc(2), Word::Int(7)),
             ],
         ];
         let report = explore_causal(&config, &scripts, 5_000_000);
         assert!(report.complete);
+        assert_eq!((report.schedules, report.states), (6930, 23079));
         assert!(
             report.all_correct(),
             "violation found: {:?}",

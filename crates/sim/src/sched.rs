@@ -32,7 +32,6 @@ pub(crate) fn submission<V: Clone>(op: &ClientOp<V>) -> Op<V> {
         // it, so chaos plans exercise the layer.
         ClientOp::Write(loc, v) => Op::WritePipelined(*loc, shared(v)),
         ClientOp::WriteBlocking(loc, v) => Op::Write(*loc, shared(v)),
-        ClientOp::WriteNonblocking(loc, v) => Op::WriteUngated(*loc, shared(v)),
         ClientOp::Discard(loc) => Op::Discard(*loc),
         ClientOp::Flush => Op::Flush,
         ClientOp::WaitUntil(..) => unreachable!("scheduler decomposes waits"),

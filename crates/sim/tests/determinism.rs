@@ -18,8 +18,12 @@ fn loc(i: u32) -> Location {
     Location::new(i)
 }
 
+/// Three nodes writing, fresh-reading and pipelining writes to each
+/// other's locations through a window of 4.
 fn workload_sim(seed: u64) -> (StatsSnapshot, Vec<Option<Word>>, u64) {
-    let config = CausalConfig::<Word>::builder(3, 6).build();
+    let config = CausalConfig::<Word>::builder(3, 6)
+        .pipeline_window(4)
+        .build();
     let mut sim = causal_sim(
         &config,
         SimOpts {
@@ -34,7 +38,7 @@ fn workload_sim(seed: u64) -> (StatsSnapshot, Vec<Option<Word>>, u64) {
                 vec![
                     ClientOp::Write(loc(node), Word::Int(i64::from(node * 100 + k))),
                     ClientOp::ReadFresh(loc((node + 1) % 3)),
-                    ClientOp::WriteNonblocking(loc((node + 2) % 3), Word::Int(i64::from(k) + 500)),
+                    ClientOp::Write(loc((node + 2) % 3), Word::Int(i64::from(k) + 500)),
                 ]
             })
             .collect();
@@ -186,10 +190,13 @@ fn different_seeds_change_the_schedule() {
 
 #[test]
 fn per_link_fifo_holds_under_jitter() {
-    // P1 fires 50 non-blocking writes at P0's location under jittery
-    // latency; FIFO delivery means the owner must end holding the last.
+    // P1 fires 50 pipelined writes at P0's location under jittery
+    // latency, all in flight at once (the window is wider than the run);
+    // FIFO delivery means the owner must end holding the last.
     for seed in 0..10u64 {
-        let config = CausalConfig::<Word>::builder(2, 2).build();
+        let config = CausalConfig::<Word>::builder(2, 2)
+            .pipeline_window(64)
+            .build();
         let mut sim = causal_sim(
             &config,
             SimOpts {
@@ -199,7 +206,7 @@ fn per_link_fifo_holds_under_jitter() {
             },
         );
         let ops: Vec<ClientOp<Word>> = (1..=50)
-            .map(|v| ClientOp::WriteNonblocking(loc(0), Word::Int(v)))
+            .map(|v| ClientOp::Write(loc(0), Word::Int(v)))
             .collect();
         sim.set_client(1, Script::new(ops));
         let report = sim.run(RunLimits::default());

@@ -36,9 +36,9 @@ fn scripts_strategy(
                             0 => ClientOp::Read(loc),
                             1 => ClientOp::ReadFresh(loc),
                             2 => ClientOp::Discard(loc),
-                            // Non-blocking writes are deliberately absent:
-                            // they forfeit general causal correctness (see
-                            // tests/nonblocking_limits.rs).
+                            // Writes block: a raw non-blocking write
+                            // forfeits general causal correctness, and
+                            // none exists (see docs/PROTOCOL.md).
                             _ => {
                                 counter += 1;
                                 ClientOp::Write(loc, Word::Int(counter))
