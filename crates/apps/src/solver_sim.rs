@@ -78,16 +78,6 @@ pub struct SolverRun {
     pub all_done: bool,
 }
 
-impl SolverRun {
-    /// Messages per worker per phase — the paper's §4.1 quantity.
-    /// Coordinator traffic is attributed to the workers it serves, as in
-    /// the paper.
-    #[must_use]
-    pub fn messages_per_worker_per_phase(&self, workers: usize, phases: usize) -> f64 {
-        self.messages.total() as f64 / (workers as f64 * phases as f64)
-    }
-}
-
 /// Runs the synchronous solver on the simulated **causal** DSM.
 #[must_use]
 pub fn run_causal_solver_sim(system: &LinearSystem, cfg: &SolverSimConfig) -> SolverRun {

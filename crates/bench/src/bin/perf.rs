@@ -9,14 +9,17 @@
 //! * `--out FILE` — write the JSON report (default: stdout table only).
 //! * `--gate BASELINE` — after running, compare against the baseline
 //!   report (`BENCH_after.json`) and exit non-zero on any violation of
-//!   [`check_regression`]'s rule.
+//!   [`check_regression`]'s rule. The baseline is read before the suite
+//!   runs: a missing or unparsable one exits 2 at once.
 //!
 //! The bin installs a counting global allocator, so every in-process and
 //! TCP cell reports allocations per operation.
 
 use std::process::ExitCode;
 
-use dsm_bench::hotpath::{check_regression, render_perf, run_suite, AllocProbe};
+use dsm_bench::hotpath::{check_regression, render_perf, run_suite, AllocProbe, PerfReport};
+
+const USAGE: &str = "usage: perf [--out FILE] [--gate BASELINE]";
 
 // The counting allocator lives in the bin target on purpose: the library
 // keeps `#![forbid(unsafe_code)]`; only this executable opts into the
@@ -68,19 +71,37 @@ mod counting_alloc {
     }
 }
 
+/// Prints `problem` and the usage line; the exit code for a bad command line.
+fn usage_error(problem: &str) -> ExitCode {
+    eprintln!("{problem}");
+    eprintln!("{USAGE}");
+    ExitCode::from(2)
+}
+
+fn read_baseline(path: &str) -> Result<PerfReport, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("read baseline {path}: {e}"))?;
+    serde_json::from_str(&text).map_err(|e| format!("parse baseline {path}: {e}"))
+}
+
 fn main() -> ExitCode {
     let mut out: Option<String> = None;
-    let mut gate: Option<String> = None;
+    let mut gate: Option<(String, PerfReport)> = None;
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--out" => out = Some(args.next().expect("--out needs a path")),
-            "--gate" => gate = Some(args.next().expect("--gate needs a baseline path")),
-            other => {
-                eprintln!("unknown argument: {other}");
-                eprintln!("usage: perf [--out FILE] [--gate BASELINE]");
-                return ExitCode::from(2);
+        let value = match arg.as_str() {
+            "--out" | "--gate" => args.next(),
+            other => return usage_error(&format!("unknown argument: {other}")),
+        };
+        let Some(value) = value else {
+            return usage_error(&format!("{arg} needs a path"));
+        };
+        if arg == "--out" {
+            out = Some(value);
+        } else {
+            match read_baseline(&value) {
+                Ok(baseline) => gate = Some((value, baseline)),
+                Err(problem) => return usage_error(&problem),
             }
         }
     }
@@ -95,9 +116,7 @@ fn main() -> ExitCode {
         eprintln!("wrote {path}");
     }
 
-    if let Some(baseline_path) = gate {
-        let text = std::fs::read_to_string(&baseline_path).expect("read baseline");
-        let baseline = serde_json::from_str(&text).expect("parse baseline");
+    if let Some((baseline_path, baseline)) = gate {
         let violations = check_regression(&baseline, &report);
         if violations.is_empty() {
             eprintln!("gate vs {baseline_path}: PASS");

@@ -5,7 +5,6 @@
 use causal_spec::paper;
 use causal_spec::{check_causal, Execution};
 use memcore::{NetStats, NodeId, StatsSnapshot, Word};
-use vclock::VectorClock;
 
 #[test]
 fn executions_serialize_and_check_identically() {
@@ -30,14 +29,6 @@ fn stats_snapshots_round_trip() {
     let back: StatsSnapshot = serde_json::from_str(&json).expect("deserialize");
     assert_eq!(back, snap);
     assert_eq!(back.total(), 3);
-}
-
-#[test]
-fn vector_clocks_round_trip() {
-    let vt = VectorClock::from([3u64, 0, 7]);
-    let json = serde_json::to_string(&vt).expect("serialize");
-    let back: VectorClock = serde_json::from_str(&json).expect("deserialize");
-    assert_eq!(back, vt);
 }
 
 #[test]

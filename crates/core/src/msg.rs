@@ -53,10 +53,11 @@ const MAX_SPARSE_PROCESSES: usize = 1 << 16;
 /// shape and the default — every existing construction site goes through
 /// [`From<VectorClock>`], so configurations without interest scoping stay
 /// byte-identical to the paper's protocol. Sparse writes only the nonzero
-/// `(node, count)` pairs (see [`vclock::SparseClock`]); under interest
-/// scoping a node's clock is nonzero only for the interest closure of the
-/// pages it touched, so sparse stamps cost O(share graph) instead of O(n)
-/// on the wire.
+/// `(node, count)` pairs ([`VectorClock::nonzero`], rebuilt on decode by
+/// [`VectorClock::from_sparse_entries`]); under interest scoping a node's
+/// clock is nonzero only for the interest closure of the pages it
+/// touched, so sparse stamps cost O(share graph) instead of O(n) on the
+/// wire.
 ///
 /// The two encodings are distinguished by the high bit of the leading
 /// `u32` (`SPARSE_BIT`), carried per stamp, so a decoder reconstructs
@@ -726,6 +727,7 @@ impl<V: fmt::Display> fmt::Display for Msg<V> {
 mod tests {
     use super::*;
     use memcore::{NodeId, Word};
+    use proptest::prelude::*;
 
     fn vt(components: [u64; 2]) -> Stamp {
         Stamp::from(VectorClock::from(components))
@@ -1025,6 +1027,40 @@ mod tests {
         let decoded = Stamp::decode(&mut &buf[..]).unwrap();
         assert!(decoded.is_sparse());
         assert_eq!(decoded.clock(), &clock);
+    }
+
+    /// Mostly-zero clocks (about 80% zeros) with lengths straddling the
+    /// 16→17-process inline→heap spill boundary, plus 128 processes.
+    fn mostly_zero_clock() -> impl Strategy<Value = VectorClock> {
+        let component = || (0u64..80).prop_map(|x| x.saturating_sub(63));
+        prop_oneof![
+            proptest::collection::vec(component(), 12..22),
+            proptest::collection::vec(component(), 128..129),
+        ]
+        .prop_map(VectorClock::from)
+    }
+
+    proptest! {
+        /// Both encodings decode to the clock and the encoding they were
+        /// sent in, consuming exactly `encoded_len` bytes; a sparse stamp
+        /// costs an 8-byte header plus 12 bytes per nonzero component.
+        #[test]
+        fn stamps_round_trip_at_their_declared_length(vt in mostly_zero_clock()) {
+            for stamp in [Stamp::dense(vt.clone()), Stamp::sparse(vt.clone())] {
+                let mut buf = BytesMut::new();
+                stamp.encode(&mut buf);
+                prop_assert_eq!(buf.len(), stamp.encoded_len());
+                let mut rest = &buf[..];
+                let decoded = Stamp::decode(&mut rest).unwrap();
+                prop_assert!(rest.is_empty());
+                prop_assert_eq!(decoded.clock(), &vt);
+                prop_assert_eq!(decoded.is_sparse(), stamp.is_sparse());
+            }
+            prop_assert_eq!(
+                Stamp::sparse(vt.clone()).encoded_len(),
+                8 + 12 * vt.nonzero_count()
+            );
+        }
     }
 
     #[test]

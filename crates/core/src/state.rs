@@ -339,12 +339,6 @@ impl<V: Value> CausalState<V> {
             .map_or(OwnerEpoch::ZERO, |fo| fo.epoch_of(page))
     }
 
-    /// `true` iff the owner-failover layer is active on this node.
-    #[must_use]
-    pub fn failover_enabled(&self) -> bool {
-        self.failover.is_some()
-    }
-
     /// `true` iff `loc` is readable locally (owned or cached) —
     /// `M_i[x] ≠ ⊥`.
     #[must_use]

@@ -14,9 +14,7 @@
 //! [`INLINE_PROCESSES`] processes is stored entirely inline (no heap
 //! allocation — cloning is a `memcpy`); larger systems spill to a heap
 //! vector transparently. Every operation goes through the same slice-based
-//! loops regardless of representation, and [`VectorClockRef`] gives a
-//! borrowed view for comparisons against raw component slices without
-//! constructing a clock at all.
+//! loops regardless of representation.
 //!
 //! # Examples
 //!
@@ -39,9 +37,6 @@
 use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
-
-use serde::value::Value;
-use serde::{DeError, Deserialize, Serialize};
 
 /// The largest process count stored inline (stack-allocated); clocks for
 /// bigger systems spill to the heap.
@@ -90,9 +85,9 @@ pub struct VectorClock {
 
 /// Compares two component slices in the paper's dominance order.
 ///
-/// This is the single comparison loop behind [`VectorClock`] and
-/// [`VectorClockRef`]: index-free, no bounds checks after the length
-/// test, early exit on the first proof of concurrency.
+/// This is the single comparison loop behind [`VectorClock`]: index-free,
+/// no bounds checks after the length test, early exit on the first proof
+/// of concurrency.
 fn compare_components(a: &[u64], b: &[u64]) -> Option<Ordering> {
     if a.len() != b.len() {
         return None;
@@ -181,8 +176,7 @@ impl VectorClock {
     }
 
     /// Creates a clock by copying a component slice.
-    #[must_use]
-    pub fn from_slice(components: &[u64]) -> Self {
+    fn from_slice(components: &[u64]) -> Self {
         if components.len() <= INLINE_PROCESSES {
             let mut buf = [0u64; INLINE_PROCESSES];
             buf[..components.len()].copy_from_slice(components);
@@ -246,35 +240,14 @@ impl VectorClock {
         self.as_mut_slice()[i] += 1;
     }
 
-    /// Returns a copy with the `i`th component incremented.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= self.len()`.
-    #[must_use]
-    pub fn incremented(&self, i: usize) -> Self {
-        let mut vt = self.clone();
-        vt.increment(i);
-        vt
-    }
-
     /// Component-wise maximum in place — the paper's `update(VT, VT')`.
     ///
     /// # Panics
     ///
     /// Panics if the two clocks cover different numbers of processes.
     pub fn update(&mut self, other: &VectorClock) {
-        self.update_slice(other.as_slice());
-    }
-
-    /// Component-wise maximum against a raw component slice, the zero-copy
-    /// form used when the other stamp arrives over the wire.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `other` covers a different number of processes.
-    pub fn update_slice(&mut self, other: &[u64]) {
         let mine = self.as_mut_slice();
+        let other = other.as_slice();
         assert_eq!(
             mine.len(),
             other.len(),
@@ -283,18 +256,6 @@ impl VectorClock {
         for (a, b) in mine.iter_mut().zip(other) {
             *a = (*a).max(*b);
         }
-    }
-
-    /// Returns the component-wise maximum of two clocks.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two clocks cover different numbers of processes.
-    #[must_use]
-    pub fn updated(&self, other: &VectorClock) -> Self {
-        let mut vt = self.clone();
-        vt.update(other);
-        vt
     }
 
     /// `true` iff neither clock dominates the other and they differ:
@@ -346,21 +307,6 @@ impl VectorClock {
             Repr::Inline { len, buf } => &mut buf[..*len as usize],
             Repr::Heap(v) => v,
         }
-    }
-
-    /// A borrowed view of this clock for allocation-free comparison.
-    #[must_use]
-    pub fn as_ref(&self) -> VectorClockRef<'_> {
-        VectorClockRef {
-            components: self.as_slice(),
-        }
-    }
-
-    /// Sum of all components; a cheap scalar proxy for "how much causal
-    /// history this stamp reflects" (used by diagnostics only).
-    #[must_use]
-    pub fn weight(&self) -> u64 {
-        self.as_slice().iter().sum()
     }
 
     /// Iterates over the nonzero components as `(process, count)` pairs in
@@ -422,29 +368,6 @@ impl PartialOrd for VectorClock {
     }
 }
 
-// The wire and JSON shape of a clock is a plain sequence of components,
-// exactly as the former `Vec<u64>`-backed representation serialized.
-impl Serialize for VectorClock {
-    fn to_value(&self) -> Value {
-        Value::Seq(self.iter().map(|&c| Value::U64(c)).collect())
-    }
-}
-
-impl Deserialize for VectorClock {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::Seq(items) => items
-                .iter()
-                .map(|item| {
-                    item.as_u64()
-                        .ok_or_else(|| DeError::msg("expected unsigned clock component"))
-                })
-                .collect(),
-            _ => Err(DeError::msg("expected clock component sequence")),
-        }
-    }
-}
-
 impl fmt::Debug for VectorClock {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "VT{:?}", self.as_slice())
@@ -453,7 +376,14 @@ impl fmt::Debug for VectorClock {
 
 impl fmt::Display for VectorClock {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.as_ref().fmt(f)
+        write!(f, "[")?;
+        for (i, c) in self.iter().enumerate() {
+            if i > 0 {
+                write!(f, ",")?;
+            }
+            write!(f, "{c}")?;
+        }
+        write!(f, "]")
     }
 }
 
@@ -498,610 +428,6 @@ impl<'a> IntoIterator for &'a VectorClock {
     }
 }
 
-/// A borrowed vector timestamp: the comparison and formatting operations
-/// of [`VectorClock`] over a component slice that stays where it is —
-/// a received message buffer, a cached page's stamp — with no clock
-/// construction or allocation.
-///
-/// # Examples
-///
-/// ```
-/// use vclock::{VectorClock, VectorClockRef};
-///
-/// let owned = VectorClock::from_components([1, 2, 0]);
-/// let wire: &[u64] = &[2, 2, 0]; // decoded in place from a message
-/// let incoming = VectorClockRef::from(wire);
-/// assert!(owned.as_ref() < incoming);
-/// assert_eq!(incoming.to_owned().as_slice(), wire);
-/// ```
-#[derive(Clone, Copy)]
-pub struct VectorClockRef<'a> {
-    components: &'a [u64],
-}
-
-impl<'a> VectorClockRef<'a> {
-    /// Number of processes the viewed clock covers.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.components.len()
-    }
-
-    /// Returns `true` if the viewed clock covers zero processes.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.components.is_empty()
-    }
-
-    /// Returns `true` if every component is zero.
-    #[must_use]
-    pub fn is_zero(&self) -> bool {
-        self.components.iter().all(|&c| c == 0)
-    }
-
-    /// The `i`th component.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= self.len()`.
-    #[must_use]
-    pub fn get(&self, i: usize) -> u64 {
-        self.components[i]
-    }
-
-    /// Borrows the raw components.
-    #[must_use]
-    pub fn as_slice(&self) -> &'a [u64] {
-        self.components
-    }
-
-    /// `true` iff neither viewed clock dominates the other and they differ.
-    #[must_use]
-    pub fn concurrent(&self, other: &VectorClockRef<'_>) -> bool {
-        compare_components(self.components, other.components).is_none()
-    }
-
-    /// `true` iff `self < other` in the paper's dominance order.
-    #[must_use]
-    pub fn dominated_by(&self, other: &VectorClockRef<'_>) -> bool {
-        matches!(
-            compare_components(self.components, other.components),
-            Some(Ordering::Less)
-        )
-    }
-
-    /// Copies the viewed components into an owned clock.
-    #[must_use]
-    pub fn to_owned(&self) -> VectorClock {
-        VectorClock::from_slice(self.components)
-    }
-
-    /// Sum of all components.
-    #[must_use]
-    pub fn weight(&self) -> u64 {
-        self.components.iter().sum()
-    }
-}
-
-impl<'a> From<&'a [u64]> for VectorClockRef<'a> {
-    fn from(components: &'a [u64]) -> Self {
-        VectorClockRef { components }
-    }
-}
-
-impl<'a> From<&'a VectorClock> for VectorClockRef<'a> {
-    fn from(vt: &'a VectorClock) -> Self {
-        vt.as_ref()
-    }
-}
-
-impl PartialEq for VectorClockRef<'_> {
-    fn eq(&self, other: &Self) -> bool {
-        self.components == other.components
-    }
-}
-
-impl Eq for VectorClockRef<'_> {}
-
-impl PartialOrd for VectorClockRef<'_> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        compare_components(self.components, other.components)
-    }
-}
-
-impl PartialEq<VectorClock> for VectorClockRef<'_> {
-    fn eq(&self, other: &VectorClock) -> bool {
-        self.components == other.as_slice()
-    }
-}
-
-impl PartialEq<VectorClockRef<'_>> for VectorClock {
-    fn eq(&self, other: &VectorClockRef<'_>) -> bool {
-        self.as_slice() == other.components
-    }
-}
-
-impl fmt::Debug for VectorClockRef<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "VT{:?}", self.components)
-    }
-}
-
-impl fmt::Display for VectorClockRef<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "[")?;
-        for (i, c) in self.components.iter().enumerate() {
-            if i > 0 {
-                write!(f, ",")?;
-            }
-            write!(f, "{c}")?;
-        }
-        write!(f, "]")
-    }
-}
-
-/// Compares two sorted sparse entry lists in the paper's dominance order
-/// by a single merge walk; an entry missing on one side is a zero
-/// component there. Mirrors [`compare_components`] exactly (the property
-/// suite in `tests/sparse_property.rs` pins the agreement), including the
-/// rule that clocks over different process counts do not compare.
-fn compare_sparse(n_a: u32, a: &[(u32, u64)], n_b: u32, b: &[(u32, u64)]) -> Option<Ordering> {
-    if n_a != n_b {
-        return None;
-    }
-    let (mut less, mut greater) = (false, false);
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < a.len() || j < b.len() {
-        let (x, y) = match (a.get(i), b.get(j)) {
-            (Some(&(ia, ca)), Some(&(ib, cb))) => match ia.cmp(&ib) {
-                Ordering::Equal => {
-                    i += 1;
-                    j += 1;
-                    (ca, cb)
-                }
-                Ordering::Less => {
-                    i += 1;
-                    (ca, 0)
-                }
-                Ordering::Greater => {
-                    j += 1;
-                    (0, cb)
-                }
-            },
-            (Some(&(_, ca)), None) => {
-                i += 1;
-                (ca, 0)
-            }
-            (None, Some(&(_, cb))) => {
-                j += 1;
-                (0, cb)
-            }
-            (None, None) => unreachable!(),
-        };
-        match x.cmp(&y) {
-            Ordering::Less => less = true,
-            Ordering::Greater => greater = true,
-            Ordering::Equal => {}
-        }
-        if less && greater {
-            return None;
-        }
-    }
-    match (less, greater) {
-        (false, false) => Some(Ordering::Equal),
-        (true, false) => Some(Ordering::Less),
-        (false, true) => Some(Ordering::Greater),
-        (true, true) => None,
-    }
-}
-
-/// An interest-scoped sparse vector timestamp: the nonzero components of a
-/// clock over `n` processes, stored as sorted `(process, count)` pairs.
-///
-/// This is the model object behind the sparse wire encoding: a clock whose
-/// nonzero support is bounded by the share graph costs O(interest) to ship
-/// rather than O(n), while remaining losslessly interconvertible with the
-/// dense [`VectorClock`]. Dense inline storage stays the fast path for
-/// small systems; this representation exists for the 100+-node regime
-/// where most components of any given stamp are still zero.
-///
-/// # Examples
-///
-/// ```
-/// use vclock::{SparseClock, VectorClock};
-///
-/// let dense = VectorClock::from_components([0, 3, 0, 1]);
-/// let sparse = SparseClock::from_dense(&dense);
-/// assert_eq!(sparse.nonzero_count(), 2);
-/// assert_eq!(sparse.get(1), 3);
-/// assert_eq!(sparse.to_dense(), dense);
-/// ```
-#[derive(Clone, PartialEq, Eq, Hash)]
-pub struct SparseClock {
-    /// Total number of processes the clock covers (the dense length).
-    n: u32,
-    /// Sorted by process index; every count is nonzero.
-    entries: Vec<(u32, u64)>,
-}
-
-impl SparseClock {
-    /// The zero clock for a system of `n` processes (no entries at all).
-    #[must_use]
-    pub fn new(n: usize) -> Self {
-        SparseClock {
-            n: n as u32,
-            entries: Vec::new(),
-        }
-    }
-
-    /// Projects a dense clock onto its nonzero support.
-    #[must_use]
-    pub fn from_dense(vt: &VectorClock) -> Self {
-        SparseClock {
-            n: vt.len() as u32,
-            entries: vt.nonzero().collect(),
-        }
-    }
-
-    /// Builds a sparse clock from raw entries.
-    ///
-    /// Entries need not be sorted; zero counts are dropped and duplicate
-    /// process indices keep their maximum (so any entry list denotes a
-    /// well-formed clock).
-    ///
-    /// # Panics
-    ///
-    /// Panics if an entry names a process `>= n`.
-    #[must_use]
-    pub fn from_entries<I: IntoIterator<Item = (u32, u64)>>(n: usize, entries: I) -> Self {
-        let mut list: Vec<(u32, u64)> = entries.into_iter().filter(|&(_, c)| c != 0).collect();
-        list.sort_unstable_by_key(|&(i, _)| i);
-        list.dedup_by(|next, kept| {
-            if next.0 == kept.0 {
-                kept.1 = kept.1.max(next.1);
-                true
-            } else {
-                false
-            }
-        });
-        if let Some(&(last, _)) = list.last() {
-            assert!((last as usize) < n, "sparse entry names process {last} >= n={n}");
-        }
-        SparseClock {
-            n: n as u32,
-            entries: list,
-        }
-    }
-
-    /// Expands back to the dense representation (lossless inverse of
-    /// [`SparseClock::from_dense`]).
-    #[must_use]
-    pub fn to_dense(&self) -> VectorClock {
-        VectorClock::from_sparse_entries(self.n as usize, self.entries.iter().copied())
-    }
-
-    /// Number of processes this clock covers (the dense length).
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.n as usize
-    }
-
-    /// Returns `true` if the clock covers zero processes.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
-    /// Number of nonzero components actually stored.
-    #[must_use]
-    pub fn nonzero_count(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Returns `true` if every component is zero.
-    #[must_use]
-    pub fn is_zero(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// The `i`th component (zero unless an entry names it).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= self.len()`.
-    #[must_use]
-    pub fn get(&self, i: usize) -> u64 {
-        assert!(i < self.n as usize, "component {i} out of range");
-        match self.entries.binary_search_by_key(&(i as u32), |&(p, _)| p) {
-            Ok(at) => self.entries[at].1,
-            Err(_) => 0,
-        }
-    }
-
-    /// Adds one to the `i`th component.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= self.len()`.
-    pub fn increment(&mut self, i: usize) {
-        assert!(i < self.n as usize, "component {i} out of range");
-        match self.entries.binary_search_by_key(&(i as u32), |&(p, _)| p) {
-            Ok(at) => self.entries[at].1 += 1,
-            Err(at) => self.entries.insert(at, (i as u32, 1)),
-        }
-    }
-
-    /// Component-wise maximum in place — the paper's `update(VT, VT')` on
-    /// the sparse representation, by a sorted merge.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two clocks cover different numbers of processes.
-    pub fn update(&mut self, other: &SparseClock) {
-        assert_eq!(
-            self.n, other.n,
-            "vector clocks cover different process counts"
-        );
-        let mut merged = Vec::with_capacity(self.entries.len().max(other.entries.len()));
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < self.entries.len() || j < other.entries.len() {
-            match (self.entries.get(i), other.entries.get(j)) {
-                (Some(&(ia, ca)), Some(&(ib, cb))) => match ia.cmp(&ib) {
-                    Ordering::Equal => {
-                        merged.push((ia, ca.max(cb)));
-                        i += 1;
-                        j += 1;
-                    }
-                    Ordering::Less => {
-                        merged.push((ia, ca));
-                        i += 1;
-                    }
-                    Ordering::Greater => {
-                        merged.push((ib, cb));
-                        j += 1;
-                    }
-                },
-                (Some(&e), None) => {
-                    merged.push(e);
-                    i += 1;
-                }
-                (None, Some(&e)) => {
-                    merged.push(e);
-                    j += 1;
-                }
-                (None, None) => unreachable!(),
-            }
-        }
-        self.entries = merged;
-    }
-
-    /// `true` iff neither clock dominates the other and they differ.
-    #[must_use]
-    pub fn concurrent(&self, other: &SparseClock) -> bool {
-        self.partial_cmp(other).is_none()
-    }
-
-    /// `true` iff `self < other` in the paper's dominance order.
-    #[must_use]
-    pub fn dominated_by(&self, other: &SparseClock) -> bool {
-        matches!(self.partial_cmp(other), Some(Ordering::Less))
-    }
-
-    /// Borrows the sorted `(process, count)` entries.
-    #[must_use]
-    pub fn entries(&self) -> &[(u32, u64)] {
-        &self.entries
-    }
-
-    /// A borrowed view for allocation-free comparison.
-    #[must_use]
-    pub fn as_ref(&self) -> SparseClockRef<'_> {
-        SparseClockRef {
-            n: self.n,
-            entries: &self.entries,
-        }
-    }
-
-    /// Sum of all components.
-    #[must_use]
-    pub fn weight(&self) -> u64 {
-        self.entries.iter().map(|&(_, c)| c).sum()
-    }
-}
-
-impl PartialOrd for SparseClock {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        compare_sparse(self.n, &self.entries, other.n, &other.entries)
-    }
-}
-
-impl From<&VectorClock> for SparseClock {
-    fn from(vt: &VectorClock) -> Self {
-        SparseClock::from_dense(vt)
-    }
-}
-
-impl From<&SparseClock> for VectorClock {
-    fn from(sc: &SparseClock) -> Self {
-        sc.to_dense()
-    }
-}
-
-impl fmt::Debug for SparseClock {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "SVT(n={}){:?}", self.n, self.entries)
-    }
-}
-
-impl fmt::Display for SparseClock {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        // Same bracket notation as the dense clock, eliding zeros:
-        // `{1:3,3:1}/4` reads "components 1→3, 3→1 of a 4-process clock".
-        write!(f, "{{")?;
-        for (k, (i, c)) in self.entries.iter().enumerate() {
-            if k > 0 {
-                write!(f, ",")?;
-            }
-            write!(f, "{i}:{c}")?;
-        }
-        write!(f, "}}/{}", self.n)
-    }
-}
-
-/// A borrowed sparse timestamp: comparison over `(process, count)` entries
-/// that stay where they are — a decoded message buffer, a
-/// [`SparseClock`]'s storage — mirroring [`VectorClockRef`] for the sparse
-/// representation.
-///
-/// # Examples
-///
-/// ```
-/// use vclock::{SparseClock, SparseClockRef};
-///
-/// let a = SparseClock::from_entries(8, [(1, 2)]);
-/// let wire: &[(u32, u64)] = &[(1, 2), (5, 1)];
-/// let b = SparseClockRef::new(8, wire);
-/// assert!(a.as_ref() < b);
-/// assert_eq!(b.to_owned(), SparseClock::from_entries(8, wire.iter().copied()));
-/// ```
-#[derive(Clone, Copy)]
-pub struct SparseClockRef<'a> {
-    n: u32,
-    entries: &'a [(u32, u64)],
-}
-
-impl<'a> SparseClockRef<'a> {
-    /// Views sorted nonzero `(process, count)` entries as a clock over `n`
-    /// processes.
-    ///
-    /// The entries must be sorted by process index with no duplicates and
-    /// no zero counts (as produced by [`SparseClock::entries`] or a wire
-    /// decoder that enforces canonical form).
-    #[must_use]
-    pub fn new(n: u32, entries: &'a [(u32, u64)]) -> Self {
-        debug_assert!(entries.windows(2).all(|w| w[0].0 < w[1].0));
-        debug_assert!(entries.iter().all(|&(_, c)| c != 0));
-        SparseClockRef { n, entries }
-    }
-
-    /// Number of processes the viewed clock covers.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.n as usize
-    }
-
-    /// Returns `true` if the viewed clock covers zero processes.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
-    /// Number of nonzero components.
-    #[must_use]
-    pub fn nonzero_count(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Returns `true` if every component is zero.
-    #[must_use]
-    pub fn is_zero(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// The `i`th component (zero unless an entry names it).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= self.len()`.
-    #[must_use]
-    pub fn get(&self, i: usize) -> u64 {
-        assert!(i < self.n as usize, "component {i} out of range");
-        match self.entries.binary_search_by_key(&(i as u32), |&(p, _)| p) {
-            Ok(at) => self.entries[at].1,
-            Err(_) => 0,
-        }
-    }
-
-    /// Borrows the sorted `(process, count)` entries.
-    #[must_use]
-    pub fn entries(&self) -> &'a [(u32, u64)] {
-        self.entries
-    }
-
-    /// `true` iff neither viewed clock dominates the other and they differ.
-    #[must_use]
-    pub fn concurrent(&self, other: &SparseClockRef<'_>) -> bool {
-        compare_sparse(self.n, self.entries, other.n, other.entries).is_none()
-    }
-
-    /// `true` iff `self < other` in the paper's dominance order.
-    #[must_use]
-    pub fn dominated_by(&self, other: &SparseClockRef<'_>) -> bool {
-        matches!(
-            compare_sparse(self.n, self.entries, other.n, other.entries),
-            Some(Ordering::Less)
-        )
-    }
-
-    /// Copies the viewed entries into an owned sparse clock.
-    #[must_use]
-    pub fn to_owned(&self) -> SparseClock {
-        SparseClock {
-            n: self.n,
-            entries: self.entries.to_vec(),
-        }
-    }
-
-    /// Expands to the dense representation.
-    #[must_use]
-    pub fn to_dense(&self) -> VectorClock {
-        VectorClock::from_sparse_entries(self.n as usize, self.entries.iter().copied())
-    }
-
-    /// Sum of all components.
-    #[must_use]
-    pub fn weight(&self) -> u64 {
-        self.entries.iter().map(|&(_, c)| c).sum()
-    }
-}
-
-impl<'a> From<&'a SparseClock> for SparseClockRef<'a> {
-    fn from(sc: &'a SparseClock) -> Self {
-        sc.as_ref()
-    }
-}
-
-impl PartialEq for SparseClockRef<'_> {
-    fn eq(&self, other: &Self) -> bool {
-        self.n == other.n && self.entries == other.entries
-    }
-}
-
-impl Eq for SparseClockRef<'_> {}
-
-impl PartialOrd for SparseClockRef<'_> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        compare_sparse(self.n, self.entries, other.n, other.entries)
-    }
-}
-
-impl PartialEq<SparseClock> for SparseClockRef<'_> {
-    fn eq(&self, other: &SparseClock) -> bool {
-        self.n == other.n && self.entries == other.entries
-    }
-}
-
-impl PartialEq<SparseClockRef<'_>> for SparseClock {
-    fn eq(&self, other: &SparseClockRef<'_>) -> bool {
-        self.n == other.n && self.entries == other.entries
-    }
-}
-
-impl fmt::Debug for SparseClockRef<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "SVT(n={}){:?}", self.n, self.entries)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1122,14 +448,6 @@ mod tests {
         assert_eq!(vt.as_slice(), &[0, 1, 0]);
         vt.increment(1);
         assert_eq!(vt.as_slice(), &[0, 2, 0]);
-    }
-
-    #[test]
-    fn incremented_leaves_original_untouched() {
-        let vt = VectorClock::new(2);
-        let vt2 = vt.incremented(0);
-        assert!(vt.is_zero());
-        assert_eq!(vt2.as_slice(), &[1, 0]);
     }
 
     #[test]
@@ -1201,11 +519,6 @@ mod tests {
     }
 
     #[test]
-    fn weight_sums_components() {
-        assert_eq!(VectorClock::from_components([1, 0, 2]).weight(), 3);
-    }
-
-    #[test]
     fn figure4_writestamp_flow() {
         // A non-local write per Figure 4: writer increments, owner updates,
         // writer updates with the owner's reply. The resulting stamp must
@@ -1255,21 +568,6 @@ mod tests {
     }
 
     #[test]
-    fn ref_view_compares_without_owning() {
-        let a = VectorClock::from_components([1, 2, 0]);
-        let raw: &[u64] = &[2, 2, 0];
-        let b = VectorClockRef::from(raw);
-        assert!(a.as_ref() < b);
-        assert!(a.as_ref().dominated_by(&b));
-        assert!(!a.as_ref().concurrent(&b));
-        assert_eq!(b.to_owned().as_slice(), raw);
-        assert_eq!(b.weight(), 4);
-        assert_eq!(b.to_string(), "[2,2,0]");
-        assert_eq!(format!("{b:?}"), "VT[2, 2, 0]");
-        assert!(a == a.as_ref() && a.as_ref() == a);
-    }
-
-    #[test]
     fn nonzero_projects_and_reconstructs() {
         let vt = VectorClock::from_components([0, 3, 0, 0, 7]);
         let pairs: Vec<(u32, u64)> = vt.nonzero().collect();
@@ -1277,100 +575,5 @@ mod tests {
         assert_eq!(vt.nonzero_count(), 2);
         assert_eq!(VectorClock::from_sparse_entries(5, pairs), vt);
         assert!(VectorClock::new(4).nonzero().next().is_none());
-    }
-
-    #[test]
-    fn sparse_round_trips_through_dense() {
-        for n in [0usize, 1, 3, INLINE_PROCESSES, INLINE_PROCESSES + 9] {
-            let vt: VectorClock = (0..n as u64).map(|i| i % 3).collect();
-            let sc = SparseClock::from_dense(&vt);
-            assert_eq!(sc.len(), n);
-            assert_eq!(sc.to_dense(), vt);
-            assert_eq!(sc.weight(), vt.weight());
-            for i in 0..n {
-                assert_eq!(sc.get(i), vt.get(i));
-            }
-        }
-    }
-
-    #[test]
-    fn sparse_increment_and_update_match_dense() {
-        let mut dense = VectorClock::from_components([0, 2, 0, 5]);
-        let mut sparse = SparseClock::from_dense(&dense);
-        dense.increment(0);
-        sparse.increment(0);
-        dense.increment(1);
-        sparse.increment(1);
-        assert_eq!(sparse.to_dense(), dense);
-
-        let other_dense = VectorClock::from_components([4, 0, 1, 0]);
-        let other = SparseClock::from_dense(&other_dense);
-        dense.update(&other_dense);
-        sparse.update(&other);
-        assert_eq!(sparse.to_dense(), dense);
-        assert_eq!(sparse.nonzero_count(), 4);
-    }
-
-    #[test]
-    fn sparse_comparison_matches_paper_definition() {
-        let a = SparseClock::from_entries(4, [(0, 1), (2, 2)]);
-        let b = SparseClock::from_entries(4, [(0, 1), (2, 3)]);
-        assert!(a < b);
-        assert!(a.dominated_by(&b));
-        let c = SparseClock::from_entries(4, [(1, 1)]);
-        assert!(a.concurrent(&c));
-        assert_eq!(a.partial_cmp(&a.clone()), Some(Ordering::Equal));
-        // Different process counts never compare, exactly like dense.
-        assert_eq!(
-            SparseClock::new(2).partial_cmp(&SparseClock::new(3)),
-            None
-        );
-    }
-
-    #[test]
-    fn sparse_from_entries_canonicalizes() {
-        // Unsorted input, duplicate indices (max wins), zero counts dropped.
-        let sc = SparseClock::from_entries(6, [(4, 1), (1, 2), (4, 5), (3, 0)]);
-        assert_eq!(sc.entries(), &[(1, 2), (4, 5)]);
-        assert!(SparseClock::from_entries(3, [(0, 0)]).is_zero());
-    }
-
-    #[test]
-    fn sparse_ref_view_compares_without_owning() {
-        let a = SparseClock::from_entries(8, [(1, 2)]);
-        let raw: &[(u32, u64)] = &[(1, 2), (5, 1)];
-        let b = SparseClockRef::new(8, raw);
-        assert!(a.as_ref() < b);
-        assert!(a.as_ref().dominated_by(&b));
-        assert!(!a.as_ref().concurrent(&b));
-        assert_eq!(b.to_owned(), SparseClock::from_entries(8, raw.iter().copied()));
-        assert_eq!(b.to_dense(), VectorClock::from_components([0, 2, 0, 0, 0, 1, 0, 0]));
-        assert_eq!(b.get(5), 1);
-        assert_eq!(b.get(4), 0);
-        assert_eq!(b.weight(), 3);
-        assert!(a == a.as_ref() && a.as_ref() == a);
-    }
-
-    #[test]
-    fn sparse_display_elides_zeros() {
-        let sc = SparseClock::from_entries(5, [(1, 3), (4, 1)]);
-        assert_eq!(sc.to_string(), "{1:3,4:1}/5");
-        assert_eq!(format!("{sc:?}"), "SVT(n=5)[(1, 3), (4, 1)]");
-    }
-
-    #[test]
-    fn serde_round_trips_as_plain_sequence() {
-        for n in [0usize, 3, INLINE_PROCESSES, INLINE_PROCESSES + 5] {
-            let vt: VectorClock = (0..n as u64).map(|i| i * 7 + 1).collect();
-            let value = vt.to_value();
-            match &value {
-                Value::Seq(items) => assert_eq!(items.len(), n),
-                other => panic!("clock must serialize as a sequence, got {other:?}"),
-            }
-            // Identical to how the components serialize as a bare Vec.
-            assert_eq!(value, vt.as_slice().to_vec().to_value());
-            let back = VectorClock::from_value(&value).expect("round trip");
-            assert_eq!(back, vt);
-        }
     }
 }
