@@ -194,7 +194,8 @@ pub trait Driver: Send + Sync + 'static {
     }
 
     /// Fast path: a write that is one atomic local step and so need not
-    /// become the node's outstanding operation.
+    /// become the node's outstanding operation. It takes the value itself,
+    /// not an `Arc`, so a driver that stores in place allocates nothing.
     ///
     /// # Errors
     ///
@@ -203,9 +204,9 @@ pub trait Driver: Send + Sync + 'static {
     fn write_local(
         &mut self,
         loc: Location,
-        value: Arc<Self::Value>,
+        value: Self::Value,
         fx: &mut EffectsOf<Self>,
-    ) -> Result<WriteId, Arc<Self::Value>> {
+    ) -> Result<WriteId, Self::Value> {
         let _ = (loc, fx);
         Err(value)
     }
@@ -428,7 +429,9 @@ impl<V: Value> NodeDriver<V> {
     /// them. Hands the value back when the node does not own `loc` right
     /// now or asynchronous writes are in flight (a local write must not
     /// stamp its page with uncertified increments) — the caller then
-    /// submits an [`Op::Write`].
+    /// submits an [`Op::Write`]. The step stores `value` into the slot's
+    /// own cells when nothing else holds them
+    /// ([`CausalState::write_owned`]).
     ///
     /// # Errors
     ///
@@ -437,15 +440,13 @@ impl<V: Value> NodeDriver<V> {
     pub fn write_local(
         &mut self,
         loc: Location,
-        value: Arc<V>,
+        value: V,
         fx: &mut Effects<V>,
-    ) -> Result<WriteId, Arc<V>> {
-        if !self.state.owns(loc) || !self.pipeline.tags.is_empty() {
+    ) -> Result<WriteId, V> {
+        if !self.pipeline.tags.is_empty() {
             return Err(value);
         }
-        let WriteStep::Done { wid } = self.state.begin_write_shared(loc, value) else {
-            unreachable!("ownership was checked under the same borrow")
-        };
+        let wid = self.state.write_owned(loc, value)?;
         self.side_traffic(fx);
         self.persist();
         Ok(wid)
@@ -1088,9 +1089,9 @@ impl<V: Value> Driver for NodeDriver<V> {
     fn write_local(
         &mut self,
         loc: Location,
-        value: Arc<V>,
+        value: V,
         fx: &mut Effects<V>,
-    ) -> Result<WriteId, Arc<V>> {
+    ) -> Result<WriteId, V> {
         NodeDriver::write_local(self, loc, value, fx)
     }
 }

@@ -1120,16 +1120,17 @@ impl<D: Driver> Handle<D> {
     /// message, no outstanding reply — so the operation lock adds nothing.
     /// Skipped when a recorder is installed (the recorder flattens a
     /// node's handles into one program order, which only the operation
-    /// lock provides). One `Arc` wraps the value; the protocol moves
-    /// pointers from here on (install, request, reply repair).
+    /// lock provides). The fast path takes the value itself, so the
+    /// driver can store it in place; only a write that falls back to
+    /// [`run`](Self::run) wraps it in one `Arc`, and the protocol moves
+    /// that pointer from there on (install, request, reply repair).
     fn write_as(
         &self,
         loc: Location,
-        value: D::Value,
+        mut value: D::Value,
         op: fn(Location, Arc<D::Value>) -> Op<D::Value>,
     ) -> Result<WriteDone, MemoryError> {
         self.check_bounds(loc)?;
-        let mut value = Arc::new(value);
         if self.inner.recorder.is_none() {
             let (local, _, _) = self
                 .shared()
@@ -1139,7 +1140,7 @@ impl<D: Driver> Handle<D> {
                 Err(back) => value = back,
             }
         }
-        match self.run(op(loc, value))? {
+        match self.run(op(loc, Arc::new(value)))? {
             Done::Wrote { done, .. } => Ok(done),
             other => unreachable!("a write completes as a write: {other:?}"),
         }

@@ -34,11 +34,53 @@ use crate::msg::{Msg, SlotData, Stamp, WriteVerdict};
 /// copied at most once per write (when the application hands it over), and
 /// one origin stamp is shared by every slot a page install touches, so
 /// reads, page serves and cache installs move pointers, not payloads.
+///
+/// A write overwrites those cells in place when nothing else holds them
+/// (see [`Slot::install`]), so a repeated owner-local write allocates
+/// nothing.
 #[derive(Clone, Debug)]
 struct Slot<V> {
     value: Arc<V>,
     wid: WriteId,
     origin: Arc<VectorClock>,
+}
+
+/// A written value on its way into a [`Slot`]: the application's own
+/// (an owner-local write), or one already shared with a message.
+enum Incoming<V> {
+    Owned(V),
+    Shared(Arc<V>),
+}
+
+impl<V> Incoming<V> {
+    fn into_shared(self) -> Arc<V> {
+        match self {
+            Incoming::Owned(value) => Arc::new(value),
+            Incoming::Shared(value) => value,
+        }
+    }
+}
+
+impl<V> Slot<V> {
+    /// `M_i[x] := (v, origin)`, storing into this slot's own cells when
+    /// they are unshared. [`Arc::get_mut`] succeeds only if no reader's
+    /// `Arc`, completion, journal record, replica shadow or message holds
+    /// the cell, so a value or stamp anyone else can see is never changed
+    /// under it: a shared cell is replaced by a fresh one instead.
+    fn install(&mut self, value: Incoming<V>, wid: WriteId, origin: &VectorClock) {
+        match value {
+            Incoming::Owned(value) => match Arc::get_mut(&mut self.value) {
+                Some(cell) => *cell = value,
+                None => self.value = Arc::new(value),
+            },
+            Incoming::Shared(value) => self.value = value,
+        }
+        self.wid = wid;
+        match Arc::get_mut(&mut self.origin) {
+            Some(cell) => cell.clone_from(origin),
+            None => self.origin = Arc::new(origin.clone()),
+        }
+    }
 }
 
 /// A page of local memory `M_i`: per-location slots plus the page's
@@ -490,8 +532,12 @@ impl<V: Value> CausalState<V> {
     /// Figure 4: `VT_i := increment(VT_i)`; if the writer owns `x` the
     /// write installs locally (`M_i[x] := (v, VT_i)`), otherwise a
     /// `[WRITE, x, v, VT_i]` is sent to the owner.
+    ///
+    /// An owner-local write stores `value` into the slot's existing cells
+    /// when no one else holds them, allocating nothing; a remote write
+    /// wraps it once for the request.
     pub fn begin_write(&mut self, loc: Location, value: V) -> WriteStep<V> {
-        self.begin_write_shared(loc, Arc::new(value))
+        self.begin_write_incoming(loc, Incoming::Owned(value))
     }
 
     /// [`CausalState::begin_write`] with a value already behind an `Arc`.
@@ -500,59 +546,94 @@ impl<V: Value> CausalState<V> {
     /// feed [`CausalState::finish_write`]) wrap it once and clone the
     /// pointer — the value itself is never deep-copied by the protocol.
     pub fn begin_write_shared(&mut self, loc: Location, value: Arc<V>) -> WriteStep<V> {
-        // VT_i := increment(VT_i)
-        self.vt.increment(self.id.index());
-        let wid = WriteId::new(self.id, self.write_seq);
-        self.write_seq += 1;
+        self.begin_write_incoming(loc, Incoming::Shared(value))
+    }
 
+    fn begin_write_incoming(&mut self, loc: Location, value: Incoming<V>) -> WriteStep<V> {
         let page = self.page_of(loc);
         let owner = self.current_owner(page);
         if owner == self.id {
-            let offset = self.offset_of(loc);
-            let vt = self.vt.clone();
-            let origin = Arc::new(vt.clone());
-            if self.journaling() {
-                self.journal.push(WalRecord::Write {
-                    loc,
-                    value: Arc::clone(&value),
-                    wid,
-                    origin: vt.clone(),
-                    node_vt: vt.clone(),
-                    applied: true,
-                });
-            }
-            let entry = self
-                .pages
-                .get_mut(&page)
-                .expect("owned pages are always present");
-            entry.slots[offset] = Slot { value, wid, origin };
-            entry.vt = vt;
-            self.note_owned_write(page);
-            WriteStep::Done { wid }
-        } else {
-            if self.journaling() {
-                // Watermark the minted WriteId: a recovered node must
-                // never reuse a sequence number, even for writes served
-                // (and journaled) elsewhere.
-                self.journal.push(WalRecord::Node {
-                    vt: self.vt.clone(),
-                    write_seq: self.write_seq,
-                    incarnation: self.incarnation,
-                });
-            }
-            self.op_begin_vt = self.vt.clone();
-            let vt = self.stamp(self.vt.clone());
-            WriteStep::Remote {
-                owner,
-                wid,
-                request: Msg::Write {
-                    loc,
-                    value,
-                    wid,
-                    vt,
-                },
-            }
+            let wid = self.write_own_page(loc, page, value);
+            return WriteStep::Done { wid };
         }
+        let wid = self.mint_write();
+        let value = value.into_shared();
+        if self.journaling() {
+            // Watermark the minted WriteId: a recovered node must
+            // never reuse a sequence number, even for writes served
+            // (and journaled) elsewhere.
+            self.journal.push(WalRecord::Node {
+                vt: self.vt.clone(),
+                write_seq: self.write_seq,
+                incarnation: self.incarnation,
+            });
+        }
+        self.op_begin_vt = self.vt.clone();
+        let vt = self.stamp(self.vt.clone());
+        WriteStep::Remote {
+            owner,
+            wid,
+            request: Msg::Write {
+                loc,
+                value,
+                wid,
+                vt,
+            },
+        }
+    }
+
+    /// An owner-local write of `value` to `loc` as one step, classified
+    /// by a single ownership lookup: [`CausalState::begin_write`] when
+    /// this node owns `loc`'s page.
+    ///
+    /// # Errors
+    ///
+    /// Returns `value` untouched, with no state changed, when another
+    /// node owns the page.
+    pub fn write_owned(&mut self, loc: Location, value: V) -> Result<WriteId, V> {
+        let page = self.page_of(loc);
+        if self.current_owner(page) != self.id {
+            return Err(value);
+        }
+        Ok(self.write_own_page(loc, page, Incoming::Owned(value)))
+    }
+
+    /// `VT_i := increment(VT_i)` and a fresh tag for the write.
+    fn mint_write(&mut self) -> WriteId {
+        self.vt.increment(self.id.index());
+        let wid = WriteId::new(self.id, self.write_seq);
+        self.write_seq += 1;
+        wid
+    }
+
+    /// Figure 4's write at the owner: `VT_i := increment(VT_i)`;
+    /// `M_i[x] := (v, VT_i)`. `page` is `loc`'s page, owned here.
+    fn write_own_page(&mut self, loc: Location, page: PageId, value: Incoming<V>) -> WriteId {
+        let wid = self.mint_write();
+        let offset = self.offset_of(loc);
+        let journaling = self.journaling();
+        let entry = self
+            .pages
+            .get_mut(&page)
+            .expect("owned pages are always present");
+        let slot = &mut entry.slots[offset];
+        slot.install(value, wid, &self.vt);
+        // The journal shares the stored cell; `persist` drops the record
+        // before the next write, which finds the cell unshared.
+        let stored = journaling.then(|| Arc::clone(&slot.value));
+        entry.vt.clone_from(&self.vt);
+        if let Some(value) = stored {
+            self.journal.push(WalRecord::Write {
+                loc,
+                value,
+                wid,
+                origin: self.vt.clone(),
+                node_vt: self.vt.clone(),
+                applied: true,
+            });
+        }
+        self.note_owned_write(page);
+        wid
     }
 
     /// Completes a remote write with the owner's `[W_REPLY, x, v, VT']`.
@@ -624,23 +705,18 @@ impl<V: Value> CausalState<V> {
         let page = self.page_of(loc);
         let offset = self.offset_of(loc);
         let vt_now = vt;
-        let origin = Arc::new(vt_now.clone());
         if let Some(entry) = self.pages.get_mut(&page) {
-            entry.slots[offset] = Slot {
-                value: install_value,
-                wid: install_wid,
-                origin,
-            };
+            entry.slots[offset].install(Incoming::Shared(install_value), install_wid, &vt_now);
             entry.vt = vt_now;
         } else if self.config.page_size() == 1 {
             self.tick += 1;
             let entry = PageEntry {
-                vt: vt_now,
                 slots: vec![Slot {
                     value: install_value,
                     wid: install_wid,
-                    origin,
+                    origin: Arc::new(vt_now.clone()),
                 }],
+                vt: vt_now,
                 installed_at: self.tick,
             };
             self.pages.insert(page, entry);
@@ -682,16 +758,18 @@ impl<V: Value> CausalState<V> {
             // M_i[x] := (v, VT_i) now instead of at reply time.
             let page = self.page_of(loc);
             let offset = self.offset_of(loc);
-            let vt_now = self.vt.clone();
-            let origin = Arc::new(vt_now.clone());
             if let Some(entry) = self.pages.get_mut(&page) {
-                entry.slots[offset] = Slot { value, wid, origin };
-                entry.vt = vt_now;
+                entry.slots[offset].install(Incoming::Shared(value), wid, &self.vt);
+                entry.vt.clone_from(&self.vt);
             } else if self.config.page_size() == 1 {
                 self.tick += 1;
                 let entry = PageEntry {
-                    vt: vt_now,
-                    slots: vec![Slot { value, wid, origin }],
+                    vt: self.vt.clone(),
+                    slots: vec![Slot {
+                        value,
+                        wid,
+                        origin: Arc::new(self.vt.clone()),
+                    }],
                     installed_at: self.tick,
                 };
                 self.pages.insert(page, entry);
@@ -742,15 +820,14 @@ impl<V: Value> CausalState<V> {
                 // the one installed (a later write may have superseded it).
                 let page = self.page_of(loc);
                 let offset = self.offset_of(loc);
-                let vt_now = self.vt.clone();
                 if let Some(entry) = self.pages.get_mut(&page) {
                     if entry.slots[offset].wid == wid {
-                        entry.slots[offset] = Slot {
-                            value: winner_value,
-                            wid: winner,
-                            origin: Arc::new(vt_now.clone()),
-                        };
-                        entry.vt = vt_now;
+                        entry.slots[offset].install(
+                            Incoming::Shared(winner_value),
+                            winner,
+                            &self.vt,
+                        );
+                        entry.vt.clone_from(&self.vt);
                     }
                 }
                 WriteDone::Rejected { wid, winner }
@@ -937,17 +1014,12 @@ impl<V: Value> CausalState<V> {
             WriteVerdict::Applied
         } else {
             // M_i[x] := (v, VT_i)
-            let vt_now = self.vt.clone();
             let entry = self
                 .pages
                 .get_mut(&page)
                 .expect("owned pages are always present");
-            entry.slots[offset] = Slot {
-                value,
-                wid,
-                origin: Arc::new(vt),
-            };
-            entry.vt = vt_now;
+            entry.slots[offset].install(Incoming::Shared(value), wid, &vt);
+            entry.vt.clone_from(&self.vt);
             self.note_owned_write(page);
             WriteVerdict::Applied
         };

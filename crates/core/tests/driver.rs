@@ -74,9 +74,9 @@ fn owner_local_write_after_an_epoch_adoption_goes_remote() {
 
     let (sends, _) = call(|fx| {
         let back = d[0]
-            .write_local(loc(0), word(7), fx)
+            .write_local(loc(0), Word::Int(7), fx)
             .expect_err("no longer the owner");
-        d[0].submit(0, Op::Write(loc(0), back), fx);
+        d[0].submit(0, Op::Write(loc(0), Arc::new(back)), fx);
     });
     match &sends[..] {
         [(dst, Msg::Stamped { epoch, inner, .. })] => {

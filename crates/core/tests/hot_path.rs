@@ -43,8 +43,9 @@ fn values_are_deep_copied_at_most_once_per_operation() {
     let p0 = cluster.handle(0);
     let p1 = cluster.handle(1);
 
-    // Owner-local write: the engine wraps the value in one Arc and moves
-    // the pointer into the slot — zero deep copies.
+    // Owner-local write: the engine hands the value itself to the driver,
+    // which moves it into the slot (into the slot's own cell when no one
+    // else holds it) — zero deep copies.
     let before = clones();
     p0.write(loc(0), Counted(1)).unwrap();
     assert_eq!(clones() - before, 0, "owner-local write must not clone");

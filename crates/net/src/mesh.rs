@@ -128,9 +128,6 @@ const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(2);
 /// between redial attempts while it restarts its listener).
 const DIAL_RETRY: Duration = Duration::from_millis(25);
 
-/// Poll interval of the non-blocking accept loop.
-const ACCEPT_POLL: Duration = Duration::from_millis(5);
-
 /// A connection plus the decoder holding any bytes read past the
 /// handshake — the two must travel together or early frames are lost.
 pub struct CtrlConn {
@@ -354,6 +351,9 @@ struct Shared {
     /// The claim doorbell: a claimer sleeps on its socket and this
     /// ([`Poller::wait_fd`]); [`StreamClaim::ring`] notifies it.
     bell: Poller,
+    /// The acceptor sleeps on its listener and this; stopping the mesh
+    /// notifies it.
+    accept_bell: Poller,
 }
 
 impl Shared {
@@ -604,12 +604,21 @@ fn greet_inbound(me: NodeId, mut stream: TcpStream) -> io::Result<(Hello, Conn)>
 }
 
 fn run_acceptor(shared: Arc<Shared>, listener: TcpListener, ctrl_tx: Sender<CtrlConn>) {
+    use std::os::unix::io::AsRawFd;
     let me = shared.me;
     while !shared.stop.load(Ordering::Acquire) {
         let stream = match listener.accept() {
             Ok((stream, _)) => stream,
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                thread::sleep(ACCEPT_POLL);
+                // Sleep until a dialer connects or the mesh stops (its
+                // notify follows the `stop` store, so it cannot be lost).
+                if shared
+                    .accept_bell
+                    .wait_fd(listener.as_raw_fd(), None)
+                    .is_err()
+                {
+                    break;
+                }
                 continue;
             }
             Err(_) => break,
@@ -772,6 +781,7 @@ impl<M: Wire + Tagged + Send + 'static> TcpMesh<M> {
             reader: OnceLock::new(),
             held: Mutex::new(None),
             bell: Poller::with_poll_backend()?,
+            accept_bell: Poller::with_poll_backend()?,
         });
         listener.set_nonblocking(true)?;
         let acceptor = {
@@ -812,6 +822,7 @@ impl<M: Wire + Tagged + Send + 'static> TcpMesh<M> {
         })();
         if let Err(e) = result {
             shared.stop.store(true, Ordering::Release);
+            let _ = shared.accept_bell.notify();
             let _ = acceptor.join();
             return Err(e);
         }
@@ -952,10 +963,11 @@ impl<M> TcpMesh<M> {
         if self.shared.stop.swap(true, Ordering::AcqRel) {
             return;
         }
-        // Wake the poller and any claimer, and shut every socket, which
-        // unblocks the peers' pollers (and ours) mid-`read`.
+        // Wake the poller, the acceptor and any claimer, and shut every
+        // socket, which unblocks the peers' pollers (and ours) mid-`read`.
         let _ = self.shared.poller.notify();
         let _ = self.shared.bell.notify();
+        let _ = self.shared.accept_bell.notify();
         for peer in self.shared.peers.iter().flatten() {
             let mut tx = peer.tx.lock();
             if let Some(s) = tx.stream.take() {

@@ -70,6 +70,58 @@ struct Inner<M> {
     ticks: AtomicU64,
 }
 
+impl<M> Inner<M> {
+    /// Counts `parts` logical messages of `kind` from `src`, and their
+    /// encoded `bytes` when the kind has a wire size.
+    fn record_parts(&self, src: NodeId, kind: &'static str, parts: u64, bytes: Option<u64>) {
+        self.msgs.record_n(src, kind, parts);
+        if let Some(bytes) = bytes {
+            self.bytes.record_n(src, kind, bytes);
+        }
+    }
+}
+
+/// Distinct kinds one [`BatchTally`] holds; a batch mixing more counts the
+/// overflow part by part.
+const TALLY_KINDS: usize = 8;
+
+/// A batch's parts summed per kind on the stack, so the shared counters
+/// (one lock each) are updated once per kind present, not once per part.
+#[derive(Default)]
+struct BatchTally {
+    slots: [(&'static str, u64, Option<u64>); TALLY_KINDS],
+    len: usize,
+}
+
+impl BatchTally {
+    /// Adds one part; `false` when the tally is full of other kinds.
+    fn add(&mut self, kind: &'static str, size: Option<usize>) -> bool {
+        let slot = match self.slots[..self.len]
+            .iter()
+            .position(|(k, ..)| std::ptr::eq(*k, kind) || *k == kind)
+        {
+            Some(i) => i,
+            None if self.len < TALLY_KINDS => {
+                self.slots[self.len] = (kind, 0, None);
+                self.len += 1;
+                self.len - 1
+            }
+            None => return false,
+        };
+        let (_, parts, bytes) = &mut self.slots[slot];
+        *parts += 1;
+        if let Some(size) = size {
+            *bytes.get_or_insert(0) += size as u64;
+        }
+        true
+    }
+
+    /// `(kind, parts, bytes)` per kind added, in first-seen order.
+    fn kinds(&self) -> &[(&'static str, u64, Option<u64>)] {
+        &self.slots[..self.len]
+    }
+}
+
 /// A reliable, per-link-FIFO network connecting `n` nodes.
 ///
 /// Each node has one mailbox; sends from a given source arrive at a given
@@ -347,12 +399,15 @@ impl<M: Tagged + Clone> Network<M> {
         // the single physical send.
         let inner = &*self.inner;
         if payload.is_batch() {
+            let mut tally = BatchTally::default();
             payload.for_each_batch_part(&mut |kind, size| {
-                inner.msgs.record(src, kind);
-                if let Some(size) = size {
-                    inner.bytes.record_n(src, kind, size as u64);
+                if !tally.add(kind, size) {
+                    inner.record_parts(src, kind, 1, size.map(|n| n as u64));
                 }
             });
+            for &(kind, parts, bytes) in tally.kinds() {
+                inner.record_parts(src, kind, parts, bytes);
+            }
             inner.envelopes.record(src, kinds::BATCH);
         } else {
             inner.msgs.record(src, payload.kind());
@@ -544,6 +599,76 @@ mod tests {
         let envs = net.envelopes().snapshot();
         assert_eq!(envs.get(p(0), kinds::BATCH), 1);
         assert_eq!(envs.node_total(p(0)), 1);
+    }
+
+    #[test]
+    fn a_mixed_batch_counts_exactly_like_its_parts_sent_one_by_one() {
+        // More kinds than the tally holds, one without a wire size, and
+        // repeats spread across the batch.
+        #[derive(Clone, Debug)]
+        enum Env {
+            One(&'static str, Option<usize>),
+            Batch(Vec<(&'static str, Option<usize>)>),
+        }
+        impl Tagged for Env {
+            fn kind(&self) -> &'static str {
+                match self {
+                    Env::One(kind, _) => kind,
+                    Env::Batch(_) => kinds::BATCH,
+                }
+            }
+            fn wire_size(&self) -> Option<usize> {
+                match self {
+                    Env::One(_, size) => *size,
+                    Env::Batch(parts) => Some(parts.iter().filter_map(|p| p.1).sum()),
+                }
+            }
+            fn metadata_size(&self) -> usize {
+                match self {
+                    Env::One(_, size) => size.map_or(0, |n| n / 2),
+                    Env::Batch(parts) => parts.iter().filter_map(|p| p.1).map(|n| n / 2).sum(),
+                }
+            }
+            fn is_batch(&self) -> bool {
+                matches!(self, Env::Batch(_))
+            }
+            fn for_each_batch_part(&self, visit: &mut dyn FnMut(&'static str, Option<usize>)) {
+                if let Env::Batch(parts) = self {
+                    for &(kind, size) in parts {
+                        visit(kind, size);
+                    }
+                }
+            }
+        }
+
+        let names = ["K0", "K1", "K2", "K3", "K4", "K5", "K6", "K7", "K8", "K9"];
+        let parts: Vec<(&'static str, Option<usize>)> = (0..31)
+            .map(|i| {
+                let kind = names[(i * 7) % names.len()];
+                (kind, (kind != "K3").then_some(10 + i))
+            })
+            .collect();
+        let one_by_one: Network<Env> = Network::new(2);
+        let batched: Network<Env> = Network::new(2);
+        let _mb = (one_by_one.take_mailbox(p(1)), batched.take_mailbox(p(1)));
+        for &(kind, size) in &parts {
+            one_by_one.send(p(0), p(1), Env::One(kind, size)).unwrap();
+        }
+        batched.send(p(0), p(1), Env::Batch(parts.clone())).unwrap();
+
+        assert_eq!(
+            batched.messages().snapshot(),
+            one_by_one.messages().snapshot()
+        );
+        assert_eq!(batched.bytes().snapshot(), one_by_one.bytes().snapshot());
+        assert_eq!(batched.bytes().snapshot().get(p(0), "K3"), 0);
+        assert_eq!(
+            batched.metadata().snapshot().node_total(p(0)),
+            one_by_one.metadata().snapshot().node_total(p(0))
+        );
+        let envs = batched.envelopes().snapshot();
+        assert_eq!(envs.get(p(0), kinds::BATCH), 1);
+        assert_eq!(envs.total(), 1);
     }
 
     #[test]

@@ -51,7 +51,9 @@ pub const INLINE_PROCESSES: usize = 16;
 /// heap vector above. Invariant: `Heap` is only used for
 /// `len > INLINE_PROCESSES`, so equal component sequences always share a
 /// representation (derived comparisons would be wrong otherwise; ours go
-/// through slices anyway).
+/// through slices anyway). Entries of an inline `buf` past `len` are
+/// never read: every access goes through the `len`-long slice, and
+/// `clone_from` leaves them stale.
 #[derive(Clone)]
 enum Repr {
     Inline {
@@ -78,9 +80,31 @@ enum Repr {
 /// assert_eq!(vt.get(0), 1);
 /// assert_eq!(vt.get(1), 0);
 /// ```
-#[derive(Clone)]
 pub struct VectorClock {
     repr: Repr,
+}
+
+impl Clone for VectorClock {
+    fn clone(&self) -> Self {
+        VectorClock {
+            repr: self.repr.clone(),
+        }
+    }
+
+    /// Copies `source` in place: an inline clock copies only the live
+    /// components, and a spilled clock overwritten by one of the same
+    /// spill reuses its buffer, so a stored stamp is refreshed without
+    /// allocating.
+    fn clone_from(&mut self, source: &Self) {
+        match (&mut self.repr, &source.repr) {
+            (Repr::Inline { len, buf }, Repr::Inline { len: n, buf: src }) => {
+                *len = *n;
+                buf[..*n as usize].copy_from_slice(&src[..*n as usize]);
+            }
+            (Repr::Heap(dst), Repr::Heap(src)) => dst.clone_from(src),
+            (dst, src) => *dst = src.clone(),
+        }
+    }
 }
 
 /// Compares two component slices in the paper's dominance order.
@@ -505,6 +529,20 @@ mod tests {
         let a = VectorClock::from_components([1, 0, 2]);
         assert_eq!(a.to_string(), "[1,0,2]");
         assert_eq!(format!("{a:?}"), "VT[1, 0, 2]");
+    }
+
+    #[test]
+    fn clone_from_reuses_a_spilled_buffer() {
+        // Values across widths are `model_equivalence.rs`'s job; this pins
+        // that a spilled stamp is refreshed without a new allocation.
+        let n = INLINE_PROCESSES + 1;
+        let mut spilled = VectorClock::new(n);
+        let buffer = spilled.as_slice().as_ptr();
+        let mut source = VectorClock::new(n);
+        source.increment(n - 1);
+        spilled.clone_from(&source);
+        assert_eq!(spilled, source);
+        assert_eq!(spilled.as_slice().as_ptr(), buffer, "heap buffer reused");
     }
 
     #[test]

@@ -65,6 +65,13 @@ fn pair() -> impl Strategy<Value = (Vec<u64>, Vec<u64>)> {
         })
 }
 
+fn hash_of(vt: &VectorClock) -> u64 {
+    use std::hash::{Hash, Hasher};
+    let mut h = std::collections::hash_map::DefaultHasher::new();
+    vt.hash(&mut h);
+    h.finish()
+}
+
 proptest! {
     // 2_500 cases x 4 properties = 10k (pair, operation) checks.
     #![proptest_config(ProptestConfig::with_cases(2_500))]
@@ -103,10 +110,11 @@ proptest! {
     }
 
     /// Every accessor sees exactly the component vector: construction
-    /// round-trips (iterator, Vec, sparse entries) across the spill
-    /// boundary, and equality is representation-blind.
+    /// round-trips (iterator, Vec, sparse entries, `clone_from` over a
+    /// clock of any other width) across the spill boundary, and equality
+    /// is representation-blind.
     #[test]
-    fn construction_round_trips(a in components()) {
+    fn construction_round_trips(a in components(), b in components()) {
         let vt: VectorClock = a.iter().copied().collect();
         prop_assert_eq!(vt.is_inline(), a.len() <= INLINE_PROCESSES);
         prop_assert_eq!(vt.as_slice(), a.as_slice());
@@ -118,7 +126,15 @@ proptest! {
         prop_assert_eq!(back, a.clone());
 
         // The sparse projection behind `Stamp`'s sparse encoding is lossless.
-        prop_assert_eq!(VectorClock::from_sparse_entries(a.len(), vt.nonzero()), vt);
+        prop_assert_eq!(VectorClock::from_sparse_entries(a.len(), vt.nonzero()), vt.clone());
+
+        // Copying in place leaves nothing of the overwritten clock visible.
+        let mut over = VectorClock::from(b);
+        over.clone_from(&vt);
+        prop_assert_eq!(over.is_inline(), vt.is_inline());
+        prop_assert_eq!(over.as_slice(), a.as_slice());
+        prop_assert_eq!(hash_of(&over), hash_of(&vt));
+        prop_assert_eq!(over.to_string(), vt.to_string());
     }
 }
 
