@@ -39,6 +39,7 @@
 //! [`crate::InlineServer`] name the [`NodeDriver`] instantiation.
 
 use std::cell::Cell;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -284,40 +285,47 @@ impl<D: Driver> Drop for ReleaseClaim<'_, D> {
     }
 }
 
-/// Shutdown latch for the heartbeat tickers: a flag under a mutex plus a
-/// condvar. `shutdown()` raising the flag wakes sleepers immediately,
-/// where a plain `thread::sleep` between flag checks used to stretch
-/// shutdown by up to one full heartbeat interval.
+/// Shutdown latch: an atomic flag that every delivered envelope reads,
+/// plus a mutex and condvar for the heartbeat tickers' sleeps.
+/// `shutdown()` raising the flag wakes sleepers immediately, where a
+/// plain `thread::sleep` between flag checks used to stretch shutdown by
+/// up to one full heartbeat interval.
 struct StopSignal {
-    stopped: Mutex<bool>,
+    stopped: AtomicBool,
+    /// Held while the flag is raised and while a sleeper re-checks it, so
+    /// a raise cannot slip between a sleeper's check and its wait.
+    sleep: Mutex<()>,
     cv: Condvar,
 }
 
 impl StopSignal {
     fn new() -> Self {
         StopSignal {
-            stopped: Mutex::new(false),
+            stopped: AtomicBool::new(false),
+            sleep: Mutex::new(()),
             cv: Condvar::new(),
         }
     }
 
     /// Raises the flag and wakes every waiter.
     fn stop(&self) {
-        *self.stopped.lock() = true;
+        let guard = self.sleep.lock();
+        self.stopped.store(true, Ordering::Release);
+        drop(guard);
         self.cv.notify_all();
     }
 
-    /// Whether the flag has been raised.
+    /// Whether the flag has been raised: one load, no lock.
     fn is_stopped(&self) -> bool {
-        *self.stopped.lock()
+        self.stopped.load(Ordering::Acquire)
     }
 
     /// Sleeps for `timeout` unless stopped first; returns `true` iff the
     /// signal was raised (immediately if it already was).
     fn wait_for(&self, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
-        let mut guard = self.stopped.lock();
-        while !*guard {
+        let mut guard = self.sleep.lock();
+        while !self.is_stopped() {
             let now = Instant::now();
             if now >= deadline {
                 return false;

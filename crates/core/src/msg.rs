@@ -148,28 +148,20 @@ impl fmt::Display for Stamp {
     }
 }
 
-impl Wire for Stamp {
-    fn encode(&self, buf: &mut BytesMut) {
-        if self.sparse {
-            ((self.vt.len() as u32) | SPARSE_BIT).encode(buf);
-            (self.vt.nonzero_count() as u32).encode(buf);
-            for (i, c) in self.vt.nonzero() {
-                i.encode(buf);
-                c.encode(buf);
-            }
-        } else {
-            self.vt.encode(buf);
+impl Stamp {
+    /// Encodes the nonzero `(node, count)` pairs: the sparse shape, kept
+    /// out of line so the dense path stays small where it inlines.
+    fn encode_sparse(&self, buf: &mut BytesMut) {
+        ((self.vt.len() as u32) | SPARSE_BIT).encode(buf);
+        (self.vt.nonzero_count() as u32).encode(buf);
+        for (i, c) in self.vt.nonzero() {
+            i.encode(buf);
+            c.encode(buf);
         }
     }
 
-    fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
-        let head = u32::decode(buf)?;
-        if head & SPARSE_BIT == 0 {
-            return Ok(Stamp {
-                vt: decode_clock_components(head as usize, buf)?,
-                sparse: false,
-            });
-        }
+    /// Decodes a sparse stamp's body after its leading word `head`.
+    fn decode_sparse(head: u32, buf: &mut &[u8]) -> Result<Self, CodecError> {
         let n = (head & !SPARSE_BIT) as usize;
         let nnz = u32::decode(buf)? as usize;
         // Both counts are the sender's word: the pairs must all be present
@@ -195,7 +187,31 @@ impl Wire for Stamp {
         let vt = VectorClock::from_sparse_entries(n, pairs.chunks_exact(12).map(pair));
         Ok(Stamp { vt, sparse: true })
     }
+}
 
+impl Wire for Stamp {
+    #[inline]
+    fn encode(&self, buf: &mut BytesMut) {
+        if self.sparse {
+            self.encode_sparse(buf);
+        } else {
+            self.vt.encode(buf);
+        }
+    }
+
+    #[inline]
+    fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
+        let head = u32::decode(buf)?;
+        if head & SPARSE_BIT != 0 {
+            return Stamp::decode_sparse(head, buf);
+        }
+        Ok(Stamp {
+            vt: decode_clock_components(head as usize, buf)?,
+            sparse: false,
+        })
+    }
+
+    #[inline]
     fn encoded_len(&self) -> usize {
         if self.sparse {
             8 + 12 * self.vt.nonzero_count()

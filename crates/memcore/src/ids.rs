@@ -18,6 +18,7 @@ pub struct NodeId(u32);
 
 impl NodeId {
     /// Creates a process identifier from its index.
+    #[inline]
     #[must_use]
     pub fn new(index: u32) -> Self {
         NodeId(index)
@@ -25,6 +26,7 @@ impl NodeId {
 
     /// The process index, usable to index per-process arrays and vector
     /// clock components.
+    #[inline]
     #[must_use]
     pub fn index(self) -> usize {
         self.0 as usize
@@ -63,12 +65,14 @@ pub struct Location(u32);
 
 impl Location {
     /// Creates a location from its flat index.
+    #[inline]
     #[must_use]
     pub fn new(index: u32) -> Self {
         Location(index)
     }
 
     /// The flat index of this location.
+    #[inline]
     #[must_use]
     pub fn index(self) -> usize {
         self.0 as usize
@@ -124,12 +128,14 @@ pub struct PageId(u32);
 
 impl PageId {
     /// Creates a page identifier from its index.
+    #[inline]
     #[must_use]
     pub fn new(index: u32) -> Self {
         PageId(index)
     }
 
     /// The page index.
+    #[inline]
     #[must_use]
     pub fn index(self) -> usize {
         self.0 as usize
@@ -191,12 +197,14 @@ impl OwnerEpoch {
     pub const ZERO: OwnerEpoch = OwnerEpoch(0);
 
     /// Creates an epoch from its counter value.
+    #[inline]
     #[must_use]
     pub fn new(epoch: u32) -> Self {
         OwnerEpoch(epoch)
     }
 
     /// The raw counter value.
+    #[inline]
     #[must_use]
     pub fn get(self) -> u32 {
         self.0
@@ -250,6 +258,7 @@ impl WriteId {
     ///
     /// Panics if `writer` is the reserved initial-write marker
     /// (`u32::MAX`).
+    #[inline]
     #[must_use]
     pub fn new(writer: NodeId, seq: u64) -> Self {
         assert_ne!(
@@ -265,6 +274,7 @@ impl WriteId {
 
     /// The distinguished initial write to `loc`, causally preceding all
     /// operations of every process.
+    #[inline]
     #[must_use]
     pub fn initial(loc: Location) -> Self {
         WriteId {
@@ -274,12 +284,14 @@ impl WriteId {
     }
 
     /// `true` iff this is an initial write.
+    #[inline]
     #[must_use]
     pub fn is_initial(self) -> bool {
         self.writer == INITIAL_WRITER
     }
 
     /// The process that performed this write, or `None` for initial writes.
+    #[inline]
     #[must_use]
     pub fn writer(self) -> Option<NodeId> {
         (!self.is_initial()).then(|| NodeId::new(self.writer))
@@ -287,6 +299,7 @@ impl WriteId {
 
     /// The per-writer sequence number (the location index for initial
     /// writes).
+    #[inline]
     #[must_use]
     pub fn seq(self) -> u64 {
         self.seq

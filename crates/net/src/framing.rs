@@ -134,7 +134,7 @@ pub fn decode_body<T: Wire>(mut body: &[u8]) -> io::Result<T> {
 /// Frames an envelope for a peer link: `src | dst | payload`.
 #[must_use]
 pub fn encode_envelope<M: Wire>(env: &Envelope<M>) -> Bytes {
-    frame(&EnvelopeBody(env))
+    frame(&EnvelopeBody::new(env))
 }
 
 /// Encodes an envelope *body* without the length prefix: the payload a
@@ -142,18 +142,7 @@ pub fn encode_envelope<M: Wire>(env: &Envelope<M>) -> Bytes {
 /// `src | dst | payload` inside a `SessionMsg::Data` frame.
 #[must_use]
 pub fn encode_envelope_body<M: Wire>(env: &Envelope<M>) -> Bytes {
-    let body = EnvelopeBody(env);
-    let mut buf = BytesMut::with_capacity(body.encoded_len());
-    body.encode(&mut buf);
-    buf.freeze()
-}
-
-/// Length of the body [`encode_envelope_body`] would produce, without
-/// producing it: what a sender checks against [`MAX_FRAME`] before it
-/// queues anything.
-#[must_use]
-pub(crate) fn envelope_body_len<M: Wire>(env: &Envelope<M>) -> usize {
-    EnvelopeBody(env).encoded_len()
+    EnvelopeBody::new(env).to_bytes()
 }
 
 /// An opaque, already-encoded frame body.
@@ -210,19 +199,43 @@ pub fn decode_envelope<M: Wire>(body: Bytes) -> io::Result<Envelope<M>> {
 }
 
 /// Borrowing encoder so an envelope is framed without cloning the payload.
-struct EnvelopeBody<'a, M>(&'a Envelope<M>);
+///
+/// The body's length is measured once, at construction: a sender checks
+/// it against [`MAX_FRAME`] and [`frame_into`] writes the length prefix
+/// from it, so a send walks a batch's parts for their length once, not
+/// twice. `frame_into` still asserts that the encoding matches it.
+pub(crate) struct EnvelopeBody<'a, M> {
+    env: &'a Envelope<M>,
+    len: usize,
+}
+
+impl<'a, M: Wire> EnvelopeBody<'a, M> {
+    pub(crate) fn new(env: &'a Envelope<M>) -> Self {
+        EnvelopeBody {
+            env,
+            len: 4 + 4 + env.payload.encoded_len(),
+        }
+    }
+
+    /// The body as one buffer, without a length prefix.
+    pub(crate) fn to_bytes(&self) -> Bytes {
+        let mut buf = BytesMut::with_capacity(self.len);
+        self.encode(&mut buf);
+        buf.freeze()
+    }
+}
 
 impl<M: Wire> Wire for EnvelopeBody<'_, M> {
     fn encode(&self, buf: &mut BytesMut) {
-        self.0.src.encode(buf);
-        self.0.dst.encode(buf);
-        self.0.payload.encode(buf);
+        self.env.src.encode(buf);
+        self.env.dst.encode(buf);
+        self.env.payload.encode(buf);
     }
     fn decode(_buf: &mut &[u8]) -> Result<Self, CodecError> {
         unreachable!("EnvelopeBody is encode-only; decode via decode_envelope")
     }
     fn encoded_len(&self) -> usize {
-        4 + 4 + self.0.payload.encoded_len()
+        self.len
     }
 }
 
@@ -265,7 +278,7 @@ impl OutBuf {
 
     /// Queues an envelope as one peer-link frame: `src | dst | payload`.
     pub fn push_envelope<M: Wire>(&mut self, env: &Envelope<M>) {
-        self.push_frame(&EnvelopeBody(env));
+        self.push_frame(&EnvelopeBody::new(env));
     }
 
     /// Issues one `write` of everything unsent and advances the cursor by

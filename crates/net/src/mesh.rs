@@ -25,8 +25,9 @@
 //! Each peer has one outbound buffer ([`OutBuf`]), owned by the peer's
 //! mutex. [`MeshLink::send_remote`] takes the lock and encodes the
 //! envelope *into that buffer* — length prefix from the exact
-//! `encoded_len()`, then the body, once, in place; no frame is ever a
-//! heap object of its own. Still under the lock it hands the socket
+//! `encoded_len()`, measured once for both the [`MAX_FRAME`] check and
+//! the prefix, then the body, once, in place; no frame is ever a heap
+//! object of its own. Still under the lock it hands the socket
 //! everything unsent with one plain `write`, so frames queued behind a
 //! busy socket leave together in one syscall, which is where the syscall
 //! amortization of batched workloads comes from. If the socket
@@ -115,8 +116,8 @@ use simnet::codec::{FrameDecoder, Wire};
 use simnet::{Envelope, Network, RemoteLink, SendError, Tagged};
 
 use crate::framing::{
-    decode_body, decode_envelope_slice, encode_envelope_body, envelope_body_len, read_hello,
-    write_hello, ConnKind, Hello, OutBuf, RawBody, MAX_FRAME,
+    decode_body, decode_envelope_slice, read_hello, write_hello, ConnKind, EnvelopeBody, Hello,
+    OutBuf, RawBody, MAX_FRAME,
 };
 use crate::spec::ClusterSpec;
 
@@ -491,7 +492,8 @@ impl<M: Wire + Tagged> RemoteLink<M> for MeshLink<M> {
         } else {
             0
         };
-        if header + envelope_body_len(&env) > MAX_FRAME {
+        let body = EnvelopeBody::new(&env);
+        if header + body.encoded_len() > MAX_FRAME {
             return Err(SendError { dst });
         }
         shared.stats.frames.fetch_add(1, Ordering::Relaxed);
@@ -511,7 +513,7 @@ impl<M: Wire + Tagged> RemoteLink<M> for MeshLink<M> {
             // Session mode: the payload parks in the unacked window, so
             // a down link delays rather than fails the send — the frame
             // is replayed from the window on reconnect.
-            let msg = link.send(shared.now_ms(), dst, RawBody(encode_envelope_body(&env)));
+            let msg = link.send(shared.now_ms(), dst, RawBody(body.to_bytes()));
             if tx.stream.is_some() {
                 tx.out.push_frame(&msg);
                 shared.drain_locked(&mut tx)
@@ -522,7 +524,7 @@ impl<M: Wire + Tagged> RemoteLink<M> for MeshLink<M> {
             if tx.stream.is_none() {
                 return Err(SendError { dst });
             }
-            tx.out.push_envelope(&env);
+            tx.out.push_frame(&body);
             shared.drain_locked(&mut tx)
         };
         drop(tx);

@@ -76,6 +76,7 @@ impl Error for CodecError {}
 ///
 /// Returns [`CodecError::Truncated`] (leaving the cursor alone) if fewer
 /// than `n` bytes remain.
+#[inline]
 pub fn take<'a>(buf: &mut &'a [u8], n: usize) -> Result<&'a [u8], CodecError> {
     let (head, rest) = buf.split_at_checked(n).ok_or(CodecError::Truncated)?;
     *buf = rest;
@@ -83,6 +84,7 @@ pub fn take<'a>(buf: &mut &'a [u8], n: usize) -> Result<&'a [u8], CodecError> {
 }
 
 /// Splits a fixed-width field off the cursor.
+#[inline]
 fn take_array<const N: usize>(buf: &mut &[u8]) -> Result<[u8; N], CodecError> {
     let (head, rest) = buf.split_first_chunk::<N>().ok_or(CodecError::Truncated)?;
     *buf = rest;
@@ -156,23 +158,29 @@ pub trait Wire: Sized {
 }
 
 impl Wire for u8 {
+    #[inline]
     fn encode(&self, buf: &mut BytesMut) {
         buf.put_u8(*self);
     }
+    #[inline]
     fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
         Ok(take_array::<1>(buf)?[0])
     }
+    #[inline]
     fn encoded_len(&self) -> usize {
         1
     }
+    #[inline]
     fn encode_seq(items: &[Self], buf: &mut BytesMut) {
         buf.extend_from_slice(items);
     }
+    #[inline]
     fn decode_seq(len: usize, buf: &mut &[u8]) -> Result<Vec<Self>, CodecError> {
         // The bounds check comes first: a declared length the buffer
         // cannot back is an error before it is an allocation.
         Ok(take(buf, len)?.to_vec())
     }
+    #[inline]
     fn seq_encoded_len(items: &[Self]) -> usize {
         items.len()
     }
@@ -181,12 +189,15 @@ impl Wire for u8 {
 macro_rules! impl_wire_int {
     ($t:ty, $put:ident, $len:expr) => {
         impl Wire for $t {
+            #[inline]
             fn encode(&self, buf: &mut BytesMut) {
                 buf.$put(*self);
             }
+            #[inline]
             fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
                 Ok(<$t>::from_be_bytes(take_array(buf)?))
             }
+            #[inline]
             fn encoded_len(&self) -> usize {
                 $len
             }
@@ -200,9 +211,11 @@ impl_wire_int!(i64, put_i64, 8);
 impl_wire_int!(f64, put_f64, 8);
 
 impl Wire for bool {
+    #[inline]
     fn encode(&self, buf: &mut BytesMut) {
         buf.put_u8(u8::from(*self));
     }
+    #[inline]
     fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
         match u8::decode(buf)? {
             0 => Ok(false),
@@ -210,6 +223,7 @@ impl Wire for bool {
             d => Err(CodecError::BadDiscriminant(d)),
         }
     }
+    #[inline]
     fn encoded_len(&self) -> usize {
         1
     }
@@ -279,69 +293,81 @@ impl<T: Wire> Wire for std::sync::Arc<T> {
 }
 
 impl Wire for memcore::NodeId {
+    #[inline]
     fn encode(&self, buf: &mut BytesMut) {
         (self.index() as u32).encode(buf);
     }
+    #[inline]
     fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
         Ok(memcore::NodeId::new(u32::decode(buf)?))
     }
+    #[inline]
     fn encoded_len(&self) -> usize {
         4
     }
 }
 
 impl Wire for memcore::Location {
+    #[inline]
     fn encode(&self, buf: &mut BytesMut) {
         (self.index() as u32).encode(buf);
     }
+    #[inline]
     fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
         Ok(memcore::Location::new(u32::decode(buf)?))
     }
+    #[inline]
     fn encoded_len(&self) -> usize {
         4
     }
 }
 
 impl Wire for memcore::PageId {
+    #[inline]
     fn encode(&self, buf: &mut BytesMut) {
         (self.index() as u32).encode(buf);
     }
+    #[inline]
     fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
         Ok(memcore::PageId::new(u32::decode(buf)?))
     }
+    #[inline]
     fn encoded_len(&self) -> usize {
         4
     }
 }
 
 impl Wire for memcore::OwnerEpoch {
+    #[inline]
     fn encode(&self, buf: &mut BytesMut) {
         self.get().encode(buf);
     }
+    #[inline]
     fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
         Ok(memcore::OwnerEpoch::new(u32::decode(buf)?))
     }
+    #[inline]
     fn encoded_len(&self) -> usize {
         4
     }
 }
 
 impl Wire for memcore::WriteId {
+    // One 12-byte chunk each way: the writer (`u32::MAX` for an initial
+    // write), then the sequence number.
+    #[inline]
     fn encode(&self, buf: &mut BytesMut) {
-        match self.writer() {
-            Some(node) => {
-                (node.index() as u32).encode(buf);
-                self.seq().encode(buf);
-            }
-            None => {
-                u32::MAX.encode(buf);
-                self.seq().encode(buf);
-            }
-        }
+        let writer = self.writer().map_or(u32::MAX, |node| node.index() as u32);
+        let mut chunk = [0u8; 12];
+        chunk[..4].copy_from_slice(&writer.to_be_bytes());
+        chunk[4..].copy_from_slice(&self.seq().to_be_bytes());
+        buf.put_slice(&chunk);
     }
+    #[inline]
     fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
-        let writer = u32::decode(buf)?;
-        let seq = u64::decode(buf)?;
+        let (writer, seq) = take(buf, 12)?.split_at(4);
+        let writer = u32::from_be_bytes(writer.try_into().expect("4 of 12 bytes"));
+        let seq = u64::from_be_bytes(seq.try_into().expect("8 of 12 bytes"));
         if writer == u32::MAX {
             Ok(memcore::WriteId::initial(memcore::Location::new(
                 seq as u32,
@@ -350,6 +376,7 @@ impl Wire for memcore::WriteId {
             Ok(memcore::WriteId::new(memcore::NodeId::new(writer), seq))
         }
     }
+    #[inline]
     fn encoded_len(&self) -> usize {
         12
     }
@@ -363,6 +390,7 @@ impl Wire for memcore::WriteId {
 /// # Errors
 ///
 /// Returns [`CodecError::Truncated`] if fewer than `8 * len` bytes remain.
+#[inline]
 pub fn decode_clock_components(
     len: usize,
     buf: &mut &[u8],
@@ -376,6 +404,7 @@ pub fn decode_clock_components(
 }
 
 impl Wire for vclock::VectorClock {
+    #[inline]
     fn encode(&self, buf: &mut BytesMut) {
         // Same wire shape as Vec<u64> (u32 length prefix + components),
         // written straight from the borrowed slice — no clone.
@@ -384,16 +413,19 @@ impl Wire for vclock::VectorClock {
             c.encode(buf);
         }
     }
+    #[inline]
     fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
         let len = u32::decode(buf)? as usize;
         decode_clock_components(len, buf)
     }
+    #[inline]
     fn encoded_len(&self) -> usize {
         4 + 8 * self.len()
     }
 }
 
 impl Wire for memcore::Word {
+    #[inline]
     fn encode(&self, buf: &mut BytesMut) {
         match self {
             memcore::Word::Zero => buf.put_u8(0),
@@ -411,6 +443,7 @@ impl Wire for memcore::Word {
             }
         }
     }
+    #[inline]
     fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
         match u8::decode(buf)? {
             0 => Ok(memcore::Word::Zero),
@@ -420,6 +453,7 @@ impl Wire for memcore::Word {
             d => Err(CodecError::BadDiscriminant(d)),
         }
     }
+    #[inline]
     fn encoded_len(&self) -> usize {
         match self {
             memcore::Word::Zero => 1,

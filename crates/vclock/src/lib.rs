@@ -218,6 +218,7 @@ impl VectorClock {
     }
 
     /// Number of processes this clock covers.
+    #[inline]
     #[must_use]
     pub fn len(&self) -> usize {
         match &self.repr {
@@ -312,11 +313,13 @@ impl VectorClock {
     }
 
     /// Iterates over the components in process order.
+    #[inline]
     pub fn iter(&self) -> std::slice::Iter<'_, u64> {
         self.as_slice().iter()
     }
 
     /// Borrows the raw components.
+    #[inline]
     #[must_use]
     pub fn as_slice(&self) -> &[u64] {
         match &self.repr {
@@ -326,6 +329,7 @@ impl VectorClock {
     }
 
     /// Borrows the raw components mutably.
+    #[inline]
     fn as_mut_slice(&mut self) -> &mut [u64] {
         match &mut self.repr {
             Repr::Inline { len, buf } => &mut buf[..*len as usize],
@@ -339,6 +343,7 @@ impl VectorClock {
     /// In an interest-scoped deployment a process's clock is nonzero only
     /// for processes in the interest closure of the pages it has touched,
     /// so this iterator is the share-graph-sized view of an O(n) stamp.
+    #[inline]
     pub fn nonzero(&self) -> impl Iterator<Item = (u32, u64)> + '_ {
         self.as_slice()
             .iter()
@@ -348,6 +353,7 @@ impl VectorClock {
     }
 
     /// Number of nonzero components.
+    #[inline]
     #[must_use]
     pub fn nonzero_count(&self) -> usize {
         self.as_slice().iter().filter(|&&c| c != 0).count()
