@@ -5,7 +5,7 @@ use std::fmt;
 use std::mem;
 use std::sync::Arc;
 
-use bytes::{BufMut, BytesMut};
+use bytes::BytesMut;
 use memcore::{Location, NodeId, OwnerEpoch, PageId, Value, WriteId};
 use simnet::codec::{decode_clock_components, take, CodecError, Wire};
 use simnet::Tagged;
@@ -473,237 +473,27 @@ impl<V: Value> Tagged for Msg<V> {
     }
 }
 
-impl<V: Wire> Wire for WriteVerdict<V> {
-    fn encode(&self, buf: &mut BytesMut) {
-        match self {
-            WriteVerdict::Applied => buf.put_u8(0),
-            WriteVerdict::Rejected { value, wid } => {
-                buf.put_u8(1);
-                value.encode(buf);
-                wid.encode(buf);
-            }
-        }
-    }
-
-    fn encoded_len(&self) -> usize {
-        match self {
-            WriteVerdict::Applied => 1,
-            WriteVerdict::Rejected { value, wid } => 1 + value.encoded_len() + wid.encoded_len(),
-        }
-    }
-
-    fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
-        match u8::decode(buf)? {
-            0 => Ok(WriteVerdict::Applied),
-            1 => Ok(WriteVerdict::Rejected {
-                value: Arc::new(V::decode(buf)?),
-                wid: WriteId::decode(buf)?,
-            }),
-            d => Err(CodecError::BadDiscriminant(d)),
-        }
+simnet::wire_enum! {
+    impl[V: Wire] for WriteVerdict<V> {
+        0 => Applied,
+        1 => Rejected { value, wid },
     }
 }
 
-impl<V: Wire> Wire for Msg<V> {
-    fn encode(&self, buf: &mut BytesMut) {
-        match self {
-            Msg::Read { page } => {
-                buf.put_u8(0);
-                page.encode(buf);
-            }
-            Msg::ReadReply { page, vt, slots } => {
-                buf.put_u8(1);
-                page.encode(buf);
-                vt.encode(buf);
-                slots.encode(buf);
-            }
-            Msg::Write {
-                loc,
-                value,
-                wid,
-                vt,
-            } => {
-                buf.put_u8(2);
-                loc.encode(buf);
-                value.encode(buf);
-                wid.encode(buf);
-                vt.encode(buf);
-            }
-            Msg::WriteReply {
-                loc,
-                wid,
-                vt,
-                verdict,
-            } => {
-                buf.put_u8(3);
-                loc.encode(buf);
-                wid.encode(buf);
-                vt.encode(buf);
-                verdict.encode(buf);
-            }
-            Msg::Halt => buf.put_u8(4),
-            Msg::Batch(parts) => {
-                buf.put_u8(5);
-                parts.encode(buf);
-            }
-            Msg::Stamped { epoch, op, inner } => {
-                buf.put_u8(6);
-                epoch.encode(buf);
-                op.encode(buf);
-                inner.as_ref().encode(buf);
-            }
-            Msg::Heartbeat { seq } => {
-                buf.put_u8(7);
-                seq.encode(buf);
-            }
-            Msg::Suspect { suspect, epochs } => {
-                buf.put_u8(8);
-                suspect.encode(buf);
-                epochs.encode(buf);
-            }
-            Msg::Nack {
-                page,
-                op,
-                epoch,
-                redirect,
-            } => {
-                buf.put_u8(9);
-                page.encode(buf);
-                op.encode(buf);
-                epoch.encode(buf);
-                redirect.encode(buf);
-            }
-            Msg::Replicate {
-                page,
-                vt,
-                slots,
-                origins,
-            } => {
-                buf.put_u8(10);
-                page.encode(buf);
-                vt.encode(buf);
-                slots.encode(buf);
-                origins.encode(buf);
-            }
-            Msg::Interest { page } => {
-                buf.put_u8(11);
-                page.encode(buf);
-            }
-        }
-    }
-
-    fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
-        match u8::decode(buf)? {
-            0 => Ok(Msg::Read {
-                page: PageId::decode(buf)?,
-            }),
-            1 => {
-                let page = PageId::decode(buf)?;
-                let vt = Stamp::decode(buf)?;
-                let slots = Vec::decode(buf)?;
-                Ok(Msg::ReadReply { page, vt, slots })
-            }
-            2 => Ok(Msg::Write {
-                loc: Location::decode(buf)?,
-                value: Arc::new(V::decode(buf)?),
-                wid: WriteId::decode(buf)?,
-                vt: Stamp::decode(buf)?,
-            }),
-            3 => Ok(Msg::WriteReply {
-                loc: Location::decode(buf)?,
-                wid: WriteId::decode(buf)?,
-                vt: Stamp::decode(buf)?,
-                verdict: WriteVerdict::decode(buf)?,
-            }),
-            4 => Ok(Msg::Halt),
-            5 => Ok(Msg::Batch(Vec::decode(buf)?)),
-            6 => Ok(Msg::Stamped {
-                epoch: OwnerEpoch::decode(buf)?,
-                op: u64::decode(buf)?,
-                inner: Box::new(Msg::decode(buf)?),
-            }),
-            7 => Ok(Msg::Heartbeat {
-                seq: u64::decode(buf)?,
-            }),
-            8 => Ok(Msg::Suspect {
-                suspect: NodeId::decode(buf)?,
-                epochs: Vec::decode(buf)?,
-            }),
-            9 => Ok(Msg::Nack {
-                page: PageId::decode(buf)?,
-                op: u64::decode(buf)?,
-                epoch: OwnerEpoch::decode(buf)?,
-                redirect: NodeId::decode(buf)?,
-            }),
-            10 => {
-                let page = PageId::decode(buf)?;
-                let vt = Stamp::decode(buf)?;
-                let slots = Vec::decode(buf)?;
-                Ok(Msg::Replicate {
-                    page,
-                    vt,
-                    slots,
-                    origins: Vec::decode(buf)?,
-                })
-            }
-            11 => Ok(Msg::Interest {
-                page: PageId::decode(buf)?,
-            }),
-            d => Err(CodecError::BadDiscriminant(d)),
-        }
-    }
-
-    fn encoded_len(&self) -> usize {
-        match self {
-            Msg::Read { page } => 1 + page.encoded_len(),
-            Msg::ReadReply { page, vt, slots } => {
-                1 + page.encoded_len() + vt.encoded_len() + slots.encoded_len()
-            }
-            Msg::Write {
-                loc,
-                value,
-                wid,
-                vt,
-            } => loc.encoded_len() + value.encoded_len() + wid.encoded_len() + vt.encoded_len() + 1,
-            Msg::WriteReply {
-                loc,
-                wid,
-                vt,
-                verdict,
-            } => {
-                1 + loc.encoded_len() + wid.encoded_len() + vt.encoded_len() + verdict.encoded_len()
-            }
-            Msg::Halt => 1,
-            Msg::Batch(parts) => 1 + parts.encoded_len(),
-            Msg::Stamped { epoch, op, inner } => {
-                1 + epoch.encoded_len() + op.encoded_len() + inner.encoded_len()
-            }
-            Msg::Heartbeat { seq } => 1 + seq.encoded_len(),
-            Msg::Suspect { suspect, epochs } => 1 + suspect.encoded_len() + epochs.encoded_len(),
-            Msg::Nack {
-                page,
-                op,
-                epoch,
-                redirect,
-            } => {
-                1 + page.encoded_len()
-                    + op.encoded_len()
-                    + epoch.encoded_len()
-                    + redirect.encoded_len()
-            }
-            Msg::Replicate {
-                page,
-                vt,
-                slots,
-                origins,
-            } => {
-                1 + page.encoded_len()
-                    + vt.encoded_len()
-                    + slots.encoded_len()
-                    + origins.encoded_len()
-            }
-            Msg::Interest { page } => 1 + page.encoded_len(),
-        }
+simnet::wire_enum! {
+    impl[V: Wire] for Msg<V> {
+        0 => Read { page },
+        1 => ReadReply { page, vt, slots },
+        2 => Write { loc, value, wid, vt },
+        3 => WriteReply { loc, wid, vt, verdict },
+        4 => Halt,
+        5 => Batch(parts),
+        6 => Stamped { epoch, op, inner },
+        7 => Heartbeat { seq },
+        8 => Suspect { suspect, epochs },
+        9 => Nack { page, op, epoch, redirect },
+        10 => Replicate { page, vt, slots, origins },
+        11 => Interest { page },
     }
 }
 

@@ -21,9 +21,9 @@
 
 use std::sync::Arc;
 
-use bytes::{BufMut, BytesMut};
+use bytes::BytesMut;
 use memcore::{Location, NodeId, OwnerEpoch, PageId, WriteId};
-use simnet::codec::{CodecError, Wire};
+use simnet::codec::Wire;
 use vclock::VectorClock;
 
 use crate::crc32;
@@ -103,149 +103,13 @@ pub enum WalRecord<V> {
     },
 }
 
-impl<V: Wire> Wire for WalRecord<V> {
-    fn encode(&self, buf: &mut BytesMut) {
-        match self {
-            WalRecord::Write {
-                loc,
-                value,
-                wid,
-                origin,
-                node_vt,
-                applied,
-            } => {
-                buf.put_u8(0);
-                loc.encode(buf);
-                value.encode(buf);
-                wid.encode(buf);
-                origin.encode(buf);
-                node_vt.encode(buf);
-                applied.encode(buf);
-            }
-            WalRecord::PageInstall {
-                page,
-                vt,
-                slots,
-                origins,
-                shadow,
-            } => {
-                buf.put_u8(1);
-                page.encode(buf);
-                vt.encode(buf);
-                slots.encode(buf);
-                origins.encode(buf);
-                shadow.encode(buf);
-            }
-            WalRecord::Epoch { page, epoch } => {
-                buf.put_u8(2);
-                page.encode(buf);
-                epoch.encode(buf);
-            }
-            WalRecord::Interest {
-                page,
-                node,
-                registered,
-            } => {
-                buf.put_u8(3);
-                page.encode(buf);
-                node.encode(buf);
-                registered.encode(buf);
-            }
-            WalRecord::Node {
-                vt,
-                write_seq,
-                incarnation,
-            } => {
-                buf.put_u8(4);
-                vt.encode(buf);
-                write_seq.encode(buf);
-                incarnation.encode(buf);
-            }
-        }
-    }
-
-    fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
-        match u8::decode(buf)? {
-            0 => Ok(WalRecord::Write {
-                loc: Location::decode(buf)?,
-                value: Arc::new(V::decode(buf)?),
-                wid: WriteId::decode(buf)?,
-                origin: VectorClock::decode(buf)?,
-                node_vt: VectorClock::decode(buf)?,
-                applied: bool::decode(buf)?,
-            }),
-            1 => {
-                let page = PageId::decode(buf)?;
-                let vt = VectorClock::decode(buf)?;
-                let slots = Vec::decode(buf)?;
-                Ok(WalRecord::PageInstall {
-                    page,
-                    vt,
-                    slots,
-                    origins: Vec::decode(buf)?,
-                    shadow: bool::decode(buf)?,
-                })
-            }
-            2 => Ok(WalRecord::Epoch {
-                page: PageId::decode(buf)?,
-                epoch: OwnerEpoch::decode(buf)?,
-            }),
-            3 => Ok(WalRecord::Interest {
-                page: PageId::decode(buf)?,
-                node: NodeId::decode(buf)?,
-                registered: bool::decode(buf)?,
-            }),
-            4 => Ok(WalRecord::Node {
-                vt: VectorClock::decode(buf)?,
-                write_seq: u64::decode(buf)?,
-                incarnation: u32::decode(buf)?,
-            }),
-            d => Err(CodecError::BadDiscriminant(d)),
-        }
-    }
-
-    fn encoded_len(&self) -> usize {
-        1 + match self {
-            WalRecord::Write {
-                loc,
-                value,
-                wid,
-                origin,
-                node_vt,
-                applied,
-            } => {
-                loc.encoded_len()
-                    + value.encoded_len()
-                    + wid.encoded_len()
-                    + origin.encoded_len()
-                    + node_vt.encoded_len()
-                    + applied.encoded_len()
-            }
-            WalRecord::PageInstall {
-                page,
-                vt,
-                slots,
-                origins,
-                shadow,
-            } => {
-                page.encoded_len()
-                    + vt.encoded_len()
-                    + slots.encoded_len()
-                    + origins.encoded_len()
-                    + shadow.encoded_len()
-            }
-            WalRecord::Epoch { page, epoch } => page.encoded_len() + epoch.encoded_len(),
-            WalRecord::Interest {
-                page,
-                node,
-                registered,
-            } => page.encoded_len() + node.encoded_len() + registered.encoded_len(),
-            WalRecord::Node {
-                vt,
-                write_seq,
-                incarnation,
-            } => vt.encoded_len() + write_seq.encoded_len() + incarnation.encoded_len(),
-        }
+simnet::wire_enum! {
+    impl[V: Wire] for WalRecord<V> {
+        0 => Write { loc, value, wid, origin, node_vt, applied },
+        1 => PageInstall { page, vt, slots, origins, shadow },
+        2 => Epoch { page, epoch },
+        3 => Interest { page, node, registered },
+        4 => Node { vt, write_seq, incarnation },
     }
 }
 

@@ -30,11 +30,10 @@
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
-use bytes::{BufMut, BytesMut};
 use causal_dsm::{Driver, EffectsOf, Op};
 use dsm_sim::SimDriver;
 use memcore::{kinds, Location, NodeId, WriteId};
-use simnet::codec::{CodecError, Wire};
+use simnet::codec::Wire;
 use simnet::Tagged;
 
 /// A session-layer frame wrapping the protocol's own message type `M`.
@@ -119,10 +118,12 @@ impl<M: Tagged> Tagged for SessionMsg<M> {
     }
 
     fn wire_size(&self) -> Option<usize> {
-        // seq (8) + flag (1) + incarnations (4 + 4), or cum (8) + tag (1)
-        // + incarnations, or tag (1), or inc (4) + tag (1).
+        // The data header, or tag (1) + cum (8) + incarnations (4 + 4), or
+        // tag (1), or tag (1) + inc (4).
         match self {
-            SessionMsg::Data { payload, .. } => payload.wire_size().map(|s| s + 17),
+            SessionMsg::Data { payload, .. } => {
+                payload.wire_size().map(|s| s + Self::DATA_HEADER_LEN)
+            }
             SessionMsg::Ack { .. } => Some(17),
             SessionMsg::Raw(payload) => payload.wire_size().map(|s| s + 1),
             SessionMsg::Hello { .. } => Some(5),
@@ -155,73 +156,14 @@ impl<M: Tagged> Tagged for SessionMsg<M> {
     }
 }
 
-impl<M: Wire> Wire for SessionMsg<M> {
-    fn encode(&self, buf: &mut BytesMut) {
-        match self {
-            SessionMsg::Data {
-                seq,
-                retx,
-                src_inc,
-                dst_inc,
-                payload,
-            } => {
-                buf.put_u8(0);
-                seq.encode(buf);
-                retx.encode(buf);
-                src_inc.encode(buf);
-                dst_inc.encode(buf);
-                payload.encode(buf);
-            }
-            SessionMsg::Ack {
-                cum,
-                src_inc,
-                dst_inc,
-            } => {
-                buf.put_u8(1);
-                cum.encode(buf);
-                src_inc.encode(buf);
-                dst_inc.encode(buf);
-            }
-            SessionMsg::Raw(payload) => {
-                buf.put_u8(2);
-                payload.encode(buf);
-            }
-            SessionMsg::Hello { inc } => {
-                buf.put_u8(3);
-                inc.encode(buf);
-            }
-        }
-    }
-
-    fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
-        match u8::decode(buf)? {
-            0 => Ok(SessionMsg::Data {
-                seq: u64::decode(buf)?,
-                retx: bool::decode(buf)?,
-                src_inc: u32::decode(buf)?,
-                dst_inc: u32::decode(buf)?,
-                payload: M::decode(buf)?,
-            }),
-            1 => Ok(SessionMsg::Ack {
-                cum: u64::decode(buf)?,
-                src_inc: u32::decode(buf)?,
-                dst_inc: u32::decode(buf)?,
-            }),
-            2 => Ok(SessionMsg::Raw(M::decode(buf)?)),
-            3 => Ok(SessionMsg::Hello {
-                inc: u32::decode(buf)?,
-            }),
-            d => Err(CodecError::BadDiscriminant(d)),
-        }
-    }
-
-    fn encoded_len(&self) -> usize {
-        match self {
-            SessionMsg::Data { payload, .. } => Self::DATA_HEADER_LEN + payload.encoded_len(),
-            SessionMsg::Ack { .. } => 1 + 8 + 4 + 4,
-            SessionMsg::Raw(payload) => 1 + payload.encoded_len(),
-            SessionMsg::Hello { .. } => 1 + 4,
-        }
+// The payload goes last: a `RawBody` payload decodes the rest of the
+// frame.
+simnet::wire_enum! {
+    impl[M: Wire] for SessionMsg<M> {
+        0 => Data { seq, retx, src_inc, dst_inc, payload },
+        1 => Ack { cum, src_inc, dst_inc },
+        2 => Raw(payload),
+        3 => Hello { inc },
     }
 }
 
@@ -742,6 +684,9 @@ impl<D: SimDriver> SimDriver for Session<D> {
 
 #[cfg(test)]
 mod tests {
+    use bytes::BytesMut;
+    use simnet::codec::CodecError;
+
     use super::*;
 
     #[derive(Clone, Debug, PartialEq)]
@@ -994,8 +939,9 @@ mod tests {
         assert_eq!(again.kind(), kinds::RETX);
         assert_eq!(ack.kind(), kinds::ACK);
         assert_eq!(hello.kind(), kinds::HELLO);
-        // Incarnation stamps cost 8 bytes per sequenced frame.
-        assert_eq!(fresh.wire_size(), Some(21));
+        // Incarnation stamps cost 8 bytes per sequenced frame; data pays
+        // its whole 18-byte header, tag included.
+        assert_eq!(fresh.wire_size(), Some(22));
         assert_eq!(ack.wire_size(), Some(17));
         assert_eq!(hello.wire_size(), Some(5));
     }
@@ -1024,6 +970,16 @@ mod tests {
         });
         round_trip(SessionMsg::Raw(3));
         round_trip(SessionMsg::Hello { inc: 5 });
+        // The one hand-kept copy of the data header agrees with the table.
+        let empty = SessionMsg::Data {
+            seq: 0,
+            retx: false,
+            src_inc: 0,
+            dst_inc: 0,
+            payload: Vec::<u8>::new(),
+        };
+        let header = empty.encoded_len() - Vec::<u8>::new().encoded_len();
+        assert_eq!(header, SessionMsg::<Vec<u8>>::DATA_HEADER_LEN);
         assert_eq!(
             SessionMsg::<u64>::decode(&mut &[9u8][..]),
             Err(CodecError::BadDiscriminant(9))

@@ -110,67 +110,12 @@ pub enum CtrlMsg {
     Bye,
 }
 
-impl Wire for CtrlMsg {
-    fn encode(&self, buf: &mut BytesMut) {
-        match self {
-            CtrlMsg::Run {
-                seed,
-                ops,
-                read_pct,
-            } => {
-                0u8.encode(buf);
-                seed.encode(buf);
-                ops.encode(buf);
-                read_pct.encode(buf);
-            }
-            CtrlMsg::Done {
-                node,
-                ops,
-                elapsed_ns,
-                protocol_msgs,
-                overhead_msgs,
-                history,
-            } => {
-                1u8.encode(buf);
-                node.encode(buf);
-                ops.encode(buf);
-                elapsed_ns.encode(buf);
-                protocol_msgs.encode(buf);
-                overhead_msgs.encode(buf);
-                history.encode(buf);
-            }
-            CtrlMsg::Shutdown => 2u8.encode(buf),
-            CtrlMsg::Bye => 3u8.encode(buf),
-        }
-    }
-
-    fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
-        match u8::decode(buf)? {
-            0 => Ok(CtrlMsg::Run {
-                seed: u64::decode(buf)?,
-                ops: u64::decode(buf)?,
-                read_pct: u8::decode(buf)?,
-            }),
-            1 => Ok(CtrlMsg::Done {
-                node: NodeId::decode(buf)?,
-                ops: u64::decode(buf)?,
-                elapsed_ns: u64::decode(buf)?,
-                protocol_msgs: u64::decode(buf)?,
-                overhead_msgs: u64::decode(buf)?,
-                history: Vec::<WireOp>::decode(buf)?,
-            }),
-            2 => Ok(CtrlMsg::Shutdown),
-            3 => Ok(CtrlMsg::Bye),
-            d => Err(CodecError::BadDiscriminant(d)),
-        }
-    }
-
-    fn encoded_len(&self) -> usize {
-        match self {
-            CtrlMsg::Run { .. } => 1 + 8 + 8 + 1,
-            CtrlMsg::Done { history, .. } => 1 + 4 + 8 + 8 + 8 + 8 + history.encoded_len(),
-            CtrlMsg::Shutdown | CtrlMsg::Bye => 1,
-        }
+simnet::wire_enum! {
+    impl[] for CtrlMsg {
+        0 => Run { seed, ops, read_pct },
+        1 => Done { node, ops, elapsed_ns, protocol_msgs, overhead_msgs, history },
+        2 => Shutdown,
+        3 => Bye,
     }
 }
 

@@ -4,16 +4,15 @@
 //! holding [`ObjVal`] cells; the protocol underneath moves cells without
 //! interpreting them, so objects ride every gated layer (pipelining,
 //! batching, failover, interest scoping, durability) unchanged. The
-//! [`Wire`] implementation gives cells a realistic byte representation on
-//! the real transports, exactly as [`memcore::Word`] has — registers keep
-//! their own type, so the paper's Figure-4 traffic is untouched.
+//! [`Wire`](simnet::codec::Wire) implementation gives cells a realistic
+//! byte representation on the real transports, exactly as
+//! [`memcore::Word`] has — registers keep their own type, so the paper's
+//! Figure-4 traffic is untouched.
 
 use std::fmt;
 
-use bytes::{BufMut, BytesMut};
 use serde::value::Value;
 use serde::{DeError, Deserialize, Serialize};
-use simnet::codec::{CodecError, Wire};
 
 /// One shared-memory cell of a typed object.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -112,51 +111,20 @@ impl fmt::Display for ObjVal {
     }
 }
 
-impl Wire for ObjVal {
-    fn encode(&self, buf: &mut BytesMut) {
-        match self {
-            ObjVal::Free => buf.put_u8(0),
-            ObjVal::Count(n) => {
-                buf.put_u8(1);
-                n.encode(buf);
-            }
-            ObjVal::Item(v) => {
-                buf.put_u8(2);
-                v.encode(buf);
-            }
-            ObjVal::Entry(key, val) => {
-                buf.put_u8(3);
-                key.encode(buf);
-                val.encode(buf);
-            }
-        }
-    }
-
-    fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
-        match u8::decode(buf)? {
-            0 => Ok(ObjVal::Free),
-            1 => Ok(ObjVal::Count(u64::decode(buf)?)),
-            2 => Ok(ObjVal::Item(i64::decode(buf)?)),
-            3 => {
-                let key = i64::decode(buf)?;
-                let val = i64::decode(buf)?;
-                Ok(ObjVal::Entry(key, val))
-            }
-            d => Err(CodecError::BadDiscriminant(d)),
-        }
-    }
-
-    fn encoded_len(&self) -> usize {
-        match self {
-            ObjVal::Free => 1,
-            ObjVal::Count(_) | ObjVal::Item(_) => 1 + 8,
-            ObjVal::Entry(..) => 1 + 16,
-        }
+simnet::wire_enum! {
+    impl[] for ObjVal {
+        0 => Free,
+        1 => Count(n),
+        2 => Item(v),
+        3 => Entry(key, val),
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use bytes::BytesMut;
+    use simnet::codec::{CodecError, Wire};
+
     use super::*;
 
     #[test]

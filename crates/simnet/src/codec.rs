@@ -34,6 +34,11 @@ use std::io::{self, Read};
 
 use bytes::{BufMut, Bytes, BytesMut};
 
+// The buffer type `wire_enum!` names in the methods it writes, so a crate
+// using the macro needs no `bytes` import of its own.
+#[doc(hidden)]
+pub use bytes::BytesMut as __BytesMut;
+
 /// Decoding failed: the buffer was truncated, held an invalid
 /// discriminant, or declared a frame larger than the configured bound.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -210,6 +215,94 @@ impl_wire_int!(u64, put_u64, 8);
 impl_wire_int!(i64, put_i64, 8);
 impl_wire_int!(f64, put_f64, 8);
 
+/// Implements [`Wire`] for an enum from one table: each row is a variant's
+/// tag byte and its fields in wire order.
+///
+/// A value encodes as its tag, then each field's own encoding in the
+/// order the row lists them; it decodes in the same order (each field's
+/// type comes from the variant), and its length is 1 plus the fields'
+/// lengths. Any other tag decodes to [`CodecError::BadDiscriminant`].
+/// Struct, tuple and unit variants are accepted, and the impl's generics
+/// go in the brackets. Every generated method is `#[inline]`.
+///
+/// # Examples
+///
+/// ```
+/// use bytes::BytesMut;
+/// use simnet::codec::{CodecError, Wire};
+///
+/// #[derive(Debug, PartialEq)]
+/// enum Shape<T> {
+///     Dot,
+///     Line(T),
+///     Rect { w: T, h: T },
+/// }
+///
+/// simnet::wire_enum! {
+///     impl[T: Wire] for Shape<T> {
+///         0 => Dot,
+///         1 => Line(len),
+///         2 => Rect { w, h },
+///     }
+/// }
+///
+/// let mut buf = BytesMut::new();
+/// Shape::Rect { w: 3u32, h: 4 }.encode(&mut buf);
+/// assert_eq!(&buf[..], [2, 0, 0, 0, 3, 0, 0, 0, 4]);
+/// assert_eq!(Shape::Line(7u32).encoded_len(), 5);
+/// assert_eq!(Shape::<u32>::decode(&mut &buf[..])?, Shape::Rect { w: 3, h: 4 });
+/// assert_eq!(Shape::<u32>::decode(&mut &[3u8][..]), Err(CodecError::BadDiscriminant(3)));
+/// # Ok::<(), CodecError>(())
+/// ```
+#[macro_export]
+macro_rules! wire_enum {
+    (
+        impl[$($gen:tt)*] for $ty:ty {
+            $($tag:literal => $variant:ident
+                $({ $($field:ident),* $(,)? })?
+                $(( $($tfield:ident),* $(,)? ))?
+            ),* $(,)?
+        }
+    ) => {
+        impl<$($gen)*> $crate::codec::Wire for $ty {
+            #[inline]
+            fn encode(&self, buf: &mut $crate::codec::__BytesMut) {
+                match self {
+                    $(Self::$variant $({ $($field),* })? $(( $($tfield),* ))? => {
+                        <u8 as $crate::codec::Wire>::encode(&$tag, buf);
+                        $($($crate::codec::Wire::encode($field, buf);)*)?
+                        $($($crate::codec::Wire::encode($tfield, buf);)*)?
+                    })*
+                }
+            }
+
+            #[inline]
+            fn decode(buf: &mut &[u8]) -> ::core::result::Result<Self, $crate::codec::CodecError> {
+                match <u8 as $crate::codec::Wire>::decode(buf)? {
+                    $($tag => {
+                        $($(let $field = $crate::codec::Wire::decode(buf)?;)*)?
+                        $($(let $tfield = $crate::codec::Wire::decode(buf)?;)*)?
+                        ::core::result::Result::Ok(
+                            Self::$variant $({ $($field),* })? $(( $($tfield),* ))?
+                        )
+                    })*
+                    d => ::core::result::Result::Err($crate::codec::CodecError::BadDiscriminant(d)),
+                }
+            }
+
+            #[inline]
+            fn encoded_len(&self) -> usize {
+                match self {
+                    $(Self::$variant $({ $($field),* })? $(( $($tfield),* ))? => {
+                        1 $($(+ $crate::codec::Wire::encoded_len($field))*)?
+                        $($(+ $crate::codec::Wire::encoded_len($tfield))*)?
+                    })*
+                }
+            }
+        }
+    };
+}
+
 impl Wire for bool {
     #[inline]
     fn encode(&self, buf: &mut BytesMut) {
@@ -286,6 +379,20 @@ impl<T: Wire> Wire for std::sync::Arc<T> {
     }
     fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
         Ok(std::sync::Arc::new(T::decode(buf)?))
+    }
+    fn encoded_len(&self) -> usize {
+        (**self).encoded_len()
+    }
+}
+
+impl<T: Wire> Wire for Box<T> {
+    // Wire-transparent like `Arc<T>`: the box that lets an enum hold itself
+    // (`Msg::Stamped`'s inner message) costs no bytes.
+    fn encode(&self, buf: &mut BytesMut) {
+        (**self).encode(buf);
+    }
+    fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
+        Ok(Box::new(T::decode(buf)?))
     }
     fn encoded_len(&self) -> usize {
         (**self).encoded_len()
@@ -424,42 +531,12 @@ impl Wire for vclock::VectorClock {
     }
 }
 
-impl Wire for memcore::Word {
-    #[inline]
-    fn encode(&self, buf: &mut BytesMut) {
-        match self {
-            memcore::Word::Zero => buf.put_u8(0),
-            memcore::Word::Int(v) => {
-                buf.put_u8(1);
-                v.encode(buf);
-            }
-            memcore::Word::Bool(v) => {
-                buf.put_u8(2);
-                v.encode(buf);
-            }
-            memcore::Word::Float(v) => {
-                buf.put_u8(3);
-                v.encode(buf);
-            }
-        }
-    }
-    #[inline]
-    fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
-        match u8::decode(buf)? {
-            0 => Ok(memcore::Word::Zero),
-            1 => Ok(memcore::Word::Int(i64::decode(buf)?)),
-            2 => Ok(memcore::Word::Bool(bool::decode(buf)?)),
-            3 => Ok(memcore::Word::Float(f64::decode(buf)?)),
-            d => Err(CodecError::BadDiscriminant(d)),
-        }
-    }
-    #[inline]
-    fn encoded_len(&self) -> usize {
-        match self {
-            memcore::Word::Zero => 1,
-            memcore::Word::Int(_) | memcore::Word::Float(_) => 1 + 8,
-            memcore::Word::Bool(_) => 1 + 1,
-        }
+wire_enum! {
+    impl[] for memcore::Word {
+        0 => Zero,
+        1 => Int(v),
+        2 => Bool(v),
+        3 => Float(v),
     }
 }
 
