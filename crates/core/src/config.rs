@@ -582,7 +582,10 @@ mod tests {
     #[test]
     fn interest_scoping_defaults_off() {
         let config = CausalConfig::<Word>::builder(2, 4).build();
-        assert!(!config.interest_scoping(), "interest scoping must be opt-in");
+        assert!(
+            !config.interest_scoping(),
+            "interest scoping must be opt-in"
+        );
         let config = CausalConfig::<Word>::builder(2, 4)
             .interest_scoping(true)
             .build();

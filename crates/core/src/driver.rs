@@ -1086,12 +1086,7 @@ impl<V: Value> Driver for NodeDriver<V> {
         self.state.read_hit(loc)
     }
 
-    fn write_local(
-        &mut self,
-        loc: Location,
-        value: V,
-        fx: &mut Effects<V>,
-    ) -> Result<WriteId, V> {
+    fn write_local(&mut self, loc: Location, value: V, fx: &mut Effects<V>) -> Result<WriteId, V> {
         NodeDriver::write_local(self, loc, value, fx)
     }
 }

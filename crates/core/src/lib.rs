@@ -74,11 +74,11 @@ pub use config::{
     CausalConfig, CausalConfigBuilder, FailoverConfig, InvalidationMode, WritePolicy,
 };
 pub use driver::{Done, Driver, Effects, EffectsOf, NodeDriver, Op};
-pub use engine::{
-    CausalCluster, CausalClusterBuilder, CausalHandle, Cluster, ClusterSnapshot, Handle,
-};
 pub use dsm_durable::{
     DirDisk, Disk, DurableConfig, MemDisk, Recovered, Store, SyncPolicy, WalRecord,
+};
+pub use engine::{
+    CausalCluster, CausalClusterBuilder, CausalHandle, Cluster, ClusterSnapshot, Handle,
 };
 pub use failover::owner_at;
 pub use msg::{Msg, SlotData, Stamp, WriteVerdict};

@@ -809,7 +809,10 @@ mod tests {
         let mut stamped = BytesMut::new();
         Stamp::dense(clock.clone()).encode(&mut stamped);
         assert_eq!(raw, stamped);
-        assert_eq!(Stamp::dense(clock.clone()).encoded_len(), clock.encoded_len());
+        assert_eq!(
+            Stamp::dense(clock.clone()).encoded_len(),
+            clock.encoded_len()
+        );
         let decoded = Stamp::decode(&mut &stamped[..]).unwrap();
         assert!(!decoded.is_sparse());
         assert_eq!(decoded.clock(), &clock);

@@ -304,8 +304,9 @@ fn durably_recovered_ex_owner_reconciles_via_nack_without_double_serving() {
         .failover(FailoverConfig::default())
         .durability(DurableConfig::default())
         .build();
-    let mut s: Vec<CausalState<Word>> =
-        (0..3).map(|i| CausalState::new(n(i), config.clone())).collect();
+    let mut s: Vec<CausalState<Word>> = (0..3)
+        .map(|i| CausalState::new(n(i), config.clone()))
+        .collect();
     let page = PageId::new(0);
 
     // Node 0 certifies a local write; its journal — boot watermark plus
@@ -360,7 +361,10 @@ fn durably_recovered_ex_owner_reconciles_via_nack_without_double_serving() {
         }
         other => panic!("expected NACK from recovered ex-owner, got {other:?}"),
     }
-    assert!(!back.owns(loc(0)), "the NACK must also re-educate the server");
+    assert!(
+        !back.owns(loc(0)),
+        "the NACK must also re-educate the server"
+    );
 
     // Once educated, even a straggler still stamping the old epoch is
     // refused: certification authority never returns to the old life.

@@ -164,7 +164,9 @@ impl Disk for DirDisk {
             let mut f = File::create(self.dir.join(LOG_FILE))?;
             f.write_all(&seq.to_le_bytes())?;
             f.sync_all()?;
-            OpenOptions::new().append(true).open(self.dir.join(LOG_FILE))
+            OpenOptions::new()
+                .append(true)
+                .open(self.dir.join(LOG_FILE))
         };
         if let Ok(log) = reset() {
             self.log = log;

@@ -315,8 +315,7 @@ mod tests {
     #[test]
     fn checkpoint_compacts_and_survives_reopen() {
         let disk = MemDisk::new();
-        let (mut store, _) =
-            Store::<Word>::open(Box::new(disk.clone()), DurableConfig::default());
+        let (mut store, _) = Store::<Word>::open(Box::new(disk.clone()), DurableConfig::default());
         for i in 0..4 {
             store.append(&[write(i)]);
         }
@@ -333,8 +332,7 @@ mod tests {
     #[test]
     fn stale_generation_log_is_ignored() {
         let disk = MemDisk::new();
-        let (mut store, _) =
-            Store::<Word>::open(Box::new(disk.clone()), DurableConfig::default());
+        let (mut store, _) = Store::<Word>::open(Box::new(disk.clone()), DurableConfig::default());
         store.checkpoint(&[node(0)]);
         store.append(&[write(9)]);
         // Forge the crash window between checkpoint install and log
@@ -370,8 +368,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         {
             let disk = crate::DirDisk::open(&dir).expect("open dir disk");
-            let (mut store, rec) =
-                Store::<Word>::open(Box::new(disk), DurableConfig::default());
+            let (mut store, rec) = Store::<Word>::open(Box::new(disk), DurableConfig::default());
             assert!(rec.is_virgin());
             for i in 0..4 {
                 store.append(&[write(i)]);

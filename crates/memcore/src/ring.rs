@@ -214,7 +214,10 @@ mod tests {
             assert!(a.owner_of_page(page).index() < 5);
         }
         assert_eq!(a, b);
-        assert_eq!(a.owner_of(Location::new(3)), a.owner_of_page(PageId::new(1)));
+        assert_eq!(
+            a.owner_of(Location::new(3)),
+            a.owner_of_page(PageId::new(1))
+        );
         assert!(a.owns(a.owner_of(Location::new(9)), Location::new(9)));
     }
 

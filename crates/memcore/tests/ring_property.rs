@@ -10,7 +10,9 @@ const PAGES: usize = 4096;
 const VNODES: u32 = 64;
 
 fn assignment(ring: &HashRingOwners) -> Vec<NodeId> {
-    (0..PAGES).map(|p| ring.owner_of_page(PageId::new(p as u32))).collect()
+    (0..PAGES)
+        .map(|p| ring.owner_of_page(PageId::new(p as u32)))
+        .collect()
 }
 
 /// Uniform distribution, chi-squared style: with `VNODES` virtual nodes
@@ -117,7 +119,11 @@ fn epoch_succession_is_a_stable_permutation() {
         let mut sorted = walk.clone();
         sorted.sort();
         sorted.dedup();
-        assert_eq!(sorted.len(), n as usize, "page {p}: succession repeats early");
+        assert_eq!(
+            sorted.len(),
+            n as usize,
+            "page {p}: succession repeats early"
+        );
         for e in 0..n {
             assert_eq!(a.owner_at_epoch(page, e), b.owner_at_epoch(page, e));
             // Succession wraps modulo n.

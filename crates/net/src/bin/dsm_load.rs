@@ -177,7 +177,11 @@ struct Spawner {
 }
 
 impl Spawner {
-    fn new(bin: Option<&str>, spec_path: PathBuf, data_dir: Option<PathBuf>) -> Result<Self, String> {
+    fn new(
+        bin: Option<&str>,
+        spec_path: PathBuf,
+        data_dir: Option<PathBuf>,
+    ) -> Result<Self, String> {
         let bin = match bin {
             Some(bin) => PathBuf::from(bin),
             None => {
@@ -279,12 +283,14 @@ fn run(args: &Args) -> Result<bool, String> {
             // has something to come back from) and healing sockets.
             let data_dir = match (&args.data_dir, args.restart) {
                 (Some(dir), _) => Some(PathBuf::from(dir)),
-                (None, Some(_)) => Some(
-                    std::env::temp_dir().join(format!("dsm-load-data-{}", std::process::id())),
-                ),
+                (None, Some(_)) => {
+                    Some(std::env::temp_dir().join(format!("dsm-load-data-{}", std::process::id())))
+                }
                 (None, None) => None,
             };
-            let temp_data = (args.data_dir.is_none()).then(|| data_dir.clone()).flatten();
+            let temp_data = (args.data_dir.is_none())
+                .then(|| data_dir.clone())
+                .flatten();
             let spec = ClusterSpec::new(
                 args.locations,
                 free_addrs(n).map_err(|e| format!("picking ports: {e}"))?,
@@ -444,8 +450,12 @@ fn drive(
             let spawner = spawner.ok_or("restart mode needs spawned servers")?;
             let child = &mut children[victim as usize];
             eprintln!("dsm-load: SIGKILLing node {victim}, respawning from its data dir");
-            child.kill().map_err(|e| format!("killing node {victim}: {e}"))?;
-            child.wait().map_err(|e| format!("reaping node {victim}: {e}"))?;
+            child
+                .kill()
+                .map_err(|e| format!("killing node {victim}: {e}"))?;
+            child
+                .wait()
+                .map_err(|e| format!("reaping node {victim}: {e}"))?;
             children[victim as usize] = spawner.spawn(victim)?;
             let node = NodeId::new(victim);
             let deadline = Instant::now() + CONNECT_TIMEOUT;

@@ -74,7 +74,12 @@ impl<M: SharedMemory<ObjVal>> PnCounter<M> {
         let (old, _) = tr.read(&self.mem, cell)?;
         let count = old.as_count().expect("counter cell holds a count");
         tr.write(&self.mem, cell, ObjVal::Count(count + delta.unsigned_abs()))?;
-        tr.emit(self.rec.as_ref(), self.node(), ObjOp::CtrAdd(delta), ObjRet::Unit);
+        tr.emit(
+            self.rec.as_ref(),
+            self.node(),
+            ObjOp::CtrAdd(delta),
+            ObjRet::Unit,
+        );
         Ok(())
     }
 

@@ -303,9 +303,7 @@ mod tests {
         let rec = ObjRecorder::new(2);
         let policy = PolicyKind::Commutative;
         let maps: Vec<_> = (0..2)
-            .map(|i| {
-                CausalMap::new(cluster.handle(i), layout, policy).with_recorder(rec.clone())
-            })
+            .map(|i| CausalMap::new(cluster.handle(i), layout, policy).with_recorder(rec.clone()))
             .collect();
         assert!(maps[0].put(1, 10).unwrap());
         assert!(maps[1].put(1, 30).unwrap());

@@ -166,7 +166,9 @@ impl ObjectOracle {
                     push_next = col + 1;
                 }
                 ObjOp::QPop if matches!(op.returned, ObjRet::Opt(Some(_))) => {
-                    let Some(obs) = op.observed.last() else { continue };
+                    let Some(obs) = op.observed.last() else {
+                        continue;
+                    };
                     let (row, col) = self.layout.coords(obs.loc);
                     if col != pop_next[row] {
                         violations.push(format!(
@@ -216,9 +218,11 @@ impl ObjectSpec<ObjVal> for ObjectOracle {
             ObjOp::SetContains(item) => Some(ObjRet::Bool(
                 op.observed.iter().any(|o| o.value == ObjVal::Item(item)),
             )),
-            ObjOp::MapPut(key, _) => Some(ObjRet::Bool(op.observed.iter().any(|o| {
-                o.value.is_free() || matches!(o.value, ObjVal::Entry(k, _) if k == key)
-            }))),
+            ObjOp::MapPut(key, _) => {
+                Some(ObjRet::Bool(op.observed.iter().any(|o| {
+                    o.value.is_free() || matches!(o.value, ObjVal::Entry(k, _) if k == key)
+                })))
+            }
             ObjOp::MapGet(key) => {
                 let candidates = self.map_candidates(op, key);
                 Some(ObjRet::Opt(if candidates.is_empty() {
@@ -227,9 +231,11 @@ impl ObjectSpec<ObjVal> for ObjectOracle {
                     Some(self.policy.resolve(key, &candidates))
                 }))
             }
-            ObjOp::MapRemove(key) => Some(ObjRet::Bool(op.observed.iter().any(
-                |o| matches!(o.value, ObjVal::Entry(k, _) if k == key),
-            ))),
+            ObjOp::MapRemove(key) => Some(ObjRet::Bool(
+                op.observed
+                    .iter()
+                    .any(|o| matches!(o.value, ObjVal::Entry(k, _) if k == key)),
+            )),
             ObjOp::QPop => Some(ObjRet::Opt(match op.observed.last().map(|o| o.value) {
                 Some(ObjVal::Item(item)) => Some(item),
                 _ => None,
@@ -261,7 +267,8 @@ impl ObjectSpec<ObjVal> for ObjectOracle {
                 }
             }
             for (producer, consumed) in popped.iter().enumerate() {
-                if consumed.as_slice() != &pushes[producer][..consumed.len().min(pushes[producer].len())]
+                if consumed.as_slice()
+                    != &pushes[producer][..consumed.len().min(pushes[producer].len())]
                     || consumed.len() > pushes[producer].len()
                 {
                     violations.push(format!(
@@ -320,7 +327,10 @@ mod tests {
             wrote: vec![],
         };
         let violations = oracle.check_stream(1, &[pop]);
-        assert!(violations.iter().any(|v| v.contains("FIFO gap")), "{violations:?}");
+        assert!(
+            violations.iter().any(|v| v.contains("FIFO gap")),
+            "{violations:?}"
+        );
     }
 
     #[test]

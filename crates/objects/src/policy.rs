@@ -76,7 +76,10 @@ impl PolicyKind {
     /// always agrees with its spec.
     #[must_use]
     pub fn resolve(self, key: i64, candidates: &[Candidate]) -> i64 {
-        assert!(!candidates.is_empty(), "resolve needs at least one candidate");
+        assert!(
+            !candidates.is_empty(),
+            "resolve needs at least one candidate"
+        );
         match self {
             PolicyKind::OwnerWins { rows } => {
                 let home = key.rem_euclid(rows as i64) as usize;
@@ -92,9 +95,7 @@ impl PolicyKind {
                     .expect("non-empty")
                     .val
             }
-            PolicyKind::Commutative => {
-                candidates.iter().map(|c| c.val).max().expect("non-empty")
-            }
+            PolicyKind::Commutative => candidates.iter().map(|c| c.val).max().expect("non-empty"),
         }
     }
 

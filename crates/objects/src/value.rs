@@ -75,9 +75,7 @@ impl Serialize for ObjVal {
             ObjVal::Free => Value::Str("Free".into()),
             ObjVal::Count(n) => Value::Map(vec![("Count".into(), n.to_value())]),
             ObjVal::Item(v) => Value::Map(vec![("Item".into(), v.to_value())]),
-            ObjVal::Entry(key, val) => {
-                Value::Map(vec![("Entry".into(), (*key, *val).to_value())])
-            }
+            ObjVal::Entry(key, val) => Value::Map(vec![("Entry".into(), (*key, *val).to_value())]),
         }
     }
 }

@@ -418,7 +418,9 @@ impl<M: Tagged + Clone> Network<M> {
         }
         let meta = payload.metadata_size();
         if meta > 0 {
-            self.inner.metadata.record_n(src, payload.kind(), meta as u64);
+            self.inner
+                .metadata
+                .record_n(src, payload.kind(), meta as u64);
         }
         // Fault-free networks (every production one) pay one atomic load
         // here, not a mutex and a reference count per message.
