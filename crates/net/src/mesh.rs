@@ -62,12 +62,13 @@
 //! block on an owner round trip *claims* the owner's stream through the
 //! [`simnet::claim`] rendezvous: [`MeshLink::send_remote`], on that
 //! thread and before the request is written, disarms the socket's read
-//! interest (one `epoll_ctl`); the thread then sleeps on that one socket
-//! and the mesh's doorbell, reads its reply through the same read path
-//! the poller uses, and on release re-arms the socket. A peer's read
-//! side — socket and decoder — therefore lives in the mesh's shared
-//! state under its own lock, and a stream's frames are read and
-//! delivered only under that lock, so per-link FIFO holds whoever reads.
+//! interest (one `epoll_ctl`); the thread then probes that one socket,
+//! and after a short spin sleeps on it and the mesh's doorbell, reads its
+//! reply through the same read path the poller uses, and on release
+//! re-arms the socket. A peer's read side — socket and decoder —
+//! therefore lives in the mesh's shared state under its own lock, and a
+//! stream's frames are read and delivered only under that lock, so
+//! per-link FIFO holds whoever reads.
 //! Every change to a socket's registration is made under the peer's send
 //! lock by one function (`Shared::rearm`), from (claimed, wants write).
 //!
@@ -917,7 +918,7 @@ impl<M: Wire + Tagged + Send + 'static> TcpMesh<M> {
     /// claimed a stream, for as long as the claim lasts: once the poller
     /// exits and no claim is held, the sink drops — for an inline-server
     /// sink that is what disconnects application handles still blocked
-    /// on replies.
+    /// on replies. Returns once the poller thread is running.
     ///
     /// # Panics
     ///
@@ -946,10 +947,18 @@ impl<M: Wire + Tagged + Send + 'static> TcpMesh<M> {
         });
         let weak: Weak<Reader<M, S>> = Arc::downgrade(&reader);
         let _ = self.shared.reader.set(weak);
+        let (running, started) = unbounded();
         let handle = thread::Builder::new()
             .name(format!("mesh-poll-{}", self.shared.me))
-            .spawn(move || run_poller(&reader, &conn_rx))
+            .spawn(move || {
+                let _ = running.send(());
+                run_poller(&reader, &conn_rx);
+            })
             .expect("spawn mesh poller");
+        // std names the OS thread before running its body, so once the
+        // poller has signalled, a listing of this process's threads finds
+        // it by name.
+        let _ = started.recv();
         self.threads.lock().push(handle);
     }
 
