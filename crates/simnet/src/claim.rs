@@ -38,6 +38,10 @@ pub trait StreamClaim: Send + Sync {
     /// `timeout` passes (`None`: no timeout); then reads the stream and
     /// delivers every complete frame on it, in link order.
     ///
+    /// A zero `timeout` probes without sleeping. A ring it finds is
+    /// consumed all the same, so before pumping again the caller must
+    /// look for the completion that ring announced.
+    ///
     /// # Errors
     ///
     /// [`Lost`] once the stream can no longer be pumped — it closed, its
