@@ -700,7 +700,12 @@ impl<V: Value> CausalState<V> {
             WriteVerdict::Rejected {
                 value: winner_value,
                 wid: winner_wid,
-            } => (Arc::clone(winner_value), *winner_wid),
+            } => {
+                // The survivor is the owner's write: it introduces the
+                // owner's history, so run the read reply's sweep first.
+                self.sweep_cache(&vt);
+                (Arc::clone(winner_value), *winner_wid)
+            }
         };
         let page = self.page_of(loc);
         let offset = self.offset_of(loc);
@@ -816,6 +821,9 @@ impl<V: Value> CausalState<V> {
                 value: winner_value,
                 wid: winner,
             } => {
+                // The survivor introduces the owner's history: sweep
+                // first, as a read reply does.
+                self.sweep_cache(vt.clock());
                 // Repair: only overwrite if our optimistic value is still
                 // the one installed (a later write may have superseded it).
                 let page = self.page_of(loc);

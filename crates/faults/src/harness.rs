@@ -545,11 +545,12 @@ pub const FAULT_FAMILIES: [(&str, Faults); 5] = [
 /// [`FAULT_FAMILIES`]) and seed count, from seed 0, under
 /// [`ChaosConfig::default`]. `smoke` runs it; `tests/grid_totals.rs`
 /// pins its totals.
-pub const GRID: [(&str, &str, usize); 7] = [
+pub const GRID: [(&str, &str, usize); 8] = [
     ("registers", "random", 25),
     ("registers", "owner-crash", 10),
     ("registers", "restart", 100),
     ("registers", "restart-interval", 10),
+    ("objects", "none", 100),
     ("objects", "random", 100),
     ("objects", "owner-crash", 8),
     ("objects", "restart", 100),

@@ -154,3 +154,67 @@ fn every_schedule_of_the_hazard_shape_through_a_batched_window_is_causal() {
         report.violation.map(|(_, v)| v)
     );
 }
+
+/// An owner-favored rejection introduces a value. P0 owns x0 and x2 and
+/// writes both locally, x2 first. P1 caches the initial x2, then writes
+/// x0; when P0's write of x0 is already installed the owner rejects P1's
+/// concurrent write and replies with its survivor. The survivor's stamp
+/// covers P0's write of x2, so installing it must also invalidate P1's
+/// initial copy of x2; otherwise P1's last read returns a value whose
+/// overwrite is in its causal past.
+fn owner_favored_rejection_shape(flush: bool) -> Vec<Vec<ClientOp<Word>>> {
+    let mut writer = vec![
+        ClientOp::Read(loc(2)),
+        ClientOp::Write(loc(0), Word::Int(3)),
+    ];
+    if flush {
+        writer.push(ClientOp::Flush);
+    }
+    writer.extend([ClientOp::Read(loc(0)), ClientOp::Read(loc(2))]);
+    vec![
+        vec![
+            ClientOp::Write(loc(2), Word::Int(1)),
+            ClientOp::Write(loc(0), Word::Int(2)),
+        ],
+        writer,
+    ]
+}
+
+#[test]
+fn every_schedule_of_a_blocking_owner_favored_rejection_is_causal() {
+    let config = CausalConfig::<Word>::builder(2, 3)
+        .policy(WritePolicy::OwnerFavored)
+        .build();
+    let report = explore_causal(&config, &owner_favored_rejection_shape(false), 1_000_000);
+    assert!(
+        report.all_correct(),
+        "violation: {:?}",
+        report.violation.map(|(_, v)| v)
+    );
+    assert!(report.complete);
+    assert_eq!((report.schedules, report.states), (45, 249));
+}
+
+#[test]
+fn every_schedule_of_a_pipelined_owner_favored_rejection_is_causal() {
+    // The write completes at issue and the `Flush` absorbs its reply, so
+    // the rejection reaches the pipelined repair instead.
+    for window in [1, 4] {
+        let config = CausalConfig::<Word>::builder(2, 3)
+            .policy(WritePolicy::OwnerFavored)
+            .pipeline_window(window)
+            .build();
+        let report = explore_causal(&config, &owner_favored_rejection_shape(true), 1_000_000);
+        assert!(
+            report.all_correct(),
+            "window {window}: violation: {:?}",
+            report.violation.map(|(_, v)| v)
+        );
+        assert!(report.complete);
+        assert_eq!(
+            (report.schedules, report.states),
+            (165, 921),
+            "window {window}"
+        );
+    }
+}
