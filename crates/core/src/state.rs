@@ -94,6 +94,42 @@ struct PageEntry<V> {
     installed_at: u64,
 }
 
+impl<V> PageEntry<V> {
+    /// A page from its wire or log form: slot values and tags in location
+    /// order, each with its origin stamp. [`CausalState::cache_page`]
+    /// sets the installation tick.
+    fn from_parts(
+        vt: VectorClock,
+        slots: Vec<SlotData<V>>,
+        origins: impl IntoIterator<Item = Arc<VectorClock>>,
+    ) -> Self {
+        let slots = slots
+            .into_iter()
+            .zip(origins)
+            .map(|((value, wid), origin)| Slot { value, wid, origin })
+            .collect();
+        PageEntry {
+            vt,
+            slots,
+            installed_at: 0,
+        }
+    }
+
+    /// The slot values and tags in location order, as a reply or a
+    /// record carries them (values are shared, not copied).
+    fn slot_data(&self) -> Vec<SlotData<V>> {
+        self.slots
+            .iter()
+            .map(|s| (Arc::clone(&s.value), s.wid))
+            .collect()
+    }
+
+    /// The per-slot origin stamps, parallel to [`PageEntry::slot_data`].
+    fn origins(&self) -> Vec<VectorClock> {
+        self.slots.iter().map(|s| (*s.origin).clone()).collect()
+    }
+}
+
 /// Result of starting a read: either a local hit or the `[READ, x]`
 /// message that must be sent to the owner.
 #[derive(Clone, Debug)]
@@ -263,7 +299,7 @@ impl<V: Value> CausalState<V> {
         for page_index in 0..config.page_count() {
             let page = PageId::new(page_index);
             if config.owners().owner_of_page(page) == id {
-                pages.insert(page, Self::initial_page(&config, page, n));
+                pages.insert(page, Self::initial_page(&config, page));
             }
         }
         let failover = config.failover().map(|fo| FailoverState::new(fo, n));
@@ -295,8 +331,7 @@ impl<V: Value> CausalState<V> {
         state
     }
 
-    fn initial_page(config: &CausalConfig<V>, page: PageId, n: usize) -> PageEntry<V> {
-        let _ = n;
+    fn initial_page(config: &CausalConfig<V>, page: PageId) -> PageEntry<V> {
         let initial = Arc::new(config.initial().clone());
         let origin = Arc::new(VectorClock::new(config.nodes() as usize));
         let slots = page
@@ -450,6 +485,7 @@ impl<V: Value> CausalState<V> {
     ///
     /// Figure 4: `VT_i := update(VT_i, VT')`; `M_i[x] := (v', VT')`;
     /// `∀y ∈ C_i : M_i[y].VT < VT' → M_i[y] := ⊥`; `v := M_i[x].value`.
+    /// The merge and the sweep are [`CausalState::introduce`].
     ///
     /// One guard beyond the figure's text: if, while the fetch was in
     /// flight, this node absorbed knowledge (by servicing requests) whose
@@ -481,14 +517,10 @@ impl<V: Value> CausalState<V> {
         // caches normally.
         let overtaken = self.vt != self.op_begin_vt && vt.dominated_by(&self.vt);
 
-        // VT_i := update(VT_i, VT')
-        self.vt.update(&vt);
-
-        // ∀y ∈ C_i: M_i[y].VT < VT' → invalidate. This must run even for
-        // an overtaken reply: the fetched values are real knowledge, and
-        // cached entries the page stamp dominates may include this node's
-        // own stale copy of the very page being read.
-        self.sweep_cache(&vt);
+        // This must run even for an overtaken reply: the fetched values
+        // are real knowledge, and cached entries the page stamp dominates
+        // may include this node's own stale copy of the very page read.
+        self.introduce(&vt);
 
         if overtaken {
             let offset = self.offset_of(loc);
@@ -502,22 +534,9 @@ impl<V: Value> CausalState<V> {
         // M_i[x] := (v', VT')  — note: the *sent* stamp VT', not VT_i.
         // One origin stamp is interned per install and shared by every
         // slot on the page.
-        self.tick += 1;
         let origin = Arc::new(vt.clone());
-        let entry = PageEntry {
-            vt,
-            slots: slots
-                .into_iter()
-                .map(|(value, wid)| Slot {
-                    value,
-                    wid,
-                    origin: Arc::clone(&origin),
-                })
-                .collect(),
-            installed_at: self.tick,
-        };
-        self.pages.insert(page, entry);
-        self.enforce_cache_capacity(page);
+        let entry = PageEntry::from_parts(vt, slots, std::iter::repeat(origin));
+        self.cache_page(page, entry);
 
         let slot = &self.pages[&page].slots[self.offset_of(loc)];
         (Arc::clone(&slot.value), slot.wid)
@@ -607,7 +626,8 @@ impl<V: Value> CausalState<V> {
     }
 
     /// Figure 4's write at the owner: `VT_i := increment(VT_i)`;
-    /// `M_i[x] := (v, VT_i)`. `page` is `loc`'s page, owned here.
+    /// `M_i[x] := (v, VT_i)`. `page` is `loc`'s page, owned here. Not an
+    /// introduction: the value is this process's own, so nothing sweeps.
     fn write_own_page(&mut self, loc: Location, page: PageId, value: Incoming<V>) -> WriteId {
         let wid = self.mint_write();
         let offset = self.offset_of(loc);
@@ -653,6 +673,11 @@ impl<V: Value> CausalState<V> {
     /// sims hit this with concurrent writer/owner roles; see
     /// `writer_owner_race_keeps_cache_sweepable`).
     ///
+    /// A rejection reply carries the owner's surviving write, another
+    /// process's value: it enters through [`CausalState::introduce`],
+    /// exactly as a read reply does. An applied write installs this
+    /// process's own value and only merges `VT'`, as Figure 4 does.
+    ///
     /// Under [`InvalidationMode::WriterInvalidate`] the cache sweep the
     /// paper's prose implies is also applied here (ablation A1).
     ///
@@ -676,62 +701,31 @@ impl<V: Value> CausalState<V> {
         // until the next sweep. Complete the write without caching.
         let overtaken = self.vt != self.op_begin_vt && vt.dominated_by(&self.vt);
 
-        // VT_i := update(VT_i, VT')
-        self.vt.update(&vt);
+        let (install_value, install_wid, done) = match verdict {
+            WriteVerdict::Applied => {
+                // This process's own value: VT_i := update(VT_i, VT').
+                self.vt.update(&vt);
+                (value, wid, WriteDone::Applied { wid })
+            }
+            WriteVerdict::Rejected {
+                value: survivor,
+                wid: winner,
+            } => {
+                self.introduce(&vt);
+                (survivor, winner, WriteDone::Rejected { wid, winner })
+            }
+        };
 
         if self.config.invalidation() == InvalidationMode::WriterInvalidate {
             self.sweep_cache(&self.vt.clone());
         }
 
-        if overtaken {
-            return match verdict {
-                WriteVerdict::Applied => WriteDone::Applied { wid },
-                WriteVerdict::Rejected { wid: winner, .. } => WriteDone::Rejected { wid, winner },
-            };
-        }
-
         // M_i[x] := (v, VT') — cache the surviving value under the owner's
-        // certification stamp (see the method docs for why not VT_i). At
-        // page granularity > 1 we cannot fabricate the rest of the page, so
-        // the update only applies if the page is already cached (the next
-        // read of an uncached page will fetch it whole).
-        let (install_value, install_wid) = match &verdict {
-            WriteVerdict::Applied => (value, wid),
-            WriteVerdict::Rejected {
-                value: winner_value,
-                wid: winner_wid,
-            } => {
-                // The survivor is the owner's write: it introduces the
-                // owner's history, so run the read reply's sweep first.
-                self.sweep_cache(&vt);
-                (Arc::clone(winner_value), *winner_wid)
-            }
-        };
-        let page = self.page_of(loc);
-        let offset = self.offset_of(loc);
-        let vt_now = vt;
-        if let Some(entry) = self.pages.get_mut(&page) {
-            entry.slots[offset].install(Incoming::Shared(install_value), install_wid, &vt_now);
-            entry.vt = vt_now;
-        } else if self.config.page_size() == 1 {
-            self.tick += 1;
-            let entry = PageEntry {
-                slots: vec![Slot {
-                    value: install_value,
-                    wid: install_wid,
-                    origin: Arc::new(vt_now.clone()),
-                }],
-                vt: vt_now,
-                installed_at: self.tick,
-            };
-            self.pages.insert(page, entry);
-            self.enforce_cache_capacity(page);
+        // certification stamp (see the method docs for why not VT_i).
+        if !overtaken {
+            self.cache_slot(loc, install_value, install_wid, vt);
         }
-
-        match verdict {
-            WriteVerdict::Applied => WriteDone::Applied { wid },
-            WriteVerdict::Rejected { wid: winner, .. } => WriteDone::Rejected { wid, winner },
-        }
+        done
     }
 
     /// Starts a **non-blocking** write — the "reducing the blocking of
@@ -760,7 +754,9 @@ impl<V: Value> CausalState<V> {
     pub fn begin_write_nonblocking_shared(&mut self, loc: Location, value: Arc<V>) -> WriteStep<V> {
         let step = self.begin_write_shared(loc, Arc::clone(&value));
         if let WriteStep::Remote { wid, .. } = step {
-            // M_i[x] := (v, VT_i) now instead of at reply time.
+            // M_i[x] := (v, VT_i) now instead of at reply time. Not an
+            // introduction: the value is this process's own. Kept inline,
+            // off `cache_slot`: this is the pipelined issue path.
             let page = self.page_of(loc);
             let offset = self.offset_of(loc);
             if let Some(entry) = self.pages.get_mut(&page) {
@@ -786,7 +782,10 @@ impl<V: Value> CausalState<V> {
 
     /// Absorbs the owner's reply to a non-blocking write: merges the
     /// timestamp and, if the owner-favored policy rejected the write,
-    /// repairs the optimistic cache entry with the surviving value.
+    /// repairs the optimistic cache entry with the surviving value. The
+    /// survivor is another process's value: it enters through
+    /// [`CausalState::introduce`] and is installed under the reply's
+    /// `VT'`, as [`CausalState::finish_write`] installs it.
     ///
     /// # Panics
     ///
@@ -801,46 +800,39 @@ impl<V: Value> CausalState<V> {
         else {
             panic!("absorb_write_reply fed a non-WriteReply message");
         };
+        let vt = vt.into_inner();
         // Same in-flight-reply guard as finish_write: an overtaken reply
         // must not repair the cache with a value older than knowledge
         // already absorbed.
         let overtaken = vt.dominated_by(&self.vt);
-        self.vt.update(&vt);
+        let survivor = match verdict {
+            WriteVerdict::Applied => {
+                // This process's own value, installed at issue: merge only.
+                self.vt.update(&vt);
+                None
+            }
+            WriteVerdict::Rejected { value, wid: winner } => {
+                self.introduce(&vt);
+                Some((value, winner))
+            }
+        };
         if self.config.invalidation() == InvalidationMode::WriterInvalidate {
             self.sweep_cache(&self.vt.clone());
         }
-        match verdict {
-            WriteVerdict::Applied => WriteDone::Applied { wid },
-            WriteVerdict::Rejected { .. } if overtaken => {
-                let WriteVerdict::Rejected { wid: winner, .. } = verdict else {
-                    unreachable!()
-                };
-                WriteDone::Rejected { wid, winner }
-            }
-            WriteVerdict::Rejected {
-                value: winner_value,
-                wid: winner,
-            } => {
-                // The survivor introduces the owner's history: sweep
-                // first, as a read reply does.
-                self.sweep_cache(vt.clock());
-                // Repair: only overwrite if our optimistic value is still
-                // the one installed (a later write may have superseded it).
-                let page = self.page_of(loc);
-                let offset = self.offset_of(loc);
-                if let Some(entry) = self.pages.get_mut(&page) {
-                    if entry.slots[offset].wid == wid {
-                        entry.slots[offset].install(
-                            Incoming::Shared(winner_value),
-                            winner,
-                            &self.vt,
-                        );
-                        entry.vt.clone_from(&self.vt);
-                    }
-                }
-                WriteDone::Rejected { wid, winner }
+        let Some((survivor, winner)) = survivor else {
+            return WriteDone::Applied { wid };
+        };
+        // Repair: only overwrite if our optimistic value is still the one
+        // installed (a later write may have superseded it).
+        let page = self.page_of(loc);
+        let offset = self.offset_of(loc);
+        if let Some(entry) = self.pages.get_mut(&page) {
+            if !overtaken && entry.slots[offset].wid == wid {
+                entry.slots[offset].install(Incoming::Shared(survivor), winner, &vt);
+                entry.vt = vt;
             }
         }
+        WriteDone::Rejected { wid, winner }
     }
 
     // ------------------------------------------------------------------
@@ -919,11 +911,7 @@ impl<V: Value> CausalState<V> {
         Msg::ReadReply {
             page,
             vt: self.stamp(entry.vt.clone()),
-            slots: entry
-                .slots
-                .iter()
-                .map(|s| (Arc::clone(&s.value), s.wid))
-                .collect(),
+            slots: entry.slot_data(),
         }
     }
 
@@ -952,7 +940,9 @@ impl<V: Value> CausalState<V> {
         let reply = self.serve_write_unswept(from, loc, value, wid, vt);
         // ∀y ∈ C_i : M_i[y].VT < VT_i → M_i[y] := ⊥
         // (A potential causal interaction with the writer occurred, applied
-        // or not — the owner's timestamp already merged the writer's.)
+        // or not — the owner's timestamp already merged the writer's.) The
+        // threshold is the merged VT_i, not the writer's stamp, so this is
+        // Figure 4's own sweep rather than `introduce`.
         let threshold = self.vt.clone();
         self.sweep_cache(&threshold);
         reply
@@ -977,7 +967,8 @@ impl<V: Value> CausalState<V> {
         );
         self.register_interest(page, from);
 
-        // VT_i := update(VT_i, VT)
+        // VT_i := update(VT_i, VT). Merge only: the caller sweeps with the
+        // final VT_i, which dominates every writer's stamp it merged.
         self.vt.update(&vt);
 
         let offset = self.offset_of(loc);
@@ -1078,6 +1069,51 @@ impl<V: Value> CausalState<V> {
     // ------------------------------------------------------------------
     // Internals
     // ------------------------------------------------------------------
+
+    /// Figure 4's introduction rule, for every value another process
+    /// wrote that enters `M_i` — a read reply, a rejection reply's
+    /// survivor (blocking or pipelined), a promoted shadow:
+    /// `VT_i := update(VT_i, VT')`, then `∀y ∈ C_i : M_i[y].VT < VT' →
+    /// M_i[y] := ⊥`. The caller installs the value afterwards, under
+    /// `VT'`.
+    fn introduce(&mut self, vt: &VectorClock) {
+        self.vt.update(vt);
+        self.sweep_cache(vt);
+    }
+
+    /// Installs `entry` as `page` with a fresh replacement tick, then
+    /// evicts down to the configured cache capacity.
+    fn cache_page(&mut self, page: PageId, mut entry: PageEntry<V>) {
+        self.tick += 1;
+        entry.installed_at = self.tick;
+        self.pages.insert(page, entry);
+        self.enforce_cache_capacity(page);
+    }
+
+    /// `M_i[x] := (v, VT')` into the cached copy of `loc`'s page, or as a
+    /// one-slot page. At page granularity > 1 the rest of an uncached
+    /// page cannot be fabricated, so nothing is installed: the next read
+    /// fetches the page whole.
+    fn cache_slot(&mut self, loc: Location, value: Arc<V>, wid: WriteId, vt: VectorClock) {
+        let page = self.page_of(loc);
+        let offset = self.offset_of(loc);
+        if let Some(entry) = self.pages.get_mut(&page) {
+            entry.slots[offset].install(Incoming::Shared(value), wid, &vt);
+            entry.vt = vt;
+        } else if self.config.page_size() == 1 {
+            let origin = Arc::new(vt.clone());
+            let slots = vec![Slot { value, wid, origin }];
+            let installed_at = 0;
+            self.cache_page(
+                page,
+                PageEntry {
+                    vt,
+                    slots,
+                    installed_at,
+                },
+            );
+        }
+    }
 
     /// Invalidate every cached page strictly older than `threshold` —
     /// the Figure-4 sweep `∀y ∈ C_i : M_i[y].VT < VT → M_i[y] := ⊥`.
@@ -1273,32 +1309,14 @@ impl<V: Value> CausalState<V> {
                 .get(&page)
                 .is_some_and(|e| shadow.vt.dominated_by(&e.vt));
             if !stale {
-                // Installing the shadow introduces its knowledge: merge
-                // the clock and run the Figure-4 sweep, exactly as a
-                // read-miss install would.
-                self.vt.update(&shadow.vt);
-                let threshold = shadow.vt.clone();
-                self.sweep_cache(&threshold);
-                self.tick += 1;
-                let entry = PageEntry {
-                    vt: shadow.vt,
-                    slots: shadow
-                        .slots
-                        .into_iter()
-                        .zip(shadow.origins)
-                        .map(|((value, wid), origin)| Slot {
-                            value,
-                            wid,
-                            origin: Arc::new(origin),
-                        })
-                        .collect(),
-                    installed_at: self.tick,
-                };
-                self.pages.insert(page, entry);
+                // The shadow holds the old owner's writes: an introduction.
+                self.introduce(&shadow.vt);
+                let origins = shadow.origins.into_iter().map(Arc::new);
+                let entry = PageEntry::from_parts(shadow.vt, shadow.slots, origins);
+                self.cache_page(page, entry);
             }
         } else if !self.pages.contains_key(&page) {
-            let n = self.config.nodes() as usize;
-            let entry = Self::initial_page(&self.config, page, n);
+            let entry = Self::initial_page(&self.config, page);
             self.pages.insert(page, entry);
         }
         if self.journaling() {
@@ -1309,12 +1327,8 @@ impl<V: Value> CausalState<V> {
                 let record = WalRecord::PageInstall {
                     page,
                     vt: entry.vt.clone(),
-                    slots: entry
-                        .slots
-                        .iter()
-                        .map(|s| (Arc::clone(&s.value), s.wid))
-                        .collect(),
-                    origins: entry.slots.iter().map(|s| (*s.origin).clone()).collect(),
+                    slots: entry.slot_data(),
+                    origins: entry.origins(),
                     shadow: false,
                 };
                 self.journal.push(record);
@@ -1477,12 +1491,8 @@ impl<V: Value> CausalState<V> {
                 Msg::Replicate {
                     page,
                     vt: self.stamp(entry.vt.clone()),
-                    slots: entry
-                        .slots
-                        .iter()
-                        .map(|s| (Arc::clone(&s.value), s.wid))
-                        .collect(),
-                    origins: entry.slots.iter().map(|s| (*s.origin).clone()).collect(),
+                    slots: entry.slot_data(),
+                    origins: entry.origins(),
                 },
             ));
         }
@@ -1544,12 +1554,8 @@ impl<V: Value> CausalState<V> {
             out.push(WalRecord::PageInstall {
                 page: *page,
                 vt: entry.vt.clone(),
-                slots: entry
-                    .slots
-                    .iter()
-                    .map(|s| (Arc::clone(&s.value), s.wid))
-                    .collect(),
-                origins: entry.slots.iter().map(|s| (*s.origin).clone()).collect(),
+                slots: entry.slot_data(),
+                origins: entry.origins(),
                 shadow: false,
             });
         }
@@ -1617,11 +1623,10 @@ impl<V: Value> CausalState<V> {
         // Safety net: an owned page with no durable record at all (never
         // certified a write under `every_op`, or lost under a weaker
         // policy) restarts from the initial image.
-        let n = state.config.nodes() as usize;
         for page_index in 0..state.config.page_count() {
             let page = PageId::new(page_index);
             if state.current_owner(page) == state.id && !state.pages.contains_key(&page) {
-                let entry = Self::initial_page(&state.config, page, n);
+                let entry = Self::initial_page(&state.config, page);
                 state.pages.insert(page, entry);
             }
         }
@@ -1668,11 +1673,10 @@ impl<V: Value> CausalState<V> {
                 }
                 let page = self.page_of(loc);
                 let offset = self.offset_of(loc);
-                let n = self.config.nodes() as usize;
                 let entry = self
                     .pages
                     .entry(page)
-                    .or_insert_with(|| Self::initial_page(&self.config, page, n));
+                    .or_insert_with(|| Self::initial_page(&self.config, page));
                 entry.slots[offset] = Slot {
                     value,
                     wid,
@@ -1691,24 +1695,11 @@ impl<V: Value> CausalState<V> {
                 if shadow {
                     self.apply_replicate(page, vt, slots, origins);
                 } else {
-                    let slots = slots
-                        .into_iter()
-                        .zip(origins)
-                        .map(|((value, wid), origin)| Slot {
-                            value,
-                            wid,
-                            origin: Arc::new(origin),
-                        })
-                        .collect();
-                    let installed_at = self.tick;
-                    self.pages.insert(
-                        page,
-                        PageEntry {
-                            vt,
-                            slots,
-                            installed_at,
-                        },
-                    );
+                    // Recovery replay: this node's own durable image, not
+                    // an introduction. Recovery keeps no cache to sweep.
+                    let origins = origins.into_iter().map(Arc::new);
+                    self.pages
+                        .insert(page, PageEntry::from_parts(vt, slots, origins));
                     self.note_owned_write(page);
                 }
             }
@@ -2412,6 +2403,66 @@ mod tests {
         // And the re-read observes the overwrite.
         let (v, _) = remote_read(&mut p0, &mut p1, x1);
         assert_eq!(v, Word::Int(20), "must observe P1's overwrite");
+    }
+
+    #[test]
+    fn a_pipelined_repair_installs_the_survivor_under_the_reply_stamp() {
+        // P1's optimistic write of x0 is rejected by its owner P0 in
+        // favour of P0's concurrent write. While it was in flight, P1
+        // absorbed P2's component from the reply to another pipelined
+        // write, so P1's clock holds knowledge the owner's stamp VT' lacks.
+        // The repair must install the survivor under VT', as finish_write
+        // does: under the merged VT_i the page stamp would carry P2's
+        // unrelated component, and P0's later stamps could never sweep it.
+        let config = CausalConfig::<Word>::builder(3, 6)
+            .page_size(2)
+            .policy(WritePolicy::OwnerFavored)
+            .build();
+        // Round-robin pages: P0 owns x0/x1, P1 owns x2/x3, P2 owns x4/x5.
+        let mut p0 = CausalState::new(p(0), config.clone());
+        let mut p1 = CausalState::new(p(1), config.clone());
+        let mut p2 = CausalState::new(p(2), config);
+        let page0 = PageId::new(0);
+
+        // P1 caches page 0 after P0's write of x1; P0 then writes x0, and
+        // P2 writes x5, each locally.
+        p0.begin_write(loc(1), Word::Int(1));
+        let _ = remote_read(&mut p1, &mut p0, loc(0));
+        p0.begin_write(loc(0), Word::Int(2));
+        p2.begin_write(loc(5), Word::Int(5));
+
+        // P1 pipelines x0, x1 and x4. Its write of x1 keeps the cached
+        // page's stamp concurrent with the owner's reply to x0, so that
+        // reply's sweep leaves the page for the repair.
+        let nonblocking = |p1: &mut CausalState<Word>, l: u32, v: i64| {
+            let WriteStep::Remote { request, .. } =
+                p1.begin_write_nonblocking(loc(l), Word::Int(v))
+            else {
+                panic!("P1 does not own x{l}");
+            };
+            request
+        };
+        let to_p0 = nonblocking(&mut p1, 0, 3);
+        nonblocking(&mut p1, 1, 4);
+        let to_p2 = nonblocking(&mut p1, 4, 6);
+
+        // P2's reply lands first and brings P2's component.
+        let reply = p2.serve(p(1), to_p2).expect("serve write");
+        assert!(p1.absorb_write_reply(reply).is_applied());
+        assert_eq!(p1.vt().get(2), 1);
+
+        let reply = p0.serve(p(1), to_p0).expect("serve write");
+        let Msg::WriteReply { vt: ref stamp, .. } = reply else {
+            panic!("expected a W_REPLY");
+        };
+        let stamp = stamp.clock().clone();
+        assert_eq!(stamp.get(2), 0, "the owner never heard of P2's write");
+        assert!(!p1.absorb_write_reply(reply).is_applied());
+
+        assert_eq!(p1.peek(loc(0)).unwrap().0, &Word::Int(2), "repaired");
+        let entry = &p1.pages[&page0];
+        assert_eq!(entry.vt, stamp, "page stamp is the reply's VT'");
+        assert_eq!(*entry.slots[0].origin, stamp, "slot origin is VT'");
     }
 
     #[test]
