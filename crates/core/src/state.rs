@@ -485,7 +485,7 @@ impl<V: Value> CausalState<V> {
     ///
     /// Figure 4: `VT_i := update(VT_i, VT')`; `M_i[x] := (v', VT')`;
     /// `∀y ∈ C_i : M_i[y].VT < VT' → M_i[y] := ⊥`; `v := M_i[x].value`.
-    /// The merge and the sweep are [`CausalState::introduce`].
+    /// The merge and the sweep are `introduce`.
     ///
     /// One guard beyond the figure's text: if, while the fetch was in
     /// flight, this node absorbed knowledge (by servicing requests) whose
@@ -674,9 +674,9 @@ impl<V: Value> CausalState<V> {
     /// `writer_owner_race_keeps_cache_sweepable`).
     ///
     /// A rejection reply carries the owner's surviving write, another
-    /// process's value: it enters through [`CausalState::introduce`],
-    /// exactly as a read reply does. An applied write installs this
-    /// process's own value and only merges `VT'`, as Figure 4 does.
+    /// process's value: it enters through `introduce`, exactly as a read
+    /// reply does. An applied write installs this process's own value and
+    /// only merges `VT'`, as Figure 4 does.
     ///
     /// Under [`InvalidationMode::WriterInvalidate`] the cache sweep the
     /// paper's prose implies is also applied here (ablation A1).
@@ -784,8 +784,8 @@ impl<V: Value> CausalState<V> {
     /// timestamp and, if the owner-favored policy rejected the write,
     /// repairs the optimistic cache entry with the surviving value. The
     /// survivor is another process's value: it enters through
-    /// [`CausalState::introduce`] and is installed under the reply's
-    /// `VT'`, as [`CausalState::finish_write`] installs it.
+    /// `introduce` and is installed under the reply's `VT'`, as
+    /// [`CausalState::finish_write`] installs it.
     ///
     /// # Panics
     ///
@@ -1103,15 +1103,13 @@ impl<V: Value> CausalState<V> {
         } else if self.config.page_size() == 1 {
             let origin = Arc::new(vt.clone());
             let slots = vec![Slot { value, wid, origin }];
-            let installed_at = 0;
-            self.cache_page(
-                page,
-                PageEntry {
-                    vt,
-                    slots,
-                    installed_at,
-                },
-            );
+            // `cache_page` sets the installation tick.
+            let entry = PageEntry {
+                vt,
+                slots,
+                installed_at: 0,
+            };
+            self.cache_page(page, entry);
         }
     }
 
