@@ -211,7 +211,9 @@ impl<V: Value> CausalConfig<V> {
     /// `false` (the default) sends every message in its own envelope —
     /// byte-identical to the paper's protocol. Logical per-kind message
     /// counts are unchanged either way; only the *physical envelope* count
-    /// drops when enabled.
+    /// drops when enabled. Batching needs a pipeline window and no
+    /// failover (every failover request travels in its own stamped
+    /// envelope); [`CausalConfigBuilder::build`] rejects anything else.
     #[must_use]
     pub fn batching(&self) -> bool {
         self.batching
@@ -414,7 +416,8 @@ impl<V: Value> CausalConfigBuilder<V> {
     }
 
     /// Lets pipelined writes and their replies share transport envelopes
-    /// (default `false` — one envelope per message). See
+    /// (default `false` — one envelope per message). Needs a
+    /// [`pipeline_window`](Self::pipeline_window) and no failover. See
     /// [`CausalConfig::batching`].
     #[must_use]
     pub fn batching(mut self, batching: bool) -> Self {
@@ -460,7 +463,8 @@ impl<V: Value> CausalConfigBuilder<V> {
     ///
     /// # Panics
     ///
-    /// Panics if an explicit owner map disagrees with the node count.
+    /// Panics if an explicit owner map disagrees with the node count, or
+    /// if batching is on without a pipeline window or with failover.
     #[must_use]
     pub fn build(self) -> CausalConfig<V> {
         let owners = self
@@ -470,6 +474,14 @@ impl<V: Value> CausalConfigBuilder<V> {
             owners.nodes(),
             self.nodes,
             "owner map node count disagrees with configuration"
+        );
+        assert!(
+            !self.batching || self.pipeline_window > 0,
+            "batching needs a pipeline window: only pipelined writes share envelopes"
+        );
+        assert!(
+            !self.batching || self.failover.is_none(),
+            "batching under failover: every failover request travels in its own stamped envelope"
         );
         CausalConfig {
             nodes: self.nodes,
@@ -540,6 +552,22 @@ mod tests {
     fn debug_output_is_nonempty() {
         let config = CausalConfig::<Word>::builder(2, 4).build();
         assert!(format!("{config:?}").contains("CausalConfig"));
+    }
+
+    #[test]
+    #[should_panic(expected = "batching needs a pipeline window")]
+    fn batching_without_a_window_is_rejected() {
+        let _ = CausalConfig::<Word>::builder(2, 4).batching(true).build();
+    }
+
+    #[test]
+    #[should_panic(expected = "batching under failover")]
+    fn batching_under_failover_is_rejected() {
+        let _ = CausalConfig::<Word>::builder(2, 4)
+            .pipeline_window(4)
+            .batching(true)
+            .failover(FailoverConfig::default())
+            .build();
     }
 
     #[test]

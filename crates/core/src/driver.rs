@@ -365,7 +365,7 @@ impl<V: Value> NodeDriver<V> {
         let window = config.pipeline_window() as usize;
         let pipeline = Pipeline {
             window,
-            batching: config.batching() && window > 0 && fo.is_none(),
+            batching: config.batching(),
             owner: None,
             tags: VecDeque::new(),
             buffer: Vec::new(),

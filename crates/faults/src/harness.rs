@@ -63,7 +63,9 @@ pub struct ChaosConfig {
     /// (`0` disables pipelining — the paper's blocking protocol).
     pub pipeline_window: u32,
     /// Transport batching of pipelined writes (owner-side coalesced
-    /// invalidation sweeps, batched reply envelopes).
+    /// invalidation sweeps, batched reply envelopes). Needs a window and
+    /// a fault family without failover: the protocol configuration
+    /// rejects anything else at build.
     pub batching: bool,
 }
 
@@ -119,18 +121,21 @@ impl Faults {
     }
 
     /// The grid a batch walks: the pipeline window cycles through
-    /// `{0, 4, 32}` with the seed and batching follows seed parity —
-    /// except under failover, which sends every pipelined write in its
-    /// own stamped envelope, so batching stays off and the window
-    /// alternates `{0, 32}`. A deterministic function of `(base, seed)`,
-    /// so a failure reproduces by re-running its seed (the outcome also
-    /// records the sampled values).
+    /// `{0, 4, 32}` with the seed and batching follows seed parity
+    /// wherever there is a window to batch — except under failover, which
+    /// sends every pipelined write in its own stamped envelope, so
+    /// batching stays off and the window alternates `{0, 32}` (batching
+    /// without a window or under failover is a combination
+    /// `CausalConfigBuilder::build` rejects). A deterministic function of
+    /// `(base, seed)`, so a failure reproduces by re-running its seed (the
+    /// outcome also records the sampled values).
     #[must_use]
     pub fn grid(self, base: &ChaosConfig, seed: u64) -> ChaosConfig {
         let (window, batching) = if self.failover() {
             ([0, 32][(seed % 2) as usize], false)
         } else {
-            ([0, 4, 32][(seed % 3) as usize], seed % 2 == 1)
+            let window = [0, 4, 32][(seed % 3) as usize];
+            (window, seed % 2 == 1 && window > 0)
         };
         ChaosConfig {
             pipeline_window: window,
@@ -258,15 +263,11 @@ pub fn run_chaos<W: Workload>(
     cfg: &ChaosConfig,
 ) -> ChaosOutcome<W::Value> {
     let failover = faults.failover();
-    let cfg = ChaosConfig {
-        batching: cfg.batching && !failover,
-        ..cfg.clone()
-    };
     let Shape {
         config,
         clients,
         check,
-    } = workload.shape(seed, &cfg);
+    } = workload.shape(seed, cfg);
     let mut config = config
         .pipeline_window(cfg.pipeline_window)
         .batching(cfg.batching);
@@ -282,7 +283,7 @@ pub fn run_chaos<W: Workload>(
         });
     }
     let config = config.build();
-    let (plan, victim) = faults.plan(seed, &cfg, &config);
+    let (plan, victim) = faults.plan(seed, cfg, &config);
     // Durable nodes boot on their platters, and a crash window ends in a
     // recovery; otherwise it is a pause.
     let reboots = config

@@ -128,6 +128,9 @@ fn parse_args() -> Option<Args> {
             && !parsed.reconnect
             && parsed.restart.is_none()
             && parsed.data_dir.is_none());
+    // Batching seals runs of pipelined writes: without a window there
+    // are none, and the protocol configuration rejects it.
+    let batching_ok = !parsed.batching || parsed.pipeline > 0;
     let victim_ok = match (parsed.restart, parsed.spawn) {
         (Some(victim), Some(n)) => victim < n,
         _ => true,
@@ -135,6 +138,7 @@ fn parse_args() -> Option<Args> {
     (parsed.spec.is_some() != parsed.spawn.is_some()
         && parsed.read_pct <= 100
         && knobs_ok
+        && batching_ok
         && victim_ok)
         .then_some(parsed)
 }

@@ -30,7 +30,7 @@ use memcore::NodeId;
 /// sndbuf 262144     # SO_SNDBUF request in bytes (0 = OS default)
 /// rcvbuf 262144     # SO_RCVBUF request in bytes (0 = OS default)
 /// pipeline 32       # write-pipeline window (0 = blocking writes)
-/// batching on       # coalesce pipelined runs into Msg::Batch envelopes
+/// batching on       # coalesce pipelined runs into Msg::Batch envelopes (needs pipeline)
 /// reconnect on      # session-layer retransmission + redial on socket loss
 /// rto_ms 50         # session retransmission timeout (reconnect mode)
 /// ```
@@ -277,6 +277,9 @@ impl ClusterSpec {
             reconnect: reconnect.unwrap_or(defaults.reconnect),
             rto_ms: rto_ms.unwrap_or(defaults.rto_ms),
         };
+        if net.batching && net.pipeline == 0 {
+            return Err(err(0, "batching on needs pipeline >= 1"));
+        }
         Ok(ClusterSpec::new(locations, addrs).with_net(net))
     }
 
@@ -394,6 +397,11 @@ mod tests {
             ("sndbuf 1 2\n", "trailing"),
             ("reconnect on\nreconnect on\n", "duplicate reconnect"),
             ("pipeline 4\npipeline 4\n", "duplicate pipeline"),
+            ("batching on\n", "batching on needs pipeline >= 1"),
+            (
+                "pipeline 0\nbatching on\n",
+                "batching on needs pipeline >= 1",
+            ),
         ] {
             let text = format!("nodes 1\nlocations 4\n{extra}addr 0 x:1\n");
             let e = ClusterSpec::parse(&text).unwrap_err();
